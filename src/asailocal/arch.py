@@ -19,10 +19,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from .factors import ArchFactor, REL_TOL_ARCH, gammafn, loggamma
+from .factors import DEFAULT_GRID, ArchFactor, REL_TOL_ARCH, gammafn, loggamma
 
 QUAD_TOL = 1e-8
-ARCH_GRID = (0.7, 1.3, 2.1 + 0.5j, 0.4 - 0.8j, 1.05)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +480,7 @@ def case_table(mu: CChar, nu: CChar) -> CaseDatum:
     return CaseDatum(5, terms, ((0, 0),), -pi / 2, -pi / 2, 1 + 0j)
 
 
-def zeta_integral_case(mu: CChar, nu: CChar, grid=ARCH_GRID, tol=REL_TOL_ARCH) -> dict:
+def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID, tol=REL_TOL_ARCH) -> dict:
     """Assemble Z(s, W, Phi) and the dual integral for the case datum; check
     that Z / L_Gal is the tabulated constant on the grid, extract eps_RS, and
     check the relation to eps_Gal."""

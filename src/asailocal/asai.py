@@ -155,9 +155,7 @@ def _relative_kernel_char(E: QuadExtension, model: MultChar) -> MultChar:
     G = unit_group(E, level)
     F = E.ground
     MF = (level + E.e - 1) // E.e
-    from .unitgroups import unit_group as ug
-
-    GF = ug(F, MF)
+    GF = unit_group(F, MF)
     g_exps = G.dlog(E.embed(GF.gens[0])) if GF.gens else tuple(0 for _ in G.gens)
     # search a small nonzero angle vector vanishing on the F-unit generator
     for i in range(len(G.gens)):
@@ -220,9 +218,6 @@ def l_rs(inp: AsaiInput, dual: bool = False) -> NonArchFactor:
         mu0, nu0 = mu0.mul(chi), nu0.mul(chi)
         third = third.mul(compose_with_norm(chi, E))
     return tate_L(mu0) * tate_L(nu0) * tate_L(third).rebase(q)
-
-
-l_gal_asai = l_rs
 
 
 def eps_rs(inp: AsaiInput, check: bool = True, extension_choice: int = 0) -> NonArchFactor:

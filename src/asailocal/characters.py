@@ -19,7 +19,6 @@ from .padic import (
     EElement,
     Field,
     PAdicGround,
-    PrecisionError,
     QuadExtension,
     is_extension,
 )
@@ -100,27 +99,14 @@ class AddChar:
     field: Field
     mult: Union[Fraction, int, EElement] = 1
 
-    def _b(self):
-        if is_extension(self.field) and not isinstance(self.mult, EElement):
-            return self.field.embed(self.mult)
-        if not is_extension(self.field):
-            return Fraction(self.mult)
-        return self.mult
-
-    @property
-    def ground(self) -> PAdicGround:
-        return self.field.ground if is_extension(self.field) else self.field
+    def __post_init__(self):
+        # stored as an element of ``field`` from here on
+        object.__setattr__(self, "mult", self.field.embed(self.mult))
 
     def angle(self, x) -> Fraction:
         """Exact angle in [0,1): psi(x) = e^(2 pi i angle)."""
-        b = self._b()
-        if is_extension(self.field):
-            if not isinstance(x, EElement):
-                x = self.field.embed(x)
-            arg = (b * x).trace()
-        else:
-            arg = Fraction(b) * Fraction(x)
-        return self.ground.frac_part(arg)
+        K = self.field
+        return K.ground.frac_part(K.tr(self.mult * K.embed(x)))
 
     def value(self, x) -> complex:
         return _angle_exp(self.angle(x))
@@ -133,19 +119,14 @@ class AddChar:
 
     def shifted(self, a) -> "AddChar":
         """psi^a, i.e. x -> psi(a x)."""
-        b = self._b()
-        if is_extension(self.field):
-            if not isinstance(a, EElement):
-                a = self.field.embed(a)
-            return AddChar(self.field, b * a)
-        return AddChar(self.field, Fraction(b) * Fraction(a))
+        return AddChar(self.field, self.mult * self.field.embed(a))
 
     def conductor(self) -> int:
         """Smallest c with psi trivial on pi^c O, verified on shells."""
         return conductor_add(self)
 
     def to_json(self) -> dict:
-        b = self._b()
+        b = self.mult
         if is_extension(self.field):
             return {"field": "E", "mult": [str(b.a), str(b.b)]}
         return {"field": "F", "mult": str(b)}
@@ -160,21 +141,16 @@ def conductor_add(psi: AddChar, verify_window: int = 2) -> int:
     The formula c = -ord(b) - d(E/F) pins the tail; triviality at v >= c and
     non-triviality at v = c-1 are then checked on shell representatives.
     """
-    key = (psi.field, psi._b() if not is_extension(psi.field) else (psi._b().a, psi._b().b))
-    if key in _CONDUCTOR_CACHE:
-        return _CONDUCTOR_CACHE[key]
+    if psi in _CONDUCTOR_CACHE:
+        return _CONDUCTOR_CACHE[psi]
     out = _conductor_add_uncached(psi, verify_window)
-    _CONDUCTOR_CACHE[key] = out
+    _CONDUCTOR_CACHE[psi] = out
     return out
 
 
 def _conductor_add_uncached(psi: AddChar, verify_window: int = 2) -> int:
     K = psi.field
-    b = psi._b()
-    if is_extension(K):
-        c = -K.val(b) - K.different_exponent
-    else:
-        c = -K.val(b)
+    c = -K.val(psi.mult) - K.different_exponent
     for v in range(c, c + verify_window):
         for x in K.shell(v, 1):
             if psi.angle(x) != 0:
@@ -190,8 +166,7 @@ def standard_psi(F: PAdicGround) -> AddChar:
 
 def psi_to_E(psi: AddChar, E: QuadExtension, xi: Optional[EElement] = None) -> AddChar:
     """psi_xi(x) = psi(tr(xi x)); xi = 1 gives psi o tr."""
-    b = Fraction(psi.mult) if not isinstance(psi.mult, EElement) else psi.mult
-    mult = E.embed(b) if not isinstance(b, EElement) else b
+    mult = E.embed(psi.mult)
     if xi is not None:
         mult = mult * xi
     return AddChar(E, mult)
@@ -283,16 +258,8 @@ class MultChar:
 
     def _split(self, x):
         K = self.field
-        if is_extension(K):
-            if not isinstance(x, EElement):
-                x = K.embed(x)
-            v = K.val(x)
-            u = K.unit_part(x)
-        else:
-            x = Fraction(x)
-            v = K.val(x)
-            u = K.unit_part(x)
-        return v, u
+        x = K.embed(x)
+        return K.val(x), K.unit_part(x)
 
     def value(self, x) -> complex:
         v, u = self._split(x)
@@ -353,15 +320,6 @@ class MultChar:
         """chi * |.|^w."""
         return MultChar(self.field, self.n, self.angles, self.t, _add_lam(self.lam, w))
 
-    def order_divides(self, k: int) -> bool:
-        if self.lam != 0:
-            return False
-        if any((a * k) % 1 != 0 for a in self.angles):
-            return False
-        if not self.t.is_exact:
-            return abs(self.t.value() ** k - 1) < 1e-12
-        return (self.t.angle * k) % 1 == 0
-
     def is_trivial(self, tol: float = 0.0) -> bool:
         if self.n != 0 or self.lam != 0:
             return False
@@ -401,6 +359,8 @@ def _add_lam(a, b):
 def mult_char_from_json(obj: dict, field: Field) -> MultChar:
     t = obj.get("t", 1)
     if isinstance(t, dict):
+        if "angle" not in t:
+            raise ValueError("an exact 't' needs an 'angle' entry")
         phase = Phase.exact(Fraction(t["angle"]))
     elif isinstance(t, (list, tuple)):
         phase = Phase.approx(complex(t[0], t[1]))
@@ -414,6 +374,8 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         if lam.imag == 0 and lam.real == int(lam.real):
             lam = Fraction(int(lam.real))
     n = int(obj.get("conductor", 0))
+    if n < 0:
+        raise ValueError("conductor must be >= 0")
     angles = [Fraction(a) for a in obj.get("unit_part", [])]
     return MultChar.from_angles(field, n, angles, phase, lam)
 

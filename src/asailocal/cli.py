@@ -1,7 +1,10 @@
 """Command-line front end: factor computations and the verification suites.
 
 All numeric JSON output uses [re, im] pairs; everything the CLI emits can be
-re-ingested.  Exit codes: 0 success, 2 input error, 3 verification failure.
+re-ingested.  Exit codes: 0 success; 2 input error (each argument is checked
+where it is parsed); 3 verification failure (a failed suite or comparison, or
+an internal consistency check such as ConsistencyError or StabilizationError).
+Any other exception is a fault in the program and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from .characters import (
 )
 from .factors import DEFAULT_GRID, eval_table
 from .padic import DEFAULT_PRECISION, PAdicGround, QuadExtension, field_from_json
-from .tate import langlands_constant, tate_L, tate_eps, tate_gamma
-from .verify import SUITE_GROUPS, SUITES
+from .tate import ConsistencyError, langlands_constant, tate_L, tate_eps, tate_gamma
+from .verify import SUITE_GROUPS, SUITES, run_suites
+from .whittaker import StabilizationError
 
 
 class InputError(ValueError):
@@ -41,9 +45,19 @@ class InputError(ValueError):
 
 def _parse_json(text: str, what: str) -> dict:
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return obj
+
+
+def _parse_number(text: str, what: str, kind=Fraction):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{what}: not a number: {text!r}") from exc
 
 
 def _parse_field(args) -> tuple:
@@ -52,11 +66,14 @@ def _parse_field(args) -> tuple:
         raise InputError("--field needs a 'p' entry")
     env_prec = os.environ.get("ASAI_PRECISION")
     if env_prec:
-        obj.setdefault("precision", int(env_prec))
+        obj.setdefault("precision", _parse_number(env_prec, "ASAI_PRECISION", int))
     obj.setdefault("precision", DEFAULT_PRECISION)
     if getattr(args, "ext", None):
         obj["ext"] = args.ext
-    K = field_from_json(obj)
+    try:
+        K = field_from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid --field: {exc}") from exc
     if isinstance(K, QuadExtension):
         return K.ground, K
     return K, None
@@ -77,26 +94,47 @@ def _parse_char(text: str, F: PAdicGround, E) -> MultChar:
     target = E if tag == "E" else F
     if target is None:
         raise InputError("character declared on E but no extension was given")
+    return _char_from_json(obj, target, "--char")
+
+
+def _char_from_json(obj, field, what: str) -> MultChar:
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object")
     try:
-        return mult_char_from_json(obj, target)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"invalid character descriptor: {exc}") from exc
+        return mult_char_from_json(obj, field)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"invalid character descriptor in {what}: {exc}") from exc
 
 
 def _parse_grid(args) -> tuple:
     if not getattr(args, "grid", None):
         return DEFAULT_GRID
-    out = []
-    for part in args.grid.split(";"):
-        re_im = part.split(",")
-        out.append(complex(float(re_im[0]), float(re_im[1]) if len(re_im) > 1 else 0.0))
-    return tuple(out)
+    return tuple(_parse_complex(part, "--grid") for part in args.grid.split(";"))
+
+
+def _parse_complex(text: str, what: str) -> complex:
+    """Parse "re" or "re,im"."""
+    re_im = text.split(",")
+    if len(re_im) > 2:
+        raise InputError(f"{what}: expected re or re,im, got {text!r}")
+    return complex(*(_parse_number(x, what, float) for x in re_im))
+
+
+def _parse_tol(args) -> float:
+    return _parse_number(args.tol, "--tol", float) if getattr(args, "tol", None) else 1e-8
+
+
+def _nonzero_fraction(text: str, what: str) -> Fraction:
+    a = _parse_number(text, what)
+    if a == 0:
+        raise InputError(f"{what} must be nonzero")
+    return a
 
 
 def _psi(args, F: PAdicGround) -> AddChar:
     psi = standard_psi(F)
     if getattr(args, "psi_shift", None):
-        psi = psi.shifted(Fraction(args.psi_shift))
+        psi = psi.shifted(_nonzero_fraction(args.psi_shift, "--psi-shift"))
     return psi
 
 
@@ -144,7 +182,7 @@ def cmd_tate(args) -> int:
 
         xi = E.xi()
         if getattr(args, "xi_scale", None):
-            xi = xi * E.embed(Fraction(args.xi_scale))
+            xi = xi * E.embed(_nonzero_fraction(args.xi_scale, "--xi-scale"))
         psi_k = psi_to_E(psi, E, xi)
     else:
         psi_k = psi
@@ -177,14 +215,17 @@ def _asai_input(args) -> AsaiInput:
     psi = _psi(args, F)
     xi = E.xi()
     if getattr(args, "xi_scale", None):
-        xi = xi * E.embed(Fraction(args.xi_scale))
+        xi = xi * E.embed(_nonzero_fraction(args.xi_scale, "--xi-scale"))
     tau = None
     if getattr(args, "tau", None):
         obj = _parse_json(args.tau, "--tau")
-        mu2 = mult_char_from_json(obj["mu2"], F)
-        nu2 = mult_char_from_json(obj["nu2"], F)
+        mu2 = _char_from_json(obj.get("mu2"), F, "--tau mu2")
+        nu2 = _char_from_json(obj.get("nu2"), F, "--tau nu2")
         v2 = obj.get("v2", 0)
-        v2 = complex(v2[0], v2[1]) if isinstance(v2, (list, tuple)) else complex(v2)
+        try:
+            v2 = complex(v2[0], v2[1]) if isinstance(v2, (list, tuple)) else complex(v2)
+        except (IndexError, TypeError, ValueError) as exc:
+            raise InputError(f"--tau v2 must be a number or [re, im]: {exc}") from exc
         tau = TwistedPair(mu2, nu2, v2)
     return AsaiInput(E, mu, nu, psi, xi, chi, tau)
 
@@ -192,7 +233,7 @@ def _asai_input(args) -> AsaiInput:
 def cmd_asai(args) -> int:
     inp = _asai_input(args)
     grid = _parse_grid(args)
-    tol = float(args.tol) if getattr(args, "tol", None) else 1e-8
+    tol = _parse_tol(args)
     gamma = gamma_rs(inp)
     eps = eps_rs(inp, check=False)
     L = l_rs(inp)
@@ -228,7 +269,7 @@ def cmd_twisted_asai(args) -> int:
     if inp.tau is None:
         raise InputError("twisted-asai needs --tau")
     grid = _parse_grid(args)
-    tol = float(args.tol) if getattr(args, "tol", None) else 1e-8
+    tol = _parse_tol(args)
     assembly1, report = gamma_psr(inp, grid, tol)
     payload = {
         "normalization_corrections": _corrections(inp),
@@ -266,12 +307,11 @@ def _c(z: complex) -> tuple:
 def cmd_arch_zeta(args) -> int:
     from . import arch
 
-    lam1 = complex(*[float(x) for x in args.lam1.split(",")]) if "," in args.lam1 else complex(float(args.lam1))
-    lam2 = complex(*[float(x) for x in args.lam2.split(",")]) if "," in args.lam2 else complex(float(args.lam2))
-    mu = arch.CChar(lam1, int(args.n1))
-    nu = arch.CChar(lam2, int(args.n2))
+    lam1 = _parse_complex(args.lam1, "--lam1")
+    lam2 = _parse_complex(args.lam2, "--lam2")
+    mu = arch.CChar(lam1, _parse_number(args.n1, "--n1", int))
+    nu = arch.CChar(lam2, _parse_number(args.n2, "--n2", int))
     grid = _parse_grid(args)
-    grid = tuple(s for s in grid)
     report = arch.zeta_integral_case(mu, nu, grid)
     payload = {
         "case": report["case"],
@@ -309,24 +349,11 @@ def cmd_verify(args) -> int:
                 f"unknown suite {args.suite!r}; choose from "
                 f"{sorted(SUITES) + sorted(SUITE_GROUPS) + ['all']}"
             )
-    reports = []
-    failed = False
-    for name in sorted(names or SUITES):
-        rep = SUITES[name]()
-        rep["ok"] = bool(rep["ok"])
-        rep["max_deviation"] = float(rep["max_deviation"])
-        reports.append(rep)
-        status = "PASS" if rep["ok"] else "FAIL"
-        print(
-            f"[{status}] {rep['name']}: max deviation {rep['max_deviation']:.3e} "
-            f"({rep['elapsed']:.1f}s)  {rep['detail']}",
-            file=sys.stderr,
-        )
-        failed = failed or not rep["ok"]
+    reports = run_suites(names)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             json.dump(reports, fh, indent=2, default=float)
-    return 3 if failed else 0
+    return 0 if all(rep["ok"] for rep in reports) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +436,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except (ConsistencyError, StabilizationError) as exc:
+        print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

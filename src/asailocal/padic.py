@@ -6,6 +6,14 @@ in Q(sqrt(d)), so valuations and residue classes are computed without any
 rounding.  The ``precision`` attribute of a ground field is the cap on residue
 moduli that finite sums are allowed to request; exceeding it raises
 :class:`PrecisionError` instead of silently truncating.
+
+Both fields share one element API, so code written for a field K never asks
+which field it has: ``elem``, ``embed``, ``zero``, ``one``, ``uniformizer``,
+``val``, ``unit_part``, ``residue``, ``shell``, ``tr`` (trace down to F),
+``ground`` and ``different_exponent``.  Elements of F are plain ``Fraction``s
+and elements of E are :class:`EElement`s; both support the field operations
+``+ - * /`` and comparison with 0, and ``embed`` returns an element of the
+field unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 DEFAULT_PRECISION = 12
 
@@ -74,6 +82,32 @@ class PAdicGround:
     def q(self) -> int:
         return self.p
 
+    @property
+    def ground(self) -> "PAdicGround":
+        return self
+
+    different_exponent = 0
+
+    # -- element constructors --------------------------------------------------
+    def elem(self, a: Rational) -> Fraction:
+        return _frac(a)
+
+    embed = elem
+
+    def one(self) -> Fraction:
+        return Fraction(1)
+
+    def zero(self) -> Fraction:
+        return Fraction(0)
+
+    def uniformizer(self) -> Fraction:
+        return Fraction(self.p)
+
+    def tr(self, x: Fraction) -> Fraction:
+        """Trace down to F: the identity."""
+        return x
+
+    # -- valuations ------------------------------------------------------------
     def val(self, x: Rational) -> int:
         """ord_F(x), normalized so ord_F(p) = 1."""
         x = _frac(x)
@@ -88,10 +122,6 @@ class PAdicGround:
             den //= self.p
             v -= 1
         return v
-
-    def abs_exponent(self, x: Rational) -> int:
-        """Exponent e with |x|_F = q^{-e}; alias of :meth:`val`."""
-        return self.val(x)
 
     def unit_part(self, x: Rational) -> Fraction:
         """x / p^{ord(x)} as an exact rational unit."""
@@ -395,8 +425,13 @@ class QuadExtension:
                     reps.append(pi_v * self.elem(a, b))
         return reps
 
-    def embed(self, x: Rational) -> EElement:
-        return self.elem(x)
+    def embed(self, x) -> EElement:
+        """x as an element of E; an element of E is returned unchanged."""
+        return x if isinstance(x, EElement) else EElement(self, x)
+
+    def tr(self, x: EElement) -> Fraction:
+        """Trace down to F."""
+        return x.trace()
 
     def to_json(self) -> dict:
         return {"p": self.p, "ext": self.ext_type, "precision": self.ground.precision}
@@ -408,6 +443,8 @@ Field = Union[PAdicGround, QuadExtension]
 def field_from_json(obj: dict) -> Field:
     p = int(obj["p"])
     precision = int(obj.get("precision", DEFAULT_PRECISION))
+    if p != obj["p"] or precision != obj.get("precision", precision):
+        raise ValueError("p and precision must be integers")
     ground = PAdicGround(p, precision)
     ext = obj.get("ext")
     if ext in (None, "F"):
@@ -417,17 +454,3 @@ def field_from_json(obj: dict) -> Field:
 
 def is_extension(K: Field) -> bool:
     return isinstance(K, QuadExtension)
-
-
-def field_q(K: Field) -> int:
-    return K.q
-
-
-def shell_representatives(K: Field, v: int, m: int):
-    """Shell of valuation v modulo pi^{v+m}; exactly (q-1)*q^{m-1} elements."""
-    return K.shell(v, m)
-
-
-def iter_units(K: Field, m: int) -> Iterator:
-    """All units of O_K/pi^m (valuation-0 shell representatives)."""
-    return iter(K.shell(0, m))

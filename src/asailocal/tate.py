@@ -15,12 +15,10 @@ from fractions import Fraction
 from .characters import AddChar, MultChar, conductor_add
 from .cyclotomic import Cyc
 from .factors import (
-    DEFAULT_GRID,
     NonArchFactor,
     PHI_INDEPENDENCE_TOL,
     PoleError,
 )
-from .padic import EElement, Field, is_extension
 
 _CHECK_GRID = (0.7, 1.3, 0.4 - 0.8j)
 
@@ -94,26 +92,10 @@ class ModBox:
     level: int
 
     def indicator(self, K, x) -> bool:
-        diff = _sub(K, x, self.center)
-        if _is_zero(diff):
+        diff = K.embed(x) - K.embed(self.center)
+        if diff == 0:
             return True
-        return _val(K, diff) >= self.level
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, EElement) else Fraction(x) == 0
-
-
-def _val(K: Field, x) -> int:
-    return K.val(x)
-
-
-def _sub(K: Field, x, y):
-    if is_extension(K):
-        x = x if isinstance(x, EElement) else K.embed(x)
-        y = y if isinstance(y, EElement) else K.embed(y)
-        return x - y
-    return Fraction(x) - Fraction(y)
+        return K.val(diff) >= self.level
 
 
 def box_fourier(piece: ModBox, psi: AddChar) -> ModBox:
@@ -122,46 +104,19 @@ def box_fourier(piece: ModBox, psi: AddChar) -> ModBox:
     K = psi.field
     c = conductor_add(psi)
     vol_box = K.q ** Fraction(c, 2) * Fraction(K.q) ** (-piece.level)
-    a, n, m0 = piece.center, piece.level, piece.mult
-    coef = piece.coef * float(vol_box) * psi.value(_mul_add(K, a, m0))
-    new_center = _neg(K, m0)
-    return ModBox(coef=coef, mult=a, center=new_center, level=c - n)
-
-
-def _mul_add(K, a, m0):
-    if _is_zero_like(m0):
-        return _zero(K)
-    if is_extension(K):
-        a = a if isinstance(a, EElement) else K.embed(a)
-        m0 = m0 if isinstance(m0, EElement) else K.embed(m0)
-        return a * m0
-    return Fraction(a) * Fraction(m0)
-
-
-def _is_zero_like(x) -> bool:
-    if isinstance(x, EElement):
-        return x.is_zero()
-    return Fraction(x) == 0
-
-
-def _zero(K):
-    return K.zero() if is_extension(K) else Fraction(0)
-
-
-def _neg(K, x):
-    if is_extension(K):
-        return -(x if isinstance(x, EElement) else K.embed(x))
-    return -Fraction(x)
+    a, n, m0 = K.embed(piece.center), piece.level, K.embed(piece.mult)
+    coef = piece.coef * float(vol_box) * psi.value(a * m0)
+    return ModBox(coef=coef, mult=a, center=-m0, level=c - n)
 
 
 def _shell_char_psi_integral(chi: MultChar, v: int, mult, psi: AddChar, vol_O: float) -> complex:
     """int_{ord x = v} chi(x) psi(mult*x) dx (dx with vol(O) = vol_O)."""
     K = chi.field
     q = K.q
-    if _is_zero_like(mult):
+    if mult == 0:
         c_eff = None
     else:
-        c_eff = conductor_add(psi) - _val(K, mult)
+        c_eff = conductor_add(psi) - K.val(mult)
     if chi.is_ramified:
         if c_eff is None:
             return 0j
@@ -169,7 +124,7 @@ def _shell_char_psi_integral(chi: MultChar, v: int, mult, psi: AddChar, vol_O: f
             return 0j
         out = 0j
         for x in K.shell(v, chi.n):
-            out += chi.value(x) * psi.value(_mul_add(K, x, mult))
+            out += chi.value(x) * psi.value(x * mult)
         return out * vol_O * q ** (-(v + chi.n))
     t = chi.t_full()
     if c_eff is None or v >= c_eff:
@@ -178,7 +133,7 @@ def _shell_char_psi_integral(chi: MultChar, v: int, mult, psi: AddChar, vol_O: f
         # full oscillation except the subleading coset
         phase = 0j
         for x in K.shell(v, 1):
-            phase += psi.value(_mul_add(K, x, mult))
+            phase += psi.value(x * mult)
         return t**v * vol_O * q ** (-(v + 1)) * phase
     return 0j
 
@@ -190,18 +145,16 @@ def _coset_char_psi_integral(
     (ord(center) < level); exact finite sum."""
     K = chi.field
     q = K.q
-    v0 = _val(K, center)
+    v0 = K.val(center)
     m = level - v0
     depth = max(chi.n, m)
-    if not _is_zero_like(mult):
-        depth = max(depth, conductor_add(psi) - _val(K, mult) - v0)
+    if mult != 0:
+        depth = max(depth, conductor_add(psi) - K.val(mult) - v0)
     out = 0j
-    seen = 0
     for x in K.shell(v0, depth):
         if not ModBox(1.0, 0, center, level).indicator(K, x):
             continue
-        seen += 1
-        out += chi.value(x) * psi.value(_mul_add(K, x, mult))
+        out += chi.value(x) * psi.value(x * mult)
     return out * vol_O * q ** (-(v0 + depth))
 
 
@@ -219,20 +172,20 @@ def tate_zeta_value(chi: MultChar, psi: AddChar, pieces, s: complex) -> complex:
     zeta1 = 1.0 / (1.0 - 1.0 / q)
     total = 0j
     for piece in pieces:
-        a, n, m0 = piece.center, piece.level, piece.mult
-        if _is_zero_like(a) or _val(K, a) >= n:
+        a, n, m0 = K.embed(piece.center), piece.level, K.embed(piece.mult)
+        if a == 0 or K.val(a) >= n:
             # box is the ideal pi^n O: sum over shells v >= n
             if chi.is_ramified:
-                if _is_zero_like(m0):
+                if m0 == 0:
                     continue
-                v = conductor_add(psi) - _val(K, m0) - chi.n
+                v = conductor_add(psi) - K.val(m0) - chi.n
                 if v < n:
                     continue
                 shell_val = _shell_char_psi_integral(chi, v, m0, psi, vol_O)
                 total += piece.coef * zeta1 * q ** (-v * (s - 1)) * shell_val
             else:
                 t = chi.t_full()
-                c_eff = None if _is_zero_like(m0) else conductor_add(psi) - _val(K, m0)
+                c_eff = None if m0 == 0 else conductor_add(psi) - K.val(m0)
                 start = n if c_eff is None else max(n, c_eff)
                 # geometric part: sum_{v >= start} q^{-v(s-1)} t^v vol q^{-v}(1-1/q)
                 r = t * q ** (-s)
@@ -245,7 +198,7 @@ def tate_zeta_value(chi: MultChar, psi: AddChar, pieces, s: complex) -> complex:
                     shell_val = _shell_char_psi_integral(chi, v, m0, psi, vol_O)
                     total += piece.coef * zeta1 * q ** (-v * (s - 1)) * shell_val
         else:
-            v0 = _val(K, a)
+            v0 = K.val(a)
             inner = _coset_char_psi_integral(chi, a, n, m0, psi, vol_O)
             total += piece.coef * zeta1 * q ** (-v0 * (s - 1)) * inner
     return total
@@ -265,8 +218,7 @@ def _default_test_functions(chi: MultChar, psi: AddChar):
     """Phi = 1_O (unramified chi) or 1_{1+pi^n O} (ramified), plus the
     independence alternates: a unit translate and a shrunk box."""
     K = chi.field
-    one = K.one() if is_extension(K) else Fraction(1)
-    zero = _zero(K)
+    one, zero = K.one(), K.zero()
     n = chi.n
     if n == 0:
         base = [ModBox(1.0, zero, zero, 0)]
@@ -349,22 +301,3 @@ def langlands_constant(E, psi: AddChar) -> complex:
     omega = omega_quadratic(E)
     return tate_eps(omega, psi).eval(0.5)
 
-
-# archimedean Tate factors live with the rest of the R/C machinery; they are
-# re-exported here because they are the same atomic building block
-def l_eps_arch_real(chi, a: float = 1.0):
-    from .arch import l_eps_arch_real as impl
-
-    return impl(chi, a)
-
-
-def l_eps_arch_complex(chi, a: float = 1.0):
-    from .arch import l_eps_arch_complex as impl
-
-    return impl(chi, a)
-
-
-def langlands_constant_arch(a: float = 1.0) -> complex:
-    from .arch import lambda_C_R
-
-    return lambda_C_R(a)

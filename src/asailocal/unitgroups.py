@@ -158,7 +158,7 @@ class EUnramUnitGroup(UnitGroup):
 
     def dlog(self, x):
         E: QuadExtension = self.field
-        u = E.unit_part(x if isinstance(x, EElement) else E.elem(x))
+        u = E.unit_part(E.embed(x))
         k = E.residue(u, self.level)
         cache = getattr(self, "_dlog_cache", None)
         if cache is None:
@@ -338,7 +338,7 @@ class ERamUnitGroup(UnitGroup):
 
     def dlog(self, x):
         E: QuadExtension = self.field
-        u = E.unit_part(x if isinstance(x, EElement) else E.elem(x))
+        u = E.unit_part(E.embed(x))
         return self._table[E.residue(u, self.level)]
 
     def one_unit_gens(self, m: int):

@@ -7,18 +7,26 @@ decomposition and B-equivariance.  Whittaker values are exact: every integral
 reduces to finitely many character-coset sums (exact roots of unity) plus
 geometric tails summed in closed form, so the closed-form identities can be
 tested with zero deviation.
+
+There is one value backend: every section value is a :class:`Cyc`.  The
+half-integral powers q^(k+1/2) that |det|^(1/2) and self-dual volumes bring
+in stay exact too, because sqrt(p) is a quadratic Gauss sum; ``to_complex()``
+gives the floating value.  The spherical vector and its zeta integral are
+evaluated in floating point from their closed-form tails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from .characters import AddChar, MultChar, conductor_add, psi_to_E, restrict_to_F
 from .cyclotomic import Cyc
 from .factors import PoleError
-from .padic import EElement, PAdicGround, QuadExtension
+from .padic import PAdicGround, QuadExtension, legendre
 
 
 class StabilizationError(AssertionError):
@@ -26,63 +34,46 @@ class StabilizationError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# value backends: exact cyclotomic or floating complex
+# exact values: cyclotomic numbers, with sqrt(p) as a quadratic Gauss sum
 # ---------------------------------------------------------------------------
-
-
-def _zero(exact):
-    return Cyc.zero() if exact else 0j
 
 
 class _Acc:
     """Mutable sum accumulator: avoids quadratic dict copying in hot loops."""
 
-    __slots__ = ("exact", "terms", "z")
+    __slots__ = ("terms",)
 
-    def __init__(self, exact):
-        self.exact = exact
+    def __init__(self):
         self.terms = {}
-        self.z = 0j
 
-    def add(self, val):
-        if self.exact:
-            for a, c in val.terms.items():
-                self.terms[a] = self.terms.get(a, 0) + c
-        else:
-            self.z += val
+    def add(self, val: Cyc):
+        for a, c in val.terms.items():
+            self.terms[a] = self.terms.get(a, 0) + c
 
-    def result(self):
-        return Cyc(self.terms) if self.exact else self.z
+    def result(self) -> Cyc:
+        return Cyc(self.terms)
 
 
-def _qpow(q: int, e, exact):
-    if exact:
-        fe = Fraction(e)
-        if fe.denominator == 1:
-            return Cyc.rational(Fraction(q) ** int(fe))
-        if fe.denominator == 2:
-            r = _isqrt(q)
-            if r * r == q:
-                return Cyc.rational(Fraction(r) ** int(2 * fe))
-        raise ValueError(f"{q}^{e} is irrational; exact mode needs even exponents")
-    return complex(q ** float(e))
+@lru_cache(maxsize=None)
+def _sqrt_prime(p: int) -> Cyc:
+    """sqrt(p) for an odd prime p, exactly: the quadratic Gauss sum
+    sum (a/p) e(a/p) is sqrt(p) for p = 1 (mod 4) and i sqrt(p) for
+    p = 3 (mod 4).  Callers share the result and never mutate it."""
+    g = Cyc({Fraction(a, p): legendre(a, p) for a in range(1, p)})
+    return g if p % 4 == 1 else g * Cyc.root(Fraction(3, 4))
 
 
-def _isqrt(n: int) -> int:
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
-
-
-def _char_val(chi: MultChar, x, exact):
-    return chi.cyc(x) if exact else chi.value(x)
-
-
-def _psi_val(psi: AddChar, x, exact):
-    return psi.cyc(x) if exact else psi.value(x)
+def _qpow(q: int, e) -> Cyc:
+    """q^e for integer or half-integer e; q is p or p^2."""
+    fe = Fraction(e)
+    if fe.denominator == 1:
+        return Cyc.rational(Fraction(q) ** int(fe))
+    if fe.denominator != 2:
+        raise ValueError(f"{q}^{e}: only integer and half-integer exponents occur")
+    r = isqrt(q)
+    if r * r == q:
+        return Cyc.rational(Fraction(r) ** int(2 * fe))
+    return Cyc.rational(Fraction(q) ** int(fe - Fraction(1, 2))) * _sqrt_prime(q)
 
 
 # ---------------------------------------------------------------------------
@@ -90,61 +81,59 @@ def _psi_val(psi: AddChar, x, exact):
 # ---------------------------------------------------------------------------
 
 
-def _vol_O(psi: AddChar, exact, cvol=None):
+def _vol_O(psi: AddChar, cvol=None) -> Cyc:
     if cvol is None:
         cvol = Fraction(conductor_add(psi), 2)
-    return _qpow(psi.field.q, cvol, exact)
+    return _qpow(psi.field.q, cvol)
 
 
-def shell_integral(chi: MultChar, j: int, psi: AddChar, exact=True, cvol=None):
+def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None) -> Cyc:
     """S(j) = int_{ord t = j} chi(t) psi(-t) dt; the measure has
     vol(O) = q^cvol (default: self-dual for psi)."""
     K = chi.field
     q = K.q
     c = conductor_add(psi)
-    V = _vol_O(psi, exact, cvol)
+    V = _vol_O(psi, cvol)
     n = chi.n
     if n >= 1:
         if j != c - n:
-            return _zero(exact)
-        acc = _Acc(exact)
+            return Cyc.zero()
+        acc = _Acc()
         for x in K.shell(j, n):
-            acc.add(_char_val(chi, x, exact) * _psi_val(psi, -x, exact))
-        return acc.result() * _qpow(q, -(j + n), exact) * V
-    pi_j = (K.uniformizer() if isinstance(K, QuadExtension) else Fraction(K.p)) ** j
+            acc.add(chi.cyc(x) * psi.cyc(-x))
+        return acc.result() * _qpow(q, -(j + n)) * V
+    pi_j = K.uniformizer() ** j
     if j >= c:
         w = Fraction(1, q**j) - Fraction(1, q ** (j + 1))
-        return _char_val(chi, pi_j, exact) * V * (Cyc.rational(w) if exact else float(w))
+        return chi.cyc(pi_j) * V * Cyc.rational(w)
     if j == c - 1:
-        acc = _Acc(exact)
+        acc = _Acc()
         for x in K.shell(j, 1):
-            acc.add(_psi_val(psi, -x, exact))
-        return _char_val(chi, pi_j, exact) * V * acc.result() * _qpow(q, -(j + 1), exact)
-    return _zero(exact)
+            acc.add(psi.cyc(-x))
+        return chi.cyc(pi_j) * V * acc.result() * _qpow(q, -(j + 1))
+    return Cyc.zero()
 
 
-def shell_integral_enumerated(
-    chi: MultChar, j: int, psi: AddChar, exact=True, extra=1, cvol=None
-):
+def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, extra=1, cvol=None) -> Cyc:
     """Same shell integral by honest enumeration at a refined modulus; used
     for stabilization checks."""
     K = chi.field
     q = K.q
     c = conductor_add(psi)
-    V = _vol_O(psi, exact, cvol)
+    V = _vol_O(psi, cvol)
     m = max(chi.n, c - j, 1) + extra
-    acc = _Acc(exact)
+    acc = _Acc()
     for x in K.shell(j, m):
-        acc.add(_char_val(chi, x, exact) * _psi_val(psi, -x, exact))
-    return acc.result() * _qpow(q, -(j + m), exact) * V
+        acc.add(chi.cyc(x) * psi.cyc(-x))
+    return acc.result() * _qpow(q, -(j + m)) * V
 
 
-def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, exact=True, cvol=None):
+def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None) -> Cyc:
     """CT = int_{t0 + pi^L O} chi(t) psi(-t) dt with ord(t0) < L."""
     K = chi.field
     q = K.q
     c = conductor_add(psi)
-    V = _vol_O(psi, exact, cvol)
+    V = _vol_O(psi, cvol)
     T1 = K.val(t0)
     if T1 >= L:
         raise ValueError("coset_integral needs ord(t0) < L")
@@ -154,35 +143,21 @@ def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, exact=True, cvol=Non
     if c_eff > max(J, n):
         # chi(1+eta) only sees eta mod pi^n, so the fine psi-sum runs over a
         # full coset of pi^max(J,n) O on which psi is a nontrivial character
-        return _zero(exact)
-    acc = _zero(exact)
+        return Cyc.zero()
+    acc = Cyc.zero()
     for k in range(J, n):
         m = max(n - k, c_eff - k, 1)
-        part = _Acc(exact)
+        part = _Acc()
         for eta in K.shell(k, m):
-            one_eta = (K.one() if isinstance(K, QuadExtension) else Fraction(1)) + eta
-            part.add(
-                _char_val(chi, one_eta, exact) * _psi_val(psi, -_mul(K, t0, eta), exact)
-            )
-        acc = acc + part.result() * _qpow(q, -(k + m), exact)
+            one_eta = K.one() + eta
+            part.add(chi.cyc(one_eta) * psi.cyc(-(t0 * eta)))
+        acc = acc + part.result() * _qpow(q, -(k + m))
     Kk = max(J, n)
     if Kk >= c_eff:
-        acc = acc + _qpow(q, -Kk, exact)
+        acc = acc + _qpow(q, -Kk)
     inner = acc * V
-    pref = (
-        _char_val(chi, t0, exact)
-        * _psi_val(psi, -t0, exact)
-        * _qpow(q, -T1, exact)
-    )
+    pref = chi.cyc(t0) * psi.cyc(-t0) * _qpow(q, -T1)
     return pref * inner
-
-
-def _mul(K, x, y):
-    if isinstance(K, QuadExtension):
-        x = x if isinstance(x, EElement) else K.embed(x)
-        y = y if isinstance(y, EElement) else K.embed(y)
-        return x * y
-    return Fraction(x) * Fraction(y)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +170,8 @@ def bigcell_integral(
     C_aff: tuple,
     D_aff: tuple,
     psi: AddChar,
-    exact=True,
     verify_stability=False,
-):
+) -> Cyc:
     """int_E chi(C(t)) |C(t)|^{-1} 1[ord D(t) >= ord C(t)] psi(-t) dt for
     affine C(t) = alpha + beta t, D(t) = delta + eps t.
 
@@ -206,118 +180,70 @@ def bigcell_integral(
     """
     K = chi.field
     q = K.q
-    alpha, beta = C_aff
-    delta, epsv = D_aff
+    alpha, beta, delta, epsv = map(K.embed, C_aff + D_aff)
     c = conductor_add(psi)
     cvol = Fraction(c, 2)
-    V = _vol_O(psi, exact, cvol)
-    if _nz(beta):
-        psi2 = psi.shifted(_inv(K, beta))
-        pref = _psi_val(psi, _div(K, alpha, beta), exact) * _qpow(q, K.val(beta), exact)
-        a2 = _sub(K, delta, _div(K, _mul(K, epsv, alpha), beta)) if _nz(epsv) or _nz(delta) else _zero_elem(K)
-        b2 = _div(K, epsv, beta) if _nz(epsv) else _zero_elem(K)
-        if not _nz(a2):
+    V = _vol_O(psi, cvol)
+    if beta != 0:
+        psi2 = psi.shifted(1 / beta)
+        pref = psi.cyc(alpha / beta) * _qpow(q, K.val(beta))
+        a2 = delta - epsv * alpha / beta
+        b2 = epsv / beta
+        if a2 == 0:
             raise ValueError("degenerate section matrix (a' = 0 needs det = 0)")
         c2 = conductor_add(psi2)
         n = chi.n
-        total = _zero(exact)
-        if not _nz(b2) or K.val(b2) >= 0:
+        total = Cyc.zero()
+        if b2 == 0 or K.val(b2) >= 0:
             U = K.val(a2)
             if n >= 1:
                 jstar = c2 - n
                 if jstar <= U:
-                    total = total + _qpow(q, jstar, exact) * shell_integral(
-                        chi, jstar, psi2, exact, cvol
-                    )
+                    total = total + _qpow(q, jstar) * shell_integral(chi, jstar, psi2, cvol)
                 edges = [c2 - n - 1, c2 - n + 1] if verify_stability else []
             else:
                 for j in range(c2 - 1, U + 1):
-                    total = total + _qpow(q, j, exact) * shell_integral(
-                        chi, j, psi2, exact, cvol
-                    )
+                    total = total + _qpow(q, j) * shell_integral(chi, j, psi2, cvol)
                 edges = [c2 - 2] if verify_stability else []
             for j in edges:
-                if j <= U and not _is_zero_val(
-                    shell_integral_enumerated(chi, j, psi2, exact, cvol=cvol), exact
-                ):
+                if j <= U and not shell_integral_enumerated(chi, j, psi2, cvol=cvol).is_zero():
                     raise StabilizationError(f"shell {j} failed to vanish")
         else:
             T1 = K.val(a2) - K.val(b2)
             L = T1 - K.val(b2)
-            t1 = -_div(K, a2, b2)
-            total = _qpow(q, T1, exact) * coset_integral(chi, t1, L, psi2, exact, cvol)
+            t1 = -(a2 / b2)
+            total = _qpow(q, T1) * coset_integral(chi, t1, L, psi2, cvol)
             if verify_stability:
                 for j in (T1 - 1, T1 + 1):
-                    got = _shell_with_condition_enum(chi, j, a2, b2, psi2, exact, cvol)
-                    if not _is_zero_val(got, exact):
+                    if not _shell_with_condition_enum(chi, j, a2, b2, psi2, cvol).is_zero():
                         raise StabilizationError(f"shell {j} failed to vanish")
         return pref * total
     # constant C(t) = alpha
-    if not _nz(epsv):
+    if epsv == 0:
         raise ValueError("degenerate section matrix (C and D both constant)")
     j0 = K.val(alpha)
     L2 = j0 - K.val(epsv)
-    t2 = -_div(K, delta, epsv) if _nz(delta) else _zero_elem(K)
+    t2 = -(delta / epsv)
     if L2 < c:
-        return _zero(exact)
-    ball = _psi_val(psi, -t2, exact) * V * _qpow(q, -L2, exact)
-    return _char_val(chi, alpha, exact) * _qpow(q, j0, exact) * ball
+        return Cyc.zero()
+    ball = psi.cyc(-t2) * V * _qpow(q, -L2)
+    return chi.cyc(alpha) * _qpow(q, j0) * ball
 
 
-def _shell_with_condition_enum(chi, j, a2, b2, psi2, exact, cvol=None):
+def _shell_with_condition_enum(chi, j, a2, b2, psi2, cvol=None) -> Cyc:
     """Honest enumeration of int_{ord tau = j, ord(a2 + b2 tau) >= j}; a
     stabilization probe only."""
     K = chi.field
     q = K.q
     c2 = conductor_add(psi2)
-    m = max(chi.n, c2 - j, K.val(a2) - j + 1, 1 - (K.val(b2) if _nz(b2) else 0), 1) + 1
-    acc = _Acc(exact)
+    m = max(chi.n, c2 - j, K.val(a2) - j + 1, 1 - K.val(b2), 1) + 1
+    acc = _Acc()
     for tau in K.shell(j, m):
-        val = _add(K, a2, _mul(K, b2, tau))
-        if _nz(val) and K.val(val) < j:
+        val = a2 + b2 * tau
+        if val != 0 and K.val(val) < j:
             continue
-        acc.add(_char_val(chi, tau, exact) * _psi_val(psi2, -tau, exact))
-    return acc.result() * _qpow(q, -(j + m), exact) * _vol_O(psi2, exact, cvol)
-
-
-def _nz(x) -> bool:
-    if isinstance(x, EElement):
-        return not x.is_zero()
-    return Fraction(x) != 0
-
-
-def _zero_elem(K):
-    return K.zero() if isinstance(K, QuadExtension) else Fraction(0)
-
-
-def _inv(K, x):
-    return x.inv() if isinstance(x, EElement) else 1 / Fraction(x)
-
-
-def _div(K, x, y):
-    return _mul(K, x, _inv(K, y))
-
-
-def _sub(K, x, y):
-    if isinstance(K, QuadExtension):
-        x = x if isinstance(x, EElement) else K.embed(x)
-        y = y if isinstance(y, EElement) else K.embed(y)
-        return x - y
-    return Fraction(x) - Fraction(y)
-
-
-def _add(K, x, y):
-    if isinstance(K, QuadExtension):
-        x = x if isinstance(x, EElement) else K.embed(x)
-        y = y if isinstance(y, EElement) else K.embed(y)
-        return x + y
-    return Fraction(x) + Fraction(y)
-
-
-def _is_zero_val(v, exact) -> bool:
-    if exact:
-        return v.is_zero()
-    return abs(v) < 1e-12
+        acc.add(chi.cyc(tau) * psi2.cyc(-tau))
+    return acc.result() * _qpow(q, -(j + m)) * _vol_O(psi2, cvol)
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +266,26 @@ class InducedSection:
         return self.nu.mul(self.mu.inv())
 
 
-def whittaker_value(
-    sec: InducedSection,
-    M: tuple,
-    exact=True,
-    verify_stability=False,
-):
+def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cyc:
     """W_{psi_xi, f}(M) for the h = 1_O section, M = ((A,B),(C,D)) over E.
 
     Computed as mu(det) |det|^{1/2} times the big-cell t-integral; exact.
     """
     E = sec.E
     (A, B), (Cm, Dm) = M
-    A, B, Cm, Dm = (x if isinstance(x, EElement) else E.embed(x) for x in (A, B, Cm, Dm))
+    A, B, Cm, Dm = map(E.embed, (A, B, Cm, Dm))
     det = A * Dm - B * Cm
     if det.is_zero():
         raise ValueError("singular matrix")
-    core = bigcell_integral(
-        sec.chi_ratio(), (A, Cm), (B, Dm), sec.psi_xi, exact, verify_stability
-    )
-    pref = _char_val(sec.mu, det, exact) * _qpow(E.q, Fraction(-E.val(det), 2), exact)
+    core = bigcell_integral(sec.chi_ratio(), (A, Cm), (B, Dm), sec.psi_xi, verify_stability)
+    pref = sec.mu.cyc(det) * _qpow(E.q, Fraction(-E.val(det), 2))
     return pref * core
 
 
 def _mat_mul(E: QuadExtension, M1, M2):
     (a, b), (c, d) = M1
     (e, f), (g, h) = M2
-    emb = lambda x: x if isinstance(x, EElement) else E.embed(x)
-    a, b, c, d, e, f, g, h = map(emb, (a, b, c, d, e, f, g, h))
+    a, b, c, d, e, f, g, h = map(E.embed, (a, b, c, d, e, f, g, h))
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
@@ -376,23 +294,22 @@ def w1_matrix(E: QuadExtension):
 
 
 def lower_unipotent(E: QuadExtension, x):
-    return ((E.one(), E.zero()), (x if isinstance(x, EElement) else E.embed(x), E.one()))
+    return ((E.one(), E.zero()), (E.embed(x), E.one()))
 
 
 def diag_matrix(E: QuadExtension, a, d=1):
-    emb = lambda x: x if isinstance(x, EElement) else E.embed(x)
-    return ((emb(a), E.zero()), (E.zero(), emb(d)))
+    return ((E.embed(a), E.zero()), (E.zero(), E.embed(d)))
 
 
-def whittaker_from_section(sec: InducedSection, y, exact=True, verify_stability=True):
+def whittaker_from_section(sec: InducedSection, y, verify_stability=True) -> Cyc:
     """W(diag(y,1)) for the section, with the stabilization check on."""
-    return whittaker_value(sec, diag_matrix(sec.E, y), exact, verify_stability)
+    return whittaker_value(sec, diag_matrix(sec.E, y), verify_stability)
 
 
 # -- the paper's averaged test vectors ---------------------------------------
 
 
-def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int, exact=True):
+def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int) -> Cyc:
     """W of g = q^{scale_exp} * int_{pi^c O_F} rho(u_-(x)) f dx at diag(a,1).
 
     The x-integral is discretized exactly; the discretization level is
@@ -402,24 +319,24 @@ def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int, exact
     F = E.ground
 
     def value(m_x: int):
-        acc = _Acc(exact)
+        acc = _Acc()
         for k in range(F.p**m_x):
             x = Fraction(F.p) ** c_level * k
             Mx = _mat_mul(E, diag_matrix(E, a), lower_unipotent(E, x))
-            acc.add(whittaker_value(sec, Mx, exact))
-        return acc.result() * _qpow(F.q, -(c_level + m_x), exact)
+            acc.add(whittaker_value(sec, Mx))
+        return acc.result() * _qpow(F.q, -(c_level + m_x))
 
     m = max(1, sec.mu.n)
     prev = value(m)
     for _ in range(4):
         cur = value(m + 1)
-        if _is_zero_val(prev - cur, exact):
-            return prev * _qpow(F.q, scale_exp, exact)
+        if (prev - cur).is_zero():
+            return prev * _qpow(F.q, scale_exp)
         prev, m = cur, m + 1
     raise StabilizationError("x-average failed to stabilize")
 
 
-def w_case1(sec: InducedSection, a, exact=True):
+def w_case1(sec: InducedSection, a) -> Cyc:
     """The (averaged) vector of the mu|F-ramified case: g = |pi|^{-r} int f.
 
     Returns W_{psi_xi, g}(diag(a,1)); the closed form is |a| 1_{pi^(c-r) O}(a).
@@ -428,10 +345,10 @@ def w_case1(sec: InducedSection, a, exact=True):
     mu = sec.mu
     r = -(-mu.n // E.e)
     c_mu = restrict_to_F(mu).n
-    return w_averaged_lower(sec, a, c_mu, scale_exp=r, exact=exact)
+    return w_averaged_lower(sec, a, c_mu, scale_exp=r)
 
 
-def w_case2(sec: InducedSection, a, exact=True):
+def w_case2(sec: InducedSection, a) -> Cyc:
     """The GL2(O_F)-averaged vector h of the mu|F-unramified case.
 
     h = sum_{u in O/pi^{r-1}} rho(u_-(pi u)) f + sum_{u in O/pi^r} rho(w1 u_-(u)) f;
@@ -441,23 +358,23 @@ def w_case2(sec: InducedSection, a, exact=True):
     F = E.ground
     mu = sec.mu
     r = -(-mu.n // E.e)
-    acc = _Acc(exact)
+    acc = _Acc()
     for u in range(F.p ** max(r - 1, 0)):
         Mx = _mat_mul(
             E, diag_matrix(E, a), lower_unipotent(E, Fraction(F.p) * u)
         )
-        acc.add(whittaker_value(sec, Mx, exact))
+        acc.add(whittaker_value(sec, Mx))
     for u in range(F.p**r):
         Mx = _mat_mul(E, diag_matrix(E, a), _mat_mul(E, w1_matrix(E), lower_unipotent(E, u)))
-        acc.add(whittaker_value(sec, Mx, exact))
+        acc.add(whittaker_value(sec, Mx))
     return acc.result()
 
 
-def w_rho_w1(sec: InducedSection, y, x, exact=True):
+def w_rho_w1(sec: InducedSection, y, x) -> Cyc:
     """rho(w1) W_{psi_xi, f} at [[y, 0], [x, 1]] (the (E:2.2.2) shape)."""
     E = sec.E
     M = _mat_mul(E, ((y, E.zero()), (x, E.one())), w1_matrix(E))
-    return whittaker_value(sec, M, exact)
+    return whittaker_value(sec, M)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +389,7 @@ def spherical_whittaker(mu: MultChar, nu: MultChar, psi_xi: AddChar, y) -> compl
     if mu.n or nu.n:
         raise ValueError("spherical vector needs unramified mu, nu")
     c = conductor_add(psi_xi)
-    y = y if isinstance(y, EElement) else E.embed(y)
+    y = E.embed(y)
     if y.is_zero():
         raise ValueError("y must be nonzero")
     n = E.val(y)

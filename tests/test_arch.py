@@ -3,7 +3,6 @@ import math
 import random
 
 from asailocal.arch import (
-    ARCH_GRID,
     CChar,
     RChar,
     case_table,
@@ -25,7 +24,7 @@ from asailocal.arch import (
     zeta_whittaker_closed,
     zeta_whittaker_quadrature,
 )
-from asailocal.factors import loggamma
+from asailocal.factors import DEFAULT_GRID, loggamma
 
 
 def test_zeta_closed_reference_value():
@@ -135,7 +134,7 @@ def test_l_gal_dual_symmetry():
     mu, nu = CChar(0.2 + 0.1j, 3), CChar(-0.1, 1)
     Ld = l_gal_arch(mu, nu, dual=True)
     Ld2 = l_gal_arch(mu.inv(), nu.inv())
-    for s in ARCH_GRID:
+    for s in DEFAULT_GRID:
         assert abs(Ld.eval(s) - Ld2.eval(s)) < 1e-10 * max(1, abs(Ld.eval(s)))
 
 

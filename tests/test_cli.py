@@ -147,3 +147,25 @@ def test_out_file(tmp_path, capsys):
     data = json.loads(target.read_text())
     eps = factor_from_json(data["eps"])
     assert abs(abs(eps.eval(0.5)) - 1) < 1e-10
+
+
+def test_bad_grid_and_non_prime_p_exit_2(capsys):
+    assert main(["tate", "--field", '{"p":5}', "--char", "trivial", "--grid", "abc"]) == 2
+    assert "--grid" in capsys.readouterr().err
+    assert main(["tate", "--field", '{"p":4}', "--char", "trivial"]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert main(["tate", "--field", '{"p":3.5}', "--char", "trivial"]) == 2
+
+
+def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
+    import asailocal.cli as cli
+    from asailocal.tate import ConsistencyError
+
+    def broken(chi, psi, check=True):
+        raise ConsistencyError("gamma oracle mismatch: dev=1.000e+00")
+
+    monkeypatch.setattr(cli, "tate_gamma", broken)
+    assert main(["tate", "--field", '{"p":5}', "--char", "legendre"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip() == "verification failure: ConsistencyError: gamma oracle mismatch: dev=1.000e+00"

@@ -12,7 +12,6 @@ from asailocal.padic import (
     UNRAMIFIED,
     ZeroValuationError,
     field_from_json,
-    shell_representatives,
 )
 
 
@@ -150,3 +149,20 @@ def test_xi_is_canonical_and_trace_zero():
         assert xi.trace() == 0
         assert xi.conj() == -xi
         assert E.val(xi) == -E.different_exponent
+
+
+@pytest.mark.parametrize("ext", [None, *EXTENSION_TYPES])
+def test_shared_element_api(ext):
+    F = PAdicGround(5)
+    K = F if ext is None else QuadExtension(F, ext)
+    x = K.elem(3)
+    assert K.embed(x) is x
+    assert K.embed(3) == x
+    assert K.zero() == 0 and K.one() == 1
+    assert K.one() + K.zero() == K.one()
+    assert K.val(K.uniformizer()) == 1
+    assert K.ground is F
+    assert K.different_exponent == (0 if ext in (None, UNRAMIFIED) else 1)
+    # tr is the trace down to F: the identity on F, 2a on a + b sqrt(d)
+    assert K.tr(x) == (3 if ext is None else 6)
+    assert K.tr(K.one()) == (1 if ext is None else 2)

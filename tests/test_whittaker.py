@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from asailocal.tate import tate_eps
 from asailocal.unitgroups import unit_group
 from asailocal.whittaker import (
     Box2,
+    _qpow,
     InducedSection,
     fourier_transform_boxes,
     spherical_gamma_oracle,
@@ -68,7 +70,7 @@ def test_closed_form_case1_exact_p3():
             for va in range(c_mu - r - 2, 2):
                 for ua in (1, 2):
                     a = Fraction(3) ** va * ua
-                    got = w_case1(sec, a, exact=True)
+                    got = w_case1(sec, a)
                     want = Cyc.rational(Fraction(3) ** (-va)) if va >= c_mu - r else Cyc.zero()
                     assert (got - want).is_zero(), (ext, lvl, a)
 
@@ -85,7 +87,7 @@ def test_closed_form_case2_exact_p3():
             for va in range(-r - 2, 2):
                 for ua in (1, 2):
                     a = Fraction(3) ** va * ua
-                    got = w_case2(sec, a, exact=True)
+                    got = w_case2(sec, a)
                     want = Cyc.zero()
                     if va >= -r:
                         want = want + mu.cyc(E.embed(a)) * Fraction(3) ** (-va) * mu.cyc(
@@ -111,7 +113,7 @@ def test_rho_w1_shape():
         for x in (E.zero(), E.one(), E.elem(1, 1)):
             for vy in range(-c - 2, 2):
                 y = pi_E**vy
-                got = w_rho_w1(sec, y, x, exact=False)
+                got = w_rho_w1(sec, y, x).to_complex()
                 ny = E.val(y)
                 if ny + c >= 0:
                     scale = mu.value(y) * E.q ** (-Fraction(c + ny, 2) * 1.0)
@@ -125,14 +127,24 @@ def test_rho_w1_shape():
         assert abs(consts[0] - sign * eps_val) < 1e-8
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_exact_half_integer_powers(p):
+    # q^(1/2) is exact (sqrt(p) as a quadratic Gauss sum), for p = 1 and 3 mod 4
+    root = _qpow(p, Fraction(1, 2))
+    assert root * root == Cyc.rational(p)
+    assert abs(root.to_complex() - math.sqrt(p)) < 1e-12
+    assert _qpow(p, Fraction(-3, 2)) * Cyc.rational(p**2) == root
+    assert _qpow(p * p, Fraction(1, 2)) == Cyc.rational(p)
+
+
 def test_whittaker_from_section_support():
     # the unaveraged h = 1_O section has W(diag(a,1)) = |a|_E^{1/2} 1_O(a)
     # shape scaled by the big-cell Fourier mass
     sec = make_section(3, UNRAMIFIED, 1, True)
     E = sec.E
-    v0 = whittaker_from_section(sec, E.one(), exact=True, verify_stability=True)
+    v0 = whittaker_from_section(sec, E.one(), verify_stability=True)
     assert not v0.is_zero()
-    v_neg = whittaker_from_section(sec, E.uniformizer().inv(), exact=True)
+    v_neg = whittaker_from_section(sec, E.uniformizer().inv())
     assert v_neg.is_zero()
 
 
