@@ -5,7 +5,9 @@ assembly, the five explicit test-vector cases, and the Gamma-sum identity.
 Conventions: psi(x) = e^{2 pi i a x} with standard a = 1, xi = sqrt(-1);
 other (psi, xi) are reached through the change-of-variable scalings.  The
 independent oracle is adaptive Gauss-Legendre quadrature of the explicit
-Gaussian-monomial integrands.
+Gaussian-monomial integrands; it calls none of the closed forms.  Every
+quadrature integrand maps a numpy array of nodes to the array of its values,
+so one quad_gl call evaluates it once.
 """
 
 from __future__ import annotations
@@ -131,37 +133,48 @@ def tate_gamma_complex(chi: CChar, b: complex = 1.0) -> ArchFactor:
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _gl_panel(f, a: float, b: float, n: int) -> complex:
-    x, w = _gl_nodes(n)
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return complex(half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w)))
+def _gl_nodes():
+    """The G15 and G30 nodes on [-1, 1] as one 45-node array (G15 first),
+    with the G15 and G30 weight vectors."""
+    x15, w15 = np.polynomial.legendre.leggauss(15)
+    x30, w30 = np.polynomial.legendre.leggauss(30)
+    return np.concatenate((x15, x30)), w15, w30
 
 
 def quad_gl(f, a: float, b: float, tol: float = QUAD_TOL, depth: int = 0) -> complex:
     """Adaptive Gauss-Legendre on [a, b]: panels split until the embedded
-    G15-vs-G30 estimate meets the tolerance."""
-    coarse = _gl_panel(f, a, b, 15)
-    fine = _gl_panel(f, a, b, 30)
+    G15-vs-G30 estimate meets the tolerance.
+
+    ``f`` maps a 1-D array of nodes to the array of its values (real or
+    complex, the same shape); each call evaluates it once, on the 45 nodes
+    of both panels.  A value of another shape or one that is not finite
+    raises ArithmeticError naming the interval."""
+    x, w15, w30 = _gl_nodes()
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    fx = f(mid + half * x)
+    if np.shape(fx) != x.shape:
+        raise ArithmeticError(f"integrand on [{a}, {b}] gave shape {np.shape(fx)}, not {x.shape}")
+    coarse = complex(half * np.dot(w15, fx[:15]))
+    fine = complex(half * np.dot(w30, fx[15:]))
+    # every weight is positive, so a node value that is not finite leaves
+    # its panel sum not finite
+    if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
+        raise ArithmeticError(f"integrand is not finite on [{a}, {b}]")
     err = abs(fine - coarse)
     if err <= tol * max(1.0, abs(fine)) or depth >= 24:
         if depth >= 24 and err > 10 * tol * max(1.0, abs(fine)):
             raise ArithmeticError(f"quadrature failed to converge (err ~ {err:.2e})")
         return fine
-    mid = (a + b) / 2.0
     return quad_gl(f, a, mid, tol / 1.4, depth + 1) + quad_gl(
         f, mid, b, tol / 1.4, depth + 1
     )
 
 
 def quad_real_line(f, tol: float = QUAD_TOL, L: float = 9.0) -> complex:
-    """Integral over R; the window expands until the boundary panels are
-    negligible.  Handles the doubly-exponential Gaussian ends as well as the
-    plain-exponential decay near the origin end of d^x-substitutions."""
+    """Integral over R of an array-in/array-out ``f`` (as for quad_gl); the
+    window expands until the boundary panels are negligible.  Handles the
+    doubly-exponential Gaussian ends as well as the plain-exponential decay
+    near the origin end of d^x-substitutions."""
     out = quad_gl(f, -L, L, tol)
     step = 4.0
     while True:
@@ -200,12 +213,10 @@ def whittaker_value_quadrature(
     A, B = a1 + a2, b1 + b2
     w = 2 * (complex(mu.lam) - complex(nu.lam))  # mu nu^{-1}(t) = t^w for t > 0
 
-    def integrand(u: float) -> complex:
-        t = math.exp(u)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        t = np.exp(u)
         yt = y * t
-        val = (yt**A) * math.exp(-2 * math.pi * yt * yt)
-        val *= t ** (-B) * math.exp(-2 * math.pi / (t * t))
-        return val * cmath.exp(w * u)
+        return yt**A * t ** (-B) * np.exp(w * u - 2 * math.pi * (yt * yt + 1 / (t * t)))
 
     radial = quad_real_line(integrand, tol)
     pref = 4 * math.pi * mu.value(y) * abs(y)
@@ -240,12 +251,15 @@ def zeta_whittaker_quadrature(
     """2-D quadrature of zeta(s, W_{(a,b)}, chi): the y-integral over R^x of
     the quadrature Whittaker value; the independent oracle for the Lemma."""
 
-    # |y|^{s-1} d^x y with y = +-e^v
-    def full(v: float) -> complex:
-        y = math.exp(v)
-        w_p = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
-        w_m = whittaker_value_quadrature(-y, idx_a, idx_b, mu, nu, tol)
-        return (w_p * chi.value(y) + w_m * chi.value(-y)) * cmath.exp(complex(s - 1) * v)
+    # |y|^{s-1} d^x y with y = +-e^v; each node runs its own inner quadrature
+    def full(vs: np.ndarray) -> np.ndarray:
+        out = np.empty(len(vs), dtype=complex)
+        for i, v in enumerate(vs):
+            y = math.exp(v)
+            w_p = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
+            w_m = whittaker_value_quadrature(-y, idx_a, idx_b, mu, nu, tol)
+            out[i] = (w_p * chi.value(y) + w_m * chi.value(-y)) * cmath.exp(complex(s - 1) * v)
+        return out
 
     return quad_real_line(full, tol, L=6.0)
 
@@ -292,12 +306,13 @@ def phi_hat(phi: dict) -> dict:
     return {k: v for k, v in out.items() if abs(v) > 1e-15}
 
 
-def phi_value(phi: dict, x: float, y: float) -> complex:
-    z = complex(x, y)
+def phi_value(phi: dict, x, y):
+    """Phi at (x, y); x and y are floats or arrays that broadcast together."""
+    z = x + 1j * y
     out = 0j
     for (c1, c2), coef in phi.items():
-        out += coef * z**c1 * z.conjugate() ** c2
-    return out * math.exp(-math.pi * (x * x + y * y))
+        out += coef * z**c1 * np.conj(z) ** c2
+    return out * np.exp(-math.pi * (x * x + y * y))
 
 
 def phi_tate_integral(phi: dict, s: complex, omega_exponent: complex) -> complex:
@@ -371,18 +386,19 @@ def tate_fe_oracle_real(chi: RChar, s: complex, m_test: int = None, tol=QUAD_TOL
     f = x^m e^{-pi x^2} with m matching the sign character."""
     m = chi.m % 2 if m_test is None else m_test
 
-    def f(x: float) -> complex:
-        return x**m * math.exp(-math.pi * x * x)
+    def f(x: np.ndarray) -> np.ndarray:
+        return x**m * np.exp(-math.pi * x * x)
 
-    def fhat(x: float) -> complex:
-        return (1j**m) * x**m * math.exp(-math.pi * x * x)
+    def fhat(x: np.ndarray) -> np.ndarray:
+        return (1j**m) * x**m * np.exp(-math.pi * x * x)
 
     def z(fn, sv, ch):
-        def integrand(u: float) -> complex:
-            y = math.exp(u)
-            return (fn(y) * ch.value(y) + fn(-y) * ch.value(-y)) * cmath.exp(
-                complex(sv) * u
-            )
+        # ch(+-y) = (+-1)^m y^lam for y > 0
+        lam, sign = complex(ch.lam), (-1) ** (ch.m % 2)
+
+        def integrand(u: np.ndarray) -> np.ndarray:
+            y = np.exp(u)
+            return (fn(y) + sign * fn(-y)) * y**lam * np.exp(complex(sv) * u)
 
         return quad_real_line(integrand, tol, L=6.0)
 
@@ -394,26 +410,29 @@ def tate_fe_oracle_complex(chi: CChar, s: complex, tol=QUAD_TOL) -> complex:
     conjugate; psi_C = standard psi o tr, measure twice Lebesgue."""
     n = chi.n
 
-    def f(z: complex) -> complex:
+    def f(z: np.ndarray) -> np.ndarray:
         if n >= 0:
-            return z.conjugate() ** n * math.exp(-2 * math.pi * abs(z) ** 2)
-        return z ** (-n) * math.exp(-2 * math.pi * abs(z) ** 2)
+            return np.conj(z) ** n * np.exp(-2 * math.pi * np.abs(z) ** 2)
+        return z ** (-n) * np.exp(-2 * math.pi * np.abs(z) ** 2)
 
-    def fhat(z: complex) -> complex:
-        mono = z**n if n >= 0 else z.conjugate() ** (-n)
-        return (1j ** abs(n)) * mono * math.exp(-2 * math.pi * abs(z) ** 2)
+    def fhat(z: np.ndarray) -> np.ndarray:
+        mono = z**n if n >= 0 else np.conj(z) ** (-n)
+        return (1j ** abs(n)) * mono * np.exp(-2 * math.pi * np.abs(z) ** 2)
+
+    K = 64
+    rotations = np.exp(2j * math.pi * np.arange(K) / K)
 
     def z_int(fn, sv, ch):
-        # polar: z = r e^{i theta}, d^x z = 2 dr dtheta / r
-        def radial(u: float) -> complex:
-            r = math.exp(u)
-            acc = 0j
-            K = 64
-            for k in range(K):
-                th = 2 * math.pi * k / K
-                zz = r * cmath.exp(1j * th)
-                acc += fn(zz) * ch.value(zz)
-            acc *= 2 * math.pi / K
+        # ch(z) = |z|_C^{lam - n/2} z^n with |z|_C = |z|^2
+        lam, n_ch = complex(ch.lam), ch.n
+
+        # polar: z = r e^{i theta}, d^x z = 2 dr dtheta / r; the theta-integral
+        # is the K-point rectangle rule, one row of angles per node
+        def radial(u: np.ndarray) -> np.ndarray:
+            r = np.exp(u)
+            zz = r[:, None] * rotations
+            vals = fn(zz) * np.abs(zz) ** (2 * (lam - n_ch / 2)) * zz**n_ch
+            acc = vals.sum(axis=1) * (2 * math.pi / K)
             return acc * 2 * (r**2) ** complex(sv)
 
         return quad_real_line(radial, tol, L=5.0)

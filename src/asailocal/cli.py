@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .characters import (
     mult_char_from_json,
     standard_psi,
 )
-from .factors import DEFAULT_GRID, eval_table
+from .factors import DEFAULT_GRID, REL_TOL_ARCH, eval_table
 from .padic import DEFAULT_PRECISION, PAdicGround, QuadExtension, field_from_json
 from .tate import ConsistencyError, langlands_constant, tate_L, tate_eps, tate_gamma
 from .verify import SUITE_GROUPS, SUITES, run_suites
@@ -120,8 +121,13 @@ def _parse_complex(text: str, what: str) -> complex:
     return complex(*(_parse_number(x, what, float) for x in re_im))
 
 
-def _parse_tol(args) -> float:
-    return _parse_number(args.tol, "--tol", float) if getattr(args, "tol", None) else 1e-8
+def _parse_tol(args, default: float = 1e-8) -> float:
+    if args.tol is None:
+        return default
+    tol = _parse_number(args.tol, "--tol", float)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"--tol must be a positive finite number, got {args.tol!r}")
+    return tol
 
 
 def _nonzero_fraction(text: str, what: str) -> Fraction:
@@ -285,8 +291,9 @@ def cmd_dichotomy(args) -> int:
     inp = _asai_input(args)
     if inp.tau is None:
         raise InputError("dichotomy needs --tau")
+    tol = _parse_tol(args)
     try:
-        sign = dichotomy_sign(inp)
+        sign = dichotomy_sign(inp, tol)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     from .characters import omega_quadratic
@@ -312,7 +319,7 @@ def cmd_arch_zeta(args) -> int:
     mu = arch.CChar(lam1, _parse_number(args.n1, "--n1", int))
     nu = arch.CChar(lam2, _parse_number(args.n2, "--n2", int))
     grid = _parse_grid(args)
-    report = arch.zeta_integral_case(mu, nu, grid)
+    report = arch.zeta_integral_case(mu, nu, grid, _parse_tol(args, REL_TOL_ARCH))
     payload = {
         "case": report["case"],
         "constants": {
@@ -369,17 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_field=True):
+    def common(p, need_field=True, need_tol=True):
         if need_field:
             p.add_argument("--field", required=True, help='e.g. \'{"p":3,"ext":"unramified"}\'')
             p.add_argument("--ext", help="extension type (overrides --field)")
         p.add_argument("--grid", help='s-grid "re,im;re,im;..."')
-        p.add_argument("--tol", help="comparison tolerance")
+        if need_tol:
+            p.add_argument("--tol", help="comparison tolerance")
         p.add_argument("--out", help="write JSON output to a file")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("tate", help="Tate L/eps/gamma of a single character")
-    common(p)
+    # tate_gamma is certified exactly, so tate takes no tolerance
+    common(p, need_tol=False)
     p.add_argument("--char", required=True)
     p.add_argument("--psi-shift", dest="psi_shift")
     p.add_argument("--xi-scale", dest="xi_scale")

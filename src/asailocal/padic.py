@@ -18,6 +18,7 @@ field unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,7 +74,8 @@ class PAdicGround:
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
-        if self.p < 3 or any(self.p % k == 0 for k in range(2, self.p)):
+        p = self.p
+        if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
             raise ValueError("p must be an odd prime >= 3")
         if self.precision < 8:
             raise ValueError("precision must be at least 8")

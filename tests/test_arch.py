@@ -2,6 +2,11 @@ import cmath
 import math
 import random
 
+import numpy as np
+import pytest
+
+import asailocal.arch as arch
+
 from asailocal.arch import (
     CChar,
     RChar,
@@ -15,6 +20,7 @@ from asailocal.arch import (
     phi_hat_monomial,
     phi_value,
     quad_gl,
+    quad_real_line,
     tate_fe_oracle_complex,
     tate_fe_oracle_real,
     tate_gamma_complex,
@@ -91,14 +97,14 @@ def test_phi_hat_against_numeric_transform():
     def numeric_hat(x, y):
         def inner_u(u):
             val = quad_gl(
-                lambda v: phi_value(phi, u, v) * cmath.exp(2j * math.pi * (u * y - v * x)),
+                lambda v: phi_value(phi, u, v) * np.exp(2j * math.pi * (u * y - v * x)),
                 -6.0,
                 6.0,
                 1e-10,
             )
             return val
 
-        return quad_gl(lambda u: inner_u(u), -6.0, 6.0, 1e-10)
+        return quad_gl(lambda us: np.array([inner_u(u) for u in us]), -6.0, 6.0, 1e-10)
 
     for x, y in [(0.3, -0.2), (0.0, 0.7)]:
         lhs = numeric_hat(x, y)
@@ -211,3 +217,53 @@ def test_combinatorial_identity_examples():
     assert abs(lhs - 4) < 1e-12 and dev < 1e-12
     lhs, rhs, dev = combinatorial_identity(6, 1.3 + 0.4j, 5.7)
     assert dev < 1e-9
+
+
+def test_quad_gl_one_panel_is_exact_for_low_degree():
+    # G15 and G30 are both exact for x^28, so the first panel is accepted
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return x**28
+
+    assert abs(quad_gl(f, -1.0, 1.0) - 2 / 29) < 1e-14
+    assert calls == [45]
+
+
+def test_quad_real_line_gaussian():
+    assert abs(quad_real_line(lambda x: np.exp(-math.pi * x * x)) - 1) < 1e-12
+
+
+def test_quad_gl_refuses_nan_at_once():
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return np.where(x > 0.5, np.nan, 1.0)
+
+    with pytest.raises(ArithmeticError, match=r"not finite on \[0\.0, 1\.0\]"):
+        quad_gl(f, 0.0, 1.0)
+    assert len(calls) == 1
+
+
+def test_quad_gl_refuses_scalar_integrand():
+    with pytest.raises(ArithmeticError, match=r"shape"):
+        quad_gl(lambda x: 1.0, 0.0, 1.0)
+
+
+def test_oracles_call_no_closed_form(monkeypatch):
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the quadrature oracle called a closed form")
+
+    closed_forms = ("zeta_whittaker_closed", "tate_gamma_real", "tate_gamma_complex")
+    for name in closed_forms + ("loggamma", "gammafn"):
+        monkeypatch.setattr(arch, name, closed_form)
+    mu, nu = CChar(0.1, 1), CChar(-0.05, 0)
+    values = [
+        zeta_whittaker_quadrature(2.3 + 0.1j, (0, 0), (1, 0), RChar(0, 1), mu, nu),
+        whittaker_value_quadrature(1.3, (0, 0), (1, 0), mu, nu),
+        tate_fe_oracle_real(RChar(0.08, 1), 0.7),
+        tate_fe_oracle_complex(CChar(0.05, -1), 0.8),
+    ]
+    assert all(cmath.isfinite(v) and v != 0 for v in values)

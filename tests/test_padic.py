@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,3 +167,14 @@ def test_shared_element_api(ext):
     # tr is the trace down to F: the identity on F, 2a on a + b sqrt(d)
     assert K.tr(x) == (3 if ext is None else 6)
     assert K.tr(K.one()) == (1 if ext is None else 2)
+
+
+def test_primality_check_stops_at_the_square_root():
+    t0 = time.perf_counter()
+    PAdicGround(1_000_000_007)
+    assert time.perf_counter() - t0 < 0.1
+    for p in (3, 5, 7, 11, 13):
+        PAdicGround(p)
+    for composite in (1, 9, 15, 25, 49):
+        with pytest.raises(ValueError):
+            PAdicGround(composite)
