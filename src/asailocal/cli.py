@@ -33,7 +33,7 @@ from .characters import (
     mult_char_from_json,
     standard_psi,
 )
-from .factors import DEFAULT_GRID, REL_TOL_ARCH, eval_table
+from .factors import DEFAULT_GRID, eval_table
 from .padic import DEFAULT_PRECISION, PAdicGround, QuadExtension, field_from_json
 from .tate import ConsistencyError, langlands_constant, tate_L, tate_eps, tate_gamma
 from .verify import SUITE_GROUPS, SUITES, run_suites
@@ -121,9 +121,9 @@ def _parse_complex(text: str, what: str) -> complex:
     return complex(*(_parse_number(x, what, float) for x in re_im))
 
 
-def _parse_tol(args, default: float = 1e-8) -> float:
+def _parse_tol(args) -> float:
     if args.tol is None:
-        return default
+        return 1e-8
     tol = _parse_number(args.tol, "--tol", float)
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"--tol must be a positive finite number, got {args.tol!r}")
@@ -291,9 +291,8 @@ def cmd_dichotomy(args) -> int:
     inp = _asai_input(args)
     if inp.tau is None:
         raise InputError("dichotomy needs --tau")
-    tol = _parse_tol(args)
     try:
-        sign = dichotomy_sign(inp, tol)
+        sign = dichotomy_sign(inp)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     from .characters import omega_quadratic
@@ -319,7 +318,7 @@ def cmd_arch_zeta(args) -> int:
     mu = arch.CChar(lam1, _parse_number(args.n1, "--n1", int))
     nu = arch.CChar(lam2, _parse_number(args.n2, "--n2", int))
     grid = _parse_grid(args)
-    report = arch.zeta_integral_case(mu, nu, grid, _parse_tol(args, REL_TOL_ARCH))
+    report = arch.zeta_integral_case(mu, nu, grid)
     payload = {
         "case": report["case"],
         "constants": {
@@ -387,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("tate", help="Tate L/eps/gamma of a single character")
-    # tate_gamma is certified exactly, so tate takes no tolerance
     common(p, need_tol=False)
     p.add_argument("--char", required=True)
     p.add_argument("--psi-shift", dest="psi_shift")
@@ -413,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_twisted_asai)
 
     p = sub.add_parser("dichotomy", help="central-sign computation (omega = 1)")
-    common(p)
+    common(p, need_tol=False)
     p.add_argument("--char", required=True)
     p.add_argument("--char2", required=True)
     p.add_argument("--tau", required=True)
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dichotomy)
 
     p = sub.add_parser("arch-zeta", help="archimedean case table and constants")
-    common(p, need_field=False)
+    common(p, need_field=False, need_tol=False)
     p.add_argument("--n1", required=True)
     p.add_argument("--n2", required=True)
     p.add_argument("--lam1", default="0")

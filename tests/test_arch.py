@@ -248,7 +248,7 @@ def test_quad_gl_refuses_nan_at_once():
 
 
 def test_quad_gl_refuses_scalar_integrand():
-    with pytest.raises(ArithmeticError, match=r"shape"):
+    with pytest.raises(TypeError):
         quad_gl(lambda x: 1.0, 0.0, 1.0)
 
 

@@ -2,10 +2,7 @@ import json
 
 import pytest
 
-import asailocal.arch as arch
-import asailocal.cli as cli
 from asailocal.cli import main
-from asailocal.factors import REL_TOL_ARCH
 from asailocal.factors import factor_from_json
 
 
@@ -176,36 +173,23 @@ def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
     assert err.strip() == "verification failure: ConsistencyError: gamma oracle mismatch: dev=1.000e+00"
 
 
-def test_tate_takes_no_tol(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tate", "--field", '{"p":5}', "--char", "trivial"],
+        ["arch-zeta", "--n1", "2", "--n2", "1"],
+        ["dichotomy", "--field", '{"p":5}', "--char", "trivial", "--char2", "trivial", "--tau", "{}"],
+    ],
+)
+def test_tol_only_where_a_comparison_uses_it(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["tate", "--field", '{"p":5}', "--char", "trivial", "--tol", "1e-3"])
+        main(argv + ["--tol", "1e-3"])
     assert exc.value.code == 2
 
 
 def test_bad_tol_exits_2(capsys):
+    asai = ["asai", "--field", '{"p":3,"ext":"unramified"}']
+    asai += ["--char", "trivial", "--char2", "trivial"]
     for bad in ("-1", "0", "nan", "inf", "x"):
-        assert main(["arch-zeta", "--n1", "2", "--n2", "1", "--tol", bad]) == 2
+        assert main(asai + ["--tol", bad]) == 2
         assert "--tol" in capsys.readouterr().err
-
-
-def test_tol_reaches_the_check(capsys, monkeypatch):
-    seen = []
-    zeta_integral_case, dichotomy_sign = arch.zeta_integral_case, cli.dichotomy_sign
-
-    def spy_zeta(mu, nu, grid, tol):
-        seen.append(("arch-zeta", tol))
-        return zeta_integral_case(mu, nu, grid, tol)
-
-    def spy_dichotomy(inp, tol):
-        seen.append(("dichotomy", tol))
-        return dichotomy_sign(inp, tol)
-
-    monkeypatch.setattr(arch, "zeta_integral_case", spy_zeta)
-    monkeypatch.setattr(cli, "dichotomy_sign", spy_dichotomy)
-    assert main(["arch-zeta", "--n1", "2", "--n2", "1"]) == 0
-    assert main(["arch-zeta", "--n1", "2", "--n2", "1", "--tol", "1e-4"]) == 0
-    tau = json.dumps({"mu2": json.loads(TRIV_F), "nu2": json.loads(TRIV_F), "v2": 0})
-    dichotomy = ["dichotomy", "--field", '{"p":5,"ext":"unramified"}', "--char", "trivial"]
-    dichotomy += ["--char2", "trivial", "--tau", tau, "--tol", "1e-3"]
-    assert main(dichotomy) == 0
-    assert seen == [("arch-zeta", REL_TOL_ARCH), ("arch-zeta", 1e-4), ("dichotomy", 1e-3)]

@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -170,9 +169,9 @@ def test_shared_element_api(ext):
 
 
 def test_primality_check_stops_at_the_square_root():
-    t0 = time.perf_counter()
-    PAdicGround(1_000_000_007)
-    assert time.perf_counter() - t0 < 0.1
+    # 5 * 10**5 odd trial divisors up to the square root; trying every k < p
+    # would take hours
+    PAdicGround(1_000_000_000_039)
     for p in (3, 5, 7, 11, 13):
         PAdicGround(p)
     for composite in (1, 9, 15, 25, 49):
