@@ -5,20 +5,41 @@ angles (Fractions mod 1) on the generators of (O_K/pi^n)^x, and additive
 characters evaluate through the p-adic fractional part, so Gauss-sum
 identities fail only through genuine bugs, never rounding.  Conductors are
 always recomputed by brute force rather than trusted from constructors.
+
+Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
+kernel, :func:`shell_angles`, which works on the integer coordinates of
+``K.shell_coords(v, m)`` and builds no field element per term.  For the i-th
+x = pi^v (a + b sqrt(d)) it gives two integer angle numerators:
+
+* chi's unit part, e(units[i] / unit_den): the sum of e_j w_j over the dlog
+  exponents e_j of the residue key of a + b sqrt(d) (of 1 + x with
+  ``shift``), with the weights w_j = unit_den * angle_j fixed per character;
+* psi(c x), e(psis[i] / psi_den): (alpha a + beta b) mod p^k, with alpha and
+  beta the residues of p^k tr(c psi_mult pi^v) and p^k tr(c psi_mult pi^v
+  sqrt(d)), psi_den = p^k.
+
+The kernel raises :class:`PrecisionError` where ``shell`` or ``frac_part``
+would.  :func:`shell_cyc` counts the numerators into one exact ``Cyc``;
+:func:`shell_sum` maps them through ``_num_exp`` in shell order, so each
+float term, and the order of the sum, is the one an element-by-element loop
+of ``chi.value(x) * psi.value(c x)`` gives.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .cyclotomic import Cyc
 from .padic import (
     EElement,
     Field,
     PAdicGround,
+    PrecisionError,
     QuadExtension,
     is_extension,
 )
@@ -26,7 +47,14 @@ from .unitgroups import unit_group
 
 
 def _angle_exp(theta: Fraction) -> complex:
-    return cmath.exp(2j * cmath.pi * float(theta % 1))
+    return _num_exp(theta.numerator, theta.denominator)
+
+
+def _num_exp(num: int, den: int) -> complex:
+    """e(num/den).  num % den / den is the correctly rounded float of the
+    rational angle mod 1, so the value does not depend on how num/den is
+    reduced."""
+    return cmath.exp(2j * cmath.pi * (num % den / den))
 
 
 class Phase:
@@ -152,10 +180,9 @@ def _conductor_add_uncached(psi: AddChar, verify_window: int = 2) -> int:
     K = psi.field
     c = -K.val(psi.mult) - K.different_exponent
     for v in range(c, c + verify_window):
-        for x in K.shell(v, 1):
-            if psi.angle(x) != 0:
-                raise AssertionError("additive conductor formula violated (trivial side)")
-    if not any(psi.angle(x) != 0 for x in K.shell(c - 1, 1)):
+        if any(shell_angles(None, psi, v, 1).psis):
+            raise AssertionError("additive conductor formula violated (trivial side)")
+    if not any(shell_angles(None, psi, c - 1, 1).psis):
         raise AssertionError("additive conductor formula violated (nontrivial side)")
     return c
 
@@ -185,12 +212,17 @@ class MultChar:
     unitary data stays exact.
     """
 
-    __slots__ = ("field", "n", "angles", "t", "lam")
+    __slots__ = ("field", "n", "angles", "t", "lam", "unit_den", "unit_weights")
 
     def __init__(self, field: Field, n: int, angles, t: Phase, lam=0):
         self.field = field
         self.n = n
         self.angles = tuple(Fraction(a) % 1 for a in angles)
+        # angle_j = unit_weights[j] / unit_den: integer angles for dlog sums
+        self.unit_den = math.lcm(*(a.denominator for a in self.angles))
+        self.unit_weights = tuple(
+            a.numerator * (self.unit_den // a.denominator) for a in self.angles
+        )
         self.t = t
         self.lam = lam if isinstance(lam, Fraction) else (
             Fraction(lam) if isinstance(lam, int) else complex(lam)
@@ -249,12 +281,11 @@ class MultChar:
         """Angle of the unit-part character at a valuation-0 element."""
         if self.n == 0:
             return Fraction(0)
-        G = unit_group(self.field, self.n)
-        exps = G.dlog(u)
-        ang = Fraction(0)
-        for e, a in zip(exps, self.angles):
-            ang += e * a
-        return ang % 1
+        exps = unit_group(self.field, self.n).dlog(u)
+        return Fraction(self._unit_num(exps), self.unit_den)
+
+    def _unit_num(self, exps) -> int:
+        return sum(e * w for e, w in zip(exps, self.unit_weights)) % self.unit_den
 
     def _split(self, x):
         K = self.field
@@ -263,7 +294,12 @@ class MultChar:
 
     def value(self, x) -> complex:
         v, u = self._split(x)
-        out = self.t.value() ** v * _angle_exp(self.unit_angle(u))
+        return self._value(v, _angle_exp(self.unit_angle(u)))
+
+    def _value(self, v: int, unit_value: complex) -> complex:
+        """Float value at an element of valuation v whose unit part has
+        value ``unit_value``."""
+        out = self.t.value() ** v * unit_value
         lam = self.lam
         if lam != 0:
             out *= self.field.q ** complex(-lam * v)
@@ -378,6 +414,92 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         raise ValueError("conductor must be >= 0")
     angles = [Fraction(a) for a in obj.get("unit_part", [])]
     return MultChar.from_angles(field, n, angles, phase, lam)
+
+
+# ---------------------------------------------------------------------------
+# finite shell sums
+# ---------------------------------------------------------------------------
+
+
+class ShellAngles(NamedTuple):
+    """Integer angles over the elements of ``K.shell_coords(v, m)``, in order."""
+
+    units: list  # chi's unit part: e(units[i] / unit_den)
+    unit_den: int
+    psis: list  # psi(c x): e(psis[i] / psi_den)
+    psi_den: int
+
+
+def shell_angles(
+    chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
+) -> ShellAngles:
+    """The kernel of every finite character sum (see the module docstring).
+
+    x runs over the shell ord x = v mod pi^(v+m) in ``K.shell`` order; chi's
+    unit part is taken at x, or at the unit 1 + x with ``shift`` (v >= 1).
+    ``chi=None`` gives unit angles 0.
+    """
+    K = psi.field
+    F = K.ground
+    coords = K.shell_coords(v, m)
+    e1, e2 = K.shell_basis(v)
+    mult = psi.mult * K.embed(c)
+    # psi(c x) = e(frac(a alpha + b beta)); b = 0 on F and on ramified m = 1
+    alpha = K.tr(mult * e1)
+    beta = K.tr(mult * e2) if any(b for _, b in coords) else 0
+    k = max([0] + [-F.val(z) for z in (alpha, beta) if z])
+    if k > F.precision:
+        raise PrecisionError(f"fractional part needs p^{k} > precision window")
+    P = F.p**k
+    al, be = (F.residue(z * P, k) if z else 0 for z in (alpha, beta))
+    psis = [(al * a + be * b) % P for a, b in coords]
+    if chi is None or chi.n == 0:
+        return ShellAngles([0] * len(coords), 1, psis, P)
+    G = unit_group(K, chi.n)
+    if shift:
+        if v < 1:
+            raise ValueError("the 1 + x shift needs ord x >= 1")
+        # 1 + a e1 + b e2 in coordinates; e1, e2 are integral for v >= 1
+        (r, s), (t, u) = (map(int, K.coords(e)) for e in (e1, e2))
+        coords = [(1 + a * r + b * t, a * s + b * u) for a, b in coords]
+    keys = G.keys(coords)
+    logs = G.logs
+    nums = {key: chi._unit_num(logs[key]) for key in set(keys)}
+    return ShellAngles([nums[key] for key in keys], chi.unit_den, psis, P)
+
+
+def shell_cyc(
+    chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
+) -> Cyc:
+    """sum chi(x) psi(c x) over the shell, exactly: chi(1 + x) with
+    ``shift``, psi alone for ``chi=None``."""
+    sa = shell_angles(chi, psi, v, m, c, shift)
+    D = math.lcm(sa.unit_den, sa.psi_den)
+    fu, fp = D // sa.unit_den, D // sa.psi_den
+    counts = Counter((u * fu + s * fp) % D for u, s in zip(sa.units, sa.psis))
+    out = Cyc({Fraction(num, D): n for num, n in counts.items()})
+    if chi is None or shift:
+        return out
+    return chi.cyc(psi.field.uniformizer() ** v) * out
+
+
+def shell_sum(
+    chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
+) -> complex:
+    """The float ``shell_cyc``: each term is chi.value(x) * psi.value(c x)
+    (psi.value(c x) alone for ``chi=None``), summed in shell order."""
+    sa = shell_angles(chi, psi, v, m, c, shift)
+    pe = {s: _num_exp(s, sa.psi_den) for s in set(sa.psis)}
+    out = 0j
+    if chi is None:
+        for s in sa.psis:
+            out += pe[s]
+        return out
+    w = 0 if shift else v
+    ce = {u: chi._value(w, _num_exp(u, sa.unit_den)) for u in set(sa.units)}
+    for u, s in zip(sa.units, sa.psis):
+        out += ce[u] * pe[s]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,19 @@ moduli that finite sums are allowed to request; exceeding it raises
 
 Both fields share one element API, so code written for a field K never asks
 which field it has: ``elem``, ``embed``, ``zero``, ``one``, ``uniformizer``,
-``val``, ``unit_part``, ``residue``, ``shell``, ``tr`` (trace down to F),
-``ground`` and ``different_exponent``.  Elements of F are plain ``Fraction``s
-and elements of E are :class:`EElement`s; both support the field operations
-``+ - * /`` and comparison with 0, and ``embed`` returns an element of the
-field unchanged.
+``val``, ``unit_part``, ``residue``, ``shell``, ``shell_coords``,
+``shell_basis``, ``coords``, ``tr`` (trace down to F), ``ground`` and
+``different_exponent``.  Elements of F are plain ``Fraction``s and elements of
+E are :class:`EElement`s; both support the field operations ``+ - * /`` and
+comparison with 0, and ``embed`` returns an element of the field unchanged.
+
+Shells are enumerated as integer coordinates.  ``K.shell_coords(v, m)`` lists
+the pairs (a, b) with x = pi^v (a + b sqrt(d)) running over {ord x = v} modulo
+pi^(v+m), b = 0 on F; ``K.shell_basis(v)`` gives e1 = pi^v and e2 =
+pi^v sqrt(d) (0 on F), so x = a e1 + b e2, and ``K.shell`` is that map.  The
+unit part of such an x is a + b sqrt(d) itself, so its residue key is read off
+(a, b) with integer arithmetic; finite character sums use this and build no
+field element per term (see :func:`asailocal.characters.shell_angles`).
 """
 
 from __future__ import annotations
@@ -109,6 +117,10 @@ class PAdicGround:
         """Trace down to F: the identity."""
         return x
 
+    def coords(self, x: Fraction) -> tuple:
+        """Coordinates (a, b) of x = a + b sqrt(d); b = 0 on F."""
+        return x, Fraction(0)
+
     # -- valuations ------------------------------------------------------------
     def val(self, x: Rational) -> int:
         """ord_F(x), normalized so ord_F(p) = 1."""
@@ -160,17 +172,42 @@ class PAdicGround:
         k = self.residue(y, m)
         return Fraction(k, self.p**m)
 
+    def shell_coords(self, v: int, m: int) -> tuple:
+        """Coordinates (a, 0) of the representatives p^v a of {x : ord(x)=v}
+        modulo p^{v+m}, m >= 1: the units a mod p^m in increasing order."""
+        _check_shell_modulus(m, self.precision)
+        return _shell_coords(self.p, m, 0, True)
+
+    def shell_basis(self, v: int) -> tuple:
+        """(p^v, 0): the shell element of coordinates (a, b) is a p^v."""
+        return Fraction(self.p) ** v, Fraction(0)
+
     def shell(self, v: int, m: int) -> list[Fraction]:
         """Representatives of {x : ord(x)=v} modulo p^{v+m}, m >= 1."""
-        if m < 1:
-            raise ValueError("modulus exponent must be >= 1")
-        if m > self.precision:
-            raise PrecisionError(f"shell modulus {m} exceeds precision {self.precision}")
-        pv = Fraction(self.p) ** v
-        return [pv * k for k in range(1, self.p**m) if k % self.p != 0]
+        e1, e2 = self.shell_basis(v)
+        return [a * e1 + b * e2 for a, b in self.shell_coords(v, m)]
 
     def to_json(self) -> dict:
         return {"p": self.p, "ext": None, "precision": self.precision}
+
+
+def _check_shell_modulus(m: int, precision: int) -> None:
+    if m < 1:
+        raise ValueError("modulus exponent must be >= 1")
+    if m > precision:
+        raise PrecisionError(f"shell modulus {m} exceeds precision {precision}")
+
+
+@lru_cache(maxsize=None)
+def _shell_coords(p: int, ma: int, mb: int, a_unit: bool) -> tuple:
+    """Pairs (a, b), a < p^ma and b < p^mb (mb = 0 gives b = 0), a-major,
+    with a a unit, or with a or b a unit when ``a_unit`` is false."""
+    return tuple(
+        (a, b)
+        for a in range(p**ma)
+        for b in range(p**mb)
+        if a % p or (not a_unit and b % p)
+    )
 
 
 class EElement:
@@ -383,49 +420,57 @@ class QuadExtension:
         return min(vals)
 
     def unit_part(self, x: EElement) -> EElement:
-        return x / self.uniformizer() ** self.val(x)
+        """x / pi^{ord x}, by rescaling the coordinates: by p^{-v} on
+        unramified E; on ramified E by d^{-floor(v/2)}, and for odd v one
+        division by sqrt(d), which swaps the coordinates."""
+        v = self.val(x)
+        if self.ext_type == UNRAMIFIED:
+            s = Fraction(self.p) ** -v
+            return EElement(self, x.a * s, x.b * s)
+        s = Fraction(self.d) ** -(v // 2)
+        if v % 2:
+            # (a + b sqrt d) / sqrt d = b + (a/d) sqrt d
+            return EElement(self, x.b * s, x.a * s / self.d)
+        return EElement(self, x.a * s, x.b * s)
 
     def unit_residue(self, x: EElement, m: int) -> tuple:
         """Canonical residue tuple of the unit part of x in (O_E/pi^m)^x."""
         return self.residue(self.unit_part(x), m)
 
+    def residue_digits(self, m: int) -> tuple:
+        """(ma, mb): x = a + b sqrt(d) mod pi^m is (a mod p^ma, b mod p^mb)."""
+        if self.ext_type == UNRAMIFIED:
+            return m, m
+        return (m + 1) // 2, m // 2
+
     def residue(self, x: EElement, m: int) -> tuple:
         """Canonical residue tuple of an integral x in O_E/pi_E^m."""
         F = self.ground
-        if self.ext_type == UNRAMIFIED:
-            return (F.residue(x.a, m) if m else 0, F.residue(x.b, m) if m else 0)
-        ma = (m + 1) // 2
-        mb = m // 2
+        ma, mb = self.residue_digits(m)
         return (
             F.residue(x.a, ma) if ma else 0,
             F.residue(x.b, mb) if mb else 0,
         )
 
+    def shell_coords(self, v: int, m: int) -> tuple:
+        """Coordinates (a, b) of the representatives pi^v (a + b sqrt(d)) of
+        {x : ord_E(x)=v} modulo pi_E^{v+m}, m >= 1, a-major: a, b < p^m with
+        one of them a unit (unramified); a < p^ceil(m/2) a unit and
+        b < p^floor(m/2) (ramified)."""
+        _check_shell_modulus(m, self.ground.precision)
+        ma, mb = self.residue_digits(m)
+        return _shell_coords(self.p, ma, mb, self.ext_type != UNRAMIFIED)
+
+    def shell_basis(self, v: int) -> tuple:
+        """(pi^v, pi^v sqrt(d)): the shell element of coordinates (a, b) is
+        a pi^v + b pi^v sqrt(d)."""
+        pi_v = self.uniformizer() ** v
+        return pi_v, pi_v * self.sqrt_d()
+
     def shell(self, v: int, m: int) -> list[EElement]:
         """Representatives of {x : ord_E(x)=v} modulo pi_E^{v+m}, m >= 1."""
-        if m < 1:
-            raise ValueError("modulus exponent must be >= 1")
-        if m > self.ground.precision:
-            raise PrecisionError(
-                f"shell modulus {m} exceeds precision {self.ground.precision}"
-            )
-        p = self.p
-        pi_v = self.uniformizer() ** v
-        reps = []
-        if self.ext_type == UNRAMIFIED:
-            for a in range(p**m):
-                for b in range(p**m):
-                    if a % p == 0 and b % p == 0:
-                        continue
-                    reps.append(pi_v * self.elem(a, b))
-        else:
-            ma, mb = (m + 1) // 2, m // 2
-            for a in range(1, p**ma):
-                if a % p == 0:
-                    continue
-                for b in range(p**mb):
-                    reps.append(pi_v * self.elem(a, b))
-        return reps
+        e1, e2 = self.shell_basis(v)
+        return [a * e1 + b * e2 for a, b in self.shell_coords(v, m)]
 
     def embed(self, x) -> EElement:
         """x as an element of E; an element of E is returned unchanged."""
@@ -434,6 +479,10 @@ class QuadExtension:
     def tr(self, x: EElement) -> Fraction:
         """Trace down to F."""
         return x.trace()
+
+    def coords(self, x: EElement) -> tuple:
+        """Coordinates (a, b) of x = a + b sqrt(d)."""
+        return x.a, x.b
 
     def to_json(self) -> dict:
         return {"p": self.p, "ext": self.ext_type, "precision": self.ground.precision}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import AddChar, MultChar, conductor_add
+from .characters import AddChar, MultChar, conductor_add, shell_cyc, shell_sum
 from .cyclotomic import Cyc
 from .factors import (
     NonArchFactor,
@@ -55,26 +55,16 @@ def gauss_sum_exact(chi: MultChar, psi: AddChar) -> Cyc:
     representatives mod pi^{c(psi)}; exact roots of unity."""
     if not chi.is_ramified:
         raise ValueError("no primitive Gauss sum for an unramified character")
-    K = chi.field
     n, c = chi.n, conductor_add(psi)
-    inv = chi.inv()
-    out = Cyc.zero()
-    for x in K.shell(c - n, n):
-        out = out + Cyc.root(inv.angle_at(x) + psi.angle(x))
-    return out
+    return shell_cyc(chi.inv(), psi, c - n, n)
 
 
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
     """Floating-complex Gauss sum; terms are exact roots of unity."""
     if not chi.is_ramified:
         raise ValueError("no primitive Gauss sum for an unramified character")
-    K = chi.field
     n, c = chi.n, conductor_add(psi)
-    inv = chi.inv()
-    out = 0j
-    for x in K.shell(c - n, n):
-        out += inv.value(x) * psi.value(x)
-    return out
+    return shell_sum(chi.inv(), psi, c - n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +80,6 @@ class ModBox:
     mult: object  # field element or 0
     center: object  # field element
     level: int
-
-    def indicator(self, K, x) -> bool:
-        diff = K.embed(x) - K.embed(self.center)
-        if diff == 0:
-            return True
-        return K.val(diff) >= self.level
 
 
 def box_fourier(piece: ModBox, psi: AddChar) -> ModBox:
@@ -122,18 +106,13 @@ def _shell_char_psi_integral(chi: MultChar, v: int, mult, psi: AddChar, vol_O: f
             return 0j
         if v != c_eff - chi.n:
             return 0j
-        out = 0j
-        for x in K.shell(v, chi.n):
-            out += chi.value(x) * psi.value(x * mult)
-        return out * vol_O * q ** (-(v + chi.n))
+        return shell_sum(chi, psi, v, chi.n, mult) * vol_O * q ** (-(v + chi.n))
     t = chi.t_full()
     if c_eff is None or v >= c_eff:
         return t**v * vol_O * (q ** (-v) - q ** (-v - 1))
     if v == c_eff - 1:
         # full oscillation except the subleading coset
-        phase = 0j
-        for x in K.shell(v, 1):
-            phase += psi.value(x * mult)
+        phase = shell_sum(None, psi, v, 1, mult)
         return t**v * vol_O * q ** (-(v + 1)) * phase
     return 0j
 
@@ -142,7 +121,11 @@ def _coset_char_psi_integral(
     chi: MultChar, center, level: int, mult, psi: AddChar, vol_O: float
 ) -> complex:
     """int_{center + pi^level O} chi(x) psi(mult*x) dx for a coset of units
-    (ord(center) < level); exact finite sum."""
+    (ord(center) < level); exact finite sum.
+
+    The coset is center (1 + pi^m O), m = level - ord(center), enumerated mod
+    pi^(ord(center) + depth): x = center (1 + eta) for eta = 0 and for eta
+    in the shells ord eta = k, m <= k < depth."""
     K = chi.field
     q = K.q
     v0 = K.val(center)
@@ -150,11 +133,9 @@ def _coset_char_psi_integral(
     depth = max(chi.n, m)
     if mult != 0:
         depth = max(depth, conductor_add(psi) - K.val(mult) - v0)
-    out = 0j
-    for x in K.shell(v0, depth):
-        if not ModBox(1.0, 0, center, level).indicator(K, x):
-            continue
-        out += chi.value(x) * psi.value(x * mult)
+    c = center * mult
+    inner = 1 + sum(shell_sum(chi, psi, k, depth - k, c, shift=True) for k in range(m, depth))
+    out = chi.value(center) * psi.value(c) * inner
     return out * vol_O * q ** (-(v0 + depth))
 
 

@@ -1,11 +1,17 @@
 """Unit groups (O_K/pi^n)^x with explicit generators and discrete logarithms.
 
 Multiplicative characters are stored as root-of-unity images of these
-generators, so every character evaluation funnels through ``dlog``.  Three
-shapes occur: (Z/p^n)^x is cyclic; for an unramified quadratic extension the
-group splits as Teichmueller x (1+p) x (1+p*sqrt(d)) with digit-peeling
-logarithms; ramified extensions are small enough that a generic abelian basis
-plus a full lookup table is the simplest correct choice.
+generators, so every character evaluation funnels through a discrete log.
+Logs are keyed by integer residues: ``G.key(x)`` is the residue of the unit
+part of x at the group's level (an int on F, a pair on E), ``G.keys(coords)``
+gives the same keys from integer coordinates (a, b) of units a + b sqrt(d),
+and ``G.logs[key]`` is the exponent tuple, so ``G.dlog(x)`` is
+``G.logs[G.key(x)]``.  Three shapes occur: (Z/p^n)^x is cyclic, with a full
+table; for an unramified quadratic extension the group splits as
+Teichmueller x (1+p) x (1+p*sqrt(d)), with logarithms digit-peeled on integer
+pairs mod p^n per key on first use; ramified extensions are small enough that
+a generic abelian basis plus a full lookup table is the simplest correct
+choice.
 """
 
 from __future__ import annotations
@@ -38,12 +44,20 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class UnitGroup:
-    """Abstract base: generators, orders, and dlog for (O_K/pi^n)^x."""
+    """Abstract base: generators, orders, and dlog for (O_K/pi^n)^x.
+
+    ``key(x)`` is the integer residue of the unit part of x at this level: an
+    int on F, a pair (a mod p^ma, b mod p^mb) on E (``E.residue_digits``).
+    ``logs`` maps each key to its exponent tuple, so ``dlog(x)`` is
+    ``logs[key(x)]``, and ``keys(coords)`` gives the keys of the units
+    a + b sqrt(d) straight from integer coordinates, with no field element.
+    """
 
     field: Field
     level: int
     gens: list
     orders: list[int]
+    logs: dict
 
     @property
     def size(self) -> int:
@@ -54,7 +68,14 @@ class UnitGroup:
 
     def key(self, x):
         """Canonical residue key of a valuation-0 element at this level."""
-        raise NotImplementedError
+        return self.field.unit_residue(self.field.embed(x), self.level)
+
+    def keys(self, coords) -> list:
+        """Residue keys of the units a + b sqrt(d), (a, b) integers in coords."""
+        E = self.field
+        ma, mb = E.residue_digits(self.level)
+        Ma, Mb = E.p**ma, E.p**mb
+        return [(a % Ma, b % Mb) for a, b in coords]
 
     def dlog(self, x) -> tuple[int, ...]:
         raise NotImplementedError
@@ -73,7 +94,7 @@ class FUnitGroup(UnitGroup):
         p = ground.p
         if level == 0:
             self.gens, self.orders = [], []
-            self._table = {}
+            self.logs = {0: ()}
             return
         g = _primitive_root(p)
         if level >= 2 and pow(g, p - 1, p * p) == 1:
@@ -86,147 +107,128 @@ class FUnitGroup(UnitGroup):
         for k in range(self.orders[0]):
             table[acc] = (k,)
             acc = acc * g % mod
-        self._table = table
+        self.logs = table
 
     def key(self, x):
         return self.field.unit_residue(x, self.level) if self.level else 0
 
+    def keys(self, coords) -> list:
+        M = self.field.p**self.level
+        return [a % M for a, _ in coords]
+
     def dlog(self, x):
-        if self.level == 0:
-            return ()
-        return self._table[self.key(x)]
+        return self.logs[self.key(x)]
 
     def one_unit_gens(self, m: int):
         return [Fraction(1 + self.field.p**m)]
 
 
+def _pmul(x: tuple, y: tuple, d: int, mod: int) -> tuple:
+    """(a + b sqrt d)(c + e sqrt d) on integer pairs mod ``mod``."""
+    a, b = x
+    c, e = y
+    return (a * c + d * b * e) % mod, (a * e + b * c) % mod
+
+
+def _ppow(x: tuple, k: int, d: int, mod: int) -> tuple:
+    out = (1, 0)
+    while k:
+        if k & 1:
+            out = _pmul(out, x, d, mod)
+        x = _pmul(x, x, d, mod)
+        k >>= 1
+    return out
+
+
+class _PeeledLogs(dict):
+    """key -> dlog, each entry computed by ``peel`` on first use."""
+
+    def __init__(self, peel):
+        super().__init__()
+        self.peel = peel
+
+    def __missing__(self, key):
+        out = self[key] = self.peel(key)
+        return out
+
+
 class EUnramUnitGroup(UnitGroup):
-    """(O_E/p^n)^x for unramified E: Teichmueller x two 1-unit lines."""
+    """(O_E/p^n)^x for unramified E: Teichmueller x two 1-unit lines.
+
+    Everything runs on integer pairs (a, b) = a + b sqrt(d) mod p^n.  A dlog
+    is digit-peeled on first use of its key and cached; there is no full
+    table, which would hold (p^2-1) p^(2n-2) entries."""
 
     def __init__(self, E: QuadExtension, level: int):
         self.field = E
         self.level = level
         if level == 0:
             self.gens, self.orders = [], []
+            self.logs = {(0, 0): ()}
             return
-        p = E.p
-        gbar = self._residue_field_generator(E)
-        self._fq_table = self._build_fq_table(E, gbar)
-        omega = self._teichmueller(E, gbar, level)
+        p, d = E.p, E.d
+        order = p * p - 1
+        gbar = self._residue_field_generator(p, d)
+        self._fq_log = {}
+        acc = (1, 0)
+        for k in range(order):
+            self._fq_log[acc] = k
+            acc = _pmul(acc, gbar, d, p)
+        # omega = gbar^(p^(2(level-1)) * s) has exact order p^2-1 and lifts gbar
+        pk = p ** (2 * (level - 1))
+        s = pow(pk, -1, order) if level > 1 else 1
+        self._omega = _ppow(gbar, pk * s, d, p**level)
+        self.logs = _PeeledLogs(self._peel)
         if level == 1:
-            self.gens = [omega]
-            self.orders = [p * p - 1]
+            self.gens = [E.elem(*self._omega)]
+            self.orders = [order]
         else:
-            self.gens = [omega, E.elem(1 + p), E.elem(1, p)]
-            self.orders = [p * p - 1, p ** (level - 1), p ** (level - 1)]
+            self.gens = [E.elem(*self._omega), E.elem(1 + p), E.elem(1, p)]
+            self.orders = [order, p ** (level - 1), p ** (level - 1)]
 
     @staticmethod
-    def _residue_field_generator(E: QuadExtension) -> EElement:
-        p = E.p
+    def _residue_field_generator(p: int, d: int) -> tuple:
         order = p * p - 1
         factors = _prime_factors(order)
         for a in range(p):
             for b in range(p):
                 if a == 0 and b == 0:
                     continue
-                g = E.elem(a, b)
-                if all(
-                    E.residue(g ** (order // ell), 1) != (1, 0) for ell in factors
-                ):
-                    return g
+                if all(_ppow((a, b), order // ell, d, p) != (1, 0) for ell in factors):
+                    return a, b
         raise ValueError("no generator of the residue field found")
 
-    @staticmethod
-    def _build_fq_table(E: QuadExtension, gbar: EElement) -> dict:
-        table = {}
-        acc = E.one()
-        for k in range(E.p * E.p - 1):
-            table[E.residue(acc, 1)] = k
-            acc = _ered(acc * gbar, E, 1)
-        return table
-
-    @staticmethod
-    def _teichmueller(E: QuadExtension, gbar: EElement, level: int) -> EElement:
-        # omega = gbar^(p^(2(level-1)) * s) has exact order p^2-1 and lifts gbar
-        p = E.p
-        pk = p ** (2 * (level - 1))
-        s = pow(pk, -1, p * p - 1) if level > 1 else 1
-        return _epow_mod(gbar, pk * s, E, level)
-
-    def key(self, x):
-        return self.field.unit_residue(x, self.level)
-
     def dlog(self, x):
-        E: QuadExtension = self.field
-        u = E.unit_part(E.embed(x))
-        k = E.residue(u, self.level)
-        cache = getattr(self, "_dlog_cache", None)
-        if cache is None:
-            cache = self._dlog_cache = {}
-        hit = cache.get(k)
-        if hit is not None:
-            return hit
-        out = self._dlog_uncached(E.elem(*k))
-        cache[k] = out
-        return out
+        return self.logs[self.key(x)]
 
-    def _dlog_uncached(self, u):
-        E: QuadExtension = self.field
-        p, n = E.p, self.level
-        e0 = self._fq_table[E.residue(u, 1)]
+    def _peel(self, key: tuple) -> tuple:
+        p, n, d = self.field.p, self.level, self.field.d
+        mod = p**n
+        e0 = self._fq_log[(key[0] % p, key[1] % p)]
         if n == 1:
             return (e0,)
-        y = _ered(u * _epow_mod(self.gens[0], self.orders[0] - e0, E, n), E, n)
+        y = _pmul(key, _ppow(self._omega, self.orders[0] - e0, d, mod), d, mod)
         i = j = 0
-        g1, g2 = E.elem(1 + p), E.elem(1, p)
         for k in range(1, n):
             # y = 1 + p^k (c + c' sqrt(d)) mod p^(k+1)
-            diff = _ered(y, E, min(k + 1, n)) - E.one()
-            c = _coef_digit(diff.a, p, k)
-            cp = _coef_digit(diff.b, p, k)
+            c = (y[0] - 1) // p**k % p
+            cp = y[1] // p**k % p
             i += c * p ** (k - 1)
             j += cp * p ** (k - 1)
-            corr = _epow_mod(g1, self.orders[1] - c * p ** (k - 1), E, n) * _epow_mod(
-                g2, self.orders[2] - cp * p ** (k - 1), E, n
+            corr = _pmul(
+                _ppow((1 + p, 0), self.orders[1] - c * p ** (k - 1), d, mod),
+                _ppow((1, p), self.orders[2] - cp * p ** (k - 1), d, mod),
+                d,
+                mod,
             )
-            y = _ered(y * corr, E, n)
-        assert E.residue(y, n) == (1, 0), "digit peeling failed"
+            y = _pmul(y, corr, d, mod)
+        assert y == (1, 0), "digit peeling failed"
         return (e0, i % self.orders[1], j % self.orders[2])
 
     def one_unit_gens(self, m: int):
         E: QuadExtension = self.field
         p = E.p
         return [E.elem(1 + p**m), E.elem(1, p**m)]
-
-
-def _coef_digit(x: Fraction, p: int, k: int) -> int:
-    """Digit of x/p^k mod p for p-integral rational x with ord >= k."""
-    if x == 0:
-        return 0
-    y = x / Fraction(p) ** k
-    mod = p
-    if y.denominator % p == 0:
-        raise ValueError("element not integral at expected level")
-    return y.numerator % mod * pow(y.denominator, -1, mod) % mod
-
-
-def _ered(x: EElement, E: QuadExtension, m: int) -> EElement:
-    """Reduce coordinates mod p^m (unramified levels) to keep Fractions small."""
-    mod = E.p**m
-    a = x.a.numerator * pow(x.a.denominator, -1, mod) % mod if x.a else 0
-    b = x.b.numerator * pow(x.b.denominator, -1, mod) % mod if x.b else 0
-    return E.elem(a, b)
-
-
-def _epow_mod(x: EElement, k: int, E: QuadExtension, m: int) -> EElement:
-    out = E.one()
-    base = _ered(x, E, m)
-    while k:
-        if k & 1:
-            out = _ered(out * base, E, m)
-        base = _ered(base * base, E, m)
-        k >>= 1
-    return out
 
 
 class ERamUnitGroup(UnitGroup):
@@ -237,7 +239,7 @@ class ERamUnitGroup(UnitGroup):
         self.level = level
         if level == 0:
             self.gens, self.orders = [], []
-            self._table = {}
+            self.logs = {(0, 0): ()}
             return
         p = E.p
         # Teichmueller part comes from the ground field (residue field is F_p)
@@ -250,7 +252,7 @@ class ERamUnitGroup(UnitGroup):
         gens += [h for h, _ in one_units]
         orders += [d for _, d in one_units]
         self.gens, self.orders = gens, orders
-        self._table = self._build_table()
+        self.logs = self._build_table()
 
     @staticmethod
     def _one_unit_basis(E: QuadExtension, n: int) -> list[tuple]:
@@ -333,13 +335,8 @@ class ERamUnitGroup(UnitGroup):
         assert len(table) == self.size, "unit group table has collisions"
         return table
 
-    def key(self, x):
-        return self.field.unit_residue(x, self.level)
-
     def dlog(self, x):
-        E: QuadExtension = self.field
-        u = E.unit_part(E.embed(x))
-        return self._table[E.residue(u, self.level)]
+        return self.logs[self.key(x)]
 
     def one_unit_gens(self, m: int):
         E: QuadExtension = self.field

@@ -19,11 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Optional
 
-from .characters import AddChar, MultChar, conductor_add, psi_to_E, restrict_to_F
+from .characters import (
+    AddChar,
+    MultChar,
+    conductor_add,
+    psi_to_E,
+    restrict_to_F,
+    shell_cyc,
+)
 from .cyclotomic import Cyc
 from .factors import PoleError
 from .padic import PAdicGround, QuadExtension, legendre
@@ -98,19 +105,13 @@ def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None) -> Cyc:
     if n >= 1:
         if j != c - n:
             return Cyc.zero()
-        acc = _Acc()
-        for x in K.shell(j, n):
-            acc.add(chi.cyc(x) * psi.cyc(-x))
-        return acc.result() * _qpow(q, -(j + n)) * V
+        return shell_cyc(chi, psi, j, n, -1) * _qpow(q, -(j + n)) * V
     pi_j = K.uniformizer() ** j
     if j >= c:
         w = Fraction(1, q**j) - Fraction(1, q ** (j + 1))
         return chi.cyc(pi_j) * V * Cyc.rational(w)
     if j == c - 1:
-        acc = _Acc()
-        for x in K.shell(j, 1):
-            acc.add(psi.cyc(-x))
-        return chi.cyc(pi_j) * V * acc.result() * _qpow(q, -(j + 1))
+        return chi.cyc(pi_j) * V * shell_cyc(None, psi, j, 1, -1) * _qpow(q, -(j + 1))
     return Cyc.zero()
 
 
@@ -122,10 +123,7 @@ def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, extra=1, cvol
     c = conductor_add(psi)
     V = _vol_O(psi, cvol)
     m = max(chi.n, c - j, 1) + extra
-    acc = _Acc()
-    for x in K.shell(j, m):
-        acc.add(chi.cyc(x) * psi.cyc(-x))
-    return acc.result() * _qpow(q, -(j + m)) * V
+    return shell_cyc(chi, psi, j, m, -1) * _qpow(q, -(j + m)) * V
 
 
 def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None) -> Cyc:
@@ -147,11 +145,7 @@ def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None) -> Cyc:
     acc = Cyc.zero()
     for k in range(J, n):
         m = max(n - k, c_eff - k, 1)
-        part = _Acc()
-        for eta in K.shell(k, m):
-            one_eta = K.one() + eta
-            part.add(chi.cyc(one_eta) * psi.cyc(-(t0 * eta)))
-        acc = acc + part.result() * _qpow(q, -(k + m))
+        acc = acc + shell_cyc(chi, psi, k, m, -t0, shift=True) * _qpow(q, -(k + m))
     Kk = max(J, n)
     if Kk >= c_eff:
         acc = acc + _qpow(q, -Kk)
@@ -231,19 +225,26 @@ def bigcell_integral(
 
 
 def _shell_with_condition_enum(chi, j, a2, b2, psi2, cvol=None) -> Cyc:
-    """Honest enumeration of int_{ord tau = j, ord(a2 + b2 tau) >= j}; a
-    stabilization probe only."""
+    """Honest enumeration of int_{ord tau = j, ord(a2 + b2 tau) >= j} for
+    ord(b2) < 0; a stabilization probe only.
+
+    With tau0 = -a2/b2 and r = -ord(b2) >= 1 the condition reads
+    ord(tau - tau0) >= j + r.  It meets the shell only when ord(tau0) = j,
+    and then tau = tau0 (1 + eta) runs over eta = 0 and the shells
+    ord eta = k, r <= k < m, mod pi^m."""
     K = chi.field
     q = K.q
     c2 = conductor_add(psi2)
-    m = max(chi.n, c2 - j, K.val(a2) - j + 1, 1 - K.val(b2), 1) + 1
-    acc = _Acc()
-    for tau in K.shell(j, m):
-        val = a2 + b2 * tau
-        if val != 0 and K.val(val) < j:
-            continue
-        acc.add(chi.cyc(tau) * psi2.cyc(-tau))
-    return acc.result() * _qpow(q, -(j + m)) * _vol_O(psi2, cvol)
+    r = -K.val(b2)
+    m = max(chi.n, c2 - j, K.val(a2) - j + 1, 1 + r, 1) + 1
+    tau0 = -(a2 / b2)
+    if K.val(tau0) != j:
+        return Cyc.zero()
+    acc = Cyc.one()
+    for k in range(r, m):
+        acc = acc + shell_cyc(chi, psi2, k, m - k, -tau0, shift=True)
+    pref = chi.cyc(tau0) * psi2.cyc(-tau0)
+    return pref * acc * _qpow(q, -(j + m)) * _vol_O(psi2, cvol)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,9 @@ class InducedSection:
     nu: MultChar
     psi_xi: AddChar
 
+    @cached_property
     def chi_ratio(self) -> MultChar:
+        """nu / mu, computed once per section."""
         return self.nu.mul(self.mu.inv())
 
 
@@ -277,7 +280,7 @@ def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cy
     det = A * Dm - B * Cm
     if det.is_zero():
         raise ValueError("singular matrix")
-    core = bigcell_integral(sec.chi_ratio(), (A, Cm), (B, Dm), sec.psi_xi, verify_stability)
+    core = bigcell_integral(sec.chi_ratio, (A, Cm), (B, Dm), sec.psi_xi, verify_stability)
     pref = sec.mu.cyc(det) * _qpow(E.q, Fraction(-E.val(det), 2))
     return pref * core
 
