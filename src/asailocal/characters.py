@@ -444,9 +444,11 @@ def shell_angles(
     coords = K.shell_coords(v, m)
     e1, e2 = K.shell_basis(v)
     mult = psi.mult * K.embed(c)
-    # psi(c x) = e(frac(a alpha + b beta)); b = 0 on F and on ramified m = 1
-    alpha = K.tr(mult * e1)
-    beta = K.tr(mult * e2) if any(b for _, b in coords) else 0
+    # psi(c x) = e(frac(a alpha + b beta)); beta is 0 on F, and on ramified
+    # m = 1 every b is 0, so beta must not count towards the precision there
+    alpha, beta = K.tr(mult * e1), K.tr(mult * e2)
+    if beta and not any(b for _, b in coords):
+        beta = 0
     k = max([0] + [-F.val(z) for z in (alpha, beta) if z])
     if k > F.precision:
         raise PrecisionError(f"fractional part needs p^{k} > precision window")
