@@ -611,43 +611,27 @@ def _solve_congruence(exps, orders, target: Fraction) -> list[int]:
         if target % 1 != 0:
             raise ValueError("inconsistent character extension")
         return []
-    L = 1
-    for d in orders:
-        L = L * d // _gcd(L, d)
+    L = math.lcm(*orders)
     R = target * L
     if R.denominator != 1:
         raise ValueError("inconsistent character extension (denominator)")
     R = int(R) % L
     cs = [(L // d) * e % L for e, d in zip(exps, orders)]
-
-    def gcd_all(vals):
-        g = L
-        for v in vals:
-            g = _gcd(g, v)
-        return g
-
     ks: list[int] = []
     rem = R
     for i, (c, d) in enumerate(zip(cs, orders)):
-        tail_g = gcd_all(cs[i + 1 :]) if i + 1 < len(cs) else L
-        found = False
+        # what the later terms can still reach: multiples of this gcd
+        tail_g = math.gcd(L, *cs[i + 1 :])
         for k in range(d):
-            if (rem - c * k) % _gcd(tail_g, L) == 0:
+            if (rem - c * k) % tail_g == 0:
                 ks.append(k)
                 rem = (rem - c * k) % L
-                found = True
                 break
-        if not found:
+        else:
             raise ValueError("inconsistent character extension (no solution)")
     if rem % L != 0:
         raise ValueError("inconsistent character extension (residual)")
     return ks
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def omega_quadratic(E: QuadExtension) -> MultChar:

@@ -11,15 +11,24 @@ table; for an unramified quadratic extension the group splits as
 Teichmueller x (1+p) x (1+p*sqrt(d)), with logarithms digit-peeled on integer
 pairs mod p^n per key on first use; ramified extensions are small enough that
 a generic abelian basis plus a full lookup table is the simplest correct
-choice.
+choice, built on integer pairs (a mod p^ceil(n/2), b mod p^floor(n/2)), the
+same pairs as the keys.  No group builds a field element per group element:
+generators become field elements once, at the end.
+
+``G.one_unit_gens(m)`` is a generating set of (1+pi^m O)/(1+pi^n O), not the
+whole subgroup: {1+p^m} on F, {1+p^m, 1+p^m sqrt(d)} on unramified E, and
+{1+pi^k : m <= k < n} on ramified E, where each step (1+pi^k O)/(1+pi^(k+1) O)
+is F_p, generated by the image of 1+pi^k.  A character is trivial on the
+subgroup iff it is trivial on these.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import EElement, Field, PAdicGround, QuadExtension, UNRAMIFIED
+from .padic import Field, PAdicGround, QuadExtension, UNRAMIFIED
 
 
 def _primitive_root(p: int) -> int:
@@ -61,10 +70,7 @@ class UnitGroup:
 
     @property
     def size(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
+        return math.prod(self.orders)
 
     def key(self, x):
         """Canonical residue key of a valuation-0 element at this level."""
@@ -123,19 +129,20 @@ class FUnitGroup(UnitGroup):
         return [Fraction(1 + self.field.p**m)]
 
 
-def _pmul(x: tuple, y: tuple, d: int, mod: int) -> tuple:
-    """(a + b sqrt d)(c + e sqrt d) on integer pairs mod ``mod``."""
+def _pmul(x: tuple, y: tuple, d: int, mod: int, mod_b: int | None = None) -> tuple:
+    """(a + b sqrt d)(c + e sqrt d) on integer pairs, a mod ``mod`` and b mod
+    ``mod_b`` (default ``mod``)."""
     a, b = x
     c, e = y
-    return (a * c + d * b * e) % mod, (a * e + b * c) % mod
+    return (a * c + d * b * e) % mod, (a * e + b * c) % (mod if mod_b is None else mod_b)
 
 
-def _ppow(x: tuple, k: int, d: int, mod: int) -> tuple:
+def _ppow(x: tuple, k: int, d: int, mod: int, mod_b: int | None = None) -> tuple:
     out = (1, 0)
     while k:
         if k & 1:
-            out = _pmul(out, x, d, mod)
-        x = _pmul(x, x, d, mod)
+            out = _pmul(out, x, d, mod, mod_b)
+        x = _pmul(x, x, d, mod, mod_b)
         k >>= 1
     return out
 
@@ -232,7 +239,14 @@ class EUnramUnitGroup(UnitGroup):
 
 
 class ERamUnitGroup(UnitGroup):
-    """(O_E/pi^n)^x for ramified E: generic basis plus a full dlog table."""
+    """(O_E/pi^n)^x for ramified E: generic basis plus a full dlog table.
+
+    Everything runs on integer pairs (a mod p^ceil(n/2), b mod p^floor(n/2))
+    = a + b sqrt(d), the keys of ``E.residue``: the basis search, its
+    correction and the table are pair products, powers and inverses, and the
+    generators become ``E.elem(a, b)`` only at the end.  The basis is the
+    Teichmueller generator followed by a greedy basis of the 1-units, and
+    ``logs`` holds every element of the group."""
 
     def __init__(self, E: QuadExtension, level: int):
         self.field = E
@@ -242,137 +256,92 @@ class ERamUnitGroup(UnitGroup):
             self.logs = {(0, 0): ()}
             return
         p = E.p
+        ma, mb = E.residue_digits(level)
+        self._mods = (p**ma, p**mb)
         # Teichmueller part comes from the ground field (residue field is F_p)
         g = _primitive_root(p)
-        ma = (level + 1) // 2
         s = pow(p**level, -1, p - 1)
-        omega = E.elem(pow(g, (p**level) * s, p**ma))
-        gens, orders = [omega], [p - 1]
-        one_units = self._one_unit_basis(E, level)
-        gens += [h for h, _ in one_units]
-        orders += [d for _, d in one_units]
-        self.gens, self.orders = gens, orders
-        self.logs = self._build_table()
+        omega = (pow(g, (p**level) * s, p**ma), 0)
+        self.logs = self._extend({(1, 0): ()}, omega, p - 1)
+        basis = [(omega, p - 1)] + self._one_unit_basis()
+        self.gens = [E.elem(*h) for h, _ in basis]
+        self.orders = [m for _, m in basis]
+        assert len(self.logs) == self.size, "unit group table has collisions"
 
-    @staticmethod
-    def _one_unit_basis(E: QuadExtension, n: int) -> list[tuple]:
-        """Basis of the 1-units of O_E/pi^n, via greedy maximal orders."""
-        p = E.p
-        target = p ** (n - 1)
-        if target == 1:
-            return []
-        red = lambda x: _eram_red(x, E, n)
-        key = lambda x: E.residue(x, n)
-        one_key = key(E.one())
-        pi = E.uniformizer()
-        elems = [red(E.one() + pi * r) for r in _integral_residues(E, n - 1)]
+    def _mul(self, x: tuple, y: tuple) -> tuple:
+        return _pmul(x, y, self.field.d, *self._mods)
 
-        def ppow(x, k):
-            out = red(x)
-            for _ in range(k):
-                acc = out
-                for _ in range(p - 1):
-                    acc = red(acc * out)
-                out = acc
-            return out
+    def _pow(self, x: tuple, k: int) -> tuple:
+        return _ppow(x, k, self.field.d, *self._mods)
 
-        def order_exp_mod(x, span):
-            # smallest j with x^(p^j) in span
-            j, acc = 0, red(x)
-            while key(acc) not in span:
-                acc = ppow(acc, 1)
+    def _inv(self, x: tuple) -> tuple:
+        """(a - b sqrt(d)) / N with N = a^2 - d b^2, a unit."""
+        a, b = x
+        Ma, Mb = self._mods
+        n_inv = pow(a * a - self.field.d * b * b, -1, Ma)
+        return a * n_inv % Ma, -b * n_inv % Mb
+
+    def _extend(self, table: dict, h: tuple, order: int) -> dict:
+        """{x h^j: e + (j,)} over the entries x: e of table, 0 <= j < order."""
+        out = {}
+        for x, e in table.items():
+            for j in range(order):
+                out[x] = e + (j,)
+                x = self._mul(x, h)
+        return out
+
+    def _one_unit_basis(self) -> list[tuple]:
+        """Basis of the 1-units of O_E/pi^n, via greedy maximal orders.
+
+        ``self.logs`` is the table of the span so far, Teichmueller part
+        included, and grows with each basis element until it holds the whole
+        group.  A 1-unit lies in that span only if it lies in the span of the
+        1-unit basis, so the first exponent of a 1-unit's entry is 0."""
+        p, d, n = self.field.p, self.field.d, self.level
+        Ma, Mb = self._mods
+        # 1 + pi (a + b sqrt(d)) = (1 + d b) + a sqrt(d), r = a + b sqrt(d) mod pi^(n-1)
+        elems = [((1 + d * b) % Ma, a) for a in range(Mb) for b in range(Ma // p)]
+
+        def order_exp_mod(x):
+            # smallest j with x^(p^j) in the span
+            j = 0
+            while x not in self.logs:
+                x = self._pow(x, p)
                 j += 1
             return j
 
         basis: list[tuple] = []
-        span = {one_key: ()}
-        while len(span) < target:
+        while len(self.logs) < (p - 1) * p ** (n - 1):
             best, best_j = None, -1
             for x in elems:
-                if key(x) in span:
+                if x in self.logs:
                     continue
-                j = order_exp_mod(x, span)
+                j = order_exp_mod(x)
                 if j > best_j:
                     best, best_j = x, j
             g, m = best, p**best_j
             # correct so that g^m = 1 exactly (classical basis lemma)
-            gm = ppow(g, best_j)
-            exps = span[key(gm)]
-            corr = E.one()
-            for (h, _), t in zip(basis, exps):
+            exps = self.logs[self._pow(g, m)]
+            corr = (1, 0)
+            for (h, _), t in zip(basis, exps[1:]):
                 assert t % m == 0, "basis correction must divide"
-                corr = red(corr * _eram_pow(h, t // m, E, n))
-            g = red(g * _eram_inv(corr, E, n))
+                corr = self._mul(corr, self._pow(h, t // m))
+            g = self._mul(g, self._inv(corr))
             basis.append((g, m))
-            new_span = {}
-            for _, e0 in span.items():
-                acc = E.one()
-                for (h, _), t in zip(basis[:-1], e0):
-                    acc = red(acc * _eram_pow(h, t, E, n))
-                cur = acc
-                for j in range(m):
-                    new_span[key(cur)] = e0 + (j,)
-                    cur = red(cur * g)
-            span = new_span
+            self.logs = self._extend(self.logs, g, m)
         return basis
-
-    def _build_table(self) -> dict:
-        E: QuadExtension = self.field
-        table = {}
-        red = lambda x: _eram_red(x, E, self.level)
-
-        def rec(i, acc, exps):
-            if i == len(self.gens):
-                table[E.residue(acc, self.level)] = tuple(exps)
-                return
-            g, d = self.gens[i], self.orders[i]
-            cur = acc
-            for e in range(d):
-                rec(i + 1, cur, exps + [e])
-                cur = red(cur * g)
-
-        rec(0, E.one(), [])
-        assert len(table) == self.size, "unit group table has collisions"
-        return table
 
     def dlog(self, x):
         return self.logs[self.key(x)]
 
     def one_unit_gens(self, m: int):
+        """1 + pi^k for m <= k < level: each step (1 + pi^k O)/(1 + pi^(k+1) O)
+        is F_p, generated by the image of 1 + pi^k.  pi^k = d^(k//2) sqrt(d)^(k%2)."""
         E: QuadExtension = self.field
-        if m >= self.level:
-            return []
-        pi = E.uniformizer()
-        return [E.one() + pi**m * r for r in _integral_residues(E, self.level - m)]
-
-
-def _eram_red(x: EElement, E: QuadExtension, m: int) -> EElement:
-    """Reduce an integral element mod pi^m (ramified coordinate split)."""
-    ra, rb = E.residue(x, m)
-    return E.elem(ra, rb)
-
-
-def _eram_inv(x: EElement, E: QuadExtension, m: int) -> EElement:
-    return _eram_red(x.inv(), E, m)
-
-
-def _eram_pow(x: EElement, k: int, E: QuadExtension, m: int) -> EElement:
-    out, base = E.one(), _eram_red(x, E, m)
-    while k:
-        if k & 1:
-            out = _eram_red(out * base, E, m)
-        base = _eram_red(base * base, E, m)
-        k >>= 1
-    return out
-
-
-def _integral_residues(E: QuadExtension, m: int) -> list[EElement]:
-    """Representatives of O_E/pi^m (including non-units)."""
-    p = E.p
-    if E.ext_type == UNRAMIFIED:
-        return [E.elem(a, b) for a in range(p**m) for b in range(p**m)]
-    ma, mb = (m + 1) // 2, m // 2
-    return [E.elem(a, b) for a in range(p**ma) for b in range(p**mb)]
+        return [
+            E.elem(1, E.d ** (k // 2)) if k % 2 else E.elem(1 + E.d ** (k // 2))
+            for k in range(m, self.level)
+        ]
 
 
 @lru_cache(maxsize=None)

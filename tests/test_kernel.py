@@ -1,5 +1,6 @@
 """The integer-residue shell kernel against the element-by-element loops it
-replaced, and the integer-pair unit group of an unramified extension."""
+replaced, the integer-pair unit groups of quadratic extensions, and
+conductor minimality against brute-force enumeration of 1 + pi^k O."""
 
 import itertools
 import random
@@ -29,7 +30,6 @@ from asailocal.padic import (
 )
 from asailocal.tate import _coset_char_psi_integral, gauss_sum
 from asailocal.unitgroups import unit_group
-from asailocal.whittaker import _qpow, _shell_with_condition_enum, _vol_O
 
 FIELDS = [(p, ext) for p in (3, 5, 7) for ext in (None,) + EXTENSION_TYPES]
 
@@ -116,8 +116,9 @@ def _psi_loop(K, psi, v, m, c):
 # -- the unramified unit group on integer pairs --------------------------------
 
 
-def _pair_mul(x, y, d, mod):
-    return (x[0] * y[0] + d * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod
+def _pair_mul(x, y, d, mod, mod_b=None):
+    mod_b = mod if mod_b is None else mod_b
+    return (x[0] * y[0] + d * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod_b
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -160,6 +161,148 @@ def test_eunram_dlog_is_a_homomorphism(p, level, x, y):
     assert got == want
 
 
+# -- the ramified unit group on integer pairs ----------------------------------
+
+RAMIFIED = [ext for ext in EXTENSION_TYPES if ext != UNRAMIFIED]
+
+
+def _ram_mods(p, level):
+    """(p^ceil(n/2), p^floor(n/2)): a + b sqrt(d) mod pi^n keeps a modulo the
+    first and b modulo the second."""
+    return p ** ((level + 1) // 2), p ** (level // 2)
+
+
+# p = 3, levels 5-6: on ramified-up E, which holds the cube roots of unity,
+# the greedy basis needs its correction step: the power g^m of a chosen
+# generator lands in the span of the earlier ones, but not on 1
+@pytest.mark.parametrize("ext", RAMIFIED)
+@pytest.mark.parametrize(
+    "p,level", [(p, n) for p in (3, 5, 7) for n in (1, 2, 3, 4)] + [(3, 5), (3, 6)]
+)
+def test_eram_dlog_agrees_with_power_table(p, ext, level):
+    E = QuadExtension(PAdicGround(p), ext)
+    G = unit_group(E, level)
+    Ma, Mb = _ram_mods(p, level)
+    gens = [(int(g.a) % Ma, int(g.b) % Mb) for g in G.gens]
+    table = {}
+    for exps in itertools.product(*[range(d) for d in G.orders]):
+        acc = (1, 0)
+        for g, e in zip(gens, exps):
+            for _ in range(e):
+                acc = _pair_mul(acc, g, E.d, Ma, Mb)
+        table[acc] = exps
+    # the generators reach every unit, each exactly once
+    assert len(table) == G.size == (p - 1) * p ** (level - 1)
+    assert all(a % p for a, _ in table)
+    for key, exps in table.items():
+        assert G.dlog(E.elem(*key)) == exps
+        assert G.logs[key] == exps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.sampled_from(RAMIFIED),
+    st.integers(1, 5),
+    st.tuples(st.integers(0, 342), st.integers(0, 342)),
+    st.tuples(st.integers(0, 342), st.integers(0, 342)),
+)
+def test_eram_dlog_is_a_homomorphism(p, ext, level, x, y):
+    E = QuadExtension(PAdicGround(p), ext)
+    G = unit_group(E, level)
+    Ma, Mb = _ram_mods(p, level)
+    x = ((x[0] * p + 1) % Ma, x[1] % Mb)
+    y = ((y[0] * p + 2) % Ma, y[1] % Mb)
+    xy = _pair_mul(x, y, E.d, Ma, Mb)
+    got = G.dlog(E.elem(*xy))
+    want = tuple((a + b) % d for a, b, d in zip(G.dlog(E.elem(*x)), G.dlog(E.elem(*y)), G.orders))
+    assert got == want
+
+
+# Generators, as coordinate pairs (a, b) = a + b sqrt(d), and their orders, as
+# the EElement construction of the ramified groups produced them.  Characters
+# built with from_angles are angles on these generators, so they must not move.
+PINNED_ERAM = {
+    (3, "ramified-p", 1): ([(2, 0)], [2]),
+    (3, "ramified-p", 2): ([(2, 0), (1, 1)], [2, 3]),
+    (3, "ramified-p", 3): ([(8, 0), (4, 0), (1, 1)], [2, 3, 3]),
+    (3, "ramified-p", 4): ([(8, 0), (1, 1), (4, 0)], [2, 9, 3]),
+    (3, "ramified-up", 1): ([(2, 0)], [2]),
+    (3, "ramified-up", 2): ([(2, 0), (1, 1)], [2, 3]),
+    (3, "ramified-up", 3): ([(8, 0), (7, 0), (1, 1)], [2, 3, 3]),
+    (3, "ramified-up", 4): ([(8, 0), (7, 0), (1, 1), (7, 1)], [2, 3, 3, 3]),
+    (5, "ramified-p", 1): ([(2, 0)], [4]),
+    (5, "ramified-p", 2): ([(2, 0), (1, 1)], [4, 5]),
+    (5, "ramified-p", 3): ([(7, 0), (6, 0), (1, 1)], [4, 5, 5]),
+    (5, "ramified-p", 4): ([(7, 0), (1, 1), (6, 0)], [4, 25, 5]),
+    (5, "ramified-up", 1): ([(2, 0)], [4]),
+    (5, "ramified-up", 2): ([(2, 0), (1, 1)], [4, 5]),
+    (5, "ramified-up", 3): ([(7, 0), (11, 0), (1, 1)], [4, 5, 5]),
+    (5, "ramified-up", 4): ([(7, 0), (1, 1), (11, 0)], [4, 25, 5]),
+    (3, "ramified-p", 5): ([(26, 0), (4, 0), (1, 1)], [2, 9, 9]),
+    (3, "ramified-p", 6): ([(26, 0), (1, 1), (4, 0)], [2, 27, 9]),
+    (3, "ramified-up", 5): ([(26, 0), (7, 0), (4, 4), (4, 7)], [2, 9, 3, 3]),
+    (3, "ramified-up", 6): ([(26, 0), (7, 0), (1, 1), (22, 17)], [2, 9, 9, 3]),
+}
+
+
+def test_eram_gens_and_orders_are_pinned():
+    for (p, ext, level), (gens, orders) in PINNED_ERAM.items():
+        G = unit_group(QuadExtension(PAdicGround(p), ext), level)
+        assert [(g.a, g.b) for g in G.gens] == gens, (p, ext, level)
+        assert G.orders == orders, (p, ext, level)
+
+
+# -- conductor minimality ------------------------------------------------------------
+
+
+def _integral_coords(K, k):
+    """Integer coordinates (a, b) of a full set of residues of O_K mod pi^k."""
+    p = K.p
+    if isinstance(K, PAdicGround):
+        return [(a, 0) for a in range(p**k)]
+    if K.ext_type == UNRAMIFIED:
+        return [(a, b) for a in range(p**k) for b in range(p**k)]
+    Ma, Mb = _ram_mods(p, k)
+    return [(a, b) for a in range(Ma) for b in range(Mb)]
+
+
+def _filtration_step(K, k, n):
+    """Residues mod pi^n of U^k: the units for k = 0, 1 + pi^k O for k >= 1."""
+    elem = (lambda a, b: K.elem(a)) if isinstance(K, PAdicGround) else K.elem
+    if k == 0:
+        xs = [elem(a, b) for a, b in _integral_coords(K, n)]
+        return [x for x in xs if x != 0 and K.val(x) == 0]
+    pi_k = K.uniformizer() ** k
+    return [K.one() + pi_k * elem(a, b) for a, b in _integral_coords(K, n - k)]
+
+
+@st.composite
+def characters_at_level(draw):
+    """A character of F^x or E^x, p <= 13, given at a level n whose unit group
+    has at most 1,500 elements; each generator's angle has a random divisor of
+    its order as denominator, so conductors below n are common."""
+    p, ext = draw(st.sampled_from([(p, ext) for p in (3, 5, 7, 11, 13) for ext in (None,) + EXTENSION_TYPES]))
+    K = _field(p, ext)
+    n = _largest_m(K, draw(st.integers(1, 4)), 1500)
+    angles = []
+    for d in unit_group(K, n).orders:
+        den = draw(st.sampled_from([k for k in range(1, d + 1) if d % k == 0]))
+        angles.append(Fraction(draw(st.integers(0, den - 1)), den))
+    return MultChar(K, n, angles, Phase.one())
+
+
+@settings(max_examples=50, deadline=None)
+@given(characters_at_level())
+def test_reduced_conductor_is_minimal(chi):
+    K, n = chi.field, chi.n
+    want = next(
+        k for k in range(n + 1)
+        if all(chi.unit_angle(u) == 0 for u in _filtration_step(K, k, n))
+    )
+    assert chi.reduced().n == want
+
+
 # -- the Tate coset integral -------------------------------------------------------
 
 
@@ -195,41 +338,6 @@ def test_coset_integral_equals_filtered_shell(p, n):
                 assert abs(got - want) <= 1e-12
                 checked += 1
     assert checked == 36
-
-
-# -- the Whittaker stabilization probe ---------------------------------------------
-
-
-def _condition_by_filtering(chi, j, a2, b2, psi2):
-    """The whole shell ord tau = j, filtered to ord(a2 + b2 tau) >= j."""
-    K = chi.field
-    m = max(chi.n, conductor_add(psi2) - j, K.val(a2) - j + 1, 1 - K.val(b2), 1) + 1
-    acc = Cyc({})
-    for tau in K.shell(j, m):
-        val = a2 + b2 * tau
-        if val != 0 and K.val(val) < j:
-            continue
-        acc = acc + chi.cyc(tau) * psi2.cyc(-tau)
-    return acc * _qpow(K.q, -(j + m)) * _vol_O(psi2)
-
-
-@pytest.mark.parametrize("ext", (None,) + EXTENSION_TYPES)
-def test_condition_probe_equals_filtered_shell(ext):
-    K = _field(3, ext)
-    psi = standard_psi(K) if ext is None else psi_to_E(standard_psi(K.ground), K, K.xi())
-    rng = random.Random(7)
-    G = unit_group(K, 1)
-    chi = MultChar(K, 1, [Fraction(rng.randrange(d), d) for d in G.orders], Phase.exact(Fraction(1, 3)))
-    b2 = K.embed(Fraction(1, 3))
-    nonzero = 0
-    for j in (0, 1):
-        for tau0 in (K.shell(j, 2)[-1], K.shell(j, 1)[0], K.shell(j + 1, 1)[0]):
-            a2 = -(tau0 * b2)
-            got = _shell_with_condition_enum(chi, j, a2, b2, psi)
-            want = _condition_by_filtering(chi, j, a2, b2, psi)
-            assert (got - want).is_zero()
-            nonzero += not want.is_zero()
-    assert nonzero >= 1
 
 
 # -- float Gauss sums stay bit-identical ------------------------------------------

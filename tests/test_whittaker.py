@@ -18,18 +18,24 @@ from asailocal.factors import DEFAULT_GRID
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, RAMIFIED_P, UNRAMIFIED
 from asailocal.tate import tate_eps
 from asailocal.unitgroups import unit_group
+from asailocal import whittaker
 from asailocal.whittaker import (
     Box2,
+    _mat_mul,
     _qpow,
     InducedSection,
+    diag_matrix,
     fourier_transform_boxes,
+    lower_unipotent,
     spherical_gamma_oracle,
     spherical_whittaker,
     spherical_zeta,
     w_case1,
     w_case2,
     w_rho_w1,
+    w1_matrix,
     whittaker_from_section,
+    whittaker_value,
 )
 
 
@@ -146,6 +152,38 @@ def test_whittaker_from_section_support():
     assert not v0.is_zero()
     v_neg = whittaker_from_section(sec, E.uniformizer().inv())
     assert v_neg.is_zero()
+
+
+def test_stability_probes_run_on_the_w1_shape(monkeypatch):
+    # diag(a,1) w1 u_-(u), the second sum of w_case2, reaches the big-cell
+    # branch with beta != 0 and b2 = 0, where the probes enumerate the shells
+    # next to the stable one and must find them zero
+    calls = []
+    enumerated = whittaker.shell_integral_enumerated
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return enumerated(*args, **kwargs)
+
+    monkeypatch.setattr(whittaker, "shell_integral_enumerated", counted)
+    matrices = 0
+    for ext in EXTENSION_TYPES:
+        for lvl, restricted in ((1, True), (1, False), (2, True), (2, False)):
+            sec = make_section(3, ext, lvl, restricted)
+            if sec is None:
+                continue
+            E = sec.E
+            for va in range(-2, 2):
+                a = E.uniformizer() ** va * 2
+                for u in range(3):
+                    M = _mat_mul(E, diag_matrix(E, a), _mat_mul(E, w1_matrix(E), lower_unipotent(E, u)))
+                    want = whittaker_value(sec, M)
+                    before = len(calls)
+                    got = whittaker_value(sec, M, verify_stability=True)
+                    assert (got - want).is_zero(), (ext, lvl, va, u)
+                    assert len(calls) > before, (ext, lvl, va, u)
+                    matrices += 1
+    assert matrices == 120
 
 
 def test_spherical_support_and_values():
