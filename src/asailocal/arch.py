@@ -366,14 +366,6 @@ def eps_gal_arch(mu: CChar, nu: CChar, a: float = 1.0) -> ArchFactor:
     return out * lambda_C_R(a)
 
 
-def l_eps_arch_real(chi: RChar, a: float = 1.0) -> tuple[ArchFactor, ArchFactor]:
-    return tate_L_real(chi), tate_eps_real(chi, a)
-
-
-def l_eps_arch_complex(chi: CChar, a: float = 1.0) -> tuple[ArchFactor, ArchFactor]:
-    return tate_L_complex(chi), tate_eps_complex(chi, a)
-
-
 # ---------------------------------------------------------------------------
 # numeric Tate functional-equation oracle (pins the eps conventions)
 # ---------------------------------------------------------------------------

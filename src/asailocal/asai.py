@@ -30,10 +30,6 @@ from .padic import EElement, PAdicGround, QuadExtension
 from .tate import langlands_constant, tate_L, tate_eps, tate_gamma
 
 
-class SupercuspidalError(NotImplementedError):
-    """Supercuspidal pi is out of scope; the library covers induced data."""
-
-
 @dataclass(frozen=True)
 class TwistedPair:
     """The rank-2 twist tau = Ind(mu2 |.|^{v2}, nu2 |.|^{-v2}) of Theorem B."""
@@ -123,12 +119,6 @@ def _dependence_monomial(omega0: MultChar, a0: Fraction, a1: Fraction) -> NonArc
     const *= q ** (2 * w0 + w1)
     m = 4 * w0 + 2 * w1
     return NonArchFactor.monomial(q, const, m)
-
-
-def _abs_power_monomial(q: int, w: int, slope: int, intercept: Fraction) -> NonArchFactor:
-    """|x|^{slope*s + intercept} for ord(x) = w, as a monomial."""
-    const = q ** float(-w * intercept) if intercept != 0 else 1.0
-    return NonArchFactor.monomial(q, const, w * slope)
 
 
 # ---------------------------------------------------------------------------

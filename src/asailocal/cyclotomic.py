@@ -6,6 +6,14 @@ floats would turn exact identities into tolerance checks.  A :class:`Cyc`
 stores sum(c_theta * e^{2 pi i theta}) as a map angle -> coefficient with
 Fraction entries, and decides equality by reduction modulo the cyclotomic
 polynomial of the common angle denominator.
+
+Every ``Cyc`` is in normal form: each angle key is a Fraction in [0, 1) and
+each coefficient a nonzero Fraction.  The public constructor ``Cyc(dict)``
+brings any input to that form; the ring operations, whose operands are
+already normal, build their results in normal form directly (a sum of two
+angles in [0, 1) only needs -1 when it reaches 1) and wrap them without a
+second pass.  Values are never mutated after construction, so results may be
+shared and cached.
 """
 
 from __future__ import annotations
@@ -47,49 +55,77 @@ def _poly_div_exact(num: list, den: list) -> list:
     return [int(c) for c in out]
 
 
+def _accumulate(out: dict, terms: dict) -> None:
+    """out += terms in place, for normal ``terms``; keeps ``out`` normal."""
+    for a, c in terms.items():
+        s = out.get(a)
+        if s is None:
+            out[a] = c
+        else:
+            s += c
+            if s:
+                out[a] = s
+            else:
+                del out[a]
+
+
 class Cyc:
     """An element of the group algebra Q[roots of unity], reduced lazily."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms: dict[Fraction, Fraction] = {}
+        normal: dict[Fraction, Fraction] = {}
         if terms:
             for ang, c in terms.items():
                 if c:
                     a = Fraction(ang) % 1
-                    self.terms[a] = self.terms.get(a, Fraction(0)) + Fraction(c)
-            self.terms = {a: c for a, c in self.terms.items() if c}
+                    normal[a] = normal.get(a, Fraction(0)) + Fraction(c)
+        self.terms = {a: c for a, c in normal.items() if c}
+
+    @staticmethod
+    def _normal(terms: dict) -> "Cyc":
+        """Wrap a dict that is already in normal form, without a copy."""
+        out = object.__new__(Cyc)
+        out.terms = terms
+        return out
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero() -> "Cyc":
-        return Cyc()
+        return Cyc._normal({})
 
     @staticmethod
     def rational(c: Scalarish) -> "Cyc":
-        return Cyc({Fraction(0): Fraction(c)})
+        return Cyc._normal({Fraction(0): Fraction(c)} if c else {})
 
     @staticmethod
     def root(theta: Fraction, coeff: Scalarish = 1) -> "Cyc":
         """coeff * e^{2 pi i theta}."""
-        return Cyc({Fraction(theta) % 1: Fraction(coeff)})
+        return Cyc._normal({Fraction(theta) % 1: Fraction(coeff)} if coeff else {})
 
     one = staticmethod(lambda: Cyc.rational(1))
+
+    @staticmethod
+    def sum(values) -> "Cyc":
+        """The sum of an iterable of Cyc values, accumulated in one dict."""
+        out: dict[Fraction, Fraction] = {}
+        for v in values:
+            _accumulate(out, v.terms)
+        return Cyc._normal(out)
 
     # -- ring operations ------------------------------------------------------
     def __add__(self, other: "Cyc") -> "Cyc":
         if not isinstance(other, Cyc):
             other = Cyc.rational(other)
         out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, Fraction(0)) + c
-        return Cyc(out)
+        _accumulate(out, other.terms)
+        return Cyc._normal(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc({a: -c for a, c in self.terms.items()})
+        return Cyc._normal({a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other) -> "Cyc":
         if not isinstance(other, Cyc):
@@ -101,13 +137,29 @@ class Cyc:
 
     def __mul__(self, other) -> "Cyc":
         if isinstance(other, (int, Fraction)):
-            return Cyc({a: c * other for a, c in self.terms.items()})
+            if not other:
+                return Cyc.zero()
+            return Cyc._normal({a: c * other for a, c in self.terms.items()})
+        if len(self.terms) == 1:
+            self, other = other, self  # the monomial factor, if any, is ``other``
+        if len(other.terms) == 1:
+            # c0 e(a0) only scales and rotates: distinct angles stay distinct
+            ((a0, c0),) = other.terms.items()
+            if not a0:
+                return self * c0
+            out = {}
+            for a, c in self.terms.items():
+                a += a0
+                out[a - 1 if a >= 1 else a] = c * c0
+            return Cyc._normal(out)
         out: dict[Fraction, Fraction] = {}
         for a1, c1 in self.terms.items():
             for a2, c2 in other.terms.items():
-                a = (a1 + a2) % 1
-                out[a] = out.get(a, Fraction(0)) + c1 * c2
-        return Cyc(out)
+                a = a1 + a2
+                if a >= 1:
+                    a -= 1
+                out[a] = out.get(a, 0) + c1 * c2
+        return Cyc._normal({a: c for a, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -154,13 +206,6 @@ class Cyc:
 
     def __hash__(self):
         raise TypeError("Cyc values are unhashable (lazy normal form)")
-
-    def as_rational(self) -> Fraction:
-        """The exact rational value, if the sum collapses to one."""
-        candidate = self.terms.get(Fraction(0), Fraction(0))
-        if (self - Cyc.rational(candidate)).is_zero():
-            return candidate
-        raise ValueError("cyclotomic sum is not rational")
 
     def to_complex(self) -> complex:
         return sum(

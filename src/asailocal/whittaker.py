@@ -13,6 +13,13 @@ half-integral powers q^(k+1/2) that |det|^(1/2) and self-dual volumes bring
 in stay exact too, because sqrt(p) is a quadratic Gauss sum; ``to_complex()``
 gives the floating value.  The spherical vector and its zeta integral are
 evaluated in floating point from their closed-form tails.
+
+The big-cell integral never builds a shifted additive character: the shell
+and coset sums take psi and a multiplier s and sum psi(s t), whose conductor
+is c(psi) - ord s.  The averaged families write their matrices out directly
+(no matrix products), an x-average only evaluates the points a refinement
+adds, and the values that repeat across calls (q-powers, chi(x), the shell
+sum of the w1 family) are cached.
 """
 
 from __future__ import annotations
@@ -45,22 +52,6 @@ class StabilizationError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-class _Acc:
-    """Mutable sum accumulator: avoids quadratic dict copying in hot loops."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms = {}
-
-    def add(self, val: Cyc):
-        for a, c in val.terms.items():
-            self.terms[a] = self.terms.get(a, 0) + c
-
-    def result(self) -> Cyc:
-        return Cyc(self.terms)
-
-
 @lru_cache(maxsize=None)
 def _sqrt_prime(p: int) -> Cyc:
     """sqrt(p) for an odd prime p, exactly: the quadratic Gauss sum
@@ -70,8 +61,10 @@ def _sqrt_prime(p: int) -> Cyc:
     return g if p % 4 == 1 else g * Cyc.root(Fraction(3, 4))
 
 
+@lru_cache(maxsize=None)
 def _qpow(q: int, e) -> Cyc:
-    """q^e for integer or half-integer e; q is p or p^2."""
+    """q^e for integer or half-integer e; q is p or p^2.  Cached: callers
+    share the result and never mutate it."""
     fe = Fraction(e)
     if fe.denominator == 1:
         return Cyc.rational(Fraction(q) ** int(fe))
@@ -81,6 +74,13 @@ def _qpow(q: int, e) -> Cyc:
     if r * r == q:
         return Cyc.rational(Fraction(r) ** int(2 * fe))
     return Cyc.rational(Fraction(q) ** int(fe - Fraction(1, 2))) * _sqrt_prime(q)
+
+
+@lru_cache(maxsize=1024)
+def _chi_cyc(chi: MultChar, x) -> Cyc:
+    """chi(x) as a Cyc, cached: an x-average evaluates mu(det) and chi(t0)
+    at the same few points for every x."""
+    return chi.cyc(x)
 
 
 # ---------------------------------------------------------------------------
@@ -94,24 +94,27 @@ def _vol_O(psi: AddChar, cvol=None) -> Cyc:
     return _qpow(psi.field.q, cvol)
 
 
-def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None) -> Cyc:
-    """S(j) = int_{ord t = j} chi(t) psi(-t) dt; the measure has
-    vol(O) = q^cvol (default: self-dual for psi)."""
+@lru_cache(maxsize=256)
+def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None, s=1) -> Cyc:
+    """S(j) = int_{ord t = j} chi(t) psi(-s t) dt; the measure has
+    vol(O) = q^cvol (default: self-dual for psi).  x -> psi(s x) has
+    conductor c(psi) - ord s, so no shifted character is built.  Cached:
+    the w1 family repeats one shell for every u."""
     K = chi.field
     q = K.q
-    c = conductor_add(psi)
+    c = conductor_add(psi) - K.val(K.embed(s))
     V = _vol_O(psi, cvol)
     n = chi.n
     if n >= 1:
         if j != c - n:
             return Cyc.zero()
-        return shell_cyc(chi, psi, j, n, -1) * _qpow(q, -(j + n)) * V
+        return shell_cyc(chi, psi, j, n, -s) * _qpow(q, -(j + n)) * V
     pi_j = K.uniformizer() ** j
     if j >= c:
-        w = Fraction(1, q**j) - Fraction(1, q ** (j + 1))
+        w = Fraction(q - 1, q) * Fraction(q) ** -j  # vol of the shell: q^-j - q^-(j+1)
         return chi.cyc(pi_j) * V * Cyc.rational(w)
     if j == c - 1:
-        return chi.cyc(pi_j) * V * shell_cyc(None, psi, j, 1, -1) * _qpow(q, -(j + 1))
+        return chi.cyc(pi_j) * V * shell_cyc(None, psi, j, 1, -s) * _qpow(q, -(j + 1))
     return Cyc.zero()
 
 
@@ -126,18 +129,19 @@ def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, extra=1, cvol
     return shell_cyc(chi, psi, j, m, -1) * _qpow(q, -(j + m)) * V
 
 
-def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None) -> Cyc:
-    """CT = int_{t0 + pi^L O} chi(t) psi(-t) dt with ord(t0) < L."""
+def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None, s=1) -> Cyc:
+    """CT = int_{t0 + pi^L O} chi(t) psi(-s t) dt with ord(t0) < L."""
     K = chi.field
     q = K.q
-    c = conductor_add(psi)
+    c = conductor_add(psi) - K.val(K.embed(s))
     V = _vol_O(psi, cvol)
+    st0 = s * t0
     T1 = K.val(t0)
     if T1 >= L:
         raise ValueError("coset_integral needs ord(t0) < L")
     J = L - T1
     n = chi.n
-    c_eff = c - T1  # conductor of eta -> psi(-t0 eta)
+    c_eff = c - T1  # conductor of eta -> psi(-s t0 eta)
     if c_eff > max(J, n):
         # chi(1+eta) only sees eta mod pi^n, so the fine psi-sum runs over a
         # full coset of pi^max(J,n) O on which psi is a nontrivial character
@@ -145,12 +149,12 @@ def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None) -> Cyc:
     acc = Cyc.zero()
     for k in range(J, n):
         m = max(n - k, c_eff - k, 1)
-        acc = acc + shell_cyc(chi, psi, k, m, -t0, shift=True) * _qpow(q, -(k + m))
+        acc = acc + shell_cyc(chi, psi, k, m, -st0, shift=True) * _qpow(q, -(k + m))
     Kk = max(J, n)
     if Kk >= c_eff:
         acc = acc + _qpow(q, -Kk)
     inner = acc * V
-    pref = chi.cyc(t0) * psi.cyc(-t0) * _qpow(q, -T1)
+    pref = _chi_cyc(chi, t0) * psi.cyc(-st0) * _qpow(q, -T1)
     return pref * inner
 
 
@@ -171,6 +175,10 @@ def bigcell_integral(
 
     This is the t-integral behind every Whittaker value of an h = 1_O
     section; the Gauss/geometric structure makes all shell sums finite.
+    For beta != 0 the substitution t -> (t - alpha)/beta leaves the shell
+    sums of chi against psi(-s t), s = 1/beta: they take the multiplier s
+    and the conductor c(psi) + ord beta, and no shifted character is built
+    (the stability probes, which enumerate, get psi(s .) explicitly).
     """
     K = chi.field
     q = K.q
@@ -179,13 +187,14 @@ def bigcell_integral(
     cvol = Fraction(c, 2)
     V = _vol_O(psi, cvol)
     if beta != 0:
-        psi2 = psi.shifted(1 / beta)
-        pref = psi.cyc(alpha / beta) * _qpow(q, K.val(beta))
-        a2 = delta - epsv * alpha / beta
-        b2 = epsv / beta
+        s = 1 / beta
+        alpha_s = alpha * s
+        pref = psi.cyc(alpha_s) * _qpow(q, K.val(beta))
+        b2 = epsv * s
+        a2 = delta - epsv * alpha_s
         if a2 == 0:
             raise ValueError("degenerate section matrix (a' = 0 needs det = 0)")
-        c2 = conductor_add(psi2)
+        c2 = c + K.val(beta)
         n = chi.n
         total = Cyc.zero()
         if b2 == 0 or K.val(b2) >= 0:
@@ -193,23 +202,26 @@ def bigcell_integral(
             if n >= 1:
                 jstar = c2 - n
                 if jstar <= U:
-                    total = total + _qpow(q, jstar) * shell_integral(chi, jstar, psi2, cvol)
+                    total = total + _qpow(q, jstar) * shell_integral(chi, jstar, psi, cvol, s)
                 edges = [c2 - n - 1, c2 - n + 1] if verify_stability else []
             else:
                 for j in range(c2 - 1, U + 1):
-                    total = total + _qpow(q, j) * shell_integral(chi, j, psi2, cvol)
+                    total = total + _qpow(q, j) * shell_integral(chi, j, psi, cvol, s)
                 edges = [c2 - 2] if verify_stability else []
             for j in edges:
-                if j <= U and not shell_integral_enumerated(chi, j, psi2, cvol=cvol).is_zero():
+                if j <= U and not shell_integral_enumerated(
+                    chi, j, psi.shifted(s), cvol=cvol
+                ).is_zero():
                     raise StabilizationError(f"shell {j} failed to vanish")
         else:
-            T1 = K.val(a2) - K.val(b2)
-            L = T1 - K.val(b2)
+            vb2 = K.val(b2)
+            T1 = K.val(a2) - vb2
+            L = T1 - vb2
             t1 = -(a2 / b2)
             # ord(a2 + b2 t) >= ord t means ord(t - t1) > ord t, so ord t =
             # ord t1 = T1: the coset is the whole support, and no other shell
             # is left for a stability probe to check
-            total = _qpow(q, T1) * coset_integral(chi, t1, L, psi2, cvol)
+            total = _qpow(q, T1) * coset_integral(chi, t1, L, psi, cvol, s)
         return pref * total
     # constant C(t) = alpha
     if epsv == 0:
@@ -257,61 +269,48 @@ def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cy
     if det.is_zero():
         raise ValueError("singular matrix")
     core = bigcell_integral(sec.chi_ratio, (A, Cm), (B, Dm), sec.psi_xi, verify_stability)
-    pref = sec.mu.cyc(det) * _qpow(E.q, Fraction(-E.val(det), 2))
+    pref = _chi_cyc(sec.mu, det) * _qpow(E.q, Fraction(-E.val(det), 2))
     return pref * core
-
-
-def _mat_mul(E: QuadExtension, M1, M2):
-    (a, b), (c, d) = M1
-    (e, f), (g, h) = M2
-    a, b, c, d, e, f, g, h = map(E.embed, (a, b, c, d, e, f, g, h))
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def w1_matrix(E: QuadExtension):
-    return ((E.elem(0), E.elem(-1)), (E.elem(1), E.elem(0)))
-
-
-def lower_unipotent(E: QuadExtension, x):
-    return ((E.one(), E.zero()), (E.embed(x), E.one()))
-
-
-def diag_matrix(E: QuadExtension, a, d=1):
-    return ((E.embed(a), E.zero()), (E.zero(), E.embed(d)))
 
 
 def whittaker_from_section(sec: InducedSection, y, verify_stability=True) -> Cyc:
     """W(diag(y,1)) for the section, with the stabilization check on."""
-    return whittaker_value(sec, diag_matrix(sec.E, y), verify_stability)
+    return whittaker_value(sec, ((y, 0), (0, 1)), verify_stability)
 
 
 # -- the paper's averaged test vectors ---------------------------------------
+#
+# The averaged families need three matrix shapes, written out directly:
+#   diag(a,1) u_-(x)         = ((a, 0), (x, 1)),
+#   diag(a,1) w1 u_-(u)      = ((-a u, -a), (1, 0)),   w1 = ((0, -1), (1, 0)),
+#   ((y, 0), (x, 1)) w1      = ((0, -y), (1, -x)).
 
 
 def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int) -> Cyc:
     """W of g = q^{scale_exp} * int_{pi^c O_F} rho(u_-(x)) f dx at diag(a,1).
 
     The x-integral is discretized exactly; the discretization level is
-    refined until two consecutive levels agree exactly.
+    refined until two consecutive levels agree exactly.  The points
+    x = p^c k, k < p^m, of level m are the first points of level m + 1, so
+    each refinement only adds the values at the new points.
     """
-    E = sec.E
-    F = E.ground
+    F = sec.E.ground
+    step = Fraction(F.p) ** c_level
 
-    def value(m_x: int):
-        acc = _Acc()
-        for k in range(F.p**m_x):
-            x = Fraction(F.p) ** c_level * k
-            Mx = _mat_mul(E, diag_matrix(E, a), lower_unipotent(E, x))
-            acc.add(whittaker_value(sec, Mx))
-        return acc.result() * _qpow(F.q, -(c_level + m_x))
+    def points(lo: int, hi: int) -> Cyc:
+        """sum of W(diag(a,1) u_-(p^c k)) over lo <= k < hi."""
+        return Cyc.sum(whittaker_value(sec, ((a, 0), (step * k, 1))) for k in range(lo, hi))
 
     m = max(1, sec.mu.n)
-    prev = value(m)
+    raw = points(0, F.p**m)
+    prev = raw * _qpow(F.q, -(c_level + m))
     for _ in range(4):
-        cur = value(m + 1)
+        raw = raw + points(F.p**m, F.p ** (m + 1))
+        m += 1
+        cur = raw * _qpow(F.q, -(c_level + m))
         if (prev - cur).is_zero():
             return prev * _qpow(F.q, scale_exp)
-        prev, m = cur, m + 1
+        prev = cur
     raise StabilizationError("x-average failed to stabilize")
 
 
@@ -334,26 +333,16 @@ def w_case2(sec: InducedSection, a) -> Cyc:
     the closed form is (E:mu(a)|a| mu(pi)^r + |a|)-shaped with box supports.
     """
     E = sec.E
-    F = E.ground
-    mu = sec.mu
-    r = -(-mu.n // E.e)
-    acc = _Acc()
-    for u in range(F.p ** max(r - 1, 0)):
-        Mx = _mat_mul(
-            E, diag_matrix(E, a), lower_unipotent(E, Fraction(F.p) * u)
-        )
-        acc.add(whittaker_value(sec, Mx))
-    for u in range(F.p**r):
-        Mx = _mat_mul(E, diag_matrix(E, a), _mat_mul(E, w1_matrix(E), lower_unipotent(E, u)))
-        acc.add(whittaker_value(sec, Mx))
-    return acc.result()
+    p = E.ground.p
+    r = -(-sec.mu.n // E.e)
+    mats = [((a, 0), (p * u, 1)) for u in range(p ** max(r - 1, 0))]
+    mats += [((-a * u, -a), (1, 0)) for u in range(p**r)]
+    return Cyc.sum(whittaker_value(sec, M) for M in mats)
 
 
 def w_rho_w1(sec: InducedSection, y, x) -> Cyc:
     """rho(w1) W_{psi_xi, f} at [[y, 0], [x, 1]] (the (E:2.2.2) shape)."""
-    E = sec.E
-    M = _mat_mul(E, ((y, E.zero()), (x, E.one())), w1_matrix(E))
-    return whittaker_value(sec, M)
+    return whittaker_value(sec, ((0, -y), (1, -x)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,105 @@
+"""Normal-form Cyc arithmetic against the normalising construction it
+replaced, and the shared cached values staying untouched."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asailocal.cyclotomic import Cyc
+from asailocal.whittaker import _qpow
+
+DENS = [1, 2, 3, 4, 5, 6, 9, 12, 25]
+
+
+@st.composite
+def raw_terms(draw, most=4):
+    """A dict angle -> coefficient as a caller might write it: angles outside
+    [0, 1), repeated residues and zero coefficients included.  Few
+    denominators, so products and sums collide and cancel often."""
+    out = {}
+    for _ in range(draw(st.integers(0, most))):
+        den = draw(st.sampled_from(DENS))
+        ang = Fraction(draw(st.integers(-2 * den, 2 * den)), den)
+        out[ang] = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
+    return out
+
+
+normal_cycs = raw_terms().map(Cyc)
+scalars = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=6).filter(lambda x: abs(x) < 4))
+
+
+# -- the normalising construction: raw dicts, reduced by the public Cyc(dict)
+
+
+def _old_add(x, y):
+    out = dict(x.terms)
+    for a, c in y.terms.items():
+        out[a] = out.get(a, Fraction(0)) + c
+    return Cyc(out)
+
+
+def _old_neg(x):
+    return Cyc({a: -c for a, c in x.terms.items()})
+
+
+def _old_mul(x, y):
+    out = {}
+    for a1, c1 in x.terms.items():
+        for a2, c2 in y.terms.items():
+            a = (a1 + a2) % 1
+            out[a] = out.get(a, Fraction(0)) + c1 * c2
+    return Cyc(out)
+
+
+def _old_scale(x, k):
+    return Cyc({a: c * k for a, c in x.terms.items()})
+
+
+def _assert_normal_and_equal(got, want):
+    assert all(isinstance(a, Fraction) and 0 <= a < 1 for a in got.terms)
+    assert all(isinstance(c, Fraction) and c != 0 for c in got.terms.values())
+    assert got.terms == Cyc(got.terms).terms
+    assert got.terms == want.terms
+
+
+def test_constructor_normalises():
+    x = Cyc({Fraction(5, 4): 1, Fraction(1, 4): 2, Fraction(-1, 2): 3, Fraction(1, 2): -3, 0: 0})
+    assert x.terms == {Fraction(1, 4): Fraction(3)}
+    assert Cyc.rational(0).terms == {} and Cyc.root(Fraction(3, 2), 0).terms == {}
+    assert Cyc.root(Fraction(-1, 3), 2).terms == {Fraction(2, 3): Fraction(2)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(normal_cycs, normal_cycs, scalars)
+def test_ring_operations_stay_normal(x, y, k):
+    _assert_normal_and_equal(x + y, _old_add(x, y))
+    _assert_normal_and_equal(x - y, _old_add(x, _old_neg(y)))
+    _assert_normal_and_equal(x - x, Cyc())
+    _assert_normal_and_equal(-x, _old_neg(x))
+    _assert_normal_and_equal(x * y, _old_mul(x, y))
+    _assert_normal_and_equal(y * x, _old_mul(x, y))
+    _assert_normal_and_equal(x * k, _old_scale(x, k))
+    _assert_normal_and_equal(k * x, _old_scale(x, k))
+    _assert_normal_and_equal(x + k, _old_add(x, Cyc({0: k})))
+    _assert_normal_and_equal(Cyc.sum([x, y, -x, y]), _old_add(_old_add(_old_add(x, y), _old_neg(x)), y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(normal_cycs, raw_terms(most=1).map(Cyc))
+def test_products_with_a_monomial(x, m):
+    # one factor c0 e(a0) only scales and rotates the other
+    _assert_normal_and_equal(x * m, _old_mul(x, m))
+    _assert_normal_and_equal(m * x, _old_mul(x, m))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cached_qpow_is_not_mutated(p):
+    shared = [_qpow(p, Fraction(1, 2)), _qpow(p, -1), _qpow(p * p, Fraction(3, 2))]
+    snapshots = [dict(v.terms) for v in shared]
+    other = Cyc({Fraction(1, p): 2, Fraction(0): -1})
+    for v in shared:
+        [v + other, other + v, v - v, -v, v * other, other * v, v * v, v * 3, Cyc.sum([v, v, other])]
+    assert _qpow(p, Fraction(1, 2)) is shared[0]
+    assert [dict(v.terms) for v in shared] == snapshots

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asailocal.asai import AsaiInput, gamma_rs, l_rs
 from asailocal.characters import (
     MultChar,
     Phase,
+    conductor_add,
     psi_to_E,
     restrict_to_F,
     standard_psi,
@@ -18,25 +21,47 @@ from asailocal.factors import DEFAULT_GRID
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, RAMIFIED_P, UNRAMIFIED
 from asailocal.tate import tate_eps
 from asailocal.unitgroups import unit_group
+from asailocal.verify import suite_whittaker_closed_forms
 from asailocal import whittaker
 from asailocal.whittaker import (
     Box2,
-    _mat_mul,
     _qpow,
     InducedSection,
-    diag_matrix,
+    coset_integral,
+    shell_integral,
     fourier_transform_boxes,
-    lower_unipotent,
     spherical_gamma_oracle,
     spherical_whittaker,
     spherical_zeta,
     w_case1,
     w_case2,
     w_rho_w1,
-    w1_matrix,
     whittaker_from_section,
     whittaker_value,
 )
+
+
+# -- 2x2 matrices over E as products: the stability-probe test builds the w1
+# shape from these, independently of the shapes whittaker.py writes out
+
+
+def _mat_mul(E: QuadExtension, M1, M2):
+    (a, b), (c, d) = M1
+    (e, f), (g, h) = M2
+    a, b, c, d, e, f, g, h = map(E.embed, (a, b, c, d, e, f, g, h))
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def w1_matrix(E: QuadExtension):
+    return ((E.elem(0), E.elem(-1)), (E.elem(1), E.elem(0)))
+
+
+def lower_unipotent(E: QuadExtension, x):
+    return ((E.one(), E.zero()), (E.embed(x), E.one()))
+
+
+def diag_matrix(E: QuadExtension, a, d=1):
+    return ((E.embed(a), E.zero()), (E.zero(), E.embed(d)))
 
 
 def find_char(E, lvl, ramified_restriction, t_angle=Fraction(1, 3)):
@@ -184,6 +209,64 @@ def test_stability_probes_run_on_the_w1_shape(monkeypatch):
                     assert len(calls) > before, (ext, lvl, va, u)
                     matrices += 1
     assert matrices == 120
+
+
+def test_whittaker_closed_forms_at_p7():
+    # both closed forms, every extension type, at the next prime up
+    out = suite_whittaker_closed_forms(ps=(7,))
+    assert out["ok"], out["detail"]
+    assert out["max_deviation"] == 0.0
+
+
+# -- psi(s .) as a multiplier against the explicitly shifted character ---------
+
+
+@st.composite
+def multiplier_cases(draw):
+    """F or E over p in {3, 5, 7}, a character of conductor <= 2, the
+    standard psi (psi_xi on E) and a multiplier s = pi^v * unit, v in
+    [-2, 2]."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    ext = draw(st.sampled_from((None,) + EXTENSION_TYPES))
+    F = PAdicGround(p)
+    if ext is None:
+        K, psi = F, standard_psi(F)
+    else:
+        K = QuadExtension(F, ext)
+        psi = psi_to_E(standard_psi(F), K, K.xi())
+    n = draw(st.integers(0, 2))
+    G = unit_group(K, n)
+    angles = [Fraction(draw(st.integers(0, d - 1)), d) for d in G.orders]
+    chi = MultChar.from_angles(K, n, angles, Phase.exact(Fraction(draw(st.integers(0, 11)), 12)))
+
+    def unit():
+        a = draw(st.sampled_from([1, 2, -1]))
+        return Fraction(a) if ext is None else K.elem(a, draw(st.sampled_from([0, 1, p])))
+
+    s = K.uniformizer() ** draw(st.integers(-2, 2)) * unit()
+    t0 = K.uniformizer() ** draw(st.integers(-2, 2)) * unit()
+    return K, chi, psi, s, t0, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multiplier_cases())
+def test_multiplier_equals_shifted_character(case):
+    # the production route takes psi and s; the reference route builds
+    # x -> psi(s x) as its own character, with its conductor found by
+    # brute force, and must give the very same cyclotomic terms
+    K, chi, psi, s, t0, J = case
+    cvol = Fraction(conductor_add(psi), 2)
+    psi_s = psi.shifted(s)
+    c_s = conductor_add(psi_s)
+    assert c_s == conductor_add(psi) - K.val(s)
+    for j in range(c_s - chi.n - 2, c_s - chi.n + 2):
+        got = shell_integral(chi, j, psi, cvol, s)
+        want = shell_integral(chi, j, psi_s, cvol)
+        assert not (got - want).terms, (j, got, want)
+    L = K.val(t0) + J
+    got = coset_integral(chi, t0, L, psi, cvol, s)
+    want = coset_integral(chi, t0, L, psi_s, cvol)
+    assert not (got - want).terms, (got, want)
 
 
 def test_spherical_support_and_values():
