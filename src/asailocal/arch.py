@@ -5,9 +5,16 @@ assembly, the five explicit test-vector cases, and the Gamma-sum identity.
 Conventions: psi(x) = e^{2 pi i a x} with standard a = 1, xi = sqrt(-1);
 other (psi, xi) are reached through the change-of-variable scalings.  The
 independent oracle is adaptive Gauss-Legendre quadrature of the explicit
-Gaussian-monomial integrands; it calls none of the closed forms.  Every
-quadrature integrand maps a numpy array of nodes to the array of its values,
-so one quad_gl call evaluates it once.
+Gaussian-monomial integrands; it calls none of the closed forms.
+
+The quadrature is breadth-first over rows: one quad_gl or quad_real_line
+call computes a batch of integrals, one per row, each on its own panel tree,
+and at each depth evaluates the integrand once, on a flat array of the nodes
+of every open panel of every row.  An integrand maps that node array to the
+array of its values; a parameterised one also receives its per-row
+parameters gathered per node, so it knows which integral each node belongs
+to.  A single integral is one row, and an integrand of the nodes alone is
+the whole interface.
 """
 
 from __future__ import annotations
@@ -38,9 +45,11 @@ class CChar:
     lam: complex
     n: int
 
-    def value(self, z: complex) -> complex:
-        zz = complex(z)
-        return abs(zz) ** (2 * (complex(self.lam) - self.n / 2)) * zz**self.n
+    def value(self, z):
+        """chi(z) for a complex number, or elementwise for an array."""
+        zz = np.asarray(z, dtype=complex)
+        out = np.abs(zz) ** (2 * (complex(self.lam) - self.n / 2)) * zz**self.n
+        return out if out.ndim else complex(out)
 
     def inv(self) -> "CChar":
         return CChar(-complex(self.lam), -self.n)
@@ -64,9 +73,12 @@ class RChar:
     lam: complex
     m: int
 
-    def value(self, y: float) -> complex:
-        s = -1.0 if y < 0 else 1.0
-        return (s ** (self.m % 2)) * abs(y) ** complex(self.lam)
+    def value(self, y):
+        """chi(y) for a real number, or elementwise for an array."""
+        yy = np.asarray(y, dtype=float)
+        sign = np.where(yy < 0, (-1.0) ** (self.m % 2), 1.0)
+        out = sign * np.abs(yy) ** complex(self.lam)
+        return out if out.ndim else complex(out)
 
     def inv(self) -> "RChar":
         return RChar(-complex(self.lam), self.m % 2)
@@ -141,49 +153,100 @@ def _gl_nodes():
     return np.concatenate((x15, x30)), w15, w30
 
 
-def quad_gl(f, a: float, b: float, tol: float = QUAD_TOL, depth: int = 0) -> complex:
-    """Adaptive Gauss-Legendre on [a, b]: panels split until the embedded
-    G15-vs-G30 estimate meets the tolerance.
+def quad_gl(f, a, b, tol: float = QUAD_TOL, args: tuple = ()):
+    """Adaptive Gauss-Legendre, breadth-first over whole arrays of panels.
 
-    ``f`` maps a 1-D array of nodes to the array of its values (real or
-    complex, the same shape); each call evaluates it once, on the 45 nodes
-    of both panels.  A value that is not finite raises ArithmeticError
-    naming the interval."""
+    Row r is the integral of ``f`` over [a_r, b_r]: ``a``, ``b`` and each
+    entry of ``args`` broadcast to one shape, the rows, and the result has
+    that shape (a complex number when it is scalar).  Each row keeps its own
+    panel tree: a panel is accepted when its G15-vs-G30 estimate meets the
+    tolerance and is split in two otherwise; the tolerance shrinks by 1.4
+    per level, and at depth 24 a panel is accepted within ten times it.
+
+    ``f(x, *row_args)`` maps a flat 1-D array of nodes to the array of its
+    values (real or complex, the same shape); ``row_args`` are the entries
+    of ``args`` gathered per node, so a parameterised integrand reads which
+    integral each node belongs to.  At each depth one call evaluates every
+    open panel of every row, 45 nodes each.  A value that is not finite, or
+    a panel over ten times the tolerance at depth 24, raises ArithmeticError
+    at once, naming the panel's interval."""
     x, w15, w30 = _gl_nodes()
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    fx = f(mid + half * x)
-    coarse = complex(half * np.dot(w15, fx[:15]))
-    fine = complex(half * np.dot(w30, fx[15:]))
-    # every weight is positive, so a node value that is not finite leaves
-    # its panel sum not finite
-    if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
-        raise ArithmeticError(f"integrand is not finite on [{a}, {b}]")
-    err = abs(fine - coarse)
-    if err <= tol * max(1.0, abs(fine)) or depth >= 24:
-        if depth >= 24 and err > 10 * tol * max(1.0, abs(fine)):
-            raise ArithmeticError(f"quadrature failed to converge (err ~ {err:.2e})")
-        return fine
-    return quad_gl(f, a, mid, tol / 1.4, depth + 1) + quad_gl(
-        f, mid, b, tol / 1.4, depth + 1
-    )
+    a, b, *args = np.broadcast_arrays(a, b, *args)
+    shape = a.shape
+    lo, hi = a.astype(float).ravel(), b.astype(float).ravel()
+    args = [np.ravel(v) for v in args]
+    row = np.arange(lo.size)
+    total = np.zeros(lo.size, dtype=complex)
+    level_tol = tol
+    for depth in range(25):
+        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        nodes = (mid[:, None] + half[:, None] * x).ravel()
+        fx = f(nodes, *(np.repeat(v[row], len(x)) for v in args))
+        if np.shape(fx) != nodes.shape:
+            raise TypeError("the integrand must map the node array to an array of its shape")
+        fx = fx.reshape(len(lo), len(x))
+        coarse = half * (fx[:, :15] @ w15)
+        fine = half * (fx[:, 15:] @ w30)
+        del nodes, fx  # not held while the next level evaluates
+        # every weight is positive, so a node value that is not finite leaves
+        # its panel sum not finite
+        bad = ~(np.isfinite(coarse) & np.isfinite(fine))
+        if bad.any():
+            i = np.argmax(bad)
+            raise ArithmeticError(f"integrand is not finite on [{lo[i]}, {hi[i]}]")
+        err = np.abs(fine - coarse)
+        scale = np.maximum(1.0, np.abs(fine))
+        done = err <= level_tol * scale
+        if depth == 24:
+            bad = err > 10 * level_tol * scale
+            if bad.any():
+                i = np.argmax(bad)
+                raise ArithmeticError(
+                    f"quadrature failed to converge on [{lo[i]}, {hi[i]}] (err ~ {err[i]:.2e})"
+                )
+            done[:] = True
+        np.add.at(total, row[done], fine[done])
+        if done.all():
+            break
+        lo, mid, hi, row = lo[~done], mid[~done], hi[~done], row[~done]
+        lo, hi, row = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((row, row))
+        level_tol /= 1.4
+    return total.reshape(shape) if shape else complex(total[0])
 
 
-def quad_real_line(f, tol: float = QUAD_TOL, L: float = 9.0) -> complex:
-    """Integral over R of an array-in/array-out ``f`` (as for quad_gl); the
-    window expands until the boundary panels are negligible.  Handles the
+def quad_real_line(f, tol: float = QUAD_TOL, L: float = 9.0, args: tuple = ()):
+    """Integral over R of ``f``, one row per broadcast entry of ``args``, as
+    for quad_gl.  Each row starts on [-L, L] and its window expands until
+    that row's boundary panels are negligible; the two new boundary panels
+    of every open row go to one quad_gl call.  Handles the
     doubly-exponential Gaussian ends as well as the plain-exponential decay
-    near the origin end of d^x-substitutions."""
-    out = quad_gl(f, -L, L, tol)
-    step = 4.0
-    while True:
-        extra = quad_gl(f, L, L + step, tol) + quad_gl(f, -L - step, -L, tol)
-        out += extra
-        if abs(extra) <= 0.3 * tol * max(1.0, abs(out)):
-            return out
-        L += step
-        step *= 1.3
-        if L > 400:
-            raise ArithmeticError("integrand tail does not decay")
+    near the origin end of d^x-substitutions.  A row whose window passes
+    400 raises ArithmeticError at once."""
+    args = np.broadcast_arrays(*args)
+    shape = args[0].shape if args else ()
+    args = [np.ravel(v) for v in args]
+    n = int(np.prod(shape))
+    out = quad_gl(f, np.full(n, -L), np.full(n, L), tol, args)
+    width, step = np.full(n, L), np.full(n, 4.0)
+    open_ = np.arange(n)
+    while open_.size:
+        w, st = width[open_], step[open_]
+        both = quad_gl(
+            f,
+            np.concatenate((w, -w - st)),
+            np.concatenate((w + st, -w)),
+            tol,
+            [np.tile(v[open_], 2) for v in args],
+        )
+        extra = both[: open_.size] + both[open_.size :]
+        out[open_] += extra
+        open_ = open_[np.abs(extra) > 0.3 * tol * np.maximum(1.0, np.abs(out[open_]))]
+        width[open_] += step[open_]
+        step[open_] *= 1.3
+        if (width[open_] > 400).any():
+            w = width[open_].max()
+            raise ArithmeticError(f"integrand tail does not decay beyond [{-w}, {w}]")
+    return out.reshape(shape) if shape else complex(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +261,46 @@ def selection_rule_ok(idx_a, idx_b, mu: CChar, nu: CChar) -> bool:
 
 
 def whittaker_value_quadrature(
-    y: float, idx_a, idx_b, mu: CChar, nu: CChar, tol: float = QUAD_TOL
-) -> complex:
+    y, idx_a, idx_b, mu: CChar, nu: CChar, tol: float = QUAD_TOL
+):
     """W_{(a,b)}(diag(y,1)) = 4 pi mu(y)|y| int_0^inf Psi_a(yt) Psi_b(1/t)
-    mu nu^{-1}(t) d t/t, by adaptive quadrature on t = e^u."""
-    if y == 0:
+    mu nu^{-1}(t) d t/t, by adaptive quadrature on t = e^u.  ``y`` is a
+    nonzero number or an array of them, one quadrature row each; the result
+    has the shape of ``y``."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(y):
         raise ValueError("y must be nonzero")
     if not selection_rule_ok(idx_a, idx_b, mu, nu):
-        return 0j
+        return np.zeros(y.shape, dtype=complex) if y.ndim else 0j
     a1, a2 = idx_a
     b1, b2 = idx_b
     A, B = a1 + a2, b1 + b2
     w = 2 * (complex(mu.lam) - complex(nu.lam))  # mu nu^{-1}(t) = t^w for t > 0
 
-    def integrand(u: np.ndarray) -> np.ndarray:
+    # (yt)^A t^{-B} t^w e^{-2 pi ((yt)^2 + t^{-2})} at |y|, the row
+    # parameter; sgn(y)^A is applied per row.  Its value and the panels it
+    # gets are those of the single-y integrand node by node; folding the
+    # powers into one exp would round them at the scale of the exponent,
+    # 4 pi |y|, about 1e-14 of the value at |y| = 6.  It works in place: its
+    # arrays hold every open panel of up to 90 rows.
+    def integrand(u: np.ndarray, ay: np.ndarray) -> np.ndarray:
         t = np.exp(u)
-        yt = y * t
-        return yt**A * t ** (-B) * np.exp(w * u - 2 * math.pi * (yt * yt + 1 / (t * t)))
+        yt = ay * t
+        g = yt * yt
+        g += 1 / (t * t)
+        g *= 2 * math.pi
+        z = w * u
+        z -= g
+        np.exp(z, out=z)
+        yt **= A
+        t **= -B
+        yt *= t
+        z *= yt
+        return z
 
-    radial = quad_real_line(integrand, tol)
-    pref = 4 * math.pi * mu.value(y) * abs(y)
-    return pref * radial
+    ay = np.abs(y)
+    radial = quad_real_line(integrand, tol, args=(ay,))
+    return 4 * math.pi * mu.value(y) * ay * np.sign(y) ** A * radial
 
 
 def zeta_whittaker_closed(s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: CChar) -> complex:
@@ -249,15 +331,20 @@ def zeta_whittaker_quadrature(
     """2-D quadrature of zeta(s, W_{(a,b)}, chi): the y-integral over R^x of
     the quadrature Whittaker value; the independent oracle for the Lemma."""
 
-    # |y|^{s-1} d^x y with y = +-e^v; each node runs its own inner quadrature
+    # |y|^{s-1} d^x y with y = +-e^v.  Each 45 nodes (one outer panel) at
+    # both signs are the 90 rows of one inner call; all open outer panels in
+    # one call would multiply the inner arrays, and peak memory, by their
+    # number and save no time.
     def full(vs: np.ndarray) -> np.ndarray:
-        out = np.empty(len(vs), dtype=complex)
-        for i, v in enumerate(vs):
-            y = math.exp(v)
-            w_p = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
-            w_m = whittaker_value_quadrature(-y, idx_a, idx_b, mu, nu, tol)
-            out[i] = (w_p * chi.value(y) + w_m * chi.value(-y)) * cmath.exp(complex(s - 1) * v)
-        return out
+        y = np.exp(vs)
+        w_p, w_m = np.concatenate(
+            [
+                whittaker_value_quadrature(np.stack((yp, -yp)), idx_a, idx_b, mu, nu, tol)
+                for yp in np.split(y, range(45, len(y), 45))
+            ],
+            axis=1,
+        )
+        return (w_p * chi.value(y) + w_m * chi.value(-y)) * np.exp(complex(s - 1) * vs)
 
     return quad_real_line(full, tol, L=6.0)
 

@@ -400,8 +400,10 @@ class QuadExtension:
         return self.elem(0, Fraction(1, 2 * c * self.d))
 
     # -- valuations ------------------------------------------------------------
-    def val(self, x: EElement) -> int:
-        """ord_E normalized so ord_E(uniformizer) = 1."""
+    def val(self, x) -> int:
+        """ord_E normalized so ord_E(uniformizer) = 1; x is an element of E
+        or of F."""
+        x = self.embed(x)
         if x.is_zero():
             raise ZeroValuationError("valuation of zero")
         F = self.ground

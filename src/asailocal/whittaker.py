@@ -102,7 +102,7 @@ def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None, s=1) -> Cyc:
     the w1 family repeats one shell for every u."""
     K = chi.field
     q = K.q
-    c = conductor_add(psi) - K.val(K.embed(s))
+    c = conductor_add(psi) - K.val(s)
     V = _vol_O(psi, cvol)
     n = chi.n
     if n >= 1:
@@ -133,7 +133,7 @@ def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None, s=1) -> C
     """CT = int_{t0 + pi^L O} chi(t) psi(-s t) dt with ord(t0) < L."""
     K = chi.field
     q = K.q
-    c = conductor_add(psi) - K.val(K.embed(s))
+    c = conductor_add(psi) - K.val(s)
     V = _vol_O(psi, cvol)
     st0 = s * t0
     T1 = K.val(t0)

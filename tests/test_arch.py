@@ -1,9 +1,12 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asailocal.arch as arch
 
@@ -31,6 +34,127 @@ from asailocal.arch import (
     zeta_whittaker_quadrature,
 )
 from asailocal.factors import DEFAULT_GRID, loggamma
+
+# -- the depth-first scalar quadrature, kept as the reference -----------------
+
+
+def reference_quad_gl(f, a, b, tol=arch.QUAD_TOL, depth=0, panels=None):
+    """Recursive adaptive Gauss-Legendre on one interval, one panel per call
+    (appended to ``panels`` when given): the rule quad_gl applies per row."""
+    if panels is not None:
+        panels.append((a, b))
+    x, w15, w30 = arch._gl_nodes()
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    fx = f(mid + half * x)
+    coarse = complex(half * np.dot(w15, fx[:15]))
+    fine = complex(half * np.dot(w30, fx[15:]))
+    if not (cmath.isfinite(coarse) and cmath.isfinite(fine)):
+        raise ArithmeticError(f"integrand is not finite on [{a}, {b}]")
+    err = abs(fine - coarse)
+    if err <= tol * max(1.0, abs(fine)) or depth >= 24:
+        if depth >= 24 and err > 10 * tol * max(1.0, abs(fine)):
+            raise ArithmeticError(f"quadrature failed to converge (err ~ {err:.2e})")
+        return fine
+    return reference_quad_gl(f, a, mid, tol / 1.4, depth + 1, panels) + reference_quad_gl(
+        f, mid, b, tol / 1.4, depth + 1, panels
+    )
+
+
+def reference_quad_real_line(f, tol=arch.QUAD_TOL, L=9.0, panels=None):
+    out = reference_quad_gl(f, -L, L, tol, panels=panels)
+    step = 4.0
+    while True:
+        extra = reference_quad_gl(f, L, L + step, tol, panels=panels) + reference_quad_gl(
+            f, -L - step, -L, tol, panels=panels
+        )
+        out += extra
+        if abs(extra) <= 0.3 * tol * max(1.0, abs(out)):
+            return out
+        L += step
+        step *= 1.3
+        if L > 400:
+            raise ArithmeticError("integrand tail does not decay")
+
+
+def reference_whittaker(y, idx_a, idx_b, mu, nu, tol, panels):
+    """One Whittaker value by the scalar integrand and the scalar quadrature."""
+    A, B = sum(idx_a), sum(idx_b)
+    w = 2 * (complex(mu.lam) - complex(nu.lam))
+
+    def integrand(u):
+        t = np.exp(u)
+        yt = y * t
+        return yt**A * t ** (-B) * np.exp(w * u - 2 * math.pi * (yt * yt + 1 / (t * t)))
+
+    zz = complex(y)
+    mu_y = abs(zz) ** (2 * (complex(mu.lam) - mu.n / 2)) * zz**mu.n
+    return 4 * math.pi * mu_y * abs(y) * reference_quad_real_line(integrand, tol, panels=panels)
+
+
+def count_nodes_per_row(nodes_per_row, row_param):
+    for v, n in zip(*np.unique(row_param, return_counts=True)):
+        nodes_per_row[v] = nodes_per_row.get(v, 0) + n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(0.3, 3.0), min_size=1, max_size=6, unique=True))
+def test_quad_real_line_rows_match_the_scalar_reference(cs):
+    # plain-exponential tails take each row through its own window steps
+    nodes_per_row = {}
+
+    def f(x, c):
+        count_nodes_per_row(nodes_per_row, c)
+        return np.exp(-(c + 1j) * np.abs(x))
+
+    got = quad_real_line(f, args=(np.array(cs),))
+    for c, g in zip(cs, got):
+        panels = []
+        want = reference_quad_real_line(lambda x: np.exp(-(c + 1j) * np.abs(x)), panels=panels)
+        assert abs(g - want) <= 1e-14 * abs(want)
+        assert nodes_per_row[c] == 45 * len(panels)
+
+
+@st.composite
+def whittaker_rows(draw):
+    """Distinct |y| in [0.05, 8] at random signs, A = a1 + a2 and B = b1 + b2
+    at most 4, mu, nu on the selection rule with w = 2(lam_mu - lam_nu),
+    |w| <= 0.8, and the default tolerance or the oracle's."""
+    ay = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=5, unique=True))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(ay), max_size=len(ay)))
+    A, B = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a1, b1 = draw(st.integers(0, A)), draw(st.integers(0, B))
+    w = cmath.rect(draw(st.floats(0.0, 0.8)), draw(st.floats(-math.pi, math.pi)))
+    nu = CChar(0, draw(st.integers(-1, 1)))
+    mu = CChar(w / 2, (2 * b1 - B) - (2 * a1 - A) + nu.n)
+    tol = draw(st.sampled_from([arch.QUAD_TOL, 1e-11]))
+    return np.array(ay) * np.array(signs), (a1, A - a1), (b1, B - b1), mu, nu, tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(whittaker_rows())
+def test_batched_whittaker_rows_match_the_scalar_reference(case):
+    # each row of the breadth-first call is the depth-first scalar quadrature
+    # of its own y, on the same panels
+    y, idx_a, idx_b, mu, nu, tol = case
+    nodes_per_row = {}
+
+    def counting_quad_gl(f, a, b, tol=arch.QUAD_TOL, args=()):
+        def g(x, ay):
+            count_nodes_per_row(nodes_per_row, ay)
+            return f(x, ay)
+
+        return quad_gl(g, a, b, tol, args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arch, "quad_gl", counting_quad_gl)
+        got = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
+    assert got.shape == y.shape
+    for yr, g in zip(y, got):
+        panels = []
+        want = reference_whittaker(float(yr), idx_a, idx_b, mu, nu, tol, panels)
+        assert abs(g - want) <= 1e-14 * abs(want)
+        assert nodes_per_row[abs(yr)] == 45 * len(panels)
+
 
 
 def test_zeta_closed_reference_value():
@@ -235,6 +359,18 @@ def test_quad_real_line_gaussian():
     assert abs(quad_real_line(lambda x: np.exp(-math.pi * x * x)) - 1) < 1e-12
 
 
+def test_quad_rows_broadcast_to_the_result_shape():
+    # int_0^b x^2 dx = b^3 / 3 per row; a scalar call returns a complex number
+    b = np.array([1.0, 2.0, 3.0])
+    got = quad_gl(lambda x: x * x, 0.0, b)
+    assert got.shape == (3,) and np.allclose(got, b**3 / 3, rtol=1e-14, atol=0)
+    assert isinstance(quad_gl(lambda x: x * x, 0.0, 1.0), complex)
+    # int_R e^{-pi c x^2} dx = c^{-1/2}, rows shaped (2, 2) by the parameter
+    c = np.array([[1.0, 2.0], [0.5, 4.0]])
+    got = quad_real_line(lambda x, cx: np.exp(-math.pi * cx * x * x), args=(c,))
+    assert got.shape == (2, 2) and np.allclose(got, c**-0.5, rtol=1e-12, atol=0)
+
+
 def test_quad_gl_refuses_nan_at_once():
     calls = []
 
@@ -245,6 +381,51 @@ def test_quad_gl_refuses_nan_at_once():
     with pytest.raises(ArithmeticError, match=r"not finite on \[0\.0, 1\.0\]"):
         quad_gl(f, 0.0, 1.0)
     assert len(calls) == 1
+
+
+def test_quad_gl_refuses_nan_in_one_row_at_once():
+    calls = []
+
+    def f(x, c):
+        calls.append(len(x))
+        return np.where(x > c, np.nan, 1.0)
+
+    with pytest.raises(ArithmeticError, match=r"not finite on \[2\.0, 3\.0\]"):
+        quad_gl(f, np.array([0.0, 2.0, 0.0]), np.array([1.0, 3.0, 1.0]), args=(np.array([5.0, 2.5, 5.0]),))
+    assert calls == [3 * 45]
+
+
+def test_quad_gl_depth_24_raises_naming_the_panel():
+    # a unit jump at 1/3 leaves one panel over the tolerance at every level;
+    # the rows without a jump are done after the first call
+    calls = []
+
+    def f(x, c):
+        calls.append(len(x))
+        return np.where(x > c, 1.0, 0.0)
+
+    with pytest.raises(ArithmeticError, match=r"failed to converge on \[0\.33333331\d*, 0\.33333337\d*\]"):
+        quad_gl(f, 0.0, 1.0, args=(np.array([2.0, 1 / 3, 2.0]),))
+    assert calls == [3 * 45] + [2 * 45] * 24
+
+
+def test_quad_real_line_tail_raises_naming_the_window():
+    # a constant has no tail decay: its row's window grows until it passes
+    # 400, and the Gaussian rows beside it are done after one extension
+    L, step, stages = 9.0, 4.0, 0
+    while L <= 400:
+        L, step, stages = L + step, step * 1.3, stages + 1
+    calls = []
+
+    def f(x, bad):
+        calls.append(len(x))
+        return np.where(bad, 1.0, np.exp(-math.pi * x * x))
+
+    window = re.escape(f"[{-L}, {L}]")
+    with pytest.raises(ArithmeticError, match=r"tail does not decay beyond " + window):
+        quad_real_line(f, args=(np.array([False, True, False]),))
+    # each extension of a constant is exact on its two boundary panels
+    assert calls[-stages:] == [3 * 2 * 45] + [2 * 45] * (stages - 1)
 
 
 def test_quad_gl_refuses_scalar_integrand():

@@ -40,6 +40,20 @@ def test_valuation_of_zero_raises():
         E.val(E.zero())
 
 
+@pytest.mark.parametrize("ext", [None, *EXTENSION_TYPES])
+def test_valuation_accepts_elements_of_the_ground_field(ext):
+    # E.val embeds an element of F first, as F.val takes ints and Fractions
+    F = PAdicGround(5)
+    K = F if ext is None else QuadExtension(F, ext)
+    e = 1 if ext in (None, UNRAMIFIED) else 2
+    assert K.val(1) == 0
+    assert K.val(Fraction(5, 3)) == e
+    assert K.val(Fraction(2, 25)) == -2 * e
+    assert K.val(-10) == K.val(K.embed(-10)) == e
+    with pytest.raises(ZeroValuationError):
+        K.val(0)
+
+
 def test_trace_norm_sigma():
     F = PAdicGround(3)
     E = QuadExtension(F, UNRAMIFIED)
