@@ -268,6 +268,8 @@ class EElement:
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if not self.b and not o.b:  # both in F: one Fraction product, b stays 0
+            return EElement(self.ext, self.a * o.a, self.b)
         d = self.ext.d
         return EElement(
             self.ext,

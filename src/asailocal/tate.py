@@ -2,9 +2,11 @@
 
 gamma is *defined* here by the functional-equation ratio
 Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi): the closed form returned to callers
-is certified at construction against that ratio, evaluated exactly via finite
-shell sums with closed-form geometric tails, for several choices of Phi.  A
-disagreement is an internal error, not a tolerance failure.
+is certified at construction against that ratio, for several choices of Phi
+at the points of a check grid.  Each zeta integral is built once per Phi as
+terms that do not depend on s (finite shell and coset sums, and closed-form
+geometric tails) and then evaluated at each point.  A disagreement is an
+internal error, not a tolerance failure.
 """
 
 from __future__ import annotations
@@ -139,60 +141,81 @@ def _coset_char_psi_integral(
     return out * vol_O * q ** (-(v0 + depth))
 
 
-def tate_zeta_value(chi: MultChar, psi: AddChar, pieces, s: complex) -> complex:
-    """Z(s, chi, Phi) = int chi(x) |x|^s Phi(x) d^x x for Phi a list of
-    modulated boxes; d^x x = zeta_K(1) dx / |x|, dx self-dual for psi.
+def zeta_terms(chi: MultChar, psi: AddChar, pieces) -> list:
+    """The terms of Z(s, chi, Phi) = int chi(x) |x|^s Phi(x) d^x x for Phi a
+    list of modulated boxes; d^x x = zeta_K(1) dx / |x|, dx self-dual for psi.
 
-    Geometric tails are summed in closed form, which is also the meromorphic
-    continuation outside the convergence half-plane.
+    A term (coef, v, value, None) is coef q^{-v(s-1)} value, one shell or
+    coset; a term (coef, start, None, t) is the geometric tail
+    coef sum_{v >= start} (t q^{-s})^v of an ideal box where chi is
+    unramified, summed in closed form, which is also the meromorphic
+    continuation outside the convergence half-plane.  Every character sum
+    is done here; :func:`zeta_at` only raises q to powers of s.
     """
     K = chi.field
     q = K.q
     c = conductor_add(psi)
     vol_O = float(q ** Fraction(c, 2))
     zeta1 = 1.0 / (1.0 - 1.0 / q)
-    total = 0j
+    terms = []
     for piece in pieces:
         a, n, m0 = K.embed(piece.center), piece.level, K.embed(piece.mult)
+        coef = piece.coef * zeta1
         if a == 0 or K.val(a) >= n:
             # box is the ideal pi^n O: sum over shells v >= n
+            c_eff = None if m0 == 0 else c - K.val(m0)
             if chi.is_ramified:
-                if m0 == 0:
+                if c_eff is None or c_eff - chi.n < n:
                     continue
-                v = conductor_add(psi) - K.val(m0) - chi.n
-                if v < n:
-                    continue
-                shell_val = _shell_char_psi_integral(chi, v, m0, psi, vol_O)
-                total += piece.coef * zeta1 * q ** (-v * (s - 1)) * shell_val
+                v = c_eff - chi.n
+                terms.append((coef, v, _shell_char_psi_integral(chi, v, m0, psi, vol_O), None))
             else:
-                t = chi.t_full()
-                c_eff = None if m0 == 0 else conductor_add(psi) - K.val(m0)
-                start = n if c_eff is None else max(n, c_eff)
                 # geometric part: sum_{v >= start} q^{-v(s-1)} t^v vol q^{-v}(1-1/q)
-                r = t * q ** (-s)
-                if abs(r - 1) < 1e-13:
-                    raise PoleError(s)
-                geom = r**start / (1 - r)
-                total += piece.coef * zeta1 * vol_O * (1 - 1.0 / q) * geom
+                start = n if c_eff is None else max(n, c_eff)
+                terms.append((coef * vol_O * (1 - 1.0 / q), start, None, chi.t_full()))
                 if c_eff is not None and c_eff - 1 >= n:
                     v = c_eff - 1
-                    shell_val = _shell_char_psi_integral(chi, v, m0, psi, vol_O)
-                    total += piece.coef * zeta1 * q ** (-v * (s - 1)) * shell_val
+                    terms.append((coef, v, _shell_char_psi_integral(chi, v, m0, psi, vol_O), None))
         else:
-            v0 = K.val(a)
             inner = _coset_char_psi_integral(chi, a, n, m0, psi, vol_O)
-            total += piece.coef * zeta1 * q ** (-v0 * (s - 1)) * inner
+            terms.append((coef, K.val(a), inner, None))
+    return terms
+
+
+def zeta_at(terms, q: int, s: complex) -> complex:
+    """Z(s, chi, Phi) from its :func:`zeta_terms`, summed in their order."""
+    total = 0j
+    for coef, v, value, t in terms:
+        if t is None:
+            total += coef * q ** (-v * (s - 1)) * value
+        else:
+            r = t * q ** (-s)
+            if abs(r - 1) < 1e-13:
+                raise PoleError(s)
+            total += coef * (r**v / (1 - r))
     return total
 
 
-def fe_ratio(chi: MultChar, psi: AddChar, pieces, s: complex) -> complex:
-    """Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi)."""
+def fe_ratio(chi: MultChar, psi: AddChar, pieces, grid) -> list:
+    """Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi) at each s of ``grid``.
+
+    The transform Phi^ and the terms of both zeta integrals are built once
+    for the whole grid.  A pole of either integral raises ``PoleError`` and a
+    vanishing denominator ``ZeroDivisionError``, at the first point of the
+    grid that hits it.
+    """
+    q = chi.field.q
     hat = [box_fourier(p, psi) for p in pieces]
-    num = tate_zeta_value(chi.inv(), psi, hat, 1 - s)
-    den = tate_zeta_value(chi, psi, pieces, s)
-    if abs(den) < 1e-30:
-        raise ZeroDivisionError("test function has vanishing zeta integral")
-    return num / den
+    num = zeta_terms(chi.inv(), psi, hat)
+    den = zeta_terms(chi, psi, pieces)
+    out = []
+    for s in grid:
+        top = zeta_at(num, q, 1 - s)
+        bottom = zeta_at(den, q, s)
+        if abs(bottom) < 1e-30:
+            raise ZeroDivisionError("test function has vanishing zeta integral")
+        out.append(top / bottom)
+    return out
 
 
 def _default_test_functions(chi: MultChar, psi: AddChar):
@@ -247,17 +270,22 @@ def tate_gamma(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor
     return fac
 
 
+def phi_deviations(fac: NonArchFactor, chi: MultChar, psi: AddChar):
+    """(s, Phi, relative deviation of ``fac`` from the functional-equation
+    ratio) for each default test function Phi and each s of the check grid;
+    one :func:`fe_ratio` call per Phi."""
+    want = [fac.eval(s) for s in _CHECK_GRID]
+    for pieces in _default_test_functions(chi, psi):
+        for s, w, got in zip(_CHECK_GRID, want, fe_ratio(chi, psi, pieces, _CHECK_GRID)):
+            yield s, pieces, abs(got - w) / max(abs(w), 1e-30)
+
+
 def _certify_gamma(fac: NonArchFactor, chi: MultChar, psi: AddChar) -> None:
-    base, alt1, alt2 = _default_test_functions(chi, psi)
-    for s in _CHECK_GRID:
-        want = fac.eval(s)
-        for pieces in (base, alt1, alt2):
-            got = fe_ratio(chi, psi, pieces, s)
-            dev = abs(got - want) / max(abs(want), 1e-30)
-            if dev > PHI_INDEPENDENCE_TOL:
-                raise ConsistencyError(
-                    f"gamma oracle mismatch: dev={dev:.3e} at s={s} (Phi={pieces})"
-                )
+    for s, pieces, dev in phi_deviations(fac, chi, psi):
+        if dev > PHI_INDEPENDENCE_TOL:
+            raise ConsistencyError(
+                f"gamma oracle mismatch: dev={dev:.3e} at s={s} (Phi={pieces})"
+            )
 
 
 def tate_eps(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor:

@@ -28,7 +28,7 @@ from .characters import MultChar, Phase, psi_to_E, restrict_to_F, standard_psi
 from .cyclotomic import Cyc
 from .factors import DEFAULT_GRID
 from .padic import EXTENSION_TYPES, PAdicGround, QuadExtension
-from .tate import fe_ratio, gauss_sum, tate_gamma, _default_test_functions
+from .tate import gauss_sum, phi_deviations, tate_gamma
 from .unitgroups import unit_group
 from .whittaker import InducedSection, w_case1, w_case2
 
@@ -88,12 +88,8 @@ def suite_phi_independence(num=50, ps=(3, 5), max_n=2, tol=1e-10, seed=2) -> dic
         psi = standard_psi(F)
         chi = _rand_char_up_to(F, max_n, rng)
         fac = tate_gamma(chi, psi, check=False)
-        base, alt1, alt2 = _default_test_functions(chi, psi)
-        for s in (0.7, 1.3, 0.4 - 0.8j):
-            want = fac.eval(s)
-            for pieces in (base, alt1, alt2):
-                got = fe_ratio(chi, psi, pieces, s)
-                worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
+        for _, _, dev in phi_deviations(fac, chi, psi):
+            worst = max(worst, dev)
     return {
         "name": "tate-phi-independence",
         "ok": worst < tol,

@@ -1,21 +1,29 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import asailocal.tate as tate_mod
 from asailocal.characters import (
     MultChar,
     Phase,
+    conductor_add,
     omega_quadratic,
     psi_to_E,
     restrict_to_F,
     standard_psi,
 )
 from asailocal.cyclotomic import Cyc
+from asailocal.factors import PoleError
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, UNRAMIFIED
 from asailocal.tate import (
     ConsistencyError,
+    box_fourier,
+    fe_ratio,
     gauss_sum,
     gauss_sum_exact,
     langlands_constant,
@@ -174,16 +182,161 @@ def test_langlands_constants():
             assert abs(lam * lam - om.value(-1)) < 1e-10
 
 
-def test_gamma_certification_catches_wrong_constant(monkeypatch):
-    # sabotage the closed form and watch the oracle reject it
-    import asailocal.tate as tate_mod
+def _field(p, ext):
+    F = PAdicGround(p)
+    K = F if ext is None else QuadExtension(F, ext)
+    psi = standard_psi(F) if ext is None else psi_to_E(standard_psi(F), K, K.xi())
+    return K, psi
 
+
+def _chars_over_E():
+    """(psi, chi) over the unramified E at p = 3: chi unramified, then ramified."""
+    E, psi = _field(3, UNRAMIFIED)
+    unram = MultChar.unramified(E, Phase.exact(Fraction(1, 3)))
+    angles = [Fraction(1, d) for d in unit_group(E, 1).orders]
+    ram = MultChar.from_angles(E, 1, angles, Phase.exact(Fraction(1, 5)))
+    assert ram.n == 1
+    return [(psi, unram), (psi, ram)]
+
+
+def test_gamma_certification_catches_wrong_constant():
+    # sabotage the closed form and watch the oracle reject it, naming s and Phi
+    F = PAdicGround(3)
+    cases = [(standard_psi(F), MultChar(F, 1, (Fraction(1, 2),), Phase.one()))]
+    for psi, chi in cases + _chars_over_E():
+        good = tate_gamma(chi, psi, check=True)
+        bad = replace(good, c=good.c * 1.000001)
+        with pytest.raises(ConsistencyError, match=r"at s=0\.7 \(Phi=\[ModBox"):
+            tate_mod._certify_gamma(bad, chi, psi)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_certified_gamma_calls_fe_ratio_once_per_test_function(monkeypatch, which):
+    psi, chi = _chars_over_E()[which]
+    calls = []
+
+    def counting(chi, psi, pieces, grid):
+        calls.append(tuple(grid))
+        return fe_ratio(chi, psi, pieces, grid)
+
+    monkeypatch.setattr(tate_mod, "fe_ratio", counting)
+    tate_gamma(chi, psi)
+    assert calls == [tate_mod._CHECK_GRID] * 3
+
+
+# The former per-s oracle: every shell and coset sum is redone at each s.
+# The grid fe_ratio must give the same floats, bit for bit.
+
+
+def reference_tate_zeta_value(chi, psi, pieces, s):
+    """Z(s, chi, Phi) = int chi(x) |x|^s Phi(x) d^x x for Phi a list of
+    modulated boxes; d^x x = zeta_K(1) dx / |x|, dx self-dual for psi.
+
+    Geometric tails are summed in closed form, which is also the meromorphic
+    continuation outside the convergence half-plane.
+    """
+    K = chi.field
+    q = K.q
+    c = conductor_add(psi)
+    vol_O = float(q ** Fraction(c, 2))
+    zeta1 = 1.0 / (1.0 - 1.0 / q)
+    total = 0j
+    for piece in pieces:
+        a, n, m0 = K.embed(piece.center), piece.level, K.embed(piece.mult)
+        if a == 0 or K.val(a) >= n:
+            # box is the ideal pi^n O: sum over shells v >= n
+            if chi.is_ramified:
+                if m0 == 0:
+                    continue
+                v = conductor_add(psi) - K.val(m0) - chi.n
+                if v < n:
+                    continue
+                shell_val = tate_mod._shell_char_psi_integral(chi, v, m0, psi, vol_O)
+                total += piece.coef * zeta1 * q ** (-v * (s - 1)) * shell_val
+            else:
+                t = chi.t_full()
+                c_eff = None if m0 == 0 else conductor_add(psi) - K.val(m0)
+                start = n if c_eff is None else max(n, c_eff)
+                # geometric part: sum_{v >= start} q^{-v(s-1)} t^v vol q^{-v}(1-1/q)
+                r = t * q ** (-s)
+                if abs(r - 1) < 1e-13:
+                    raise PoleError(s)
+                geom = r**start / (1 - r)
+                total += piece.coef * zeta1 * vol_O * (1 - 1.0 / q) * geom
+                if c_eff is not None and c_eff - 1 >= n:
+                    v = c_eff - 1
+                    shell_val = tate_mod._shell_char_psi_integral(chi, v, m0, psi, vol_O)
+                    total += piece.coef * zeta1 * q ** (-v * (s - 1)) * shell_val
+        else:
+            v0 = K.val(a)
+            inner = tate_mod._coset_char_psi_integral(chi, a, n, m0, psi, vol_O)
+            total += piece.coef * zeta1 * q ** (-v0 * (s - 1)) * inner
+    return total
+
+
+def reference_fe_ratio(chi, psi, pieces, s):
+    """Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi)."""
+    hat = [box_fourier(p, psi) for p in pieces]
+    num = reference_tate_zeta_value(chi.inv(), psi, hat, 1 - s)
+    den = reference_tate_zeta_value(chi, psi, pieces, s)
+    if abs(den) < 1e-30:
+        raise ZeroDivisionError("test function has vanishing zeta integral")
+    return num / den
+
+
+@st.composite
+def fe_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    ext = draw(st.sampled_from((None,) + tuple(EXTENSION_TYPES)))
+    K, psi = _field(p, ext)
+    n = draw(st.integers(0, 2))
+    angles = [Fraction(draw(st.integers(0, d - 1)), d) for d in unit_group(K, n).orders]
+    chi = MultChar(K, n, angles, Phase.exact(Fraction(draw(st.integers(0, 11)), 12)))
+    pieces = draw(st.sampled_from(tate_mod._default_test_functions(chi, psi)))
+    re = st.floats(-1.5, 2.5, allow_nan=False)
+    point = st.one_of(re, st.builds(complex, re, st.floats(-3, 3)))
+    grid = draw(st.lists(point, min_size=1, max_size=4))
+    return chi, psi, pieces, grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(fe_cases())
+def test_grid_fe_ratio_matches_the_per_point_reference_bit_for_bit(case):
+    chi, psi, pieces, grid = case
+    try:
+        want = [reference_fe_ratio(chi, psi, pieces, s) for s in grid]
+    except (PoleError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            fe_ratio(chi, psi, pieces, grid)
+        assert got.value.args == exc.args
+        return
+    assert fe_ratio(chi, psi, pieces, grid) == want
+
+
+def test_fe_ratio_raises_at_the_pole_on_the_grid():
     F = PAdicGround(3)
     psi = standard_psi(F)
-    chi = MultChar(F, 1, (Fraction(1, 2),), Phase.one())
-    good = tate_mod.tate_gamma(chi, psi, check=True)
-    from dataclasses import replace
+    base = tate_mod._default_test_functions(MultChar.trivial(F), psi)[0]
+    assert len(fe_ratio(MultChar.trivial(F), psi, base, (0.7, 1.3))) == 2
+    # Z(s, 1, 1_O) has its pole at s = 0, so Z(1-s, 1, 1_O^) has one at s = 1
+    for grid in ((0.7, 0.0), (1.0, 0.7)):
+        with pytest.raises(PoleError, match="pole at s = 0.0$"):
+            fe_ratio(MultChar.trivial(F), psi, base, grid)
 
-    bad = replace(good, c=good.c * 1.000001)
-    with pytest.raises(ConsistencyError):
-        tate_mod._certify_gamma(bad, chi, psi)
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.sampled_from((None,) + tuple(EXTENSION_TYPES)),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False),
+)
+def test_gamma_functional_equation_involution_same_psi(p, ext, n, rng):
+    # gamma(s, chi, psi) gamma(1-s, chi^{-1}, psi) = chi(-1)
+    K, psi = _field(p, ext)
+    chi = rand_char(K, n, rng)
+    g1 = tate_gamma(chi, psi)
+    g2 = tate_gamma(chi.inv(), psi)
+    sign = chi.value(-1)
+    for s in (0.7, 1.3, 2.1 + 0.5j, 0.4 - 0.8j, 1.05):
+        assert abs(g1.eval(s) * g2.eval(1 - s) - sign) < 1e-9
