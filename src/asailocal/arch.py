@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-import numpy as np
-
 from .factors import DEFAULT_GRID, ArchFactor, REL_TOL_ARCH, gammafn, loggamma
 
 QUAD_TOL = 1e-8
@@ -47,6 +45,8 @@ class CChar:
 
     def value(self, z):
         """chi(z) for a complex number, or elementwise for an array."""
+        import numpy as np
+
         zz = np.asarray(z, dtype=complex)
         out = np.abs(zz) ** (2 * (complex(self.lam) - self.n / 2)) * zz**self.n
         return out if out.ndim else complex(out)
@@ -75,6 +75,8 @@ class RChar:
 
     def value(self, y):
         """chi(y) for a real number, or elementwise for an array."""
+        import numpy as np
+
         yy = np.asarray(y, dtype=float)
         sign = np.where(yy < 0, (-1.0) ** (self.m % 2), 1.0)
         out = sign * np.abs(yy) ** complex(self.lam)
@@ -148,6 +150,8 @@ def tate_gamma_complex(chi: CChar, b: complex = 1.0) -> ArchFactor:
 def _gl_nodes():
     """The G15 and G30 nodes on [-1, 1] as one 45-node array (G15 first),
     with the G15 and G30 weight vectors."""
+    import numpy as np
+
     x15, w15 = np.polynomial.legendre.leggauss(15)
     x30, w30 = np.polynomial.legendre.leggauss(30)
     return np.concatenate((x15, x30)), w15, w30
@@ -162,6 +166,9 @@ def quad_gl(f, a, b, tol: float = QUAD_TOL, args: tuple = ()):
     panel tree: a panel is accepted when its G15-vs-G30 estimate meets the
     tolerance and is split in two otherwise; the tolerance shrinks by 1.4
     per level, and at depth 24 a panel is accepted within ten times it.
+    The test is err <= tol * max(1, |fine|) on the panel's G30 value fine:
+    relative for a panel above 1 and absolute below it, so an integral much
+    smaller than 1 gets no relative accuracy.
 
     ``f(x, *row_args)`` maps a flat 1-D array of nodes to the array of its
     values (real or complex, the same shape); ``row_args`` are the entries
@@ -170,6 +177,8 @@ def quad_gl(f, a, b, tol: float = QUAD_TOL, args: tuple = ()):
     open panel of every row, 45 nodes each.  A value that is not finite, or
     a panel over ten times the tolerance at depth 24, raises ArithmeticError
     at once, naming the panel's interval."""
+    import numpy as np
+
     x, w15, w30 = _gl_nodes()
     a, b, *args = np.broadcast_arrays(a, b, *args)
     shape = a.shape
@@ -222,6 +231,8 @@ def quad_real_line(f, tol: float = QUAD_TOL, L: float = 9.0, args: tuple = ()):
     doubly-exponential Gaussian ends as well as the plain-exponential decay
     near the origin end of d^x-substitutions.  A row whose window passes
     400 raises ArithmeticError at once."""
+    import numpy as np
+
     args = np.broadcast_arrays(*args)
     shape = args[0].shape if args else ()
     args = [np.ravel(v) for v in args]
@@ -260,13 +271,61 @@ def selection_rule_ok(idx_a, idx_b, mu: CChar, nu: CChar) -> bool:
     return a1 - a2 + mu.n == b1 - b2 + nu.n
 
 
+# exp of a real part at or below this is exactly 0.0 in double precision
+# (it underflows below about -745.13)
+EXP_UNDERFLOW = -746.0
+
+
+def whittaker_integrand(u, ay, w: complex, A: int, B: int):
+    """(yt)^A t^{-B} t^w e^{-2 pi ((yt)^2 + t^{-2})} at t = e^u, node by node,
+    for the nodes ``u`` and the row parameter ``ay`` = |y| gathered per node.
+
+    Only the live nodes, where the real part Re(w) u - 2 pi ((yt)^2 + t^{-2})
+    of the exponent is above EXP_UNDERFLOW (or NaN), get the complex exp and
+    the powers; every other node is an exact 0, which is what the exp gives
+    there.  On a live node the value is that of the single-y integrand, op
+    for op; folding the powers into one exp would round them at the scale of
+    the exponent, 4 pi |y|, about 1e-14 of the value at |y| = 6.  It works in
+    place: its arrays hold every open panel of up to 90 rows."""
+    import numpy as np
+
+    t = np.exp(u)
+    yt = ay * t
+    g = yt * yt
+    g += 1 / (t * t)
+    g *= 2 * math.pi
+    re = w.real * u
+    re -= g
+    live = ~(re <= EXP_UNDERFLOW)
+    t, yt = t[live], yt[live]
+    z = w * u[live]
+    z -= g[live]
+    np.exp(z, out=z)
+    yt **= A
+    t **= -B
+    yt *= t
+    z *= yt
+    out = np.zeros(u.shape, dtype=complex)
+    out[live] = z
+    return out
+
+
 def whittaker_value_quadrature(
     y, idx_a, idx_b, mu: CChar, nu: CChar, tol: float = QUAD_TOL
 ):
     """W_{(a,b)}(diag(y,1)) = 4 pi mu(y)|y| int_0^inf Psi_a(yt) Psi_b(1/t)
     mu nu^{-1}(t) d t/t, by adaptive quadrature on t = e^u.  ``y`` is a
     nonzero number or an array of them, one quadrature row each; the result
-    has the shape of ``y``."""
+    has the shape of ``y``.
+
+    The radial integrand is whittaker_integrand at |y|, the row parameter;
+    sgn(y)^A is applied per row.  ``tol`` is quad_gl's, which is absolute
+    for integrals below 1: W has no relative accuracy where |W| << 1.  For
+    trivial mu = nu, W(1.3) at the default tol is off by about 1e-4
+    relative, and for |y| >= 3 (|W| < 1e-15) every tol accepts the first
+    panels."""
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     if not np.all(y):
         raise ValueError("y must be nonzero")
@@ -276,30 +335,8 @@ def whittaker_value_quadrature(
     b1, b2 = idx_b
     A, B = a1 + a2, b1 + b2
     w = 2 * (complex(mu.lam) - complex(nu.lam))  # mu nu^{-1}(t) = t^w for t > 0
-
-    # (yt)^A t^{-B} t^w e^{-2 pi ((yt)^2 + t^{-2})} at |y|, the row
-    # parameter; sgn(y)^A is applied per row.  Its value and the panels it
-    # gets are those of the single-y integrand node by node; folding the
-    # powers into one exp would round them at the scale of the exponent,
-    # 4 pi |y|, about 1e-14 of the value at |y| = 6.  It works in place: its
-    # arrays hold every open panel of up to 90 rows.
-    def integrand(u: np.ndarray, ay: np.ndarray) -> np.ndarray:
-        t = np.exp(u)
-        yt = ay * t
-        g = yt * yt
-        g += 1 / (t * t)
-        g *= 2 * math.pi
-        z = w * u
-        z -= g
-        np.exp(z, out=z)
-        yt **= A
-        t **= -B
-        yt *= t
-        z *= yt
-        return z
-
     ay = np.abs(y)
-    radial = quad_real_line(integrand, tol, args=(ay,))
+    radial = quad_real_line(lambda u, ay_: whittaker_integrand(u, ay_, w, A, B), tol, args=(ay,))
     return 4 * math.pi * mu.value(y) * ay * np.sign(y) ** A * radial
 
 
@@ -330,6 +367,7 @@ def zeta_whittaker_quadrature(
 ) -> complex:
     """2-D quadrature of zeta(s, W_{(a,b)}, chi): the y-integral over R^x of
     the quadrature Whittaker value; the independent oracle for the Lemma."""
+    import numpy as np
 
     # |y|^{s-1} d^x y with y = +-e^v.  Each 45 nodes (one outer panel) at
     # both signs are the 90 rows of one inner call; all open outer panels in
@@ -393,6 +431,8 @@ def phi_hat(phi: dict) -> dict:
 
 def phi_value(phi: dict, x, y):
     """Phi at (x, y); x and y are floats or arrays that broadcast together."""
+    import numpy as np
+
     z = x + 1j * y
     out = 0j
     for (c1, c2), coef in phi.items():
@@ -461,6 +501,8 @@ def eps_gal_arch(mu: CChar, nu: CChar, a: float = 1.0) -> ArchFactor:
 def tate_fe_oracle_real(chi: RChar, s: complex, m_test: int = None, tol=QUAD_TOL) -> complex:
     """gamma(s, chi, psi) = Z(1-s, chi^{-1}, f^) / Z(s, chi, f) by quadrature,
     f = x^m e^{-pi x^2} with m matching the sign character."""
+    import numpy as np
+
     m = chi.m % 2 if m_test is None else m_test
 
     def f(x: np.ndarray) -> np.ndarray:
@@ -485,6 +527,8 @@ def tate_fe_oracle_real(chi: RChar, s: complex, m_test: int = None, tol=QUAD_TOL
 def tate_fe_oracle_complex(chi: CChar, s: complex, tol=QUAD_TOL) -> complex:
     """Same oracle over C with f = conj(z)^n e^{-2 pi |z|^2} (n >= 0) or its
     conjugate; psi_C = standard psi o tr, measure twice Lebesgue."""
+    import numpy as np
+
     n = chi.n
 
     def f(z: np.ndarray) -> np.ndarray:

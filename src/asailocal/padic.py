@@ -184,8 +184,8 @@ class PAdicGround:
 
     def shell(self, v: int, m: int) -> list[Fraction]:
         """Representatives of {x : ord(x)=v} modulo p^{v+m}, m >= 1."""
-        e1, e2 = self.shell_basis(v)
-        return [a * e1 + b * e2 for a, b in self.shell_coords(v, m)]
+        pv, _ = self.shell_basis(v)
+        return [a * pv for a, _ in self.shell_coords(v, m)]
 
     def to_json(self) -> dict:
         return {"p": self.p, "ext": None, "precision": self.precision}
@@ -472,9 +472,16 @@ class QuadExtension:
         return pi_v, pi_v * self.sqrt_d()
 
     def shell(self, v: int, m: int) -> list[EElement]:
-        """Representatives of {x : ord_E(x)=v} modulo pi_E^{v+m}, m >= 1."""
+        """Representatives of {x : ord_E(x)=v} modulo pi_E^{v+m}, m >= 1,
+        written from their coordinates: pi^v and pi^v sqrt(d) each have one
+        zero coordinate, (x, 0) and (0, y) or (0, x) and (y, 0)."""
         e1, e2 = self.shell_basis(v)
-        return [a * e1 + b * e2 for a, b in self.shell_coords(v, m)]
+        coords = self.shell_coords(v, m)
+        if e1.b == 0:
+            x, y = e1.a, e2.b
+            return [EElement(self, a * x, b * y) for a, b in coords]
+        x, y = e1.b, e2.a
+        return [EElement(self, b * y, a * x) for a, b in coords]
 
     def embed(self, x) -> EElement:
         """x as an element of E; an element of E is returned unchanged."""

@@ -91,6 +91,67 @@ def reference_whittaker(y, idx_a, idx_b, mu, nu, tol, panels):
     return 4 * math.pi * mu_y * abs(y) * reference_quad_real_line(integrand, tol, panels=panels)
 
 
+def reference_whittaker_integrand(u, ay, w, A, B):
+    """The radial Whittaker integrand with the complex exp on every node."""
+    t = np.exp(u)
+    yt = ay * t
+    g = yt * yt
+    g += 1 / (t * t)
+    g *= 2 * math.pi
+    z = w * u
+    z -= g
+    np.exp(z, out=z)
+    yt **= A
+    t **= -B
+    yt *= t
+    z *= yt
+    return z
+
+
+def _dead_edge(ay, w):
+    """The u > 0 where the real part of the exponent, Re(w) u - 2 pi ((ay
+    e^u)^2 + e^(-2u)), falls to arch.EXP_UNDERFLOW (it decreases there)."""
+
+    def re(u):
+        return w.real * u - 2 * math.pi * ((ay * math.exp(u)) ** 2 + math.exp(-2 * u))
+
+    lo, hi = 0.0, 12.0
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if re(mid) > arch.EXP_UNDERFLOW else (lo, mid)
+    return lo
+
+
+@st.composite
+def integrand_nodes(draw):
+    """Nodes that straddle the underflow cutoff on both sides of the peak and
+    within 0.01 of it (where the exponent runs through [-761, -731]), with
+    1-3 rows of |y| in [0.05, 8] gathered per node, A, B <= 4, |w| <= 0.8."""
+    ays = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=3))
+    w = cmath.rect(draw(st.floats(0.0, 0.8)), draw(st.floats(-math.pi, math.pi)))
+    A, B = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    u, ay = [], []
+    for r in ays:
+        edge = _dead_edge(r, w)
+        near = draw(st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=20))
+        far = draw(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=20))
+        u += [edge + d for d in near] + far + [-10.0, 0.0, edge + 1.0]
+        ay += [r] * (len(near) + len(far) + 3)
+    return np.array(u), np.array(ay), w, A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(integrand_nodes())
+def test_whittaker_integrand_equals_the_all_nodes_reference(case):
+    # exact zeros below the cutoff are what the complex exp gives there
+    u, ay, w, A, B = case
+    got = arch.whittaker_integrand(u, ay, w, A, B)
+    want = reference_whittaker_integrand(u.copy(), ay, w, A, B)
+    assert (got == want).all()
+    live = w.real * u - 2 * math.pi * ((ay * np.exp(u)) ** 2 + np.exp(-2 * u)) > arch.EXP_UNDERFLOW
+    assert live.any() and not live.all()
+
+
 def count_nodes_per_row(nodes_per_row, row_param):
     for v, n in zip(*np.unique(row_param, return_counts=True)):
         nodes_per_row[v] = nodes_per_row.get(v, 0) + n

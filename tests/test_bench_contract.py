@@ -11,6 +11,8 @@ import ast
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -59,3 +61,66 @@ def test_workloads_imports_exist():
         mod = importlib.import_module(module)
         is_submodule = hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}")
         assert hasattr(mod, name) or is_submodule, f"{module}.{name} is gone"
+
+
+def _load_workloads():
+    # workloads.py imports its sibling ``speed`` by name
+    sys.path.insert(0, BENCH_DIR)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", os.path.join(BENCH_DIR, "workloads.py")
+        )
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
+    finally:
+        sys.path.remove(BENCH_DIR)
+
+
+WORKLOADS = _load_workloads()
+
+
+def _run_python(args):
+    return subprocess.run(
+        [sys.executable, *args], cwd=WORKLOADS.ROOT, env=WORKLOADS.child_env(), capture_output=True
+    )
+
+
+def test_cli_import_leaves_numpy_unloaded_and_the_tracer_installs():
+    # every module the tracer wraps is registered by ``import asailocal.cli``;
+    # only archimedean code loads numpy, when it first runs
+    code = f"""
+import importlib.util, sys
+import asailocal.cli
+assert "numpy" not in sys.modules, "import asailocal.cli loaded numpy"
+spec = importlib.util.spec_from_file_location("bench_tracer", {os.path.join(BENCH_DIR, "tracer.py")!r})
+mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mod)
+mod.Tracer().install()
+"""
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("name,loads_numpy", [("tate-p5", False), ("arch-zeta", True)])
+def test_only_archimedean_examples_load_numpy(name, loads_numpy):
+    argv = dict(WORKLOADS.CLI_EXAMPLES)[name]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['asailocal', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('asailocal', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode().splitlines()[-1] == str(loads_numpy)
+
+
+@pytest.mark.parametrize("name,argv", WORKLOADS.CLI_EXAMPLES, ids=lambda v: v if isinstance(v, str) else None)
+def test_readme_example_matches_its_golden(name, argv):
+    proc = _run_python(["-m", "asailocal", *argv])
+    assert proc.returncode == 0, proc.stderr.decode()
+    with open(WORKLOADS.golden_path(name), "rb") as fh:
+        assert proc.stdout == fh.read()

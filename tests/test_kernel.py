@@ -48,6 +48,25 @@ def _largest_m(K, cap, most):
     return m
 
 
+def reference_shell(K, v, m):
+    """The shell by element arithmetic from its basis: a e1 + b e2."""
+    e1, e2 = K.shell_basis(v)
+    return [a * e1 + b * e2 for a, b in K.shell_coords(v, m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(-3, 3), st.integers(1, 3))
+def test_shell_from_coordinates_matches_the_basis_arithmetic(field, v, m):
+    # same elements in the same order; m is capped where the reference would
+    # build more than 3,000 elements (the unramified shells at p = 5, 7, m = 3)
+    K = _field(*field)
+    m = _largest_m(K, m, 3000)
+    got, want = K.shell(v, m), reference_shell(K, v, m)
+    assert got == want
+    assert all(type(x) is type(y) for x, y in zip(got, want))
+    assert all(K.val(x) == v for x in got)
+
+
 @st.composite
 def shell_cases(draw, most):
     """A field, a character of conductor <= 3, an additive character, a
