@@ -5,6 +5,10 @@ name; these tests fail when a rename or a move in ``src/`` would break it.
 a "Class.method" target must be a function in the class's own ``__dict__``
 (an inherited method would be patched on the wrong class), any other target a
 module attribute.
+
+The README examples (``bench/workloads.py``'s ``CLI_EXAMPLES``) run as
+their own interpreters: their stdout must equal ``bench/golden/`` byte for
+byte, and only the archimedean one may load numpy.
 """
 
 import ast
