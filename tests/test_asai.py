@@ -25,6 +25,7 @@ from asailocal.factors import DEFAULT_GRID, approx_equal
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, UNRAMIFIED
 from asailocal.tate import tate_gamma
 from asailocal.unitgroups import unit_group
+from asailocal.verify import suite_theorem_b
 
 
 def rand_char(K, n, rng, t_den=12):
@@ -278,3 +279,10 @@ def test_gamma_gal_equals_gamma_rs_up_to_corollary_factor():
         for s in DEFAULT_GRID:
             pref = omega_xi * 3.0 ** (-w * (s - 0.5)) / lam
             assert abs(g_rs.eval(s) - pref * g_gal.eval(s)) / abs(g_rs.eval(s)) < 1e-9
+
+
+def test_theorem_b_assemblies_agree_at_p7():
+    # the criterion-9 suite at the next prime up: extend_from_F builds the
+    # ramified unit groups up to level 6 at p = 7
+    out = suite_theorem_b(ps=(7,))
+    assert out["ok"], out["max_deviation"]

@@ -2,6 +2,7 @@
 replaced, the integer-pair unit groups of quadratic extensions, and
 conductor minimality against brute-force enumeration of 1 + pi^k O."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -262,6 +263,22 @@ PINNED_ERAM = {
     (3, "ramified-p", 6): ([(26, 0), (1, 1), (4, 0)], [2, 27, 9]),
     (3, "ramified-up", 5): ([(26, 0), (7, 0), (4, 4), (4, 7)], [2, 9, 3, 3]),
     (3, "ramified-up", 6): ([(26, 0), (7, 0), (1, 1), (22, 17)], [2, 9, 9, 3]),
+    (5, "ramified-p", 5): ([(57, 0), (6, 0), (1, 1)], [4, 25, 25]),
+    (5, "ramified-p", 6): ([(57, 0), (1, 1), (6, 0)], [4, 125, 25]),
+    (5, "ramified-up", 5): ([(57, 0), (11, 0), (1, 1)], [4, 25, 25]),
+    (5, "ramified-up", 6): ([(57, 0), (1, 1), (11, 0)], [4, 125, 25]),
+    (7, "ramified-p", 1): ([(3, 0)], [6]),
+    (7, "ramified-p", 2): ([(3, 0), (1, 1)], [6, 7]),
+    (7, "ramified-p", 3): ([(31, 0), (8, 0), (1, 1)], [6, 7, 7]),
+    (7, "ramified-p", 4): ([(31, 0), (1, 1), (8, 0)], [6, 49, 7]),
+    (7, "ramified-p", 5): ([(325, 0), (8, 0), (1, 1)], [6, 49, 49]),
+    (7, "ramified-p", 6): ([(325, 0), (1, 1), (8, 0)], [6, 343, 49]),
+    (7, "ramified-up", 1): ([(3, 0)], [6]),
+    (7, "ramified-up", 2): ([(3, 0), (1, 1)], [6, 7]),
+    (7, "ramified-up", 3): ([(31, 0), (22, 0), (1, 1)], [6, 7, 7]),
+    (7, "ramified-up", 4): ([(31, 0), (1, 1), (22, 0)], [6, 49, 7]),
+    (7, "ramified-up", 5): ([(325, 0), (22, 0), (1, 1)], [6, 49, 49]),
+    (7, "ramified-up", 6): ([(325, 0), (1, 1), (22, 0)], [6, 343, 49]),
 }
 
 
@@ -270,6 +287,95 @@ def test_eram_gens_and_orders_are_pinned():
         G = unit_group(QuadExtension(PAdicGround(p), ext), level)
         assert [(g.a, g.b) for g in G.gens] == gens, (p, ext, level)
         assert G.orders == orders, (p, ext, level)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_eram_logs(p, ext, level):
+    """key -> dlog over the whole ramified group at ``level``, built as one
+    table: the Teichmueller generator first, then a greedy basis of the
+    1-units, each the first candidate 1 + pi (a + b sqrt(d)) (a-major) of
+    maximal order modulo the span so far, corrected by the span so that its
+    order is exact; the table grows by every power of each new generator."""
+    E = QuadExtension(PAdicGround(p), ext)
+    d = E.d
+    Ma, Mb = _ram_mods(p, level)
+    if level == 0:
+        return {(0, 0): ()}
+
+    def mul(x, y):
+        return _pair_mul(x, y, d, Ma, Mb)
+
+    def power(x, k):
+        out = (1, 0)
+        while k:
+            if k & 1:
+                out = mul(out, x)
+            x = mul(x, x)
+            k >>= 1
+        return out
+
+    def extend(table, h, order):
+        out = {}
+        for x, e in table.items():
+            for j in range(order):
+                out[x] = e + (j,)
+                x = mul(x, h)
+        return out
+
+    g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    omega = (pow(g, p**level * pow(p**level, -1, p - 1), Ma), 0)
+    logs = extend({(1, 0): ()}, omega, p - 1)
+    candidates = [((1 + d * b) % Ma, a) for a in range(Mb) for b in range(Ma // p)]
+    basis = []
+    while len(logs) < (p - 1) * p ** (level - 1):
+        best, best_j = None, -1
+        for x in candidates:
+            if x in logs:
+                continue
+            j, y = 0, x
+            while y not in logs:
+                y, j = power(y, p), j + 1
+            if j > best_j:
+                best, best_j = x, j
+        m = p**best_j
+        corr = (1, 0)
+        for h, t in zip(basis, logs[power(best, m)][1:]):
+            assert t % m == 0
+            corr = mul(corr, power(h, t // m))
+        a, b = corr
+        n_inv = pow(a * a - d * b * b, -1, Ma)
+        gen = mul(best, (a * n_inv % Ma, -b * n_inv % Mb))
+        basis.append(gen)
+        logs = extend(logs, gen, m)
+    return logs
+
+
+# every key up to the level where the tables stay below 15,000 entries
+@pytest.mark.parametrize("ext", RAMIFIED)
+@pytest.mark.parametrize("p,level", [(5, n) for n in range(1, 7)] + [(7, n) for n in range(1, 6)])
+def test_eram_logs_match_the_reference_table(p, ext, level):
+    G = unit_group(QuadExtension(PAdicGround(p), ext), level)
+    want = reference_eram_logs(p, ext, level)
+    assert len(want) == G.size
+    for key, exps in want.items():
+        assert G.logs[key] == exps, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(7, 6)] + [(11, n) for n in range(1, 5)]),
+    st.sampled_from(RAMIFIED),
+    st.tuples(st.integers(1, 10**6), st.integers(0, 10**6)),
+)
+def test_eram_logs_match_the_reference_table_sampled(case, ext, key):
+    p, level = case
+    Ma, Mb = _ram_mods(p, level)
+    a, b = key
+    if a % p == 0:
+        a += 1
+    key = (a % Ma, b % Mb)
+    G = unit_group(QuadExtension(PAdicGround(p), ext), level)
+    assert G.logs[key] == reference_eram_logs(p, ext, level)[key]
 
 
 # -- conductor minimality ------------------------------------------------------------
