@@ -34,7 +34,7 @@ from .characters import (
     standard_psi,
 )
 from .factors import DEFAULT_GRID, eval_table
-from .padic import DEFAULT_PRECISION, PAdicGround, QuadExtension, field_from_json
+from .padic import DEFAULT_PRECISION, PAdicGround, PrecisionError, QuadExtension, field_from_json
 from .tate import ConsistencyError, langlands_constant, tate_L, tate_eps, tate_gamma
 from .verify import SUITE_GROUPS, SUITES, run_suites
 from .whittaker import StabilizationError
@@ -103,7 +103,7 @@ def _char_from_json(obj, field, what: str) -> MultChar:
         raise InputError(f"{what} must be a JSON object")
     try:
         return mult_char_from_json(obj, field)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, PrecisionError) as exc:
         raise InputError(f"invalid character descriptor in {what}: {exc}") from exc
 
 

@@ -9,11 +9,14 @@ and ``G.logs[key]`` is the exponent tuple, so ``G.dlog(x)`` is
 ``G.logs[G.key(x)]``.  Three shapes occur: (Z/p^n)^x is cyclic, with a full
 table; for an unramified quadratic extension the group splits as
 Teichmueller x (1+p) x (1+p*sqrt(d)), with logarithms digit-peeled on integer
-pairs mod p^n per key on first use; ramified extensions are small enough that
-a generic abelian basis plus a full lookup table is the simplest correct
-choice, built on integer pairs (a mod p^ceil(n/2), b mod p^floor(n/2)), the
-same pairs as the keys.  No group builds a field element per group element:
-generators become field elements once, at the end.
+pairs mod p^n per key on first use; for a ramified extension the 1-units get
+a greedy basis on integer pairs (a mod p^ceil(n/2), b mod p^floor(n/2)), the
+same pairs as the keys.  At p >= 5 the p-adic logarithm linearises the
+1-units, so the basis search and each key's dlog are solves in log
+coordinates, per key on first use; at p = 3 the log is not injective there,
+and the group is one full table.  No group builds a field element per group
+element: generators become field elements once, at the end.  ``unit_group``
+refuses a level whose residues need more digits than the field carries.
 
 ``G.one_unit_gens(m)`` is a generating set of (1+pi^m O)/(1+pi^n O), not the
 whole subgroup: {1+p^m} on F, {1+p^m, 1+p^m sqrt(d)} on unramified E, and
@@ -28,7 +31,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import Field, PAdicGround, QuadExtension, UNRAMIFIED
+from .padic import Field, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED
 
 
 def _primitive_root(p: int) -> int:
@@ -238,15 +241,177 @@ class EUnramUnitGroup(UnitGroup):
         return [E.elem(1 + p**m), E.elem(1, p**m)]
 
 
+class _TableSpan:
+    """A span of 1-units of a ramified group as the table key -> dlog of all
+    its elements, Teichmueller exponent first."""
+
+    max_exp = None  # not known: the greedy scan reads every candidate
+
+    def __init__(self, group: "ERamUnitGroup", omega: tuple):
+        self.group = group
+        self.logs = self._extend({(1, 0): ()}, omega, group.field.p - 1)
+
+    @property
+    def full(self) -> bool:
+        p = self.group.field.p
+        return len(self.logs) == (p - 1) * p ** (self.group.level - 1)
+
+    def order_exp(self, x: tuple) -> int:
+        """Smallest j with x^(p^j) in the span."""
+        j = 0
+        while x not in self.logs:
+            x = self.group._pow(x, self.group.field.p)
+            j += 1
+        return j
+
+    def exps(self, x: tuple) -> tuple:
+        """The 1-unit exponents of x, an element of the span."""
+        return self.logs[x][1:]
+
+    def add(self, h: tuple, order: int) -> None:
+        self.logs = self._extend(self.logs, h, order)
+
+    def _extend(self, table: dict, h: tuple, order: int) -> dict:
+        """{x h^j: e + (j,)} over the entries x: e of table, 0 <= j < order."""
+        out = {}
+        for x, e in table.items():
+            for j in range(order):
+                out[x] = e + (j,)
+                x = self.group._mul(x, h)
+        return out
+
+
+class _LogSpan:
+    """A span of 1-units of a ramified group at level n, p >= 5, in log
+    coordinates.
+
+    A 1-unit x has log x = p A + B sqrt(d) mod pi^n, and x -> (A, B) is an
+    isomorphism from U^1/U^n onto Z/P x Z/Q, (P, Q) = (p^(ceil(n/2)-1),
+    p^floor(n/2)).  The span of 1-units h_i maps onto the lattice
+    L = sum Z log h_i + (P Z x Q Z) in Z^2, held in Hermite form: rows
+    (h11, h12, t) and (0, h22, u) of L, with (h11, h12) = sum t_i log h_i
+    modulo P Z x Q Z, and likewise u.  Membership, the order of x modulo the
+    span and the exponents of x over the h_i all come from the triangular
+    solve of log x against these two rows."""
+
+    def __init__(self, group: "ERamUnitGroup"):
+        self.group = group
+        p, n = group.field.p, group.level
+        Ma, Mb = group._mods
+        self._rel = (Ma // p, Mb)
+        # log(1 + z) = sum_k (-1)^(k+1) z^k / k.  With ord z >= 1 the k-th term
+        # has ord >= k - 2 v_p(k), which is >= n for every k >= 2n when p >= 5;
+        # the terms kept are those below n.  z^k is formed mod pi^(n + 2V),
+        # p^V the largest p^v kept, so that z^k / p^v is exact mod pi^n.
+        self._terms = {}
+        for k in range(1, 2 * n):
+            v = group.field.ground.val(k)
+            if k - 2 * v < n:
+                self._terms[k] = (p**v, (-1) ** (k + 1) * pow(k // p**v, -1, Ma))
+        lift = max((pv for pv, _ in self._terms.values()), default=1)
+        self._top = max(self._terms, default=0)
+        self._lift = (Ma * lift, Mb * lift)
+        self._logs: list[tuple] = []
+        self._orders: list[int] = []
+        self._hermite()
+
+    def log(self, x: tuple) -> tuple:
+        """(A, B) of a 1-unit x = (a, b), any lift of its residue."""
+        g = self.group
+        p, d = g.field.p, g.field.d
+        La, Lb = self._lift
+        z = ((x[0] - 1) % La, x[1] % Lb)
+        a = b = 0
+        zk = (1, 0)
+        for k in range(1, self._top + 1):
+            zk = _pmul(zk, z, d, La, Lb)
+            if k in self._terms:
+                pv, c = self._terms[k]
+                a += zk[0] // pv * c
+                b += zk[1] // pv * c
+        Ma, Mb = g._mods
+        a %= Ma
+        assert a % p == 0, "the log of a 1-unit lies in pi O"
+        return a // p, b % Mb
+
+    def _hermite(self) -> None:
+        P, Q = self._rel
+        r = len(self._logs)
+        rows = [(P, 0) + (0,) * r, (0, Q) + (0,) * r]
+        rows += [v + tuple(int(i == j) for j in range(r)) for i, v in enumerate(self._logs)]
+        self._h1, rest = _column_gcd(rows, 0)
+        self._h2, _ = _column_gcd(rest, 1)
+        self.max_exp = max(self._order_exp((1, 0)), self._order_exp((0, 1)))
+
+    def _solve(self, w: tuple):
+        """Exponents of the vector w over the log h_i, modulo their orders,
+        or None where w is outside L."""
+        (h11, h12, *t), (_, h22, *u) = self._h1, self._h2
+        c1, r = divmod(w[0], h11)
+        if r:
+            return None
+        c2, r = divmod(w[1] - c1 * h12, h22)
+        if r:
+            return None
+        return tuple((c1 * ti + c2 * ui) % m for ti, ui, m in zip(t, u, self._orders))
+
+    def _order_exp(self, w: tuple) -> int:
+        p, j = self.group.field.p, 0
+        while self._solve(w) is None:
+            w = (w[0] * p, w[1] * p)
+            j += 1
+        return j
+
+    @property
+    def full(self) -> bool:
+        return self.max_exp == 0
+
+    def order_exp(self, x: tuple) -> int:
+        """Smallest j with x^(p^j) in the span."""
+        return self._order_exp(self.log(x))
+
+    def exps(self, x: tuple) -> tuple:
+        """The exponents of x, a 1-unit of the span, over the h_i."""
+        return self._solve(self.log(x))
+
+    def add(self, h: tuple, order: int) -> None:
+        self._logs.append(self.log(h))
+        self._orders.append(order)
+        self._hermite()
+
+
+def _column_gcd(rows: list, i: int) -> tuple:
+    """Integer row operations on ``rows``: a row whose entry i is the
+    positive gcd of column i, and the other rows, each with entry i zero."""
+    head, rest = rows[0], []
+    for row in rows[1:]:
+        while row[i]:
+            q = head[i] // row[i]
+            head, row = row, tuple(x - q * y for x, y in zip(head, row))
+        rest.append(row)
+    return (head if head[i] > 0 else tuple(-x for x in head)), rest
+
+
 class ERamUnitGroup(UnitGroup):
-    """(O_E/pi^n)^x for ramified E: generic basis plus a full dlog table.
+    """(O_E/pi^n)^x for ramified E: Teichmueller x a greedy 1-unit basis.
 
     Everything runs on integer pairs (a mod p^ceil(n/2), b mod p^floor(n/2))
-    = a + b sqrt(d), the keys of ``E.residue``: the basis search, its
-    correction and the table are pair products, powers and inverses, and the
-    generators become ``E.elem(a, b)`` only at the end.  The basis is the
-    Teichmueller generator followed by a greedy basis of the 1-units, and
-    ``logs`` holds every element of the group."""
+    = a + b sqrt(d), the keys of ``E.residue``; the generators become
+    ``E.elem(a, b)`` only at the end.  The basis is the Teichmueller
+    generator followed by a greedy basis of the 1-units: the first candidate
+    1 + pi (a + b sqrt(d)), a-major, of maximal order modulo the span so far,
+    corrected by the span so that its order is exact.  The span is held in
+    one of two ways, chosen by p:
+
+    - p >= 5: e = 2 < p - 1, so the p-adic log maps U^1/U^n isomorphically
+      onto pi O/pi^n O (Neukirch, *Algebraic Number Theory*, II 5.5), and the
+      span is a lattice in log coordinates (``_LogSpan``).  There is no
+      table: ``logs`` peels each key on first use, the Teichmueller exponent
+      from the residue mod p and the rest from one log and one triangular
+      solve.
+    - p = 3: ramified-up E holds the cube roots of unity, so the log is not
+      injective on U^1.  The span is a table of its elements
+      (``_TableSpan``), which ends as ``logs``, holding the whole group."""
 
     def __init__(self, E: QuadExtension, level: int):
         self.field = E
@@ -262,11 +427,20 @@ class ERamUnitGroup(UnitGroup):
         g = _primitive_root(p)
         s = pow(p**level, -1, p - 1)
         omega = (pow(g, (p**level) * s, p**ma), 0)
-        self.logs = self._extend({(1, 0): ()}, omega, p - 1)
-        basis = [(omega, p - 1)] + self._one_unit_basis()
+        span = _TableSpan(self, omega) if p == 3 else _LogSpan(self)
+        basis = [(omega, p - 1)] + self._one_unit_basis(span)
         self.gens = [E.elem(*h) for h, _ in basis]
         self.orders = [m for _, m in basis]
-        assert len(self.logs) == self.size, "unit group table has collisions"
+        if p == 3:
+            self.logs = span.logs
+            assert len(self.logs) == self.size, "unit group table has collisions"
+            return
+        self._span = span
+        # residue mod p of omega^k -> (k, omega^-k)
+        self._teich = {
+            pow(omega[0], k, p): (k, self._pow(omega, (p - 1 - k) % (p - 1))) for k in range(p - 1)
+        }
+        self.logs = _PeeledLogs(self._peel)
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
         return _pmul(x, y, self.field.d, *self._mods)
@@ -281,55 +455,39 @@ class ERamUnitGroup(UnitGroup):
         n_inv = pow(a * a - self.field.d * b * b, -1, Ma)
         return a * n_inv % Ma, -b * n_inv % Mb
 
-    def _extend(self, table: dict, h: tuple, order: int) -> dict:
-        """{x h^j: e + (j,)} over the entries x: e of table, 0 <= j < order."""
-        out = {}
-        for x, e in table.items():
-            for j in range(order):
-                out[x] = e + (j,)
-                x = self._mul(x, h)
-        return out
-
-    def _one_unit_basis(self) -> list[tuple]:
+    def _one_unit_basis(self, span) -> list[tuple]:
         """Basis of the 1-units of O_E/pi^n, via greedy maximal orders.
 
-        ``self.logs`` is the table of the span so far, Teichmueller part
-        included, and grows with each basis element until it holds the whole
-        group.  A 1-unit lies in that span only if it lies in the span of the
-        1-unit basis, so the first exponent of a 1-unit's entry is 0."""
-        p, d, n = self.field.p, self.field.d, self.level
+        ``span`` holds the span of the basis so far and grows with each basis
+        element until it holds all 1-units.  Where it knows the largest order
+        left (``span.max_exp``), the scan stops at the first candidate that
+        reaches it, which is the one a full scan would keep."""
+        p, d = self.field.p, self.field.d
         Ma, Mb = self._mods
-        # 1 + pi (a + b sqrt(d)) = (1 + d b) + a sqrt(d), r = a + b sqrt(d) mod pi^(n-1)
-        elems = [((1 + d * b) % Ma, a) for a in range(Mb) for b in range(Ma // p)]
-
-        def order_exp_mod(x):
-            # smallest j with x^(p^j) in the span
-            j = 0
-            while x not in self.logs:
-                x = self._pow(x, p)
-                j += 1
-            return j
-
         basis: list[tuple] = []
-        while len(self.logs) < (p - 1) * p ** (n - 1):
-            best, best_j = None, -1
-            for x in elems:
-                if x in self.logs:
-                    continue
-                j = order_exp_mod(x)
+        while not span.full:
+            best, best_j = None, 0
+            # 1 + pi (a + b sqrt(d)) = (1 + d b) + a sqrt(d), r = a + b sqrt(d) mod pi^(n-1)
+            for x in (((1 + d * b) % Ma, a) for a in range(Mb) for b in range(Ma // p)):
+                j = span.order_exp(x)
                 if j > best_j:
                     best, best_j = x, j
+                    if j == span.max_exp:
+                        break
             g, m = best, p**best_j
             # correct so that g^m = 1 exactly (classical basis lemma)
-            exps = self.logs[self._pow(g, m)]
             corr = (1, 0)
-            for (h, _), t in zip(basis, exps[1:]):
+            for (h, _), t in zip(basis, span.exps(self._pow(g, m))):
                 assert t % m == 0, "basis correction must divide"
                 corr = self._mul(corr, self._pow(h, t // m))
             g = self._mul(g, self._inv(corr))
             basis.append((g, m))
-            self.logs = self._extend(self.logs, g, m)
+            span.add(g, m)
         return basis
+
+    def _peel(self, key: tuple) -> tuple:
+        k, omega_inv = self._teich[key[0] % self.field.p]
+        return (k,) + self._span.exps(self._mul(key, omega_inv))
 
     def dlog(self, x):
         return self.logs[self.key(x)]
@@ -346,6 +504,13 @@ class ERamUnitGroup(UnitGroup):
 
 @lru_cache(maxsize=None)
 def unit_group(K: Field, level: int) -> UnitGroup:
+    """(O_K/pi^level)^x.  Raises PrecisionError, before building anything,
+    where its residues need more p-adic digits than K carries."""
+    digits = level if isinstance(K, PAdicGround) else max(K.residue_digits(level))
+    if digits > K.ground.precision:
+        raise PrecisionError(
+            f"unit group of level {level} needs p^{digits} > precision {K.ground.precision}"
+        )
     if isinstance(K, PAdicGround):
         return FUnitGroup(K, level)
     if K.ext_type == UNRAMIFIED:

@@ -142,6 +142,14 @@ def test_precision_env_override(capsys, monkeypatch):
     assert out["input"]["field"]["precision"] == 9
 
 
+def test_conductor_beyond_precision_exits_2(capsys):
+    # the unit group of level 9 needs residues mod 3^9; refused before it is built
+    char = '{"field":"F","conductor":9,"unit_part":["1/2"],"t":{"angle":"0"}}'
+    assert main(["tate", "--field", '{"p":3,"precision":8}', "--char", char]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "precision" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     rc = main(["tate", "--field", '{"p":5}', "--char", "legendre", "--out", str(target)])

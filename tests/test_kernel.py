@@ -525,6 +525,19 @@ def test_kernel_refuses_moduli_beyond_precision(ext):
     shell_angles(None, psi.shifted(Fraction(1, 3**8)), 0, 2)
 
 
+@pytest.mark.parametrize(
+    "p,precision,ext,level",
+    [(3, 8, None, 9), (3, 8, UNRAMIFIED, 9)] + [(3, 8, ext, 17) for ext in RAMIFIED] + [(5, 12, None, 20)],
+)
+def test_unit_group_refuses_levels_beyond_precision(p, precision, ext, level):
+    # the first level whose residues need p^(precision + 1), and p = 5 at
+    # level 20, which would ask for 4 * 5^19 entries: refused before any
+    # table or basis is built
+    F = PAdicGround(p, precision=precision)
+    with pytest.raises(PrecisionError):
+        unit_group(F if ext is None else QuadExtension(F, ext), level)
+
+
 @pytest.mark.parametrize("ext", ("ramified-p", "ramified-up"))
 def test_kernel_ignores_sqrt_d_part_where_b_is_zero(ext):
     # on ramified E at m = 1 every representative has b = 0, so
