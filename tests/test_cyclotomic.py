@@ -1,14 +1,17 @@
 """Normal-form Cyc arithmetic against the normalising construction it
+replaced, the zero test against the dense reduction modulo Phi_N it
 replaced, and the shared cached values staying untouched."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asailocal.cyclotomic import Cyc
-from asailocal.whittaker import _qpow
+from asailocal.cyclotomic import Cyc, cyclotomic_poly
+from asailocal.padic import legendre
+from asailocal.whittaker import _qpow, _sqrt_prime
 
 DENS = [1, 2, 3, 4, 5, 6, 9, 12, 25]
 
@@ -57,6 +60,28 @@ def _old_scale(x, k):
     return Cyc({a: c * k for a, c in x.terms.items()})
 
 
+def reference_is_zero(x):
+    """Whether x vanishes, by the dense reduction of sum c_k X^k modulo Phi_N
+    at N = the lcm of the angle denominators, in Fraction arithmetic."""
+    terms = x.terms
+    if not terms:
+        return True
+    n = lcm(*(a.denominator for a in terms))
+    coeffs = [Fraction(0)] * n
+    for a, c in terms.items():
+        coeffs[int(a * n) % n] += c
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    # X^k for k >= deg is reduced with X^deg = -phi[:deg]
+    for k in range(n - 1, deg - 1, -1):
+        c = coeffs[k]
+        if c:
+            coeffs[k] = Fraction(0)
+            for i in range(deg):
+                coeffs[k - deg + i] -= c * phi[i]
+    return all(c == 0 for c in coeffs[:deg])
+
+
 def _assert_normal_and_equal(got, want):
     assert all(isinstance(a, Fraction) and 0 <= a < 1 for a in got.terms)
     assert all(isinstance(c, Fraction) and c != 0 for c in got.terms.values())
@@ -92,6 +117,60 @@ def test_products_with_a_monomial(x, m):
     # one factor c0 e(a0) only scales and rotates the other
     _assert_normal_and_equal(x * m, _old_mul(x, m))
     _assert_normal_and_equal(m * x, _old_mul(x, m))
+
+
+# conductors with square factors, where Phi_N(X) = Phi_rad(N)(X^(N / rad N))
+# has gaps, and a few squarefree ones
+CONDUCTORS = [4, 8, 9, 12, 18, 25, 49, 72, 100, 6, 15, 30]
+
+
+@st.composite
+def cycs_at(draw, n):
+    """A value whose angles have denominators dividing n."""
+    out = {}
+    for _ in range(draw(st.integers(1, 6))):
+        out[Fraction(draw(st.integers(0, n - 1)), n)] = Fraction(
+            draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 5]))
+        )
+    return Cyc(out)
+
+
+def _root_sum(ell, shift):
+    """e(shift) * (1 + e(1/ell) + ... + e((ell-1)/ell)) = 0 for ell > 1."""
+    return Cyc({shift + Fraction(j, ell): 1 for j in range(ell)})
+
+
+@st.composite
+def zero_test_cases(draw):
+    """(value, whether it was built to be zero)."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    x, y = draw(cycs_at(n)), draw(cycs_at(n))
+    kind = draw(st.sampled_from(["commutator", "root-sum", "sqrt-p", "random"]))
+    if kind == "commutator":
+        return x * y - y * x, True
+    if kind == "root-sum":
+        ell = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+        zero = x * _root_sum(ell, Fraction(draw(st.integers(0, n - 1)), n))
+        if draw(st.booleans()):
+            return zero + y, None  # zero exactly when y is
+        return zero, True
+    if kind == "sqrt-p":
+        p = draw(st.sampled_from([3, 5, 7]))
+        g = Cyc({Fraction(a, p): legendre(a, p) for a in range(1, p)})
+        sign = 1 if p % 4 == 1 else -1  # the Gauss sum squared is (-1/p) p
+        which = draw(st.sampled_from([g * g - sign * p, _sqrt_prime(p) ** 2 - p]))
+        return which * draw(cycs_at(draw(st.sampled_from([1, 4, 8, 9])))), True
+    return x - y, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_test_cases())
+def test_is_zero_agrees_with_the_dense_reduction(case):
+    value, built_zero = case
+    want = reference_is_zero(value)
+    assert value.is_zero() == want
+    if built_zero:
+        assert want
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asailocal.padic import (
     EXTENSION_TYPES,
+    EElement,
     PAdicGround,
     PrecisionError,
     QuadExtension,
@@ -135,6 +138,67 @@ def test_shell_partition():
             assert key not in seen
             seen.add(key)
     assert len(seen) == 3 * (E.q - 1)
+
+
+FIELDS = [(p, ext) for p in (3, 5, 7) for ext in (None, *EXTENSION_TYPES)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(-2, 2), st.integers(1, 2))
+def test_shells_partition_their_annulus(field, v, m):
+    # pi^v times a complete set of unit representatives mod pi^m, each once
+    p, ext = field
+    F = PAdicGround(p)
+    K = F if ext is None else QuadExtension(F, ext)
+    shell = K.shell(v, m)
+    assert all(K.val(x) == v for x in shell)
+    assert len({K.unit_residue(x, m) for x in shell}) == len(shell)
+    assert len(shell) == (K.q - 1) * K.q ** (m - 1)
+
+
+def _reference_val(E, x):
+    """ord_E as the minimum over the coordinates: ord_F on unramified E; on
+    ramified E, sqrt(d) has valuation 1."""
+    F = E.ground
+    e = 1 if E.ext_type == UNRAMIFIED else 2
+    vals = [e * F.val(x.a)] if x.a else []
+    if x.b:
+        vals.append(e * F.val(x.b) + e - 1)
+    return min(vals)
+
+
+def _reference_mul(E, x, y):
+    return EElement(E, x.a * y.a + E.d * x.b * y.b, x.a * y.b + x.b * y.a)
+
+
+def _reference_inv(E, x):
+    n = x.a * x.a - E.d * x.b * x.b
+    return EElement(E, x.a / n, -x.b / n)
+
+
+def _same(x, y):
+    return (x.a, x.b) == (y.a, y.b) and all(type(c) is Fraction for c in (x.a, x.b))
+
+
+# ints and Fractions, with powers of 3, 5 and 7 on either side
+coords = st.integers(-343, 343) | st.builds(
+    Fraction, st.integers(-343, 343), st.sampled_from([1, 2, 3, 5, 7, 9, 25, 49])
+)
+sqrt_d_coords = st.just(0) | coords  # b = 0: elements of the ground field
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.sampled_from(EXTENSION_TYPES), coords, sqrt_d_coords, coords, sqrt_d_coords)
+def test_element_arithmetic_matches_the_generic_formulas(p, ext, a, b, c, d):
+    E = QuadExtension(PAdicGround(p), ext)
+    x, y = E.elem(a, b), E.elem(c, d)
+    assert _same(x * y, _reference_mul(E, x, y))
+    for z in (x, y):
+        if not z.is_zero():
+            assert _same(z.inv(), _reference_inv(E, z))
+            assert E.val(z) == z.val() == _reference_val(E, z)
+    if not y.is_zero():
+        assert _same(x / y, _reference_mul(E, x, _reference_inv(E, y)))
 
 
 def test_precision_guard():
