@@ -163,23 +163,23 @@ class AddChar:
 _CONDUCTOR_CACHE: dict = {}
 
 
-def conductor_add(psi: AddChar, verify_window: int = 2) -> int:
+def conductor_add(psi: AddChar) -> int:
     """Brute-force conductor of an additive character.
 
-    The formula c = -ord(b) - d(E/F) pins the tail; triviality at v >= c and
-    non-triviality at v = c-1 are then checked on shell representatives.
+    The formula c = -ord(b) - d(E/F) pins the tail; triviality on the shells
+    v = c, c + 1 and non-triviality at v = c-1 are then checked on shell
+    representatives.
     """
-    if psi in _CONDUCTOR_CACHE:
-        return _CONDUCTOR_CACHE[psi]
-    out = _conductor_add_uncached(psi, verify_window)
-    _CONDUCTOR_CACHE[psi] = out
+    out = _CONDUCTOR_CACHE.get(psi)
+    if out is None:
+        out = _CONDUCTOR_CACHE[psi] = _conductor_add_uncached(psi)
     return out
 
 
-def _conductor_add_uncached(psi: AddChar, verify_window: int = 2) -> int:
+def _conductor_add_uncached(psi: AddChar) -> int:
     K = psi.field
     c = -K.val(psi.mult) - K.different_exponent
-    for v in range(c, c + verify_window):
+    for v in (c, c + 1):
         if any(shell_angles(None, psi, v, 1).psis):
             raise AssertionError("additive conductor formula violated (trivial side)")
     if not any(shell_angles(None, psi, c - 1, 1).psis):

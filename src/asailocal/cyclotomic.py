@@ -2,18 +2,27 @@
 
 Gauss sums and the bruteforced Whittaker values collapse to rational numbers
 through cancellations among roots of unity; testing those collapses with
-floats would turn exact identities into tolerance checks.  A :class:`Cyc`
-stores sum(c_theta * e^{2 pi i theta}) as a map angle -> coefficient with
-Fraction entries, and decides equality by reduction modulo the cyclotomic
-polynomial of the common angle denominator.
+floats would turn exact identities into tolerance checks.
 
-Every ``Cyc`` is in normal form: each angle key is a Fraction in [0, 1) and
-each coefficient a nonzero Fraction.  The public constructor ``Cyc(dict)``
-brings any input to that form; the ring operations, whose operands are
-already normal, build their results in normal form directly (a sum of two
-angles in [0, 1) only needs -1 when it reaches 1) and wrap them without a
-second pass.  Values are never mutated after construction, so results may be
-shared and cached.
+A :class:`Cyc` stores sum_k (c_k / D) zeta_N^k, zeta_N = e^{2 pi i / N}, on
+machine integers: a conductor N, a map from exponents k in [0, N) to nonzero
+integer numerators c_k, and one common denominator D > 0 that shares no
+factor with every c_k.  An operation on values of conductors N1 and N2 works
+at lcm(N1, N2), so N grows only when an operand needs it.  ``terms`` is the
+same value as a map from angles k/N in [0, 1) to nonzero Fraction
+coefficients c_k/D; it is a fresh dict on every access.
+
+The exponent maps keep the insertion order of the angle maps they replaced,
+so ``to_complex`` adds the same float terms in the same order.  Values are
+never mutated after construction, so results may be shared and cached.
+
+Zero test.  The powers of zeta_N satisfy Phi_N, and with R = rad N the
+product of the primes dividing N, Phi_N(x) = Phi_R(x^(N/R)) (Washington,
+*Introduction to Cyclotomic Fields*, section 2).  So Q(zeta_N) is the direct
+sum of x^r Q(zeta_R) over r < N/R, with x^(N/R) = zeta_R: a value is zero
+exactly when, for each residue r mod N/R, the polynomial sum_j c_{r + j N/R}
+y^j reduces to zero modulo Phi_R.  These N/R reductions have degree R; the
+integer coefficients of the monic Phi_R keep them in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 Scalarish = Union[int, Fraction]
@@ -34,98 +43,141 @@ def cyclotomic_poly(n: int) -> tuple:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
+            poly = _poly_div_monic(poly, cyclotomic_poly(d))
     return tuple(poly)
 
 
-def _poly_div_exact(num: list, den: list) -> list:
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        coef = num[-1] / den[-1]
-        out[shift] = coef
-        for i, c in enumerate(den):
-            num[shift + i] -= coef * c
-        while num and num[-1] == 0:
-            num.pop()
-    assert all(c == 0 for c in num), "non-exact polynomial division"
-    assert all(c.denominator == 1 for c in out)
-    return [int(c) for c in out]
+def _poly_div_monic(num: list, den: tuple) -> list:
+    """num / den for a monic integer den that divides num exactly."""
+    num = list(num)
+    deg = len(den) - 1
+    out = [0] * (len(num) - deg)
+    for shift in range(len(out) - 1, -1, -1):
+        c = out[shift] = num[shift + deg]
+        for i, d in enumerate(den):
+            num[shift + i] -= c * d
+    assert not any(num), "non-exact polynomial division"
+    return out
 
 
-def _accumulate(out: dict, terms: dict) -> None:
-    """out += terms in place, for normal ``terms``; keeps ``out`` normal."""
-    for a, c in terms.items():
-        s = out.get(a)
-        if s is None:
-            out[a] = c
-        else:
-            s += c
-            if s:
-                out[a] = s
-            else:
-                del out[a]
+@lru_cache(maxsize=None)
+def _radical_split(n: int) -> tuple:
+    """(R, n/R, deg Phi_R, Phi_R's nonzero coefficients below the top as
+    (i, c) pairs) for R = rad n."""
+    r, m, d = 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            r *= d
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        r *= m
+    phi = cyclotomic_poly(r)
+    return r, n // r, len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(den: int, nums: dict) -> tuple:
+    """(den, nums) with their common factor divided out."""
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {k: c // g for k, c in nums.items()}
+    return den, nums
+
+
+def _make(n: int, den: int, nums: dict) -> "Cyc":
+    """The value sum (nums[k] / den) zeta_n^k, for nonzero nums."""
+    return _wrap(n, *_reduce(den, nums))
+
+
+def _wrap(n: int, den: int, nums: dict) -> "Cyc":
+    """Wrap fields that are already in normal form, without a copy."""
+    out = object.__new__(Cyc)
+    out.n, out.den, out.nums = n, den, nums
+    return out
+
+
+def _at(x: "Cyc", n: int):
+    """x's (exponent, numerator) pairs at conductor n, a multiple of x.n."""
+    s = n // x.n
+    return x.nums.items() if s == 1 else [(k * s, c) for k, c in x.nums.items()]
 
 
 class Cyc:
     """An element of the group algebra Q[roots of unity], reduced lazily."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("n", "den", "nums")
 
     def __init__(self, terms: dict | None = None):
-        normal: dict[Fraction, Fraction] = {}
-        if terms:
-            for ang, c in terms.items():
-                if c:
-                    a = Fraction(ang) % 1
-                    normal[a] = normal.get(a, Fraction(0)) + Fraction(c)
-        self.terms = {a: c for a, c in normal.items() if c}
+        pairs = []
+        for ang, c in (terms or {}).items():
+            if c:
+                pairs.append((Fraction(ang) % 1, Fraction(c)))
+        n = lcm(*(a.denominator for a, _ in pairs))
+        den = lcm(*(c.denominator for _, c in pairs))
+        nums: dict[int, int] = {}
+        for a, c in pairs:
+            k = a.numerator * (n // a.denominator)
+            nums[k] = nums.get(k, 0) + c.numerator * (den // c.denominator)
+        self.n = n
+        self.den, self.nums = _reduce(den, {k: c for k, c in nums.items() if c})
 
-    @staticmethod
-    def _normal(terms: dict) -> "Cyc":
-        """Wrap a dict that is already in normal form, without a copy."""
-        out = object.__new__(Cyc)
-        out.terms = terms
-        return out
+    @property
+    def terms(self) -> dict:
+        """The value as {angle in [0, 1): nonzero Fraction coefficient}."""
+        n, den = self.n, self.den
+        return {Fraction(k, n): Fraction(c, den) for k, c in self.nums.items()}
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero() -> "Cyc":
-        return Cyc._normal({})
+        return _wrap(1, 1, {})
 
     @staticmethod
     def rational(c: Scalarish) -> "Cyc":
-        return Cyc._normal({Fraction(0): Fraction(c)} if c else {})
+        c = Fraction(c)
+        return _wrap(1, c.denominator, {0: c.numerator} if c else {})
 
     @staticmethod
     def root(theta: Fraction, coeff: Scalarish = 1) -> "Cyc":
         """coeff * e^{2 pi i theta}."""
-        return Cyc._normal({Fraction(theta) % 1: Fraction(coeff)} if coeff else {})
-
-    one = staticmethod(lambda: Cyc.rational(1))
+        if not coeff:
+            return Cyc.zero()
+        theta, coeff = Fraction(theta) % 1, Fraction(coeff)
+        return _wrap(theta.denominator, coeff.denominator, {theta.numerator: coeff.numerator})
 
     @staticmethod
     def sum(values) -> "Cyc":
         """The sum of an iterable of Cyc values, accumulated in one dict."""
-        out: dict[Fraction, Fraction] = {}
+        values = list(values)
+        n = lcm(*(v.n for v in values))
+        den = lcm(*(v.den for v in values))
+        out: dict[int, int] = {}
         for v in values:
-            _accumulate(out, v.terms)
-        return Cyc._normal(out)
+            f = den // v.den
+            for k, c in _at(v, n):
+                s = out.get(k)
+                if s is None:
+                    out[k] = c * f
+                else:
+                    s += c * f
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return _make(n, den, out)
 
     # -- ring operations ------------------------------------------------------
-    def __add__(self, other: "Cyc") -> "Cyc":
+    def __add__(self, other) -> "Cyc":
         if not isinstance(other, Cyc):
             other = Cyc.rational(other)
-        out = dict(self.terms)
-        _accumulate(out, other.terms)
-        return Cyc._normal(out)
+        return Cyc.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyc":
-        return Cyc._normal({a: -c for a, c in self.terms.items()})
+        return _wrap(self.n, self.den, {k: -c for k, c in self.nums.items()})
 
     def __sub__(self, other) -> "Cyc":
         if not isinstance(other, Cyc):
@@ -139,27 +191,34 @@ class Cyc:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Cyc.zero()
-            return Cyc._normal({a: c * other for a, c in self.terms.items()})
-        if len(self.terms) == 1:
+            other = Fraction(other)
+            num = other.numerator
+            return _make(self.n, self.den * other.denominator, {k: c * num for k, c in self.nums.items()})
+        if len(self.nums) == 1:
             self, other = other, self  # the monomial factor, if any, is ``other``
-        if len(other.terms) == 1:
-            # c0 e(a0) only scales and rotates: distinct angles stay distinct
-            ((a0, c0),) = other.terms.items()
-            if not a0:
-                return self * c0
+        den = self.den * other.den
+        if len(other.nums) == 1:
+            # c0 zeta^k0 only scales and rotates: distinct exponents stay distinct
+            ((k0, c0),) = other.nums.items()
+            if not k0:
+                return _make(self.n, den, {k: c * c0 for k, c in self.nums.items()})
+            n = lcm(self.n, other.n)
+            k0 *= n // other.n
             out = {}
-            for a, c in self.terms.items():
-                a += a0
-                out[a - 1 if a >= 1 else a] = c * c0
-            return Cyc._normal(out)
-        out: dict[Fraction, Fraction] = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                a = a1 + a2
-                if a >= 1:
-                    a -= 1
-                out[a] = out.get(a, 0) + c1 * c2
-        return Cyc._normal({a: c for a, c in out.items() if c})
+            for k, c in _at(self, n):
+                k += k0
+                out[k - n if k >= n else k] = c * c0
+            return _make(n, den, out)
+        n = lcm(self.n, other.n)
+        right = _at(other, n)
+        out: dict[int, int] = {}
+        for k1, c1 in _at(self, n):
+            for k2, c2 in right:
+                k = k1 + k2
+                if k >= n:
+                    k -= n
+                out[k] = out.get(k, 0) + c1 * c2
+        return _make(n, den, {k: c for k, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -172,30 +231,28 @@ class Cyc:
         return out
 
     # -- reduction and comparisons ----------------------------------------------
-    def _denominator(self) -> int:
-        n = 1
-        for a in self.terms:
-            n = n * a.denominator // gcd(n, a.denominator)
-        return n
-
     def is_zero(self) -> bool:
-        if not self.terms:
+        if not self.nums:
             return True
-        n = self._denominator()
-        # residue vector of the polynomial sum c_k x^k (x = zeta_n) mod Phi_n
-        coeffs = [Fraction(0)] * n
-        for a, c in self.terms.items():
-            coeffs[int(a * n) % n] += c
-        phi = cyclotomic_poly(n)
-        deg = len(phi) - 1
-        # reduce monomials x^k (k >= deg) using x^deg = -phi[:deg]
-        for k in range(n - 1, deg - 1, -1):
-            c = coeffs[k]
-            if c:
-                coeffs[k] = Fraction(0)
-                for i in range(deg):
-                    coeffs[k - deg + i] -= c * phi[i]
-        return all(c == 0 for c in coeffs[:deg])
+        r, m, deg, phi = _radical_split(self.n)
+        classes: dict[int, list] = {}
+        for k, c in self.nums.items():
+            j, i = divmod(k, m)
+            vec = classes.get(i)
+            if vec is None:
+                vec = classes[i] = [0] * r
+            vec[j] = c
+        for vec in classes.values():
+            # y^j for j >= deg is reduced with y^deg = -sum_i phi_i y^i
+            for j in range(r - 1, deg - 1, -1):
+                c = vec[j]
+                if c:
+                    base = j - deg
+                    for i, pc in phi:
+                        vec[base + i] -= c * pc
+            if any(vec[:deg]):
+                return False
+        return True
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -208,13 +265,16 @@ class Cyc:
         raise TypeError("Cyc values are unhashable (lazy normal form)")
 
     def to_complex(self) -> complex:
+        # c / den and k / n are the correctly rounded floats of the Fraction
+        # coefficient and angle, however those are reduced
+        n, den = self.n, self.den
         return sum(
-            (float(c) * cmath.exp(2j * cmath.pi * float(a)) for a, c in self.terms.items()),
+            (c / den * cmath.exp(2j * cmath.pi * (k / n)) for k, c in self.nums.items()),
             0j,
         )
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "Cyc(0)"
         bits = [f"{c}*e({a})" for a, c in sorted(self.terms.items())]
         return "Cyc(" + " + ".join(bits) + ")"

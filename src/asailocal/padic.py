@@ -27,7 +27,7 @@ field element per term (see :func:`asailocal.characters.shell_angles`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -217,8 +217,9 @@ class EElement:
 
     def __init__(self, ext: "QuadExtension", a: Rational, b: Rational = 0):
         self.ext = ext
-        self.a = _frac(a)
-        self.b = _frac(b)
+        # the arithmetic below passes Fractions: no conversion for those
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     # -- basic structure ---------------------------------------------------
     def __repr__(self):
@@ -261,15 +262,18 @@ class EElement:
         return EElement(self.ext, -self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return EElement(self.ext, self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if not self.b and not o.b:  # both in F: one Fraction product, b stays 0
-            return EElement(self.ext, self.a * o.a, self.b)
+        if not o.b:  # a factor in F scales both coordinates
+            return EElement(self.ext, self.a * o.a, self.b * o.a if self.b else self.b)
+        if not self.b:
+            return EElement(self.ext, self.a * o.a, self.a * o.b)
         d = self.ext.d
         return EElement(
             self.ext,
@@ -280,6 +284,10 @@ class EElement:
     __rmul__ = __mul__
 
     def inv(self) -> "EElement":
+        if not self.b:  # in F: 1/a, no norm
+            if not self.a:
+                raise ZeroDivisionError("inverse of zero")
+            return EElement(self.ext, 1 / self.a, self.b)
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -327,36 +335,23 @@ class QuadExtension:
     ground: PAdicGround
     ext_type: str
 
+    # invariants, set once per instance by __post_init__: element arithmetic
+    # reads them on every operation
+    p: int = field(init=False, repr=False, compare=False)
+    d: int = field(init=False, repr=False, compare=False)
+    e: int = field(init=False, repr=False, compare=False)
+    f: int = field(init=False, repr=False, compare=False)
+    q: int = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.ext_type not in EXTENSION_TYPES:
             raise ValueError(f"unknown extension type {self.ext_type!r}")
-
-    # -- invariants ----------------------------------------------------------
-    @property
-    def p(self) -> int:
-        return self.ground.p
-
-    @property
-    def d(self) -> int:
         p = self.ground.p
         u = smallest_nonresidue(p)
-        if self.ext_type == UNRAMIFIED:
-            return u
-        if self.ext_type == RAMIFIED_P:
-            return p
-        return u * p
-
-    @property
-    def e(self) -> int:
-        return 1 if self.ext_type == UNRAMIFIED else 2
-
-    @property
-    def f(self) -> int:
-        return 2 if self.ext_type == UNRAMIFIED else 1
-
-    @property
-    def q(self) -> int:
-        return self.ground.p**self.f
+        d = {UNRAMIFIED: u, RAMIFIED_P: p, RAMIFIED_UP: u * p}[self.ext_type]
+        e = 1 if self.ext_type == UNRAMIFIED else 2
+        for name, value in (("p", p), ("d", d), ("e", e), ("f", 3 - e), ("q", p ** (3 - e))):
+            object.__setattr__(self, name, value)
 
     @property
     def different_exponent(self) -> int:
@@ -364,7 +359,7 @@ class QuadExtension:
         return self.e - 1
 
     def same(self, other: "QuadExtension") -> bool:
-        return self.p == other.p and self.ext_type == other.ext_type
+        return self is other or (self.p == other.p and self.ext_type == other.ext_type)
 
     # -- element constructors --------------------------------------------------
     def elem(self, a: Rational, b: Rational = 0) -> EElement:
@@ -405,23 +400,14 @@ class QuadExtension:
     def val(self, x) -> int:
         """ord_E normalized so ord_E(uniformizer) = 1; x is an element of E
         or of F."""
-        x = self.embed(x)
-        if x.is_zero():
-            raise ZeroValuationError("valuation of zero")
-        F = self.ground
-        if self.ext_type == UNRAMIFIED:
-            vals = []
-            if x.a != 0:
-                vals.append(F.val(x.a))
-            if x.b != 0:
-                vals.append(F.val(x.b))
-            return min(vals)
-        vals = []
-        if x.a != 0:
-            vals.append(2 * F.val(x.a))
-        if x.b != 0:
-            vals.append(2 * F.val(x.b) + 1)
-        return min(vals)
+        F, e = self.ground, self.e
+        if not isinstance(x, EElement):
+            return F.val(x) * e
+        if not x.b:  # in F
+            return F.val(x.a) * e
+        # sqrt(d) is a unit on unramified E and a uniformizer on ramified E
+        vb = F.val(x.b) * e + e - 1
+        return min(F.val(x.a) * e, vb) if x.a else vb
 
     def unit_part(self, x: EElement) -> EElement:
         """x / pi^{ord x}, by rescaling the coordinates: by p^{-v} on
