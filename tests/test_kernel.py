@@ -352,7 +352,10 @@ def reference_eram_logs(p, ext, level):
 
 # every key up to the level where the tables stay below 15,000 entries
 @pytest.mark.parametrize("ext", RAMIFIED)
-@pytest.mark.parametrize("p,level", [(5, n) for n in range(1, 7)] + [(7, n) for n in range(1, 6)])
+@pytest.mark.parametrize(
+    "p,level",
+    [(3, n) for n in range(1, 9)] + [(5, n) for n in range(1, 7)] + [(7, n) for n in range(1, 6)],
+)
 def test_eram_logs_match_the_reference_table(p, ext, level):
     G = unit_group(QuadExtension(PAdicGround(p), ext), level)
     want = reference_eram_logs(p, ext, level)
@@ -376,6 +379,55 @@ def test_eram_logs_match_the_reference_table_sampled(case, ext, key):
     key = (a % Ma, b % Mb)
     G = unit_group(QuadExtension(PAdicGround(p), ext), level)
     assert G.logs[key] == reference_eram_logs(p, ext, level)[key]
+
+
+# -- the unit group of F ----------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def reference_f_logs(p, level):
+    """(gens, orders, key -> dlog) of (Z/p^n)^x as one table of the powers of
+    g: the least primitive root mod p, moved up by p where g^(p-1) = 1 mod p^2
+    so that g generates mod every p^n."""
+    if level == 0:
+        return [], [], {0: ()}
+    g = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    if level >= 2 and pow(g, p - 1, p * p) == 1:
+        g += p
+    order = (p - 1) * p ** (level - 1)
+    logs, acc = {}, 1
+    for k in range(order):
+        logs[acc] = (k,)
+        acc = acc * g % p**level
+    return [Fraction(g)], [order], logs
+
+
+@pytest.mark.parametrize(
+    "p,level", [(p, n) for p in (3, 5) for n in range(7)] + [(7, n) for n in range(6)]
+)
+def test_f_logs_match_the_reference_table(p, level):
+    G = unit_group(PAdicGround(p), level)
+    gens, orders, logs = reference_f_logs(p, level)
+    assert (G.gens, G.orders) == (gens, orders)
+    assert len(logs) == G.size
+    for key, exps in logs.items():
+        assert G.logs[key] == exps, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(7, 6)] + [(p, n) for p in (11, 13) for n in range(1, 5)]),
+    st.integers(1, 10**8),
+)
+def test_f_logs_match_the_reference_table_sampled(case, key):
+    p, level = case
+    if key % p == 0:
+        key += 1
+    key %= p**level
+    G = unit_group(PAdicGround(p), level)
+    gens, orders, logs = reference_f_logs(p, level)
+    assert (G.gens, G.orders) == (gens, orders)
+    assert G.logs[key] == logs[key]
 
 
 # -- conductor minimality ------------------------------------------------------------
