@@ -498,12 +498,12 @@ def eps_gal_arch(mu: CChar, nu: CChar, a: float = 1.0) -> ArchFactor:
 # ---------------------------------------------------------------------------
 
 
-def tate_fe_oracle_real(chi: RChar, s: complex, m_test: int = None, tol=QUAD_TOL) -> complex:
+def tate_fe_oracle_real(chi: RChar, s: complex, tol=QUAD_TOL) -> complex:
     """gamma(s, chi, psi) = Z(1-s, chi^{-1}, f^) / Z(s, chi, f) by quadrature,
     f = x^m e^{-pi x^2} with m matching the sign character."""
     import numpy as np
 
-    m = chi.m % 2 if m_test is None else m_test
+    m = chi.m % 2
 
     def f(x: np.ndarray) -> np.ndarray:
         return x**m * np.exp(-math.pi * x * x)

@@ -356,12 +356,12 @@ class MultChar:
         """chi * |.|^w."""
         return MultChar(self.field, self.n, self.angles, self.t, _add_lam(self.lam, w))
 
-    def is_trivial(self, tol: float = 0.0) -> bool:
+    def is_trivial(self) -> bool:
         if self.n != 0 or self.lam != 0:
             return False
         if self.t.is_exact:
             return self.t.angle % 1 == 0
-        return abs(self.t.value() - 1) <= tol
+        return self.t.value() == 1
 
     def to_json(self) -> dict:
         t = {"angle": str(self.t.angle)} if self.t.is_exact else [
@@ -560,7 +560,7 @@ def compose_with_norm(chi: MultChar, E: QuadExtension) -> MultChar:
     return MultChar.from_angles(E, level, angles, t, chi.lam)
 
 
-def extend_from_F(chi: MultChar, E: QuadExtension, modulus: Optional[int] = None) -> MultChar:
+def extend_from_F(chi: MultChar, E: QuadExtension) -> MultChar:
     """Some character of E^x restricting to chi on F^x.
 
     The finite-group constraint is solved for the lexicographically smallest
@@ -571,9 +571,7 @@ def extend_from_F(chi: MultChar, E: QuadExtension, modulus: Optional[int] = None
     if is_extension(chi.field):
         raise ValueError("extend_from_F needs a character of F^x")
     F = chi.field
-    M = modulus if modulus is not None else E.e * chi.n + 2
-    if M < chi.n + 2:
-        raise ValueError("modulus too small for a faithful extension")
+    M = E.e * chi.n + 2
     G = unit_group(E, M)
     MF = (M + E.e - 1) // E.e
     GF = unit_group(F, MF)

@@ -6,17 +6,14 @@ Logs are keyed by integer residues: ``G.key(x)`` is the residue of the unit
 part of x at the group's level (an int on F, a pair on E), ``G.keys(coords)``
 gives the same keys from integer coordinates (a, b) of units a + b sqrt(d),
 and ``G.logs[key]`` is the exponent tuple, so ``G.dlog(x)`` is
-``G.logs[G.key(x)]``.  Three shapes occur: (Z/p^n)^x is cyclic, with a full
-table; for an unramified quadratic extension the group splits as
-Teichmueller x (1+p) x (1+p*sqrt(d)), with logarithms digit-peeled on integer
-pairs mod p^n per key on first use; for a ramified extension the 1-units get
-a greedy basis on integer pairs (a mod p^ceil(n/2), b mod p^floor(n/2)), the
-same pairs as the keys.  At p >= 5 the p-adic logarithm linearises the
-1-units, so the basis search and each key's dlog are solves in log
-coordinates, per key on first use; at p = 3 the log is not injective there,
-and the group is one full table.  No group builds a field element per group
-element: generators become field elements once, at the end.  ``unit_group``
-refuses a level whose residues need more digits than the field carries.
+``G.logs[G.key(x)]``.  No group holds a table of its elements: ``logs``
+computes the dlog of each key on its first use.  The Teichmueller exponent
+comes from the residue mod p.  The 1-units are digit-peeled on F (powers of
+u = g^(p-1)) and on unramified E ((1+p) x (1+p sqrt(d))); on ramified E they
+get a greedy basis, found and solved in coordinates that the p-adic log
+makes linear at every odd p (``_LogSpan``; Neukirch, *Algebraic Number
+Theory*, II (5.5)).  Generators become field elements once, at the end.  ``unit_group`` refuses a level whose residues
+need more digits than the field carries.
 
 ``G.one_unit_gens(m)`` is a generating set of (1+pi^m O)/(1+pi^n O), not the
 whole subgroup: {1+p^m} on F, {1+p^m, 1+p^m sqrt(d)} on unramified E, and
@@ -95,7 +92,11 @@ class UnitGroup:
 
 
 class FUnitGroup(UnitGroup):
-    """(Z/p^n)^x, cyclic for odd p."""
+    """(Z/p^n)^x, cyclic for odd p, generated by g.
+
+    The dlog k of a key x is peeled on first use: k0 from the log of g mod p,
+    then y = x g^(-k0), a 1-unit and so a power u^m of u = g^(p-1), one
+    p-adic digit of m per level; k = k0 + (p-1) m."""
 
     def __init__(self, ground: PAdicGround, level: int):
         self.field = ground
@@ -111,12 +112,14 @@ class FUnitGroup(UnitGroup):
         self.gens = [Fraction(g)]
         self.orders = [(p - 1) * p ** (level - 1)]
         mod = p**level
-        table = {}
-        acc = 1
-        for k in range(self.orders[0]):
-            table[acc] = (k,)
-            acc = acc * g % mod
-        self.logs = table
+        # residue mod p of g^k -> (k, g^-k)
+        self._log_mod_p = {pow(g, k, p): (k, pow(g, -k, mod)) for k in range(p - 1)}
+        u = pow(g, p - 1, mod)
+        # u^(-p^(j-1)) for 1 <= j < level; u = 1 + p l mod p^2 with l a unit,
+        # and u^(p^(j-1)) = 1 + p^j l mod p^(j+1) for odd p
+        self._steps = [pow(u, -(p ** (j - 1)), mod) for j in range(1, level)]
+        self._l_inv = pow((u - 1) // p, -1, p) if level > 1 else 0
+        self.logs = _PeeledLogs(self._peel)
 
     def key(self, x):
         return self.field.unit_residue(x, self.level) if self.level else 0
@@ -127,6 +130,20 @@ class FUnitGroup(UnitGroup):
 
     def dlog(self, x):
         return self.logs[self.key(x)]
+
+    def _peel(self, key: int) -> tuple:
+        p = self.field.p
+        mod = p**self.level
+        k0, g_inv = self._log_mod_p[key % p]
+        y = key * g_inv % mod
+        m = 0
+        for j, step in enumerate(self._steps, 1):
+            # y = 1 + p^j c mod p^(j+1): the digit c / l of m at p^(j-1)
+            c = (y - 1) // p**j * self._l_inv % p
+            y = y * pow(step, c, mod) % mod
+            m += c * p ** (j - 1)
+        assert y == 1, "digit peeling failed"
+        return (k0 + (p - 1) * m,)
 
     def one_unit_gens(self, m: int):
         return [Fraction(1 + self.field.p**m)]
@@ -241,124 +258,104 @@ class EUnramUnitGroup(UnitGroup):
         return [E.elem(1 + p**m), E.elem(1, p**m)]
 
 
-class _TableSpan:
-    """A span of 1-units of a ramified group as the table key -> dlog of all
-    its elements, Teichmueller exponent first."""
-
-    max_exp = None  # not known: the greedy scan reads every candidate
-
-    def __init__(self, group: "ERamUnitGroup", omega: tuple):
-        self.group = group
-        self.logs = self._extend({(1, 0): ()}, omega, group.field.p - 1)
-
-    @property
-    def full(self) -> bool:
-        p = self.group.field.p
-        return len(self.logs) == (p - 1) * p ** (self.group.level - 1)
-
-    def order_exp(self, x: tuple) -> int:
-        """Smallest j with x^(p^j) in the span."""
-        j = 0
-        while x not in self.logs:
-            x = self.group._pow(x, self.group.field.p)
-            j += 1
-        return j
-
-    def exps(self, x: tuple) -> tuple:
-        """The 1-unit exponents of x, an element of the span."""
-        return self.logs[x][1:]
-
-    def add(self, h: tuple, order: int) -> None:
-        self.logs = self._extend(self.logs, h, order)
-
-    def _extend(self, table: dict, h: tuple, order: int) -> dict:
-        """{x h^j: e + (j,)} over the entries x: e of table, 0 <= j < order."""
-        out = {}
-        for x, e in table.items():
-            for j in range(order):
-                out[x] = e + (j,)
-                x = self.group._mul(x, h)
-        return out
-
-
 class _LogSpan:
-    """A span of 1-units of a ramified group at level n, p >= 5, in log
-    coordinates.
+    """A span of 1-units of a ramified group at level n >= 2, in coordinates
+    that are linear on the 1-units at every odd p.
 
-    A 1-unit x has log x = p A + B sqrt(d) mod pi^n, and x -> (A, B) is an
-    isomorphism from U^1/U^n onto Z/P x Z/Q, (P, Q) = (p^(ceil(n/2)-1),
-    p^floor(n/2)).  The span of 1-units h_i maps onto the lattice
-    L = sum Z log h_i + (P Z x Q Z) in Z^2, held in Hermite form: rows
-    (h11, h12, t) and (0, h22, u) of L, with (h11, h12) = sum t_i log h_i
-    modulo P Z x Q Z, and likewise u.  Membership, the order of x modulo the
-    span and the exponents of x over the h_i all come from the triangular
-    solve of log x against these two rows."""
+    U^1 = <1 + pi> U^2.  A 1-unit x = a + b sqrt(d) has the coordinates
+    vec x = (c, A, B): c = b mod p, y = x (1 + pi)^(-c) lies in U^2, and
+    log y = p (A + B sqrt(d)) mod pi^n.  The log maps U^2/U^n isomorphically
+    onto pi^2 O/pi^n O, as 2 > e/(p - 1) for e = 2 at every odd p (Neukirch,
+    *Algebraic Number Theory*, II (5.5)).  So vec is an isomorphism of
+    U^1/U^n onto Z^3/R, R spanned by (p, -vec (1 + pi)^p), (0, P, 0) and
+    (0, 0, Q), P = p^(ceil(n/2)-1), Q = p^(floor(n/2)-1).  Roots of unity in
+    U^1 (the cube roots of unity in ramified-up E at p = 3) are torsion of
+    Z^3/R like any other element.
+
+    The span of 1-units h_i maps onto the lattice L = R + sum Z vec h_i, held
+    in Hermite form: three rows, upper triangular, each with the coefficients
+    t_i for which it is sum t_i vec h_i modulo R.  Membership, the order of x
+    modulo the span and the exponents of x over the h_i all come from the
+    triangular solve of vec x against these rows."""
 
     def __init__(self, group: "ERamUnitGroup"):
         self.group = group
         p, n = group.field.p, group.level
         Ma, Mb = group._mods
-        self._rel = (Ma // p, Mb)
-        # log(1 + z) = sum_k (-1)^(k+1) z^k / k.  With ord z >= 1 the k-th term
-        # has ord >= k - 2 v_p(k), which is >= n for every k >= 2n when p >= 5;
-        # the terms kept are those below n.  z^k is formed mod pi^(n + 2V),
-        # p^V the largest p^v kept, so that z^k / p^v is exact mod pi^n.
+        # log(1 + z) = sum_k (-1)^(k+1) z^k / k.  With z in pi^2 O the k-th
+        # term has ord >= 2 (k - v_p(k)), which is >= n for every k >= n; the
+        # terms kept are those below n.  z^k is formed mod pi^(n + 2V), p^V
+        # the largest p^v kept, so that z^k / p^v is exact mod pi^n.
         self._terms = {}
-        for k in range(1, 2 * n):
+        for k in range(1, n):
             v = group.field.ground.val(k)
-            if k - 2 * v < n:
+            if 2 * (k - v) < n:
                 self._terms[k] = (p**v, (-1) ** (k + 1) * pow(k // p**v, -1, Ma))
         lift = max((pv for pv, _ in self._terms.values()), default=1)
         self._top = max(self._terms, default=0)
         self._lift = (Ma * lift, Mb * lift)
-        self._logs: list[tuple] = []
+        # (1 + pi)^(-c), 0 <= c < p
+        self._shifts = [group._pow(group._inv((1, 1)), c) for c in range(p)]
+        _, A, B = self.vec(group._pow((1, 1), p))
+        self._rel = [(p, -A, -B), (0, Ma // p, 0), (0, 0, Mb // p)]
+        self._vecs: list[tuple] = []
         self._orders: list[int] = []
         self._hermite()
 
-    def log(self, x: tuple) -> tuple:
-        """(A, B) of a 1-unit x = (a, b), any lift of its residue."""
+    def vec(self, x: tuple) -> tuple:
+        """(c, A, B) of a 1-unit x = (a, b), any lift of its residue."""
         g = self.group
         p, d = g.field.p, g.field.d
+        c = x[1] % p
+        y = g._mul(x, self._shifts[c])
         La, Lb = self._lift
-        z = ((x[0] - 1) % La, x[1] % Lb)
+        z = ((y[0] - 1) % La, y[1] % Lb)
         a = b = 0
         zk = (1, 0)
         for k in range(1, self._top + 1):
             zk = _pmul(zk, z, d, La, Lb)
             if k in self._terms:
-                pv, c = self._terms[k]
-                a += zk[0] // pv * c
-                b += zk[1] // pv * c
+                pv, t = self._terms[k]
+                a += zk[0] // pv * t
+                b += zk[1] // pv * t
         Ma, Mb = g._mods
-        a %= Ma
-        assert a % p == 0, "the log of a 1-unit lies in pi O"
-        return a // p, b % Mb
+        a, b = a % Ma, b % Mb
+        assert a % p == b % p == 0, "the log of U^2 lies in p O"
+        return c, a // p, b // p
 
     def _hermite(self) -> None:
-        P, Q = self._rel
-        r = len(self._logs)
-        rows = [(P, 0) + (0,) * r, (0, Q) + (0,) * r]
-        rows += [v + tuple(int(i == j) for j in range(r)) for i, v in enumerate(self._logs)]
-        self._h1, rest = _column_gcd(rows, 0)
-        self._h2, _ = _column_gcd(rest, 1)
-        self.max_exp = max(self._order_exp((1, 0)), self._order_exp((0, 1)))
+        r = len(self._vecs)
+        rows = [w + (0,) * r for w in self._rel]
+        rows += [w + tuple(int(i == j) for j in range(r)) for i, w in enumerate(self._vecs)]
+        h1, rows = _column_gcd(rows, 0)
+        h2, rows = _column_gcd(rows, 1)
+        h3, _ = _column_gcd(rows, 2)
+        self._rows = h1[:3], h2[1:3], h3[2]
+        # the coefficients of the three rows on each h_i
+        self._tails = list(zip(h1[3:], h2[3:], h3[3:]))
+        self.max_exp = max(self._order_exp(w) for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def _solve(self, w: tuple):
-        """Exponents of the vector w over the log h_i, modulo their orders,
+        """Exponents of the vector w over the vec h_i, modulo their orders,
         or None where w is outside L."""
-        (h11, h12, *t), (_, h22, *u) = self._h1, self._h2
+        (h11, h12, h13), (h22, h23), h33 = self._rows
         c1, r = divmod(w[0], h11)
         if r:
             return None
         c2, r = divmod(w[1] - c1 * h12, h22)
         if r:
             return None
-        return tuple((c1 * ti + c2 * ui) % m for ti, ui, m in zip(t, u, self._orders))
+        c3, r = divmod(w[2] - c1 * h13 - c2 * h23, h33)
+        if r:
+            return None
+        return tuple(
+            (c1 * t1 + c2 * t2 + c3 * t3) % m for (t1, t2, t3), m in zip(self._tails, self._orders)
+        )
 
     def _order_exp(self, w: tuple) -> int:
         p, j = self.group.field.p, 0
         while self._solve(w) is None:
-            w = (w[0] * p, w[1] * p)
+            w = tuple(p * x for x in w)
             j += 1
         return j
 
@@ -368,14 +365,14 @@ class _LogSpan:
 
     def order_exp(self, x: tuple) -> int:
         """Smallest j with x^(p^j) in the span."""
-        return self._order_exp(self.log(x))
+        return self._order_exp(self.vec(x))
 
     def exps(self, x: tuple) -> tuple:
         """The exponents of x, a 1-unit of the span, over the h_i."""
-        return self._solve(self.log(x))
+        return self._solve(self.vec(x))
 
     def add(self, h: tuple, order: int) -> None:
-        self._logs.append(self.log(h))
+        self._vecs.append(self.vec(h))
         self._orders.append(order)
         self._hermite()
 
@@ -400,18 +397,10 @@ class ERamUnitGroup(UnitGroup):
     ``E.elem(a, b)`` only at the end.  The basis is the Teichmueller
     generator followed by a greedy basis of the 1-units: the first candidate
     1 + pi (a + b sqrt(d)), a-major, of maximal order modulo the span so far,
-    corrected by the span so that its order is exact.  The span is held in
-    one of two ways, chosen by p:
-
-    - p >= 5: e = 2 < p - 1, so the p-adic log maps U^1/U^n isomorphically
-      onto pi O/pi^n O (Neukirch, *Algebraic Number Theory*, II 5.5), and the
-      span is a lattice in log coordinates (``_LogSpan``).  There is no
-      table: ``logs`` peels each key on first use, the Teichmueller exponent
-      from the residue mod p and the rest from one log and one triangular
-      solve.
-    - p = 3: ramified-up E holds the cube roots of unity, so the log is not
-      injective on U^1.  The span is a table of its elements
-      (``_TableSpan``), which ends as ``logs``, holding the whole group."""
+    corrected by the span so that its order is exact.  The span is a lattice
+    in the coordinates of ``_LogSpan``, at every odd p.  ``logs`` peels each
+    key on first use: the Teichmueller exponent from the residue mod p, the
+    1-unit exponents from one ``_LogSpan.vec`` and one triangular solve."""
 
     def __init__(self, E: QuadExtension, level: int):
         self.field = E
@@ -427,19 +416,16 @@ class ERamUnitGroup(UnitGroup):
         g = _primitive_root(p)
         s = pow(p**level, -1, p - 1)
         omega = (pow(g, (p**level) * s, p**ma), 0)
-        span = _TableSpan(self, omega) if p == 3 else _LogSpan(self)
-        basis = [(omega, p - 1)] + self._one_unit_basis(span)
-        self.gens = [E.elem(*h) for h, _ in basis]
-        self.orders = [m for _, m in basis]
-        if p == 3:
-            self.logs = span.logs
-            assert len(self.logs) == self.size, "unit group table has collisions"
-            return
-        self._span = span
         # residue mod p of omega^k -> (k, omega^-k)
         self._teich = {
             pow(omega[0], k, p): (k, self._pow(omega, (p - 1 - k) % (p - 1))) for k in range(p - 1)
         }
+        basis = [(omega, p - 1)]
+        if level > 1:  # at level 1 there are no 1-units
+            self._span = _LogSpan(self)
+            basis += self._one_unit_basis()
+        self.gens = [E.elem(*h) for h, _ in basis]
+        self.orders = [m for _, m in basis]
         self.logs = _PeeledLogs(self._peel)
 
     def _mul(self, x: tuple, y: tuple) -> tuple:
@@ -455,13 +441,14 @@ class ERamUnitGroup(UnitGroup):
         n_inv = pow(a * a - self.field.d * b * b, -1, Ma)
         return a * n_inv % Ma, -b * n_inv % Mb
 
-    def _one_unit_basis(self, span) -> list[tuple]:
+    def _one_unit_basis(self) -> list[tuple]:
         """Basis of the 1-units of O_E/pi^n, via greedy maximal orders.
 
-        ``span`` holds the span of the basis so far and grows with each basis
-        element until it holds all 1-units.  Where it knows the largest order
-        left (``span.max_exp``), the scan stops at the first candidate that
+        ``self._span`` holds the span of the basis so far and grows with each
+        basis element until it holds all 1-units.  It knows the largest order
+        left (``max_exp``), so the scan stops at the first candidate that
         reaches it, which is the one a full scan would keep."""
+        span = self._span
         p, d = self.field.p, self.field.d
         Ma, Mb = self._mods
         basis: list[tuple] = []
@@ -487,6 +474,8 @@ class ERamUnitGroup(UnitGroup):
 
     def _peel(self, key: tuple) -> tuple:
         k, omega_inv = self._teich[key[0] % self.field.p]
+        if self.level == 1:
+            return (k,)
         return (k,) + self._span.exps(self._mul(key, omega_inv))
 
     def dlog(self, x):

@@ -118,14 +118,14 @@ def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None, s=1) -> Cyc:
     return Cyc.zero()
 
 
-def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, extra=1, cvol=None) -> Cyc:
-    """Same shell integral by honest enumeration at a refined modulus; used
-    for stabilization checks."""
+def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, cvol=None) -> Cyc:
+    """Same shell integral by honest enumeration at a modulus one step finer;
+    used for stabilization checks."""
     K = chi.field
     q = K.q
     c = conductor_add(psi)
     V = _vol_O(psi, cvol)
-    m = max(chi.n, c - j, 1) + extra
+    m = max(chi.n, c - j, 1) + 1
     return shell_cyc(chi, psi, j, m, -1) * _qpow(q, -(j + m)) * V
 
 

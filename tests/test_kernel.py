@@ -219,15 +219,17 @@ def test_eram_dlog_agrees_with_power_table(p, ext, level):
         assert G.logs[key] == exps
 
 
-@settings(max_examples=60, deadline=None)
+# p = 3 up to level 14, far beyond any table: U^1 there holds the cube roots
+# of unity in ramified-up E
+@settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from([3, 5, 7]),
+    st.sampled_from([(p, n) for p in (3, 5, 7) for n in range(1, 6)] + [(3, n) for n in range(6, 15)]),
     st.sampled_from(RAMIFIED),
-    st.integers(1, 5),
-    st.tuples(st.integers(0, 342), st.integers(0, 342)),
-    st.tuples(st.integers(0, 342), st.integers(0, 342)),
+    st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
 )
-def test_eram_dlog_is_a_homomorphism(p, ext, level, x, y):
+def test_eram_dlog_is_a_homomorphism(case, ext, x, y):
+    p, level = case
     E = QuadExtension(PAdicGround(p), ext)
     G = unit_group(E, level)
     Ma, Mb = _ram_mods(p, level)
@@ -428,6 +430,33 @@ def test_f_logs_match_the_reference_table_sampled(case, key):
     gens, orders, logs = reference_f_logs(p, level)
     assert (G.gens, G.orders) == (gens, orders)
     assert G.logs[key] == logs[key]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.integers(1, 10),
+    st.integers(1, 10**12),
+    st.integers(1, 10**12),
+)
+def test_f_dlog_is_a_homomorphism(p, level, x, y):
+    G = unit_group(PAdicGround(p), level)
+    mod = p**level
+    x, y = (x + (x % p == 0)) % mod, (y + (y % p == 0)) % mod
+    (k,) = G.dlog(Fraction(x))
+    assert pow(int(G.gens[0]), k, mod) == x
+    assert G.dlog(Fraction(x * y)) == ((k + G.dlog(Fraction(y))[0]) % G.orders[0],)
+
+
+def test_no_unit_group_holds_a_table():
+    """A primitive character at a level far beyond any table peels only the
+    keys it reads: the conductor check reads the one key 1 + pi^(n-1)."""
+    unit_group.cache_clear()
+    for K, n in [(PAdicGround(5), 8), (QuadExtension(PAdicGround(3), "ramified-up"), 9)]:
+        G = unit_group(K, n)
+        chi = MultChar.from_angles(K, n, [Fraction(1, d) for d in G.orders], Phase.one())
+        assert chi.n == n
+        assert len(G.logs) <= 2 < G.size
 
 
 # -- conductor minimality ------------------------------------------------------------
