@@ -12,8 +12,9 @@ comes from the residue mod p.  The 1-units are digit-peeled on F (powers of
 u = g^(p-1)) and on unramified E ((1+p) x (1+p sqrt(d))); on ramified E they
 get a greedy basis, found and solved in coordinates that the p-adic log
 makes linear at every odd p (``_LogSpan``; Neukirch, *Algebraic Number
-Theory*, II (5.5)).  Generators become field elements once, at the end.  ``unit_group`` refuses a level whose residues
-need more digits than the field carries.
+Theory*, II (5.5)).  Generators become field elements once, at the end.
+``unit_group`` refuses a level whose residues need more digits than the
+field carries.
 
 ``G.one_unit_gens(m)`` is a generating set of (1+pi^m O)/(1+pi^n O), not the
 whole subgroup: {1+p^m} on F, {1+p^m, 1+p^m sqrt(d)} on unramified E, and

@@ -141,6 +141,15 @@ def _pair_mul(x, y, d, mod, mod_b=None):
     return (x[0] * y[0] + d * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod_b
 
 
+def _pair_pow(x, k, d, mod, mod_b):
+    out = (1, 0)
+    for bit in bin(k)[2:]:
+        out = _pair_mul(out, out, d, mod, mod_b)
+        if bit == "1":
+            out = _pair_mul(out, x, d, mod, mod_b)
+    return out
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("level", [1, 2])
 def test_eunram_dlog_agrees_with_power_table(p, level):
@@ -223,7 +232,9 @@ def test_eram_dlog_agrees_with_power_table(p, ext, level):
 # of unity in ramified-up E
 @settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from([(p, n) for p in (3, 5, 7) for n in range(1, 6)] + [(3, n) for n in range(6, 15)]),
+    st.sampled_from(
+        [(p, n) for p in (3, 5, 7) for n in range(1, 6)] + [(3, n) for n in range(6, 15)]
+    ),
     st.sampled_from(RAMIFIED),
     st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
     st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
@@ -239,6 +250,11 @@ def test_eram_dlog_is_a_homomorphism(case, ext, x, y):
     got = G.dlog(E.elem(*xy))
     want = tuple((a + b) % d for a, b, d in zip(G.dlog(E.elem(*x)), G.dlog(E.elem(*y)), G.orders))
     assert got == want
+    # the exponents rebuild x from the generators
+    acc = (1, 0)
+    for g, e in zip(G.gens, G.dlog(E.elem(*x))):
+        acc = _pair_mul(acc, _pair_pow((int(g.a), int(g.b)), e, E.d, Ma, Mb), E.d, Ma, Mb)
+    assert acc == x
 
 
 # Generators, as coordinate pairs (a, b) = a + b sqrt(d), and their orders, as
