@@ -86,11 +86,6 @@ class RChar:
         return RChar(-complex(self.lam), self.m % 2)
 
 
-def mu_nu_sigma_char(mu: CChar, nu: CChar) -> CChar:
-    """mu * nu^sigma as a CChar (canonical |z|^{L - N/2} z^N form)."""
-    return mu.mul(nu.sigma())
-
-
 # ---------------------------------------------------------------------------
 # archimedean Tate factors (closed forms, validated by the quadrature oracle)
 # ---------------------------------------------------------------------------
@@ -489,7 +484,7 @@ def eps_gal_arch(mu: CChar, nu: CChar, a: float = 1.0) -> ArchFactor:
     t1, e1 = mu.restrict_exponents()
     t2, e2 = nu.restrict_exponents()
     out = tate_eps_real(RChar(t1, e1), a) * tate_eps_real(RChar(t2, e2), a)
-    out = out * tate_eps_complex(mu_nu_sigma_char(mu, nu), a)
+    out = out * tate_eps_complex(mu.mul(nu.sigma()), a)
     return out * lambda_C_R(a)
 
 

@@ -357,11 +357,18 @@ class MultChar:
         return MultChar(self.field, self.n, self.angles, self.t, _add_lam(self.lam, w))
 
     def is_trivial(self) -> bool:
-        if self.n != 0 or self.lam != 0:
+        """Exact on exact data (Fraction lam, exact t); within 1e-9 on float
+        data (complex lam, approximate t), which carries rounding."""
+        if self.n != 0:
+            return False
+        if isinstance(self.lam, Fraction):
+            if self.lam != 0:
+                return False
+        elif abs(self.lam) > 1e-9:
             return False
         if self.t.is_exact:
-            return self.t.angle % 1 == 0
-        return self.t.value() == 1
+            return self.t.angle == 0
+        return abs(self.t.value() - 1) < 1e-9
 
     def to_json(self) -> dict:
         t = {"angle": str(self.t.angle)} if self.t.is_exact else [

@@ -21,7 +21,6 @@ from .asai import (
     TwistedPair,
     dichotomy_sign,
     eps_gal_comparison,
-    eps_rs,
     gamma_psr,
     gamma_rs,
     l_rs,
@@ -241,7 +240,6 @@ def cmd_asai(args) -> int:
     grid = _parse_grid(args)
     tol = _parse_tol(args)
     gamma = gamma_rs(inp)
-    eps = eps_rs(inp, check=False)
     L = l_rs(inp)
     comparison = eps_gal_comparison(inp, grid, tol)
     payload = {
@@ -249,7 +247,7 @@ def cmd_asai(args) -> int:
         "psi/xi renormalized internally by the dependence laws",
         "normalization_corrections": _corrections(inp),
         "gamma_rs": gamma.to_json(),
-        "eps_rs": eps.to_json(),
+        "eps_rs": comparison["eps_rs"],
         "L_rs": L.to_json(),
         "gamma_table": eval_table(gamma, grid),
         "galois_comparison": comparison,

@@ -144,17 +144,6 @@ class NonArchFactor:
             flip(self.den),
         )
 
-    def shift(self, v: complex) -> "NonArchFactor":
-        """s -> s + v; v folds into the constants."""
-        move = lambda fs: tuple((alpha * self.q ** (-a * v), a, b) for alpha, a, b in fs)
-        return NonArchFactor(
-            self.q,
-            self.c * self.q ** (-self.m * v),
-            self.m,
-            move(self.num),
-            move(self.den),
-        )
-
     def rebase(self, q_new: int) -> "NonArchFactor":
         """Rewrite over a smaller base with q = q_new^f."""
         if q_new == self.q:
@@ -278,14 +267,6 @@ class ArchFactor:
             self.c,
             tuple((-a, complex(a) + b, m) for a, b, m in self.gammas),
             tuple((base, -u, complex(u) + v) for base, u, v in self.expos),
-        )
-
-    def shift(self, w: complex) -> "ArchFactor":
-        """s -> s + w."""
-        return ArchFactor(
-            self.c,
-            tuple((a, b + complex(a) * w, m) for a, b, m in self.gammas),
-            tuple((base, u, v + complex(u) * w) for base, u, v in self.expos),
         )
 
     def to_json(self) -> dict:

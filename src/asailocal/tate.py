@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .characters import AddChar, MultChar, conductor_add, shell_cyc, shell_sum
 from .cyclotomic import Cyc
@@ -40,11 +41,6 @@ def tate_L(chi: MultChar) -> NonArchFactor:
     if chi.is_ramified:
         return NonArchFactor.one(q)
     return NonArchFactor.euler_inverse(q, chi.t_full())
-
-
-def tate_L_dual_reflected(chi: MultChar) -> NonArchFactor:
-    """L(1-s, chi^{-1}) as a factor in s."""
-    return tate_L(chi.inv()).reflect()
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +287,7 @@ def _certify_gamma(fac: NonArchFactor, chi: MultChar, psi: AddChar) -> None:
 def tate_eps(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor:
     """eps = gamma * L(s,chi) / L(1-s,chi^{-1}); structurally a monomial."""
     gamma = tate_gamma(chi, psi, check=check)
-    eps = gamma * tate_L(chi) / tate_L_dual_reflected(chi)
+    eps = gamma * tate_L(chi) / tate_L(chi.inv()).reflect()
     try:
         eps.as_monomial()
     except ValueError as exc:
@@ -299,11 +295,13 @@ def tate_eps(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor:
     return eps
 
 
+@lru_cache(maxsize=None)
 def langlands_constant(E, psi: AddChar) -> complex:
     """lambda_{E/F}(psi) := eps(1/2, omega_{E/F}, psi).
 
     The non-archimedean convention is pinned so that lambda_{C/R}(psi^a) =
     sgn(a) i is the archimedean specialization (see :mod:`asailocal.arch`).
+    Cached per (E, psi): the first call runs the certified tate_eps.
     """
     from .characters import omega_quadratic
 

@@ -1,8 +1,9 @@
 """The verification suites: every closed-form identity the library computes
 is replayed against its independent oracle here.
 
-Each suite function returns a report dict with at least ``name``, ``ok``,
-``max_deviation`` and ``detail``; the CLI ``verify`` subcommand and the
+Each suite function returns one report shape, ``name``, ``ok``,
+``max_deviation`` and ``detail`` (:func:`_report`), and :func:`run_suites`
+adds the suite's ``elapsed`` time.  The CLI ``verify`` subcommand and the
 acceptance tests both run these, with the acceptance tests pinning the
 sample counts and tolerances.
 """
@@ -33,6 +34,11 @@ from .unitgroups import unit_group
 from .whittaker import InducedSection, w_case1, w_case2
 
 
+def _report(name: str, ok, worst, detail: str) -> dict:
+    """A suite's report; :func:`run_suites` adds ``elapsed``."""
+    return {"name": name, "ok": bool(ok), "max_deviation": float(worst), "detail": detail}
+
+
 def _rand_char(K, n, rng, t_den=12) -> MultChar:
     G = unit_group(K, n)
     angles = [Fraction(rng.randrange(d), d) for d in G.orders]
@@ -51,7 +57,6 @@ def _rand_char_up_to(K, max_n, rng) -> MultChar:
 
 def suite_gauss_modulus(ps=(3, 5, 7), max_n=3, tol=1e-9) -> dict:
     """|gauss_sum(chi, psi0)| = p^{n/2} for all primitive chi, c(chi) <= 3."""
-    t0 = time.time()
     worst = 0.0
     count = 0
     for p in ps:
@@ -67,19 +72,14 @@ def suite_gauss_modulus(ps=(3, 5, 7), max_n=3, tol=1e-9) -> dict:
                 g = gauss_sum(chi, psi)
                 worst = max(worst, abs(abs(g) - p ** (n / 2)))
                 count += 1
-    return {
-        "name": "gauss-sum-modulus",
-        "ok": worst < tol,
-        "max_deviation": worst,
-        "detail": f"{count} primitive characters over p in {ps}",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "gauss-sum-modulus", worst < tol, worst, f"{count} primitive characters over p in {ps}"
+    )
 
 
 def suite_phi_independence(num=50, ps=(3, 5), max_n=2, tol=1e-10, seed=2) -> dict:
     """The Tate functional-equation ratio is the same for three different
     test functions, for random characters."""
-    t0 = time.time()
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(num):
@@ -90,20 +90,18 @@ def suite_phi_independence(num=50, ps=(3, 5), max_n=2, tol=1e-10, seed=2) -> dic
         fac = tate_gamma(chi, psi, check=False)
         for _, _, dev in phi_deviations(fac, chi, psi):
             worst = max(worst, dev)
-    return {
-        "name": "tate-phi-independence",
-        "ok": worst < tol,
-        "max_deviation": worst,
-        "detail": f"{num} random characters, 3 test functions, 3 s-points",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "tate-phi-independence",
+        worst < tol,
+        worst,
+        f"{num} random characters, 3 test functions, 3 s-points",
+    )
 
 
 def suite_theorem_a_unramified(per_type=10, ps=(3, 5), tol=1e-8, seed=3) -> dict:
     """gamma_RS equals the spherical zeta-integral ratio on the grid."""
     from .whittaker import spherical_gamma_oracle
 
-    t0 = time.time()
     rng = random.Random(seed)
     worst = 0.0
     for p in ps:
@@ -122,13 +120,12 @@ def suite_theorem_a_unramified(per_type=10, ps=(3, 5), tol=1e-8, seed=3) -> dict
                 # box-robustness at one s
                 lhs = spherical_gamma_oracle(0.7, mu, nu, E, box_level=1)
                 worst = max(worst, abs(lhs - gam.eval(0.7)) / abs(gam.eval(0.7)))
-    return {
-        "name": "theorem-a-spherical-oracle",
-        "ok": worst < tol,
-        "max_deviation": worst,
-        "detail": f"{per_type} random unramified pairs x 3 extensions x p in {ps}",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "theorem-a-spherical-oracle",
+        worst < tol,
+        worst,
+        f"{per_type} random unramified pairs x 3 extensions x p in {ps}",
+    )
 
 
 def _find_char(E, lvl, want_ramified_restriction, t_angle=Fraction(1, 3)):
@@ -149,7 +146,6 @@ def _find_char(E, lvl, want_ramified_restriction, t_angle=Fraction(1, 3)):
 def suite_whittaker_closed_forms(ps=(3, 5), tol=0.0) -> dict:
     """The averaged-section Whittaker values reproduce the two closed forms
     exactly (cyclotomic arithmetic, zero deviation)."""
-    t0 = time.time()
     checked = 0
     for p in ps:
         F = PAdicGround(p)
@@ -172,13 +168,12 @@ def suite_whittaker_closed_forms(ps=(3, 5), tol=0.0) -> dict:
                             else Cyc.zero()
                         )
                         if not (got - want).is_zero():
-                            return {
-                                "name": "whittaker-closed-forms",
-                                "ok": False,
-                                "max_deviation": float("inf"),
-                                "detail": f"case-1 mismatch at p={p} {ext} c={lvl} a={a}",
-                                "elapsed": time.time() - t0,
-                            }
+                            return _report(
+                                "whittaker-closed-forms",
+                                False,
+                                float("inf"),
+                                f"case-1 mismatch at p={p} {ext} c={lvl} a={a}",
+                            )
                         checked += 1
             for lvl in (1, 2) if E.e == 1 else (2,):
                 mu = _find_char(E, lvl, False)
@@ -200,26 +195,23 @@ def suite_whittaker_closed_forms(ps=(3, 5), tol=0.0) -> dict:
                     if va >= 1 - r:
                         want = want + Cyc.rational(Fraction(p) ** (-va))
                     if not (got - want).is_zero():
-                        return {
-                            "name": "whittaker-closed-forms",
-                            "ok": False,
-                            "max_deviation": float("inf"),
-                            "detail": f"case-2 mismatch at p={p} {ext} c={lvl} a={a}",
-                            "elapsed": time.time() - t0,
-                        }
+                        return _report(
+                            "whittaker-closed-forms",
+                            False,
+                            float("inf"),
+                            f"case-2 mismatch at p={p} {ext} c={lvl} a={a}",
+                        )
                     checked += 1
-    return {
-        "name": "whittaker-closed-forms",
-        "ok": True,
-        "max_deviation": 0.0,
-        "detail": f"{checked} exact values (both closed forms, all extension types)",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "whittaker-closed-forms",
+        True,
+        0.0,
+        f"{checked} exact values (both closed forms, all extension types)",
+    )
 
 
 def suite_eps_corollary(num=20, ps=(3, 5), tol=1e-8, seed=5) -> dict:
     """eps_RS = omega(xi)|xi^2|^{s-1/2} lambda^{-1} eps_Gal on the grid."""
-    t0 = time.time()
     rng = random.Random(seed)
     worst = 0.0
     for k in range(num):
@@ -233,19 +225,17 @@ def suite_eps_corollary(num=20, ps=(3, 5), tol=1e-8, seed=5) -> dict:
         chi = _rand_char_up_to(F, 2, rng) if rng.random() < 0.5 else None
         rep = eps_gal_comparison(AsaiInput(E, mu, nu, psi, xi, chi), tol=tol)
         worst = max(worst, rep["max_deviation"])
-    return {
-        "name": "eps-corollary-comparison",
-        "ok": worst < tol,
-        "max_deviation": worst,
-        "detail": f"{num} random principal-series inputs (ramified and unramified E)",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "eps-corollary-comparison",
+        worst < tol,
+        worst,
+        f"{num} random principal-series inputs (ramified and unramified E)",
+    )
 
 
 def suite_arch_cases(tol=1e-6) -> dict:
     """Z/L_Gal equals the tabulated constant per parity class; eps_RS lies in
     {1, i, -i} as tabulated; the eps relation holds per case."""
-    t0 = time.time()
     worst = 0.0
     pairs = [(2, 0), (3, 1), (2, 1), (3, 0), (1, 1), (0, 0), (4, 2), (0, -3)]
     seen = set()
@@ -257,25 +247,17 @@ def suite_arch_cases(tol=1e-6) -> dict:
         worst = max(worst, rep["spread"], rep["ratio_dev"], rep["relation_dev"])
         worst = max(worst, abs(rep["eps_rs"] - rep["eps_rs_expected"]))
         if not rep["ok"]:
-            return {
-                "name": "arch-case-table",
-                "ok": False,
-                "max_deviation": worst,
-                "detail": f"case {rep['case']} failed: {rep}",
-                "elapsed": time.time() - t0,
-            }
-    return {
-        "name": "arch-case-table",
-        "ok": worst < tol and seen == {1, 2, 3, 4, 5},
-        "max_deviation": worst,
-        "detail": f"cases seen: {sorted(seen)}",
-        "elapsed": time.time() - t0,
-    }
+            return _report("arch-case-table", False, worst, f"case {rep['case']} failed: {rep}")
+    return _report(
+        "arch-case-table",
+        worst < tol and seen == {1, 2, 3, 4, 5},
+        worst,
+        f"cases seen: {sorted(seen)}",
+    )
 
 
 def suite_closed_vs_quadrature(num=10, tol=1e-6, seed=7) -> dict:
     """Lemma closed form against 2-D quadrature for random admissible data."""
-    t0 = time.time()
     rng = random.Random(seed)
     worst = 0.0
     done = 0
@@ -301,17 +283,12 @@ def suite_closed_vs_quadrature(num=10, tol=1e-6, seed=7) -> dict:
     # one selection-rule violation must quadrature to zero
     z = arch.whittaker_value_quadrature(1.0, (1, 0), (0, 0), arch.CChar(0, 0), arch.CChar(0, 0))
     worst = max(worst, abs(z))
-    return {
-        "name": "arch-closed-vs-quadrature",
-        "ok": worst < tol,
-        "max_deviation": worst,
-        "detail": f"{num} admissible indices at s=2.4+0.2j",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "arch-closed-vs-quadrature", worst < tol, worst, f"{num} admissible indices at s=2.4+0.2j"
+    )
 
 
 def suite_combinatorial(max_n=6, num=20, tol=1e-9, seed=11) -> dict:
-    t0 = time.time()
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(num):
@@ -320,18 +297,13 @@ def suite_combinatorial(max_n=6, num=20, tol=1e-9, seed=11) -> dict:
         for N in range(max_n + 1):
             _, _, dev = arch.combinatorial_identity(N, z, w)
             worst = max(worst, dev)
-    return {
-        "name": "gamma-combinatorial-identity",
-        "ok": worst < tol,
-        "max_deviation": worst,
-        "detail": f"N <= {max_n}, {num} random (z, w)",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "gamma-combinatorial-identity", worst < tol, worst, f"N <= {max_n}, {num} random (z, w)"
+    )
 
 
 def suite_theorem_b(num=20, ps=(3, 5), tol=1e-8, seed=13) -> dict:
     """assembly-1 (zeta side) equals assembly-2 (Galois side) on the grid."""
-    t0 = time.time()
     rng = random.Random(seed)
     worst = 0.0
     for k in range(num):
@@ -345,19 +317,14 @@ def suite_theorem_b(num=20, ps=(3, 5), tol=1e-8, seed=13) -> dict:
         tau = TwistedPair(_rand_char_up_to(F, 2, rng), _rand_char_up_to(F, 2, rng), v2)
         _, rep = gamma_psr(AsaiInput(E, mu, nu, psi, E.xi(), None, tau), tol=tol)
         worst = max(worst, rep["max_deviation"])
-    return {
-        "name": "theorem-b-internal-equality",
-        "ok": worst < tol,
-        "max_deviation": worst,
-        "detail": f"{num} random twisted inputs",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "theorem-b-internal-equality", worst < tol, worst, f"{num} random twisted inputs"
+    )
 
 
 def suite_dependence_laws(tol=1e-8, seed=17) -> dict:
     """psi- and xi-scaling transformation laws of the computed factors, for
     gamma_RS, gamma_PSR, and the archimedean relation."""
-    t0 = time.time()
     rng = random.Random(seed)
     worst = 0.0
     for p in (3, 5):
@@ -407,19 +374,17 @@ def suite_dependence_laws(tol=1e-8, seed=17) -> dict:
                 )
                 rhs = eg.eval(s)
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return {
-        "name": "dependence-laws",
-        "ok": worst < tol,
-        "max_deviation": worst,
-        "detail": "psi-shift and xi-scale laws for gamma_RS/gamma_PSR and the arch relation",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "dependence-laws",
+        worst < tol,
+        worst,
+        "psi-shift and xi-scale laws for gamma_RS/gamma_PSR and the arch relation",
+    )
 
 
 def suite_dichotomy(num=20, ps=(3, 5), tol=1e-8, seed=19) -> dict:
     """The central sign is +-1 for omega = 1 bundles and is invariant under
     psi/xi rescaling."""
-    t0 = time.time()
     rng = random.Random(seed)
     worst = 0.0
     signs = set()
@@ -444,13 +409,12 @@ def suite_dichotomy(num=20, ps=(3, 5), tol=1e-8, seed=19) -> dict:
         )
         if not (s0 == s1 == s2):
             worst = 1.0
-    return {
-        "name": "dichotomy-sign",
-        "ok": worst < tol and signs <= {1, -1},
-        "max_deviation": worst,
-        "detail": f"{num} omega=1 bundles; signs seen: {sorted(signs)}",
-        "elapsed": time.time() - t0,
-    }
+    return _report(
+        "dichotomy-sign",
+        worst < tol and signs <= {1, -1},
+        worst,
+        f"{num} omega=1 bundles; signs seen: {sorted(signs)}",
+    )
 
 
 SUITES = {
@@ -477,13 +441,13 @@ SUITE_GROUPS = {
 def run_suites(names=None) -> list[dict]:
     """Run the named suites (all when ``names`` is empty) in sorted order.
 
-    Each report's ``ok`` and ``max_deviation`` are normalised to bool and
-    float, and a one-line [PASS]/[FAIL] summary goes to stderr."""
+    Each report gets the suite's wall time as ``elapsed``, and a one-line
+    [PASS]/[FAIL] summary goes to stderr."""
     out = []
     for name in sorted(names or SUITES):
+        t0 = time.time()
         rep = SUITES[name]()
-        rep["ok"] = bool(rep["ok"])
-        rep["max_deviation"] = float(rep["max_deviation"])
+        rep["elapsed"] = time.time() - t0
         status = "PASS" if rep["ok"] else "FAIL"
         print(
             f"[{status}] {rep['name']}: max deviation {rep['max_deviation']:.3e} "

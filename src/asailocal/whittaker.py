@@ -11,8 +11,9 @@ tested with zero deviation.
 There is one value backend: every section value is a :class:`Cyc`.  The
 half-integral powers q^(k+1/2) that |det|^(1/2) and self-dual volumes bring
 in stay exact too, because sqrt(p) is a quadratic Gauss sum; ``to_complex()``
-gives the floating value.  The spherical vector and its zeta integral are
-evaluated in floating point from their closed-form tails.
+gives the floating value.  The spherical zeta integral, the oracle for
+unramified gamma_RS, is evaluated in floating point from its closed-form
+tails.
 
 The big-cell integral never builds a shifted additive character: the shell
 and coset sums take psi and a multiplier s and sum psi(s t), whose conductor
@@ -40,7 +41,7 @@ from .characters import (
 )
 from .cyclotomic import Cyc
 from .factors import PoleError
-from .padic import PAdicGround, QuadExtension, legendre
+from .padic import QuadExtension, legendre
 
 
 class StabilizationError(AssertionError):
@@ -273,17 +274,11 @@ def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cy
     return pref * core
 
 
-def whittaker_from_section(sec: InducedSection, y, verify_stability=True) -> Cyc:
-    """W(diag(y,1)) for the section, with the stabilization check on."""
-    return whittaker_value(sec, ((y, 0), (0, 1)), verify_stability)
-
-
 # -- the paper's averaged test vectors ---------------------------------------
 #
-# The averaged families need three matrix shapes, written out directly:
+# The averaged families need two matrix shapes, written out directly:
 #   diag(a,1) u_-(x)         = ((a, 0), (x, 1)),
-#   diag(a,1) w1 u_-(u)      = ((-a u, -a), (1, 0)),   w1 = ((0, -1), (1, 0)),
-#   ((y, 0), (x, 1)) w1      = ((0, -y), (1, -x)).
+#   diag(a,1) w1 u_-(u)      = ((-a u, -a), (1, 0)),   w1 = ((0, -1), (1, 0)).
 
 
 def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int) -> Cyc:
@@ -340,41 +335,9 @@ def w_case2(sec: InducedSection, a) -> Cyc:
     return Cyc.sum(whittaker_value(sec, M) for M in mats)
 
 
-def w_rho_w1(sec: InducedSection, y, x) -> Cyc:
-    """rho(w1) W_{psi_xi, f} at [[y, 0], [x, 1]] (the (E:2.2.2) shape)."""
-    return whittaker_value(sec, ((0, -y), (1, -x)))
-
-
 # ---------------------------------------------------------------------------
-# spherical Whittaker values and the zeta oracle
+# the spherical zeta integral and the gamma oracle
 # ---------------------------------------------------------------------------
-
-
-def spherical_whittaker(mu: MultChar, nu: MultChar, psi_xi: AddChar, y) -> complex:
-    """W(diag(y,1)) for the spherical section, via the big-cell Fourier
-    integral with its finite shell expansion.  Unramified mu, nu only."""
-    E: QuadExtension = mu.field
-    if mu.n or nu.n:
-        raise ValueError("spherical vector needs unramified mu, nu")
-    c = conductor_add(psi_xi)
-    y = E.embed(y)
-    if y.is_zero():
-        raise ValueError("y must be nonzero")
-    n = E.val(y)
-    q = E.q
-    x_ratio = mu.t_full() / nu.t_full()
-    # Ihat(y) = int h(u) psi_xi(-y u) du, h = 1_O + (nu/mu)|.|^{-1} tail,
-    # J_w = q^w 1[n-w>=c] - q^{w-1} 1[n-w>=c-1]
-    total = complex(1.0 if n >= c else 0.0)
-    w = 1
-    while n - w >= c - 1:
-        j1 = 1 if n - w >= c else 0
-        j2 = 1 if n - w >= c - 1 else 0
-        jw = q**w * j1 - q ** (w - 1) * j2
-        total += x_ratio**w * q ** (-w) * jw
-        w += 1
-    vol = float(q ** Fraction(c, 2))
-    return nu.value(y) * q ** (-n / 2) * total * vol
 
 
 def spherical_zeta(
@@ -384,15 +347,13 @@ def spherical_zeta(
     E: QuadExtension,
     eta: Optional[MultChar] = None,
     box_level: int = 0,
-    normalize: bool = False,
-    strict: bool = False,
 ) -> complex:
     """Z(s, W, Phi) for the spherical Whittaker vector and the radial box
     Phi = 1[max(|x|,|y|) <= q^{-box_level}], by Iwasawa reduction to a double
     shell series whose tails are geometric and summed in closed form.
 
-    The closed form is the meromorphic continuation; with ``strict`` the
-    convergence abscissa is enforced and violations raise PoleError.
+    The closed form is the meromorphic continuation.  W is not normalized:
+    W(1) = 1 - (mu/nu)(pi)/q_E.
     """
     if mu.n or nu.n:
         raise ValueError("spherical oracle needs unramified mu, nu")
@@ -409,16 +370,6 @@ def spherical_zeta(
     omega_p = mu.value(E.embed(F.p)) * nu.value(E.embed(F.p))
     R = omega_p * eta_p**2 * q ** (-2 * s)
     D = t_nu**e * eta_p * q ** (-s) * 1.0
-    if strict:
-        import math
-
-        bounds = [
-            math.log(abs(omega_p * eta_p**2), q) / 2,
-            math.log(abs(t_nu**e * eta_p), q),
-            math.log(abs(t_mu**e * eta_p), q),
-        ]
-        if complex(s).real <= max(bounds):
-            raise PoleError(f"series diverges for Re(s) <= {max(bounds)}")
     for r in (R, D, D * x**e):
         if abs(r - 1) < 1e-13:
             raise PoleError(s)
@@ -426,14 +377,9 @@ def spherical_zeta(
     if abs(x - 1) > 1e-12:
         A = (1 - x / qE) / (1 - x)
         v_series = A * (1 / (1 - D) - x / (1 - D * x**e))
-        norm = A * (1 - x)
     else:
         v_series = (1 - 1 / qE) * (e * D / (1 - D) ** 2 + 1 / (1 - D))
-        norm = 1 - 1 / qE
-    out = t2_series * v_series
-    if normalize:
-        out /= norm
-    return out
+    return t2_series * v_series
 
 
 def spherical_gamma_oracle(
@@ -447,55 +393,3 @@ def spherical_gamma_oracle(
     num *= q ** (-2.0 * box_level)
     den = spherical_zeta(s, mu, nu, E, box_level=box_level)
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# Fourier transforms of 2-D boxes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Box2:
-    """coef * bx(x) * by(y) with modulated 1-D boxes over F."""
-
-    bx: "tuple"  # (mult, center, level)
-    by: "tuple"
-    coef: complex = 1.0
-
-    def value(self, psi: AddChar, x, y) -> complex:
-        return self.coef * _box1_value(psi, self.bx, x) * _box1_value(psi, self.by, y)
-
-
-def _box1_value(psi: AddChar, box, x) -> complex:
-    mult, center, level = box
-    F: PAdicGround = psi.field
-    diff = Fraction(x) - Fraction(center)
-    if diff != 0 and F.val(diff) < level:
-        return 0j
-    return psi.value(Fraction(mult) * Fraction(x)) if mult else 1.0 + 0j
-
-
-def _box1_fourier(psi: AddChar, box) -> tuple:
-    """Transform (m, a, n) -> scaled (a, -m, c-n) under f^(y)=int f psi(xy)dx."""
-    mult, center, level = box
-    F: PAdicGround = psi.field
-    c = conductor_add(psi)
-    scale = float(F.q ** Fraction(c, 2)) * F.q ** float(-level)
-    phase = psi.value(Fraction(center) * Fraction(mult)) if mult else 1.0
-    return (Fraction(center), -Fraction(mult), c - level), scale * phase
-
-
-def _box1_negate(box_and_scale):
-    (mult, center, level), scale = box_and_scale
-    return (-mult, -center, level), scale
-
-
-def fourier_transform_boxes(phi: list, psi: AddChar) -> list:
-    """Symplectic transform Phi^(x,y) = int Phi(u,v) psi(uy - vx) du dv for a
-    linear combination of 2-D modulated boxes."""
-    out = []
-    for b in phi:
-        new_by, s1 = _box1_fourier(psi, b.bx)
-        new_bx, s2 = _box1_negate(_box1_fourier(psi, b.by))
-        out.append(Box2(bx=new_bx, by=new_by, coef=b.coef * s1 * s2))
-    return out

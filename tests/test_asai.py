@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import asailocal.asai as asai_mod
+import asailocal.tate as tate_mod
 from asailocal.asai import (
     AsaiInput,
     TwistedPair,
     dichotomy_sign,
+    eps_gal,
     eps_gal_comparison,
     eps_rs,
     gamma_gal,
@@ -18,6 +21,7 @@ from asailocal.asai import (
 from asailocal.characters import (
     MultChar,
     Phase,
+    extend_from_F,
     restrict_to_F,
     standard_psi,
 )
@@ -88,9 +92,7 @@ def test_eps_comparison_fully_unramified_is_one():
     assert m == 0 and abs(c - 1) < 1e-12
     rep = eps_gal_comparison(inp)
     assert rep["ok"]
-    from asailocal.asai import eps_gal
-
-    cg, mg = eps_gal(inp, check=False).as_monomial()
+    cg, mg = eps_gal(inp).as_monomial()
     assert mg == 0 and abs(cg - 1) < 1e-12
 
 
@@ -130,7 +132,42 @@ def test_gamma_rs_dual_involution():
             assert abs(g.eval(s) * gd.eval(1 - s) - 1) < 1e-9
 
 
+def _relative_kernel_char(E: QuadExtension, model: MultChar) -> MultChar:
+    """A nontrivial character of E^x that is trivial on F^x, at the level of
+    ``model`` or above."""
+    level = max(model.n, E.e)
+    G = unit_group(E, level)
+    F = E.ground
+    MF = (level + E.e - 1) // E.e
+    GF = unit_group(F, MF)
+    g_exps = G.dlog(E.embed(GF.gens[0])) if GF.gens else tuple(0 for _ in G.gens)
+    # search a small nonzero angle vector vanishing on the F-unit generator
+    for i in range(len(G.gens)):
+        for k in range(1, G.orders[i]):
+            angles = [Fraction(0)] * len(G.gens)
+            angles[i] = Fraction(k, G.orders[i])
+            tot = sum(e * a for e, a in zip(g_exps, angles)) % 1
+            if tot == 0:
+                eta = MultChar(E, level, angles, Phase.one(), 0).reduced()
+                # fix eta(p) = 1 through the uniformizer value
+                pi = E.uniformizer()
+                u_p = E.embed(F.p) * (pi ** E.e).inv()
+                resid = eta.unit_angle(u_p)
+                t = Phase.exact((-resid) / E.e)
+                eta = MultChar(E, eta.n, eta.angles, t, 0)
+                if abs(eta.value(E.embed(F.p)) - 1) < 1e-12 and not (
+                    eta.n == 0 and eta.t.angle == 0
+                ):
+                    return eta
+    # fall back: unramified character killed by the norm index (e = 1 only)
+    if E.e == 1:
+        return MultChar.unramified(E, Phase.exact(Fraction(1, 2)))
+    raise AssertionError("no relative kernel character found")
+
+
 def test_twist_extension_independence():
+    # gamma_RS(mu, nu, chi) = gamma_RS(mu eta, nu eta, chi) for eta trivial on
+    # F^x: the factor does not depend on how chi is extended to E^x
     rng = random.Random(12)
     for p in (3, 5):
         F = PAdicGround(p)
@@ -139,9 +176,10 @@ def test_twist_extension_independence():
             E = QuadExtension(F, ext)
             mu, nu = rand_char(E, 1, rng), rand_char(E, 1, rng)
             chi = rand_char(F, 1, rng)
-            inp = AsaiInput(E, mu, nu, psi, E.xi(), chi)
-            gA = gamma_rs(inp, check=False, extension_choice=0)
-            gB = gamma_rs(inp, check=False, extension_choice=1)
+            eta = _relative_kernel_char(E, extend_from_F(chi, E))
+            assert not eta.is_trivial() and restrict_to_F(eta).is_trivial()
+            gA = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi(), chi), check=False)
+            gB = gamma_rs(AsaiInput(E, mu.mul(eta), nu.mul(eta), psi, E.xi(), chi), check=False)
             ok, dev = approx_equal(gA, gB, DEFAULT_GRID, 1e-8)
             assert ok, (p, ext, dev)
 
@@ -271,7 +309,7 @@ def test_gamma_gal_equals_gamma_rs_up_to_corollary_factor():
         chi = rand_char(F, 1, rng)
         inp = AsaiInput(E, mu, nu, psi, E.xi(), chi)
         g_rs = gamma_rs(inp, check=False)
-        g_gal = gamma_gal(inp, check=False)
+        g_gal = gamma_gal(inp)
         lam = langlands_constant(E, psi)
         mu_t, nu_t = _twisted_chars(inp)
         omega_xi = mu_t.value(inp.xi) * nu_t.value(inp.xi)
@@ -286,3 +324,57 @@ def test_theorem_b_assemblies_agree_at_p7():
     # ramified unit groups up to level 6 at p = 7
     out = suite_theorem_b(ps=(7,))
     assert out["ok"], out["max_deviation"]
+
+
+def _twisted_input(p=3, ext=UNRAMIFIED, seed=20):
+    rng = random.Random(seed)
+    F = PAdicGround(p)
+    E = QuadExtension(F, ext)
+    mu, nu = rand_char(E, 1, rng), rand_char(E, 1, rng)
+    return AsaiInput(E, mu, nu, standard_psi(F), E.xi(), rand_char(F, 1, rng))
+
+
+def test_eps_gal_comparison_builds_eps_gal_and_lambda_once(monkeypatch):
+    # three Galois-side tate_eps calls (one eps_Gal) and one lambda_{E/F}(psi),
+    # which is still the certified tate_eps of omega_{E/F}
+    gal_calls, lam_checks = [], []
+
+    def counting(calls, orig):
+        def run(chi, psi, check=True):
+            calls.append(check)
+            return orig(chi, psi, check)
+
+        return run
+
+    monkeypatch.setattr(asai_mod, "tate_eps", counting(gal_calls, tate_mod.tate_eps))
+    monkeypatch.setattr(tate_mod, "tate_eps", counting(lam_checks, tate_mod.tate_eps))
+    tate_mod.langlands_constant.cache_clear()
+    try:
+        rep = eps_gal_comparison(_twisted_input())
+    finally:
+        tate_mod.langlands_constant.cache_clear()
+    assert rep["ok"], rep["max_deviation"]
+    assert gal_calls == [False] * 3
+    assert lam_checks == [True]
+
+
+def test_gamma_rs_never_builds_the_galois_constituents(monkeypatch):
+    def forbidden(inp):
+        raise AssertionError("gamma_rs reached the Galois constituents")
+
+    inp = _twisted_input(5, EXTENSION_TYPES[1])
+    want = gamma_rs(inp, check=False)
+    monkeypatch.setattr(asai_mod, "_gal_constituents", forbidden)
+    got = gamma_rs(inp, check=True)
+    assert got.to_json() == want.to_json()
+
+
+def test_galois_side_never_calls_gamma_rs(monkeypatch):
+    def forbidden(inp, check=True):
+        raise AssertionError("the Galois side reached gamma_rs")
+
+    inp = _twisted_input(3, EXTENSION_TYPES[2])
+    want = eps_gal(inp)
+    monkeypatch.setattr(asai_mod, "gamma_rs", forbidden)
+    assert eps_gal(inp).to_json() == want.to_json()
+    gamma_gal(inp)

@@ -210,6 +210,21 @@ def test_omega_quadratic_properties():
                 assert abs(om.value(x.norm()) - 1) < 1e-12
 
 
+def test_is_trivial_is_exact_on_exact_data_and_tolerant_on_floats():
+    F = PAdicGround(5)
+    tiny = Fraction(1, 10**12)
+    # exact data is decided exactly: no angle or exponent is small enough
+    assert MultChar.trivial(F).is_trivial()
+    assert not MultChar.unramified(F, Phase.exact(tiny)).is_trivial()
+    assert not MultChar.unramified(F, Phase.one(), tiny).is_trivial()
+    assert not MultChar(F, 1, (Fraction(1, 4),), Phase.one()).is_trivial()
+    # float data carries rounding and is decided within 1e-9
+    assert MultChar.unramified(F, Phase.one(), 1e-17 + 1e-17j).is_trivial()
+    assert MultChar.unramified(F, Phase.approx(1 + 1e-13)).is_trivial()
+    assert not MultChar.unramified(F, Phase.one(), 1e-6).is_trivial()
+    assert not MultChar.unramified(F, Phase.approx(1 + 1e-6)).is_trivial()
+
+
 def test_omega_minus_one_ramified():
     # omega_{E/F}(-1) = Legendre(-1, p) for ramified E
     from asailocal.padic import legendre
