@@ -124,18 +124,6 @@ def tate_eps_complex(chi: CChar, b: complex = 1.0) -> ArchFactor:
     return ArchFactor(c=const, expos=((bb, 1.0, -0.5),))
 
 
-def tate_gamma_real(chi: RChar, a: float = 1.0) -> ArchFactor:
-    return tate_eps_real(chi, a) * tate_L_real(chi.inv()).reflect() / tate_L_real(chi)
-
-
-def tate_gamma_complex(chi: CChar, b: complex = 1.0) -> ArchFactor:
-    return (
-        tate_eps_complex(chi, b)
-        * tate_L_complex(chi.inv()).reflect()
-        / tate_L_complex(chi)
-    )
-
-
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
@@ -424,17 +412,6 @@ def phi_hat(phi: dict) -> dict:
     return {k: v for k, v in out.items() if abs(v) > 1e-15}
 
 
-def phi_value(phi: dict, x, y):
-    """Phi at (x, y); x and y are floats or arrays that broadcast together."""
-    import numpy as np
-
-    z = x + 1j * y
-    out = 0j
-    for (c1, c2), coef in phi.items():
-        out += coef * z**c1 * np.conj(z) ** c2
-    return out * np.exp(-math.pi * (x * x + y * y))
-
-
 def phi_tate_integral(phi: dict, s: complex, omega_exponent: complex) -> complex:
     """int_0^inf Phi((0,t)) t^{2 omega_exponent} t^{2s} dt/t for Phi given on
     the monomial basis; omega_exponent is the |.|-exponent of the central
@@ -460,100 +437,30 @@ def _normalized(mu: CChar, nu: CChar) -> tuple[CChar, CChar]:
     return nu, mu
 
 
-def l_gal_arch(mu: CChar, nu: CChar, dual: bool = False) -> ArchFactor:
-    """L_Gal(s, As pi) = zeta_R(s+2l1+e1) zeta_R(s+2l2+e2) zeta_C(s+l1+l2+n0/2)."""
+def _gal_constituents_arch(mu: CChar, nu: CChar) -> tuple[RChar, RChar, CChar]:
+    """mu|_R, nu|_R and mu nu^sigma, after ordering n1 >= n2."""
     mu, nu = _normalized(mu, nu)
-    if dual:
-        mu, nu = mu.inv(), nu.inv()
     t1, e1 = mu.restrict_exponents()
     t2, e2 = nu.restrict_exponents()
-    n0 = abs(mu.n - nu.n)
-    third = complex(mu.lam) + complex(nu.lam) + n0 / 2
-    return (
-        ArchFactor.zeta_R(t1 + e1)
-        * ArchFactor.zeta_R(t2 + e2)
-        * ArchFactor.zeta_C(third)
-    )
+    return RChar(t1, e1), RChar(t2, e2), mu.mul(nu.sigma())
+
+
+def l_gal_arch(mu: CChar, nu: CChar, dual: bool = False) -> ArchFactor:
+    """L_Gal(s, As pi) = L(s, mu|_R) L(s, nu|_R) L(s, mu nu^sigma); with
+    ``dual``, of the inverse constituents (the contragredient)."""
+    r1, r2, c = _gal_constituents_arch(mu, nu)
+    if dual:
+        r1, r2, c = r1.inv(), r2.inv(), c.inv()
+    return tate_L_real(r1) * tate_L_real(r2) * tate_L_complex(c)
 
 
 def eps_gal_arch(mu: CChar, nu: CChar, a: float = 1.0) -> ArchFactor:
     """eps_Gal = lambda_{C/R}(psi^a) eps(mu|_R) eps(nu|_R) eps(mu nu^sigma, psi_C^a).
 
     At a = 1 this is the constant i^{1 + e1 + e2 + n0}."""
-    mu, nu = _normalized(mu, nu)
-    t1, e1 = mu.restrict_exponents()
-    t2, e2 = nu.restrict_exponents()
-    out = tate_eps_real(RChar(t1, e1), a) * tate_eps_real(RChar(t2, e2), a)
-    out = out * tate_eps_complex(mu.mul(nu.sigma()), a)
+    r1, r2, c = _gal_constituents_arch(mu, nu)
+    out = tate_eps_real(r1, a) * tate_eps_real(r2, a) * tate_eps_complex(c, a)
     return out * lambda_C_R(a)
-
-
-# ---------------------------------------------------------------------------
-# numeric Tate functional-equation oracle (pins the eps conventions)
-# ---------------------------------------------------------------------------
-
-
-def tate_fe_oracle_real(chi: RChar, s: complex, tol=QUAD_TOL) -> complex:
-    """gamma(s, chi, psi) = Z(1-s, chi^{-1}, f^) / Z(s, chi, f) by quadrature,
-    f = x^m e^{-pi x^2} with m matching the sign character."""
-    import numpy as np
-
-    m = chi.m % 2
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return x**m * np.exp(-math.pi * x * x)
-
-    def fhat(x: np.ndarray) -> np.ndarray:
-        return (1j**m) * x**m * np.exp(-math.pi * x * x)
-
-    def z(fn, sv, ch):
-        # ch(+-y) = (+-1)^m y^lam for y > 0
-        lam, sign = complex(ch.lam), (-1) ** (ch.m % 2)
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            y = np.exp(u)
-            return (fn(y) + sign * fn(-y)) * y**lam * np.exp(complex(sv) * u)
-
-        return quad_real_line(integrand, tol, L=6.0)
-
-    return z(fhat, 1 - s, chi.inv()) / z(f, s, chi)
-
-
-def tate_fe_oracle_complex(chi: CChar, s: complex, tol=QUAD_TOL) -> complex:
-    """Same oracle over C with f = conj(z)^n e^{-2 pi |z|^2} (n >= 0) or its
-    conjugate; psi_C = standard psi o tr, measure twice Lebesgue."""
-    import numpy as np
-
-    n = chi.n
-
-    def f(z: np.ndarray) -> np.ndarray:
-        if n >= 0:
-            return np.conj(z) ** n * np.exp(-2 * math.pi * np.abs(z) ** 2)
-        return z ** (-n) * np.exp(-2 * math.pi * np.abs(z) ** 2)
-
-    def fhat(z: np.ndarray) -> np.ndarray:
-        mono = z**n if n >= 0 else np.conj(z) ** (-n)
-        return (1j ** abs(n)) * mono * np.exp(-2 * math.pi * np.abs(z) ** 2)
-
-    K = 64
-    rotations = np.exp(2j * math.pi * np.arange(K) / K)
-
-    def z_int(fn, sv, ch):
-        # ch(z) = |z|_C^{lam - n/2} z^n with |z|_C = |z|^2
-        lam, n_ch = complex(ch.lam), ch.n
-
-        # polar: z = r e^{i theta}, d^x z = 2 dr dtheta / r; the theta-integral
-        # is the K-point rectangle rule, one row of angles per node
-        def radial(u: np.ndarray) -> np.ndarray:
-            r = np.exp(u)
-            zz = r[:, None] * rotations
-            vals = fn(zz) * np.abs(zz) ** (2 * (lam - n_ch / 2)) * zz**n_ch
-            acc = vals.sum(axis=1) * (2 * math.pi / K)
-            return acc * 2 * (r**2) ** complex(sv)
-
-        return quad_real_line(radial, tol, L=5.0)
-
-    return z_int(fhat, 1 - s, chi.inv()) / z_int(f, s, chi)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ verification suites check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -178,23 +178,24 @@ def _gal_constituents(inp: AsaiInput):
     return mu0, nu0, third
 
 
-def l_rs(inp: AsaiInput, dual: bool = False) -> NonArchFactor:
-    """L_RS(s, As pi (x) chi) = L(s, mu0 chi) L(s, nu0 chi) L(s, mu nu^sigma (chi o N)).
+def _l_product(constituents, q: int) -> NonArchFactor:
+    mu0, nu0, third = constituents
+    return tate_L(mu0) * tate_L(nu0) * tate_L(third).rebase(q)
 
-    With ``dual`` the constituents of the contragredient data (mu^{-1},
-    nu^{-1}, chi^{-1}) are used.
-    """
-    if dual:
-        chi = inp.chi.inv() if inp.chi is not None else None
-        inp = replace(inp, mu=inp.mu.inv(), nu=inp.nu.inv(), chi=chi)
-    mu0, nu0, third = _gal_constituents(inp)
-    return tate_L(mu0) * tate_L(nu0) * tate_L(third).rebase(inp.E.ground.q)
+
+def l_rs(inp: AsaiInput) -> NonArchFactor:
+    """L_RS(s, As pi (x) chi) = L(s, mu0 chi) L(s, nu0 chi) L(s, mu nu^sigma (chi o N))."""
+    return _l_product(_gal_constituents(inp), inp.E.ground.q)
 
 
 def eps_rs(inp: AsaiInput, check: bool = True) -> NonArchFactor:
-    """eps_RS = gamma_RS * L_RS(s) / L_RS(1-s, dual); structurally a monomial."""
+    """eps_RS = gamma_RS * L_RS(s) / L_RS(1-s, dual); structurally a monomial.
+    The dual data (mu^{-1}, nu^{-1}, chi^{-1}) has the inverse constituents."""
     gam = gamma_rs(inp, check=check)
-    eps = gam * l_rs(inp) / l_rs(inp, dual=True).reflect()
+    q = inp.E.ground.q
+    cons = _gal_constituents(inp)
+    dual = _l_product([c.inv() for c in cons], q)
+    eps = gam * _l_product(cons, q) / dual.reflect()
     eps.as_monomial()
     return eps
 

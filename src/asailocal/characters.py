@@ -6,6 +6,11 @@ characters evaluate through the p-adic fractional part, so Gauss-sum
 identities fail only through genuine bugs, never rounding.  Conductors are
 always recomputed by brute force rather than trusted from constructors.
 
+Restriction to F^x, sigma-conjugation and composition with the norm are the
+one pullback x -> chi(f(x)) |x|^lam of :func:`_pullback`.  It, ``mul`` and
+``reduced`` change level through :meth:`MultChar._angles_at`, which returns
+a character's own angles at its own level without a dlog.
+
 Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
 kernel, :func:`shell_angles`, which works on the integer coordinates of
 ``K.shell_coords(v, m)`` and builds no field element per term.  For the i-th
@@ -32,6 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple, Optional, Union
 
 from .cyclotomic import Cyc
@@ -160,9 +166,7 @@ class AddChar:
         return {"field": "F", "mult": str(b)}
 
 
-_CONDUCTOR_CACHE: dict = {}
-
-
+@cache
 def conductor_add(psi: AddChar) -> int:
     """Brute-force conductor of an additive character.
 
@@ -170,13 +174,6 @@ def conductor_add(psi: AddChar) -> int:
     v = c, c + 1 and non-triviality at v = c-1 are then checked on shell
     representatives.
     """
-    out = _CONDUCTOR_CACHE.get(psi)
-    if out is None:
-        out = _CONDUCTOR_CACHE[psi] = _conductor_add_uncached(psi)
-    return out
-
-
-def _conductor_add_uncached(psi: AddChar) -> int:
     K = psi.field
     c = -K.val(psi.mult) - K.different_exponent
     for v in (c, c + 1):
@@ -258,9 +255,7 @@ class MultChar:
                 break
         if n == self.n:
             return self
-        G = unit_group(self.field, n)
-        angles = tuple(self.unit_angle(g) for g in G.gens)
-        return MultChar(self.field, n, angles, self.t, self.lam)
+        return MultChar(self.field, n, self._angles_at(self.field, n), self.t, self.lam)
 
     def _one_unit_gens_at(self, m: int):
         """Generators of (1+pi^m O)/(1+pi^n O) inside the level-n group."""
@@ -275,6 +270,14 @@ class MultChar:
     @property
     def is_ramified(self) -> bool:
         return self.n >= 1
+
+    def _angles_at(self, K: Field, level: int, f=None) -> tuple:
+        """Unit angles of x -> chi(f(x)) on the generators of (O_K/pi^level)^x;
+        f = None is the identity, and at chi's own level that is ``angles``."""
+        if f is None and level == self.n:
+            return self.angles
+        gens = unit_group(K, level).gens
+        return tuple(self.unit_angle(f(g) if f else g) for g in gens)
 
     # -- evaluation ----------------------------------------------------------------
     def unit_angle(self, u) -> Fraction:
@@ -337,13 +340,12 @@ class MultChar:
     def mul(self, other: "MultChar") -> "MultChar":
         if is_extension(self.field) != is_extension(other.field):
             raise ValueError("characters live on different fields")
-        n = max(self.n, other.n)
-        G = unit_group(self.field, n)
+        K, n = self.field, max(self.n, other.n)
         angles = tuple(
-            (self.unit_angle(g) + other.unit_angle(g)) % 1 for g in G.gens
+            (a + b) % 1 for a, b in zip(self._angles_at(K, n), other._angles_at(K, n))
         )
         lam = _add_lam(self.lam, other.lam)
-        return MultChar.from_angles(self.field, n, angles, self.t * other.t, lam)
+        return MultChar.from_angles(K, n, angles, self.t * other.t, lam)
 
     __mul__ = mul
 
@@ -516,21 +518,25 @@ def shell_sum(
 # ---------------------------------------------------------------------------
 
 
+def _pullback(chi: MultChar, K: Field, level: int, f, v: int, lam) -> MultChar:
+    """x -> chi(f(x)) |x|_K^lam on K^x, built at ``level`` and reduced, for
+    a homomorphism f into chi's field taking units to units and pi_K to
+    valuation v: chi(f(pi_K)) is t^v times chi at the unit part of f(pi_K)."""
+    L = chi.field
+    fpi = f(K.uniformizer())
+    if L.val(fpi) != v:
+        raise AssertionError(f"the uniformizer must map to valuation {v}")
+    t = chi.t**v * Phase.exact(chi.unit_angle(L.unit_part(fpi)))
+    return MultChar.from_angles(K, level, chi._angles_at(K, level, f), t, lam)
+
+
 def restrict_to_F(chi: MultChar) -> MultChar:
     """chi|_{F^x} with the conductor recomputed by brute force."""
     E: QuadExtension = chi.field
     if not is_extension(E):
         raise ValueError("restriction needs a character of E^x")
-    F = E.ground
-    level = max((chi.n + E.e - 1) // E.e, 0)
-    G = unit_group(F, level)
-    angles = tuple(chi.unit_angle(E.embed(g)) for g in G.gens)
-    # chi(p) including the unit part of p / pi^e
-    pi = E.uniformizer()
-    u_p = E.embed(F.p) * (pi ** E.e).inv()
-    t = (chi.t ** E.e) * Phase.exact(chi.unit_angle(u_p))
-    lam = chi.lam * 2
-    return MultChar.from_angles(F, level, angles, t, lam)
+    level = (chi.n + E.e - 1) // E.e
+    return _pullback(chi, E.ground, level, E.embed, E.e, chi.lam * 2)
 
 
 def sigma_conjugate(chi: MultChar) -> MultChar:
@@ -538,14 +544,7 @@ def sigma_conjugate(chi: MultChar) -> MultChar:
     E: QuadExtension = chi.field
     if not is_extension(E):
         raise ValueError("sigma conjugation needs a character of E^x")
-    G = unit_group(E, chi.n)
-    angles = tuple(chi.unit_angle(g.conj()) for g in G.gens)
-    pi = E.uniformizer()
-    u = pi.conj() * pi.inv()
-    if E.val(u) != 0:
-        raise AssertionError("sigma(pi)/pi must be a unit")
-    t = chi.t * Phase.exact(chi.unit_angle(u))
-    out = MultChar(E, chi.n, angles, t, chi.lam).reduced()
+    out = _pullback(chi, E, chi.n, EElement.conj, 1, chi.lam)
     if out.n != chi.n:
         raise AssertionError("sigma conjugation must preserve the conductor")
     return out
@@ -555,16 +554,7 @@ def compose_with_norm(chi: MultChar, E: QuadExtension) -> MultChar:
     """chi o N_{E/F} as a character of E^x."""
     if is_extension(chi.field):
         raise ValueError("compose_with_norm needs a character of F^x")
-    F = chi.field
-    level = E.e * chi.n
-    G = unit_group(E, level)
-    angles = tuple(chi.unit_angle(g.norm()) for g in G.gens)
-    pi = E.uniformizer()
-    npi = pi.norm()
-    v = F.val(npi) if npi != 0 else 0
-    assert v == 1 if E.e == 2 else v == 2
-    t = (chi.t**v) * Phase.exact(chi.unit_angle(F.unit_part(npi)))
-    return MultChar.from_angles(E, level, angles, t, chi.lam)
+    return _pullback(chi, E, E.e * chi.n, EElement.norm, 2 // E.e, chi.lam)
 
 
 def extend_from_F(chi: MultChar, E: QuadExtension) -> MultChar:

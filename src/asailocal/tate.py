@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import AddChar, MultChar, conductor_add, shell_cyc, shell_sum
-from .cyclotomic import Cyc
+from .characters import AddChar, MultChar, conductor_add, shell_sum
 from .factors import (
     NonArchFactor,
     PHI_INDEPENDENCE_TOL,
@@ -46,15 +45,6 @@ def tate_L(chi: MultChar) -> NonArchFactor:
 # ---------------------------------------------------------------------------
 # Gauss sums
 # ---------------------------------------------------------------------------
-
-
-def gauss_sum_exact(chi: MultChar, psi: AddChar) -> Cyc:
-    """sum chi^{-1}(x) psi(x) over the shell ord(x) = c(psi) - c(chi),
-    representatives mod pi^{c(psi)}; exact roots of unity."""
-    if not chi.is_ramified:
-        raise ValueError("no primitive Gauss sum for an unramified character")
-    n, c = chi.n, conductor_add(psi)
-    return shell_cyc(chi.inv(), psi, c - n, n)
 
 
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:

@@ -24,6 +24,7 @@ from .asai import (
     eps_gal_comparison,
     gamma_psr,
     gamma_rs,
+    split_eps_check,
 )
 from .characters import MultChar, Phase, psi_to_E, restrict_to_F, standard_psi
 from .cyclotomic import Cyc
@@ -211,7 +212,9 @@ def suite_whittaker_closed_forms(ps=(3, 5), tol=0.0) -> dict:
 
 
 def suite_eps_corollary(num=20, ps=(3, 5), tol=1e-8, seed=5) -> dict:
-    """eps_RS = omega(xi)|xi^2|^{s-1/2} lambda^{-1} eps_Gal on the grid."""
+    """eps_RS = omega(xi)|xi^2|^{s-1/2} lambda^{-1} eps_Gal on the grid, for
+    ``num`` quadratic E and then ``num`` split E = F x F
+    (:func:`split_eps_check`, four characters of F^x)."""
     rng = random.Random(seed)
     worst = 0.0
     for k in range(num):
@@ -225,11 +228,19 @@ def suite_eps_corollary(num=20, ps=(3, 5), tol=1e-8, seed=5) -> dict:
         chi = _rand_char_up_to(F, 2, rng) if rng.random() < 0.5 else None
         rep = eps_gal_comparison(AsaiInput(E, mu, nu, psi, xi, chi), tol=tol)
         worst = max(worst, rep["max_deviation"])
+    for _ in range(num):
+        p = rng.choice(list(ps))
+        F = PAdicGround(p)
+        chars = [_rand_char_up_to(F, 2, rng) for _ in range(4)]
+        xi0 = Fraction(rng.choice([1, 2, p]))
+        rep = split_eps_check(*chars, standard_psi(F), xi0, tol=tol)
+        worst = max(worst, rep["max_deviation"])
     return _report(
         "eps-corollary-comparison",
         worst < tol,
         worst,
-        f"{num} random principal-series inputs (ramified and unramified E)",
+        f"{num} random principal-series inputs (ramified and unramified E)"
+        f" and {num} split E = F x F inputs",
     )
 
 

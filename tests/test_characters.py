@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from asailocal.characters import (
     AddChar,
     MultChar,
@@ -21,6 +25,7 @@ from asailocal.padic import (
     QuadExtension,
     RAMIFIED_P,
     UNRAMIFIED,
+    is_extension,
 )
 from asailocal.unitgroups import unit_group
 
@@ -245,6 +250,58 @@ def test_compose_with_norm_matches_pointwise():
         pool = [x for v in (-1, 0, 1) for x in E.shell(v, 2)[:8]]
         for x in pool:
             assert abs(chiN.value(x) - chi.value(x.norm())) < 1e-12
+
+
+# -- the transports, exactly ----------------------------------------------------
+
+
+def rand_elem(K, rng):
+    """pi^v u with v in -1..2 and u a random unit with coordinates below p^6."""
+    p = K.ground.p
+    while True:
+        a, b = rng.randrange(p**6), rng.randrange(p**6)
+        u = K.elem(a, b) if is_extension(K) else K.elem(a)
+        if K.val(u) == 0:
+            return u * K.uniformizer() ** rng.randint(-1, 2)
+
+
+def assert_minimal(chi):
+    """chi is nontrivial on 1 + pi^(n-1) O (on the units when n = 1)."""
+    K, n = chi.field, chi.n
+    if n == 0:
+        return
+    units = K.shell(0, 1) if n == 1 else [1 + x for x in K.shell(n - 1, 1)]
+    assert any(chi.angle_at(u) != 0 for u in units), chi
+
+
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+@pytest.mark.parametrize("p", (3, 5, 7))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32), levels=st.lists(st.integers(0, 3), min_size=5, max_size=5))
+def test_transports_are_exact_pullbacks_at_minimal_conductor(p, ext, seed, levels):
+    # every transport equals chi o f by angle_at, with no tolerance
+    E = QuadExtension(PAdicGround(p), ext)
+    F, rng = E.ground, random.Random(seed)
+    n1, n2, n3, n4, n5 = levels
+    chi, chi2, chiF = rand_char(E, n1, rng), rand_char(E, n2, rng), rand_char(F, n3, rng)
+    G = unit_group(E, n4)
+    raw = MultChar(E, n4, [Fraction(rng.randrange(d), d) for d in G.orders], Phase.one())
+    GF = unit_group(F, n5)
+    rawF = MultChar(F, n5, [Fraction(rng.randrange(d), d) for d in GF.orders], Phase.one())
+    rest, sig = restrict_to_F(chi), sigma_conjugate(chi)
+    nrm, red, redF = compose_with_norm(chiF, E), raw.reduced(), rawF.reduced()
+    prod, prodF = chi.mul(chi2), chiF.mul(rawF)
+    for out in (rest, sig, nrm, prod, prodF, red, redF):
+        assert_minimal(out)
+    for _ in range(6):
+        x, y = rand_elem(E, rng), rand_elem(F, rng)
+        assert rest.angle_at(y) == chi.angle_at(E.embed(y))
+        assert sig.angle_at(x) == chi.angle_at(x.conj())
+        assert nrm.angle_at(x) == chiF.angle_at(x.norm())
+        assert prod.angle_at(x) == (chi.angle_at(x) + chi2.angle_at(x)) % 1
+        assert prodF.angle_at(y) == (chiF.angle_at(y) + rawF.angle_at(y)) % 1
+        assert red.angle_at(x) == raw.angle_at(x)
+        assert redF.angle_at(y) == rawF.angle_at(y)
 
 
 def test_exact_values_are_cyclotomic():

@@ -15,6 +15,7 @@ from asailocal.characters import (
     omega_quadratic,
     psi_to_E,
     restrict_to_F,
+    shell_cyc,
     standard_psi,
 )
 from asailocal.cyclotomic import Cyc
@@ -25,7 +26,6 @@ from asailocal.tate import (
     box_fourier,
     fe_ratio,
     gauss_sum,
-    gauss_sum_exact,
     langlands_constant,
     tate_L,
     tate_eps,
@@ -66,9 +66,9 @@ def test_legendre_gauss_sums():
     leg3 = MultChar(F3, 1, (Fraction(1, 2),), Phase.one())
     assert abs(gauss_sum(leg5, standard_psi(F5)) - math.sqrt(5)) < 1e-12
     assert abs(gauss_sum(leg3, standard_psi(F3)) - 1j * math.sqrt(3)) < 1e-12
-    # exact forms square to +-p
-    g5 = gauss_sum_exact(leg5, standard_psi(F5))
-    g3 = gauss_sum_exact(leg3, standard_psi(F3))
+    # exact forms square to +-p: the shell c(psi) - n = -1 mod pi^0, n = 1
+    g5 = shell_cyc(leg5.inv(), standard_psi(F5), -1, 1)
+    g3 = shell_cyc(leg3.inv(), standard_psi(F3), -1, 1)
     assert (g5 * g5) == Cyc.rational(5)
     assert (g3 * g3) == Cyc.rational(-3)
 
