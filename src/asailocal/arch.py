@@ -44,12 +44,8 @@ class CChar:
     n: int
 
     def value(self, z):
-        """chi(z) for a complex number, or elementwise for an array."""
-        import numpy as np
-
-        zz = np.asarray(z, dtype=complex)
-        out = np.abs(zz) ** (2 * (complex(self.lam) - self.n / 2)) * zz**self.n
-        return out if out.ndim else complex(out)
+        """chi(z) for a number, or elementwise for a numpy array."""
+        return abs(z) ** (2 * (complex(self.lam) - self.n / 2)) * z**self.n
 
     def inv(self) -> "CChar":
         return CChar(-complex(self.lam), -self.n)

@@ -39,7 +39,7 @@ from .characters import (
 )
 from .factors import DEFAULT_GRID, NonArchFactor, REL_TOL_NONARCH, approx_equal
 from .padic import EElement, PAdicGround, QuadExtension
-from .tate import langlands_constant, tate_L, tate_eps, tate_gamma
+from .tate import eps_from_gamma, l_product, langlands_constant, tate_eps, tate_gamma
 
 
 @dataclass(frozen=True)
@@ -178,26 +178,16 @@ def _gal_constituents(inp: AsaiInput):
     return mu0, nu0, third
 
 
-def _l_product(constituents, q: int) -> NonArchFactor:
-    mu0, nu0, third = constituents
-    return tate_L(mu0) * tate_L(nu0) * tate_L(third).rebase(q)
-
-
 def l_rs(inp: AsaiInput) -> NonArchFactor:
     """L_RS(s, As pi (x) chi) = L(s, mu0 chi) L(s, nu0 chi) L(s, mu nu^sigma (chi o N))."""
-    return _l_product(_gal_constituents(inp), inp.E.ground.q)
+    return l_product(_gal_constituents(inp), inp.E.ground.q)
 
 
 def eps_rs(inp: AsaiInput, check: bool = True) -> NonArchFactor:
     """eps_RS = gamma_RS * L_RS(s) / L_RS(1-s, dual); structurally a monomial.
     The dual data (mu^{-1}, nu^{-1}, chi^{-1}) has the inverse constituents."""
     gam = gamma_rs(inp, check=check)
-    q = inp.E.ground.q
-    cons = _gal_constituents(inp)
-    dual = _l_product([c.inv() for c in cons], q)
-    eps = gam * _l_product(cons, q) / dual.reflect()
-    eps.as_monomial()
-    return eps
+    return eps_from_gamma(gam, _gal_constituents(inp), inp.E.ground.q)
 
 
 def _gal_product(inp: AsaiInput, tate_factor) -> NonArchFactor:
@@ -354,31 +344,12 @@ def split_eps_check(
     psi_p = psi.shifted(xi0)
     psi_mx = psi.shifted(-xi0)
 
-    def gam(ch, ps):
-        return tate_gamma(ch, ps, check=False)
-
+    chars = (mu1.mul(mu2), nu1.mul(nu2), mu1.mul(nu2), mu2.mul(nu1))
+    g1, g2, g3, g4 = (
+        tate_gamma(ch, ps, check=False) for ch, ps in zip(chars, (psi, psi, psi_p, psi_mx))
+    )
     pref = nu1.value(-1) * nu2.value(-1)
-    gam_lhs = (
-        gam(mu1.mul(mu2), psi)
-        * gam(nu1.mul(nu2), psi)
-        * gam(mu1.mul(nu2), psi_p)
-        * gam(mu2.mul(nu1), psi_mx)
-        * pref
-    )
-    L = (
-        tate_L(mu1.mul(mu2))
-        * tate_L(nu1.mul(nu2))
-        * tate_L(mu1.mul(nu2))
-        * tate_L(mu2.mul(nu1))
-    )
-    Ld = (
-        tate_L(mu1.mul(mu2).inv())
-        * tate_L(nu1.mul(nu2).inv())
-        * tate_L(mu1.mul(nu2).inv())
-        * tate_L(mu2.mul(nu1).inv())
-    )
-    eps_lhs = gam_lhs * L / Ld.reflect()
-    eps_lhs.as_monomial()
+    eps_lhs = eps_from_gamma(g1 * g2 * g3 * g4 * pref, chars, q)
 
     eps_pair = (
         tate_eps(mu1.mul(mu2), psi, check=False)

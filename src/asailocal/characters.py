@@ -93,11 +93,6 @@ class Phase:
             return _angle_exp(self.angle)
         return self._z
 
-    def cyc(self) -> Cyc:
-        if self.angle is None:
-            raise ValueError("phase has no exact angle")
-        return Cyc.root(self.angle)
-
     def __mul__(self, other: "Phase") -> "Phase":
         if self.angle is not None and other.angle is not None:
             return Phase(angle=self.angle + other.angle)
@@ -148,16 +143,9 @@ class AddChar:
     def cyc(self, x) -> Cyc:
         return Cyc.root(self.angle(x))
 
-    def __call__(self, x) -> complex:
-        return self.value(x)
-
     def shifted(self, a) -> "AddChar":
         """psi^a, i.e. x -> psi(a x)."""
         return AddChar(self.field, self.mult * self.field.embed(a))
-
-    def conductor(self) -> int:
-        """Smallest c with psi trivial on pi^c O, verified on shells."""
-        return conductor_add(self)
 
     def to_json(self) -> dict:
         b = self.mult
@@ -204,12 +192,12 @@ def psi_to_E(psi: AddChar, E: QuadExtension, xi: Optional[EElement] = None) -> A
 class MultChar:
     """chi(x) = t^{ord x} * unit_part(x) * |x|^lam with exact unit-part data.
 
-    ``angles`` are the images (as angles) of the generators of
-    (O_K/pi^n)^x, n the minimal conductor.  ``lam`` is kept separate so the
-    unitary data stays exact.
+    ``angles`` are the images (as angles) of the generators of ``group``,
+    the unit group (O_K/pi^n)^x, n the minimal conductor.  ``lam`` is kept
+    separate so the unitary data stays exact.
     """
 
-    __slots__ = ("field", "n", "angles", "t", "lam", "unit_den", "unit_weights")
+    __slots__ = ("field", "n", "group", "angles", "t", "lam", "unit_den", "unit_weights")
 
     def __init__(self, field: Field, n: int, angles, t: Phase, lam=0):
         self.field = field
@@ -224,8 +212,8 @@ class MultChar:
         self.lam = lam if isinstance(lam, Fraction) else (
             Fraction(lam) if isinstance(lam, int) else complex(lam)
         )
-        G = unit_group(field, n)
-        if len(self.angles) != len(G.gens):
+        self.group = unit_group(field, n)
+        if len(self.angles) != len(self.group.gens):
             raise ValueError("angle vector does not match unit-group generators")
 
     # -- constructors ---------------------------------------------------------
@@ -259,13 +247,7 @@ class MultChar:
 
     def _one_unit_gens_at(self, m: int):
         """Generators of (1+pi^m O)/(1+pi^n O) inside the level-n group."""
-        if m == 0:
-            return [g for g in unit_group(self.field, self.n).gens]
-        return unit_group(self.field, self.n).one_unit_gens(m)
-
-    @property
-    def conductor(self) -> int:
-        return self.n
+        return self.group.gens if m == 0 else self.group.one_unit_gens(m)
 
     @property
     def is_ramified(self) -> bool:
@@ -284,7 +266,7 @@ class MultChar:
         """Angle of the unit-part character at a valuation-0 element."""
         if self.n == 0:
             return Fraction(0)
-        exps = unit_group(self.field, self.n).dlog(u)
+        exps = self.group.dlog(u)
         return Fraction(self._unit_num(exps), self.unit_den)
 
     def _unit_num(self, exps) -> int:
@@ -307,8 +289,6 @@ class MultChar:
         if lam != 0:
             out *= self.field.q ** complex(-lam * v)
         return out
-
-    __call__ = value
 
     def angle_at(self, x) -> Fraction:
         """Exact angle, defined when t is exact and lam = 0 (or x is a unit)."""
@@ -466,7 +446,7 @@ def shell_angles(
     psis = [(al * a + be * b) % P for a, b in coords]
     if chi is None or chi.n == 0:
         return ShellAngles([0] * len(coords), 1, psis, P)
-    G = unit_group(K, chi.n)
+    G = chi.group
     if shift:
         if v < 1:
             raise ValueError("the 1 + x shift needs ord x >= 1")
@@ -639,7 +619,6 @@ def omega_quadratic(E: QuadExtension) -> MultChar:
     F = E.ground
     if E.e == 1:
         return MultChar.unramified(F, Phase.exact(Fraction(1, 2)))
-    G = unit_group(F, 1)
     # the generator of (Z/p)^x is a non-residue, so its angle is 1/2
     angles = (Fraction(1, 2),)
     tmp = MultChar(F, 1, angles, Phase.one(), 0)

@@ -34,7 +34,7 @@ from .characters import (
 )
 from .factors import DEFAULT_GRID, eval_table
 from .padic import DEFAULT_PRECISION, PAdicGround, PrecisionError, QuadExtension, field_from_json
-from .tate import ConsistencyError, langlands_constant, tate_L, tate_eps, tate_gamma
+from .tate import ConsistencyError, eps_from_gamma, langlands_constant, tate_L, tate_gamma
 from .verify import SUITE_GROUPS, SUITES, run_suites
 from .whittaker import StabilizationError
 
@@ -194,7 +194,7 @@ def cmd_tate(args) -> int:
     grid = _parse_grid(args)
     L = tate_L(chi)
     gamma = tate_gamma(chi, psi_k)
-    eps = tate_eps(chi, psi_k)
+    eps = eps_from_gamma(gamma, [chi], chi.field.q)
     payload = {
         "input": {"field": (chi.field.to_json()), "char": chi.to_json(), "psi": psi_k.to_json()},
         "L": L.to_json(),
@@ -289,10 +289,9 @@ def cmd_dichotomy(args) -> int:
     inp = _asai_input(args)
     if inp.tau is None:
         raise InputError("dichotomy needs --tau")
-    try:
-        sign = dichotomy_sign(inp)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if not inp.omega_total().is_trivial():
+        raise InputError("dichotomy sign requires trivial omega")
+    sign = dichotomy_sign(inp)
     from .characters import omega_quadratic
 
     constituents = {

@@ -141,14 +141,6 @@ class PAdicGround:
         """x / p^{ord(x)} as an exact rational unit."""
         return _frac(x) / Fraction(self.p) ** self.val(x)
 
-    def unit_residue(self, x: Rational, m: int) -> int:
-        """Residue of the unit part of x in (Z/p^m)^x."""
-        if m > self.precision:
-            raise PrecisionError(f"modulus exponent {m} exceeds precision {self.precision}")
-        u = self.unit_part(x)
-        mod = self.p**m
-        return u.numerator % mod * pow(u.denominator, -1, mod) % mod
-
     def residue(self, x: Rational, m: int) -> int:
         """Residue of an integral element x in Z/p^m."""
         if m > self.precision:
@@ -422,10 +414,6 @@ class QuadExtension:
             # (a + b sqrt d) / sqrt d = b + (a/d) sqrt d
             return EElement(self, x.b * s, x.a * s / self.d)
         return EElement(self, x.a * s, x.b * s)
-
-    def unit_residue(self, x: EElement, m: int) -> tuple:
-        """Canonical residue tuple of the unit part of x in (O_E/pi^m)^x."""
-        return self.residue(self.unit_part(x), m)
 
     def residue_digits(self, m: int) -> tuple:
         """(ma, mb): x = a + b sqrt(d) mod pi^m is (a mod p^ma, b mod p^mb)."""

@@ -7,13 +7,18 @@ at the points of a check grid.  Each zeta integral is built once per Phi as
 terms that do not depend on s (finite shell and coset sums, and closed-form
 geometric tails) and then evaluated at each point.  A disagreement is an
 internal error, not a tolerance failure.
+
+eps is derived from gamma in one place, :func:`eps_from_gamma`, for one
+character (:func:`tate_eps`) and for the products of characters that make
+up the Asai factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .characters import AddChar, MultChar, conductor_add, shell_sum
 from .factors import (
@@ -40,6 +45,12 @@ def tate_L(chi: MultChar) -> NonArchFactor:
     if chi.is_ramified:
         return NonArchFactor.one(q)
     return NonArchFactor.euler_inverse(q, chi.t_full())
+
+
+def l_product(chars, q: int) -> NonArchFactor:
+    """prod L(s, chi) over ``chars``, each rewritten over base q, multiplied
+    left to right from the first factor."""
+    return reduce(mul, (tate_L(chi).rebase(q) for chi in chars))
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +285,22 @@ def _certify_gamma(fac: NonArchFactor, chi: MultChar, psi: AddChar) -> None:
             )
 
 
-def tate_eps(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor:
-    """eps = gamma * L(s,chi) / L(1-s,chi^{-1}); structurally a monomial."""
-    gamma = tate_gamma(chi, psi, check=check)
-    eps = gamma * tate_L(chi) / tate_L(chi.inv()).reflect()
+def eps_from_gamma(gamma: NonArchFactor, chars, q: int) -> NonArchFactor:
+    """eps = gamma * L(s, chars) / L(1-s, chars^{-1}), with L the
+    :func:`l_product` over base q.  eps is structurally a monomial; one that
+    is not is a ``ConsistencyError``."""
+    dual = l_product([chi.inv() for chi in chars], q)
+    eps = gamma * l_product(chars, q) / dual.reflect()
     try:
         eps.as_monomial()
     except ValueError as exc:
         raise ConsistencyError(f"eps is not a monomial: {exc}") from exc
     return eps
+
+
+def tate_eps(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor:
+    """eps = gamma * L(s,chi) / L(1-s,chi^{-1}); structurally a monomial."""
+    return eps_from_gamma(tate_gamma(chi, psi, check=check), [chi], chi.field.q)
 
 
 @lru_cache(maxsize=None)

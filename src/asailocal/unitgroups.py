@@ -2,13 +2,13 @@
 
 Multiplicative characters are stored as root-of-unity images of these
 generators, so every character evaluation funnels through a discrete log.
-Logs are keyed by integer residues: ``G.key(x)`` is the residue of the unit
-part of x at the group's level (an int on F, a pair on E), ``G.keys(coords)``
-gives the same keys from integer coordinates (a, b) of units a + b sqrt(d),
-and ``G.logs[key]`` is the exponent tuple, so ``G.dlog(x)`` is
-``G.logs[G.key(x)]``.  No group holds a table of its elements: ``logs``
-computes the dlog of each key on its first use.  The Teichmueller exponent
-comes from the residue mod p.  The 1-units are digit-peeled on F (powers of
+Logs are keyed by integer residues: a key is the residue of a unit u at the
+group's level, ``G.key(u) = K.residue(u, level)`` (an int on F, a pair on E;
+0 and (0, 0) at level 0).  ``G.keys(coords)`` gives the same keys from
+integer coordinates (a, b) of units a + b sqrt(d), and ``G.logs[key]`` is the
+exponent tuple, so ``G.dlog(u)`` is ``G.logs[G.key(u)]``.  No group holds a
+table of its elements: ``logs`` computes the dlog of each key on its first
+use.  The Teichmueller exponent comes from the residue mod p.  The 1-units are digit-peeled on F (powers of
 u = g^(p-1)) and on unramified E ((1+p) x (1+p sqrt(d))); on ramified E they
 get a greedy basis, found and solved in coordinates that the p-adic log
 makes linear at every odd p (``_LogSpan``; Neukirch, *Algebraic Number
@@ -56,11 +56,11 @@ def _prime_factors(n: int) -> list[int]:
 class UnitGroup:
     """Abstract base: generators, orders, and dlog for (O_K/pi^n)^x.
 
-    ``key(x)`` is the integer residue of the unit part of x at this level: an
-    int on F, a pair (a mod p^ma, b mod p^mb) on E (``E.residue_digits``).
-    ``logs`` maps each key to its exponent tuple, so ``dlog(x)`` is
-    ``logs[key(x)]``, and ``keys(coords)`` gives the keys of the units
-    a + b sqrt(d) straight from integer coordinates, with no field element.
+    ``key(u)`` is the integer residue of a unit u at this level: an int on F,
+    a pair (a mod p^ma, b mod p^mb) on E (``E.residue_digits``).  ``logs``
+    maps each key to its exponent tuple, so ``dlog(u)`` is ``logs[key(u)]``,
+    and ``keys(coords)`` gives the keys of the units a + b sqrt(d) straight
+    from integer coordinates, with no field element.
     """
 
     field: Field
@@ -73,9 +73,9 @@ class UnitGroup:
     def size(self) -> int:
         return math.prod(self.orders)
 
-    def key(self, x):
-        """Canonical residue key of a valuation-0 element at this level."""
-        return self.field.unit_residue(self.field.embed(x), self.level)
+    def key(self, u):
+        """Canonical residue key of a unit at this level."""
+        return self.field.residue(self.field.embed(u), self.level)
 
     def keys(self, coords) -> list:
         """Residue keys of the units a + b sqrt(d), (a, b) integers in coords."""
@@ -84,7 +84,7 @@ class UnitGroup:
         Ma, Mb = E.p**ma, E.p**mb
         return [(a % Ma, b % Mb) for a, b in coords]
 
-    def dlog(self, x) -> tuple[int, ...]:
+    def dlog(self, u) -> tuple[int, ...]:
         raise NotImplementedError
 
     def one_unit_gens(self, m: int) -> list:
@@ -122,15 +122,12 @@ class FUnitGroup(UnitGroup):
         self._l_inv = pow((u - 1) // p, -1, p) if level > 1 else 0
         self.logs = _PeeledLogs(self._peel)
 
-    def key(self, x):
-        return self.field.unit_residue(x, self.level) if self.level else 0
-
     def keys(self, coords) -> list:
         M = self.field.p**self.level
         return [a % M for a, _ in coords]
 
-    def dlog(self, x):
-        return self.logs[self.key(x)]
+    def dlog(self, u):
+        return self.logs[self.key(u)]
 
     def _peel(self, key: int) -> tuple:
         p = self.field.p
@@ -226,8 +223,8 @@ class EUnramUnitGroup(UnitGroup):
                     return a, b
         raise ValueError("no generator of the residue field found")
 
-    def dlog(self, x):
-        return self.logs[self.key(x)]
+    def dlog(self, u):
+        return self.logs[self.key(u)]
 
     def _peel(self, key: tuple) -> tuple:
         p, n, d = self.field.p, self.level, self.field.d
@@ -479,8 +476,8 @@ class ERamUnitGroup(UnitGroup):
             return (k,)
         return (k,) + self._span.exps(self._mul(key, omega_inv))
 
-    def dlog(self, x):
-        return self.logs[self.key(x)]
+    def dlog(self, u):
+        return self.logs[self.key(u)]
 
     def one_unit_gens(self, m: int):
         """1 + pi^k for m <= k < level: each step (1 + pi^k O)/(1 + pi^(k+1) O)

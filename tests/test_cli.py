@@ -76,24 +76,30 @@ def test_twisted_asai(capsys):
     assert out["assemblies"]["ok"]
 
 
-def test_dichotomy_cli(capsys):
-    tau = json.dumps({"mu2": json.loads(TRIV_F), "nu2": json.loads(TRIV_F), "v2": 0})
-    rc = main(
-        [
-            "dichotomy",
-            "--field",
-            '{"p":5,"ext":"unramified"}',
-            "--char",
-            "trivial",
-            "--char2",
-            "trivial",
-            "--tau",
-            tau,
-        ]
-    )
+def test_dichotomy_cli(capsys, monkeypatch):
+    import asailocal.asai as asai
+
+    def argv(mu2):
+        tau = json.dumps({"mu2": json.loads(mu2), "nu2": json.loads(TRIV_F), "v2": 0})
+        field = '{"p":5,"ext":"unramified"}'
+        return ["dichotomy", "--field", field, "--char", "trivial", "--char2", "trivial", "--tau", tau]
+
+    rc = main(argv(TRIV_F))
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["sign"] == "+1"
+    # a non-trivial omega = omega_tau is the user's input error
+    legendre = '{"field":"F","conductor":1,"unit_part":["1/2"],"t":{"angle":"0"}}'
+    assert main(argv(legendre)) == 2
+    assert "requires trivial omega" in capsys.readouterr().err
+
+    # a ValueError raised inside the computation is a fault, not an input error
+    def broken(inp):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(asai, "eps_gal", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(argv(TRIV_F))
 
 
 def test_arch_zeta_cli(capsys):
@@ -179,6 +185,17 @@ def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip() == "verification failure: ConsistencyError: gamma oracle mismatch: dev=1.000e+00"
+
+    # gamma_RS with an Euler factor left in it gives an eps_RS that is not a monomial
+    import asailocal.asai as asai
+    from asailocal.factors import NonArchFactor
+
+    monkeypatch.setattr(asai, "gamma_rs", lambda inp, check=True: NonArchFactor.euler_inverse(3, 0.5))
+    asai_argv = ["asai", "--field", '{"p":3,"ext":"unramified"}', "--char", "trivial"]
+    assert main(asai_argv + ["--char2", "trivial"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("verification failure: ConsistencyError: eps is not a monomial")
 
 
 @pytest.mark.parametrize(

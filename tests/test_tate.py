@@ -18,6 +18,7 @@ from asailocal.characters import (
     shell_cyc,
     standard_psi,
 )
+from asailocal.cli import main
 from asailocal.cyclotomic import Cyc
 from asailocal.factors import PoleError
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, UNRAMIFIED
@@ -210,9 +211,14 @@ def test_gamma_certification_catches_wrong_constant():
             tate_mod._certify_gamma(bad, chi, psi)
 
 
-@pytest.mark.parametrize("which", [0, 1])
-def test_certified_gamma_calls_fe_ratio_once_per_test_function(monkeypatch, which):
-    psi, chi = _chars_over_E()[which]
+README_TATE_RAMIFIED = [
+    "tate", "--field", '{"p":3,"ext":"ramified-p"}',
+    "--char", '{"field":"E","conductor":1,"unit_part":["1/2"],"t":{"angle":"1/3"}}',
+]
+
+
+@pytest.mark.parametrize("which", [0, 1, "readme-tate"])
+def test_certified_gamma_calls_fe_ratio_once_per_test_function(monkeypatch, capsys, which):
     calls = []
 
     def counting(chi, psi, pieces, grid):
@@ -220,7 +226,12 @@ def test_certified_gamma_calls_fe_ratio_once_per_test_function(monkeypatch, whic
         return fe_ratio(chi, psi, pieces, grid)
 
     monkeypatch.setattr(tate_mod, "fe_ratio", counting)
-    tate_gamma(chi, psi)
+    if which == "readme-tate":
+        # the CLI certifies gamma once and derives eps from it
+        assert main(README_TATE_RAMIFIED) == 0
+    else:
+        psi, chi = _chars_over_E()[which]
+        tate_gamma(chi, psi)
     assert calls == [tate_mod._CHECK_GRID] * 3
 
 
