@@ -8,11 +8,11 @@ group's level, ``G.key(u) = K.residue(u, level)`` (an int on F, a pair on E;
 integer coordinates (a, b) of units a + b sqrt(d), and ``G.logs[key]`` is the
 exponent tuple, so ``G.dlog(u)`` is ``G.logs[G.key(u)]``.  No group holds a
 table of its elements: ``logs`` computes the dlog of each key on its first
-use.  The Teichmueller exponent comes from the residue mod p.  The 1-units are digit-peeled on F (powers of
-u = g^(p-1)) and on unramified E ((1+p) x (1+p sqrt(d))); on ramified E they
-get a greedy basis, found and solved in coordinates that the p-adic log
-makes linear at every odd p (``_LogSpan``; Neukirch, *Algebraic Number
-Theory*, II (5.5)).  Generators become field elements once, at the end.
+use.  The Teichmueller exponent comes from the residue mod p.  The 1-units
+are digit-peeled on F (powers of u = g^(p-1)) and on unramified E
+((1+p) x (1+p sqrt(d))); on ramified E they get a greedy basis, found and
+solved in coordinates that the p-adic log makes linear at every odd p
+(``_LogSpan``; Neukirch, *Algebraic Number Theory*, II (5.5)).  Generators become field elements once, at the end.
 ``unit_group`` refuses a level whose residues need more digits than the
 field carries.
 

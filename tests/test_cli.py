@@ -82,7 +82,8 @@ def test_dichotomy_cli(capsys, monkeypatch):
     def argv(mu2):
         tau = json.dumps({"mu2": json.loads(mu2), "nu2": json.loads(TRIV_F), "v2": 0})
         field = '{"p":5,"ext":"unramified"}'
-        return ["dichotomy", "--field", field, "--char", "trivial", "--char2", "trivial", "--tau", tau]
+        chars = ["--char", "trivial", "--char2", "trivial"]
+        return ["dichotomy", "--field", field, *chars, "--tau", tau]
 
     rc = main(argv(TRIV_F))
     assert rc == 0
@@ -190,9 +191,10 @@ def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
     import asailocal.asai as asai
     from asailocal.factors import NonArchFactor
 
-    monkeypatch.setattr(asai, "gamma_rs", lambda inp, check=True: NonArchFactor.euler_inverse(3, 0.5))
-    asai_argv = ["asai", "--field", '{"p":3,"ext":"unramified"}', "--char", "trivial"]
-    assert main(asai_argv + ["--char2", "trivial"]) == 3
+    euler = NonArchFactor.euler_inverse(3, 0.5)
+    monkeypatch.setattr(asai, "gamma_rs", lambda inp, check=True: euler)
+    field = '{"p":3,"ext":"unramified"}'
+    assert main(["asai", "--field", field, "--char", "trivial", "--char2", "trivial"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("verification failure: ConsistencyError: eps is not a monomial")
