@@ -190,12 +190,12 @@ def eps_rs(inp: AsaiInput, check: bool = True) -> NonArchFactor:
     return eps_from_gamma(gam, _gal_constituents(inp), inp.E.ground.q)
 
 
-def _gal_product(inp: AsaiInput, tate_factor) -> NonArchFactor:
+def _gal_product(inp: AsaiInput, constituents, tate_factor) -> NonArchFactor:
     """lambda_{E/F}(psi) f(mu0 chi, psi) f(nu0 chi, psi) f(mu nu^sigma (chi o N),
     psi o tr) for the Tate factor f = ``tate_factor`` (tate_eps or
-    tate_gamma), uncertified."""
+    tate_gamma), uncertified, on the :func:`_gal_constituents` of ``inp``."""
     E, psi = inp.E, inp.psi
-    mu0, nu0, third = _gal_constituents(inp)
+    mu0, nu0, third = constituents
     out = tate_factor(mu0, psi, check=False) * tate_factor(nu0, psi, check=False)
     out = out * tate_factor(third, psi_to_E(psi, E), check=False).rebase(E.ground.q)
     return out * langlands_constant(E, psi)
@@ -204,12 +204,12 @@ def _gal_product(inp: AsaiInput, tate_factor) -> NonArchFactor:
 def eps_gal(inp: AsaiInput) -> NonArchFactor:
     """eps_Gal(s, As pi (x) chi, psi) = lambda_{E/F}(psi) eps(mu0 chi) eps(nu0 chi)
     eps(mu nu^sigma (chi o N), psi o tr)."""
-    return _gal_product(inp, tate_eps)
+    return _gal_product(inp, _gal_constituents(inp), tate_eps)
 
 
 def gamma_gal(inp: AsaiInput) -> NonArchFactor:
     """gamma version of :func:`eps_gal` (same lambda normalization)."""
-    return _gal_product(inp, tate_gamma)
+    return _gal_product(inp, _gal_constituents(inp), tate_gamma)
 
 
 def eps_gal_comparison(
@@ -217,10 +217,13 @@ def eps_gal_comparison(
 ) -> dict:
     """Check eps_RS = omega(xi) |xi^2|^{s-1/2} lambda^{-1} eps_Gal on the grid.
 
-    Returns a report with the deviation and a per-constituent breakdown."""
+    Returns a report with the deviation and a per-constituent breakdown.
+    The Galois constituents are built once, for eps_RS's L-factors and for
+    eps_Gal."""
     E = inp.E
     q = E.ground.q
-    lhs = eps_rs(inp, check=False)
+    constituents = _gal_constituents(inp)
+    lhs = eps_from_gamma(gamma_rs(inp, check=False), constituents, q)
     lam = langlands_constant(E, inp.psi)
     mu, nu = _twisted_chars(inp)
     omega_xi = mu.value(inp.xi) * nu.value(inp.xi)
@@ -229,7 +232,7 @@ def eps_gal_comparison(
     prefactor = NonArchFactor.monomial(
         q, omega_xi * q ** Fraction(w, 2) / lam, w
     )
-    gal = eps_gal(inp)
+    gal = _gal_product(inp, constituents, tate_eps)
     ok, dev = approx_equal(lhs, prefactor * gal, grid, tol)
     return {
         "ok": ok,
@@ -351,12 +354,8 @@ def split_eps_check(
     pref = nu1.value(-1) * nu2.value(-1)
     eps_lhs = eps_from_gamma(g1 * g2 * g3 * g4 * pref, chars, q)
 
-    eps_pair = (
-        tate_eps(mu1.mul(mu2), psi, check=False)
-        * tate_eps(mu1.mul(nu2), psi, check=False)
-        * tate_eps(nu1.mul(mu2), psi, check=False)
-        * tate_eps(nu1.mul(nu2), psi, check=False)
-    )
+    e = [tate_eps(ch, psi, check=False) for ch in chars]
+    eps_pair = e[0] * e[2] * e[3] * e[1]  # mu1 mu2, mu1 nu2, nu1 mu2, nu1 nu2
     omega_xi = (
         mu1.value(xi0) * nu1.value(xi0) * mu2.value(-xi0) * nu2.value(-xi0)
     )

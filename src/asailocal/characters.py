@@ -24,10 +24,12 @@ x = pi^v (a + b sqrt(d)) it gives two integer angle numerators:
   sqrt(d)), psi_den = p^k.
 
 The kernel raises :class:`PrecisionError` where ``shell`` or ``frac_part``
-would.  :func:`shell_cyc` counts the numerators into one exact ``Cyc``;
-:func:`shell_sum` maps them through ``_num_exp`` in shell order, so each
-float term, and the order of the sum, is the one an element-by-element loop
-of ``chi.value(x) * psi.value(c x)`` gives.
+would.  :func:`shell_cyc` counts the numerators into one exact ``Cyc`` on
+integer exponents; every local integral of the two oracles is built from it
+(:mod:`asailocal.tate`).  :func:`shell_sum`, the float Gauss sum of the
+closed form, maps them through ``_num_exp`` in shell order, so each float
+term, and the order of the sum, is the one an element-by-element loop of
+``chi.value(x) * psi.value(x)`` gives.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple, Optional, Union
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, _make
 from .padic import (
     EElement,
     Field,
@@ -463,31 +465,27 @@ def shell_cyc(
     chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
 ) -> Cyc:
     """sum chi(x) psi(c x) over the shell, exactly: chi(1 + x) with
-    ``shift``, psi alone for ``chi=None``."""
+    ``shift``, psi alone for ``chi=None``.  The counts of each integer
+    numerator mod D become the coefficients, at the conductor D reduced by
+    the gcd of D and the numerators."""
     sa = shell_angles(chi, psi, v, m, c, shift)
     D = math.lcm(sa.unit_den, sa.psi_den)
     fu, fp = D // sa.unit_den, D // sa.psi_den
     counts = Counter((u * fu + s * fp) % D for u, s in zip(sa.units, sa.psis))
-    out = Cyc({Fraction(num, D): n for num, n in counts.items()})
+    g = math.gcd(D, *counts)
+    out = _make(D // g, 1, {num // g: n for num, n in counts.items()})
     if chi is None or shift:
         return out
     return chi.cyc(psi.field.uniformizer() ** v) * out
 
 
-def shell_sum(
-    chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
-) -> complex:
-    """The float ``shell_cyc``: each term is chi.value(x) * psi.value(c x)
-    (psi.value(c x) alone for ``chi=None``), summed in shell order."""
-    sa = shell_angles(chi, psi, v, m, c, shift)
+def shell_sum(chi: MultChar, psi: AddChar, v: int, m: int) -> complex:
+    """The float ``shell_cyc(chi, psi, v, m)``: each term is
+    chi.value(x) * psi.value(x), summed in shell order."""
+    sa = shell_angles(chi, psi, v, m)
     pe = {s: _num_exp(s, sa.psi_den) for s in set(sa.psis)}
+    ce = {u: chi._value(v, _num_exp(u, sa.unit_den)) for u in set(sa.units)}
     out = 0j
-    if chi is None:
-        for s in sa.psis:
-            out += pe[s]
-        return out
-    w = 0 if shift else v
-    ce = {u: chi._value(w, _num_exp(u, sa.unit_den)) for u in set(sa.units)}
     for u, s in zip(sa.units, sa.psis):
         out += ce[u] * pe[s]
     return out

@@ -6,7 +6,15 @@ is certified at construction against that ratio, for several choices of Phi
 at the points of a check grid.  Each zeta integral is built once per Phi as
 terms that do not depend on s (finite shell and coset sums, and closed-form
 geometric tails) and then evaluated at each point.  A disagreement is an
-internal error, not a tolerance failure.
+internal error, not a tolerance failure.  The oracle never calls the closed
+form's :func:`gauss_sum`.
+
+The local integrals int chi(x) psi(-s x) dx over a shell {ord x = j} or a
+unit coset t0 + pi^L O (:func:`shell_integral`, :func:`coset_integral`) are
+exact ``Cyc`` values, and this is the one implementation of them: the Tate
+oracle converts them to floats, the Whittaker oracle
+(:mod:`asailocal.whittaker`) keeps them exact.  sqrt(p), which self-dual
+volumes bring in, is the quadratic Gauss sum (:func:`_sqrt_prime`).
 
 eps is derived from gamma in one place, :func:`eps_from_gamma`, for one
 character (:func:`tate_eps`) and for the products of characters that make
@@ -18,14 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import inf, isqrt
 from operator import mul
 
-from .characters import AddChar, MultChar, conductor_add, shell_sum
+from .characters import AddChar, MultChar, Phase, conductor_add, shell_cyc, shell_sum
+from .cyclotomic import Cyc, _make
 from .factors import (
     NonArchFactor,
     PHI_INDEPENDENCE_TOL,
     PoleError,
 )
+from .padic import legendre
 
 _CHECK_GRID = (0.7, 1.3, 0.4 - 0.8j)
 
@@ -67,6 +78,110 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# exact local integrals: shells and unit cosets, shared with the Whittaker oracle
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _sqrt_prime(p: int) -> Cyc:
+    """sqrt(p) for an odd prime p, exactly: the quadratic Gauss sum
+    sum (a/p) e(a/p) is sqrt(p) for p = 1 (mod 4) and i sqrt(p) for
+    p = 3 (mod 4).  Callers share the result and never mutate it."""
+    g = _make(p, 1, {a: legendre(a, p) for a in range(1, p)})
+    return g if p % 4 == 1 else g * Cyc.root(Fraction(3, 4))
+
+
+@lru_cache(maxsize=None)
+def _qpow(q: int, e) -> Cyc:
+    """q^e for integer or half-integer e; q is p or p^2.  Cached: callers
+    share the result and never mutate it."""
+    fe = Fraction(e)
+    if fe.denominator == 1:
+        return Cyc.rational(Fraction(q) ** int(fe))
+    if fe.denominator != 2:
+        raise ValueError(f"{q}^{e}: only integer and half-integer exponents occur")
+    r = isqrt(q)
+    if r * r == q:
+        return Cyc.rational(Fraction(r) ** int(2 * fe))
+    return Cyc.rational(Fraction(q) ** int(fe - Fraction(1, 2))) * _sqrt_prime(q)
+
+
+@lru_cache(maxsize=1024)
+def _chi_cyc(chi: MultChar, x) -> Cyc:
+    """chi(x) as a Cyc, cached: an x-average evaluates mu(det) and chi(t0)
+    at the same few points for every x."""
+    return chi.cyc(x)
+
+
+@lru_cache(maxsize=1024)
+def _unit_part(field, n: int, angles: tuple) -> MultChar:
+    """The character with unit data (n, angles), t = 1 and lam = 0: one
+    object per value, so equal characters share the cached integrals below."""
+    return MultChar(field, n, angles, Phase.one())
+
+
+def _vol_O(psi: AddChar, cvol=None) -> Cyc:
+    if cvol is None:
+        cvol = Fraction(conductor_add(psi), 2)
+    return _qpow(psi.field.q, cvol)
+
+
+@lru_cache(maxsize=256)
+def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None, s=1) -> Cyc:
+    """S(j) = int_{ord t = j} chi(t) psi(-s t) dt for s != 0; the measure
+    has vol(O) = q^cvol (default: self-dual for psi).  x -> psi(s x) has
+    conductor c(psi) - ord s, so no shifted character is built.  Cached:
+    the w1 family repeats one shell for every u, a Tate certification the
+    shells of chi^{-1}."""
+    K = chi.field
+    q = K.q
+    c = conductor_add(psi) - K.val(s)
+    V = _vol_O(psi, cvol)
+    n = chi.n
+    if n >= 1:
+        if j != c - n:
+            return Cyc.zero()
+        return shell_cyc(chi, psi, j, n, -s) * _qpow(q, -(j + n)) * V
+    pi_j = K.uniformizer() ** j
+    if j >= c:
+        w = Fraction(q - 1, q) * Fraction(q) ** -j  # vol of the shell: q^-j - q^-(j+1)
+        return chi.cyc(pi_j) * V * Cyc.rational(w)
+    if j == c - 1:
+        return chi.cyc(pi_j) * V * shell_cyc(None, psi, j, 1, -s) * _qpow(q, -(j + 1))
+    return Cyc.zero()
+
+
+def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None, s=1) -> Cyc:
+    """CT = int_{t0 + pi^L O} chi(t) psi(-s t) dt with ord(t0) < L; s = 0
+    integrates chi alone."""
+    K = chi.field
+    q = K.q
+    V = _vol_O(psi, cvol)
+    st0 = s * t0
+    T1 = K.val(t0)
+    if T1 >= L:
+        raise ValueError("coset_integral needs ord(t0) < L")
+    J = L - T1
+    n = chi.n
+    # conductor of eta -> psi(-s t0 eta); for s = 0 it is trivial, with none
+    c_eff = conductor_add(psi) - K.val(s) - T1 if s != 0 else -inf
+    if c_eff > max(J, n):
+        # chi(1+eta) only sees eta mod pi^n, so the fine psi-sum runs over a
+        # full coset of pi^max(J,n) O on which psi is a nontrivial character
+        return Cyc.zero()
+    acc = Cyc.zero()
+    for k in range(J, n):
+        m = max(n - k, c_eff - k, 1)
+        acc = acc + shell_cyc(chi, psi, k, m, -st0, shift=True) * _qpow(q, -(k + m))
+    Kk = max(J, n)
+    if Kk >= c_eff:
+        acc = acc + _qpow(q, -Kk)
+    inner = acc * V
+    pref = _chi_cyc(chi, t0) * psi.cyc(-st0) * _qpow(q, -T1)
+    return pref * inner
+
+
+# ---------------------------------------------------------------------------
 # exact Tate zeta integrals for modulated boxes (the oracle)
 # ---------------------------------------------------------------------------
 
@@ -92,52 +207,6 @@ def box_fourier(piece: ModBox, psi: AddChar) -> ModBox:
     return ModBox(coef=coef, mult=a, center=-m0, level=c - n)
 
 
-def _shell_char_psi_integral(chi: MultChar, v: int, mult, psi: AddChar, vol_O: float) -> complex:
-    """int_{ord x = v} chi(x) psi(mult*x) dx (dx with vol(O) = vol_O)."""
-    K = chi.field
-    q = K.q
-    if mult == 0:
-        c_eff = None
-    else:
-        c_eff = conductor_add(psi) - K.val(mult)
-    if chi.is_ramified:
-        if c_eff is None:
-            return 0j
-        if v != c_eff - chi.n:
-            return 0j
-        return shell_sum(chi, psi, v, chi.n, mult) * vol_O * q ** (-(v + chi.n))
-    t = chi.t_full()
-    if c_eff is None or v >= c_eff:
-        return t**v * vol_O * (q ** (-v) - q ** (-v - 1))
-    if v == c_eff - 1:
-        # full oscillation except the subleading coset
-        phase = shell_sum(None, psi, v, 1, mult)
-        return t**v * vol_O * q ** (-(v + 1)) * phase
-    return 0j
-
-
-def _coset_char_psi_integral(
-    chi: MultChar, center, level: int, mult, psi: AddChar, vol_O: float
-) -> complex:
-    """int_{center + pi^level O} chi(x) psi(mult*x) dx for a coset of units
-    (ord(center) < level); exact finite sum.
-
-    The coset is center (1 + pi^m O), m = level - ord(center), enumerated mod
-    pi^(ord(center) + depth): x = center (1 + eta) for eta = 0 and for eta
-    in the shells ord eta = k, m <= k < depth."""
-    K = chi.field
-    q = K.q
-    v0 = K.val(center)
-    m = level - v0
-    depth = max(chi.n, m)
-    if mult != 0:
-        depth = max(depth, conductor_add(psi) - K.val(mult) - v0)
-    c = center * mult
-    inner = 1 + sum(shell_sum(chi, psi, k, depth - k, c, shift=True) for k in range(m, depth))
-    out = chi.value(center) * psi.value(c) * inner
-    return out * vol_O * q ** (-(v0 + depth))
-
-
 def zeta_terms(chi: MultChar, psi: AddChar, pieces) -> list:
     """The terms of Z(s, chi, Phi) = int chi(x) |x|^s Phi(x) d^x x for Phi a
     list of modulated boxes; d^x x = zeta_K(1) dx / |x|, dx self-dual for psi.
@@ -148,12 +217,18 @@ def zeta_terms(chi: MultChar, psi: AddChar, pieces) -> list:
     unramified, summed in closed form, which is also the meromorphic
     continuation outside the convergence half-plane.  Every character sum
     is done here; :func:`zeta_at` only raises q to powers of s.
+
+    A shell or coset lies in one valuation v, where chi is chi(pi)^v times
+    its unit part: its value is the exact integral of the unit part
+    (:func:`_unit_part`), converted once, times chi(pi)^v.  So t and lam
+    need not be exact.
     """
     K = chi.field
     q = K.q
     c = conductor_add(psi)
     vol_O = float(q ** Fraction(c, 2))
     zeta1 = 1.0 / (1.0 - 1.0 / q)
+    unit = _unit_part(chi.field, chi.n, chi.angles)
     terms = []
     for piece in pieces:
         a, n, m0 = K.embed(piece.center), piece.level, K.embed(piece.mult)
@@ -165,17 +240,18 @@ def zeta_terms(chi: MultChar, psi: AddChar, pieces) -> list:
                 if c_eff is None or c_eff - chi.n < n:
                     continue
                 v = c_eff - chi.n
-                terms.append((coef, v, _shell_char_psi_integral(chi, v, m0, psi, vol_O), None))
             else:
                 # geometric part: sum_{v >= start} q^{-v(s-1)} t^v vol q^{-v}(1-1/q)
                 start = n if c_eff is None else max(n, c_eff)
                 terms.append((coef * vol_O * (1 - 1.0 / q), start, None, chi.t_full()))
-                if c_eff is not None and c_eff - 1 >= n:
-                    v = c_eff - 1
-                    terms.append((coef, v, _shell_char_psi_integral(chi, v, m0, psi, vol_O), None))
+                if c_eff is None or c_eff - 1 < n:
+                    continue
+                v = c_eff - 1
+            value = shell_integral(unit, v, psi, s=-m0)
         else:
-            inner = _coset_char_psi_integral(chi, a, n, m0, psi, vol_O)
-            terms.append((coef, K.val(a), inner, None))
+            v = K.val(a)
+            value = coset_integral(unit, a, n, psi, s=-m0)
+        terms.append((coef, v, value.to_complex() * chi._value(v, 1), None))
     return terms
 
 

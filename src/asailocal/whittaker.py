@@ -15,20 +15,19 @@ gives the floating value.  The spherical zeta integral, the oracle for
 unramified gamma_RS, is evaluated in floating point from its closed-form
 tails.
 
-The big-cell integral never builds a shifted additive character: the shell
-and coset sums take psi and a multiplier s and sum psi(s t), whose conductor
-is c(psi) - ord s.  The averaged families write their matrices out directly
-(no matrix products), an x-average only evaluates the points a refinement
-adds, and the values that repeat across calls (q-powers, chi(x), the shell
-sum of the w1 family) are cached.
+The shell and coset integrals, and the cached q-powers and chi(x) they use,
+are the Tate oracle's (:mod:`asailocal.tate`).  They take psi and a
+multiplier s and sum psi(-s t), whose conductor is c(psi) - ord s, so the
+big-cell integral never builds a shifted additive character.  The averaged
+families write their matrices out directly (no matrix products), and an
+x-average only evaluates the points a refinement adds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import isqrt
+from functools import cached_property
 from typing import Optional
 
 from .characters import (
@@ -41,7 +40,8 @@ from .characters import (
 )
 from .cyclotomic import Cyc
 from .factors import PoleError
-from .padic import QuadExtension, legendre
+from .padic import QuadExtension
+from .tate import _chi_cyc, _qpow, _vol_O, coset_integral, shell_integral
 
 
 class StabilizationError(AssertionError):
@@ -49,74 +49,8 @@ class StabilizationError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# exact values: cyclotomic numbers, with sqrt(p) as a quadratic Gauss sum
+# the stability probe
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _sqrt_prime(p: int) -> Cyc:
-    """sqrt(p) for an odd prime p, exactly: the quadratic Gauss sum
-    sum (a/p) e(a/p) is sqrt(p) for p = 1 (mod 4) and i sqrt(p) for
-    p = 3 (mod 4).  Callers share the result and never mutate it."""
-    g = Cyc({Fraction(a, p): legendre(a, p) for a in range(1, p)})
-    return g if p % 4 == 1 else g * Cyc.root(Fraction(3, 4))
-
-
-@lru_cache(maxsize=None)
-def _qpow(q: int, e) -> Cyc:
-    """q^e for integer or half-integer e; q is p or p^2.  Cached: callers
-    share the result and never mutate it."""
-    fe = Fraction(e)
-    if fe.denominator == 1:
-        return Cyc.rational(Fraction(q) ** int(fe))
-    if fe.denominator != 2:
-        raise ValueError(f"{q}^{e}: only integer and half-integer exponents occur")
-    r = isqrt(q)
-    if r * r == q:
-        return Cyc.rational(Fraction(r) ** int(2 * fe))
-    return Cyc.rational(Fraction(q) ** int(fe - Fraction(1, 2))) * _sqrt_prime(q)
-
-
-@lru_cache(maxsize=1024)
-def _chi_cyc(chi: MultChar, x) -> Cyc:
-    """chi(x) as a Cyc, cached: an x-average evaluates mu(det) and chi(t0)
-    at the same few points for every x."""
-    return chi.cyc(x)
-
-
-# ---------------------------------------------------------------------------
-# exact character-coset primitives
-# ---------------------------------------------------------------------------
-
-
-def _vol_O(psi: AddChar, cvol=None) -> Cyc:
-    if cvol is None:
-        cvol = Fraction(conductor_add(psi), 2)
-    return _qpow(psi.field.q, cvol)
-
-
-@lru_cache(maxsize=256)
-def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None, s=1) -> Cyc:
-    """S(j) = int_{ord t = j} chi(t) psi(-s t) dt; the measure has
-    vol(O) = q^cvol (default: self-dual for psi).  x -> psi(s x) has
-    conductor c(psi) - ord s, so no shifted character is built.  Cached:
-    the w1 family repeats one shell for every u."""
-    K = chi.field
-    q = K.q
-    c = conductor_add(psi) - K.val(s)
-    V = _vol_O(psi, cvol)
-    n = chi.n
-    if n >= 1:
-        if j != c - n:
-            return Cyc.zero()
-        return shell_cyc(chi, psi, j, n, -s) * _qpow(q, -(j + n)) * V
-    pi_j = K.uniformizer() ** j
-    if j >= c:
-        w = Fraction(q - 1, q) * Fraction(q) ** -j  # vol of the shell: q^-j - q^-(j+1)
-        return chi.cyc(pi_j) * V * Cyc.rational(w)
-    if j == c - 1:
-        return chi.cyc(pi_j) * V * shell_cyc(None, psi, j, 1, -s) * _qpow(q, -(j + 1))
-    return Cyc.zero()
 
 
 def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, cvol=None) -> Cyc:
@@ -128,35 +62,6 @@ def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, cvol=None) ->
     V = _vol_O(psi, cvol)
     m = max(chi.n, c - j, 1) + 1
     return shell_cyc(chi, psi, j, m, -1) * _qpow(q, -(j + m)) * V
-
-
-def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None, s=1) -> Cyc:
-    """CT = int_{t0 + pi^L O} chi(t) psi(-s t) dt with ord(t0) < L."""
-    K = chi.field
-    q = K.q
-    c = conductor_add(psi) - K.val(s)
-    V = _vol_O(psi, cvol)
-    st0 = s * t0
-    T1 = K.val(t0)
-    if T1 >= L:
-        raise ValueError("coset_integral needs ord(t0) < L")
-    J = L - T1
-    n = chi.n
-    c_eff = c - T1  # conductor of eta -> psi(-s t0 eta)
-    if c_eff > max(J, n):
-        # chi(1+eta) only sees eta mod pi^n, so the fine psi-sum runs over a
-        # full coset of pi^max(J,n) O on which psi is a nontrivial character
-        return Cyc.zero()
-    acc = Cyc.zero()
-    for k in range(J, n):
-        m = max(n - k, c_eff - k, 1)
-        acc = acc + shell_cyc(chi, psi, k, m, -st0, shift=True) * _qpow(q, -(k + m))
-    Kk = max(J, n)
-    if Kk >= c_eff:
-        acc = acc + _qpow(q, -Kk)
-    inner = acc * V
-    pref = _chi_cyc(chi, t0) * psi.cyc(-st0) * _qpow(q, -T1)
-    return pref * inner
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,41 @@ def test_eps_gal_comparison_builds_eps_gal_and_lambda_once(monkeypatch):
     assert lam_checks == [True]
 
 
+def test_eps_gal_comparison_builds_the_galois_constituents_once(monkeypatch):
+    # eps_RS's L-factors and eps_Gal read the same constituents
+    calls = []
+    build = asai_mod._gal_constituents
+
+    def counting(inp):
+        calls.append(inp)
+        return build(inp)
+
+    inp = _twisted_input()
+    want = eps_gal_comparison(inp)
+    monkeypatch.setattr(asai_mod, "_gal_constituents", counting)
+    got = eps_gal_comparison(inp)
+    assert calls == [inp]
+    assert got == want
+
+
+def test_split_eps_check_multiplies_each_pair_once(monkeypatch):
+    rng = random.Random(15)
+    F = PAdicGround(5)
+    chars = [rand_char(F, 1, rng) for _ in range(4)]
+    want = split_eps_check(*chars, standard_psi(F), Fraction(5))
+    calls = []
+    mul = MultChar.mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(MultChar, "mul", counting)
+    got = split_eps_check(*chars, standard_psi(F), Fraction(5))
+    assert len(calls) == 4
+    assert repr(got) == repr(want)
+
+
 def test_gamma_rs_never_builds_the_galois_constituents(monkeypatch):
     def forbidden(inp):
         raise AssertionError("gamma_rs reached the Galois constituents")

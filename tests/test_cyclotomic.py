@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from asailocal.cyclotomic import Cyc, cyclotomic_poly
 from asailocal.padic import legendre
-from asailocal.whittaker import _qpow, _sqrt_prime
+from asailocal.tate import _qpow, _sqrt_prime
 
 DENS = [1, 2, 3, 4, 5, 6, 9, 12, 25]
 

@@ -29,7 +29,7 @@ from asailocal.padic import (
     PrecisionError,
     QuadExtension,
 )
-from asailocal.tate import _coset_char_psi_integral, gauss_sum
+from asailocal.tate import coset_integral, gauss_sum
 from asailocal.unitgroups import unit_group
 
 FIELDS = [(p, ext) for p in (3, 5, 7) for ext in (None,) + EXTENSION_TYPES]
@@ -525,7 +525,7 @@ def test_reduced_conductor_is_minimal(chi):
     assert chi.reduced().n == want
 
 
-# -- the Tate coset integral -------------------------------------------------------
+# -- the shared coset integral -----------------------------------------------------
 
 
 def _coset_by_filtering(chi, center, level, mult, psi, vol_O):
@@ -555,7 +555,9 @@ def test_coset_integral_equals_filtered_shell(p, n):
         chi = MultChar(F, n, (Fraction(k, G.orders[0]),), Phase.exact(Fraction(rng.randrange(12), 12)))
         for center, level in ((Fraction(1), n), (Fraction(p - 1), n + 1), (Fraction(2 * p), 3)):
             for mult in (Fraction(0), Fraction(1), Fraction(1, p), Fraction(3, p * p)):
-                got = _coset_char_psi_integral(chi, center, level, mult, psi, 1.0)
+                # int chi(x) psi(mult x) dx is the shared integral at s = -mult;
+                # vol(O) = 1, self-dual for the conductor-0 psi
+                got = coset_integral(chi, center, level, psi, s=-mult).to_complex()
                 want = _coset_by_filtering(chi, center, level, mult, psi, 1.0)
                 assert abs(got - want) <= 1e-12
                 checked += 1

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from dataclasses import replace
@@ -20,7 +21,7 @@ from asailocal.characters import (
 )
 from asailocal.cli import main
 from asailocal.cyclotomic import Cyc
-from asailocal.factors import PoleError
+from asailocal.factors import PHI_INDEPENDENCE_TOL, PoleError
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, UNRAMIFIED
 from asailocal.tate import (
     ConsistencyError,
@@ -239,6 +240,13 @@ def test_certified_gamma_calls_fe_ratio_once_per_test_function(monkeypatch, caps
 # The grid fe_ratio must give the same floats, bit for bit.
 
 
+def _valuation_piece(chi, v, integral, *args):
+    """A shell or coset integral of chi on valuation v: the exact integral of
+    chi's unit part, times chi(pi)^v."""
+    unit = tate_mod._unit_part(chi.field, chi.n, chi.angles)
+    return integral(unit, *args).to_complex() * chi._value(v, 1)
+
+
 def reference_tate_zeta_value(chi, psi, pieces, s):
     """Z(s, chi, Phi) = int chi(x) |x|^s Phi(x) d^x x for Phi a list of
     modulated boxes; d^x x = zeta_K(1) dx / |x|, dx self-dual for psi.
@@ -262,7 +270,7 @@ def reference_tate_zeta_value(chi, psi, pieces, s):
                 v = conductor_add(psi) - K.val(m0) - chi.n
                 if v < n:
                     continue
-                shell_val = tate_mod._shell_char_psi_integral(chi, v, m0, psi, vol_O)
+                shell_val = _valuation_piece(chi, v, tate_mod.shell_integral, v, psi, None, -m0)
                 total += piece.coef * zeta1 * q ** (-v * (s - 1)) * shell_val
             else:
                 t = chi.t_full()
@@ -276,11 +284,11 @@ def reference_tate_zeta_value(chi, psi, pieces, s):
                 total += piece.coef * zeta1 * vol_O * (1 - 1.0 / q) * geom
                 if c_eff is not None and c_eff - 1 >= n:
                     v = c_eff - 1
-                    shell_val = tate_mod._shell_char_psi_integral(chi, v, m0, psi, vol_O)
+                    shell_val = _valuation_piece(chi, v, tate_mod.shell_integral, v, psi, None, -m0)
                     total += piece.coef * zeta1 * q ** (-v * (s - 1)) * shell_val
         else:
             v0 = K.val(a)
-            inner = tate_mod._coset_char_psi_integral(chi, a, n, m0, psi, vol_O)
+            inner = _valuation_piece(chi, v0, tate_mod.coset_integral, a, n, psi, None, -m0)
             total += piece.coef * zeta1 * q ** (-v0 * (s - 1)) * inner
     return total
 
@@ -322,6 +330,48 @@ def test_grid_fe_ratio_matches_the_per_point_reference_bit_for_bit(case):
         assert got.value.args == exc.args
         return
     assert fe_ratio(chi, psi, pieces, grid) == want
+
+
+def _primitive_char(K, n, rng, t, lam=0):
+    """A character of conductor exactly n with the given t and lam."""
+    G = unit_group(K, n)
+    while True:
+        angles = [Fraction(rng.randrange(d), d) for d in G.orders]
+        chi = MultChar.from_angles(K, n, angles, t, lam)
+        if chi.n == n:
+            return chi
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("ext", (None,) + tuple(EXTENSION_TYPES))
+def test_gamma_certifies_characters_with_float_t_and_complex_lam(p, ext):
+    # a CLI "t": [re, im] and a complex lam (a Theorem B twist) are not
+    # exact: the oracle integrates the exact unit part and multiplies each
+    # shell and coset by chi(pi)^v
+    K, psi = _field(p, ext)
+    rng = random.Random(f"{p}-{ext}")
+    t = Phase.approx(0.8 * cmath.exp(1.1j))
+    for n in (0, 1, 2):
+        chi = _primitive_char(K, n, rng, t, complex(0.15, -0.3))
+        fac = tate_gamma(chi, psi)  # raises ConsistencyError on a mismatch
+        worst = max(dev for _, _, dev in tate_mod.phi_deviations(fac, chi, psi))
+        assert worst < PHI_INDEPENDENCE_TOL, (n, worst)
+
+
+def test_fe_ratio_never_calls_the_closed_form(monkeypatch):
+    def forbidden(chi, psi):
+        raise AssertionError("the oracle reached gauss_sum")
+
+    monkeypatch.setattr(tate_mod, "gauss_sum", forbidden)
+    rng = random.Random(7)
+    for ext in (None,) + tuple(EXTENSION_TYPES):
+        K, psi = _field(3, ext)
+        for n in (1, 2):
+            chi = _primitive_char(K, n, rng, Phase.exact(Fraction(1, 3)))
+            with pytest.raises(AssertionError, match="gauss_sum"):
+                tate_gamma(chi, psi)  # the closed form does call it
+            for pieces in tate_mod._default_test_functions(chi, psi):
+                assert len(fe_ratio(chi, psi, pieces, tate_mod._CHECK_GRID)) == 3
 
 
 def test_fe_ratio_raises_at_the_pole_on_the_grid():

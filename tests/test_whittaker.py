@@ -19,15 +19,12 @@ from asailocal.characters import (
 from asailocal.cyclotomic import Cyc
 from asailocal.factors import DEFAULT_GRID
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, RAMIFIED_P, UNRAMIFIED
-from asailocal.tate import tate_eps
+from asailocal.tate import _qpow, coset_integral, shell_integral, tate_eps
 from asailocal.unitgroups import unit_group
 from asailocal.verify import suite_whittaker_closed_forms
 from asailocal import whittaker
 from asailocal.whittaker import (
-    _qpow,
     InducedSection,
-    coset_integral,
-    shell_integral,
     spherical_gamma_oracle,
     spherical_zeta,
     w_case1,
