@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -220,3 +221,25 @@ def test_bad_tol_exits_2(capsys):
     for bad in ("-1", "0", "nan", "inf", "x"):
         assert main(asai + ["--tol", bad]) == 2
         assert "--tol" in capsys.readouterr().err
+
+
+def _subcommand_options():
+    from asailocal.cli import build_parser
+
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(opt for action in p._actions for opt in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_registers_exactly_its_options():
+    padic = ["--ext", "--field", "--format", "--help", "--out", "--psi-shift", "--xi-scale", "-h"]
+    assert _subcommand_options() == {
+        "tate": sorted(padic + ["--char", "--grid"]),
+        "asai": sorted(padic + ["--char", "--char2", "--grid", "--tol", "--twist"]),
+        "twisted-asai": sorted(padic + ["--char", "--char2", "--grid", "--tau", "--tol"]),
+        "dichotomy": sorted(padic + ["--char", "--char2", "--grid", "--tau"]),
+        "arch-zeta": ["--format", "--grid", "--help", "--lam1", "--lam2", "--n1", "--n2", "--out", "-h"],
+        "verify": ["--help", "--out", "--suite", "-h"],
+    }
