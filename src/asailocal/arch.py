@@ -342,11 +342,13 @@ def zeta_whittaker_closed(s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: C
 
 
 def zeta_whittaker_quadrature(
-    s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: CChar, tol: float = 1e-11
+    s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: CChar
 ) -> complex:
     """2-D quadrature of zeta(s, W_{(a,b)}, chi): the y-integral over R^x of
     the quadrature Whittaker value; the independent oracle for the Lemma."""
     import numpy as np
+
+    tol = 1e-11
 
     # |y|^{s-1} d^x y with y = +-e^v.  Each 45 nodes (one outer panel) at
     # both signs are the 90 rows of one inner call; all open outer panels in

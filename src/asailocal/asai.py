@@ -30,6 +30,7 @@ from typing import Optional
 from .characters import (
     AddChar,
     MultChar,
+    as_lam,
     compose_with_norm,
     extend_from_F,
     omega_quadratic,
@@ -51,19 +52,10 @@ class TwistedPair:
     v2: complex = 0.0
 
     def plus(self) -> MultChar:
-        return self.mu2.twist_by_norm_power(_as_lam(self.v2))
+        return self.mu2.twist_by_norm_power(as_lam(self.v2))
 
     def minus(self) -> MultChar:
-        return self.nu2.twist_by_norm_power(_as_lam(-self.v2))
-
-
-def _as_lam(v):
-    if isinstance(v, Fraction):
-        return v
-    z = complex(v)
-    if z.imag == 0 and float(z.real).is_integer():
-        return Fraction(int(z.real))
-    return z
+        return self.nu2.twist_by_norm_power(as_lam(-self.v2))
 
 
 @dataclass(frozen=True)
@@ -271,10 +263,10 @@ def gamma_psr(
     four_xi4 = 4 * xi_sq * xi_sq
     chi_p, chi_m = inp.tau.plus(), inp.tau.minus()
 
-    def prefac(x, slope=2):
+    def prefac(x):
         wv = F.val(x)
         const = 1 / omega.value(x) * q ** float(-wv)
-        return NonArchFactor.monomial(q, const, -slope * wv)
+        return NonArchFactor.monomial(q, const, -2 * wv)
 
     a1 = (
         prefac(four_xi4)
@@ -336,7 +328,6 @@ def split_eps_check(
     nu2: MultChar,
     psi: AddChar,
     xi0: Fraction,
-    grid=DEFAULT_GRID,
     tol: float = REL_TOL_NONARCH,
 ) -> dict:
     """For E = F x F with xi = (xi0, -xi0): check that the multiplicativity
@@ -362,5 +353,5 @@ def split_eps_check(
     w = 2 * F.val(xi0)
     pref_rhs = NonArchFactor.monomial(q, omega_xi * q ** Fraction(w, 2), w)
     rhs = pref_rhs * eps_pair
-    ok, dev = approx_equal(eps_lhs, rhs, grid, tol)
+    ok, dev = approx_equal(eps_lhs, rhs, tol=tol)
     return {"ok": ok, "max_deviation": dev}

@@ -383,27 +383,57 @@ def _add_lam(a, b):
     return complex(a) + complex(b)
 
 
+def json_complex(value) -> complex:
+    """A JSON number, or an [re, im] pair, as a finite complex number."""
+    try:
+        if isinstance(value, (list, tuple)):
+            if len(value) != 2:
+                raise ValueError(f"expected a number or [re, im], got {value!r}")
+            z = complex(*value)
+        else:
+            z = complex(value)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"expected a number or [re, im], got {value!r}") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"not a finite number: {value!r}")
+    return z
+
+
+def as_lam(v):
+    """A twist exponent as a Fraction when it is an integer, else as a complex."""
+    if isinstance(v, Fraction):
+        return v
+    z = complex(v)
+    if z.imag == 0 and z.real.is_integer():
+        return Fraction(int(z.real))
+    return z
+
+
 def mult_char_from_json(obj: dict, field: Field) -> MultChar:
     t = obj.get("t", 1)
     if isinstance(t, dict):
         if "angle" not in t:
             raise ValueError("an exact 't' needs an 'angle' entry")
         phase = Phase.exact(Fraction(t["angle"]))
-    elif isinstance(t, (list, tuple)):
-        phase = Phase.approx(complex(t[0], t[1]))
     else:
-        phase = Phase.approx(complex(t))
+        z = json_complex(t)
+        if z == 0:
+            raise ValueError("'t' must be nonzero")
+        phase = Phase.approx(z)
     lam = obj.get("lambda", 0)
     if isinstance(lam, str):
         lam = Fraction(lam)
     elif isinstance(lam, (list, tuple)):
-        lam = complex(lam[0], lam[1])
-        if lam.imag == 0 and lam.real == int(lam.real):
-            lam = Fraction(int(lam.real))
+        lam = as_lam(json_complex(lam))
+    elif not isinstance(lam, int):
+        lam = json_complex(lam)
     n = int(obj.get("conductor", 0))
     if n < 0:
         raise ValueError("conductor must be >= 0")
     angles = [Fraction(a) for a in obj.get("unit_part", [])]
+    for a, d in zip(angles, unit_group(field, n).orders):
+        if (a * d).denominator != 1:
+            raise ValueError(f"unit_part angle {a} times its generator's order {d} is not an integer")
     return MultChar.from_angles(field, n, angles, phase, lam)
 
 

@@ -2,9 +2,17 @@
 
 All numeric JSON output uses [re, im] pairs; everything the CLI emits can be
 re-ingested.  Exit codes: 0 success; 2 input error (each argument is checked
-where it is parsed); 3 verification failure (a failed suite or comparison, or
-an internal consistency check such as ConsistencyError or StabilizationError).
-Any other exception is a fault in the program and ends with its traceback.
+where it is parsed, and a pole at a --grid point is one too); 3 verification
+failure (a failed suite or comparison, or an internal consistency check such
+as ConsistencyError or StabilizationError).  Any other exception is a fault
+in the program and ends with its traceback.
+
+Each flag is registered once, in :func:`build_parser`, on the subcommands
+that read it; a command reads a flag it does not take as its
+``set_defaults`` value.  Every character argument (--char, --char2, --twist,
+--tau's mu2 and nu2) goes through :func:`_parse_char`, which checks the
+descriptor's field tag against the fields the argument may live on, and every
+JSON number through :func:`asailocal.characters.json_complex`.
 """
 
 from __future__ import annotations
@@ -28,11 +36,13 @@ from .asai import (
 from .characters import (
     AddChar,
     MultChar,
-    Phase,
+    json_complex,
     mult_char_from_json,
+    omega_quadratic,
+    psi_to_E,
     standard_psi,
 )
-from .factors import DEFAULT_GRID, eval_table
+from .factors import DEFAULT_GRID, PoleError, eval_table, off_poles
 from .padic import DEFAULT_PRECISION, PAdicGround, PrecisionError, QuadExtension, field_from_json
 from .tate import ConsistencyError, eps_from_gamma, langlands_constant, tate_L, tate_gamma
 from .verify import SUITE_GROUPS, SUITES, run_suites
@@ -55,9 +65,12 @@ def _parse_json(text: str, what: str) -> dict:
 
 def _parse_number(text: str, what: str, kind=Fraction):
     try:
-        return kind(text)
+        x = kind(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{what}: not a number: {text!r}") from exc
+    if kind is float and not math.isfinite(x):
+        raise InputError(f"{what}: not a finite number: {text!r}")
+    return x
 
 
 def _parse_field(args) -> tuple:
@@ -68,7 +81,7 @@ def _parse_field(args) -> tuple:
     if env_prec:
         obj.setdefault("precision", _parse_number(env_prec, "ASAI_PRECISION", int))
     obj.setdefault("precision", DEFAULT_PRECISION)
-    if getattr(args, "ext", None):
+    if args.ext:
         obj["ext"] = args.ext
     try:
         K = field_from_json(obj)
@@ -79,35 +92,37 @@ def _parse_field(args) -> tuple:
     return K, None
 
 
-def _parse_char(text: str, F: PAdicGround, E) -> MultChar:
-    if text == "trivial":
-        return MultChar.trivial(E if E is not None else F)
-    if text == "legendre":
-        return MultChar(F, 1, (Fraction(1, 2),), Phase.one())
-    obj = _parse_json(text, "--char")
-    if obj.get("supercuspidal"):
-        raise InputError(
-            "supercuspidal data is out of scope: this artifact covers "
-            "principal-series/induced representations only"
-        )
-    tag = obj.get("field", "E" if E is not None else "F")
-    target = E if tag == "E" else F
-    if target is None:
-        raise InputError("character declared on E but no extension was given")
-    return _char_from_json(obj, target, "--char")
+_SHORTHANDS = {
+    "trivial": {"t": {"angle": "0"}},
+    "legendre": {"field": "F", "conductor": 1, "unit_part": ["1/2"], "t": {"angle": "0"}},
+}
 
 
-def _char_from_json(obj, field, what: str) -> MultChar:
-    if not isinstance(obj, dict):
+def _parse_char(spec, what: str, fields: dict, text: bool = True) -> MultChar:
+    """The character of a flag's text (a JSON descriptor or a shorthand) or,
+    with ``text`` false, of a parsed --tau entry.  ``fields`` maps the
+    "field" tags ``what`` accepts to their fields, the default tag first."""
+    if text:
+        spec = _SHORTHANDS.get(spec) or _parse_json(spec, what)
+        if spec.get("supercuspidal"):
+            raise InputError(
+                "supercuspidal data is out of scope: this artifact covers "
+                "principal-series/induced representations only"
+            )
+    elif not isinstance(spec, dict):
         raise InputError(f"{what} must be a JSON object")
+    tag = spec.get("field", next(iter(fields)))
+    if not isinstance(tag, str) or tag not in fields:
+        allowed = " or ".join(f"{t}^x" for t in fields)
+        raise InputError(f"{what} must be a character of {allowed}, not of {tag}^x")
     try:
-        return mult_char_from_json(obj, field)
-    except (TypeError, ValueError, ZeroDivisionError, PrecisionError) as exc:
+        return mult_char_from_json(spec, fields[tag])
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError, PrecisionError) as exc:
         raise InputError(f"invalid character descriptor in {what}: {exc}") from exc
 
 
 def _parse_grid(args) -> tuple:
-    if not getattr(args, "grid", None):
+    if not args.grid:
         return DEFAULT_GRID
     return tuple(_parse_complex(part, "--grid") for part in args.grid.split(";"))
 
@@ -124,7 +139,7 @@ def _parse_tol(args) -> float:
     if args.tol is None:
         return 1e-8
     tol = _parse_number(args.tol, "--tol", float)
-    if not (math.isfinite(tol) and tol > 0):
+    if not tol > 0:
         raise InputError(f"--tol must be a positive finite number, got {args.tol!r}")
     return tol
 
@@ -138,18 +153,24 @@ def _nonzero_fraction(text: str, what: str) -> Fraction:
 
 def _psi(args, F: PAdicGround) -> AddChar:
     psi = standard_psi(F)
-    if getattr(args, "psi_shift", None):
+    if args.psi_shift:
         psi = psi.shifted(_nonzero_fraction(args.psi_shift, "--psi-shift"))
     return psi
 
 
+def _xi(args, E: QuadExtension):
+    xi = E.xi()
+    if args.xi_scale:
+        xi = xi * E.embed(_nonzero_fraction(args.xi_scale, "--xi-scale"))
+    return xi
+
+
 def _emit(payload: dict, args) -> None:
-    if getattr(args, "format", "json") == "table":
-        lines = _tables(payload)
-        text = "\n".join(lines)
+    if args.format == "table":
+        text = "\n".join(_tables(payload))
     else:
         text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -180,21 +201,20 @@ def _tables(payload, prefix="") -> list:
 
 def cmd_tate(args) -> int:
     F, E = _parse_field(args)
-    chi = _parse_char(args.char, F, E)
+    chi = _parse_char(args.char, "--char", {"E": E, "F": F} if E else {"F": F})
     psi = _psi(args, F)
-    if chi.field is not F:
-        from .characters import psi_to_E
-
-        xi = E.xi()
-        if getattr(args, "xi_scale", None):
-            xi = xi * E.embed(_nonzero_fraction(args.xi_scale, "--xi-scale"))
-        psi_k = psi_to_E(psi, E, xi)
-    else:
+    if chi.field is F:
+        if args.xi_scale:
+            raise InputError("--xi-scale applies to characters of E^x only")
         psi_k = psi
+    else:
+        psi_k = psi_to_E(psi, E, _xi(args, E))
     grid = _parse_grid(args)
     L = tate_L(chi)
     gamma = tate_gamma(chi, psi_k)
     eps = eps_from_gamma(gamma, [chi], chi.field.q)
+    if not args.grid:
+        grid = off_poles(grid, (L.eval, gamma.eval, eps.eval))
     payload = {
         "input": {"field": (chi.field.to_json()), "char": chi.to_json(), "psi": psi_k.to_json()},
         "L": L.to_json(),
@@ -212,25 +232,19 @@ def _asai_input(args) -> AsaiInput:
     F, E = _parse_field(args)
     if E is None:
         raise InputError("asai subcommands need --field with an 'ext' entry (or --ext)")
-    mu = _parse_char(args.char, F, E)
-    nu = _parse_char(args.char2, F, E)
-    if mu.field is not E or nu.field is not E:
-        raise InputError("mu and nu must be characters of E^x")
-    chi = _parse_char(args.twist, F, None) if getattr(args, "twist", None) else None
-    psi = _psi(args, F)
-    xi = E.xi()
-    if getattr(args, "xi_scale", None):
-        xi = xi * E.embed(_nonzero_fraction(args.xi_scale, "--xi-scale"))
+    mu = _parse_char(args.char, "--char", {"E": E})
+    nu = _parse_char(args.char2, "--char2", {"E": E})
+    chi = _parse_char(args.twist, "--twist", {"F": F}) if args.twist else None
+    psi, xi = _psi(args, F), _xi(args, E)
     tau = None
-    if getattr(args, "tau", None):
+    if args.tau is not None:
         obj = _parse_json(args.tau, "--tau")
-        mu2 = _char_from_json(obj.get("mu2"), F, "--tau mu2")
-        nu2 = _char_from_json(obj.get("nu2"), F, "--tau nu2")
-        v2 = obj.get("v2", 0)
+        mu2 = _parse_char(obj.get("mu2"), "--tau mu2", {"F": F}, text=False)
+        nu2 = _parse_char(obj.get("nu2"), "--tau nu2", {"F": F}, text=False)
         try:
-            v2 = complex(v2[0], v2[1]) if isinstance(v2, (list, tuple)) else complex(v2)
-        except (IndexError, TypeError, ValueError) as exc:
-            raise InputError(f"--tau v2 must be a number or [re, im]: {exc}") from exc
+            v2 = json_complex(obj.get("v2", 0))
+        except ValueError as exc:
+            raise InputError(f"--tau v2: {exc}") from exc
         tau = TwistedPair(mu2, nu2, v2)
     return AsaiInput(E, mu, nu, psi, xi, chi, tau)
 
@@ -270,8 +284,6 @@ def _corrections(inp: AsaiInput) -> dict:
 
 def cmd_twisted_asai(args) -> int:
     inp = _asai_input(args)
-    if inp.tau is None:
-        raise InputError("twisted-asai needs --tau")
     grid = _parse_grid(args)
     tol = _parse_tol(args)
     assembly1, report = gamma_psr(inp, grid, tol)
@@ -287,13 +299,9 @@ def cmd_twisted_asai(args) -> int:
 
 def cmd_dichotomy(args) -> int:
     inp = _asai_input(args)
-    if inp.tau is None:
-        raise InputError("dichotomy needs --tau")
     if not inp.omega_total().is_trivial():
         raise InputError("dichotomy sign requires trivial omega")
     sign = dichotomy_sign(inp)
-    from .characters import omega_quadratic
-
     constituents = {
         "omega_EF(-1)": omega_quadratic(inp.E).value(-1).real,
         "lambda": list(_c(langlands_constant(inp.E, inp.psi))),
@@ -353,7 +361,7 @@ def cmd_verify(args) -> int:
                 f"{sorted(SUITES) + sorted(SUITE_GROUPS) + ['all']}"
             )
     reports = run_suites(names)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             json.dump(reports, fh, indent=2, default=float)
     return 0 if all(rep["ok"] for rep in reports) else 3
@@ -371,74 +379,59 @@ def build_parser() -> argparse.ArgumentParser:
         "of GL(2) over a quadratic extension, with brute-force verification.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
+    # the defaults stand in for flags a command reads but does not take
+    for name, func, summary, defaults in (
+        ("tate", cmd_tate, "Tate L/eps/gamma of a single character", {}),
+        ("asai", cmd_asai, "Theorem-A factors and the Galois comparison", {"tau": None}),
+        ("twisted-asai", cmd_twisted_asai, "Theorem-B factor, both assemblies", {"twist": None}),
+        ("dichotomy", cmd_dichotomy, "central-sign computation (omega = 1)",
+         {"twist": None, "grid": None}),
+        ("arch-zeta", cmd_arch_zeta, "archimedean case table and constants", {}),
+        ("verify", cmd_verify, "run the oracle verification suites", {"grid": None}),
+    ):
+        commands[name] = sub.add_parser(name, help=summary)
+        commands[name].set_defaults(func=func, **defaults)
 
-    def common(p, need_field=True, need_tol=True):
-        if need_field:
-            p.add_argument("--field", required=True, help='e.g. \'{"p":3,"ext":"unramified"}\'')
-            p.add_argument("--ext", help="extension type (overrides --field)")
-        p.add_argument("--grid", help='s-grid "re,im;re,im;..."')
-        if need_tol:
-            p.add_argument("--tol", help="comparison tolerance")
-        p.add_argument("--out", help="write JSON output to a file")
-        p.add_argument("--format", choices=("json", "table"), default="json")
+    def add(names: str, flag: str, **kw) -> None:
+        for name in names.split():
+            commands[name].add_argument(flag, **kw)
 
-    p = sub.add_parser("tate", help="Tate L/eps/gamma of a single character")
-    common(p, need_tol=False)
-    p.add_argument("--char", required=True)
-    p.add_argument("--psi-shift", dest="psi_shift")
-    p.add_argument("--xi-scale", dest="xi_scale")
-    p.set_defaults(func=cmd_tate)
-
-    p = sub.add_parser("asai", help="Theorem-A factors and the Galois comparison")
-    common(p)
-    p.add_argument("--char", required=True, help="mu (character of E^x)")
-    p.add_argument("--char2", required=True, help="nu (character of E^x)")
-    p.add_argument("--twist", help="chi (character of F^x)")
-    p.add_argument("--psi-shift", dest="psi_shift")
-    p.add_argument("--xi-scale", dest="xi_scale")
-    p.set_defaults(func=cmd_asai)
-
-    p = sub.add_parser("twisted-asai", help="Theorem-B factor, both assemblies")
-    common(p)
-    p.add_argument("--char", required=True)
-    p.add_argument("--char2", required=True)
-    p.add_argument("--tau", required=True, help='{"mu2": {...}, "nu2": {...}, "v2": [re,im]}')
-    p.add_argument("--psi-shift", dest="psi_shift")
-    p.add_argument("--xi-scale", dest="xi_scale")
-    p.set_defaults(func=cmd_twisted_asai)
-
-    p = sub.add_parser("dichotomy", help="central-sign computation (omega = 1)")
-    common(p, need_tol=False)
-    p.add_argument("--char", required=True)
-    p.add_argument("--char2", required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--psi-shift", dest="psi_shift")
-    p.add_argument("--xi-scale", dest="xi_scale")
-    p.set_defaults(func=cmd_dichotomy)
-
-    p = sub.add_parser("arch-zeta", help="archimedean case table and constants")
-    common(p, need_field=False, need_tol=False)
-    p.add_argument("--n1", required=True)
-    p.add_argument("--n2", required=True)
-    p.add_argument("--lam1", default="0")
-    p.add_argument("--lam2", default="0")
-    p.set_defaults(func=cmd_arch_zeta)
-
-    p = sub.add_parser("verify", help="run the oracle verification suites")
-    p.add_argument("--suite", default="all")
-    p.add_argument("--out", help="write the reports as JSON")
-    p.set_defaults(func=cmd_verify)
-
+    padic = "tate asai twisted-asai dichotomy"
+    add(padic, "--field", required=True, help='e.g. \'{"p":3,"ext":"unramified"}\'')
+    add(padic, "--ext", help="extension type (overrides --field)")
+    add(padic, "--char", required=True, help="a character; mu (on E^x) for the Asai commands")
+    add("asai twisted-asai dichotomy", "--char2", required=True, help="nu (character of E^x)")
+    add("asai", "--twist", help="chi (character of F^x)")
+    tau_help = '{"mu2": {...}, "nu2": {...}, "v2": [re,im]}'
+    add("twisted-asai dichotomy", "--tau", required=True, help=tau_help)
+    add(padic, "--psi-shift")
+    add(padic, "--xi-scale", help="scale xi by this rational (characters of E^x only)")
+    add("arch-zeta", "--n1", required=True)
+    add("arch-zeta", "--n2", required=True)
+    add("arch-zeta", "--lam1", default="0")
+    add("arch-zeta", "--lam2", default="0")
+    add("tate asai twisted-asai arch-zeta", "--grid", help='s-grid "re,im;re,im;..."')
+    add("asai twisted-asai", "--tol", help="comparison tolerance")
+    add("verify", "--suite", default="all")
+    add(padic + " arch-zeta verify", "--out", help="write the output to this file")
+    add(padic + " arch-zeta", "--format", choices=("json", "table"), default="json")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except PoleError as exc:
+        # a pole at a point the user asked for is the input's fault; any
+        # other pole is the program's
+        if not args.grid or exc.where not in _parse_grid(args):
+            raise
+        print(f"input error: --grid point {exc.where:g} is a pole", file=sys.stderr)
         return 2
     except (ConsistencyError, StabilizationError) as exc:
         print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -97,9 +97,9 @@ class NonArchFactor:
         return NonArchFactor(q, c, m)
 
     @staticmethod
-    def euler_inverse(q: int, alpha: complex, a: int = 1, b: complex = 0) -> "NonArchFactor":
-        """(1 - alpha q^{-(a s + b)})^{-1}, the L-factor shape."""
-        return NonArchFactor(q, den=((complex(alpha), a, complex(b)),))
+    def euler_inverse(q: int, alpha: complex) -> "NonArchFactor":
+        """(1 - alpha q^{-s})^{-1}, the L-factor shape."""
+        return NonArchFactor(q, den=((complex(alpha), 1, 0j),))
 
     # -- evaluation -------------------------------------------------------------
     def eval(self, s: complex) -> complex:
@@ -176,7 +176,9 @@ class NonArchFactor:
         }
 
 
-def _cancel(num: tuple, den: tuple, tol: float = 1e-10) -> tuple:
+def _cancel(num: tuple, den: tuple) -> tuple:
+    """Drop each numerator entry that matches a denominator entry to 1e-10."""
+    tol = 1e-10
     num, den = list(num), list(den)
     out_num = []
     for entry in num:
@@ -308,7 +310,25 @@ def approx_equal(
 
 
 def eval_table(fct, grid: Sequence[complex] = DEFAULT_GRID) -> list:
-    return [[complex(s).real, complex(s).imag, fct.eval(s).real, fct.eval(s).imag] for s in grid]
+    values = [fct.eval(s) for s in grid]
+    return [[complex(s).real, complex(s).imag, v.real, v.imag] for s, v in zip(grid, values)]
+
+
+def off_poles(grid: Sequence[complex], evals) -> tuple:
+    """``grid`` with each point s at which one of ``evals`` raises ``PoleError``
+    replaced by the first of s + i/4, s + i/2, s + 3i/4 that is a pole of none
+    (poles are isolated).  A point that is no pole is kept as it is."""
+
+    def is_pole(s) -> bool:
+        try:
+            for f in evals:
+                f(s)
+        except PoleError:
+            return True
+        return False
+
+    moves = lambda s: (s, s + 0.25j, s + 0.5j, s + 0.75j)
+    return tuple(next((z for z in moves(s) if not is_pole(z)), s) for s in grid)
 
 
 def factor_from_json(obj: dict):

@@ -35,6 +35,7 @@ from .factors import (
     NonArchFactor,
     PHI_INDEPENDENCE_TOL,
     PoleError,
+    off_poles,
 )
 from .padic import legendre
 
@@ -255,6 +256,14 @@ def zeta_terms(chi: MultChar, psi: AddChar, pieces) -> list:
     return terms
 
 
+def _tail_ratio(t: complex, q: int, s: complex) -> complex:
+    """r = t q^{-s}, the ratio of a geometric tail; its sum has a pole at r = 1."""
+    r = t * q ** (-s)
+    if abs(r - 1) < 1e-13:
+        raise PoleError(s)
+    return r
+
+
 def zeta_at(terms, q: int, s: complex) -> complex:
     """Z(s, chi, Phi) from its :func:`zeta_terms`, summed in their order."""
     total = 0j
@@ -262,9 +271,7 @@ def zeta_at(terms, q: int, s: complex) -> complex:
         if t is None:
             total += coef * q ** (-v * (s - 1)) * value
         else:
-            r = t * q ** (-s)
-            if abs(r - 1) < 1e-13:
-                raise PoleError(s)
+            r = _tail_ratio(t, q, s)
             total += coef * (r**v / (1 - r))
     return total
 
@@ -343,13 +350,26 @@ def tate_gamma(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor
     return fac
 
 
+def _check_grid(fac: NonArchFactor, chi: MultChar) -> tuple:
+    """``_CHECK_GRID`` moved off the poles (:func:`off_poles`) of the closed
+    form and of the geometric tails of Z(s, chi, Phi) and Z(1-s, chi^{-1},
+    Phi^).  A ramified chi has a monomial gamma and no tails, so no poles."""
+    if chi.is_ramified:
+        return _CHECK_GRID
+    q = chi.field.q
+    t, t_dual = chi.t_full(), chi.inv().t_full()
+    tails = (lambda s: _tail_ratio(t, q, s), lambda s: _tail_ratio(t_dual, q, 1 - s))
+    return off_poles(_CHECK_GRID, (fac.eval, *tails))
+
+
 def phi_deviations(fac: NonArchFactor, chi: MultChar, psi: AddChar):
     """(s, Phi, relative deviation of ``fac`` from the functional-equation
     ratio) for each default test function Phi and each s of the check grid;
     one :func:`fe_ratio` call per Phi."""
-    want = [fac.eval(s) for s in _CHECK_GRID]
+    grid = _check_grid(fac, chi)
+    want = [fac.eval(s) for s in grid]
     for pieces in _default_test_functions(chi, psi):
-        for s, w, got in zip(_CHECK_GRID, want, fe_ratio(chi, psi, pieces, _CHECK_GRID)):
+        for s, w, got in zip(grid, want, fe_ratio(chi, psi, pieces, grid)):
             yield s, pieces, abs(got - w) / max(abs(w), 1e-30)
 
 

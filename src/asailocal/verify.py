@@ -40,10 +40,10 @@ def _report(name: str, ok, worst, detail: str) -> dict:
     return {"name": name, "ok": bool(ok), "max_deviation": float(worst), "detail": detail}
 
 
-def _rand_char(K, n, rng, t_den=12) -> MultChar:
+def _rand_char(K, n, rng) -> MultChar:
     G = unit_group(K, n)
     angles = [Fraction(rng.randrange(d), d) for d in G.orders]
-    t = Phase.exact(Fraction(rng.randrange(t_den), t_den))
+    t = Phase.exact(Fraction(rng.randrange(12), 12))
     return MultChar.from_angles(K, n, angles, t, 0)
 
 
@@ -129,13 +129,13 @@ def suite_theorem_a_unramified(per_type=10, ps=(3, 5), tol=1e-8, seed=3) -> dict
     )
 
 
-def _find_char(E, lvl, want_ramified_restriction, t_angle=Fraction(1, 3)):
+def _find_char(E, lvl, want_ramified_restriction):
     G = unit_group(E, lvl)
     for ks in itertools.product(*[range(d) for d in G.orders]):
         if all(k == 0 for k in ks):
             continue
         mu = MultChar.from_angles(
-            E, lvl, [Fraction(k, d) for k, d in zip(ks, G.orders)], Phase.exact(t_angle)
+            E, lvl, [Fraction(k, d) for k, d in zip(ks, G.orders)], Phase.exact(Fraction(1, 3))
         )
         if mu.n != lvl:
             continue
@@ -144,7 +144,7 @@ def _find_char(E, lvl, want_ramified_restriction, t_angle=Fraction(1, 3)):
     return None
 
 
-def suite_whittaker_closed_forms(ps=(3, 5), tol=0.0) -> dict:
+def suite_whittaker_closed_forms(ps=(3, 5)) -> dict:
     """The averaged-section Whittaker values reproduce the two closed forms
     exactly (cyclotomic arithmetic, zero deviation)."""
     checked = 0

@@ -323,3 +323,24 @@ def test_char_json_roundtrip():
         back = mult_char_from_json(chi.to_json(), K)
         for x in K.shell(0, 2)[:8]:
             assert abs(back.value(x) - chi.value(x)) < 1e-12
+
+
+def test_json_numbers_and_the_integer_lambda_rule():
+    from asailocal.characters import as_lam, json_complex, mult_char_from_json
+
+    assert json_complex([1, 2]) == 1 + 2j and json_complex(0.5) == 0.5
+    for bad in ([float("inf"), 0], float("nan"), [1], [1, 2, 3], "x", 10**400, None):
+        with pytest.raises(ValueError):
+            json_complex(bad)
+    # one rule, for a --tau v2 and a descriptor's [re, im] lambda alike
+    assert as_lam(2.0) == 2 and isinstance(as_lam(2.0), Fraction)
+    assert as_lam(-3 + 0j) == -3 and isinstance(as_lam(-3 + 0j), Fraction)
+    assert as_lam(0.5) == 0.5 and isinstance(as_lam(0.5), complex)
+    F = PAdicGround(5)
+    assert isinstance(mult_char_from_json({"lambda": [2.0, 0.0]}, F).lam, Fraction)
+    # a JSON float lambda stays complex, as it always was
+    assert isinstance(mult_char_from_json({"lambda": 2.0}, F).lam, complex)
+    # the residue units of Z_5 are cyclic of order 4: 1/3 is no character's angle
+    with pytest.raises(ValueError, match="order 4 is not an integer"):
+        mult_char_from_json({"conductor": 1, "unit_part": ["1/3"]}, F)
+    assert mult_char_from_json({"conductor": 1, "unit_part": ["3/4"]}, F).n == 1

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from asailocal.cli import main
-from asailocal.factors import factor_from_json
+from asailocal.factors import DEFAULT_GRID, factor_from_json
 
 
 MU_JSON = '{"field":"E","conductor":1,"unit_part":["1/2"],"t":{"angle":"1/3"}}'
@@ -239,7 +239,128 @@ def test_each_subcommand_registers_exactly_its_options():
         "tate": sorted(padic + ["--char", "--grid"]),
         "asai": sorted(padic + ["--char", "--char2", "--grid", "--tol", "--twist"]),
         "twisted-asai": sorted(padic + ["--char", "--char2", "--grid", "--tau", "--tol"]),
-        "dichotomy": sorted(padic + ["--char", "--char2", "--grid", "--tau"]),
+        "dichotomy": sorted(padic + ["--char", "--char2", "--tau"]),
         "arch-zeta": ["--format", "--grid", "--help", "--lam1", "--lam2", "--n1", "--n2", "--out", "-h"],
         "verify": ["--help", "--out", "--suite", "-h"],
     }
+
+
+def test_table_format_for_tate(capsys):
+    argv = ["tate", "--field", '{"p":5}', "--char", "trivial", "--grid", "2;0.5,1"]
+    assert main(argv + ["--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["input:", "  field:", "    p: 5"]
+    assert "    conductor: 0" in lines and "    lambda: 0" in lines
+    # L(2) = (1 - 1/25)^{-1}; eps = 1 for an unramified character and psi of conductor 0
+    at = lines.index("L_table:  (s -> value)")
+    assert lines[at + 1] == "  s = +2.0000+0.0000i   ->   +1.0416666667e+00+0.0000000000e+00i"
+    at = lines.index("eps_table:  (s -> value)")
+    assert lines[at + 1 : at + 3] == [
+        "  s = +2.0000+0.0000i   ->   +1.0000000000e+00+0.0000000000e+00i",
+        "  s = +0.5000+1.0000i   ->   +1.0000000000e+00+0.0000000000e+00i",
+    ]
+    # the same numbers as the JSON tables
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    at = lines.index("gamma_table:  (s -> value)")
+    for line, (re_s, im_s, re_v, im_v) in zip(lines[at + 1 : at + 3], payload["gamma_table"]):
+        assert line == f"  s = {re_s:+.4f}{im_s:+.4f}i   ->   {re_v:+.10e}{im_v:+.10e}i"
+
+
+def test_table_format_for_arch_zeta(capsys):
+    argv = ["arch-zeta", "--n1", "2", "--n2", "1"]
+    assert main(argv + ["--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert lines[0] == "case: 3" and lines[-1] == "ok: True"
+    for section in ("constants", "expected", "deviations"):
+        at = lines.index(f"{section}:")
+        entries = payload[section]  # the JSON sorts its keys, the table does not
+        assert sorted(lines[at + 1 : at + 1 + len(entries)]) == sorted(
+            f"  {key}: {val}" for key, val in entries.items()
+        )
+
+
+_F5 = '{"p":5}'
+_U3 = '{"p":3,"ext":"unramified"}'
+
+
+def _unramified(field, extra):
+    return json.dumps({"field": field, "conductor": 0, "unit_part": [], **extra})
+
+
+def _t0(lam):
+    return _unramified("F", {"t": {"angle": "0"}, "lambda": lam})
+
+
+_REPROS = [
+    # a non-finite or zero number
+    (["tate", "--field", _F5, "--char", '{"field":"F","lambda":[Infinity,0]}'], "--char"),
+    (["tate", "--field", _F5, "--char", '{"field":"F","lambda":[1e400,0]}'], "--char"),
+    (["tate", "--field", _F5, "--char", _unramified("F", {"t": [0, 0]})], "--char"),
+    (["tate", "--field", _F5, "--char", '{"field":"F","t":[NaN,0]}'], "--char"),
+    (["tate", "--field", _F5, "--char", '{"field":"F","t":[Infinity,0]}'], "--char"),
+    (["tate", "--field", _F5, "--char", "trivial", "--grid", "nan"], "--grid"),
+    (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1", "inf"], "--lam1"),
+    (
+        ["twisted-asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+         "--tau", '{"mu2":{},"nu2":{},"v2":[NaN,0]}'],
+        "--tau v2",
+    ),
+    # unit-part angles that are not a character
+    (
+        ["tate", "--field", _F5, "--char",
+         '{"field":"F","conductor":1,"unit_part":["1/3"],"t":{"angle":"0"}}'],
+        "--char",
+    ),
+    (
+        ["tate", "--field", _U3, "--char",
+         '{"field":"E","conductor":1,"unit_part":["1/5"],"t":{"angle":"0"}}'],
+        "--char",
+    ),
+    # input the command cannot use
+    (["tate", "--field", _F5, "--char", "trivial", "--xi-scale", "2"], "--xi-scale"),
+    (["tate", "--field", _F5, "--char", "trivial", "--grid", "0"], "--grid"),
+    (["tate", "--field", _F5, "--char", "trivial", "--grid", "1"], "--grid"),
+    # the field tag of every character argument is checked
+    (
+        ["twisted-asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+         "--tau", '{"mu2":{"field":"E"},"nu2":{},"v2":0}'],
+        "--tau mu2",
+    ),
+    (
+        ["asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+         "--twist", '{"field":"E"}'],
+        "--twist",
+    ),
+    (["asai", "--field", _U3, "--char", "legendre", "--char2", "trivial"], "--char"),
+    (["tate", "--field", _F5, "--char", '{"field":"E"}'], "--char"),
+    # valid exact input whose certification grid holds a pole: accepted
+    (["tate", "--field", _F5, "--char", _t0("-7/10")], None),
+    (["tate", "--field", _F5, "--char", _t0("-3/10")], None),
+    (["tate", "--field", _F5, "--char", _t0("3/10")], None),
+    (["tate", "--field", _U3, "--char", _t0("-7/10").replace('"F"', '"E"')], None),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _REPROS, ids=lambda v: None if isinstance(v, list) else v)
+def test_each_input_ends_as_stated(argv, flag, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if flag is None:
+        assert rc == 0 and err == ""
+        json.loads(out)
+    else:
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("input error:") and flag in err
+
+
+def test_default_table_points_step_off_a_pole(capsys):
+    # L(s) = (1 - 5^{7/10 - s})^{-1} has a pole at the default point s = 0.7
+    assert main(["tate", "--field", _F5, "--char", _t0("-7/10")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for key in ("L_table", "gamma_table", "eps_table"):
+        points = [complex(re_s, im_s) for re_s, im_s, _, _ in out[key]]
+        assert points == [0.7 + 0.25j, *DEFAULT_GRID[1:]]

@@ -401,3 +401,22 @@ def test_gamma_functional_equation_involution_same_psi(p, ext, n, rng):
     sign = chi.value(-1)
     for s in (0.7, 1.3, 2.1 + 0.5j, 0.4 - 0.8j, 1.05):
         assert abs(g1.eval(s) * g2.eval(1 - s) - sign) < 1e-9
+
+
+def test_check_grid_moves_only_its_poles():
+    F = PAdicGround(5)
+    psi = standard_psi(F)
+    regular = MultChar(F, 0, (), Phase.one(), Fraction(1, 7))
+    grid = tate_mod._check_grid(tate_gamma(regular, psi), regular)
+    assert grid == tate_mod._CHECK_GRID
+    assert [type(s) for s in grid] == [type(s) for s in tate_mod._CHECK_GRID]
+    # lambda = -3/10: gamma's denominator 1 - 5^{s - 13/10} vanishes at s = 1.3, and
+    # Z(1-s, chi^-1) has its pole there; lambda = 3/10 puts both poles on 0.7
+    cases = ((Fraction(-3, 10), (0.7, 1.3 + 0.25j)), (Fraction(3, 10), (0.7 + 0.25j, 1.3)))
+    for lam, moved in cases:
+        chi = MultChar(F, 0, (), Phase.one(), lam)
+        fac = tate_gamma(chi, psi)  # certifies at the moved point
+        assert tate_mod._check_grid(fac, chi) == (*moved, 0.4 - 0.8j)
+        base = tate_mod._default_test_functions(chi, psi)[0]
+        with pytest.raises(PoleError):
+            fe_ratio(chi, psi, base, tate_mod._CHECK_GRID)
