@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .factors import DEFAULT_GRID, ArchFactor, REL_TOL_ARCH, gammafn, loggamma
+from .factors import DEFAULT_GRID, ArchFactor, PoleError, REL_TOL_ARCH, gammafn, loggamma
 
 QUAD_TOL = 1e-8
 
@@ -551,8 +551,12 @@ def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID, tol=REL_TOL_ARCH
 
     ratios, ratios_dual = [], []
     for s in grid:
-        ratios.append(Z(s) / L.eval(s))
-        ratios_dual.append(Zdual(1 - s) / Ld.eval(1 - s))
+        try:
+            ratios.append(Z(s) / L.eval(s))
+            ratios_dual.append(Zdual(1 - s) / Ld.eval(1 - s))
+        except PoleError as exc:
+            # a Gamma argument or 1 - s hit the pole: it is s's fault
+            raise PoleError(s) from exc
     cbar = sum(ratios) / len(ratios)
     cbar_d = sum(ratios_dual) / len(ratios_dual)
     spread = max(abs(r - cbar) for r in ratios) / max(abs(cbar), 1e-30)

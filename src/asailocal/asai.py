@@ -38,7 +38,7 @@ from .characters import (
     restrict_to_F,
     sigma_conjugate,
 )
-from .factors import DEFAULT_GRID, NonArchFactor, REL_TOL_NONARCH, approx_equal
+from .factors import NonArchFactor, REL_TOL_NONARCH, approx_equal, resolve_grid
 from .padic import EElement, PAdicGround, QuadExtension
 from .tate import eps_from_gamma, l_product, langlands_constant, tate_eps, tate_gamma
 
@@ -204,10 +204,9 @@ def gamma_gal(inp: AsaiInput) -> NonArchFactor:
     return _gal_product(inp, _gal_constituents(inp), tate_gamma)
 
 
-def eps_gal_comparison(
-    inp: AsaiInput, grid=DEFAULT_GRID, tol: float = REL_TOL_NONARCH
-) -> dict:
-    """Check eps_RS = omega(xi) |xi^2|^{s-1/2} lambda^{-1} eps_Gal on the grid.
+def eps_gal_comparison(inp: AsaiInput, grid=None, tol: float = REL_TOL_NONARCH) -> dict:
+    """Check eps_RS = omega(xi) |xi^2|^{s-1/2} lambda^{-1} eps_Gal on the grid
+    (default: ``DEFAULT_GRID`` off the poles of both sides, :func:`resolve_grid`).
 
     Returns a report with the deviation and a per-constituent breakdown.
     The Galois constituents are built once, for eps_RS's L-factors and for
@@ -225,7 +224,8 @@ def eps_gal_comparison(
         q, omega_xi * q ** Fraction(w, 2) / lam, w
     )
     gal = _gal_product(inp, constituents, tate_eps)
-    ok, dev = approx_equal(lhs, prefactor * gal, grid, tol)
+    rhs = prefactor * gal
+    ok, dev = approx_equal(lhs, rhs, resolve_grid(grid, (lhs.eval, rhs.eval)), tol)
     return {
         "ok": ok,
         "max_deviation": dev,
@@ -243,10 +243,11 @@ def eps_gal_comparison(
 
 
 def gamma_psr(
-    inp: AsaiInput, grid=DEFAULT_GRID, tol: float = REL_TOL_NONARCH
+    inp: AsaiInput, grid=None, tol: float = REL_TOL_NONARCH
 ) -> tuple[NonArchFactor, dict]:
     """gamma_PSR via the zeta-integral assembly; asserts grid equality with
-    the Galois-side assembly and reports the deviation.
+    the Galois-side assembly and reports the deviation (default grid:
+    ``DEFAULT_GRID`` off the poles of both assemblies, :func:`resolve_grid`).
 
     assembly-1 = omega(4 xi^4)^{-1} |4 xi^4|^{-2s+1} gamma_RS(+) gamma_RS(-)
     assembly-2 = omega(4 xi^2)^{-1} |4 xi^2|^{-2s+1} omega_{E/F}(-1)
@@ -279,7 +280,7 @@ def gamma_psr(
         * gamma_gal(inp.with_twist(chi_p))
         * gamma_gal(inp.with_twist(chi_m))
     )
-    ok, dev = approx_equal(a1, a2, grid, tol)
+    ok, dev = approx_equal(a1, a2, resolve_grid(grid, (a1.eval, a2.eval)), tol)
     report = {
         "ok": ok,
         "max_deviation": dev,

@@ -23,7 +23,7 @@ x = pi^v (a + b sqrt(d)) it gives two integer angle numerators:
   beta the residues of p^k tr(c psi_mult pi^v) and p^k tr(c psi_mult pi^v
   sqrt(d)), psi_den = p^k.
 
-The kernel raises :class:`PrecisionError` where ``shell`` or ``frac_part``
+The kernel raises :class:`PrecisionError` where ``shell`` or ``AddChar.angle``
 would.  :func:`shell_cyc` counts the numerators into one exact ``Cyc`` on
 integer exponents; every local integral of the two oracles is built from it
 (:mod:`asailocal.tate`).  :func:`shell_sum`, the float Gauss sum of the
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,19 +132,26 @@ class AddChar:
     mult: Union[Fraction, int, EElement] = 1
 
     def __post_init__(self):
-        # stored as an element of ``field`` from here on
+        # stored as an element of ``field`` from here on; the hash is taken
+        # once, since the caches keyed on psi look it up on every call
         object.__setattr__(self, "mult", self.field.embed(self.mult))
+        object.__setattr__(self, "_hash", hash((self.field, self.mult)))
+
+    def __hash__(self):
+        return self._hash
 
     def angle(self, x) -> Fraction:
-        """Exact angle in [0,1): psi(x) = e^(2 pi i angle)."""
+        """Exact angle in [0,1): psi(x) = e^(2 pi i angle), read off the
+        integer coordinates of tr(mult x), with no field element built."""
         K = self.field
-        return K.ground.frac_part(K.tr(self.mult * K.embed(x)))
+        return Fraction(*K.ground._frac_num(*K._tr_mul(self.mult, x)))
 
     def value(self, x) -> complex:
         return _angle_exp(self.angle(x))
 
     def cyc(self, x) -> Cyc:
-        return Cyc.root(self.angle(x))
+        theta = self.angle(x)
+        return _make(theta.denominator, 1, {theta.numerator: 1})
 
     def shifted(self, a) -> "AddChar":
         """psi^a, i.e. x -> psi(a x)."""
@@ -427,6 +435,9 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         lam = as_lam(json_complex(lam))
     elif not isinstance(lam, int):
         lam = json_complex(lam)
+    if not isinstance(lam, complex) and abs(lam) > sys.float_info.max:
+        # an exact lambda enters |x|^lam = q^(-lam v) as a float
+        raise ValueError(f"'lambda' {obj['lambda']!r} is too large for a float")
     n = int(obj.get("conductor", 0))
     if n < 0:
         raise ValueError("conductor must be >= 0")

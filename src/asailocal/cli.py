@@ -42,7 +42,7 @@ from .characters import (
     psi_to_E,
     standard_psi,
 )
-from .factors import DEFAULT_GRID, PoleError, eval_table, off_poles
+from .factors import DEFAULT_GRID, PoleError, eval_table, resolve_grid
 from .padic import DEFAULT_PRECISION, PAdicGround, PrecisionError, QuadExtension, field_from_json
 from .tate import ConsistencyError, eps_from_gamma, langlands_constant, tate_L, tate_gamma
 from .verify import SUITE_GROUPS, SUITES, run_suites
@@ -121,9 +121,11 @@ def _parse_char(spec, what: str, fields: dict, text: bool = True) -> MultChar:
         raise InputError(f"invalid character descriptor in {what}: {exc}") from exc
 
 
-def _parse_grid(args) -> tuple:
+def _parse_grid(args):
+    """The --grid points, or None for the default grid, which each
+    evaluation moves off its own poles (:func:`resolve_grid`)."""
     if not args.grid:
-        return DEFAULT_GRID
+        return None
     return tuple(_parse_complex(part, "--grid") for part in args.grid.split(";"))
 
 
@@ -213,8 +215,7 @@ def cmd_tate(args) -> int:
     L = tate_L(chi)
     gamma = tate_gamma(chi, psi_k)
     eps = eps_from_gamma(gamma, [chi], chi.field.q)
-    if not args.grid:
-        grid = off_poles(grid, (L.eval, gamma.eval, eps.eval))
+    grid = resolve_grid(grid, (L.eval, gamma.eval, eps.eval))
     payload = {
         "input": {"field": (chi.field.to_json()), "char": chi.to_json(), "psi": psi_k.to_json()},
         "L": L.to_json(),
@@ -263,7 +264,7 @@ def cmd_asai(args) -> int:
         "gamma_rs": gamma.to_json(),
         "eps_rs": comparison["eps_rs"],
         "L_rs": L.to_json(),
-        "gamma_table": eval_table(gamma, grid),
+        "gamma_table": eval_table(gamma, resolve_grid(grid, (gamma.eval,))),
         "galois_comparison": comparison,
     }
     _emit(payload, args)
@@ -290,7 +291,7 @@ def cmd_twisted_asai(args) -> int:
     payload = {
         "normalization_corrections": _corrections(inp),
         "gamma_psr": assembly1.to_json(),
-        "gamma_table": eval_table(assembly1, grid),
+        "gamma_table": eval_table(assembly1, resolve_grid(grid, (assembly1.eval,))),
         "assemblies": report,
     }
     _emit(payload, args)
@@ -322,8 +323,7 @@ def cmd_arch_zeta(args) -> int:
     lam2 = _parse_complex(args.lam2, "--lam2")
     mu = arch.CChar(lam1, _parse_number(args.n1, "--n1", int))
     nu = arch.CChar(lam2, _parse_number(args.n2, "--n2", int))
-    grid = _parse_grid(args)
-    report = arch.zeta_integral_case(mu, nu, grid)
+    report = arch.zeta_integral_case(mu, nu, _parse_grid(args) or DEFAULT_GRID)
     payload = {
         "case": report["case"],
         "constants": {

@@ -331,6 +331,13 @@ def off_poles(grid: Sequence[complex], evals) -> tuple:
     return tuple(next((z for z in moves(s) if not is_pole(z)), s) for s in grid)
 
 
+def resolve_grid(grid, evals) -> tuple:
+    """The points at which to evaluate ``evals``: ``grid`` as given, or for
+    ``grid=None`` the ``DEFAULT_GRID`` moved off their poles (:func:`off_poles`).
+    A point the caller chose stays where it is, pole or not."""
+    return off_poles(DEFAULT_GRID, evals) if grid is None else tuple(grid)
+
+
 def factor_from_json(obj: dict):
     if obj.get("type") == "nonarch":
         dec = lambda fs: tuple(

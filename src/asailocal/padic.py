@@ -1,9 +1,12 @@
 """Exact arithmetic for the ground field Q_p (p odd) and its quadratic extensions.
 
-Elements are stored as exact rationals: every quantity the library ever
-constructs (shell representatives, unit residues, traces, norms) lies in Q or
-in Q(sqrt(d)), so valuations and residue classes are computed without any
-rounding.  The ``precision`` attribute of a ground field is the cap on residue
+Elements are exact: every quantity the library ever constructs (shell
+representatives, unit residues, traces, norms) lies in Q or in Q(sqrt(d)),
+so valuations and residue classes are computed without any rounding.  An
+element of E is stored as three Python ints, x = (A + B sqrt(d)) / D with
+D > 0 and gcd(A, B, D) = 1 (:class:`EElement`): each operation does integer
+products and one gcd, and valuations, residues and traces are read off A, B
+and D.  The ``precision`` attribute of a ground field is the cap on residue
 moduli that finite sums are allowed to request; exceeding it raises
 :class:`PrecisionError` instead of silently truncating.
 
@@ -12,8 +15,12 @@ which field it has: ``elem``, ``embed``, ``zero``, ``one``, ``uniformizer``,
 ``val``, ``unit_part``, ``residue``, ``shell``, ``shell_coords``,
 ``shell_basis``, ``coords``, ``tr`` (trace down to F), ``ground`` and
 ``different_exponent``.  Elements of F are plain ``Fraction``s and elements of
-E are :class:`EElement`s; both support the field operations ``+ - * /`` and
-comparison with 0, and ``embed`` returns an element of the field unchanged.
+E are :class:`EElement`s, whose coordinates ``x.a``, ``x.b`` (and
+``K.coords(x)``) are ``Fraction``s; both support the field operations
+``+ - * /`` and comparison with 0, and ``embed`` returns an element of the
+field unchanged.  Additive characters read their angles off integers as
+well: ``K._tr_mul(x, y)`` is tr(x y) as an integer pair, and
+``F._frac_num`` its p-adic fractional part k/p^m as the pair (k, p^m).
 
 Shells are enumerated as integer coordinates.  ``K.shell_coords(v, m)`` lists
 the pairs (a, b) with x = pi^v (a + b sqrt(d)) running over {ord x = v} modulo
@@ -127,15 +134,7 @@ class PAdicGround:
         x = _frac(x)
         if x == 0:
             raise ZeroValuationError("valuation of zero")
-        v = 0
-        num, den = x.numerator, x.denominator
-        while num % self.p == 0:
-            num //= self.p
-            v += 1
-        while den % self.p == 0:
-            den //= self.p
-            v -= 1
-        return v
+        return _vp(x.numerator, self.p) - _vp(x.denominator, self.p)
 
     def unit_part(self, x: Rational) -> Fraction:
         """x / p^{ord(x)} as an exact rational unit."""
@@ -143,26 +142,41 @@ class PAdicGround:
 
     def residue(self, x: Rational, m: int) -> int:
         """Residue of an integral element x in Z/p^m."""
+        x = _frac(x)
+        return self._residue(x.numerator, x.denominator, m)
+
+    def _residue(self, num: int, den: int, m: int) -> int:
+        """Residue of an integral num/den, den > 0 and not necessarily in
+        lowest terms, in Z/p^m."""
         if m > self.precision:
             raise PrecisionError(f"modulus exponent {m} exceeds precision {self.precision}")
-        x = _frac(x)
-        mod = self.p**m
-        if x.denominator % self.p == 0:
-            raise ValueError("residue of a non-integral element")
-        return x.numerator % mod * pow(x.denominator, -1, mod) % mod
+        p = self.p
+        while not den % p:
+            if num % p:
+                raise ValueError("residue of a non-integral element")
+            num //= p
+            den //= p
+        mod = p**m
+        return num % mod * pow(den, -1, mod) % mod
 
-    def frac_part(self, x: Rational) -> Fraction:
-        """p-adic fractional part: the unique k/p^m in [0,1) with x - k/p^m in Z_p."""
-        x = _frac(x)
-        v = 0 if x == 0 else self.val(x)
-        if x == 0 or v >= 0:
-            return Fraction(0)
-        m = -v
+    def _frac_num(self, num: int, den: int) -> tuple:
+        """(k, p^m) for the p-adic fractional part of num/den (den > 0, not
+        necessarily in lowest terms): the unique k/p^m in [0, 1), in lowest
+        terms, with num/den - k/p^m in Z_p."""
+        p = self.p
+        m = _vp(den, p) - _vp(num, p) if num else 0
+        if m <= 0:
+            return 0, 1
         if m > self.precision:
             raise PrecisionError(f"fractional part needs p^{m} > precision window")
-        y = x * Fraction(self.p) ** m  # now a p-adic unit
-        k = self.residue(y, m)
-        return Fraction(k, self.p**m)
+        P = p**m
+        # num P / den is a p-adic unit, so its residue k is prime to p
+        return self._residue(num * P, den, m), P
+
+    def _tr_mul(self, x: Rational, y: Rational) -> tuple:
+        """tr(x y) = x y as an integer pair (num, den), den > 0, not reduced."""
+        x, y = _frac(x), _frac(y)
+        return x.numerator * y.numerator, x.denominator * y.denominator
 
     def shell_coords(self, v: int, m: int) -> tuple:
         """Coordinates (a, 0) of the representatives p^v a of {x : ord(x)=v}
@@ -203,36 +217,61 @@ def _shell_coords(p: int, ma: int, mb: int, a_unit: bool) -> tuple:
 
 
 class EElement:
-    """a + b*sqrt(d) with exact rational coordinates, d the extension's class."""
+    """x = (A + B sqrt(d)) / D, d the extension's class: three ints with
+    D > 0 and gcd(A, B, D) = 1, so each element has one representation.
 
-    __slots__ = ("ext", "a", "b")
+    Every operation works on the integers and normalises once, by one
+    ``math.gcd(A, B, D)``; equality and hashing compare the triples.  The
+    coordinates a = A/D and b = B/D are read-only ``Fraction`` properties.
+    ``EElement(ext, a, b)`` takes ints or Fractions (or anything
+    ``Fraction`` accepts).
+    """
+
+    __slots__ = ("ext", "A", "B", "D")
 
     def __init__(self, ext: "QuadExtension", a: Rational, b: Rational = 0):
+        if type(a) is not int:
+            a = a if type(a) is Fraction else Fraction(a)
+        if type(b) is not int:
+            b = b if type(b) is Fraction else Fraction(b)
+        # a, b in lowest terms over D = lcm of their denominators share no
+        # factor with D, so the triple is normal
+        da, db = a.denominator, b.denominator
+        D = da if da == db else math.lcm(da, db)
         self.ext = ext
-        # the arithmetic below passes Fractions: no conversion for those
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
+        self.A = a.numerator * (D // da)
+        self.B = b.numerator * (D // db)
+        self.D = D
 
     # -- basic structure ---------------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
+
     def __repr__(self):
         return f"EElement({self.a} + {self.b}*sqrt({self.ext.d}))"
 
     def __eq__(self, other):
         if isinstance(other, EElement):
-            return self.ext.same(other.ext) and self.a == other.a and self.b == other.b
-        return self.b == 0 and self.a == _frac(other)
+            same = (self.A, self.B, self.D) == (other.A, other.B, other.D)
+            return same and self.ext.same(other.ext)
+        return not self.B and self.A == other * self.D
 
     def __hash__(self):
-        return hash((self.a, self.b, self.ext.d))
+        return hash((self.A, self.B, self.D, self.ext.d))
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.A and not self.B
 
     def in_F(self) -> bool:
-        return self.b == 0
+        return not self.B
 
     def as_F(self) -> Fraction:
-        if self.b != 0:
+        if self.B:
             raise ValueError("element does not lie in the ground field")
         return self.a
 
@@ -246,44 +285,42 @@ class EElement:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return EElement(self.ext, self.a + o.a, self.b + o.b)
+        D, oD = self.D, o.D
+        if D == oD:
+            return _normal(self.ext, self.A + o.A, self.B + o.B, D)
+        return _normal(self.ext, self.A * oD + o.A * D, self.B * oD + o.B * D, D * oD)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EElement(self.ext, -self.a, -self.b)
+        return _normal(self.ext, -self.A, -self.B, self.D)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return EElement(self.ext, self.a - o.a, self.b - o.b)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if not o.b:  # a factor in F scales both coordinates
-            return EElement(self.ext, self.a * o.a, self.b * o.a if self.b else self.b)
-        if not self.b:
-            return EElement(self.ext, self.a * o.a, self.a * o.b)
-        d = self.ext.d
-        return EElement(
-            self.ext,
-            self.a * o.a + d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        A, B, oA, oB = self.A, self.B, o.A, o.B
+        if oB:
+            A, B = A * oA + self.ext.d * B * oB, A * oB + B * oA
+        else:  # a factor in F scales both coordinates
+            A, B = A * oA, B * oA
+        return _normal(self.ext, A, B, self.D * o.D)
 
     __rmul__ = __mul__
 
     def inv(self) -> "EElement":
-        if not self.b:  # in F: 1/a, no norm
-            if not self.a:
-                raise ZeroDivisionError("inverse of zero")
-            return EElement(self.ext, 1 / self.a, self.b)
-        n = self.norm()
-        if n == 0:
+        # 1/x = D (A - B sqrt d) / (A^2 - d B^2)
+        A, B, D = self.A, self.B, self.D
+        n = A * A - self.ext.d * B * B
+        if not n:
             raise ZeroDivisionError("inverse of zero")
-        return EElement(self.ext, self.a / n, -self.b / n)
+        if n < 0:
+            D, n = -D, -n
+        return _normal(self.ext, D * A, -D * B, n)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
@@ -305,16 +342,37 @@ class EElement:
 
     # -- Galois structure ----------------------------------------------------
     def conj(self) -> "EElement":
-        return EElement(self.ext, self.a, -self.b)
+        return _normal(self.ext, self.A, -self.B, self.D)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.A, self.D)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.ext.d * self.b * self.b
+        return Fraction(self.A * self.A - self.ext.d * self.B * self.B, self.D * self.D)
 
     def val(self) -> int:
         return self.ext.val(self)
+
+
+def _normal(ext: "QuadExtension", A: int, B: int, D: int) -> EElement:
+    """The element (A + B sqrt(d)) / D, D > 0, with gcd(A, B, D) divided out."""
+    x = object.__new__(EElement)
+    x.ext = ext
+    g = math.gcd(A, B, D)
+    if g == 1:
+        x.A, x.B, x.D = A, B, D
+    else:
+        x.A, x.B, x.D = A // g, B // g, D // g
+    return x
+
+
+def _vp(n: int, p: int) -> int:
+    """ord_p of a nonzero integer."""
+    v = 0
+    while not n % p:
+        n //= p
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)
@@ -392,28 +450,35 @@ class QuadExtension:
     def val(self, x) -> int:
         """ord_E normalized so ord_E(uniformizer) = 1; x is an element of E
         or of F."""
-        F, e = self.ground, self.e
+        e = self.e
         if not isinstance(x, EElement):
-            return F.val(x) * e
-        if not x.b:  # in F
-            return F.val(x.a) * e
+            return self.ground.val(x) * e
+        A, B, D = x.A, x.B, x.D
+        if not B:  # in F
+            if not A:
+                raise ZeroValuationError("valuation of zero")
+            return (_vp(A, self.p) - _vp(D, self.p)) * e
         # sqrt(d) is a unit on unramified E and a uniformizer on ramified E
-        vb = F.val(x.b) * e + e - 1
-        return min(F.val(x.a) * e, vb) if x.a else vb
+        vd = _vp(D, self.p)
+        vb = (_vp(B, self.p) - vd) * e + e - 1
+        return min((_vp(A, self.p) - vd) * e, vb) if A else vb
 
     def unit_part(self, x: EElement) -> EElement:
         """x / pi^{ord x}, by rescaling the coordinates: by p^{-v} on
         unramified E; on ramified E by d^{-floor(v/2)}, and for odd v one
         division by sqrt(d), which swaps the coordinates."""
         v = self.val(x)
-        if self.ext_type == UNRAMIFIED:
-            s = Fraction(self.p) ** -v
-            return EElement(self, x.a * s, x.b * s)
-        s = Fraction(self.d) ** -(v // 2)
-        if v % 2:
-            # (a + b sqrt d) / sqrt d = b + (a/d) sqrt d
-            return EElement(self, x.b * s, x.a * s / self.d)
-        return EElement(self, x.a * s, x.b * s)
+        A, B, D = x.A, x.B, x.D
+        k, odd = (v, 0) if self.ext_type == UNRAMIFIED else divmod(v, 2)
+        s = (self.p if self.ext_type == UNRAMIFIED else self.d) ** abs(k)
+        if k > 0:
+            D *= s
+        else:
+            A, B = A * s, B * s
+        if odd:
+            # (A + B sqrt d) / sqrt d = (d B + A sqrt d) / d
+            A, B, D = self.d * B, A, self.d * D
+        return _normal(self, A, B, D)
 
     def residue_digits(self, m: int) -> tuple:
         """(ma, mb): x = a + b sqrt(d) mod pi^m is (a mod p^ma, b mod p^mb)."""
@@ -426,8 +491,8 @@ class QuadExtension:
         F = self.ground
         ma, mb = self.residue_digits(m)
         return (
-            F.residue(x.a, ma) if ma else 0,
-            F.residue(x.b, mb) if mb else 0,
+            F._residue(x.A, x.D, ma) if ma else 0,
+            F._residue(x.B, x.D, mb) if mb else 0,
         )
 
     def shell_coords(self, v: int, m: int) -> tuple:
@@ -447,15 +512,15 @@ class QuadExtension:
 
     def shell(self, v: int, m: int) -> list[EElement]:
         """Representatives of {x : ord_E(x)=v} modulo pi_E^{v+m}, m >= 1,
-        written from their coordinates: pi^v and pi^v sqrt(d) each have one
-        zero coordinate, (x, 0) and (0, y) or (0, x) and (y, 0)."""
+        written from their coordinates: x = a e1 + b e2 over the common
+        denominator of the basis e1 = pi^v, e2 = pi^v sqrt(d)."""
         e1, e2 = self.shell_basis(v)
-        coords = self.shell_coords(v, m)
-        if e1.b == 0:
-            x, y = e1.a, e2.b
-            return [EElement(self, a * x, b * y) for a, b in coords]
-        x, y = e1.b, e2.a
-        return [EElement(self, b * y, a * x) for a, b in coords]
+        D = math.lcm(e1.D, e2.D)
+        (A1, B1), (A2, B2) = ((e.A * (D // e.D), e.B * (D // e.D)) for e in (e1, e2))
+        return [
+            _normal(self, a * A1 + b * A2, a * B1 + b * B2, D)
+            for a, b in self.shell_coords(v, m)
+        ]
 
     def embed(self, x) -> EElement:
         """x as an element of E; an element of E is returned unchanged."""
@@ -464,6 +529,12 @@ class QuadExtension:
     def tr(self, x: EElement) -> Fraction:
         """Trace down to F."""
         return x.trace()
+
+    def _tr_mul(self, x: EElement, y) -> tuple:
+        """tr(x y) = 2 (A A' + d B B') / (D D') as an integer pair (num,
+        den), den > 0, not reduced; y may lie in F."""
+        y = self.embed(y)
+        return 2 * (x.A * y.A + self.d * x.B * y.B), x.D * y.D
 
     def coords(self, x: EElement) -> tuple:
         """Coordinates (a, b) of x = a + b sqrt(d)."""

@@ -121,7 +121,10 @@ def _unit_part(field, n: int, angles: tuple) -> MultChar:
     return MultChar(field, n, angles, Phase.one())
 
 
+@lru_cache(maxsize=256)
 def _vol_O(psi: AddChar, cvol=None) -> Cyc:
+    """vol(O) = q^cvol, by default the self-dual volume for psi.  Cached:
+    every big-cell integral asks for it."""
     if cvol is None:
         cvol = Fraction(conductor_add(psi), 2)
     return _qpow(psi.field.q, cvol)

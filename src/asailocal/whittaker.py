@@ -19,8 +19,9 @@ The shell and coset integrals, and the cached q-powers and chi(x) they use,
 are the Tate oracle's (:mod:`asailocal.tate`).  They take psi and a
 multiplier s and sum psi(-s t), whose conductor is c(psi) - ord s, so the
 big-cell integral never builds a shifted additive character.  The averaged
-families write their matrices out directly (no matrix products), and an
-x-average only evaluates the points a refinement adds.
+families write their matrices out directly (no matrix products), from
+elements of E embedded once per family, and an x-average only evaluates the
+points a refinement adds.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def bigcell_integral(
     verify_stability=False,
 ) -> Cyc:
     """int_E chi(C(t)) |C(t)|^{-1} 1[ord D(t) >= ord C(t)] psi(-t) dt for
-    affine C(t) = alpha + beta t, D(t) = delta + eps t.
+    affine C(t) = alpha + beta t, D(t) = delta + eps t, with coefficients
+    in E (``EElement``s).
 
     This is the t-integral behind every Whittaker value of an h = 1_O
     section; the Gauss/geometric structure makes all shell sums finite.
@@ -88,19 +90,18 @@ def bigcell_integral(
     """
     K = chi.field
     q = K.q
-    alpha, beta, delta, epsv = map(K.embed, C_aff + D_aff)
+    (alpha, beta), (delta, epsv) = C_aff, D_aff
     c = conductor_add(psi)
-    cvol = Fraction(c, 2)
-    V = _vol_O(psi, cvol)
     if beta != 0:
-        s = 1 / beta
+        s = beta.inv()
         alpha_s = alpha * s
-        pref = psi.cyc(alpha_s) * _qpow(q, K.val(beta))
+        vbeta = K.val(beta)
+        pref = psi.cyc(alpha_s) * _qpow(q, vbeta)
         b2 = epsv * s
         a2 = delta - epsv * alpha_s
         if a2 == 0:
             raise ValueError("degenerate section matrix (a' = 0 needs det = 0)")
-        c2 = c + K.val(beta)
+        c2 = c + vbeta
         n = chi.n
         total = Cyc.zero()
         if b2 == 0 or K.val(b2) >= 0:
@@ -108,15 +109,15 @@ def bigcell_integral(
             if n >= 1:
                 jstar = c2 - n
                 if jstar <= U:
-                    total = total + _qpow(q, jstar) * shell_integral(chi, jstar, psi, cvol, s)
+                    total = total + _qpow(q, jstar) * shell_integral(chi, jstar, psi, s=s)
                 edges = [c2 - n - 1, c2 - n + 1] if verify_stability else []
             else:
                 for j in range(c2 - 1, U + 1):
-                    total = total + _qpow(q, j) * shell_integral(chi, j, psi, cvol, s)
+                    total = total + _qpow(q, j) * shell_integral(chi, j, psi, s=s)
                 edges = [c2 - 2] if verify_stability else []
             for j in edges:
                 if j <= U and not shell_integral_enumerated(
-                    chi, j, psi.shifted(s), cvol=cvol
+                    chi, j, psi.shifted(s), cvol=Fraction(c, 2)
                 ).is_zero():
                     raise StabilizationError(f"shell {j} failed to vanish")
         else:
@@ -127,7 +128,7 @@ def bigcell_integral(
             # ord(a2 + b2 t) >= ord t means ord(t - t1) > ord t, so ord t =
             # ord t1 = T1: the coset is the whole support, and no other shell
             # is left for a stability probe to check
-            total = _qpow(q, T1) * coset_integral(chi, t1, L, psi, cvol, s)
+            total = _qpow(q, T1) * coset_integral(chi, t1, L, psi, s=s)
         return pref * total
     # constant C(t) = alpha
     if epsv == 0:
@@ -137,7 +138,7 @@ def bigcell_integral(
     t2 = -(delta / epsv)
     if L2 < c:
         return Cyc.zero()
-    ball = psi.cyc(-t2) * V * _qpow(q, -L2)
+    ball = psi.cyc(-t2) * _vol_O(psi) * _qpow(q, -L2)
     return chi.cyc(alpha) * _qpow(q, j0) * ball
 
 
@@ -167,6 +168,7 @@ def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cy
     """W_{psi_xi, f}(M) for the h = 1_O section, M = ((A,B),(C,D)) over E.
 
     Computed as mu(det) |det|^{1/2} times the big-cell t-integral; exact.
+    The entries are embedded in E once, here.
     """
     E = sec.E
     (A, B), (Cm, Dm) = M
@@ -194,12 +196,16 @@ def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int) -> Cy
     x = p^c k, k < p^m, of level m are the first points of level m + 1, so
     each refinement only adds the values at the new points.
     """
-    F = sec.E.ground
-    step = Fraction(F.p) ** c_level
+    E = sec.E
+    F = E.ground
+    step = E.embed(F.p) ** c_level
+    a, zero, one = E.embed(a), E.zero(), E.one()
 
     def points(lo: int, hi: int) -> Cyc:
         """sum of W(diag(a,1) u_-(p^c k)) over lo <= k < hi."""
-        return Cyc.sum(whittaker_value(sec, ((a, 0), (step * k, 1))) for k in range(lo, hi))
+        return Cyc.sum(
+            whittaker_value(sec, ((a, zero), (step * k, one))) for k in range(lo, hi)
+        )
 
     m = max(1, sec.mu.n)
     raw = points(0, F.p**m)
@@ -235,8 +241,9 @@ def w_case2(sec: InducedSection, a) -> Cyc:
     E = sec.E
     p = E.ground.p
     r = -(-sec.mu.n // E.e)
-    mats = [((a, 0), (p * u, 1)) for u in range(p ** max(r - 1, 0))]
-    mats += [((-a * u, -a), (1, 0)) for u in range(p**r)]
+    a, zero, one = E.embed(a), E.zero(), E.one()
+    mats = [((a, zero), (E.elem(p * u), one)) for u in range(p ** max(r - 1, 0))]
+    mats += [((-a * u, -a), (one, zero)) for u in range(p**r)]
     return Cyc.sum(whittaker_value(sec, M) for M in mats)
 
 

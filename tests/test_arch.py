@@ -33,7 +33,7 @@ from asailocal.arch import (
     zeta_whittaker_closed,
     zeta_whittaker_quadrature,
 )
-from asailocal.factors import DEFAULT_GRID, ArchFactor, loggamma
+from asailocal.factors import DEFAULT_GRID, ArchFactor, PoleError, loggamma
 
 # -- the depth-first scalar quadrature, kept as the reference -----------------
 
@@ -408,6 +408,14 @@ def test_zeta_integral_cases_all_pass():
         rep = zeta_integral_case(CChar(0.13 + 0.07j, n1), CChar(-0.11 + 0.02j, n2))
         assert rep["ok"], rep
         assert abs(rep["eps_rs"] - rep["eps_rs_expected"]) < 1e-8
+
+
+def test_zeta_integral_case_pole_names_the_grid_point():
+    # at s = 1.5 the dual integral, taken at 1 - s = -0.5, hits a Gamma
+    # pole; the error names s, not the Gamma argument
+    with pytest.raises(PoleError) as exc:
+        zeta_integral_case(CChar(0, 2), CChar(0, 1), grid=(2 + 0.5j, 1.5))
+    assert exc.value.where == 1.5
 
 
 def test_l_gal_dual_symmetry():

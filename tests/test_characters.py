@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from asailocal.characters import (
     AddChar,
+    _angle_exp,
     MultChar,
     Phase,
     compose_with_norm,
@@ -22,6 +23,7 @@ from asailocal.cyclotomic import Cyc
 from asailocal.padic import (
     EXTENSION_TYPES,
     PAdicGround,
+    PrecisionError,
     QuadExtension,
     RAMIFIED_P,
     UNRAMIFIED,
@@ -46,6 +48,52 @@ def test_standard_psi_values():
     for x in (1, 5, Fraction(7, 2)):
         assert psi.angle(x) == 0  # c(psi0) = 0 on integers
     assert abs(abs(psi.value(Fraction(2, 9))) - 1) < 1e-15
+
+
+def _reference_frac_part(p, t):
+    """The k/p^m in [0, 1) with t - k/p^m p-integral, and m."""
+    m = 0
+    while (t * p**m).denominator % p == 0:
+        m += 1
+    y, P = t * p**m, p**m
+    return Fraction(y.numerator * pow(y.denominator, -1, P) % P, P), m
+
+
+# rationals with powers of 3, 5 and 7 on either side; a product of two
+# denominators 3^5 or 5^5 needs more digits than precision 8
+_rationals = st.builds(
+    Fraction,
+    st.integers(-343, 343),
+    st.sampled_from([1, 2, 3, 5, 7, 9, 25, 49, 27 * 49, 3**5, 5**5]),
+) | st.builds(lambda k, e: Fraction(k * 3**e), st.integers(-20, 20), st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.sampled_from([None, *EXTENSION_TYPES]),
+    _rationals.filter(bool),
+    _rationals,
+    _rationals,
+    _rationals,
+)
+def test_psi_angle_matches_the_trace_formula(p, ext, ma, mb, xa, xb):
+    # psi(x) = e(frac_p(tr(mult x))) from the Fraction formulas, for the angle,
+    # the float value and the exact value alike
+    F = PAdicGround(p, precision=8)
+    K = F if ext is None else QuadExtension(F, ext)
+    mult, x = (ma, xa) if ext is None else (K.elem(ma, mb), K.elem(xa, xb))
+    psi = AddChar(K, mult)
+    want, m = _reference_frac_part(p, K.tr(mult * x))
+    if m > F.precision:
+        with pytest.raises(PrecisionError):
+            psi.angle(x)
+        return
+    got = psi.angle(x)
+    assert got == want and type(got) is Fraction
+    assert psi.value(x) == _angle_exp(want)
+    assert psi.cyc(x) == Cyc.root(want)
+    assert (psi.cyc(x).n, psi.cyc(x).nums) == (want.denominator, {want.numerator: 1})
 
 
 def test_psi_is_additive():

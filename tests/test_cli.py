@@ -284,6 +284,14 @@ def test_table_format_for_arch_zeta(capsys):
 
 _F5 = '{"p":5}'
 _U3 = '{"p":3,"ext":"unramified"}'
+_U7 = '{"p":7,"ext":"unramified"}'
+# gamma_PSR of (MU_JSON, trivial) twisted by this tau has poles at the
+# default points 0.7 and 1.3
+_TAU_POLE = json.dumps({
+    "mu2": json.loads(TRIV_F),
+    "nu2": {"field": "F", "conductor": 1, "unit_part": ["1/2"], "t": {"angle": "1/3"}},
+    "v2": "0.3",
+})
 
 
 def _unramified(field, extra):
@@ -341,6 +349,18 @@ _REPROS = [
     (["tate", "--field", _F5, "--char", _t0("-3/10")], None),
     (["tate", "--field", _F5, "--char", _t0("3/10")], None),
     (["tate", "--field", _U3, "--char", _t0("-7/10").replace('"F"', '"E"')], None),
+    # an exact lambda beyond the float range
+    (["tate", "--field", _F5, "--char", '{"lambda":"1e400"}'], "--char"),
+    (["tate", "--field", _F5, "--char", '{"lambda":"-1e400"}'], "--char"),
+    (["tate", "--field", _F5, "--char", '{"lambda":1' + "0" * 400 + "}"], "--char"),
+    # a --grid point at a pole: for arch-zeta, 1 - s = -0.5 is a pole of a
+    # Gamma factor of the dual integral
+    (["arch-zeta", "--n1", "2", "--n2", "1", "--grid", "1.5;2,0.5"], "--grid point 1.5+0j"),
+    (
+        ["twisted-asai", "--field", _U7, "--char", MU_JSON, "--char2", "trivial",
+         "--tau", _TAU_POLE, "--grid", "1.3"],
+        "--grid point 1.3+0j",
+    ),
 ]
 
 
@@ -364,3 +384,28 @@ def test_default_table_points_step_off_a_pole(capsys):
     for key in ("L_table", "gamma_table", "eps_table"):
         points = [complex(re_s, im_s) for re_s, im_s, _, _ in out[key]]
         assert points == [0.7 + 0.25j, *DEFAULT_GRID[1:]]
+
+
+def test_asai_default_table_points_step_off_a_pole(capsys):
+    # gamma_RS of |.|_E^{3/20} (x) 1 over unramified E, q = 3, has a pole at s = 0.7
+    mu = _unramified("E", {"t": {"angle": "0"}, "lambda": "3/20"})
+    argv = ["asai", "--field", _U3, "--char", mu, "--char2", "trivial"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    points = [complex(re_s, im_s) for re_s, im_s, _, _ in json.loads(out)["gamma_table"]]
+    assert points == [0.7 + 0.25j, *DEFAULT_GRID[1:]]
+    # the same point given by the user is refused
+    assert main(argv + ["--grid", "0.7"]) == 2
+    assert capsys.readouterr().err == "input error: --grid point 0.7+0j is a pole\n"
+
+
+def test_twisted_asai_default_points_step_off_its_poles(capsys):
+    argv = ["twisted-asai", "--field", _U7, "--char", MU_JSON, "--char2", "trivial"]
+    assert main(argv + ["--tau", _TAU_POLE]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    points = [complex(re_s, im_s) for re_s, im_s, _, _ in payload["gamma_table"]]
+    assert points == [0.7 + 0.25j, 1.3 + 0.25j, *DEFAULT_GRID[2:]]
+    assert payload["assemblies"]["ok"]

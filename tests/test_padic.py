@@ -187,18 +187,73 @@ coords = st.integers(-343, 343) | st.builds(
 sqrt_d_coords = st.just(0) | coords  # b = 0: elements of the ground field
 
 
+def _reference_unit_part(E, x, v):
+    """x / pi^v: by p^v on unramified E; on ramified E by d^floor(v/2), and
+    for odd v once more by sqrt(d), (a + b sqrt d) / sqrt d = b + (a/d) sqrt d."""
+    if E.ext_type == UNRAMIFIED:
+        s = Fraction(E.p) ** -v
+        return EElement(E, x.a * s, x.b * s)
+    s = Fraction(E.d) ** -(v // 2)
+    if v % 2:
+        return EElement(E, x.b * s, x.a * s / E.d)
+    return EElement(E, x.a * s, x.b * s)
+
+
+def _reference_residue(E, x, m):
+    """(a mod p^ma, b mod p^mb) from the Fraction coordinates; None when a
+    coordinate that needs digits is not p-integral."""
+    out = []
+    for c, k in zip((x.a, x.b), E.residue_digits(m)):
+        if k and c.denominator % E.p == 0:
+            return None
+        out.append(c.numerator * pow(c.denominator, -1, E.p**k) % E.p**k if k else 0)
+    return tuple(out)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([3, 5, 7]), st.sampled_from(EXTENSION_TYPES), coords, sqrt_d_coords, coords, sqrt_d_coords)
-def test_element_arithmetic_matches_the_generic_formulas(p, ext, a, b, c, d):
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.sampled_from(EXTENSION_TYPES),
+    coords,
+    sqrt_d_coords,
+    coords,
+    sqrt_d_coords,
+    st.integers(1, 4),
+)
+def test_element_arithmetic_matches_the_generic_formulas(p, ext, a, b, c, d, m):
     E = QuadExtension(PAdicGround(p), ext)
     x, y = E.elem(a, b), E.elem(c, d)
+    assert _same(x, EElement(E, Fraction(a), Fraction(b)))
     assert _same(x * y, _reference_mul(E, x, y))
+    assert _same(x + y, EElement(E, x.a + y.a, x.b + y.b))
+    assert _same(x - y, EElement(E, x.a - y.a, x.b - y.b))
+    assert _same(-x, EElement(E, -x.a, -x.b))
+    assert _same(x.conj(), EElement(E, x.a, -x.b))
+    assert x.trace() == E.tr(x) == 2 * x.a and type(x.trace()) is Fraction
+    assert x.norm() == x.a * x.a - E.d * x.b * x.b and type(x.norm()) is Fraction
     for z in (x, y):
         if not z.is_zero():
             assert _same(z.inv(), _reference_inv(E, z))
-            assert E.val(z) == z.val() == _reference_val(E, z)
+            v = _reference_val(E, z)
+            assert E.val(z) == z.val() == v
+            assert _same(E.unit_part(z), _reference_unit_part(E, z, v))
+        want = _reference_residue(E, z, m)
+        if want is None:
+            with pytest.raises(ValueError):
+                E.residue(z, m)
+        else:
+            assert E.residue(z, m) == want
     if not y.is_zero():
         assert _same(x / y, _reference_mul(E, x, _reference_inv(E, y)))
+    # one element, reached by different ints, Fractions and operations: equal
+    # and of equal hash
+    same = [(x + y) - y, -(-x), x.conj().conj(), EElement(E, Fraction(a), b)]
+    if not y.is_zero():
+        same.append(x * y / y)
+    for z in same:
+        assert z == x and hash(z) == hash(x) and _same(z, x)
+    if not b:
+        assert x == a and x.in_F() and x.as_F() == a
 
 
 def test_precision_guard():

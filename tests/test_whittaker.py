@@ -211,6 +211,13 @@ def test_whittaker_closed_forms_at_p7():
     assert out["max_deviation"] == 0.0
 
 
+def test_whittaker_closed_forms_at_p11():
+    # both closed forms, every extension type, at p = 11
+    out = suite_whittaker_closed_forms(ps=(11,))
+    assert out["ok"], out["detail"]
+    assert out["max_deviation"] == 0.0
+
+
 # -- psi(s .) as a multiplier against the explicitly shifted character ---------
 
 
