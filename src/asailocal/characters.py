@@ -23,13 +23,24 @@ x = pi^v (a + b sqrt(d)) it gives two integer angle numerators:
   beta the residues of p^k tr(c psi_mult pi^v) and p^k tr(c psi_mult pi^v
   sqrt(d)), psi_den = p^k.
 
-The kernel raises :class:`PrecisionError` where ``shell`` or ``AddChar.angle``
-would.  :func:`shell_cyc` counts the numerators into one exact ``Cyc`` on
-integer exponents; every local integral of the two oracles is built from it
+Everything but the weights depends on the shell alone, and every character
+of one unit group shares it, so it is computed once per shell and kept in
+bounded caches: the psi numerators per (psi, v, m, c) (:func:`_psi_frame`),
+and the dlog exponents of every element's key, one column per generator,
+per (unit group, m, v of the shift) (:func:`_dlog_frame`).  A character then
+costs one integer pass over the columns, e_0 w_0 mod unit_den on F and the
+weighted sum of the columns on E.  A frame whose build raises is not
+cached, so the kernel raises :class:`PrecisionError` on every call where
+``shell`` or ``AddChar.angle`` would.
+
+:func:`shell_cyc` counts the numerators into one exact ``Cyc`` on integer
+exponents; every local integral of the two oracles is built from it
 (:mod:`asailocal.tate`).  :func:`shell_sum`, the float Gauss sum of the
-closed form, maps them through ``_num_exp`` in shell order, so each float
-term, and the order of the sum, is the one an element-by-element loop of
-``chi.value(x) * psi.value(x)`` gives.
+closed form, takes the roots e(k/den) from cached tables, and t^v and
+q^(-lam v) once per call; each term is still (t^v e(u/den)) [q^(-lam v)]
+e(s/psi_den), multiplied in that order and summed in shell order, so each
+float term, and the order of the sum, is the one an element-by-element loop
+of ``chi.value(x) * psi.value(x)`` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +51,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from operator import mul
 from typing import NamedTuple, Optional, Union
 
 from .cyclotomic import Cyc, _make
@@ -280,7 +292,7 @@ class MultChar:
         return Fraction(self._unit_num(exps), self.unit_den)
 
     def _unit_num(self, exps) -> int:
-        return sum(e * w for e, w in zip(exps, self.unit_weights)) % self.unit_den
+        return sum(map(mul, exps, self.unit_weights)) % self.unit_den
 
     def _split(self, x):
         K = self.field
@@ -294,10 +306,17 @@ class MultChar:
     def _value(self, v: int, unit_value: complex) -> complex:
         """Float value at an element of valuation v whose unit part has
         value ``unit_value``."""
-        out = self.t.value() ** v * unit_value
+        return self._values(v, (unit_value,))[0]
+
+    def _values(self, v: int, unit_values) -> list:
+        """``_value(v, z)`` for each z of ``unit_values``: (t^v z) q^(-lam v),
+        multiplied in that order, with t^v and q^(-lam v) computed once."""
+        tv = self.t.value() ** v
+        out = [tv * z for z in unit_values]
         lam = self.lam
         if lam != 0:
-            out *= self.field.q ** complex(-lam * v)
+            scale = self.field.q ** complex(-lam * v)
+            out = [z * scale for z in out]
         return out
 
     def angle_at(self, x) -> Fraction:
@@ -435,9 +454,15 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         lam = as_lam(json_complex(lam))
     elif not isinstance(lam, int):
         lam = json_complex(lam)
-    if not isinstance(lam, complex) and abs(lam) > sys.float_info.max:
-        # an exact lambda enters |x|^lam = q^(-lam v) as a float
-        raise ValueError(f"'lambda' {obj['lambda']!r} is too large for a float")
+    # lambda enters |x|^lam = q^(-lam v) as a float, and 1 / chi(pi) with it
+    try:
+        scale = abs(field.q ** complex(-lam))
+    except OverflowError:
+        scale = math.inf
+    if not sys.float_info.min <= scale <= sys.float_info.max:
+        raise ValueError(
+            f"'lambda' {obj['lambda']!r}: q^(-lambda) for q = {field.q} is outside the float range"
+        )
     n = int(obj.get("conductor", 0))
     if n < 0:
         raise ValueError("conductor must be >= 0")
@@ -458,19 +483,14 @@ class ShellAngles(NamedTuple):
 
     units: list  # chi's unit part: e(units[i] / unit_den)
     unit_den: int
-    psis: list  # psi(c x): e(psis[i] / psi_den)
+    psis: tuple  # psi(c x): e(psis[i] / psi_den)
     psi_den: int
 
 
-def shell_angles(
-    chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
-) -> ShellAngles:
-    """The kernel of every finite character sum (see the module docstring).
-
-    x runs over the shell ord x = v mod pi^(v+m) in ``K.shell`` order; chi's
-    unit part is taken at x, or at the unit 1 + x with ``shift`` (v >= 1).
-    ``chi=None`` gives unit angles 0.
-    """
+@lru_cache(maxsize=256)
+def _psi_frame(psi: AddChar, v: int, m: int, c) -> tuple:
+    """(psis, psi_den) of :class:`ShellAngles`: psi(c x) over the shell,
+    for every character alike.  Bounded, as the Whittaker path varies c."""
     K = psi.field
     F = K.ground
     coords = K.shell_coords(v, m)
@@ -486,20 +506,48 @@ def shell_angles(
         raise PrecisionError(f"fractional part needs p^{k} > precision window")
     P = F.p**k
     al, be = (F.residue(z * P, k) if z else 0 for z in (alpha, beta))
-    psis = [(al * a + be * b) % P for a, b in coords]
-    if chi is None or chi.n == 0:
-        return ShellAngles([0] * len(coords), 1, psis, P)
-    G = chi.group
-    if shift:
-        if v < 1:
-            raise ValueError("the 1 + x shift needs ord x >= 1")
+    return tuple((al * a + be * b) % P for a, b in coords), P
+
+
+@lru_cache(maxsize=64)
+def _dlog_frame(G, m: int, shift_v: Optional[int]) -> tuple:
+    """The dlog exponents over G's generators of the residue keys of the
+    shell mod pi^(v+m), one column per generator: of a + b sqrt(d), the
+    unit part of x, or of 1 + x for ``shift_v`` = v.  Only the shift reads
+    v; the keys and dlogs are the same for every character on G."""
+    K = G.field
+    coords = K.shell_coords(0, m)
+    if shift_v is not None:
         # 1 + a e1 + b e2 in coordinates; e1, e2 are integral for v >= 1
+        e1, e2 = K.shell_basis(shift_v)
         (r, s), (t, u) = (map(int, K.coords(e)) for e in (e1, e2))
         coords = [(1 + a * r + b * t, a * s + b * u) for a, b in coords]
-    keys = G.keys(coords)
     logs = G.logs
-    nums = {key: chi._unit_num(logs[key]) for key in set(keys)}
-    return ShellAngles([nums[key] for key in keys], chi.unit_den, psis, P)
+    return tuple(zip(*(logs[key] for key in G.keys(coords))))
+
+
+def shell_angles(
+    chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
+) -> ShellAngles:
+    """The kernel of every finite character sum (see the module docstring).
+
+    x runs over the shell ord x = v mod pi^(v+m) in ``K.shell`` order; chi's
+    unit part is taken at x, or at the unit 1 + x with ``shift`` (v >= 1).
+    ``chi=None`` gives unit angles 0.
+    """
+    psis, P = _psi_frame(psi, v, m, c)
+    if chi is None or chi.n == 0:
+        return ShellAngles([0] * len(psis), 1, psis, P)
+    if shift and v < 1:
+        raise ValueError("the 1 + x shift needs ord x >= 1")
+    cols = _dlog_frame(chi.group, m, v if shift else None)
+    den = chi.unit_den
+    if len(cols) == 1:
+        (w,) = chi.unit_weights
+        units = [j * w % den for j in cols[0]]
+    else:
+        units = list(map(chi._unit_num, zip(*cols)))
+    return ShellAngles(units, den, psis, P)
 
 
 def shell_cyc(
@@ -520,15 +568,32 @@ def shell_cyc(
     return chi.cyc(psi.field.uniformizer() ** v) * out
 
 
+@lru_cache(maxsize=64)
+def _root_table(den: int) -> tuple:
+    """e(k/den) for k = 0, ..., den - 1."""
+    return tuple(_num_exp(k, den) for k in range(den))
+
+
+@lru_cache(maxsize=32)
+def _psi_values(psi: AddChar, v: int, m: int) -> tuple:
+    """psi(x) over the shell, in shell order, as floats."""
+    psis, P = _psi_frame(psi, v, m, 1)
+    return tuple(_num_exp(s, P) for s in psis)
+
+
 def shell_sum(chi: MultChar, psi: AddChar, v: int, m: int) -> complex:
     """The float ``shell_cyc(chi, psi, v, m)``: each term is
-    chi.value(x) * psi.value(x), summed in shell order."""
+    chi.value(x) * psi.value(x), summed in shell order.  The shell must
+    cover chi's level n (m >= n), where chi is defined: then unit_den, which
+    divides the exponent of (O/pi^n)^x, is at most the shell's size, and so
+    is the root table of chi's values by numerator."""
+    if m < chi.n:
+        raise ValueError(f"a shell mod pi^(v+{m}) does not cover chi's level {chi.n}")
     sa = shell_angles(chi, psi, v, m)
-    pe = {s: _num_exp(s, sa.psi_den) for s in set(sa.psis)}
-    ce = {u: chi._value(v, _num_exp(u, sa.unit_den)) for u in set(sa.units)}
+    ce = chi._values(v, _root_table(sa.unit_den))
     out = 0j
-    for u, s in zip(sa.units, sa.psis):
-        out += ce[u] * pe[s]
+    for u, z in zip(sa.units, _psi_values(psi, v, m)):
+        out += ce[u] * z
     return out
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .characters import (
@@ -164,6 +164,12 @@ class InducedSection:
         return self.nu.mul(self.mu.inv())
 
 
+@lru_cache(maxsize=256)
+def _abs_sqrt(q: int, v: int) -> Cyc:
+    """|x|^(1/2) = q^(-v/2) for ord x = v, looked up by the integer v."""
+    return _qpow(q, Fraction(-v, 2))
+
+
 def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cyc:
     """W_{psi_xi, f}(M) for the h = 1_O section, M = ((A,B),(C,D)) over E.
 
@@ -177,7 +183,7 @@ def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cy
     if det.is_zero():
         raise ValueError("singular matrix")
     core = bigcell_integral(sec.chi_ratio, (A, Cm), (B, Dm), sec.psi_xi, verify_stability)
-    pref = _chi_cyc(sec.mu, det) * _qpow(E.q, Fraction(-E.val(det), 2))
+    pref = _chi_cyc(sec.mu, det) * _abs_sqrt(E.q, E.val(det))
     return pref * core
 
 

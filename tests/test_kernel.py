@@ -15,10 +15,14 @@ from asailocal.characters import (
     AddChar,
     MultChar,
     Phase,
+    _angle_exp,
+    _dlog_frame,
+    _psi_frame,
     conductor_add,
     psi_to_E,
     shell_angles,
     shell_cyc,
+    shell_sum,
     standard_psi,
 )
 from asailocal.cyclotomic import Cyc
@@ -604,6 +608,98 @@ def test_gauss_sum_bits_all_primitive_p5():
     assert count == 2 * (3 + 16)
 
 
+def _shell_sum_cases():
+    """(K, chi, psi, v, m) over F and the three extensions, p <= 13 and
+    conductors n <= 3 with m = n, where the shell holds at most 3,000
+    elements; exact and float t, rational and complex lam."""
+    rng = random.Random(19)
+    for p in (3, 5, 7, 11, 13):
+        F = PAdicGround(p)
+        for ext in (None,) + EXTENSION_TYPES:
+            K = _field(p, ext)
+            psi = standard_psi(F) if ext is None else psi_to_E(standard_psi(F), K, K.xi())
+            for n in (1, 2, 3):
+                if (K.q - 1) * K.q ** (n - 1) > 3000:
+                    break
+                angles = [Fraction(rng.randrange(d), d) for d in unit_group(K, n).orders]
+                t = Phase.approx(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+                if n == 2:
+                    t = Phase.exact(Fraction(rng.randrange(12), 12))
+                lam = (Fraction(1, 3), 0.25 - 0.5j, Fraction(-2))[n - 1]
+                chi = MultChar(K, n, angles, t, lam)
+                yield K, chi, psi, rng.choice((-1, 0, 2)), n
+
+
+def _chi_value(chi, x):
+    """chi(x) = (t^v e(unit angle)) q^(-lam v), multiplied in that order."""
+    K = chi.field
+    v = K.val(x)
+    out = chi.t.value() ** v * _angle_exp(chi.unit_angle(K.unit_part(x)))
+    if chi.lam != 0:
+        out *= K.q ** complex(-chi.lam * v)
+    return out
+
+
+def test_shell_sum_is_the_element_loop_bit_for_bit():
+    count = 0
+    for K, chi, psi, v, m in _shell_sum_cases():
+        want = 0j
+        for i, x in enumerate(K.shell(v, m)):
+            value = chi.value(x)
+            if i % 8 == 0:
+                assert repr(value) == repr(_chi_value(chi, x))
+            want += value * psi.value(x)
+        assert repr(shell_sum(chi, psi, v, m)) == repr(want), (K, chi, v, m)
+        count += 1
+    # unramified E stops at n = 2 for p = 5, 7 and at n = 1 for p = 11, 13
+    assert count == 5 * 4 * 3 - 6
+    with pytest.raises(ValueError):
+        shell_sum(chi, psi, v, m - 1)
+
+
+def _cold_shell_angles(*args, **kwargs):
+    _psi_frame.cache_clear()
+    _dlog_frame.cache_clear()
+    return shell_angles(*args, **kwargs)
+
+
+@pytest.mark.parametrize("p,ext", [(5, None), (3, "ramified-up"), (3, UNRAMIFIED)])
+@pytest.mark.parametrize("shift", [False, True])
+def test_shell_angles_of_two_characters_do_not_depend_on_the_order(p, ext, shift):
+    # the cached shell frame is the same for every character on it
+    K = _field(p, ext)
+    psi = standard_psi(K) if ext is None else psi_to_E(standard_psi(K.ground), K, K.xi())
+    G = unit_group(K, 3)
+    chis = [
+        MultChar(K, 3, [Fraction(k * (i + 1), d) for i, d in enumerate(G.orders)], Phase.one())
+        for k in (1, 2)
+    ]
+    args = (psi, 1, 2, K.elem(Fraction(1, p)), shift)
+    cold = [_cold_shell_angles(chi, *args) for chi in chis]
+    assert cold[0] != cold[1]
+    for order in ((0, 1), (1, 0)):
+        _psi_frame.cache_clear()
+        _dlog_frame.cache_clear()
+        assert {i: shell_angles(chis[i], *args) for i in order} == dict(enumerate(cold))
+
+
+def test_second_gauss_sum_on_a_shell_reuses_its_frame(monkeypatch):
+    F = PAdicGround(7)
+    psi = standard_psi(F)
+    G = unit_group(F, 2)
+    d = G.orders[0]
+    chi1, chi2 = (MultChar(F, 2, (Fraction(k, d),), Phase.one()) for k in (1, 5))
+    want = _gauss_by_loop(chi2, psi)
+    gauss_sum(chi1, psi)
+
+    def enumerated(*args):
+        raise AssertionError("the shell was enumerated again")
+
+    monkeypatch.setattr(type(G), "keys", enumerated)
+    monkeypatch.setattr(G.logs, "peel", enumerated)
+    assert gauss_sum(chi2, psi) == want
+
+
 # -- precision -------------------------------------------------------------------
 
 
@@ -613,15 +709,17 @@ def test_kernel_refuses_moduli_beyond_precision(ext):
     K = F if ext is None else QuadExtension(F, ext)
     psi = standard_psi(F) if ext is None else psi_to_E(standard_psi(F), K, K.xi())
     chi = MultChar.trivial(K)
-    with pytest.raises(PrecisionError):
-        shell_angles(chi, psi, 0, 9)
-    # m = 2, so that b runs over a unit on ramified E as well
-    with pytest.raises(PrecisionError):
-        shell_angles(chi, psi, 0, 2, c=Fraction(1, 3**9))
-    with pytest.raises(PrecisionError):
-        shell_angles(None, psi.shifted(Fraction(1, 3**9)), 0, 2)
-    # valuation -8 still fits the window
-    shell_angles(None, psi.shifted(Fraction(1, 3**8)), 0, 2)
+    # twice: a frame whose build raised is not cached, so it raises again
+    for _ in range(2):
+        with pytest.raises(PrecisionError):
+            shell_angles(chi, psi, 0, 9)
+        # m = 2, so that b runs over a unit on ramified E as well
+        with pytest.raises(PrecisionError):
+            shell_angles(chi, psi, 0, 2, c=Fraction(1, 3**9))
+        with pytest.raises(PrecisionError):
+            shell_angles(None, psi.shifted(Fraction(1, 3**9)), 0, 2)
+        # valuation -8 still fits the window
+        shell_angles(None, psi.shifted(Fraction(1, 3**8)), 0, 2)
 
 
 @pytest.mark.parametrize(

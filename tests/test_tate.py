@@ -34,6 +34,7 @@ from asailocal.tate import (
     tate_gamma,
 )
 from asailocal.unitgroups import unit_group
+from asailocal.verify import suite_gauss_modulus
 
 
 def rand_char(K, n, rng, t_den=12):
@@ -73,6 +74,14 @@ def test_legendre_gauss_sums():
     g3 = shell_cyc(leg3.inv(), standard_psi(F3), -1, 1)
     assert (g5 * g5) == Cyc.rational(5)
     assert (g3 * g3) == Cyc.rational(-3)
+
+
+def test_gauss_modulus_at_p11_p13():
+    # the widened gauss suite: every primitive character of conductor <= 3
+    # over Q_11 and Q_13, all sharing one shell frame per (p, n)
+    rep = suite_gauss_modulus(ps=(11, 13))
+    assert rep["ok"], rep
+    assert rep["detail"] == "3236 primitive characters over p in (11, 13)"
 
 
 def test_gauss_sum_rejects_unramified():
