@@ -353,11 +353,6 @@ _REPROS = [
     (["tate", "--field", _F5, "--char", '{"lambda":"1e400"}'], "--char"),
     (["tate", "--field", _F5, "--char", '{"lambda":"-1e400"}'], "--char"),
     (["tate", "--field", _F5, "--char", '{"lambda":1' + "0" * 400 + "}"], "--char"),
-    # a lambda in the float range whose q^(-lambda) under- or overflows
-    (["tate", "--field", _F5, "--char", '{"lambda":"1e20"}'], "--char: 'lambda'"),
-    (["tate", "--field", _F5, "--char", '{"lambda":"-1e20"}'], "--char: 'lambda'"),
-    (["tate", "--field", _F5, "--char", '{"lambda":"1e300"}'], "--char: 'lambda'"),
-    (["tate", "--field", _F5, "--char", '{"lambda":1e300}'], "--char: 'lambda'"),
     # a --grid point at a pole: for arch-zeta, 1 - s = -0.5 is a pole of a
     # Gamma factor of the dual integral
     (["arch-zeta", "--n1", "2", "--n2", "1", "--grid", "1.5;2,0.5"], "--grid point 1.5+0j"),
@@ -366,6 +361,11 @@ _REPROS = [
          "--tau", _TAU_POLE, "--grid", "1.3"],
         "--grid point 1.3+0j",
     ),
+    # a lambda in the float range whose q^(-lambda) under- or overflows
+    (["tate", "--field", _F5, "--char", '{"lambda":"1e20"}'], "--char: 'lambda'"),
+    (["tate", "--field", _F5, "--char", '{"lambda":"-1e20"}'], "--char: 'lambda'"),
+    (["tate", "--field", _F5, "--char", '{"lambda":"1e300"}'], "--char: 'lambda'"),
+    (["tate", "--field", _F5, "--char", '{"lambda":1e300}'], "--char: 'lambda'"),
 ]
 
 
