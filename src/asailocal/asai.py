@@ -297,10 +297,14 @@ def gamma_psr(
 # ---------------------------------------------------------------------------
 
 
-def dichotomy_sign(inp: AsaiInput, tol: float = 1e-8) -> int:
-    """omega_{E/F}(-1) * eps_Gal(1/2, As pi (x) tau), rounded to +-1.
+def central_value(inp: AsaiInput) -> complex:
+    """omega_{E/F}(-1) * eps_Gal(1/2, As pi (x) tau), a sign.
 
-    Requires omega = omega_pi|_F * omega_tau trivial.
+    Requires omega = omega_pi|_F * omega_tau trivial.  Then the
+    constituents of As pi (x) tau pair with their duals, and Tate's
+    eps(1/2, chi) eps(1/2, chi^{-1}) = chi(-1), with lambda_{E/F}^2 =
+    omega_{E/F}(-1) for the induced pair, makes the value +1 for every
+    principal series pi.
     """
     if inp.tau is None:
         raise ValueError("dichotomy needs the rank-2 twist tau")
@@ -310,6 +314,12 @@ def dichotomy_sign(inp: AsaiInput, tol: float = 1e-8) -> int:
     val = omega_quadratic(inp.E).value(-1)
     for chi in (inp.tau.plus(), inp.tau.minus()):
         val *= eps_gal(inp.with_twist(chi)).eval(0.5)
+    return val
+
+
+def dichotomy_sign(inp: AsaiInput, tol: float = 1e-8) -> int:
+    """:func:`central_value` rounded to +-1."""
+    val = central_value(inp)
     if abs(val - 1) < tol:
         return 1
     if abs(val + 1) < tol:

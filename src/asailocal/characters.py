@@ -574,26 +574,21 @@ def _root_table(den: int) -> tuple:
     return tuple(_num_exp(k, den) for k in range(den))
 
 
-@lru_cache(maxsize=32)
-def _psi_values(psi: AddChar, v: int, m: int) -> tuple:
-    """psi(x) over the shell, in shell order, as floats."""
-    psis, P = _psi_frame(psi, v, m, 1)
-    return tuple(_num_exp(s, P) for s in psis)
-
-
 def shell_sum(chi: MultChar, psi: AddChar, v: int, m: int) -> complex:
     """The float ``shell_cyc(chi, psi, v, m)``: each term is
     chi.value(x) * psi.value(x), summed in shell order.  The shell must
     cover chi's level n (m >= n), where chi is defined: then unit_den, which
     divides the exponent of (O/pi^n)^x, is at most the shell's size, and so
-    is the root table of chi's values by numerator."""
+    is the root table of chi's values by numerator; psi's values come from
+    the root table of psi_den."""
     if m < chi.n:
         raise ValueError(f"a shell mod pi^(v+{m}) does not cover chi's level {chi.n}")
     sa = shell_angles(chi, psi, v, m)
     ce = chi._values(v, _root_table(sa.unit_den))
+    pe = _root_table(sa.psi_den)
     out = 0j
-    for u, z in zip(sa.units, _psi_values(psi, v, m)):
-        out += ce[u] * z
+    for u, k in zip(sa.units, sa.psis):
+        out += ce[u] * pe[k]
     return out
 
 

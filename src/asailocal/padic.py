@@ -221,8 +221,9 @@ class EElement:
     D > 0 and gcd(A, B, D) = 1, so each element has one representation.
 
     Every operation works on the integers and normalises once, by one
-    ``math.gcd(A, B, D)``; equality and hashing compare the triples.  The
-    coordinates a = A/D and b = B/D are read-only ``Fraction`` properties.
+    ``math.gcd(A, B, D)``; equality and hashing compare the triples, and
+    an element of F also equals, and hashes as, the int or Fraction A / D.
+    The coordinates a = A/D and b = B/D are read-only ``Fraction`` properties.
     ``EElement(ext, a, b)`` takes ints or Fractions (or anything
     ``Fraction`` accepts).
     """
@@ -262,6 +263,9 @@ class EElement:
         return not self.B and self.A == other * self.D
 
     def __hash__(self):
+        if not self.B:
+            # an element of F equals, so hashes as, the number A / D
+            return hash(self.A) if self.D == 1 else hash(self.a)
         return hash((self.A, self.B, self.D, self.ext.d))
 
     def is_zero(self) -> bool:

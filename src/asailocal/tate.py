@@ -2,19 +2,21 @@
 
 gamma is *defined* here by the functional-equation ratio
 Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi): the closed form returned to callers
-is certified at construction against that ratio, for several choices of Phi
-at the points of a check grid.  Each zeta integral is built once per Phi as
-terms that do not depend on s (finite shell and coset sums, and closed-form
-geometric tails) and then evaluated at each point.  A disagreement is an
-internal error, not a tolerance failure.  The oracle never calls the closed
-form's :func:`gauss_sum`.
+is certified at construction against that ratio, for three test functions
+Phi, each one modulated box (:class:`ModBox`), at the points of a check grid.
+Each zeta integral is built once per Phi as terms that do not depend on s
+(finite shell and coset sums, and closed-form geometric tails) and then
+evaluated at each point.  A disagreement is an internal error, not a
+tolerance failure.  The oracle never calls the closed form's
+:func:`gauss_sum`.
 
 The local integrals int chi(x) psi(-s x) dx over a shell {ord x = j} or a
-unit coset t0 + pi^L O (:func:`shell_integral`, :func:`coset_integral`) are
-exact ``Cyc`` values, and this is the one implementation of them: the Tate
-oracle converts them to floats, the Whittaker oracle
-(:mod:`asailocal.whittaker`) keeps them exact.  sqrt(p), which self-dual
-volumes bring in, is the quadratic Gauss sum (:func:`_sqrt_prime`).
+unit coset t0 + pi^L O (:func:`shell_integral`, :func:`coset_integral`),
+with dx self-dual for psi, are exact ``Cyc`` values, and this is the one
+implementation of them: the Tate oracle converts them to floats, the
+Whittaker oracle (:mod:`asailocal.whittaker`) keeps them exact.  sqrt(p),
+which self-dual volumes bring in, is the quadratic Gauss sum
+(:func:`_sqrt_prime`).
 
 eps is derived from gamma in one place, :func:`eps_from_gamma`, for one
 character (:func:`tate_eps`) and for the products of characters that make
@@ -122,25 +124,22 @@ def _unit_part(field, n: int, angles: tuple) -> MultChar:
 
 
 @lru_cache(maxsize=256)
-def _vol_O(psi: AddChar, cvol=None) -> Cyc:
-    """vol(O) = q^cvol, by default the self-dual volume for psi.  Cached:
-    every big-cell integral asks for it."""
-    if cvol is None:
-        cvol = Fraction(conductor_add(psi), 2)
-    return _qpow(psi.field.q, cvol)
+def _vol_O(psi: AddChar) -> Cyc:
+    """vol(O) = q^(c(psi)/2), the self-dual volume for psi.  Cached: every
+    big-cell integral asks for it."""
+    return _qpow(psi.field.q, Fraction(conductor_add(psi), 2))
 
 
 @lru_cache(maxsize=256)
-def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None, s=1) -> Cyc:
-    """S(j) = int_{ord t = j} chi(t) psi(-s t) dt for s != 0; the measure
-    has vol(O) = q^cvol (default: self-dual for psi).  x -> psi(s x) has
-    conductor c(psi) - ord s, so no shifted character is built.  Cached:
-    the w1 family repeats one shell for every u, a Tate certification the
-    shells of chi^{-1}."""
+def shell_integral(chi: MultChar, j: int, psi: AddChar, s) -> Cyc:
+    """S(j) = int_{ord t = j} chi(t) psi(-s t) dt for s != 0, dt self-dual
+    for psi.  x -> psi(s x) has conductor c(psi) - ord s, so no shifted
+    character is built.  Cached: the w1 family repeats one shell for every
+    u, a Tate certification the shells of chi^{-1}."""
     K = chi.field
     q = K.q
     c = conductor_add(psi) - K.val(s)
-    V = _vol_O(psi, cvol)
+    V = _vol_O(psi)
     n = chi.n
     if n >= 1:
         if j != c - n:
@@ -155,12 +154,12 @@ def shell_integral(chi: MultChar, j: int, psi: AddChar, cvol=None, s=1) -> Cyc:
     return Cyc.zero()
 
 
-def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, cvol=None, s=1) -> Cyc:
-    """CT = int_{t0 + pi^L O} chi(t) psi(-s t) dt with ord(t0) < L; s = 0
-    integrates chi alone."""
+def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, s) -> Cyc:
+    """CT = int_{t0 + pi^L O} chi(t) psi(-s t) dt with ord(t0) < L, dt
+    self-dual for psi; s = 0 integrates chi alone."""
     K = chi.field
     q = K.q
-    V = _vol_O(psi, cvol)
+    V = _vol_O(psi)
     st0 = s * t0
     T1 = K.val(t0)
     if T1 >= L:
@@ -200,20 +199,20 @@ class ModBox:
     level: int
 
 
-def box_fourier(piece: ModBox, psi: AddChar) -> ModBox:
+def box_fourier(box: ModBox, psi: AddChar) -> ModBox:
     """Transform of a modulated box under f^(y) = int f(x) psi(xy) dx,
     with the self-dual measure of psi."""
     K = psi.field
     c = conductor_add(psi)
-    vol_box = K.q ** Fraction(c, 2) * Fraction(K.q) ** (-piece.level)
-    a, n, m0 = K.embed(piece.center), piece.level, K.embed(piece.mult)
-    coef = piece.coef * float(vol_box) * psi.value(a * m0)
+    vol_box = K.q ** Fraction(c, 2) * Fraction(K.q) ** (-box.level)
+    a, n, m0 = K.embed(box.center), box.level, K.embed(box.mult)
+    coef = box.coef * float(vol_box) * psi.value(a * m0)
     return ModBox(coef=coef, mult=a, center=-m0, level=c - n)
 
 
-def zeta_terms(chi: MultChar, psi: AddChar, pieces) -> list:
+def zeta_terms(chi: MultChar, psi: AddChar, box: ModBox) -> list:
     """The terms of Z(s, chi, Phi) = int chi(x) |x|^s Phi(x) d^x x for Phi a
-    list of modulated boxes; d^x x = zeta_K(1) dx / |x|, dx self-dual for psi.
+    modulated box; d^x x = zeta_K(1) dx / |x|, dx self-dual for psi.
 
     A term (coef, v, value, None) is coef q^{-v(s-1)} value, one shell or
     coset; a term (coef, start, None, t) is the geometric tail
@@ -233,29 +232,28 @@ def zeta_terms(chi: MultChar, psi: AddChar, pieces) -> list:
     vol_O = float(q ** Fraction(c, 2))
     zeta1 = 1.0 / (1.0 - 1.0 / q)
     unit = _unit_part(chi.field, chi.n, chi.angles)
+    a, n, m0 = K.embed(box.center), box.level, K.embed(box.mult)
+    coef = box.coef * zeta1
     terms = []
-    for piece in pieces:
-        a, n, m0 = K.embed(piece.center), piece.level, K.embed(piece.mult)
-        coef = piece.coef * zeta1
-        if a == 0 or K.val(a) >= n:
-            # box is the ideal pi^n O: sum over shells v >= n
-            c_eff = None if m0 == 0 else c - K.val(m0)
-            if chi.is_ramified:
-                if c_eff is None or c_eff - chi.n < n:
-                    continue
-                v = c_eff - chi.n
-            else:
-                # geometric part: sum_{v >= start} q^{-v(s-1)} t^v vol q^{-v}(1-1/q)
-                start = n if c_eff is None else max(n, c_eff)
-                terms.append((coef * vol_O * (1 - 1.0 / q), start, None, chi.t_full()))
-                if c_eff is None or c_eff - 1 < n:
-                    continue
-                v = c_eff - 1
-            value = shell_integral(unit, v, psi, s=-m0)
+    if a == 0 or K.val(a) >= n:
+        # box is the ideal pi^n O: sum over shells v >= n
+        c_eff = None if m0 == 0 else c - K.val(m0)
+        if chi.is_ramified:
+            if c_eff is None or c_eff - chi.n < n:
+                return terms
+            v = c_eff - chi.n
         else:
-            v = K.val(a)
-            value = coset_integral(unit, a, n, psi, s=-m0)
-        terms.append((coef, v, value.to_complex() * chi._value(v, 1), None))
+            # geometric part: sum_{v >= start} q^{-v(s-1)} t^v vol q^{-v}(1-1/q)
+            start = n if c_eff is None else max(n, c_eff)
+            terms.append((coef * vol_O * (1 - 1.0 / q), start, None, chi.t_full()))
+            if c_eff is None or c_eff - 1 < n:
+                return terms
+            v = c_eff - 1
+        value = shell_integral(unit, v, psi, -m0)
+    else:
+        v = K.val(a)
+        value = coset_integral(unit, a, n, psi, -m0)
+    terms.append((coef, v, value.to_complex() * chi._value(v, 1), None))
     return terms
 
 
@@ -279,7 +277,7 @@ def zeta_at(terms, q: int, s: complex) -> complex:
     return total
 
 
-def fe_ratio(chi: MultChar, psi: AddChar, pieces, grid) -> list:
+def fe_ratio(chi: MultChar, psi: AddChar, box: ModBox, grid) -> list:
     """Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi) at each s of ``grid``.
 
     The transform Phi^ and the terms of both zeta integrals are built once
@@ -288,14 +286,13 @@ def fe_ratio(chi: MultChar, psi: AddChar, pieces, grid) -> list:
     grid that hits it.
     """
     q = chi.field.q
-    hat = [box_fourier(p, psi) for p in pieces]
-    num = zeta_terms(chi.inv(), psi, hat)
-    den = zeta_terms(chi, psi, pieces)
+    num = zeta_terms(chi.inv(), psi, box_fourier(box, psi))
+    den = zeta_terms(chi, psi, box)
     out = []
     for s in grid:
         top = zeta_at(num, q, 1 - s)
         bottom = zeta_at(den, q, s)
-        if abs(bottom) < 1e-30:
+        if bottom == 0:
             raise ZeroDivisionError("test function has vanishing zeta integral")
         out.append(top / bottom)
     return out
@@ -308,15 +305,9 @@ def _default_test_functions(chi: MultChar, psi: AddChar):
     one, zero = K.one(), K.zero()
     n = chi.n
     if n == 0:
-        base = [ModBox(1.0, zero, zero, 0)]
-        alt1 = [ModBox(1.0, zero, zero, 1)]
-        alt2 = [ModBox(1.0, zero, one, 1)]
-    else:
-        base = [ModBox(1.0, zero, one, n)]
-        u = K.shell(0, 1)[-1]
-        alt1 = [ModBox(1.0, zero, u, n)]
-        alt2 = [ModBox(1.0, zero, one, n + 1)]
-    return base, alt1, alt2
+        return ModBox(1.0, zero, zero, 0), ModBox(1.0, zero, zero, 1), ModBox(1.0, zero, one, 1)
+    u = K.shell(0, 1)[-1]
+    return ModBox(1.0, zero, one, n), ModBox(1.0, zero, u, n), ModBox(1.0, zero, one, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +362,16 @@ def phi_deviations(fac: NonArchFactor, chi: MultChar, psi: AddChar):
     one :func:`fe_ratio` call per Phi."""
     grid = _check_grid(fac, chi)
     want = [fac.eval(s) for s in grid]
-    for pieces in _default_test_functions(chi, psi):
-        for s, w, got in zip(grid, want, fe_ratio(chi, psi, pieces, grid)):
-            yield s, pieces, abs(got - w) / max(abs(w), 1e-30)
+    for box in _default_test_functions(chi, psi):
+        for s, w, got in zip(grid, want, fe_ratio(chi, psi, box, grid)):
+            yield s, box, abs(got - w) / max(abs(w), 1e-30)
 
 
 def _certify_gamma(fac: NonArchFactor, chi: MultChar, psi: AddChar) -> None:
-    for s, pieces, dev in phi_deviations(fac, chi, psi):
+    for s, box, dev in phi_deviations(fac, chi, psi):
         if dev > PHI_INDEPENDENCE_TOL:
             raise ConsistencyError(
-                f"gamma oracle mismatch: dev={dev:.3e} at s={s} (Phi={pieces})"
+                f"gamma oracle mismatch: dev={dev:.3e} at s={s} (Phi={box})"
             )
 
 

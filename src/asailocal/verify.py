@@ -20,7 +20,7 @@ from . import arch
 from .asai import (
     AsaiInput,
     TwistedPair,
-    dichotomy_sign,
+    central_value,
     eps_gal_comparison,
     gamma_psr,
     gamma_rs,
@@ -394,11 +394,11 @@ def suite_dependence_laws(tol=1e-8, seed=17) -> dict:
 
 
 def suite_dichotomy(num=20, ps=(3, 5), tol=1e-8, seed=19) -> dict:
-    """The central sign is +-1 for omega = 1 bundles and is invariant under
-    psi/xi rescaling."""
+    """The central sign of omega = 1 bundles is the forced +1 (see
+    :func:`central_value`), also with psi or xi rescaled; the deviation is
+    max |value - 1|."""
     rng = random.Random(seed)
     worst = 0.0
-    signs = set()
     for k in range(num):
         p = rng.choice(list(ps))
         F = PAdicGround(p)
@@ -409,22 +409,17 @@ def suite_dichotomy(num=20, ps=(3, 5), tol=1e-8, seed=19) -> dict:
         mu2 = _rand_char_up_to(F, 1, rng)
         nu2 = restrict_to_F(mu.mul(nu)).mul(mu2).inv()
         tau = TwistedPair(mu2, nu2, rng.choice([0.0, 0.25]))
-        inp = AsaiInput(E, mu, nu, psi, E.xi(), None, tau)
-        s0 = dichotomy_sign(inp, tol=tol)
-        signs.add(s0)
-        # invariance under rescaling
         a = Fraction(rng.choice([2, p]))
-        s1 = dichotomy_sign(AsaiInput(E, mu, nu, psi.shifted(a), E.xi(), None, tau), tol=tol)
-        s2 = dichotomy_sign(
-            AsaiInput(E, mu, nu, psi, E.xi() * E.embed(a), None, tau), tol=tol
-        )
-        if not (s0 == s1 == s2):
-            worst = 1.0
+        for psi_k, xi in ((psi, E.xi()), (psi.shifted(a), E.xi()), (psi, E.xi() * E.embed(a))):
+            val = central_value(AsaiInput(E, mu, nu, psi_k, xi, None, tau))
+            worst = max(worst, abs(val - 1))
+    ok = worst < tol
     return _report(
         "dichotomy-sign",
-        worst < tol and signs <= {1, -1},
+        ok,
         worst,
-        f"{num} omega=1 bundles; signs seen: {sorted(signs)}",
+        f"{num} omega=1 bundles, psi and xi rescaled: sign "
+        + ("+1 every time, as forced" if ok else "not the forced +1"),
     )
 
 

@@ -17,11 +17,12 @@ tails.
 
 The shell and coset integrals, and the cached q-powers and chi(x) they use,
 are the Tate oracle's (:mod:`asailocal.tate`).  They take psi and a
-multiplier s and sum psi(-s t), whose conductor is c(psi) - ord s, so the
-big-cell integral never builds a shifted additive character.  The averaged
-families write their matrices out directly (no matrix products), from
-elements of E embedded once per family, and an x-average only evaluates the
-points a refinement adds.
+multiplier s and sum psi(-s t) against the self-dual measure of psi; the
+conductor of t -> psi(-s t) is c(psi) - ord s, so the big-cell integral
+never builds a shifted additive character.  The averaged families write
+their matrices out directly (no matrix products), from elements of E
+embedded once per family, and an x-average only evaluates the points a
+refinement adds.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .characters import (
     conductor_add,
     psi_to_E,
     restrict_to_F,
-    shell_cyc,
 )
 from .cyclotomic import Cyc
 from .factors import PoleError
@@ -46,23 +46,7 @@ from .tate import _chi_cyc, _qpow, _vol_O, coset_integral, shell_integral
 
 
 class StabilizationError(AssertionError):
-    """A truncated shell sum failed to stabilize where it must."""
-
-
-# ---------------------------------------------------------------------------
-# the stability probe
-# ---------------------------------------------------------------------------
-
-
-def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, cvol=None) -> Cyc:
-    """Same shell integral by honest enumeration at a modulus one step finer;
-    used for stabilization checks."""
-    K = chi.field
-    q = K.q
-    c = conductor_add(psi)
-    V = _vol_O(psi, cvol)
-    m = max(chi.n, c - j, 1) + 1
-    return shell_cyc(chi, psi, j, m, -1) * _qpow(q, -(j + m)) * V
+    """An x-average failed to stabilize within its refinement levels."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +54,7 @@ def shell_integral_enumerated(chi: MultChar, j: int, psi: AddChar, cvol=None) ->
 # ---------------------------------------------------------------------------
 
 
-def bigcell_integral(
-    chi: MultChar,
-    C_aff: tuple,
-    D_aff: tuple,
-    psi: AddChar,
-    verify_stability=False,
-) -> Cyc:
+def bigcell_integral(chi: MultChar, C_aff: tuple, D_aff: tuple, psi: AddChar) -> Cyc:
     """int_E chi(C(t)) |C(t)|^{-1} 1[ord D(t) >= ord C(t)] psi(-t) dt for
     affine C(t) = alpha + beta t, D(t) = delta + eps t, with coefficients
     in E (``EElement``s).
@@ -85,8 +63,7 @@ def bigcell_integral(
     section; the Gauss/geometric structure makes all shell sums finite.
     For beta != 0 the substitution t -> (t - alpha)/beta leaves the shell
     sums of chi against psi(-s t), s = 1/beta: they take the multiplier s
-    and the conductor c(psi) + ord beta, and no shifted character is built
-    (the stability probes, which enumerate, get psi(s .) explicitly).
+    and the conductor c(psi) + ord beta, and no shifted character is built.
     """
     K = chi.field
     q = K.q
@@ -109,26 +86,18 @@ def bigcell_integral(
             if n >= 1:
                 jstar = c2 - n
                 if jstar <= U:
-                    total = total + _qpow(q, jstar) * shell_integral(chi, jstar, psi, s=s)
-                edges = [c2 - n - 1, c2 - n + 1] if verify_stability else []
+                    total = total + _qpow(q, jstar) * shell_integral(chi, jstar, psi, s)
             else:
                 for j in range(c2 - 1, U + 1):
-                    total = total + _qpow(q, j) * shell_integral(chi, j, psi, s=s)
-                edges = [c2 - 2] if verify_stability else []
-            for j in edges:
-                if j <= U and not shell_integral_enumerated(
-                    chi, j, psi.shifted(s), cvol=Fraction(c, 2)
-                ).is_zero():
-                    raise StabilizationError(f"shell {j} failed to vanish")
+                    total = total + _qpow(q, j) * shell_integral(chi, j, psi, s)
         else:
             vb2 = K.val(b2)
             T1 = K.val(a2) - vb2
             L = T1 - vb2
             t1 = -(a2 / b2)
             # ord(a2 + b2 t) >= ord t means ord(t - t1) > ord t, so ord t =
-            # ord t1 = T1: the coset is the whole support, and no other shell
-            # is left for a stability probe to check
-            total = _qpow(q, T1) * coset_integral(chi, t1, L, psi, s=s)
+            # ord t1 = T1: the coset is the whole support
+            total = _qpow(q, T1) * coset_integral(chi, t1, L, psi, s)
         return pref * total
     # constant C(t) = alpha
     if epsv == 0:
@@ -170,7 +139,7 @@ def _abs_sqrt(q: int, v: int) -> Cyc:
     return _qpow(q, Fraction(-v, 2))
 
 
-def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cyc:
+def whittaker_value(sec: InducedSection, M: tuple) -> Cyc:
     """W_{psi_xi, f}(M) for the h = 1_O section, M = ((A,B),(C,D)) over E.
 
     Computed as mu(det) |det|^{1/2} times the big-cell t-integral; exact.
@@ -182,7 +151,7 @@ def whittaker_value(sec: InducedSection, M: tuple, verify_stability=False) -> Cy
     det = A * Dm - B * Cm
     if det.is_zero():
         raise ValueError("singular matrix")
-    core = bigcell_integral(sec.chi_ratio, (A, Cm), (B, Dm), sec.psi_xi, verify_stability)
+    core = bigcell_integral(sec.chi_ratio, (A, Cm), (B, Dm), sec.psi_xi)
     pref = _chi_cyc(sec.mu, det) * _abs_sqrt(E.q, E.val(det))
     return pref * core
 

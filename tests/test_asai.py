@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asailocal.asai as asai_mod
 import asailocal.tate as tate_mod
 from asailocal.asai import (
     AsaiInput,
     TwistedPair,
+    central_value,
     dichotomy_sign,
     eps_gal,
     eps_gal_comparison,
@@ -248,7 +251,7 @@ def test_dichotomy_requires_trivial_omega():
     om = restrict_to_F(mu.mul(nu))
     good = TwistedPair(MultChar.trivial(F), om.inv(), 0.0)
     sgn = dichotomy_sign(AsaiInput(E, mu, nu, psi, E.xi(), None, good))
-    assert sgn in (1, -1)
+    assert sgn == 1  # forced for omega = 1
     bad = TwistedPair(MultChar(F, 1, (Fraction(1, 2),), Phase.one()), om.inv(), 0.0)
     if not restrict_to_F(mu.mul(nu)).mul(bad.mu2).mul(bad.nu2).is_trivial():
         with pytest.raises(ValueError):
@@ -262,6 +265,50 @@ def test_dichotomy_all_trivial_is_plus_one():
     triv_E, triv_F = MultChar.trivial(E), MultChar.trivial(F)
     inp = AsaiInput(E, triv_E, triv_E, psi, E.xi(), None, TwistedPair(triv_F, triv_F, 0.0))
     assert dichotomy_sign(inp) == 1
+    assert abs(central_value(inp) - 1) < 1e-12
+
+
+# -- Asai-level properties over p <= 13 ----------------------------------------
+
+
+def _drawn_char(draw, K, max_n=2):
+    """A character of K^x of conductor at most ``max_n``, t a 12th root of unity."""
+    n = draw(st.integers(0, max_n))
+    angles = [Fraction(draw(st.integers(0, d - 1)), d) for d in unit_group(K, n).orders]
+    return MultChar.from_angles(K, n, angles, Phase.exact(Fraction(draw(st.integers(0, 11)), 12)))
+
+
+@st.composite
+def asai_inputs(draw, twisted=False):
+    """p <= 13, any extension, mu and nu of conductor <= 2; an optional chi
+    on F^x (untwisted), or a rank-2 tau of conductors <= 2 (twisted)."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    F = PAdicGround(p)
+    E = QuadExtension(F, draw(st.sampled_from(EXTENSION_TYPES)))
+    mu, nu = _drawn_char(draw, E), _drawn_char(draw, E)
+    if twisted:
+        v2 = complex(draw(st.sampled_from([0.0, 0.25, -0.4])), draw(st.sampled_from([0.0, 0.3])))
+        tau = TwistedPair(_drawn_char(draw, F), _drawn_char(draw, F), v2)
+        return AsaiInput(E, mu, nu, standard_psi(F), E.xi(), None, tau)
+    chi = _drawn_char(draw, F) if draw(st.booleans()) else None
+    a, b = (Fraction(draw(st.sampled_from([1, 2, p]))) for _ in range(2))
+    return AsaiInput(E, mu, nu, standard_psi(F).shifted(a), E.xi() * E.embed(b), chi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(asai_inputs())
+def test_eps_corollary_holds_over_p_up_to_13(inp):
+    # criterion 5: eps_RS = omega(xi) |xi^2|^{s-1/2} lambda^{-1} eps_Gal
+    rep = eps_gal_comparison(inp, tol=1e-8)
+    assert rep["ok"], rep["max_deviation"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(asai_inputs(twisted=True))
+def test_theorem_b_assemblies_agree_over_p_up_to_13(inp):
+    # criterion 9: the zeta-integral and Galois assemblies of gamma_PSR agree
+    _, rep = gamma_psr(inp, tol=1e-8)
+    assert rep["ok"], rep["max_deviation"]
 
 
 def test_split_case_identity():

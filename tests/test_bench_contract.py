@@ -6,6 +6,10 @@ a "Class.method" target must be a function in the class's own ``__dict__``
 (an inherited method would be patched on the wrong class), any other target a
 module attribute.
 
+Each kind of ``factor-requests`` runs once per extension through the
+benchmark's own ``run_factor_request``, so a renamed function or keyword
+that it calls fails here, not only in the benchmark.
+
 The README examples (``bench/workloads.py``'s ``CLI_EXAMPLES``) run as
 their own interpreters: their stdout must equal ``bench/golden/`` byte for
 byte, and none of them loads numpy, the archimedean ``arch-zeta`` included;
@@ -83,6 +87,15 @@ def _load_workloads():
 
 
 WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("kind", WORKLOADS.KINDS)
+@pytest.mark.parametrize("ext", WORKLOADS.EXTENSIONS)
+def test_factor_request_runs(kind, ext):
+    # the benchmark's own calls into asailocal, keywords included, at the
+    # cheapest cell of each kind
+    ok, why = WORKLOADS.run_factor_request({"kind": kind, "p": 3, "ext": ext, "level": 1, "seed": 1})
+    assert ok, why
 
 
 def _run_python(args):

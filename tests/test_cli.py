@@ -366,6 +366,12 @@ _REPROS = [
     (["tate", "--field", _F5, "--char", '{"lambda":"-1e20"}'], "--char: 'lambda'"),
     (["tate", "--field", _F5, "--char", '{"lambda":"1e300"}'], "--char: 'lambda'"),
     (["tate", "--field", _F5, "--char", '{"lambda":1e300}'], "--char: 'lambda'"),
+    # a moderate lambda: Z(s, chi, Phi) scales like q^(-lambda s), far from 1,
+    # and is certified all the same
+    (["tate", "--field", _F5, "--char", '{"lambda":"60"}'], None),
+    (["tate", "--field", _F5, "--char", '{"lambda":"-60"}'], None),
+    (["tate", "--field", _F5, "--char", '{"lambda":"200"}'], None),
+    (["tate", "--field", _F5, "--char", '{"lambda":"-440"}'], None),
 ]
 
 

@@ -14,6 +14,7 @@ from asailocal.characters import (
     conductor_add,
     psi_to_E,
     restrict_to_F,
+    shell_cyc,
     standard_psi,
 )
 from asailocal.cyclotomic import Cyc
@@ -166,24 +167,38 @@ def test_whittaker_from_section_support():
     # shape scaled by the big-cell Fourier mass
     sec = make_section(3, UNRAMIFIED, 1, True)
     E = sec.E
-    v0 = whittaker_value(sec, ((E.one(), 0), (0, 1)), verify_stability=True)
+    v0 = whittaker_value(sec, ((E.one(), 0), (0, 1)))
     assert not v0.is_zero()
-    v_neg = whittaker_value(sec, ((E.uniformizer().inv(), 0), (0, 1)), verify_stability=True)
+    v_neg = whittaker_value(sec, ((E.uniformizer().inv(), 0), (0, 1)))
     assert v_neg.is_zero()
+
+
+def enumerated_shell(chi, j, psi, s):
+    """int_{ord t = j} chi(t) psi(-s t) dt, dt self-dual for psi, by honest
+    enumeration of the shell at a modulus one step finer than the integrand
+    needs, against the explicitly shifted character t -> psi(s t)."""
+    q = chi.field.q
+    psi_s = psi.shifted(s)
+    m = max(chi.n, conductor_add(psi_s) - j, 1) + 1
+    vol_O = _qpow(q, Fraction(conductor_add(psi), 2))
+    return shell_cyc(chi, psi_s, j, m, -1) * _qpow(q, -(j + m)) * vol_O
 
 
 def test_stability_probes_run_on_the_w1_shape(monkeypatch):
     # diag(a,1) w1 u_-(u), the second sum of w_case2, reaches the big-cell
-    # branch with beta != 0 and b2 = 0, where the probes enumerate the shells
-    # next to the stable one and must find them zero
-    calls = []
-    enumerated = whittaker.shell_integral_enumerated
+    # branch with beta != 0 and b2 = 0, which sums only the shells where
+    # chi(t) psi(-s t) can integrate to non-zero: the shell c - ord s - n of
+    # a ramified chi, the shells from c - ord s - 1 on of an unramified one.
+    # Each summed shell must equal its enumeration, and the shells next to
+    # the stable ones, enumerated, must be zero
+    summed = []
+    real = whittaker.shell_integral
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return enumerated(*args, **kwargs)
+    def recording(chi, j, psi, s):
+        summed.append((chi, j, psi, s))
+        return real(chi, j, psi, s)
 
-    monkeypatch.setattr(whittaker, "shell_integral_enumerated", counted)
+    monkeypatch.setattr(whittaker, "shell_integral", recording)
     matrices = 0
     for ext in EXTENSION_TYPES:
         for lvl, restricted in ((1, True), (1, False), (2, True), (2, False)):
@@ -195,13 +210,17 @@ def test_stability_probes_run_on_the_w1_shape(monkeypatch):
                 a = E.uniformizer() ** va * 2
                 for u in range(3):
                     M = _mat_mul(E, diag_matrix(E, a), _mat_mul(E, w1_matrix(E), lower_unipotent(E, u)))
-                    want = whittaker_value(sec, M)
-                    before = len(calls)
-                    got = whittaker_value(sec, M, verify_stability=True)
-                    assert (got - want).is_zero(), (ext, lvl, va, u)
-                    assert len(calls) > before, (ext, lvl, va, u)
+                    whittaker_value(sec, M)
                     matrices += 1
     assert matrices == 120
+    probed = 0
+    for chi, j, psi, s in dict.fromkeys(summed):
+        assert (enumerated_shell(chi, j, psi, s) - real(chi, j, psi, s)).is_zero(), (chi, j)
+        c_s = conductor_add(psi) - chi.field.val(s)
+        for edge in (j - 1, j + 1) if chi.n else (c_s - 2,):
+            assert enumerated_shell(chi, edge, psi, s).is_zero(), (chi, j, edge)
+            probed += 1
+    assert probed > 0
 
 
 def test_whittaker_closed_forms_at_p7():
@@ -253,20 +272,22 @@ def multiplier_cases(draw):
 def test_multiplier_equals_shifted_character(case):
     # the production route takes psi and s; the reference route builds
     # x -> psi(s x) as its own character, with its conductor found by
-    # brute force, and must give the very same cyclotomic terms
+    # brute force, and must give the same exact value once moved from the
+    # self-dual measure of psi(s .) to that of psi
     K, chi, psi, s, t0, J = case
-    cvol = Fraction(conductor_add(psi), 2)
     psi_s = psi.shifted(s)
     c_s = conductor_add(psi_s)
     assert c_s == conductor_add(psi) - K.val(s)
+    # both measures are self-dual, for psi and for psi_s
+    rescale = _qpow(K.q, Fraction(conductor_add(psi) - c_s, 2))
     for j in range(c_s - chi.n - 2, c_s - chi.n + 2):
-        got = shell_integral(chi, j, psi, cvol, s)
-        want = shell_integral(chi, j, psi_s, cvol)
-        assert not (got - want).terms, (j, got, want)
+        got = shell_integral(chi, j, psi, s)
+        want = shell_integral(chi, j, psi_s, 1) * rescale
+        assert (got - want).is_zero(), (j, got, want)
     L = K.val(t0) + J
-    got = coset_integral(chi, t0, L, psi, cvol, s)
-    want = coset_integral(chi, t0, L, psi_s, cvol)
-    assert not (got - want).terms, (got, want)
+    got = coset_integral(chi, t0, L, psi, s)
+    want = coset_integral(chi, t0, L, psi_s, 1) * rescale
+    assert (got - want).is_zero(), (got, want)
 
 
 def test_spherical_zeta_matches_euler_product():
