@@ -4,17 +4,17 @@ assembly, the five explicit test-vector cases, and the Gamma-sum identity.
 
 Conventions: psi(x) = e^{2 pi i a x} with standard a = 1, xi = sqrt(-1);
 other (psi, xi) are reached through the change-of-variable scalings.  The
-independent oracle is adaptive Gauss-Legendre quadrature of the explicit
-Gaussian-monomial integrands; it calls none of the closed forms.
+independent oracle is the trapezoidal rule on nested grids, applied to the
+explicit Gaussian-monomial integrands; it calls none of the closed forms.
 
-The quadrature is breadth-first over rows: one quad_gl or quad_real_line
-call computes a batch of integrals, one per row, each on its own panel tree,
-and at each depth evaluates the integrand once, on a flat array of the nodes
-of every open panel of every row.  An integrand maps that node array to the
-array of its values; a parameterised one also receives its per-row
-parameters gathered per node, so it knows which integral each node belongs
-to.  A single integral is one row, and an integrand of the nodes alone is
-the whole interface.
+The quadrature is breadth-first over rows: one quad_trapezoid call computes
+a batch of integrals, one per row, each on its own window and its own grid,
+and at each level evaluates the integrand once, on a flat array of the new
+midpoints of every row that has not settled.  An integrand maps that node
+array to the array of its values; a parameterised one also receives its
+per-row parameters gathered per node, so it knows which integral each node
+belongs to.  A single integral is one row, and an integrand of the nodes
+alone is the whole interface.
 """
 
 from __future__ import annotations
@@ -155,7 +155,11 @@ def quad_gl(f, a, b, tol: float = QUAD_TOL, args: tuple = ()):
     integral each node belongs to.  At each depth one call evaluates every
     open panel of every row, 45 nodes each.  A value that is not finite, or
     a panel over ten times the tolerance at depth 24, raises ArithmeticError
-    at once, naming the panel's interval."""
+    at once, naming the panel's interval.
+
+    No oracle of the package calls it: the tests' archimedean Tate oracles
+    and their phi-hat transform check do, and bench/tracer.py counts its
+    calls."""
     import numpy as np
 
     x, w15, w30 = _gl_nodes()
@@ -209,7 +213,10 @@ def quad_real_line(f, tol: float = QUAD_TOL, L: float = 9.0, args: tuple = ()):
     of every open row go to one quad_gl call.  Handles the
     doubly-exponential Gaussian ends as well as the plain-exponential decay
     near the origin end of d^x-substitutions.  A row whose window passes
-    400 raises ArithmeticError at once."""
+    400 raises ArithmeticError at once.
+
+    No oracle of the package calls it: the tests' archimedean Tate oracles
+    do, and bench/tracer.py counts its calls."""
     import numpy as np
 
     args = np.broadcast_arrays(*args)
@@ -240,6 +247,140 @@ def quad_real_line(f, tol: float = QUAD_TOL, L: float = 9.0, args: tuple = ()):
 
 
 # ---------------------------------------------------------------------------
+# nested trapezoid sums
+# ---------------------------------------------------------------------------
+
+# a row's first grid has a step of about TRAP_H0 and at least 2 intervals;
+# a row that has not settled after TRAP_HALVINGS halvings of it raises
+TRAP_H0 = 0.5
+TRAP_HALVINGS = 10
+# a row whose last two sums are both below this in modulus settles: its
+# values are subnormal or 0, and no relative test on them can pass
+TRAP_UNDERFLOW = 1e-280
+# a window ends where its integrand has fallen to e^-WINDOW_DROP of its peak
+WINDOW_DROP = 40.0
+
+
+def _grid_values(f, rows, lo, hi, n, shift, args):
+    """One call of ``f`` on the points lo_r + (k + shift) (hi_r - lo_r) / n_r
+    of every row r in ``rows``, with that row's ``args`` gathered per point:
+    k = 0..n_r for shift 0 (the whole grid), k < n_r for shift 1/2 (its
+    midpoints).  Returns the values, row after row, and where each row's
+    values start.  A value that is not finite raises ArithmeticError at
+    once, naming its row's interval."""
+    import numpy as np
+
+    count = n[rows] + (shift == 0)
+    row = np.repeat(rows, count)
+    start = np.cumsum(count) - count
+    k = np.arange(row.size) - np.repeat(start, count) + shift
+    x = lo[row] + k * ((hi - lo) / n)[row]
+    fx = f(x, *(v[row] for v in args))
+    if np.shape(fx) != x.shape:
+        raise TypeError("the integrand must map the node array to an array of its shape")
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        r = row[np.argmax(bad)]
+        raise ArithmeticError(f"integrand is not finite on [{lo[r]}, {hi[r]}]")
+    return fx, start
+
+
+def _halve_until_settled(f, lo, hi, n, total, tol, args):
+    """Refine the trapezoid sums ``total``, row r on n_r equal intervals of
+    [lo_r, hi_r], by halving every open row's step until it settles.
+
+    Each level is one _grid_values call on the new midpoints of every open
+    row, and T_h = T_2h / 2 + h (sum of those values).  A row settles when
+    |T_h - T_2h| <= tol |T_h|, a relative test, or when both sums are below
+    TRAP_UNDERFLOW in modulus.  A row still open after TRAP_HALVINGS levels
+    raises ArithmeticError naming its interval.  Updates ``n`` and
+    ``total`` in place and returns ``total``."""
+    import numpy as np
+
+    open_ = np.arange(lo.size)
+    for _ in range(TRAP_HALVINGS):
+        fx, start = _grid_values(f, open_, lo, hi, n, 0.5, args)
+        n[open_] *= 2
+        prev = total[open_]
+        new = prev / 2 + (hi - lo)[open_] / n[open_] * np.add.reduceat(fx, start)
+        total[open_] = new
+        settled = np.abs(new - prev) <= tol * np.abs(new)
+        settled |= np.maximum(np.abs(new), np.abs(prev)) < TRAP_UNDERFLOW
+        open_ = open_[~settled]
+        if not open_.size:
+            return total
+    r = open_[0]
+    raise ArithmeticError(
+        f"trapezoid sums did not settle on [{lo[r]}, {hi[r]}] in {TRAP_HALVINGS} halvings"
+    )
+
+
+def quad_trapezoid(f, lo, hi, tol: float = QUAD_TOL, args: tuple = ()):
+    """Nested trapezoid sums, breadth-first over rows, each row on its own
+    fixed window.
+
+    Row r is the integral of ``f`` over [lo_r, hi_r]; ``lo``, ``hi`` and
+    each entry of ``args`` broadcast to one shape, the rows, and the result
+    has that shape (a complex number when it is scalar).  ``f`` is called as
+    in quad_gl, once per level: first on every row's grid of step about
+    TRAP_H0, then on the new midpoints of every row not yet settled (see
+    _halve_until_settled).  For an integrand analytic in a strip about the
+    window and negligible at its ends the sums converge geometrically in
+    1/h (Trefethen and Weideman, SIAM Review 56, 2014), so a settled row is
+    far more accurate than ``tol``."""
+    import numpy as np
+
+    lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
+    shape = lo.shape
+    lo, hi = lo.astype(float).ravel(), hi.astype(float).ravel()
+    args = [np.ravel(v) for v in args]
+    n = np.maximum(2, np.ceil((hi - lo) / TRAP_H0)).astype(int)
+    fx, start = _grid_values(f, np.arange(lo.size), lo, hi, n, 0.0, args)
+    ends = (fx[start] + fx[start + n]) / 2
+    total = ((hi - lo) / n * (np.add.reduceat(fx, start) - ends)).astype(complex)
+    total = _halve_until_settled(f, lo, hi, n, total, tol, args)
+    return total.reshape(shape) if shape else complex(total[0])
+
+
+def quad_trapezoid_line(f, tol: float = QUAD_TOL, L: float = 6.0):
+    """The integral over R of ``f``, one row of nested trapezoid sums on a
+    window grown from [-L, L] (L a multiple of TRAP_H0).
+
+    The first grid has step TRAP_H0.  While |f| at an end of it is above
+    e^-WINDOW_DROP of the largest value sampled, that end moves out by 4,
+    and one call of ``f`` takes the new points at every such end; a window
+    that would pass [-400, 400] raises ArithmeticError, naming it.  Then
+    the step halves as in quad_trapezoid."""
+    import numpy as np
+
+    lo, hi = np.array([-L]), np.array([L])
+    n = np.array([round(2 * L / TRAP_H0)])
+    fx, _ = _grid_values(f, np.array([0]), lo, hi, n, 0.0, ())
+    step = 4.0
+    points = round(step / TRAP_H0)  # new points at each growing end
+    while True:
+        top = math.exp(-WINDOW_DROP) * np.abs(fx).max()
+        grow = np.array([abs(fx[0]) > top, abs(fx[-1]) > top])
+        if not grow.any():
+            break
+        lo[0] -= step * grow[0]
+        hi[0] += step * grow[1]
+        if lo[0] < -400 or hi[0] > 400:
+            raise ArithmeticError(f"integrand tail does not decay beyond [{lo[0]}, {hi[0]}]")
+        # the new points of each growing end: the whole grid of its strip,
+        # [lo, lo + 3.5] or [hi - 3.5, hi], at step TRAP_H0
+        first = np.array([lo[0], hi[0] - step + TRAP_H0])
+        new, _ = _grid_values(
+            f, np.flatnonzero(grow), first, first + step - TRAP_H0, np.full(2, points - 1), 0.0, ()
+        )
+        left = points if grow[0] else 0
+        fx = np.concatenate((new[:left], fx, new[left:]))
+    n[0] = fx.size - 1
+    total = np.array([TRAP_H0 * (fx.sum() - (fx[0] + fx[-1]) / 2)])
+    return complex(_halve_until_settled(f, lo, hi, n, total, tol, ())[0])
+
+
+# ---------------------------------------------------------------------------
 # Whittaker basis values and Tate-type integrals
 # ---------------------------------------------------------------------------
 
@@ -265,7 +406,8 @@ def whittaker_integrand(u, ay, w: complex, A: int, B: int):
     there.  On a live node the value is that of the single-y integrand, op
     for op; folding the powers into one exp would round them at the scale of
     the exponent, 4 pi |y|, about 1e-14 of the value at |y| = 6.  It works in
-    place: its arrays hold every open panel of up to 90 rows."""
+    place: its arrays hold the new nodes of every open row of a level, for
+    every node of one outer level of zeta_whittaker_quadrature."""
     import numpy as np
 
     t = np.exp(u)
@@ -289,25 +431,62 @@ def whittaker_integrand(u, ay, w: complex, A: int, B: int):
     return out
 
 
+def whittaker_window(ay, c: float):
+    """The window (lo, hi) of each row of whittaker_integrand at |y| = ``ay``
+    (any shape) and c = Re(w) + A - B: where the real exponent
+    phi(u) = c u - 2 pi (ay^2 e^{2u} + e^{-2u}) of its modulus, ay^A aside,
+    is within WINDOW_DROP of its peak.
+
+    phi is concave.  At its peak u0, P = ay^2 e^{2 u0} and Q = e^{-2 u0}
+    solve P - Q = c / (4 pi) and P Q = ay^2: the larger of the two is the
+    quadratic's root without cancellation, the smaller comes in log space,
+    so a tiny ay overflows nothing.  The drop phi(u0) - phi(u0 + x) is
+    2 pi (P (e^{2x} - 1) + Q (e^{-2x} - 1)) - c x, convex in x.  Each edge
+    starts where the exponential term of its side alone, 2 pi P e^{2x} or
+    2 pi Q e^{-2x}, reaches WINDOW_DROP (or at the peak), and is bracketed by
+    steps of 1/4, 1/2, 1, ... outward; then Newton's method runs from outside
+    the window, which moves it monotonically inward, until the row's drop is
+    within 1 of WINDOW_DROP."""
+    import numpy as np
+
+    big = (np.hypot(c, 8 * math.pi * ay) + abs(c)) / (8 * math.pi)
+    log_small = 2 * np.log(ay) - np.log(big)
+    lp, lq = (np.log(big), log_small) if c >= 0 else (log_small, np.log(big))
+    p, q = np.exp(lp), np.exp(lq)
+
+    def drop(x):
+        ep, eq = np.exp(lp + 2 * x), np.exp(lq - 2 * x)
+        return 2 * math.pi * ((ep - p) + (eq - q)) - c * x, 4 * math.pi * (ep - eq) - c
+
+    # both edges of every row at once: row 0 left of the peak, row 1 right
+    reach = math.log(WINDOW_DROP / (2 * math.pi))
+    x = np.stack((-np.maximum(0.0, (reach - lq) / 2), np.maximum(0.0, (reach - lp) / 2)))
+    step = np.multiply.outer([-0.25, 0.25], np.ones(np.shape(ay)))
+    while (short := drop(x)[0] < WINDOW_DROP).any():
+        x = np.where(short, x + step, x)
+        step = np.where(short, 2 * step, step)
+    while (far := (d := drop(x))[0] > WINDOW_DROP + 1).any():
+        x = np.where(far, x - (d[0] - WINDOW_DROP) / d[1], x)
+    return x - lq / 2  # u0 = -log(Q) / 2
+
+
 def whittaker_value_quadrature(
     y, idx_a, idx_b, mu: CChar, nu: CChar, tol: float = QUAD_TOL
 ):
     """W_{(a,b)}(diag(y,1)) = 4 pi mu(y)|y| int_0^inf Psi_a(yt) Psi_b(1/t)
-    mu nu^{-1}(t) d t/t, by adaptive quadrature on t = e^u.  ``y`` is a
-    nonzero number or an array of them, one quadrature row each; the result
-    has the shape of ``y``.
+    mu nu^{-1}(t) d t/t, by nested trapezoid sums on t = e^u.  ``y`` is a
+    finite nonzero number or an array of them, one quadrature row each; the
+    result has the shape of ``y``.
 
-    The radial integrand is whittaker_integrand at |y|, the row parameter;
-    sgn(y)^A is applied per row.  ``tol`` is quad_gl's, which is absolute
-    for integrals below 1: W has no relative accuracy where |W| << 1.  For
-    trivial mu = nu, W(1.3) at the default tol is off by about 1e-4
-    relative, and for |y| >= 3 (|W| < 1e-15) every tol accepts the first
-    panels."""
+    The radial integrand is whittaker_integrand at |y|, the row parameter,
+    on the row's whittaker_window; sgn(y)^A is applied per row.  ``tol`` is
+    quad_trapezoid's, relative per row, so a row keeps its relative
+    accuracy however small |W| is, down to TRAP_UNDERFLOW."""
     import numpy as np
 
     y = np.asarray(y, dtype=float)
-    if not np.all(y):
-        raise ValueError("y must be nonzero")
+    if not (np.all(y) and np.isfinite(y).all()):
+        raise ValueError("y must be finite and nonzero")
     if not selection_rule_ok(idx_a, idx_b, mu, nu):
         return np.zeros(y.shape, dtype=complex) if y.ndim else 0j
     a1, a2 = idx_a
@@ -315,7 +494,10 @@ def whittaker_value_quadrature(
     A, B = a1 + a2, b1 + b2
     w = 2 * (complex(mu.lam) - complex(nu.lam))  # mu nu^{-1}(t) = t^w for t > 0
     ay = np.abs(y)
-    radial = quad_real_line(lambda u, ay_: whittaker_integrand(u, ay_, w, A, B), tol, args=(ay,))
+    lo, hi = whittaker_window(ay, w.real + A - B)
+    radial = quad_trapezoid(
+        lambda u, ay_: whittaker_integrand(u, ay_, w, A, B), lo, hi, tol, args=(ay,)
+    )
     return 4 * math.pi * mu.value(y) * ay * np.sign(y) ** A * radial
 
 
@@ -345,27 +527,21 @@ def zeta_whittaker_quadrature(
     s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: CChar
 ) -> complex:
     """2-D quadrature of zeta(s, W_{(a,b)}, chi): the y-integral over R^x of
-    the quadrature Whittaker value; the independent oracle for the Lemma."""
+    the quadrature Whittaker value; the independent oracle for the Lemma.
+    Both integrals are nested trapezoid sums to the relative tolerance
+    1e-11."""
     import numpy as np
 
     tol = 1e-11
 
-    # |y|^{s-1} d^x y with y = +-e^v.  Each 45 nodes (one outer panel) at
-    # both signs are the 90 rows of one inner call; all open outer panels in
-    # one call would multiply the inner arrays, and peak memory, by their
-    # number and save no time.
+    # |y|^{s-1} d^x y with y = +-e^v: every level of the outer row sends all
+    # its nodes, at both signs, as the rows of one inner call
     def full(vs: np.ndarray) -> np.ndarray:
         y = np.exp(vs)
-        w_p, w_m = np.concatenate(
-            [
-                whittaker_value_quadrature(np.stack((yp, -yp)), idx_a, idx_b, mu, nu, tol)
-                for yp in np.split(y, range(45, len(y), 45))
-            ],
-            axis=1,
-        )
+        w_p, w_m = whittaker_value_quadrature(np.stack((y, -y)), idx_a, idx_b, mu, nu, tol)
         return (w_p * chi.value(y) + w_m * chi.value(-y)) * np.exp(complex(s - 1) * vs)
 
-    return quad_real_line(full, tol, L=6.0)
+    return quad_trapezoid_line(full, tol, L=6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def suite_arch_cases(tol=1e-6) -> dict:
     )
 
 
-def suite_closed_vs_quadrature(num=10, tol=1e-6, seed=7) -> dict:
+def suite_closed_vs_quadrature(num=10, tol=1e-11, seed=7) -> dict:
     """Lemma closed form against 2-D quadrature for random admissible data."""
     rng = random.Random(seed)
     worst = 0.0

@@ -1,8 +1,11 @@
 import cmath
 import math
+import os
 import random
 import re
+import subprocess
 import sys
+from math import factorial
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from asailocal.arch import (
     phi_hat_monomial,
     quad_gl,
     quad_real_line,
+    quad_trapezoid,
+    quad_trapezoid_line,
     tate_eps_complex,
     tate_eps_real,
     tate_L_complex,
@@ -74,21 +79,6 @@ def reference_quad_real_line(f, tol=arch.QUAD_TOL, L=9.0, panels=None):
         step *= 1.3
         if L > 400:
             raise ArithmeticError("integrand tail does not decay")
-
-
-def reference_whittaker(y, idx_a, idx_b, mu, nu, tol, panels):
-    """One Whittaker value by the scalar integrand and the scalar quadrature."""
-    A, B = sum(idx_a), sum(idx_b)
-    w = 2 * (complex(mu.lam) - complex(nu.lam))
-
-    def integrand(u):
-        t = np.exp(u)
-        yt = y * t
-        return yt**A * t ** (-B) * np.exp(w * u - 2 * math.pi * (yt * yt + 1 / (t * t)))
-
-    zz = complex(y)
-    mu_y = abs(zz) ** (2 * (complex(mu.lam) - mu.n / 2)) * zz**mu.n
-    return 4 * math.pi * mu_y * abs(y) * reference_quad_real_line(integrand, tol, panels=panels)
 
 
 def reference_whittaker_integrand(u, ay, w, A, B):
@@ -193,29 +183,76 @@ def whittaker_rows(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(whittaker_rows())
-def test_batched_whittaker_rows_match_the_scalar_reference(case):
-    # each row of the breadth-first call is the depth-first scalar quadrature
-    # of its own y, on the same panels
+def test_batched_whittaker_rows_equal_the_rows_called_alone(case):
+    # a row's window, grid and sums depend on its own y alone, so the
+    # breadth-first call gives every row the bits it gets by itself
     y, idx_a, idx_b, mu, nu, tol = case
-    nodes_per_row = {}
-
-    def counting_quad_gl(f, a, b, tol=arch.QUAD_TOL, args=()):
-        def g(x, ay):
-            count_nodes_per_row(nodes_per_row, ay)
-            return f(x, ay)
-
-        return quad_gl(g, a, b, tol, args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arch, "quad_gl", counting_quad_gl)
-        got = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
+    got = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
     assert got.shape == y.shape
     for yr, g in zip(y, got):
-        panels = []
-        want = reference_whittaker(float(yr), idx_a, idx_b, mu, nu, tol, panels)
-        assert abs(g - want) <= 1e-14 * abs(want)
-        assert nodes_per_row[abs(yr)] == 45 * len(panels)
+        alone = whittaker_value_quadrature(np.array([yr]), idx_a, idx_b, mu, nu, tol)
+        assert repr(complex(g)) == repr(complex(alone[0]))
 
+
+def k_half_integer(n, z):
+    """K_{n+1/2}(z) = sqrt(pi/2z) e^{-z} sum_k (n+k)!/(k!(n-k)!) (2z)^{-k}."""
+    terms = sum(
+        factorial(n + k) / (factorial(k) * factorial(n - k)) * (2 * z) ** -k for k in range(n + 1)
+    )
+    return math.sqrt(math.pi / (2 * z)) * math.exp(-z) * terms
+
+
+@st.composite
+def odd_order_rows(draw):
+    """w in {-1, 0, 1} and A, B <= 6 with w + A - B odd, mu and nu on the
+    selection rule sharing a random complex lam (so w is still their
+    exponent difference), 1-4 rows of y in [0.05, 8], and the default
+    tolerance or the oracle's."""
+    w = draw(st.sampled_from([-1, 0, 1]))
+    A = draw(st.integers(0, 6))
+    B = draw(st.sampled_from([b for b in range(7) if (w + A - b) % 2]))
+    a1, b1 = draw(st.integers(0, A)), draw(st.integers(0, B))
+    lam = complex(draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2)))
+    nu = CChar(lam, draw(st.integers(-1, 1)))
+    mu = CChar(lam + w / 2, (2 * b1 - B) - (2 * a1 - A) + nu.n)
+    y = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4))
+    tol = draw(st.sampled_from([arch.QUAD_TOL, 1e-11]))
+    return np.array(y), (a1, A - a1), (b1, B - b1), mu, nu, tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_order_rows())
+def test_whittaker_value_at_odd_order_is_the_half_integer_bessel_form(case):
+    # with order = w + A - B, the radial integral
+    # int t^{order-1} y^A e^{-2 pi (y^2 t^2 + t^{-2})} dt is
+    # y^A y^{-order/2} K_{order/2}(4 pi y), elementary at odd order; |W|
+    # runs down to about 1e-40 at y = 8
+    y, idx_a, idx_b, mu, nu, tol = case
+    A, B = sum(idx_a), sum(idx_b)
+    order = round(2 * (complex(mu.lam) - complex(nu.lam)).real) + A - B
+    got = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
+    for yr, g in zip(y, got):
+        k = k_half_integer((abs(order) - 1) // 2, 4 * math.pi * yr)
+        want = 4 * math.pi * mu.value(yr) * yr * yr**A * yr ** (-order / 2) * k
+        assert abs(g - want) <= 1e-12 * abs(want)
+
+
+def radial_exponent(u, ay, c):
+    return c * u - 2 * math.pi * (ay * ay * np.exp(2 * u) + np.exp(-2 * u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-21.0, 4.1), min_size=1, max_size=4), st.floats(-8.0, 8.0))
+def test_whittaker_window_edges_drop_40_to_41_below_the_peak(log_ays, c):
+    # |y| from 1e-9 to 60, where every value underflows
+    ay = np.exp(np.array(log_ays))
+    lo, hi = arch.whittaker_window(ay, c)
+    for r in range(ay.size):
+        u = np.linspace(lo[r], hi[r], 20001)
+        peak = radial_exponent(u, ay[r], c).max()
+        for edge in (lo[r], hi[r]):
+            drop = peak - radial_exponent(edge, ay[r], c)
+            assert arch.WINDOW_DROP - 1e-6 <= drop <= arch.WINDOW_DROP + 1
 
 
 def test_zeta_closed_reference_value():
@@ -234,6 +271,14 @@ def test_selection_rule_zeros():
     # parity vanishing: n1 + m + a1 + a2 odd
     assert zeta_whittaker_closed(1.5, (1, 1), (0, 0), RChar(0, 1), mu, nu) == 0
     assert abs(whittaker_value_quadrature(1.0, (1, 0), (0, 0), mu, nu)) < 1e-12
+
+
+def test_whittaker_value_refuses_y_not_finite():
+    # a window computed from log |y| has no meaning there
+    one = CChar(0, 0)
+    for y in (math.inf, -math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            whittaker_value_quadrature(np.array([1.0, y]), (0, 0), (0, 0), one, one)
 
 
 def test_whittaker_parity_under_sign_flip():
@@ -260,9 +305,35 @@ def test_closed_vs_quadrature_random():
         closed = zeta_whittaker_closed(s, (a1, a2), (b1, b2), RChar(0, 0), mu, nu)
         quad = zeta_whittaker_quadrature(s, (a1, a2), (b1, b2), RChar(0, 0), mu, nu)
         if abs(closed) < 1e-12:
-            assert abs(quad) < 1e-8
+            assert abs(quad) < 1e-12
         else:
-            assert abs(closed - quad) / abs(closed) < 1e-6
+            assert abs(closed - quad) / abs(closed) < 1e-11
+
+
+@st.composite
+def lemma_data(draw):
+    """The ranges of verify.suite_closed_vs_quadrature: n1, n2 in [-2, 2],
+    lam parts in [-0.2, 0.2], a1, a2 <= 2, b from the selection rule, and
+    chi = sgn^m with the parity that keeps the Lemma's value nonzero."""
+    n1, n2 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    mu, nu = (
+        CChar(complex(draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))), n)
+        for n in (n1, n2)
+    )
+    a1, a2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    diff = a1 - a2 + n1 - n2
+    b1, b2 = (diff, 0) if diff >= 0 else (0, -diff)
+    return (a1, a2), (b1, b2), RChar(0.0, (n1 + a1 + a2) % 2), mu, nu
+
+
+@settings(max_examples=25, deadline=None)
+@given(lemma_data())
+def test_quadrature_matches_the_lemma_over_the_suite_ranges(case):
+    idx_a, idx_b, chi, mu, nu = case
+    s = 2.4 + 0.2j
+    closed = zeta_whittaker_closed(s, idx_a, idx_b, chi, mu, nu)
+    quad = zeta_whittaker_quadrature(s, idx_a, idx_b, chi, mu, nu)
+    assert abs(closed - quad) <= 1e-11 * abs(closed)
 
 
 # -- the archimedean Tate closed forms and their quadrature oracle, kept as
@@ -590,6 +661,117 @@ def test_quad_real_line_tail_raises_naming_the_window():
 def test_quad_gl_refuses_scalar_integrand():
     with pytest.raises(TypeError):
         quad_gl(lambda x: 1.0, 0.0, 1.0)
+
+
+# -- the nested trapezoid sums of the Whittaker oracle ------------------------
+
+
+def test_trapezoid_rows_broadcast_to_the_result_shape():
+    # int_R e^{-pi c x^2} dx = c^{-1/2}, rows shaped (2, 2) by the parameter,
+    # each on [-8, 8]; a scalar call returns a complex number
+    c = np.array([[1.0, 2.0], [0.5, 4.0]])
+    got = quad_trapezoid(lambda x, cx: np.exp(-math.pi * cx * x * x), -8.0, 8.0, 1e-11, args=(c,))
+    assert got.shape == (2, 2) and np.allclose(got, c**-0.5, rtol=1e-15, atol=0)
+    got = quad_trapezoid(lambda x: np.exp(-math.pi * x * x), -8.0, 8.0)
+    assert isinstance(got, complex) and abs(got - 1) < 1e-15
+
+
+def test_trapezoid_line_grows_only_the_end_that_has_not_decayed():
+    # int_R exp(x - e^x) dx = Gamma(1): doubly exponential decay on the
+    # right, e^x on the left, so only the left end moves out from -6
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(x - np.exp(x))
+
+    assert abs(quad_trapezoid_line(f, 1e-11) - 1) < 1e-14
+    grown = [n for n in calls[1:] if n == 8]
+    assert calls[0] == 25 and len(grown) == 9  # -6 - 9 * 4 = -42, e^-42 < e^-40
+
+
+def test_trapezoid_refuses_nan_in_one_row_at_once():
+    calls = []
+
+    def f(x, c):
+        calls.append(len(x))
+        return np.where(x > c, np.nan, 1.0)
+
+    with pytest.raises(ArithmeticError, match=r"not finite on \[2\.0, 3\.0\]"):
+        quad_trapezoid(f, np.array([0.0, 2.0, 0.0]), np.array([1.0, 3.0, 1.0]), args=(np.array([5.0, 2.5, 5.0]),))
+    assert calls == [3 * 3]  # each row's first grid: 2 intervals, 3 points
+
+
+def test_trapezoid_row_that_never_settles_raises_naming_it():
+    # a unit jump at 7/3 leaves the middle row's sums O(h) apart at every
+    # level; the constant rows beside it settle at the first halving
+    calls = []
+
+    def f(x, c):
+        calls.append(len(x))
+        return np.where(x > c, 1.0, 0.0)
+
+    with pytest.raises(ArithmeticError, match=r"did not settle on \[2\.0, 3\.0\] in 10 halvings"):
+        quad_trapezoid(f, np.array([0.0, 2.0, 4.0]), np.array([1.0, 3.0, 5.0]), args=(np.array([-1.0, 7 / 3, -1.0]),))
+    assert arch.TRAP_HALVINGS == 10
+    assert calls == [3 * 3, 3 * 2] + [2**k for k in range(2, 11)]
+
+
+def test_trapezoid_settles_rows_below_the_underflow_floor():
+    # the jump never settles by the relative test; its sums are about 5/3 of
+    # the scale, so at half the floor the row settles at the first halving,
+    # and at the floor it raises
+    floor = arch.TRAP_UNDERFLOW
+    assert floor == 1e-280
+    calls = []
+
+    def f(x, scale):
+        calls.append(len(x))
+        return scale * np.where(x > 1 / 3, 2.0, 1.0)
+
+    got = quad_trapezoid(f, 0.0, 1.0, args=(floor / 2,))
+    assert 0 < abs(got) < floor and calls == [3, 2]
+    with pytest.raises(ArithmeticError, match="did not settle"):
+        quad_trapezoid(f, 0.0, 1.0, args=(floor,))
+    # Whittaker rows at |y| = 60 are 0 to the last node; the row beside them
+    # keeps its accuracy (W = 4 pi y K_0(4 pi y) at mu = nu = 1)
+    one = CChar(0, 0)
+    w = whittaker_value_quadrature(np.array([60.0, -60.0, 0.7]), (0, 0), (0, 0), one, one, 1e-11)
+    assert w[0] == w[1] == 0
+    alone = whittaker_value_quadrature(np.array([0.7]), (0, 0), (0, 0), one, one, 1e-11)
+    assert repr(complex(w[2])) == repr(complex(alone[0]))
+
+
+def test_trapezoid_line_window_raises_beyond_400():
+    # a constant never decays: both ends move out by 4 a call until the
+    # window would pass 400
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.ones(x.shape)
+
+    with pytest.raises(ArithmeticError, match=r"tail does not decay beyond \[-402\.0, 402\.0\]"):
+        quad_trapezoid_line(f)
+    assert calls == [25] + [16] * 98
+
+
+def test_verify_arch_never_imports_numpy_polynomial():
+    # the trapezoid oracle needs no Gauss-Legendre nodes, so no production
+    # run loads numpy.polynomial
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['asailocal', 'verify', '--suite', 'arch']\n"
+        "try:\n"
+        "    runpy.run_module('asailocal', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('numpy' in sys.modules, 'numpy.polynomial' in sys.modules, file=sys.stderr)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode().splitlines()[-1] == "True False"
 
 
 def test_oracles_call_no_closed_form(monkeypatch):
