@@ -241,7 +241,7 @@ def radial_exponent(u, ay, c):
     return c * u - 2 * math.pi * (ay * ay * np.exp(2 * u) + np.exp(-2 * u))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-21.0, 4.1), min_size=1, max_size=4), st.floats(-8.0, 8.0))
 def test_whittaker_window_edges_drop_40_to_41_below_the_peak(log_ays, c):
     # |y| from 1e-9 to 60, where every value underflows
