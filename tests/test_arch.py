@@ -248,7 +248,9 @@ def test_whittaker_window_edges_drop_40_to_41_below_the_peak(log_ays, c):
     ay = np.exp(np.array(log_ays))
     lo, hi = arch.whittaker_window(ay, c)
     for r in range(ay.size):
-        u = np.linspace(lo[r], hi[r], 20001)
+        u = np.linspace(lo[r], hi[r], 2001)
+        i = int(np.argmax(radial_exponent(u, ay[r], c)))
+        u = np.linspace(u[max(i - 1, 0)], u[min(i + 1, u.size - 1)], 2001)
         peak = radial_exponent(u, ay[r], c).max()
         for edge in (lo[r], hi[r]):
             drop = peak - radial_exponent(edge, ay[r], c)
