@@ -259,6 +259,10 @@ TRAP_HALVINGS = 10
 TRAP_UNDERFLOW = 1e-280
 # a window ends where its integrand has fallen to e^-WINDOW_DROP of its peak
 WINDOW_DROP = 40.0
+# quad_trapezoid_line starts on [-LINE_START, LINE_START] at step TRAP_H0
+# and grows an end by LINE_GROW at a time; both are multiples of TRAP_H0
+LINE_START = 6.0
+LINE_GROW = 4.0
 
 
 def _grid_values(f, rows, lo, hi, n, shift, args):
@@ -342,36 +346,35 @@ def quad_trapezoid(f, lo, hi, tol: float = QUAD_TOL, args: tuple = ()):
     return total.reshape(shape) if shape else complex(total[0])
 
 
-def quad_trapezoid_line(f, tol: float = QUAD_TOL, L: float = 6.0):
+def quad_trapezoid_line(f, tol: float):
     """The integral over R of ``f``, one row of nested trapezoid sums on a
-    window grown from [-L, L] (L a multiple of TRAP_H0).
+    window grown from [-LINE_START, LINE_START].
 
     The first grid has step TRAP_H0.  While |f| at an end of it is above
-    e^-WINDOW_DROP of the largest value sampled, that end moves out by 4,
-    and one call of ``f`` takes the new points at every such end; a window
-    that would pass [-400, 400] raises ArithmeticError, naming it.  Then
-    the step halves as in quad_trapezoid."""
+    e^-WINDOW_DROP of the largest value sampled, that end moves out by
+    LINE_GROW, and one call of ``f`` takes the new points at every such end;
+    a window that would pass [-400, 400] raises ArithmeticError, naming it.
+    Then the step halves as in quad_trapezoid."""
     import numpy as np
 
-    lo, hi = np.array([-L]), np.array([L])
-    n = np.array([round(2 * L / TRAP_H0)])
+    lo, hi = np.array([-LINE_START]), np.array([LINE_START])
+    n = np.array([round(2 * LINE_START / TRAP_H0)])
     fx, _ = _grid_values(f, np.array([0]), lo, hi, n, 0.0, ())
-    step = 4.0
-    points = round(step / TRAP_H0)  # new points at each growing end
+    points = round(LINE_GROW / TRAP_H0)  # new points at each growing end
     while True:
         top = math.exp(-WINDOW_DROP) * np.abs(fx).max()
         grow = np.array([abs(fx[0]) > top, abs(fx[-1]) > top])
         if not grow.any():
             break
-        lo[0] -= step * grow[0]
-        hi[0] += step * grow[1]
+        lo[0] -= LINE_GROW * grow[0]
+        hi[0] += LINE_GROW * grow[1]
         if lo[0] < -400 or hi[0] > 400:
             raise ArithmeticError(f"integrand tail does not decay beyond [{lo[0]}, {hi[0]}]")
         # the new points of each growing end: the whole grid of its strip,
-        # [lo, lo + 3.5] or [hi - 3.5, hi], at step TRAP_H0
-        first = np.array([lo[0], hi[0] - step + TRAP_H0])
+        # [lo, lo + LINE_GROW - TRAP_H0] or [hi - LINE_GROW + TRAP_H0, hi]
+        first = np.array([lo[0], hi[0] - LINE_GROW + TRAP_H0])
         new, _ = _grid_values(
-            f, np.flatnonzero(grow), first, first + step - TRAP_H0, np.full(2, points - 1), 0.0, ()
+            f, np.flatnonzero(grow), first, first + LINE_GROW - TRAP_H0, np.full(2, points - 1), 0.0, ()
         )
         left = points if grow[0] else 0
         fx = np.concatenate((new[:left], fx, new[left:]))
@@ -541,7 +544,7 @@ def zeta_whittaker_quadrature(
         w_p, w_m = whittaker_value_quadrature(np.stack((y, -y)), idx_a, idx_b, mu, nu, tol)
         return (w_p * chi.value(y) + w_m * chi.value(-y)) * np.exp(complex(s - 1) * vs)
 
-    return quad_trapezoid_line(full, tol, L=6.0)
+    return quad_trapezoid_line(full, tol)
 
 
 # ---------------------------------------------------------------------------
