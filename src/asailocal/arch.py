@@ -157,9 +157,8 @@ def quad_gl(f, a, b, tol: float = QUAD_TOL, args: tuple = ()):
     a panel over ten times the tolerance at depth 24, raises ArithmeticError
     at once, naming the panel's interval.
 
-    No oracle of the package calls it: the tests' archimedean Tate oracles
-    and their phi-hat transform check do, and bench/tracer.py counts its
-    calls."""
+    Only quad_real_line and the unit tests of the two reach it; both stay
+    while bench/tracer.py counts their calls (ROADMAP item 3, slice 4)."""
     import numpy as np
 
     x, w15, w30 = _gl_nodes()
@@ -215,8 +214,8 @@ def quad_real_line(f, tol: float = QUAD_TOL, L: float = 9.0, args: tuple = ()):
     near the origin end of d^x-substitutions.  A row whose window passes
     400 raises ArithmeticError at once.
 
-    No oracle of the package calls it: the tests' archimedean Tate oracles
-    do, and bench/tracer.py counts its calls."""
+    Only its own unit tests reach it, and bench/tracer.py counts its
+    calls."""
     import numpy as np
 
     args = np.broadcast_arrays(*args)

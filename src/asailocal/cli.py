@@ -44,7 +44,14 @@ from .characters import (
 )
 from .factors import DEFAULT_GRID, PoleError, eval_table, resolve_grid
 from .padic import DEFAULT_PRECISION, PAdicGround, PrecisionError, QuadExtension, field_from_json
-from .tate import ConsistencyError, eps_from_gamma, langlands_constant, tate_L, tate_gamma
+from .tate import (
+    ConsistencyError,
+    certify_gamma,
+    eps_from_gamma,
+    langlands_constant,
+    tate_L,
+    tate_gamma,
+)
 from .verify import SUITE_GROUPS, SUITES, run_suites
 from .whittaker import StabilizationError
 
@@ -214,6 +221,7 @@ def cmd_tate(args) -> int:
     grid = _parse_grid(args)
     L = tate_L(chi)
     gamma = tate_gamma(chi, psi_k)
+    certify_gamma(gamma, chi, psi_k)
     eps = eps_from_gamma(gamma, [chi], chi.field.q)
     grid = resolve_grid(grid, (L.eval, gamma.eval, eps.eval))
     payload = {
@@ -254,7 +262,7 @@ def cmd_asai(args) -> int:
     inp = _asai_input(args)
     grid = _parse_grid(args)
     tol = _parse_tol(args)
-    gamma = gamma_rs(inp)
+    gamma = gamma_rs(inp, check=True)
     L = l_rs(inp)
     comparison = eps_gal_comparison(inp, grid, tol)
     payload = {

@@ -109,7 +109,7 @@ class NonArchFactor:
             out *= 1 - alpha * qs(a, b)
         for alpha, a, b in self.den:
             d = 1 - alpha * qs(a, b)
-            if abs(d) < 1e-14:
+            if math.hypot(d.real, d.imag) < 1e-14:  # abs(d) overflows for huge d
                 raise PoleError(s)
             out /= d
         return out

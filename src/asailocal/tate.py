@@ -1,14 +1,16 @@
 """Tate local factors L, eps, gamma for characters of F^x and E^x.
 
 gamma is *defined* here by the functional-equation ratio
-Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi): the closed form returned to callers
-is certified at construction against that ratio, for three test functions
-Phi, each one modulated box (:class:`ModBox`), at the points of a check grid.
-Each zeta integral is built once per Phi as terms that do not depend on s
-(finite shell and coset sums, and closed-form geometric tails) and then
-evaluated at each point.  A disagreement is an internal error, not a
-tolerance failure.  The oracle never calls the closed form's
-:func:`gauss_sum`.
+Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi).  :func:`tate_gamma` and
+:func:`tate_eps` are closed forms; :func:`certify_gamma`, the one
+certification step, checks a closed form against that ratio for three test
+functions Phi, each one modulated box (:class:`ModBox`), at the points of a
+check grid.  Its callers are the ``tate`` command, :func:`langlands_constant`
+and ``asai.gamma_rs(inp, check=True)``.  Each zeta integral is built once
+per Phi as terms that do not depend on s (finite shell and coset sums, and
+closed-form geometric tails) and then evaluated at each point.  A
+disagreement is an internal error, not a tolerance failure.  The oracle
+never calls the closed form's :func:`gauss_sum`.
 
 The local integrals int chi(x) psi(-s x) dx over a shell {ord x = j} or a
 unit coset t0 + pi^L O (:func:`shell_integral`, :func:`coset_integral`),
@@ -315,12 +317,8 @@ def _default_test_functions(chi: MultChar, psi: AddChar):
 # ---------------------------------------------------------------------------
 
 
-def tate_gamma(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor:
-    """gamma(s, chi, psi), certified against the functional-equation oracle.
-
-    The Phi-independence assertion (base box, unit translate, finer box)
-    runs at construction unless ``check`` is disabled.
-    """
+def tate_gamma(chi: MultChar, psi: AddChar) -> NonArchFactor:
+    """gamma(s, chi, psi) in closed form, uncertified (:func:`certify_gamma`)."""
     K = chi.field
     q = K.q
     c = conductor_add(psi)
@@ -328,20 +326,12 @@ def tate_gamma(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor
         n = chi.n
         G = gauss_sum(chi, psi)
         const = q ** (n - c) * q ** (-n + Fraction(c, 2)) * G
-        fac = NonArchFactor.monomial(q, complex(const), n - c)
-    else:
-        t = chi.t_full()
-        const = q ** Fraction(c, 2) * t ** (-c) * q ** (-c)
-        fac = NonArchFactor(
-            q,
-            c=complex(const),
-            m=-c,
-            num=((t, 1, 0j),),
-            den=((1 / t, -1, 1 + 0j),),
-        )
-    if check:
-        _certify_gamma(fac, chi, psi)
-    return fac
+        return NonArchFactor.monomial(q, complex(const), n - c)
+    t = chi.t_full()
+    const = q ** Fraction(c, 2) * t ** (-c) * q ** (-c)
+    return NonArchFactor(
+        q, c=complex(const), m=-c, num=((t, 1, 0j),), den=((1 / t, -1, 1 + 0j),)
+    )
 
 
 def _check_grid(fac: NonArchFactor, chi: MultChar) -> tuple:
@@ -367,7 +357,9 @@ def phi_deviations(fac: NonArchFactor, chi: MultChar, psi: AddChar):
             yield s, box, abs(got - w) / max(abs(w), 1e-30)
 
 
-def _certify_gamma(fac: NonArchFactor, chi: MultChar, psi: AddChar) -> None:
+def certify_gamma(fac: NonArchFactor, chi: MultChar, psi: AddChar) -> None:
+    """Raise ``ConsistencyError`` unless every :func:`phi_deviations` of ``fac``
+    from gamma(s, chi, psi) is within ``PHI_INDEPENDENCE_TOL``."""
     for s, box, dev in phi_deviations(fac, chi, psi):
         if dev > PHI_INDEPENDENCE_TOL:
             raise ConsistencyError(
@@ -388,9 +380,9 @@ def eps_from_gamma(gamma: NonArchFactor, chars, q: int) -> NonArchFactor:
     return eps
 
 
-def tate_eps(chi: MultChar, psi: AddChar, check: bool = True) -> NonArchFactor:
+def tate_eps(chi: MultChar, psi: AddChar) -> NonArchFactor:
     """eps = gamma * L(s,chi) / L(1-s,chi^{-1}); structurally a monomial."""
-    return eps_from_gamma(tate_gamma(chi, psi, check=check), [chi], chi.field.q)
+    return eps_from_gamma(tate_gamma(chi, psi), [chi], chi.field.q)
 
 
 @lru_cache(maxsize=None)
@@ -399,10 +391,12 @@ def langlands_constant(E, psi: AddChar) -> complex:
 
     The non-archimedean convention is pinned so that lambda_{C/R}(psi^a) =
     sgn(a) i is the archimedean specialization (see :mod:`asailocal.arch`).
-    Cached per (E, psi): the first call runs the certified tate_eps.
+    Cached per (E, psi): the first call certifies gamma(s, omega_{E/F}, psi).
     """
     from .characters import omega_quadratic
 
     omega = omega_quadratic(E)
-    return tate_eps(omega, psi).eval(0.5)
+    gamma = tate_gamma(omega, psi)
+    certify_gamma(gamma, omega, psi)
+    return eps_from_gamma(gamma, [omega], omega.field.q).eval(0.5)
 

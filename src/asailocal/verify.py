@@ -88,7 +88,7 @@ def suite_phi_independence(num=50, ps=(3, 5), max_n=2, tol=1e-10, seed=2) -> dic
         F = PAdicGround(p)
         psi = standard_psi(F)
         chi = _rand_char_up_to(F, max_n, rng)
-        fac = tate_gamma(chi, psi, check=False)
+        fac = tate_gamma(chi, psi)
         for _, _, dev in phi_deviations(fac, chi, psi):
             worst = max(worst, dev)
     return _report(
@@ -113,7 +113,7 @@ def suite_theorem_a_unramified(per_type=10, ps=(3, 5), tol=1e-8, seed=3) -> dict
             for _ in range(per_type):
                 mu = MultChar.unramified(E, Phase.exact(Fraction(rng.randrange(1, 24), 24)))
                 nu = MultChar.unramified(E, Phase.exact(Fraction(rng.randrange(1, 24), 24)))
-                gam = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()), check=False)
+                gam = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()))
                 for s in DEFAULT_GRID:
                     lhs = spherical_gamma_oracle(s, mu, nu, E)
                     rhs = gam.eval(s)
@@ -144,10 +144,9 @@ def _find_char(E, lvl, want_ramified_restriction):
     return None
 
 
-def suite_whittaker_closed_forms(ps=(3, 5)) -> dict:
-    """The averaged-section Whittaker values reproduce the two closed forms
-    exactly (cyclotomic arithmetic, zero deviation)."""
-    checked = 0
+def _whittaker_values(ps):
+    """(case, p, ext, level, a, W(a), its closed form) for every averaged-section
+    Whittaker value of :func:`suite_whittaker_closed_forms`."""
     for p in ps:
         F = PAdicGround(p)
         psi = standard_psi(F)
@@ -156,26 +155,15 @@ def suite_whittaker_closed_forms(ps=(3, 5)) -> dict:
             psix = psi_to_E(psi, E, E.xi())
             for lvl in (1, 2):
                 mu = _find_char(E, lvl, True)
-                if mu is not None:
-                    sec = InducedSection(E, mu, MultChar.trivial(E), psix)
-                    r = -(-mu.n // E.e)
-                    c_mu = restrict_to_F(mu).n
-                    for va in range(c_mu - r - 2, 2):
-                        a = Fraction(p) ** va * 2
-                        got = w_case1(sec, a)
-                        want = (
-                            Cyc.rational(Fraction(p) ** (-va))
-                            if va >= c_mu - r
-                            else Cyc.zero()
-                        )
-                        if not (got - want).is_zero():
-                            return _report(
-                                "whittaker-closed-forms",
-                                False,
-                                float("inf"),
-                                f"case-1 mismatch at p={p} {ext} c={lvl} a={a}",
-                            )
-                        checked += 1
+                if mu is None:
+                    continue
+                sec = InducedSection(E, mu, MultChar.trivial(E), psix)
+                r = -(-mu.n // E.e)
+                c_mu = restrict_to_F(mu).n
+                for va in range(c_mu - r - 2, 2):
+                    a = Fraction(p) ** va * 2
+                    want = Cyc.rational(Fraction(p) ** (-va)) if va >= c_mu - r else Cyc.zero()
+                    yield 1, p, ext, lvl, a, w_case1(sec, a), want
             for lvl in (1, 2) if E.e == 1 else (2,):
                 mu = _find_char(E, lvl, False)
                 if mu is None:
@@ -184,25 +172,24 @@ def suite_whittaker_closed_forms(ps=(3, 5)) -> dict:
                 r = -(-mu.n // E.e)
                 for va in range(-r - 2, 2):
                     a = Fraction(p) ** va * 2
-                    got = w_case2(sec, a)
                     want = Cyc.zero()
                     if va >= -r:
-                        want = (
-                            want
-                            + mu.cyc(E.embed(a))
-                            * Fraction(p) ** (-va)
-                            * mu.cyc(E.embed(p)) ** r
-                        )
+                        term = mu.cyc(E.embed(a)) * Fraction(p) ** (-va)
+                        want = want + term * mu.cyc(E.embed(p)) ** r
                     if va >= 1 - r:
                         want = want + Cyc.rational(Fraction(p) ** (-va))
-                    if not (got - want).is_zero():
-                        return _report(
-                            "whittaker-closed-forms",
-                            False,
-                            float("inf"),
-                            f"case-2 mismatch at p={p} {ext} c={lvl} a={a}",
-                        )
-                    checked += 1
+                    yield 2, p, ext, lvl, a, w_case2(sec, a), want
+
+
+def suite_whittaker_closed_forms(ps=(3, 5)) -> dict:
+    """The averaged-section Whittaker values reproduce the two closed forms
+    exactly (cyclotomic arithmetic, zero deviation)."""
+    checked = 0
+    for case, p, ext, lvl, a, got, want in _whittaker_values(ps):
+        if not (got - want).is_zero():
+            where = f"case-{case} mismatch at p={p} {ext} c={lvl} a={a}"
+            return _report("whittaker-closed-forms", False, float("inf"), where)
+        checked += 1
     return _report(
         "whittaker-closed-forms",
         True,
@@ -271,8 +258,7 @@ def suite_closed_vs_quadrature(num=10, tol=1e-11, seed=7) -> dict:
     """Lemma closed form against 2-D quadrature for random admissible data."""
     rng = random.Random(seed)
     worst = 0.0
-    done = 0
-    while done < num:
+    for _ in range(num):
         n1, n2 = rng.randint(-2, 2), rng.randint(-2, 2)
         mu = arch.CChar(complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)), n1)
         nu = arch.CChar(complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)), n2)
@@ -290,7 +276,6 @@ def suite_closed_vs_quadrature(num=10, tol=1e-11, seed=7) -> dict:
             worst = max(worst, abs(quad))
         else:
             worst = max(worst, abs(closed - quad) / abs(closed))
-        done += 1
     # one selection-rule violation must quadrature to zero
     z = arch.whittaker_value_quadrature(1.0, (1, 0), (0, 0), arch.CChar(0, 0), arch.CChar(0, 0))
     worst = max(worst, abs(z))
@@ -346,15 +331,15 @@ def suite_dependence_laws(tol=1e-8, seed=17) -> dict:
         nu = _rand_char_up_to(E, 1, rng)
         omega0 = restrict_to_F(mu.mul(nu))
         base = AsaiInput(E, mu, nu, psi, E.xi())
-        g0 = gamma_rs(base, check=False)
+        g0 = gamma_rs(base)
         tau = TwistedPair(_rand_char_up_to(F, 1, rng), _rand_char_up_to(F, 1, rng), 0.2)
         base_t = AsaiInput(E, mu, nu, psi, E.xi(), None, tau)
         G0, _ = gamma_psr(base_t, tol=tol)
         omega_t = base_t.omega_total()
         for a in (Fraction(2), Fraction(p), Fraction(2 * p)):
             w = F.val(a)
-            ga = gamma_rs(AsaiInput(E, mu, nu, psi.shifted(a), E.xi()), check=False)
-            gx = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi() * E.embed(a)), check=False)
+            ga = gamma_rs(AsaiInput(E, mu, nu, psi.shifted(a), E.xi()))
+            gx = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi() * E.embed(a)))
             Ga, _ = gamma_psr(AsaiInput(E, mu, nu, psi.shifted(a), E.xi(), None, tau), tol=tol)
             Gx, _ = gamma_psr(
                 AsaiInput(E, mu, nu, psi, E.xi() * E.embed(a), None, tau), tol=tol

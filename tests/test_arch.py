@@ -357,12 +357,13 @@ def tate_gamma_complex(chi: CChar, b: complex = 1.0) -> ArchFactor:
     )
 
 
-def tate_fe_oracle_real(chi: RChar, s: complex, tol=arch.QUAD_TOL) -> complex:
+def tate_fe_oracle_real(chi: RChar, s: complex, tol=1e-11) -> complex:
     """gamma(s, chi, psi) = Z(1-s, chi^{-1}, f^) / Z(s, chi, f) by quadrature,
-    f = x^m e^{-pi x^2} with m matching the sign character.
+    f = x^m e^{-pi x^2} with m matching the sign character; each integral is
+    one quad_trapezoid_line row in u = log |x|.
 
     Both integrals converge only in the strip 0 < Re(s + lam) < 1, and near
-    its edges their tails decay so slowly that quad_real_line widens its
+    its edges their tails decay so slowly that quad_trapezoid_line widens its
     window past 400 and raises."""
     m = chi.m % 2
 
@@ -380,12 +381,12 @@ def tate_fe_oracle_real(chi: RChar, s: complex, tol=arch.QUAD_TOL) -> complex:
             y = np.exp(u)
             return (fn(y) + sign * fn(-y)) * y**lam * np.exp(complex(sv) * u)
 
-        return quad_real_line(integrand, tol, L=6.0)
+        return quad_trapezoid_line(integrand, tol)
 
     return z(fhat, 1 - s, chi.inv()) / z(f, s, chi)
 
 
-def tate_fe_oracle_complex(chi: CChar, s: complex, tol=arch.QUAD_TOL) -> complex:
+def tate_fe_oracle_complex(chi: CChar, s: complex, tol=1e-11) -> complex:
     """Same oracle over C with f = conj(z)^n e^{-2 pi |z|^2} (n >= 0) or its
     conjugate; psi_C = standard psi o tr, measure twice Lebesgue.  The same
     strip 0 < Re(s + lam) < 1 bounds where it converges."""
@@ -416,7 +417,7 @@ def tate_fe_oracle_complex(chi: CChar, s: complex, tol=arch.QUAD_TOL) -> complex
             acc = vals.sum(axis=1) * (2 * math.pi / K)
             return acc * 2 * (r**2) ** complex(sv)
 
-        return quad_real_line(radial, tol, L=5.0)
+        return quad_trapezoid_line(radial, tol)
 
     return z_int(fhat, 1 - s, chi.inv()) / z_int(f, s, chi)
 
@@ -445,21 +446,17 @@ def test_phi_hat_against_numeric_transform():
     hat = phi_hat(phi)
 
     def numeric_hat(x, y):
-        def inner_u(u):
-            val = quad_gl(
-                lambda v: phi_value(phi, u, v) * np.exp(2j * math.pi * (u * y - v * x)),
-                -6.0,
-                6.0,
-                1e-10,
-            )
-            return val
+        # the v-integral at every u of an outer level is one row each
+        def inner(v, u):
+            return phi_value(phi, u, v) * np.exp(2j * math.pi * (u * y - v * x))
 
-        return quad_gl(lambda us: np.array([inner_u(u) for u in us]), -6.0, 6.0, 1e-10)
+        rows = lambda us: quad_trapezoid(inner, -6.0, 6.0, 1e-11, args=(us,))
+        return quad_trapezoid(rows, -6.0, 6.0, 1e-11)
 
     for x, y in [(0.3, -0.2), (0.0, 0.7)]:
         lhs = numeric_hat(x, y)
         rhs = phi_value(hat, x, y)
-        assert abs(lhs - rhs) < 1e-7
+        assert abs(lhs - rhs) < 1e-12
 
 
 def test_case_table_classification():
@@ -536,7 +533,7 @@ def test_lambda_C_R_signs():
     # lambda = eps(1/2, sgn, psi): at the center gamma = eps since the two
     # L-values coincide, so the quadrature oracle pins the sign of i
     oracle = tate_fe_oracle_real(RChar(0, 1), 0.5)
-    assert abs(oracle - 1j) < 1e-7
+    assert abs(oracle - 1j) < 1e-12
     assert abs(tate_gamma_real(RChar(0, 1)).eval(0.5) - 1j) < 1e-12
 
 
@@ -546,12 +543,12 @@ def test_real_and_complex_tate_oracles():
         for s in (0.45, 0.7):
             got = tate_fe_oracle_real(chi, s)
             want = tate_gamma_real(chi).eval(s)
-            assert abs(got - want) / abs(want) < 1e-6
+            assert abs(got - want) / abs(want) < 1e-12
     for n in (-2, 0, 1):
         chi = CChar(0.05 + 0.02j, n)
         got = tate_fe_oracle_complex(chi, 0.8)
         want = tate_gamma_complex(chi).eval(0.8)
-        assert abs(got - want) / abs(want) < 1e-6
+        assert abs(got - want) / abs(want) < 1e-12
 
 
 def test_arch_relation_under_scalings():

@@ -25,6 +25,8 @@ from asailocal.characters import (
     MultChar,
     Phase,
     extend_from_F,
+    omega_quadratic,
+    psi_to_E,
     restrict_to_F,
     standard_psi,
 )
@@ -45,8 +47,6 @@ def test_gamma_rs_trivial_decomposes_into_tate_factors():
     F = PAdicGround(3)
     E = QuadExtension(F, UNRAMIFIED)
     psi = standard_psi(F)
-    from asailocal.characters import psi_to_E
-
     triv_E = MultChar.trivial(E)
     inp = AsaiInput(E, triv_E, triv_E, psi, E.xi())
     gam = gamma_rs(inp)
@@ -76,7 +76,7 @@ def test_eps_rs_is_monomial_and_matches_corollary():
         mu, nu = rand_char(E, 2, rng), rand_char(E, 2, rng)
         chi = rand_char(F, 1, rng) if k % 2 else None
         inp = AsaiInput(E, mu, nu, psi, xi, chi)
-        eps_rs(inp, check=False).as_monomial()  # raises if not monomial
+        eps_rs(inp).as_monomial()  # raises if not monomial
         rep = eps_gal_comparison(inp)
         assert rep["ok"], rep["max_deviation"]
 
@@ -90,7 +90,7 @@ def test_eps_comparison_fully_unramified_is_one():
     mu = MultChar.unramified(E, Phase.exact(Fraction(1, 8)))
     nu = MultChar.unramified(E, Phase.exact(Fraction(5, 12)))
     inp = AsaiInput(E, mu, nu, psi, E.xi())
-    eps = eps_rs(inp, check=False)
+    eps = eps_rs(inp)
     c, m = eps.as_monomial()
     assert m == 0 and abs(c - 1) < 1e-12
     rep = eps_gal_comparison(inp)
@@ -110,7 +110,7 @@ def test_downstream_eps_monomial_matches_log_slope():
     E = QuadExtension(F, EXTENSION_TYPES[1])
     psi = standard_psi(F)
     mu, nu = rand_char(E, 2, rng), rand_char(E, 1, rng)
-    eps = eps_rs(AsaiInput(E, mu, nu, psi, E.xi()), check=False)
+    eps = eps_rs(AsaiInput(E, mu, nu, psi, E.xi()))
     c, m = eps.as_monomial()
     v0, v1 = eps.eval(0), eps.eval(1)
     m_hat = -(cmath.log(v1) - cmath.log(v0)).real / math.log(3)
@@ -127,10 +127,8 @@ def test_gamma_rs_dual_involution():
     for ext in EXTENSION_TYPES:
         E = QuadExtension(F, ext)
         mu, nu = rand_char(E, 1, rng), rand_char(E, 1, rng)
-        g = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()), check=False)
-        gd = gamma_rs(
-            AsaiInput(E, mu.inv(), nu.inv(), psi.shifted(-1), E.xi()), check=False
-        )
+        g = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()))
+        gd = gamma_rs(AsaiInput(E, mu.inv(), nu.inv(), psi.shifted(-1), E.xi()))
         for s in (0.7, 1.3, 0.4 - 0.8j):
             assert abs(g.eval(s) * gd.eval(1 - s) - 1) < 1e-9
 
@@ -181,8 +179,8 @@ def test_twist_extension_independence():
             chi = rand_char(F, 1, rng)
             eta = _relative_kernel_char(E, extend_from_F(chi, E))
             assert not eta.is_trivial() and restrict_to_F(eta).is_trivial()
-            gA = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi(), chi), check=False)
-            gB = gamma_rs(AsaiInput(E, mu.mul(eta), nu.mul(eta), psi, E.xi(), chi), check=False)
+            gA = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi(), chi))
+            gB = gamma_rs(AsaiInput(E, mu.mul(eta), nu.mul(eta), psi, E.xi(), chi))
             ok, dev = approx_equal(gA, gB, DEFAULT_GRID, 1e-8)
             assert ok, (p, ext, dev)
 
@@ -231,7 +229,7 @@ def test_theorem_b_specialization_trivial_twist():
     inp = AsaiInput(E, mu, nu, psi, E.xi(), None, tau)
     g_psr, rep = gamma_psr(inp)
     assert rep["ok"]
-    g_rs = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()), check=False)
+    g_rs = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()))
     xi4 = (E.xi() ** 2).as_F() ** 2 * 4
     w = F.val(xi4)
     from asailocal.factors import NonArchFactor
@@ -330,11 +328,11 @@ def test_dependence_laws_on_grid():
     psi = standard_psi(F)
     mu, nu = rand_char(E, 1, rng), rand_char(E, 1, rng)
     om = restrict_to_F(mu.mul(nu))
-    g0 = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()), check=False)
+    g0 = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()))
     for a in (Fraction(2), Fraction(p), Fraction(3 * p)):
         w = F.val(a)
-        ga = gamma_rs(AsaiInput(E, mu, nu, psi.shifted(a), E.xi()), check=False)
-        gx = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi() * E.embed(a)), check=False)
+        ga = gamma_rs(AsaiInput(E, mu, nu, psi.shifted(a), E.xi()))
+        gx = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi() * E.embed(a)))
         for s in DEFAULT_GRID:
             rhs = om.value(a) ** 2 * p ** (-w * (4 * s - 2)) * g0.eval(s)
             assert abs(ga.eval(s) - rhs) / abs(rhs) < 1e-10
@@ -355,7 +353,7 @@ def test_gamma_gal_equals_gamma_rs_up_to_corollary_factor():
         mu, nu = rand_char(E, 1, rng), rand_char(E, 1, rng)
         chi = rand_char(F, 1, rng)
         inp = AsaiInput(E, mu, nu, psi, E.xi(), chi)
-        g_rs = gamma_rs(inp, check=False)
+        g_rs = gamma_rs(inp)
         g_gal = gamma_gal(inp)
         lam = langlands_constant(E, psi)
         mu_t, nu_t = _twisted_chars(inp)
@@ -381,28 +379,22 @@ def _twisted_input(p=3, ext=UNRAMIFIED, seed=20):
     return AsaiInput(E, mu, nu, standard_psi(F), E.xi(), rand_char(F, 1, rng))
 
 
-def test_eps_gal_comparison_builds_eps_gal_and_lambda_once(monkeypatch):
-    # three Galois-side tate_eps calls (one eps_Gal) and one lambda_{E/F}(psi),
-    # which is still the certified tate_eps of omega_{E/F}
-    gal_calls, lam_checks = [], []
+def test_eps_gal_comparison_builds_eps_gal_and_lambda_once(monkeypatch, certified):
+    # three Galois-side tate_eps calls (one eps_Gal), none of them certified,
+    # and one lambda_{E/F}(psi), whose gamma(s, omega_{E/F}, psi) is
+    gal_calls = []
+    tate_eps = asai_mod.tate_eps
 
-    def counting(calls, orig):
-        def run(chi, psi, check=True):
-            calls.append(check)
-            return orig(chi, psi, check)
+    def counting(chi, psi):
+        gal_calls.append(chi)
+        return tate_eps(chi, psi)
 
-        return run
-
-    monkeypatch.setattr(asai_mod, "tate_eps", counting(gal_calls, tate_mod.tate_eps))
-    monkeypatch.setattr(tate_mod, "tate_eps", counting(lam_checks, tate_mod.tate_eps))
-    tate_mod.langlands_constant.cache_clear()
-    try:
-        rep = eps_gal_comparison(_twisted_input())
-    finally:
-        tate_mod.langlands_constant.cache_clear()
+    monkeypatch.setattr(asai_mod, "tate_eps", counting)
+    inp = _twisted_input()
+    rep = eps_gal_comparison(inp)
     assert rep["ok"], rep["max_deviation"]
-    assert gal_calls == [False] * 3
-    assert lam_checks == [True]
+    assert list(map(repr, gal_calls)) == list(map(repr, asai_mod._gal_constituents(inp)))
+    assert list(map(repr, certified)) == [repr(omega_quadratic(inp.E))]
 
 
 def test_eps_gal_comparison_builds_the_galois_constituents_once(monkeypatch):
@@ -445,14 +437,14 @@ def test_gamma_rs_never_builds_the_galois_constituents(monkeypatch):
         raise AssertionError("gamma_rs reached the Galois constituents")
 
     inp = _twisted_input(5, EXTENSION_TYPES[1])
-    want = gamma_rs(inp, check=False)
+    want = gamma_rs(inp)
     monkeypatch.setattr(asai_mod, "_gal_constituents", forbidden)
     got = gamma_rs(inp, check=True)
     assert got.to_json() == want.to_json()
 
 
 def test_galois_side_never_calls_gamma_rs(monkeypatch):
-    def forbidden(inp, check=True):
+    def forbidden(inp):
         raise AssertionError("the Galois side reached gamma_rs")
 
     inp = _twisted_input(3, EXTENSION_TYPES[2])
@@ -460,3 +452,25 @@ def test_galois_side_never_calls_gamma_rs(monkeypatch):
     monkeypatch.setattr(asai_mod, "gamma_rs", forbidden)
     assert eps_gal(inp).to_json() == want.to_json()
     gamma_gal(inp)
+
+
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+def test_factors_never_reach_the_functional_equation_oracle(ext, monkeypatch):
+    # tate_gamma, tate_eps and gamma_rs(inp) are closed forms: only
+    # certify_gamma evaluates zeta integrals
+    def forbidden(*args):
+        raise AssertionError("a closed form reached tate.fe_ratio")
+
+    inp = _twisted_input(3, ext)
+    E, F = inp.E, inp.E.ground
+    psi_E = psi_to_E(inp.psi, E, inp.xi)
+    chars = [(inp.chi, inp.psi), (MultChar.trivial(F), inp.psi)]
+    chars += [(inp.mu, psi_E), (MultChar.trivial(E), psi_E)]
+    monkeypatch.setattr(tate_mod, "fe_ratio", forbidden)
+    for chi, psi in chars:
+        tate_mod.tate_gamma(chi, psi)
+        tate_mod.tate_eps(chi, psi)
+    gamma_rs(inp)
+    gamma_rs(inp.with_twist(None))
+    with pytest.raises(AssertionError, match="fe_ratio"):
+        gamma_rs(inp, check=True)

@@ -179,10 +179,10 @@ def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
     import asailocal.cli as cli
     from asailocal.tate import ConsistencyError
 
-    def broken(chi, psi, check=True):
+    def broken(fac, chi, psi):
         raise ConsistencyError("gamma oracle mismatch: dev=1.000e+00")
 
-    monkeypatch.setattr(cli, "tate_gamma", broken)
+    monkeypatch.setattr(cli, "certify_gamma", broken)
     assert main(["tate", "--field", '{"p":5}', "--char", "legendre"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -193,7 +193,7 @@ def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
     from asailocal.factors import NonArchFactor
 
     euler = NonArchFactor.euler_inverse(3, 0.5)
-    monkeypatch.setattr(asai, "gamma_rs", lambda inp, check=True: euler)
+    monkeypatch.setattr(asai, "gamma_rs", lambda inp: euler)
     field = '{"p":3,"ext":"unramified"}'
     assert main(["asai", "--field", field, "--char", "trivial", "--char2", "trivial"]) == 3
     err = capsys.readouterr().err
@@ -372,6 +372,8 @@ _REPROS = [
     (["tate", "--field", _F5, "--char", '{"lambda":"-60"}'], None),
     (["tate", "--field", _F5, "--char", '{"lambda":"200"}'], None),
     (["tate", "--field", _F5, "--char", '{"lambda":"-440"}'], None),
+    # a factor evaluated where |1 - alpha q^(-s)| overflows: no pole, no traceback
+    (["tate", "--field", _F5, "--char", '{"lambda":"440"}'], None),
 ]
 
 
@@ -420,3 +422,35 @@ def test_twisted_asai_default_points_step_off_its_poles(capsys):
     points = [complex(re_s, im_s) for re_s, im_s, _, _ in payload["gamma_table"]]
     assert points == [0.7 + 0.25j, 1.3 + 0.25j, *DEFAULT_GRID[2:]]
     assert payload["assemblies"]["ok"]
+
+
+_TAU_README = '{"mu2":%s,"nu2":%s,"v2":%%s}' % (TRIV_F, TRIV_F)
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["tate", "--field", _F5, "--char", "trivial"], 1),
+        (
+            ["asai", "--field", _U3, "--char", MU_JSON, "--char2", "trivial",
+             "--psi-shift", "3", "--xi-scale", "2"],
+            4,  # the three Tate gammas of gamma_RS, and lambda_{E/F}
+        ),
+        (
+            ["twisted-asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+             "--tau", _TAU_README % "[0.25,0]"],
+            1,  # lambda_{E/F}
+        ),
+        (
+            ["dichotomy", "--field", '{"p":5,"ext":"unramified"}', "--char", "trivial",
+             "--char2", "trivial", "--tau", _TAU_README % "0"],
+            1,  # lambda_{E/F}
+        ),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_each_readme_command_certifies_its_gammas(argv, count, capsys, certified):
+    # certify_gamma is the one certification step
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(certified) == count

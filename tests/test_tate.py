@@ -26,6 +26,7 @@ from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, UNRAMIF
 from asailocal.tate import (
     ConsistencyError,
     box_fourier,
+    certify_gamma,
     fe_ratio,
     gauss_sum,
     langlands_constant,
@@ -215,10 +216,11 @@ def test_gamma_certification_catches_wrong_constant():
     F = PAdicGround(3)
     cases = [(standard_psi(F), MultChar(F, 1, (Fraction(1, 2),), Phase.one()))]
     for psi, chi in cases + _chars_over_E():
-        good = tate_gamma(chi, psi, check=True)
+        good = tate_gamma(chi, psi)
+        certify_gamma(good, chi, psi)
         bad = replace(good, c=good.c * 1.000001)
         with pytest.raises(ConsistencyError, match=r"at s=0\.7 \(Phi=ModBox\("):
-            tate_mod._certify_gamma(bad, chi, psi)
+            certify_gamma(bad, chi, psi)
 
 
 README_TATE_RAMIFIED = [
@@ -241,7 +243,7 @@ def test_certified_gamma_calls_fe_ratio_once_per_test_function(monkeypatch, caps
         assert main(README_TATE_RAMIFIED) == 0
     else:
         psi, chi = _chars_over_E()[which]
-        tate_gamma(chi, psi)
+        certify_gamma(tate_gamma(chi, psi), chi, psi)
     assert calls == [tate_mod._CHECK_GRID] * 3
 
 
@@ -360,7 +362,7 @@ def test_gamma_certifies_characters_with_float_t_and_complex_lam(p, ext):
     t = Phase.approx(0.8 * cmath.exp(1.1j))
     for n in (0, 1, 2):
         chi = _primitive_char(K, n, rng, t, complex(0.15, -0.3))
-        fac = tate_gamma(chi, psi)  # raises ConsistencyError on a mismatch
+        fac = tate_gamma(chi, psi)
         worst = max(dev for _, _, dev in tate_mod.phi_deviations(fac, chi, psi))
         assert worst < PHI_INDEPENDENCE_TOL, (n, worst)
 
@@ -422,7 +424,8 @@ def test_check_grid_moves_only_its_poles():
     cases = ((Fraction(-3, 10), (0.7, 1.3 + 0.25j)), (Fraction(3, 10), (0.7 + 0.25j, 1.3)))
     for lam, moved in cases:
         chi = MultChar(F, 0, (), Phase.one(), lam)
-        fac = tate_gamma(chi, psi)  # certifies at the moved point
+        fac = tate_gamma(chi, psi)
+        certify_gamma(fac, chi, psi)  # at the moved point
         assert tate_mod._check_grid(fac, chi) == (*moved, 0.4 - 0.8j)
         base = tate_mod._default_test_functions(chi, psi)[0]
         with pytest.raises(PoleError):
