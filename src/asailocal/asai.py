@@ -194,7 +194,8 @@ def eps_rs(inp: AsaiInput, check: bool = False) -> NonArchFactor:
     """eps_RS = gamma_RS * L_RS(s) / L_RS(1-s, dual); structurally a monomial.
     The dual data (mu^{-1}, nu^{-1}, chi^{-1}) has the inverse constituents.
     ``check`` is :func:`gamma_rs`'s, and goes with it (ROADMAP item 3, slice 4)."""
-    return eps_from_gamma(gamma_rs(inp, check), _gal_constituents(inp), inp.E.ground.q)
+    gam = gamma_rs(inp, check=check)
+    return eps_from_gamma(gam, _gal_constituents(inp), inp.E.ground.q)
 
 
 def _gal_product(inp: AsaiInput, constituents, tate_factor) -> NonArchFactor:
@@ -235,7 +236,9 @@ def eps_gal_comparison(inp: AsaiInput, grid=None, tol: float = REL_TOL_NONARCH) 
     omega_xi = mu.value(inp.xi) * nu.value(inp.xi)
     xi_sq = inp.xi * inp.xi
     w = E.ground.val(xi_sq.as_F())
-    prefactor = NonArchFactor.monomial(q, omega_xi * q ** Fraction(w, 2) / lam, w)
+    prefactor = NonArchFactor.monomial(
+        q, omega_xi * q ** Fraction(w, 2) / lam, w
+    )
     gal = _gal_product(inp, constituents, tate_eps)
     rhs = prefactor * gal
     ok, dev = approx_equal(lhs, rhs, resolve_grid(grid, (lhs.eval, rhs.eval)), tol)

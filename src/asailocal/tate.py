@@ -330,7 +330,11 @@ def tate_gamma(chi: MultChar, psi: AddChar) -> NonArchFactor:
     t = chi.t_full()
     const = q ** Fraction(c, 2) * t ** (-c) * q ** (-c)
     return NonArchFactor(
-        q, c=complex(const), m=-c, num=((t, 1, 0j),), den=((1 / t, -1, 1 + 0j),)
+        q,
+        c=complex(const),
+        m=-c,
+        num=((t, 1, 0j),),
+        den=((1 / t, -1, 1 + 0j),),
     )
 
 

@@ -26,15 +26,15 @@ from asailocal.characters import (
     Phase,
     extend_from_F,
     omega_quadratic,
-    psi_to_E,
     restrict_to_F,
     standard_psi,
 )
 from asailocal.factors import DEFAULT_GRID, approx_equal
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, UNRAMIFIED
-from asailocal.tate import tate_gamma
 from asailocal.unitgroups import unit_group
 from asailocal.verify import suite_theorem_b
+
+from certified_tate import certified_gamma
 
 
 def rand_char(K, n, rng, t_den=12):
@@ -47,11 +47,13 @@ def test_gamma_rs_trivial_decomposes_into_tate_factors():
     F = PAdicGround(3)
     E = QuadExtension(F, UNRAMIFIED)
     psi = standard_psi(F)
+    from asailocal.characters import psi_to_E
+
     triv_E = MultChar.trivial(E)
     inp = AsaiInput(E, triv_E, triv_E, psi, E.xi())
-    gam = gamma_rs(inp)
+    gam = gamma_rs(inp, check=True)
     trivF = MultChar.trivial(F)
-    want = tate_gamma(trivF, psi) * tate_gamma(trivF, psi) * tate_gamma(
+    want = certified_gamma(trivF, psi) * certified_gamma(trivF, psi) * certified_gamma(
         triv_E, psi_to_E(psi, E, E.xi())
     ).rebase(3)
     ok, dev = approx_equal(gam, want, DEFAULT_GRID, 1e-10)
@@ -381,7 +383,7 @@ def _twisted_input(p=3, ext=UNRAMIFIED, seed=20):
 
 def test_eps_gal_comparison_builds_eps_gal_and_lambda_once(monkeypatch, certified):
     # three Galois-side tate_eps calls (one eps_Gal), none of them certified,
-    # and one lambda_{E/F}(psi), whose gamma(s, omega_{E/F}, psi) is
+    # and one lambda_{E/F}(psi), whose gamma(s, omega_{E/F}, psi) is certified
     gal_calls = []
     tate_eps = asai_mod.tate_eps
 
@@ -460,6 +462,8 @@ def test_factors_never_reach_the_functional_equation_oracle(ext, monkeypatch):
     # certify_gamma evaluates zeta integrals
     def forbidden(*args):
         raise AssertionError("a closed form reached tate.fe_ratio")
+
+    from asailocal.characters import psi_to_E
 
     inp = _twisted_input(3, ext)
     E, F = inp.E, inp.E.ground

@@ -20,7 +20,7 @@ from asailocal.characters import (
 from asailocal.cyclotomic import Cyc
 from asailocal.factors import DEFAULT_GRID
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, RAMIFIED_P, UNRAMIFIED
-from asailocal.tate import _qpow, coset_integral, shell_integral, tate_eps
+from asailocal.tate import _qpow, coset_integral, shell_integral
 from asailocal.unitgroups import unit_group
 from asailocal.verify import suite_whittaker_closed_forms
 from asailocal import whittaker
@@ -32,6 +32,8 @@ from asailocal.whittaker import (
     w_case2,
     whittaker_value,
 )
+
+from certified_tate import certified_eps
 
 
 # -- 2x2 matrices over E as products: the stability-probe test builds the w1
@@ -131,7 +133,7 @@ def test_rho_w1_shape():
         sec = make_section(3, ext, lvl, True)
         E, mu = sec.E, sec.mu
         c = mu.n
-        eps_val = tate_eps(mu, sec.psi_xi).eval(0.5)
+        eps_val = certified_eps(mu, sec.psi_xi).eval(0.5)
         pi_E = E.uniformizer()
         consts = []
         for x in (E.zero(), E.one(), E.elem(1, 1)):
