@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .factors import DEFAULT_GRID, ArchFactor, PoleError, REL_TOL_ARCH, gammafn, loggamma
+from .padic import Value, _set
 
 QUAD_TOL = 1e-8
 
@@ -36,12 +36,15 @@ QUAD_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CChar:
+class CChar(Value):
     """z -> |z|_C^{lam - n/2} z^n."""
 
-    lam: complex
-    n: int
+    __slots__ = _fields = ("lam", "n")
+
+    def __init__(self, lam: complex, n: int):
+        _set(self, "lam", lam)
+        _set(self, "n", n)
+        _set(self, "_key", (lam, n))
 
     def value(self, z):
         """chi(z) for a number, or elementwise for a numpy array."""
@@ -62,12 +65,15 @@ class CChar:
         return 2 * complex(self.lam), self.n % 2
 
 
-@dataclass(frozen=True)
-class RChar:
+class RChar(Value):
     """sgn^m |.|^lam on R^x."""
 
-    lam: complex
-    m: int
+    __slots__ = _fields = ("lam", "m")
+
+    def __init__(self, lam: complex, m: int):
+        _set(self, "lam", lam)
+        _set(self, "m", m)
+        _set(self, "_key", (lam, m))
 
     def value(self, y):
         """chi(y) for a real number, or elementwise for an array."""
@@ -644,14 +650,20 @@ def eps_gal_arch(mu: CChar, nu: CChar, a: float = 1.0) -> ArchFactor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseDatum:
-    case_id: int
-    w_terms: tuple  # ((coeff, (a1,a2), (b1,b2)), ...)
-    phi: tuple  # ((c1,c2), ...) -> dict in assembly
-    c_const: complex
-    c_dual_const: complex
-    eps_rs: complex
+class CaseDatum(Value):
+    __slots__ = _fields = ("case_id", "w_terms", "phi", "c_const", "c_dual_const", "eps_rs")
+
+    def __init__(
+        self, case_id: int, w_terms: tuple, phi: tuple, c_const: complex,
+        c_dual_const: complex, eps_rs: complex,
+    ):
+        _set(self, "case_id", case_id)
+        _set(self, "w_terms", w_terms)  # ((coeff, (a1,a2), (b1,b2)), ...)
+        _set(self, "phi", phi)  # ((c1,c2), ...) -> dict in assembly
+        _set(self, "c_const", c_const)
+        _set(self, "c_dual_const", c_dual_const)
+        _set(self, "eps_rs", eps_rs)
+        _set(self, "_key", (case_id, w_terms, phi, c_const, c_dual_const, eps_rs))
 
 
 def _pair_vector_terms(n0: int, pow_plus: int, pow_minus: int) -> tuple:

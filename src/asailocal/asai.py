@@ -27,7 +27,6 @@ the three Tate gammas of ``gamma_rs(inp, check=True)`` (the ``asai`` command).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -43,7 +42,7 @@ from .characters import (
     sigma_conjugate,
 )
 from .factors import NonArchFactor, REL_TOL_NONARCH, approx_equal, resolve_grid
-from .padic import EElement, PAdicGround, QuadExtension
+from .padic import EElement, PAdicGround, QuadExtension, Value, _set
 from .tate import (
     certify_gamma,
     eps_from_gamma,
@@ -54,13 +53,16 @@ from .tate import (
 )
 
 
-@dataclass(frozen=True)
-class TwistedPair:
+class TwistedPair(Value):
     """The rank-2 twist tau = Ind(mu2 |.|^{v2}, nu2 |.|^{-v2}) of Theorem B."""
 
-    mu2: MultChar
-    nu2: MultChar
-    v2: complex = 0.0
+    __slots__ = _fields = ("mu2", "nu2", "v2")
+
+    def __init__(self, mu2: MultChar, nu2: MultChar, v2: complex = 0.0):
+        _set(self, "mu2", mu2)
+        _set(self, "nu2", nu2)
+        _set(self, "v2", v2)
+        _set(self, "_key", (mu2, nu2, v2))
 
     def plus(self) -> MultChar:
         return self.mu2.twist_by_norm_power(as_lam(self.v2))
@@ -69,21 +71,25 @@ class TwistedPair:
         return self.nu2.twist_by_norm_power(as_lam(-self.v2))
 
 
-@dataclass(frozen=True)
-class AsaiInput:
+class AsaiInput(Value):
     """(mu, nu on E^x; psi on F; xi trace-zero; optional chi twist, tau)."""
 
-    E: QuadExtension
-    mu: MultChar
-    nu: MultChar
-    psi: AddChar
-    xi: EElement
-    chi: Optional[MultChar] = None
-    tau: Optional[TwistedPair] = None
+    __slots__ = _fields = ("E", "mu", "nu", "psi", "xi", "chi", "tau")
 
-    def __post_init__(self):
-        if self.xi.trace() != 0:
+    def __init__(
+        self, E: QuadExtension, mu: MultChar, nu: MultChar, psi: AddChar, xi: EElement,
+        chi: Optional[MultChar] = None, tau: Optional[TwistedPair] = None,
+    ):
+        if xi.trace() != 0:
             raise ValueError("xi must have trace zero")
+        _set(self, "E", E)
+        _set(self, "mu", mu)
+        _set(self, "nu", nu)
+        _set(self, "psi", psi)
+        _set(self, "xi", xi)
+        _set(self, "chi", chi)
+        _set(self, "tau", tau)
+        _set(self, "_key", (E, mu, nu, psi, xi, chi, tau))
 
     def with_twist(self, chi: Optional[MultChar]) -> "AsaiInput":
         return AsaiInput(self.E, self.mu, self.nu, self.psi, self.xi, chi, self.tau)

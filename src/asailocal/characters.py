@@ -49,7 +49,6 @@ import cmath
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from operator import mul
@@ -62,6 +61,8 @@ from .padic import (
     PAdicGround,
     PrecisionError,
     QuadExtension,
+    Value,
+    _set,
     is_extension,
 )
 from .unitgroups import unit_group
@@ -132,22 +133,24 @@ class Phase:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AddChar:
+class AddChar(Value):
     """psi(x) = e(frac_p(b x)) on F, or e(frac_p(tr(b x))) on E.
 
     The standard character psi0 (b = 1 on F) has conductor 0; every other
     additive character in scope is a multiplicative shift of it.
     """
 
-    field: Field
-    mult: Union[Fraction, int, EElement] = 1
+    _fields = ("field", "mult")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
+    def __init__(self, field: Field, mult: Union[Fraction, int, EElement] = 1):
         # stored as an element of ``field`` from here on; the hash is taken
         # once, since the caches keyed on psi look it up on every call
-        object.__setattr__(self, "mult", self.field.embed(self.mult))
-        object.__setattr__(self, "_hash", hash((self.field, self.mult)))
+        mult = field.embed(mult)
+        _set(self, "field", field)
+        _set(self, "mult", mult)
+        _set(self, "_key", (field, mult))
+        _set(self, "_hash", hash(self._key))
 
     def __hash__(self):
         return self._hash

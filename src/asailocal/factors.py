@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
+
+from .padic import Value, _set
 
 DEFAULT_GRID = (0.7, 1.3, 2.1 + 0.5j, 0.4 - 0.8j, 1.05)
 REL_TOL_NONARCH = 1e-8
@@ -78,15 +79,18 @@ def gammafn(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonArchFactor:
+class NonArchFactor(Value):
     """c * q^{-m s} * prod num (1 - alpha q^{-(a s + b)}) / prod den (...)."""
 
-    q: int
-    c: complex = 1.0 + 0j
-    m: int = 0
-    num: tuple = ()
-    den: tuple = ()
+    __slots__ = _fields = ("q", "c", "m", "num", "den")
+
+    def __init__(self, q: int, c: complex = 1.0 + 0j, m: int = 0, num: tuple = (), den: tuple = ()):
+        _set(self, "q", q)
+        _set(self, "c", c)
+        _set(self, "m", m)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "_key", (q, c, m, num, den))
 
     @staticmethod
     def one(q: int) -> "NonArchFactor":
@@ -117,7 +121,7 @@ class NonArchFactor:
     # -- algebra ---------------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return replace(self, c=self.c * other)
+            return NonArchFactor(self.q, self.c * other, self.m, self.num, self.den)
         if self.q != other.q:
             raise ValueError("factors over different q; rebase first")
         num, den = _cancel(self.num + other.num, self.den + other.den)
@@ -130,7 +134,7 @@ class NonArchFactor:
 
     def __truediv__(self, other) -> "NonArchFactor":
         if isinstance(other, (int, float, complex)):
-            return replace(self, c=self.c / other)
+            return NonArchFactor(self.q, self.c / other, self.m, self.num, self.den)
         return self * other.inverse()
 
     def reflect(self) -> "NonArchFactor":
@@ -202,13 +206,16 @@ def _cancel(num: tuple, den: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArchFactor:
+class ArchFactor(Value):
     """c * prod Gamma(a s + b)^mult * prod base^(u s + v)."""
 
-    c: complex = 1.0 + 0j
-    gammas: tuple = ()  # (a: Fraction, b: complex, mult: int)
-    expos: tuple = ()  # (base: float, u: complex, v: complex)
+    __slots__ = _fields = ("c", "gammas", "expos")
+
+    def __init__(self, c: complex = 1.0 + 0j, gammas: tuple = (), expos: tuple = ()):
+        _set(self, "c", c)
+        _set(self, "gammas", gammas)  # (a: Fraction, b: complex, mult: int)
+        _set(self, "expos", expos)  # (base: float, u: complex, v: complex)
+        _set(self, "_key", (c, gammas, expos))
 
     @staticmethod
     def one() -> "ArchFactor":
@@ -244,7 +251,7 @@ class ArchFactor:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return replace(self, c=self.c * other)
+            return ArchFactor(self.c * other, self.gammas, self.expos)
         return ArchFactor(
             self.c * other.c, self.gammas + other.gammas, self.expos + other.expos
         )
@@ -260,7 +267,7 @@ class ArchFactor:
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
-            return replace(self, c=self.c / other)
+            return ArchFactor(self.c / other, self.gammas, self.expos)
         return self * other.inverse()
 
     def reflect(self) -> "ArchFactor":

@@ -29,12 +29,15 @@ pi^v sqrt(d) (0 on F), so x = a e1 + b e2, and ``K.shell`` is that map.  The
 unit part of such an x is a + b sqrt(d) itself, so its residue key is read off
 (a, b) with integer arithmetic; finite character sums use this and build no
 field element per term (see :func:`asailocal.characters.shell_angles`).
+
+The fields and the package's other immutable records derive from
+:class:`Value`: slotted classes with a hand-written ``__init__``, where any
+constructor check runs, equal when of one class with equal field tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -78,22 +81,64 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@dataclass(frozen=True)
-class PAdicGround:
+# sets a slot of a Value, whose own __setattr__ refuses
+_set = object.__setattr__
+
+
+class Value:
+    """Immutable record.  ``_fields`` name its fields; ``__init__`` sets each
+    field's slot with ``_set``, and ``_key`` to the tuple of the fields, from
+    which equality, hash, repr and pickling are read."""
+
+    __slots__ = ("_key",)
+    _fields: tuple = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class PAdicGround(Value):
     """The field F = Q_p with odd residue characteristic.
 
     ``precision`` bounds the modulus exponent any enumeration may use.
     """
 
-    p: int
-    precision: int = DEFAULT_PRECISION
+    _fields = ("p", "precision")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        p = self.p
+    def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
         if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
             raise ValueError("p must be an odd prime >= 3")
-        if self.precision < 8:
+        if precision < 8:
             raise ValueError("precision must be at least 8")
+        _set(self, "p", p)
+        _set(self, "precision", precision)
+        _set(self, "_key", (p, precision))
+        # the field keys most caches: hash once
+        _set(self, "_hash", hash(self._key))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def q(self) -> int:
@@ -379,33 +424,33 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class QuadExtension:
+class QuadExtension(Value):
     """E = F(sqrt(d)) for the canonical non-square class of each type.
 
     d is a unit non-residue (unramified), p (ramified-p), or u*p (ramified-up).
     """
 
-    ground: PAdicGround
-    ext_type: str
+    _fields = ("ground", "ext_type")
+    # invariants, set once per instance: element arithmetic reads them on
+    # every operation
+    __slots__ = _fields + ("p", "d", "e", "f", "q", "_hash")
 
-    # invariants, set once per instance by __post_init__: element arithmetic
-    # reads them on every operation
-    p: int = field(init=False, repr=False, compare=False)
-    d: int = field(init=False, repr=False, compare=False)
-    e: int = field(init=False, repr=False, compare=False)
-    f: int = field(init=False, repr=False, compare=False)
-    q: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.ext_type not in EXTENSION_TYPES:
-            raise ValueError(f"unknown extension type {self.ext_type!r}")
-        p = self.ground.p
+    def __init__(self, ground: PAdicGround, ext_type: str):
+        if ext_type not in EXTENSION_TYPES:
+            raise ValueError(f"unknown extension type {ext_type!r}")
+        p = ground.p
         u = smallest_nonresidue(p)
-        d = {UNRAMIFIED: u, RAMIFIED_P: p, RAMIFIED_UP: u * p}[self.ext_type]
-        e = 1 if self.ext_type == UNRAMIFIED else 2
-        for name, value in (("p", p), ("d", d), ("e", e), ("f", 3 - e), ("q", p ** (3 - e))):
-            object.__setattr__(self, name, value)
+        d = {UNRAMIFIED: u, RAMIFIED_P: p, RAMIFIED_UP: u * p}[ext_type]
+        e = 1 if ext_type == UNRAMIFIED else 2
+        for name, value in (
+            ("ground", ground), ("ext_type", ext_type), ("_key", (ground, ext_type)),
+            ("p", p), ("d", d), ("e", e), ("f", 3 - e), ("q", p ** (3 - e)),
+        ):
+            _set(self, name, value)
+        _set(self, "_hash", hash(self._key))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def different_exponent(self) -> int:

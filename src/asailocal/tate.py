@@ -27,7 +27,6 @@ up the Asai factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import inf, isqrt
@@ -41,7 +40,7 @@ from .factors import (
     PoleError,
     off_poles,
 )
-from .padic import legendre
+from .padic import Value, _set, legendre
 
 _CHECK_GRID = (0.7, 1.3, 0.4 - 0.8j)
 
@@ -191,14 +190,17 @@ def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, s) -> Cyc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModBox:
+class ModBox(Value):
     """coef * psi(mult * x) * 1_{center + pi^level O}(x)."""
 
-    coef: complex
-    mult: object  # field element or 0
-    center: object  # field element
-    level: int
+    __slots__ = _fields = ("coef", "mult", "center", "level")
+
+    def __init__(self, coef: complex, mult, center, level: int):
+        _set(self, "coef", coef)
+        _set(self, "mult", mult)  # field element or 0
+        _set(self, "center", center)  # field element
+        _set(self, "level", level)
+        _set(self, "_key", (coef, mult, center, level))
 
 
 def box_fourier(box: ModBox, psi: AddChar) -> ModBox:

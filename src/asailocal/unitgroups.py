@@ -445,15 +445,18 @@ class ERamUnitGroup(UnitGroup):
         ``self._span`` holds the span of the basis so far and grows with each
         basis element until it holds all 1-units.  It knows the largest order
         left (``max_exp``), so the scan stops at the first candidate that
-        reaches it, which is the one a full scan would keep."""
+        reaches it, which is the one a full scan would keep.  The a = 0 row,
+        1 + d b, is the 1-units of F: a cyclic group generated by 1 + p, so
+        the row is skipped unless 1 + p itself reaches ``max_exp``."""
         span = self._span
         p, d = self.field.p, self.field.d
         Ma, Mb = self._mods
         basis: list[tuple] = []
         while not span.full:
             best, best_j = None, 0
+            a0 = 0 if span.order_exp(((1 + p) % Ma, 0)) == span.max_exp else 1
             # 1 + pi (a + b sqrt(d)) = (1 + d b) + a sqrt(d), r = a + b sqrt(d) mod pi^(n-1)
-            for x in (((1 + d * b) % Ma, a) for a in range(Mb) for b in range(Ma // p)):
+            for x in (((1 + d * b) % Ma, a) for a in range(a0, Mb) for b in range(Ma // p)):
                 j = span.order_exp(x)
                 if j > best_j:
                     best, best_j = x, j

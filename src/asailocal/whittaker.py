@@ -27,9 +27,8 @@ refinement adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from .characters import (
@@ -41,7 +40,7 @@ from .characters import (
 )
 from .cyclotomic import Cyc
 from .factors import PoleError
-from .padic import QuadExtension
+from .padic import QuadExtension, Value, _set
 from .tate import _chi_cyc, _qpow, _vol_O, coset_integral, shell_integral
 
 
@@ -116,21 +115,22 @@ def bigcell_integral(chi: MultChar, C_aff: tuple, D_aff: tuple, psi: AddChar) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InducedSection:
+class InducedSection(Value):
     """A section of Ind(mu, nu) with big-cell profile h = 1_{O_E}:
     f(u_-(x)) = (nu/mu)(x) |x|^{-1} 1_{|x| >= 1}(x) in the paper's
     parametrization (for nu = 1 this is the level-c(mu) test section)."""
 
-    E: QuadExtension
-    mu: MultChar
-    nu: MultChar
-    psi_xi: AddChar
+    _fields = ("E", "mu", "nu", "psi_xi")
+    __slots__ = _fields + ("chi_ratio",)
 
-    @cached_property
-    def chi_ratio(self) -> MultChar:
-        """nu / mu, computed once per section."""
-        return self.nu.mul(self.mu.inv())
+    def __init__(self, E: QuadExtension, mu: MultChar, nu: MultChar, psi_xi: AddChar):
+        _set(self, "E", E)
+        _set(self, "mu", mu)
+        _set(self, "nu", nu)
+        _set(self, "psi_xi", psi_xi)
+        _set(self, "_key", (E, mu, nu, psi_xi))
+        # nu / mu, computed once per section
+        _set(self, "chi_ratio", nu.mul(mu.inv()))
 
 
 @lru_cache(maxsize=256)

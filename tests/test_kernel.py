@@ -34,7 +34,7 @@ from asailocal.padic import (
     QuadExtension,
 )
 from asailocal.tate import coset_integral, gauss_sum
-from asailocal.unitgroups import unit_group
+from asailocal.unitgroups import ERamUnitGroup, _LogSpan, unit_group
 
 FIELDS = [(p, ext) for p in (3, 5, 7) for ext in (None,) + EXTENSION_TYPES]
 
@@ -745,3 +745,53 @@ def test_kernel_ignores_sqrt_d_part_where_b_is_zero(ext):
     psi = psi_to_E(standard_psi(F), E, E.xi()).shifted(Fraction(1, 3**9))
     sa = shell_angles(None, psi, 0, 1)
     assert [Fraction(s, sa.psi_den) for s in sa.psis] == [psi.angle(x) for x in E.shell(0, 1)]
+
+
+def _scan_from_row_zero(G):
+    """The greedy 1-unit basis of G by the a-major scan that starts at the
+    a = 0 row, as ``ERamUnitGroup._one_unit_basis`` ran before it skipped
+    that row: the first candidate of maximal order modulo the span, each
+    corrected by the span so that its order is exact."""
+    span = _LogSpan(G)
+    p, d = G.field.p, G.field.d
+    Ma, Mb = G._mods
+    basis = []
+    while not span.full:
+        best, best_j = None, 0
+        for x in (((1 + d * b) % Ma, a) for a in range(Mb) for b in range(Ma // p)):
+            j = span.order_exp(x)
+            if j > best_j:
+                best, best_j = x, j
+                if j == span.max_exp:
+                    break
+        g, m = best, p**best_j
+        corr = (1, 0)
+        for (h, _), t in zip(basis, span.exps(G._pow(g, m))):
+            corr = G._mul(corr, G._pow(h, t // m))
+        g = G._mul(g, G._inv(corr))
+        basis.append((g, m))
+        span.add(g, m)
+    return basis
+
+
+@pytest.mark.parametrize("ext", RAMIFIED)
+@pytest.mark.parametrize("p,level", [(p, n) for p in (3, 5) for n in range(2, 15)])
+def test_eram_basis_is_the_scan_from_row_zero(p, ext, level):
+    E = QuadExtension(PAdicGround(p), ext)
+    G = unit_group(E, level)
+    basis = _scan_from_row_zero(G)
+    assert G.gens[1:] == [E.elem(*h) for h, _ in basis]
+    assert G.orders[1:] == [m for _, m in basis]
+
+
+def test_eram_basis_at_level_21_reads_few_candidates(monkeypatch):
+    # the a = 0 row holds p^10 candidates at p = 3, level 21; scanning it
+    # before each generator took 118,103 order_exp calls
+    calls = []
+    order_exp = _LogSpan.order_exp
+    monkeypatch.setattr(_LogSpan, "order_exp", lambda span, x: calls.append(x) or order_exp(span, x))
+    G = ERamUnitGroup(QuadExtension(PAdicGround(3), "ramified-up"), 21)
+    assert G.orders == [2, 3**10, 3**9, 3]
+    assert len(calls) <= 10
+    u = G.gens[1] * G.gens[2] ** 5 * G.gens[3]
+    assert G.dlog(u) == (0, 1, 5, 1)
