@@ -15,16 +15,8 @@ MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 
 # the layer modules bench/tracer.py's Tracer.install looks up in sys.modules
 TRACED = (
-    "padic",
-    "unitgroups",
-    "characters",
-    "cyclotomic",
-    "factors",
-    "tate",
-    "asai",
-    "whittaker",
-    "arch",
-    "verify",
+    "padic", "unitgroups", "characters", "cyclotomic", "factors",
+    "tate", "asai", "whittaker", "arch", "verify",
 )
 
 
