@@ -710,10 +710,10 @@ def case_table(mu: CChar, nu: CChar) -> CaseDatum:
     return CaseDatum(5, terms, ((0, 0),), -pi / 2, -pi / 2, 1 + 0j)
 
 
-def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID, tol=REL_TOL_ARCH) -> dict:
+def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID) -> dict:
     """Assemble Z(s, W, Phi) and the dual integral for the case datum; check
     that Z / L_Gal is the tabulated constant on the grid, extract eps_RS, and
-    check the relation to eps_Gal."""
+    check the relation to eps_Gal, each to ``REL_TOL_ARCH``."""
     mu_, nu_ = _normalized(mu, nu)
     datum = case_table(mu_, nu_)
     Lam = complex(mu_.lam) + complex(nu_.lam)
@@ -772,10 +772,10 @@ def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID, tol=REL_TOL_ARCH
         "eps_rs_expected": datum.eps_rs,
         "eps_gal": eps_gal,
         "relation_dev": abs(relation_lhs - eps_gal) / abs(eps_gal),
-        "ok": max(spread, spread_d) < tol
-        and abs(cbar - datum.c_const) / abs(datum.c_const) < tol
-        and abs(eps_rs - datum.eps_rs) < tol
-        and abs(relation_lhs - eps_gal) / abs(eps_gal) < tol,
+        "ok": max(spread, spread_d) < REL_TOL_ARCH
+        and abs(cbar - datum.c_const) / abs(datum.c_const) < REL_TOL_ARCH
+        and abs(eps_rs - datum.eps_rs) < REL_TOL_ARCH
+        and abs(relation_lhs - eps_gal) / abs(eps_gal) < REL_TOL_ARCH,
     }
 
 

@@ -361,11 +361,10 @@ def split_eps_check(
     nu2: MultChar,
     psi: AddChar,
     xi0: Fraction,
-    tol: float = REL_TOL_NONARCH,
 ) -> dict:
     """For E = F x F with xi = (xi0, -xi0): check that the multiplicativity
     assembly equals omega(xi) |xi|_E^{s-1/2} times the four-fold Tate product
-    for eps(s, pi1 x pi2, psi)."""
+    for eps(s, pi1 x pi2, psi), to ``REL_TOL_NONARCH`` on ``DEFAULT_GRID``."""
     F: PAdicGround = mu1.field
     q = F.q
     psi_p = psi.shifted(xi0)
@@ -384,5 +383,5 @@ def split_eps_check(
     w = 2 * F.val(xi0)
     pref_rhs = NonArchFactor.monomial(q, omega_xi * q ** Fraction(w, 2), w)
     rhs = pref_rhs * eps_pair
-    ok, dev = approx_equal(eps_lhs, rhs, tol=tol)
+    ok, dev = approx_equal(eps_lhs, rhs)
     return {"ok": ok, "max_deviation": dev}

@@ -466,7 +466,9 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         raise ValueError(
             f"'lambda' {obj['lambda']!r}: q^(-lambda) for q = {field.q} is outside the float range"
         )
-    n = int(obj.get("conductor", 0))
+    n = obj.get("conductor", 0)
+    if type(n) is not int:  # a bool is an int too
+        raise ValueError(f"conductor must be a JSON integer, not {n!r}")
     if n < 0:
         raise ValueError("conductor must be >= 0")
     angles = [Fraction(a) for a in obj.get("unit_part", [])]

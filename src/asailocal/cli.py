@@ -371,7 +371,7 @@ def cmd_verify(args) -> int:
     reports = run_suites(names)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(reports, fh, indent=2, default=float)
+            json.dump(reports, fh, indent=2)
     return 0 if all(rep["ok"] for rep in reports) else 3
 
 

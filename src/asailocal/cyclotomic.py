@@ -12,12 +12,12 @@ at lcm(N1, N2), so N grows only when an operand needs it.  ``terms`` is the
 same value as a map from angles k/N in [0, 1) to nonzero Fraction
 coefficients c_k/D; it is a fresh dict on every access.
 
-The exponent maps keep the insertion order of the angle maps they replaced,
-so ``to_complex`` adds the same float terms in the same order.  The library
-builds its values on integer exponents (``_make``); the angle-map
-constructor ``Cyc(terms)`` gives the same conductor, order and coefficients
-and is kept as the tests' reference.  Values are never mutated after
-construction, so results may be shared and cached.
+``to_complex`` sums the float terms in the insertion order of the exponent
+map that ``_make`` received; dividing out the common factor keeps that
+order.  The library builds its values on integer exponents (``_make``); the
+angle-map constructor ``Cyc(terms)`` gives the same conductor, order and
+coefficients and is kept as the tests' reference.  Values are never mutated
+after construction, so results may be shared and cached.
 
 Zero test.  The powers of zeta_N satisfy Phi_N, and with R = rad N the
 product of the primes dividing N, Phi_N(x) = Phi_R(x^(N/R)) (Washington,

@@ -35,12 +35,7 @@ from asailocal.unitgroups import unit_group
 from asailocal.verify import suite_theorem_b
 
 from certified_tate import certified_gamma
-
-
-def rand_char(K, n, rng, t_den=12):
-    G = unit_group(K, n)
-    angles = [Fraction(rng.randrange(d), d) for d in G.orders]
-    return MultChar.from_angles(K, n, angles, Phase.exact(Fraction(rng.randrange(t_den), t_den)))
+from random_chars import rand_char
 
 
 def test_gamma_rs_trivial_decomposes_into_tate_factors():

@@ -31,11 +31,7 @@ from asailocal.padic import (
 )
 from asailocal.unitgroups import unit_group
 
-
-def rand_char(K, n, rng, t_den=12):
-    G = unit_group(K, n)
-    angles = [Fraction(rng.randrange(d), d) for d in G.orders]
-    return MultChar.from_angles(K, n, angles, Phase.exact(Fraction(rng.randrange(t_den), t_den)))
+from random_chars import rand_char
 
 
 # -- additive characters ------------------------------------------------------

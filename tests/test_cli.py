@@ -142,6 +142,22 @@ def test_verify_single_suite(capsys):
     assert "PASS" in capsys.readouterr().err
 
 
+def test_verify_out_writes_the_reports(tmp_path, capsys):
+    out = tmp_path / "reports.json"
+    assert main(["verify", "--suite", "combinatorial", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert isinstance(reports, list) and len(reports) == 1
+    for rep in reports:
+        assert list(rep) == ["name", "ok", "max_deviation", "detail", "elapsed"]
+    assert reports[0]["name"] == "gamma-combinatorial-identity"
+
+
+def test_verify_unknown_suite_exits_2(capsys):
+    assert main(["verify", "--suite", "nope"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("input error:")
+
+
 def test_precision_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ASAI_PRECISION", "9")
     rc = main(["tate", "--field", '{"p":5}', "--char", "trivial"])
@@ -302,6 +318,12 @@ def _t0(lam):
     return _unramified("F", {"t": {"angle": "0"}, "lambda": lam})
 
 
+def _legendre_at(conductor):
+    return json.dumps(
+        {"field": "F", "conductor": conductor, "unit_part": ["1/2"], "t": {"angle": "0"}}
+    )
+
+
 _REPROS = [
     # a non-finite or zero number
     (["tate", "--field", _F5, "--char", '{"field":"F","lambda":[Infinity,0]}'], "--char"),
@@ -374,6 +396,10 @@ _REPROS = [
     (["tate", "--field", _F5, "--char", '{"lambda":"-440"}'], None),
     # a factor evaluated where |1 - alpha q^(-s)| overflows: no pole, no traceback
     (["tate", "--field", _F5, "--char", '{"lambda":"440"}'], None),
+    # a conductor that is not a JSON integer
+    (["tate", "--field", _F5, "--char", _legendre_at(1.7)], "--char: conductor"),
+    (["tate", "--field", _F5, "--char", _legendre_at("1")], "--char: conductor"),
+    (["tate", "--field", _F5, "--char", _legendre_at(True)], "--char: conductor"),
 ]
 
 
