@@ -2,21 +2,4 @@
 representations of GL(2) over quadratic extensions of local fields,
 with every closed-form identity checked against brute-force oracles."""
 
-from .padic import PAdicGround, QuadExtension, EElement, PrecisionError
-from .characters import AddChar, MultChar, Phase
-from .factors import ArchFactor, NonArchFactor, DEFAULT_GRID
-
-__all__ = [
-    "PAdicGround",
-    "QuadExtension",
-    "EElement",
-    "PrecisionError",
-    "AddChar",
-    "MultChar",
-    "Phase",
-    "ArchFactor",
-    "NonArchFactor",
-    "DEFAULT_GRID",
-]
-
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, perm
 
 from .factors import DEFAULT_GRID, ArchFactor, PoleError, REL_TOL_ARCH, gammafn, loggamma
 from .padic import Value, _set
@@ -563,26 +563,13 @@ def phi_hat_monomial(c1: int, c2: int) -> dict:
     {(c1', c2'): coefficient} over the same basis."""
     M = max(c1, c2)
     mn = min(c1, c2)
-    # p(j) = prod_{i<mn} (M + j - i); beta_m = Delta^m p(0) / m! gives the
-    # falling-factorial expansion, and sum_j x^j/j! j^(m) = x^m e^x collapses
-    # the Bargmann series to a polynomial times the Gaussian
-    vals = []
-    for j in range(mn + 2):
-        acc = Fraction(1)
-        for i in range(mn):
-            acc *= M + j - i
-        vals.append(acc)
-    betas = []
-    cur = vals[:]
-    for m in range(mn + 1):
-        betas.append(cur[0] / Fraction(factorial(m)))
-        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-    out = {}
+    # p(j) = (M + j)_mn, a falling factorial, expands in the falling
+    # factorials j^(m) with beta_m = Delta^m p(0) / m! = C(mn, m) (M)_(mn-m),
+    # and sum_j x^j/j! j^(m) = x^m e^x collapses the Bargmann series to a
+    # polynomial times the Gaussian
     base = (-1.0) ** (M - c1) * math.pi ** (M - c1 - c2)
-    for m, beta in enumerate(betas):
-        coeff = base * float(beta) * (-math.pi) ** m
-        out[(M - c2 + m, M - c1 + m)] = coeff
-    return out
+    coeff = lambda m: base * float(comb(mn, m) * perm(M, mn - m)) * (-math.pi) ** m
+    return {(M - c2 + m, M - c1 + m): coeff(m) for m in range(mn + 1)}
 
 
 def phi_hat(phi: dict) -> dict:
@@ -625,6 +612,13 @@ def _gal_constituents_arch(mu: CChar, nu: CChar) -> tuple[RChar, RChar, CChar]:
     t1, e1 = mu.restrict_exponents()
     t2, e2 = nu.restrict_exponents()
     return RChar(t1, e1), RChar(t2, e2), mu.mul(nu.sigma())
+
+
+def _omega0(mu: CChar, nu: CChar) -> RChar:
+    """omega_0 = (mu nu)|_{R^x}, the central character on R^x."""
+    t1, e1 = mu.restrict_exponents()
+    t2, e2 = nu.restrict_exponents()
+    return RChar(t1 + t2, (e1 + e2) % 2)
 
 
 def l_gal_arch(mu: CChar, nu: CChar, dual: bool = False) -> ArchFactor:
@@ -714,83 +708,74 @@ def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID) -> dict:
     """Assemble Z(s, W, Phi) and the dual integral for the case datum; check
     that Z / L_Gal is the tabulated constant on the grid, extract eps_RS, and
     check the relation to eps_Gal, each to ``REL_TOL_ARCH``."""
-    mu_, nu_ = _normalized(mu, nu)
-    datum = case_table(mu_, nu_)
-    Lam = complex(mu_.lam) + complex(nu_.lam)
-    t1, e1 = mu_.restrict_exponents()
-    t2, e2 = nu_.restrict_exponents()
-    omega0 = RChar(t1 + t2, (e1 + e2) % 2)
+    mu, nu = _normalized(mu, nu)
+    datum = case_table(mu, nu)
+    Lam = complex(mu.lam) + complex(nu.lam)
     phi = {c: 1.0 for c in datum.phi}
     phihat = phi_hat(phi)
-    L = l_gal_arch(mu_, nu_)
-    Ld = l_gal_arch(mu_, nu_, dual=True)
+    L = l_gal_arch(mu, nu)
+    Ld = l_gal_arch(mu, nu, dual=True)
+    trivial, omega0_inv = RChar(0, 0), _omega0(mu, nu).inv()
 
-    def Z(s: complex) -> complex:
+    def Z(s: complex, chi: RChar, phi_: dict, lam: complex) -> complex:
         zw = sum(
-            coeff * zeta_whittaker_closed(s, ia, ib, RChar(0, 0), mu_, nu_)
+            coeff * zeta_whittaker_closed(s, ia, ib, chi, mu, nu)
             for coeff, ia, ib in datum.w_terms
         )
-        return zw * phi_tate_integral(phi, s, Lam)
-
-    def Zdual(s1ms: complex) -> complex:
-        zw = sum(
-            coeff * zeta_whittaker_closed(s1ms, ia, ib, omega0.inv(), mu_, nu_)
-            for coeff, ia, ib in datum.w_terms
-        )
-        return zw * phi_tate_integral(phihat, s1ms, -Lam)
+        return zw * phi_tate_integral(phi_, s, lam)
 
     ratios, ratios_dual = [], []
     for s in grid:
         try:
-            ratios.append(Z(s) / L.eval(s))
-            ratios_dual.append(Zdual(1 - s) / Ld.eval(1 - s))
+            ratios.append(Z(s, trivial, phi, Lam) / L.eval(s))
+            ratios_dual.append(Z(1 - s, omega0_inv, phihat, -Lam) / Ld.eval(1 - s))
         except PoleError as exc:
             # a Gamma argument or 1 - s hit the pole: it is s's fault
             raise PoleError(s) from exc
-    cbar = sum(ratios) / len(ratios)
-    cbar_d = sum(ratios_dual) / len(ratios_dual)
-    spread = max(abs(r - cbar) for r in ratios) / max(abs(cbar), 1e-30)
-    spread_d = max(abs(r - cbar_d) for r in ratios_dual) / max(abs(cbar_d), 1e-30)
+
+    def mean_and_spread(rs: list) -> tuple[complex, float]:
+        m = sum(rs) / len(rs)
+        return m, max(abs(r - m) for r in rs) / max(abs(m), 1e-30)
+
+    cbar, spread = mean_and_spread(ratios)
+    cbar_d, spread_d = mean_and_spread(ratios_dual)
+    spread = max(spread, spread_d)
+    ratio_dev = max(
+        abs(cbar - datum.c_const) / abs(datum.c_const),
+        abs(cbar_d - datum.c_dual_const) / abs(datum.c_dual_const),
+    )
     eps_rs = cbar_d / cbar
-    n0 = mu_.n - nu_.n
-    eps_gal = eps_gal_arch(mu_, nu_).eval(0.5)
+    eps_gal = eps_gal_arch(mu, nu).eval(0.5)
     # relation: omega^{-1}(xi) |xi|_C^{-s+1/2} lambda(psi) eps_RS = eps_Gal
-    omega_xi = mu_.value(1j) * nu_.value(1j)
+    omega_xi = mu.value(1j) * nu.value(1j)
     relation_lhs = (1 / omega_xi) * lambda_C_R(1.0) * eps_rs
+    relation_dev = abs(relation_lhs - eps_gal) / abs(eps_gal)
     return {
         "case": datum.case_id,
         "c": cbar,
         "c_expected": datum.c_const,
         "c_dual": cbar_d,
         "c_dual_expected": datum.c_dual_const,
-        "spread": max(spread, spread_d),
-        "ratio_dev": max(
-            abs(cbar - datum.c_const) / abs(datum.c_const),
-            abs(cbar_d - datum.c_dual_const) / abs(datum.c_dual_const),
-        ),
+        "spread": spread,
+        "ratio_dev": ratio_dev,
         "eps_rs": eps_rs,
         "eps_rs_expected": datum.eps_rs,
         "eps_gal": eps_gal,
-        "relation_dev": abs(relation_lhs - eps_gal) / abs(eps_gal),
-        "ok": max(spread, spread_d) < REL_TOL_ARCH
-        and abs(cbar - datum.c_const) / abs(datum.c_const) < REL_TOL_ARCH
-        and abs(eps_rs - datum.eps_rs) < REL_TOL_ARCH
-        and abs(relation_lhs - eps_gal) / abs(eps_gal) < REL_TOL_ARCH,
+        "relation_dev": relation_dev,
+        "ok": all(
+            dev < REL_TOL_ARCH
+            for dev in (spread, ratio_dev, abs(eps_rs - datum.eps_rs), relation_dev)
+        ),
     }
 
 
 def eps_rs_arch(mu: CChar, nu: CChar, b: float = 1.0, c_xi: float = 1.0) -> ArchFactor:
     """eps_RS(s, As pi, psi^b, c_xi * i) via the tabulated constant and the
     change-of-variable rule omega(b^2 c)|b^2 c|^{2s-1}."""
-    datum = case_table(*_normalized(mu, nu))
-    base = ArchFactor(c=datum.eps_rs)
-    mu_, nu_ = _normalized(mu, nu)
-    t1, e1 = mu_.restrict_exponents()
-    t2, e2 = nu_.restrict_exponents()
-    omega0 = RChar(t1 + t2, (e1 + e2) % 2)
+    mu, nu = _normalized(mu, nu)
     arg = b * b * c_xi
-    scale = ArchFactor(c=omega0.value(arg), expos=((abs(arg), 2.0, -1.0),))
-    return base * scale
+    scale = _omega0(mu, nu).value(arg)
+    return ArchFactor(c=case_table(mu, nu).eps_rs * scale, expos=((abs(arg), 2.0, -1.0),))
 
 
 # ---------------------------------------------------------------------------

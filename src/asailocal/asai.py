@@ -339,7 +339,7 @@ def central_value(inp: AsaiInput) -> complex:
     return val
 
 
-def dichotomy_sign(inp: AsaiInput, tol: float = 1e-8) -> int:
+def dichotomy_sign(inp: AsaiInput, tol: float = REL_TOL_NONARCH) -> int:
     """:func:`central_value` rounded to +-1."""
     val = central_value(inp)
     if abs(val - 1) < tol:

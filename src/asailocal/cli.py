@@ -24,9 +24,11 @@ import os
 import sys
 from fractions import Fraction
 
+from . import arch
 from .asai import (
     AsaiInput,
     TwistedPair,
+    _normalization,
     dichotomy_sign,
     eps_gal_comparison,
     gamma_psr,
@@ -42,7 +44,7 @@ from .characters import (
     psi_to_E,
     standard_psi,
 )
-from .factors import DEFAULT_GRID, PoleError, eval_table, resolve_grid
+from .factors import DEFAULT_GRID, REL_TOL_NONARCH, PoleError, eval_table, resolve_grid
 from .padic import DEFAULT_PRECISION, PAdicGround, PrecisionError, QuadExtension, field_from_json
 from .tate import (
     ConsistencyError,
@@ -146,7 +148,7 @@ def _parse_complex(text: str, what: str) -> complex:
 
 def _parse_tol(args) -> float:
     if args.tol is None:
-        return 1e-8
+        return REL_TOL_NONARCH
     tol = _parse_number(args.tol, "--tol", float)
     if not tol > 0:
         raise InputError(f"--tol must be a positive finite number, got {args.tol!r}")
@@ -281,8 +283,6 @@ def cmd_asai(args) -> int:
 
 def _corrections(inp: AsaiInput) -> dict:
     """The (psi, xi) split applied before the normalized-theorem assembly."""
-    from .asai import _normalization
-
     a0, a1, _ = _normalization(inp)
     return {
         "psi_shift_a": str(a0),
@@ -325,8 +325,6 @@ def _c(z: complex) -> tuple:
 
 
 def cmd_arch_zeta(args) -> int:
-    from . import arch
-
     lam1 = _parse_complex(args.lam1, "--lam1")
     lam2 = _parse_complex(args.lam2, "--lam2")
     mu = arch.CChar(lam1, _parse_number(args.n1, "--n1", int))

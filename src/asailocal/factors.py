@@ -218,10 +218,6 @@ class ArchFactor(Value):
         _set(self, "_key", (c, gammas, expos))
 
     @staticmethod
-    def one() -> "ArchFactor":
-        return ArchFactor()
-
-    @staticmethod
     def zeta_R(shift: complex = 0) -> "ArchFactor":
         """pi^{-(s+shift)/2} Gamma((s+shift)/2)."""
         return ArchFactor(
@@ -277,20 +273,6 @@ class ArchFactor(Value):
             tuple((-a, complex(a) + b, m) for a, b, m in self.gammas),
             tuple((base, -u, complex(u) + v) for base, u, v in self.expos),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "type": "arch",
-            "c": [complex(self.c).real, complex(self.c).imag],
-            "gammas": [
-                {"a": [complex(a).real, complex(a).imag], "b": [b.real, b.imag], "mult": m}
-                for a, b, m in self.gammas
-            ],
-            "expos": [
-                {"base": base, "u": [complex(u).real, complex(u).imag], "v": [v.real, v.imag]}
-                for base, u, v in self.expos
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +340,4 @@ def factor_from_json(obj: dict):
             dec(obj.get("num", [])),
             dec(obj.get("den", [])),
         )
-    if obj.get("type") == "arch":
-        gammas = tuple(
-            (Fraction(e["a"][0]).limit_denominator(10**6), complex(e["b"][0], e["b"][1]), int(e["mult"]))
-            for e in obj.get("gammas", [])
-        )
-        expos = tuple(
-            (float(e["base"]), complex(e["u"][0], e["u"][1]), complex(e["v"][0], e["v"][1]))
-            for e in obj.get("expos", [])
-        )
-        return ArchFactor(complex(obj["c"][0], obj["c"][1]), gammas, expos)
     raise ValueError("unknown factor encoding")

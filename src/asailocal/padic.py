@@ -597,10 +597,10 @@ Field = Union[PAdicGround, QuadExtension]
 
 
 def field_from_json(obj: dict) -> Field:
-    p = int(obj["p"])
-    precision = int(obj.get("precision", DEFAULT_PRECISION))
-    if p != obj["p"] or precision != obj.get("precision", precision):
-        raise ValueError("p and precision must be integers")
+    p, precision = obj["p"], obj.get("precision", DEFAULT_PRECISION)
+    for name, v in (("p", p), ("precision", precision)):
+        if type(v) is not int:  # a bool is an int too
+            raise ValueError(f"{name} must be a JSON integer, not {v!r}")
     ground = PAdicGround(p, precision)
     ext = obj.get("ext")
     if ext in (None, "F"):

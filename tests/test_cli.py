@@ -400,6 +400,10 @@ _REPROS = [
     (["tate", "--field", _F5, "--char", _legendre_at(1.7)], "--char: conductor"),
     (["tate", "--field", _F5, "--char", _legendre_at("1")], "--char: conductor"),
     (["tate", "--field", _F5, "--char", _legendre_at(True)], "--char: conductor"),
+    # a field's p or precision that is not a JSON integer
+    (["tate", "--field", '{"p":5.0}', "--char", "trivial"], "--field"),
+    (["tate", "--field", '{"p":5,"precision":9.0}', "--char", "trivial"], "--field"),
+    (["tate", "--field", '{"p":5,"precision":true}', "--char", "trivial"], "--field"),
 ]
 
 

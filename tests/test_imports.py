@@ -20,20 +20,26 @@ TRACED = (
 )
 
 
-def test_cli_import_is_cold_start_light_and_loads_every_traced_layer():
-    code = (
-        "import sys\n"
-        "import asailocal.cli\n"
-        "print(' '.join(sorted(sys.modules)))\n"
-    )
+def _loaded_after(statement: str) -> set:
+    """The names in sys.modules after ``statement`` in a fresh interpreter."""
+    code = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
-    loaded = set(proc.stdout.decode().split())
+    return set(proc.stdout.decode().split())
+
+
+def test_cli_import_is_cold_start_light_and_loads_every_traced_layer():
+    loaded = _loaded_after("import asailocal.cli")
     heavy = loaded & {"dataclasses", "inspect", "numpy"}
     assert not heavy, f"import asailocal.cli loaded {sorted(heavy)}"
     missing = {f"asailocal.{name}" for name in TRACED} - loaded
     assert not missing, f"import asailocal.cli did not load {sorted(missing)}"
+
+
+def test_package_import_loads_no_submodule():
+    loaded = sorted(m for m in _loaded_after("import asailocal") if m.startswith("asailocal."))
+    assert not loaded, f"import asailocal loaded {loaded}"
 
 
 def _imports(tree):
