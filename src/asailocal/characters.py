@@ -457,15 +457,6 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         lam = as_lam(json_complex(lam))
     elif not isinstance(lam, int):
         lam = json_complex(lam)
-    # lambda enters |x|^lam = q^(-lam v) as a float, and 1 / chi(pi) with it
-    try:
-        scale = abs(field.q ** complex(-lam))
-    except OverflowError:
-        scale = math.inf
-    if not sys.float_info.min <= scale <= sys.float_info.max:
-        raise ValueError(
-            f"'lambda' {obj['lambda']!r}: q^(-lambda) for q = {field.q} is outside the float range"
-        )
     n = obj.get("conductor", 0)
     if type(n) is not int:  # a bool is an int too
         raise ValueError(f"conductor must be a JSON integer, not {n!r}")
@@ -475,7 +466,24 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
     for a, d in zip(angles, unit_group(field, n).orders):
         if (a * d).denominator != 1:
             raise ValueError(f"unit_part angle {a} times its generator's order {d} is not an integer")
-    return MultChar.from_angles(field, n, angles, phase, lam)
+    chi = MultChar.from_angles(field, n, angles, phase, lam)
+    if not normal_at_uniformizer(chi):
+        raise ValueError(
+            f"'lambda' {obj.get('lambda', 0)!r} with 't' {obj.get('t', 1)!r}: chi(pi) = "
+            f"t q^(-lambda) for q = {field.q} is not a normal float"
+        )
+    return chi
+
+
+def normal_at_uniformizer(chi: MultChar) -> bool:
+    """Whether chi(pi) (``t_full``) is a normal float: it enters chi's
+    Euler factor and, inverted, its dual's, so the Tate factors of a
+    character outside that range under- or overflow."""
+    try:
+        r = abs(chi.t_full())
+    except OverflowError:
+        return False
+    return sys.float_info.min <= r <= sys.float_info.max
 
 
 # ---------------------------------------------------------------------------

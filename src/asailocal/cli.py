@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -28,6 +27,7 @@ from . import arch
 from .asai import (
     AsaiInput,
     TwistedPair,
+    _gal_constituents,
     _normalization,
     dichotomy_sign,
     eps_gal_comparison,
@@ -40,12 +40,13 @@ from .characters import (
     MultChar,
     json_complex,
     mult_char_from_json,
+    normal_at_uniformizer,
     omega_quadratic,
     psi_to_E,
     standard_psi,
 )
 from .factors import DEFAULT_GRID, REL_TOL_NONARCH, PoleError, eval_table, resolve_grid
-from .padic import DEFAULT_PRECISION, PAdicGround, PrecisionError, QuadExtension, field_from_json
+from .padic import PAdicGround, PrecisionError, QuadExtension, field_from_json
 from .tate import (
     ConsistencyError,
     certify_gamma,
@@ -84,14 +85,6 @@ def _parse_number(text: str, what: str, kind=Fraction):
 
 def _parse_field(args) -> tuple:
     obj = _parse_json(args.field, "--field")
-    if "p" not in obj:
-        raise InputError("--field needs a 'p' entry")
-    env_prec = os.environ.get("ASAI_PRECISION")
-    if env_prec:
-        obj.setdefault("precision", _parse_number(env_prec, "ASAI_PRECISION", int))
-    obj.setdefault("precision", DEFAULT_PRECISION)
-    if args.ext:
-        obj["ext"] = args.ext
     try:
         K = field_from_json(obj)
     except (TypeError, ValueError) as exc:
@@ -242,7 +235,7 @@ def cmd_tate(args) -> int:
 def _asai_input(args) -> AsaiInput:
     F, E = _parse_field(args)
     if E is None:
-        raise InputError("asai subcommands need --field with an 'ext' entry (or --ext)")
+        raise InputError("asai subcommands need --field with an 'ext' entry")
     mu = _parse_char(args.char, "--char", {"E": E})
     nu = _parse_char(args.char2, "--char2", {"E": E})
     chi = _parse_char(args.twist, "--twist", {"F": F}) if args.twist else None
@@ -257,7 +250,23 @@ def _asai_input(args) -> AsaiInput:
         except ValueError as exc:
             raise InputError(f"--tau v2: {exc}") from exc
         tau = TwistedPair(mu2, nu2, v2)
-    return AsaiInput(E, mu, nu, psi, xi, chi, tau)
+    inp = AsaiInput(E, mu, nu, psi, xi, chi, tau)
+    # each Galois constituent is a Tate character of the factors computed,
+    # with every twist the command applies: chi, or tau's two
+    for twist in (tau.plus(), tau.minus()) if tau else (chi,):
+        for con, flags in zip(_gal_constituents(inp.with_twist(twist)), _CONSTITUENT_FLAGS):
+            if not normal_at_uniformizer(con):
+                flags += ("--tau" if tau else "--twist",) if twist else ()
+                raise InputError(
+                    f"{', '.join(flags)} give a Galois constituent whose value "
+                    "at the uniformizer is not a normal float"
+                )
+    return inp
+
+
+# the flags whose characters feed each of the three Galois constituents,
+# mu0, nu0 and mu nu^sigma, before the twist
+_CONSTITUENT_FLAGS = (("--char",), ("--char2",), ("--char", "--char2"))
 
 
 def cmd_asai(args) -> int:
@@ -405,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     padic = "tate asai twisted-asai dichotomy"
     add(padic, "--field", required=True, help='e.g. \'{"p":3,"ext":"unramified"}\'')
-    add(padic, "--ext", help="extension type (overrides --field)")
     add(padic, "--char", required=True, help="a character; mu (on E^x) for the Asai commands")
     add("asai twisted-asai dichotomy", "--char2", required=True, help="nu (character of E^x)")
     add("asai", "--twist", help="chi (character of F^x)")

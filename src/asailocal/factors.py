@@ -235,9 +235,9 @@ class ArchFactor(Value):
         )
 
     def eval(self, s: complex) -> complex:
-        logv = cmath.log(self.c) if self.c != 0 else None
         if self.c == 0:
             return 0j
+        logv = cmath.log(self.c)
         for a, b, mult in self.gammas:
             z = complex(a) * s + b
             logv += mult * loggamma(z)
@@ -253,26 +253,6 @@ class ArchFactor(Value):
         )
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "ArchFactor":
-        return ArchFactor(
-            1 / self.c,
-            tuple((a, b, -m) for a, b, m in self.gammas),
-            tuple((base, -u, -v) for base, u, v in self.expos),
-        )
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ArchFactor(self.c / other, self.gammas, self.expos)
-        return self * other.inverse()
-
-    def reflect(self) -> "ArchFactor":
-        """s -> 1 - s."""
-        return ArchFactor(
-            self.c,
-            tuple((-a, complex(a) + b, m) for a, b, m in self.gammas),
-            tuple((base, -u, complex(u) + v) for base, u, v in self.expos),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -597,6 +597,8 @@ Field = Union[PAdicGround, QuadExtension]
 
 
 def field_from_json(obj: dict) -> Field:
+    if "p" not in obj:
+        raise ValueError("needs a 'p' entry")
     p, precision = obj["p"], obj.get("precision", DEFAULT_PRECISION)
     for name, v in (("p", p), ("precision", precision)):
         if type(v) is not int:  # a bool is an int too

@@ -38,7 +38,7 @@ from asailocal.arch import (
     zeta_whittaker_closed,
     zeta_whittaker_quadrature,
 )
-from asailocal.factors import DEFAULT_GRID, ArchFactor, PoleError, loggamma
+from asailocal.factors import DEFAULT_GRID, PoleError, loggamma
 
 # -- the depth-first scalar quadrature, kept as the reference -----------------
 
@@ -345,15 +345,20 @@ def test_quadrature_matches_the_lemma_over_the_suite_ranges(case):
 # tate_eps_complex, and no verify suite runs it
 
 
-def tate_gamma_real(chi: RChar, a: float = 1.0) -> ArchFactor:
-    return tate_eps_real(chi, a) * tate_L_real(chi.inv()).reflect() / tate_L_real(chi)
-
-
-def tate_gamma_complex(chi: CChar, b: complex = 1.0) -> ArchFactor:
+def tate_gamma_real(chi: RChar, s: complex) -> complex:
+    """gamma(s, chi, psi) = eps(s, chi, psi) L(1 - s, chi^{-1}) / L(s, chi)."""
     return (
-        tate_eps_complex(chi, b)
-        * tate_L_complex(chi.inv()).reflect()
-        / tate_L_complex(chi)
+        tate_eps_real(chi).eval(s)
+        * tate_L_real(chi.inv()).eval(1 - s)
+        / tate_L_real(chi).eval(s)
+    )
+
+
+def tate_gamma_complex(chi: CChar, s: complex) -> complex:
+    return (
+        tate_eps_complex(chi).eval(s)
+        * tate_L_complex(chi.inv()).eval(1 - s)
+        / tate_L_complex(chi).eval(s)
     )
 
 
@@ -544,7 +549,7 @@ def test_lambda_C_R_signs():
     # L-values coincide, so the quadrature oracle pins the sign of i
     oracle = tate_fe_oracle_real(RChar(0, 1), 0.5)
     assert abs(oracle - 1j) < 1e-12
-    assert abs(tate_gamma_real(RChar(0, 1)).eval(0.5) - 1j) < 1e-12
+    assert abs(tate_gamma_real(RChar(0, 1), 0.5) - 1j) < 1e-12
 
 
 def test_real_and_complex_tate_oracles():
@@ -552,12 +557,12 @@ def test_real_and_complex_tate_oracles():
         chi = RChar(0.08 - 0.03j, m)
         for s in (0.45, 0.7):
             got = tate_fe_oracle_real(chi, s)
-            want = tate_gamma_real(chi).eval(s)
+            want = tate_gamma_real(chi, s)
             assert abs(got - want) / abs(want) < 1e-12
     for n in (-2, 0, 1):
         chi = CChar(0.05 + 0.02j, n)
         got = tate_fe_oracle_complex(chi, 0.8)
-        want = tate_gamma_complex(chi).eval(0.8)
+        want = tate_gamma_complex(chi, 0.8)
         assert abs(got - want) / abs(want) < 1e-12
 
 

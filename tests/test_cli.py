@@ -158,12 +158,13 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert out == "" and err.count("\n") == 1 and err.startswith("input error:")
 
 
-def test_precision_env_override(capsys, monkeypatch):
+def test_precision_comes_from_field_alone(capsys, monkeypatch):
+    # the environment sets nothing: --field is the one source of a field
     monkeypatch.setenv("ASAI_PRECISION", "9")
-    rc = main(["tate", "--field", '{"p":5}', "--char", "trivial"])
-    assert rc == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["input"]["field"]["precision"] == 9
+    for field, precision in (('{"p":5}', 12), ('{"p":5,"precision":9}', 9)):
+        assert main(["tate", "--field", field, "--char", "trivial"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["input"]["field"]["precision"] == precision
 
 
 def test_conductor_beyond_precision_exits_2(capsys):
@@ -250,7 +251,7 @@ def _subcommand_options():
 
 
 def test_each_subcommand_registers_exactly_its_options():
-    padic = ["--ext", "--field", "--format", "--help", "--out", "--psi-shift", "--xi-scale", "-h"]
+    padic = ["--field", "--format", "--help", "--out", "--psi-shift", "--xi-scale", "-h"]
     assert _subcommand_options() == {
         "tate": sorted(padic + ["--char", "--grid"]),
         "asai": sorted(padic + ["--char", "--char2", "--grid", "--tol", "--twist"]),
@@ -300,7 +301,9 @@ def test_table_format_for_arch_zeta(capsys):
 
 _F5 = '{"p":5}'
 _U3 = '{"p":3,"ext":"unramified"}'
+_U5 = '{"p":5,"ext":"unramified"}'
 _U7 = '{"p":7,"ext":"unramified"}'
+_TAU_README = '{"mu2":%s,"nu2":%s,"v2":%%s}' % (TRIV_F, TRIV_F)
 # gamma_PSR of (MU_JSON, trivial) twisted by this tau has poles at the
 # default points 0.7 and 1.3
 _TAU_POLE = json.dumps({
@@ -404,6 +407,35 @@ _REPROS = [
     (["tate", "--field", '{"p":5.0}', "--char", "trivial"], "--field"),
     (["tate", "--field", '{"p":5,"precision":9.0}', "--char", "trivial"], "--field"),
     (["tate", "--field", '{"p":5,"precision":true}', "--char", "trivial"], "--field"),
+    # a chi(pi) that is not a normal float, given or reached through the
+    # Galois constituents of an Asai command (q_E = 25 on unramified E)
+    (["tate", "--field", _F5, "--char", '{"t":[1e-320,0]}'], "--char: 'lambda'"),
+    (["tate", "--field", _F5, "--char", '{"t":[1e-300,0],"lambda":"100"}'], "--char: 'lambda'"),
+    (
+        ["twisted-asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+         "--tau", _TAU_README % "[1e300,0]"],
+        "--tau",
+    ),
+    (
+        ["dichotomy", "--field", _U5, "--char", "trivial", "--char2", "trivial",
+         "--tau", _TAU_README % "1e300"],
+        "--tau",
+    ),
+    (
+        ["dichotomy", "--field", _U5, "--char", "trivial", "--char2", "trivial",
+         "--tau", _TAU_README % "300"],
+        "--tau",
+    ),
+    (
+        ["asai", "--field", _U5, "--char", "trivial", "--char2", "trivial",
+         "--twist", '{"field":"F","lambda":"300"}'],
+        "--twist",
+    ),
+    (
+        ["asai", "--field", _U5, "--char", '{"lambda":"150"}', "--char2", "trivial",
+         "--twist", '{"field":"F","lambda":"150"}'],
+        "--twist",
+    ),
 ]
 
 
@@ -418,6 +450,29 @@ def test_each_input_ends_as_stated(argv, flag, capsys):
     else:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("input error:") and flag in err
+
+
+# v2 from 10 to 1e300 in size, and through 100..700, where |.|^(+-v2) of the
+# twist reaches E through the norm at q_E = p^2 and leaves the float range
+_SWEEP_V2 = [s * v for v in (10, 100, 1000, 1e300) for s in (1, -1)] + [
+    s * v for v in range(100, 701, 40) for s in (1, -1)
+]
+
+
+def test_tau_v2_sweep_exits_0_or_2(capsys):
+    # 240 inputs: none ends in a traceback, and each refusal is one line
+    for p in (3, 5, 7):
+        for command in ("twisted-asai", "dichotomy"):
+            for v2 in _SWEEP_V2:
+                argv = [command, "--field", '{"p":%d,"ext":"unramified"}' % p,
+                        "--char", "trivial", "--char2", "trivial",
+                        "--tau", _TAU_README % json.dumps(v2)]
+                rc = main(argv)
+                out, err = capsys.readouterr()
+                assert rc in (0, 2), argv
+                if rc == 2:
+                    assert out == "" and err.count("\n") == 1, argv
+                    assert err.startswith("input error:") and "--tau" in err, argv
 
 
 def test_default_table_points_step_off_a_pole(capsys):
@@ -452,9 +507,6 @@ def test_twisted_asai_default_points_step_off_its_poles(capsys):
     points = [complex(re_s, im_s) for re_s, im_s, _, _ in payload["gamma_table"]]
     assert points == [0.7 + 0.25j, 1.3 + 0.25j, *DEFAULT_GRID[2:]]
     assert payload["assemblies"]["ok"]
-
-
-_TAU_README = '{"mu2":%s,"nu2":%s,"v2":%%s}' % (TRIV_F, TRIV_F)
 
 
 @pytest.mark.parametrize(

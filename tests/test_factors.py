@@ -47,10 +47,6 @@ def test_reflect_involution_and_semantics():
     assert abs(f.reflect().eval(s) - f.eval(1 - s)) < 1e-12
     ok, dev = approx_equal(f, f.reflect().reflect(), DEFAULT_GRID, 1e-12)
     assert ok, dev
-    af = ArchFactor.zeta_R(0.3) * ArchFactor.zeta_C(-0.1 + 0.2j)
-    assert abs(af.reflect().eval(s) - af.eval(1 - s)) < 1e-12
-    ok, dev = approx_equal(af, af.reflect().reflect(), DEFAULT_GRID, 1e-12)
-    assert ok, dev
 
 
 def test_shift_and_rebase():

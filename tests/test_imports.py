@@ -70,3 +70,15 @@ def test_imports_are_stdlib_the_package_or_numpy_inside_functions(module):
             continue
         assert top == "numpy", f"{module} imports {top}, which is neither stdlib nor numpy"
         assert in_function, f"{module} imports numpy at module level"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_the_environment(module):
+    # every input arrives through the CLI's flags: one route per input
+    with open(os.path.join(PACKAGE, module)) as fh:
+        tree = ast.parse(fh.read(), module)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("environ", "environb", "getenv"), f"{module} reads os.{node.attr}"
+        elif isinstance(node, ast.alias):
+            assert node.name not in ("environ", "environb", "getenv"), f"{module} imports {node.name}"

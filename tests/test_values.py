@@ -99,7 +99,6 @@ def test_scaling_a_factor_keeps_its_other_fields():
     assert fac / 2 == NonArchFactor(5, 1.0 + 0j, 1, (), fac.den)
     arch = ArchFactor.zeta_R(0.5)
     assert arch * 3 == ArchFactor(3.0 + 0j, arch.gammas, arch.expos)
-    assert arch / 2 == ArchFactor(0.5 + 0j, arch.gammas, arch.expos)
 
 
 @pytest.mark.parametrize(
