@@ -141,7 +141,7 @@ class AddChar(Value):
     """
 
     _fields = ("field", "mult")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("_hash", "_conductor")
 
     def __init__(self, field: Field, mult: Union[Fraction, int, EElement] = 1):
         # stored as an element of ``field`` from here on; the hash is taken
@@ -151,6 +151,7 @@ class AddChar(Value):
         _set(self, "mult", mult)
         _set(self, "_key", (field, mult))
         _set(self, "_hash", hash(self._key))
+        _set(self, "_conductor", None)  # set by conductor_add
 
     def __hash__(self):
         return self._hash
@@ -179,8 +180,16 @@ class AddChar(Value):
         return {"field": "F", "mult": str(b)}
 
 
-@cache
 def conductor_add(psi: AddChar) -> int:
+    """The conductor of psi, found by value once (:func:`_checked_conductor`)
+    and then kept on psi: a repeat lookup on the same object compares no fields."""
+    if psi._conductor is None:
+        _set(psi, "_conductor", _checked_conductor(psi))
+    return psi._conductor
+
+
+@cache
+def _checked_conductor(psi: AddChar) -> int:
     """Brute-force conductor of an additive character.
 
     The formula c = -ord(b) - d(E/F) pins the tail; triviality on the shells

@@ -22,13 +22,13 @@ conductor of t -> psi(-s t) is c(psi) - ord s, so the big-cell integral
 never builds a shifted additive character.  The averaged families write
 their matrices out directly (no matrix products), from elements of E
 embedded once per family, and an x-average only evaluates the points a
-refinement adds.
+refinement adds.  Every matrix of both families has det = a, so a family
+sums the big-cell integrals and takes the factor mu(det) |det|^{1/2} once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .characters import (
@@ -72,7 +72,6 @@ def bigcell_integral(chi: MultChar, C_aff: tuple, D_aff: tuple, psi: AddChar) ->
         s = beta.inv()
         alpha_s = alpha * s
         vbeta = K.val(beta)
-        pref = psi.cyc(alpha_s) * _qpow(q, vbeta)
         b2 = epsv * s
         a2 = delta - epsv * alpha_s
         if a2 == 0:
@@ -97,7 +96,9 @@ def bigcell_integral(chi: MultChar, C_aff: tuple, D_aff: tuple, psi: AddChar) ->
             # ord(a2 + b2 t) >= ord t means ord(t - t1) > ord t, so ord t =
             # ord t1 = T1: the coset is the whole support
             total = _qpow(q, T1) * coset_integral(chi, t1, L, psi, s)
-        return pref * total
+        if not total.nums:  # zero: no prefactor psi(alpha/beta) q^(ord beta) to build
+            return total
+        return psi.cyc(alpha_s) * _qpow(q, vbeta) * total
     # constant C(t) = alpha
     if epsv == 0:
         raise ValueError("degenerate section matrix (C and D both constant)")
@@ -133,10 +134,13 @@ class InducedSection(Value):
         _set(self, "chi_ratio", nu.mul(mu.inv()))
 
 
-@lru_cache(maxsize=256)
-def _abs_sqrt(q: int, v: int) -> Cyc:
-    """|x|^(1/2) = q^(-v/2) for ord x = v, looked up by the integer v."""
-    return _qpow(q, Fraction(-v, 2))
+def _det_factor(sec: InducedSection, det) -> Cyc:
+    """mu(det) |det|^{1/2}: the part of W_f(M) that sees M only through det,
+    a nonzero root of unity times a power of sqrt(q)."""
+    if det.is_zero():
+        raise ValueError("singular matrix")
+    E = sec.E
+    return _chi_cyc(sec.mu, det) * _qpow(E.q, Fraction(-E.val(det), 2))
 
 
 def whittaker_value(sec: InducedSection, M: tuple) -> Cyc:
@@ -145,15 +149,10 @@ def whittaker_value(sec: InducedSection, M: tuple) -> Cyc:
     Computed as mu(det) |det|^{1/2} times the big-cell t-integral; exact.
     The entries are embedded in E once, here.
     """
-    E = sec.E
     (A, B), (Cm, Dm) = M
-    A, B, Cm, Dm = map(E.embed, (A, B, Cm, Dm))
-    det = A * Dm - B * Cm
-    if det.is_zero():
-        raise ValueError("singular matrix")
-    core = bigcell_integral(sec.chi_ratio, (A, Cm), (B, Dm), sec.psi_xi)
-    pref = _chi_cyc(sec.mu, det) * _abs_sqrt(E.q, E.val(det))
-    return pref * core
+    A, B, Cm, Dm = map(sec.E.embed, (A, B, Cm, Dm))
+    pref = _det_factor(sec, A * Dm - B * Cm)
+    return pref * bigcell_integral(sec.chi_ratio, (A, Cm), (B, Dm), sec.psi_xi)
 
 
 # -- the paper's averaged test vectors ---------------------------------------
@@ -169,18 +168,19 @@ def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int) -> Cy
     The x-integral is discretized exactly; the discretization level is
     refined until two consecutive levels agree exactly.  The points
     x = p^c k, k < p^m, of level m are the first points of level m + 1, so
-    each refinement only adds the values at the new points.
+    each refinement only adds the values at the new points.  Every point
+    has det = a, so the refinement runs on the big-cell integrals alone; the
+    nonzero factor mu(a) |a|^{1/2} cannot change its exact decision.
     """
     E = sec.E
     F = E.ground
     step = E.embed(F.p) ** c_level
     a, zero, one = E.embed(a), E.zero(), E.one()
+    chi, psi = sec.chi_ratio, sec.psi_xi
 
     def points(lo: int, hi: int) -> Cyc:
-        """sum of W(diag(a,1) u_-(p^c k)) over lo <= k < hi."""
-        return Cyc.sum(
-            whittaker_value(sec, ((a, zero), (step * k, one))) for k in range(lo, hi)
-        )
+        """sum of the big-cell integrals of diag(a,1) u_-(p^c k), lo <= k < hi."""
+        return Cyc.sum(bigcell_integral(chi, (a, step * k), (zero, one), psi) for k in range(lo, hi))
 
     m = max(1, sec.mu.n)
     raw = points(0, F.p**m)
@@ -190,7 +190,7 @@ def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int) -> Cy
         m += 1
         cur = raw * _qpow(F.q, -(c_level + m))
         if (prev - cur).is_zero():
-            return prev * _qpow(F.q, scale_exp)
+            return _det_factor(sec, a) * prev * _qpow(F.q, scale_exp)
         prev = cur
     raise StabilizationError("x-average failed to stabilize")
 
@@ -212,19 +212,53 @@ def w_case2(sec: InducedSection, a) -> Cyc:
 
     h = sum_{u in O/pi^{r-1}} rho(u_-(pi u)) f + sum_{u in O/pi^r} rho(w1 u_-(u)) f;
     the closed form is (E:mu(a)|a| mu(pi)^r + |a|)-shaped with box supports.
+    Every matrix of the family has det = a: the big-cell integrals are
+    summed, and mu(a) |a|^{1/2} multiplies the sum once.
     """
     E = sec.E
     p = E.ground.p
     r = -(-sec.mu.n // E.e)
     a, zero, one = E.embed(a), E.zero(), E.one()
-    mats = [((a, zero), (E.elem(p * u), one)) for u in range(p ** max(r - 1, 0))]
-    mats += [((-a * u, -a), (one, zero)) for u in range(p**r)]
-    return Cyc.sum(whittaker_value(sec, M) for M in mats)
+    # (C(t), D(t)) coefficient pairs of ((a, 0), (p u, 1)) and ((-a u, -a), (1, 0))
+    rows = [((a, E.elem(p * u)), (zero, one)) for u in range(p ** max(r - 1, 0))]
+    rows += [((-a * u, one), (-a, zero)) for u in range(p**r)]
+    core = Cyc.sum(bigcell_integral(sec.chi_ratio, C, D, sec.psi_xi) for C, D in rows)
+    return _det_factor(sec, a) * core
 
 
 # ---------------------------------------------------------------------------
 # the spherical zeta integral and the gamma oracle
 # ---------------------------------------------------------------------------
+
+
+def _spherical_series(mu: MultChar, nu: MultChar, E: QuadExtension):
+    """(s, eta(pi), box level) -> Z(s, W, Phi) for the pair (mu, nu), with
+    the checks, t_mu, t_nu and omega(pi) taken once, for every s."""
+    if mu.n or nu.n:
+        raise ValueError("spherical oracle needs unramified mu, nu")
+    if conductor_add(psi_to_E(AddChar(E.ground, 1), E, E.xi())) != 0:
+        raise AssertionError("canonical psi_xi must have conductor 0")
+    q, e, qE = E.ground.q, E.e, E.q
+    t_nu = nu.t_full()
+    x = mu.t_full() / t_nu
+    p = E.embed(E.ground.p)
+    omega_p = mu.value(p) * nu.value(p)
+
+    def zeta(s: complex, eta_p, box_level: int) -> complex:
+        R = omega_p * eta_p**2 * q ** (-2 * s)
+        D = t_nu**e * eta_p * q ** (-s) * 1.0
+        for r in (R, D, D * x**e):
+            if abs(r - 1) < 1e-13:
+                raise PoleError(s)
+        t2_series = R**box_level / (1 - R)
+        if abs(x - 1) > 1e-12:
+            A = (1 - x / qE) / (1 - x)
+            v_series = A * (1 / (1 - D) - x / (1 - D * x**e))
+        else:
+            v_series = (1 - 1 / qE) * (e * D / (1 - D) ** 2 + 1 / (1 - D))
+        return t2_series * v_series
+
+    return zeta
 
 
 def spherical_zeta(
@@ -242,41 +276,16 @@ def spherical_zeta(
     The closed form is the meromorphic continuation.  W is not normalized:
     W(1) = 1 - (mu/nu)(pi)/q_E.
     """
-    if mu.n or nu.n:
-        raise ValueError("spherical oracle needs unramified mu, nu")
-    if conductor_add(psi_to_E(AddChar(E.ground, 1), E, E.xi())) != 0:
-        raise AssertionError("canonical psi_xi must have conductor 0")
-    F = E.ground
-    q = F.q
-    e = E.e
-    qE = E.q
-    t_mu = mu.t_full()
-    t_nu = nu.t_full()
-    x = t_mu / t_nu
-    eta_p = eta.value(Fraction(F.p)) if eta is not None else 1.0
-    omega_p = mu.value(E.embed(F.p)) * nu.value(E.embed(F.p))
-    R = omega_p * eta_p**2 * q ** (-2 * s)
-    D = t_nu**e * eta_p * q ** (-s) * 1.0
-    for r in (R, D, D * x**e):
-        if abs(r - 1) < 1e-13:
-            raise PoleError(s)
-    t2_series = R**box_level / (1 - R)
-    if abs(x - 1) > 1e-12:
-        A = (1 - x / qE) / (1 - x)
-        v_series = A * (1 / (1 - D) - x / (1 - D * x**e))
-    else:
-        v_series = (1 - 1 / qE) * (e * D / (1 - D) ** 2 + 1 / (1 - D))
-    return t2_series * v_series
+    eta_p = eta.value(Fraction(E.ground.p)) if eta is not None else 1.0
+    return _spherical_series(mu, nu, E)(s, eta_p, box_level)
 
 
-def spherical_gamma_oracle(
-    s: complex, mu: MultChar, nu: MultChar, E: QuadExtension, box_level: int = 0
-) -> complex:
-    """Z(1-s, W (x) omega0^{-1}, Phi^) / Z(s, W, Phi): the functional-equation
-    ratio that gamma_RS must reproduce (Phi the radial box)."""
-    q = E.ground.q
-    omega0_inv = restrict_to_F(mu.mul(nu)).inv()
-    num = spherical_zeta(1 - s, mu, nu, E, eta=omega0_inv, box_level=-box_level)
-    num *= q ** (-2.0 * box_level)
-    den = spherical_zeta(s, mu, nu, E, box_level=box_level)
-    return num / den
+def spherical_gamma_oracle(grid, mu: MultChar, nu: MultChar, E: QuadExtension, box_level: int = 0) -> list:
+    """Z(1-s, W (x) omega0^{-1}, Phi^) / Z(s, W, Phi) at each s of ``grid``:
+    the functional-equation ratio that gamma_RS must reproduce (Phi the
+    radial box).  What does not depend on s, omega0^{-1}(pi) included, is
+    computed once for the grid, as :func:`tate.fe_ratio` does."""
+    zeta = _spherical_series(mu, nu, E)
+    eta_p = restrict_to_F(mu.mul(nu)).inv().value(Fraction(E.ground.p))
+    scale = E.ground.q ** (-2.0 * box_level)
+    return [zeta(1 - s, eta_p, -box_level) * scale / zeta(s, 1.0, box_level) for s in grid]

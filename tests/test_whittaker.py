@@ -225,18 +225,88 @@ def test_stability_probes_run_on_the_w1_shape(monkeypatch):
     assert probed > 0
 
 
-def test_whittaker_closed_forms_at_p7():
-    # both closed forms, every extension type, at the next prime up
-    out = suite_whittaker_closed_forms(ps=(7,))
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_whittaker_closed_forms(p):
+    # both closed forms, every extension type, at the primes above the
+    # suite's own 3 and 5
+    out = suite_whittaker_closed_forms(ps=(p,))
     assert out["ok"], out["detail"]
     assert out["max_deviation"] == 0.0
 
 
-def test_whittaker_closed_forms_at_p11():
-    # both closed forms, every extension type, at p = 11
-    out = suite_whittaker_closed_forms(ps=(11,))
-    assert out["ok"], out["detail"]
-    assert out["max_deviation"] == 0.0
+# -- the averaged families against whittaker_value at each of their matrices --
+
+
+def _lower_average_by_values(sec, a, c_level, scale_exp):
+    """q^scale_exp times the level-m Riemann sum of W(diag(a,1) u_-(x)) over
+    x = p^c k, k < p^m, each point by whittaker_value, at the first level m
+    that equals the next; None if none does within the family's 4 steps."""
+    E = sec.E
+    p, q = E.ground.p, E.ground.q
+    d = diag_matrix(E, a)
+    values = []
+
+    def level(m):
+        # the points of level m are the first p^m points of every finer level
+        for k in range(len(values), p**m):
+            values.append(whittaker_value(sec, _mat_mul(E, d, lower_unipotent(E, p**c_level * k))))
+        return Cyc.sum(values[: p**m]) * _qpow(q, scale_exp - c_level - m)
+
+    m0 = max(1, sec.mu.n)
+    prev = level(m0)
+    for m in range(m0 + 1, m0 + 5):
+        cur = level(m)
+        if (prev - cur).is_zero():
+            return prev
+        prev = cur
+    return None
+
+
+def _case2_by_values(sec, a):
+    """sum W(diag(a,1) u_-(p u)) over u < p^(r-1) plus sum W(diag(a,1) w1
+    u_-(u)) over u < p^r, each matrix a product, each value by
+    whittaker_value."""
+    E = sec.E
+    p = E.ground.p
+    r = -(-sec.mu.n // E.e)
+    d = diag_matrix(E, a)
+    mats = [_mat_mul(E, d, lower_unipotent(E, p * u)) for u in range(p ** max(r - 1, 0))]
+    mats += [_mat_mul(E, d, _mat_mul(E, w1_matrix(E), lower_unipotent(E, u))) for u in range(p**r)]
+    return Cyc.sum(whittaker_value(sec, M) for M in mats)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_factored_families_equal_the_sum_of_their_values(p):
+    # w_case1 and w_case2 multiply the summed big-cell integrals by
+    # mu(a)|a|^(1/2) once, since every matrix of a family has det = a; that
+    # must be exactly the family's scale times the sum of whittaker_value
+    # over its matrices, at every a the verify suite checks, zeros included
+    checked = zeros = 0
+    for ext in EXTENSION_TYPES:
+        for lvl in (1, 2):
+            for restricted in (True, False):
+                sec = make_section(p, ext, lvl, restricted)
+                if sec is None:
+                    continue
+                E, mu = sec.E, sec.mu
+                r = -(-mu.n // E.e)
+                if restricted:
+                    c_mu = restrict_to_F(mu).n
+                    vas, family = range(c_mu - r - 2, 2), w_case1
+                else:
+                    vas, family = range(-r - 2, 2), w_case2
+                for va in vas:
+                    a = Fraction(p) ** va * 2
+                    got = family(sec, a)
+                    if restricted:
+                        want = _lower_average_by_values(sec, a, c_mu, r)
+                    else:
+                        want = _case2_by_values(sec, a)
+                    assert want is not None, (ext, lvl, va)
+                    assert (got - want).is_zero(), (ext, lvl, restricted, va)
+                    checked += 1
+                    zeros += got.is_zero()
+    assert checked > zeros > 0
 
 
 # -- psi(s .) as a multiplier against the explicitly shifted character ---------
@@ -350,9 +420,29 @@ def test_gamma_oracle_matches_gamma_rs_and_is_box_robust():
             mu = MultChar.unramified(E, Phase.exact(Fraction(rng.randrange(1, 24), 24)))
             nu = MultChar.unramified(E, Phase.exact(Fraction(rng.randrange(1, 24), 24)))
             gam = gamma_rs(AsaiInput(E, mu, nu, psi, E.xi()))
-            for s in DEFAULT_GRID:
-                lhs = spherical_gamma_oracle(s, mu, nu, E)
+            for s, lhs in zip(DEFAULT_GRID, spherical_gamma_oracle(DEFAULT_GRID, mu, nu, E)):
                 assert abs(lhs - gam.eval(s)) / abs(gam.eval(s)) < 1e-8
             # same ratio from the shrunken K-invariant box pair
-            lhs = spherical_gamma_oracle(0.7, mu, nu, E, box_level=1)
+            (lhs,) = spherical_gamma_oracle((0.7,), mu, nu, E, box_level=1)
             assert abs(lhs - gam.eval(0.7)) / abs(gam.eval(0.7)) < 1e-8
+
+
+@pytest.mark.parametrize("box_level", [0, 1])
+def test_gamma_oracle_grid_equals_the_pointwise_zeta_ratio(box_level):
+    # the grid form computes what does not depend on s once; each ratio must
+    # keep the bits of the one built from spherical_zeta point by point
+    rng = random.Random(4)
+    grid = DEFAULT_GRID + (0.25 + 3j, -1.5)
+    for p in (3, 5):
+        F = PAdicGround(p)
+        for ext in EXTENSION_TYPES:
+            E = QuadExtension(F, ext)
+            mu = MultChar.unramified(E, Phase.exact(Fraction(rng.randrange(1, 24), 24)))
+            nu = MultChar.unramified(E, Phase.exact(Fraction(rng.randrange(1, 24), 24)))
+            omega0_inv = restrict_to_F(mu.mul(nu)).inv()
+            want = []
+            for s in grid:
+                num = spherical_zeta(1 - s, mu, nu, E, eta=omega0_inv, box_level=-box_level)
+                num *= F.q ** (-2.0 * box_level)
+                want.append(num / spherical_zeta(s, mu, nu, E, box_level=box_level))
+            assert spherical_gamma_oracle(grid, mu, nu, E, box_level) == want
