@@ -4,7 +4,9 @@ Non-archimedean factors are rational in q^{-s}: a monomial c*q^{-m s} times
 products of (1 - alpha q^{-(a s + b)})^{+-1}.  Archimedean factors are
 constants times Gamma(a s + b)^mult and base^(u s + v) exponentials.
 Equality of factors is decided numerically on a fixed grid of generic points;
-Gamma identities make canonical symbolic normal forms impractical.
+Gamma identities make canonical symbolic normal forms impractical.  The
+verify suites and :func:`approx_equal` reduce their deviations to one number
+with :func:`worst_deviation`, so a deviation that is not a number fails.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .padic import Value, _set
 
@@ -20,6 +22,16 @@ DEFAULT_GRID = (0.7, 1.3, 2.1 + 0.5j, 0.4 - 0.8j, 1.05)
 REL_TOL_NONARCH = 1e-8
 REL_TOL_ARCH = 1e-6
 PHI_INDEPENDENCE_TOL = 1e-10
+
+
+def worst_deviation(devs: Iterable[float]) -> float:
+    """The largest of ``devs`` itself (0.0 for none).  A NaN is the worst
+    deviation: one NaN makes the result NaN, so ``worst < tol`` fails."""
+    worst = 0.0
+    for dev in devs:
+        if dev > worst or math.isnan(dev):
+            worst = dev
+    return worst
 
 
 class PoleError(ArithmeticError):
@@ -266,15 +278,13 @@ def approx_equal(
     grid: Sequence[complex] = DEFAULT_GRID,
     tol: float = REL_TOL_NONARCH,
 ) -> tuple[bool, float]:
-    """Relative deviation of two factors (or callables) on a grid of s-values."""
+    """Worst relative deviation (:func:`worst_deviation`) of two factors (or
+    callables) on a grid of s-values."""
     if not grid:
         raise ValueError("empty comparison grid")
-    worst = 0.0
-    for s in grid:
-        fv = f.eval(s) if hasattr(f, "eval") else f(s)
-        gv = g.eval(s) if hasattr(g, "eval") else g(s)
-        scale = max(abs(fv), abs(gv), 1e-30)
-        worst = max(worst, abs(fv - gv) / scale)
+    at = lambda h, s: h.eval(s) if hasattr(h, "eval") else h(s)
+    pairs = ((at(f, s), at(g, s)) for s in grid)
+    worst = worst_deviation(abs(fv - gv) / max(abs(fv), abs(gv), 1e-30) for fv, gv in pairs)
     return worst < tol, worst
 
 

@@ -373,9 +373,10 @@ def phi_deviations(fac: NonArchFactor, chi: MultChar, psi: AddChar):
 
 def certify_gamma(fac: NonArchFactor, chi: MultChar, psi: AddChar) -> None:
     """Raise ``ConsistencyError`` unless every :func:`phi_deviations` of ``fac``
-    from gamma(s, chi, psi) is within ``PHI_INDEPENDENCE_TOL``."""
+    from gamma(s, chi, psi) is within ``PHI_INDEPENDENCE_TOL``; a NaN
+    deviation is not."""
     for s, box, dev in phi_deviations(fac, chi, psi):
-        if dev > PHI_INDEPENDENCE_TOL:
+        if not dev <= PHI_INDEPENDENCE_TOL:
             raise ConsistencyError(
                 f"gamma oracle mismatch: dev={dev:.3e} at s={s} (Phi={box})"
             )

@@ -14,6 +14,7 @@ from asailocal.factors import (
     factor_from_json,
     gammafn,
     loggamma,
+    worst_deviation,
 )
 
 
@@ -103,6 +104,25 @@ def test_approx_equal_rejects_empty_grid():
     f = NonArchFactor.one(3)
     with pytest.raises(ValueError):
         approx_equal(f, f, [], 1e-8)
+
+
+def test_worst_deviation_is_nan_once_one_deviation_is():
+    assert worst_deviation([]) == 0.0
+    for devs in ([math.nan, 1.0, 2.0], [1.0, math.nan, 0.5], [3.0, math.inf, math.nan]):
+        assert math.isnan(worst_deviation(devs)), devs
+    assert worst_deviation([0.1, math.inf, 2.0]) == math.inf
+
+
+def test_approx_equal_fails_a_nan_and_keeps_a_finite_deviation():
+    ok, dev = approx_equal(NonArchFactor(5), lambda s: complex("nan"))
+    assert ok is False and math.isnan(dev)
+    f = NonArchFactor(5, c=2 - 1j, m=3, num=((0.5 + 0.2j, 1, 0j),))
+    g = f * (1 + 1e-9)
+    want = max(
+        abs(f.eval(s) - g.eval(s)) / max(abs(f.eval(s)), abs(g.eval(s)), 1e-30)
+        for s in DEFAULT_GRID
+    )
+    assert approx_equal(f, g) == (True, want)
 
 
 def test_factor_json_roundtrip():

@@ -217,6 +217,15 @@ def test_gamma_certification_catches_wrong_constant():
             certify_gamma(bad, chi, psi)
 
 
+def test_gamma_certification_refuses_a_nan_deviation(monkeypatch):
+    # `dev > tol` is false for a NaN; the oracle must not certify it
+    F = PAdicGround(5)
+    chi, psi = MultChar(F, 1, (Fraction(1, 2),), Phase.one()), standard_psi(F)
+    monkeypatch.setattr(tate_mod, "fe_ratio", lambda chi, psi, box, grid: [math.nan] * len(grid))
+    with pytest.raises(ConsistencyError, match=r"^gamma oracle mismatch: dev=nan at s=0\.7 \(Phi="):
+        certify_gamma(tate_gamma(chi, psi), chi, psi)
+
+
 README_TATE_RAMIFIED = [
     "tate", "--field", '{"p":3,"ext":"ramified-p"}',
     "--char", '{"field":"E","conductor":1,"unit_part":["1/2"],"t":{"angle":"1/3"}}',
