@@ -25,7 +25,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 
-from .factors import DEFAULT_GRID, ArchFactor, PoleError, REL_TOL_ARCH, gammafn, loggamma
+from .factors import (
+    DEFAULT_GRID,
+    ArchFactor,
+    PoleError,
+    REL_TOL_ARCH,
+    gammafn,
+    loggamma,
+    worst_deviation,
+)
 from .padic import Value, _set
 
 QUAD_TOL = 1e-8
@@ -735,15 +743,15 @@ def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID) -> dict:
 
     def mean_and_spread(rs: list) -> tuple[complex, float]:
         m = sum(rs) / len(rs)
-        return m, max(abs(r - m) for r in rs) / max(abs(m), 1e-30)
+        return m, worst_deviation(abs(r - m) for r in rs) / max(abs(m), 1e-30)
 
     cbar, spread = mean_and_spread(ratios)
     cbar_d, spread_d = mean_and_spread(ratios_dual)
-    spread = max(spread, spread_d)
-    ratio_dev = max(
+    spread = worst_deviation((spread, spread_d))
+    ratio_dev = worst_deviation((
         abs(cbar - datum.c_const) / abs(datum.c_const),
         abs(cbar_d - datum.c_dual_const) / abs(datum.c_dual_const),
-    )
+    ))
     eps_rs = cbar_d / cbar
     eps_gal = eps_gal_arch(mu, nu).eval(0.5)
     # relation: omega^{-1}(xi) |xi|_C^{-s+1/2} lambda(psi) eps_RS = eps_Gal

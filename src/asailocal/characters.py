@@ -1,15 +1,25 @@
 """Additive and multiplicative characters of F^x and E^x.
 
-Unit-part data is exact: a multiplicative character stores root-of-unity
-angles (Fractions mod 1) on the generators of (O_K/pi^n)^x, and additive
+Unit-part data is exact and integer: a multiplicative character of level n
+holds one denominator ``unit_den`` and one weight w_j per generator g_j of
+(O_K/pi^n)^x, chi(g_j) = e(w_j / unit_den), with 0 <= w_j < unit_den and
+gcd(unit_den, *w) = 1; ``angles`` reads them as Fractions.  Additive
 characters evaluate through the p-adic fractional part, so Gauss-sum
 identities fail only through genuine bugs, never rounding.  Conductors are
 always recomputed by brute force rather than trusted from constructors.
 
-Restriction to F^x, sigma-conjugation and composition with the norm are the
-one pullback x -> chi(f(x)) |x|^lam of :func:`_pullback`.  It, ``mul`` and
-``reduced`` change level through :meth:`MultChar._angles_at`, which returns
-a character's own angles at its own level without a dlog.
+Every character op works on the weights mod unit_den.  Restriction to F^x,
+sigma-conjugation and composition with the norm are the one pullback
+x -> chi(f(x)) |x|^lam of :func:`_pullback`.  It, ``mul`` and ``reduced``
+change level through two cached integer tables of generator dlogs, each
+computed once per pair of groups and map:
+
+* the pullback table (:func:`_pullback_table`): the dlogs in chi's group of
+  f(g) for the generators g of the group pulled back to, so chi o f has the
+  weights sum_j row_j w_j;
+* the reduction table (:func:`_reduction_table`): the dlogs in a group of
+  its one-unit generators at level m, on which chi is trivial iff every
+  row sums to 0 mod unit_den.
 
 Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
 kernel, :func:`shell_angles`, which works on the integer coordinates of
@@ -18,7 +28,7 @@ x = pi^v (a + b sqrt(d)) it gives two integer angle numerators:
 
 * chi's unit part, e(units[i] / unit_den): the sum of e_j w_j over the dlog
   exponents e_j of the residue key of a + b sqrt(d) (of 1 + x with
-  ``shift``), with the weights w_j = unit_den * angle_j fixed per character;
+  ``shift``), with chi's weights w_j;
 * psi(c x), e(psis[i] / psi_den): (alpha a + beta b) mod p^k, with alpha and
   beta the residues of p^k tr(c psi_mult pi^v) and p^k tr(c psi_mult pi^v
   sqrt(d)), psi_den = p^k.
@@ -85,12 +95,17 @@ class Phase:
     __slots__ = ("angle", "_z")
 
     def __init__(self, angle: Optional[Fraction] = None, z: Optional[complex] = None):
-        self.angle = Fraction(angle) % 1 if angle is not None else None
+        # every character op makes Phases; one already reduced skips a division
+        if angle is not None and not (
+            type(angle) is Fraction and 0 <= angle.numerator < angle.denominator
+        ):
+            angle = Fraction(angle) % 1
+        self.angle = angle
         self._z = complex(z) if z is not None else None
 
     @staticmethod
     def exact(angle) -> "Phase":
-        return Phase(angle=Fraction(angle))
+        return Phase(angle=angle)
 
     @staticmethod
     def approx(z: complex) -> "Phase":
@@ -226,31 +241,49 @@ def psi_to_E(psi: AddChar, E: QuadExtension, xi: Optional[EElement] = None) -> A
 class MultChar:
     """chi(x) = t^{ord x} * unit_part(x) * |x|^lam with exact unit-part data.
 
-    ``angles`` are the images (as angles) of the generators of ``group``,
-    the unit group (O_K/pi^n)^x, n the minimal conductor.  ``lam`` is kept
-    separate so the unitary data stays exact.
+    The unit part is held as integers: chi(g_j) = e(unit_weights[j] / unit_den)
+    on the generators g_j of ``group``, the unit group (O_K/pi^n)^x, n the
+    minimal conductor, with 0 <= w < unit_den and gcd(unit_den, *weights) = 1,
+    so unit_den is the lcm of the reduced denominators of the angles.
+    ``angles`` gives the same data as Fractions.  ``lam`` is kept separate so
+    the unitary data stays exact.
     """
 
-    __slots__ = ("field", "n", "group", "angles", "t", "lam", "unit_den", "unit_weights")
+    __slots__ = ("field", "n", "group", "t", "lam", "unit_den", "unit_weights")
 
     def __init__(self, field: Field, n: int, angles, t: Phase, lam=0):
+        angles = [Fraction(a) for a in angles]
+        den = math.lcm(*(a.denominator for a in angles))
+        self._init(field, n, den, [a.numerator * (den // a.denominator) for a in angles], t, lam)
+
+    def _init(self, field: Field, n: int, den: int, weights, t: Phase, lam) -> None:
+        g = math.gcd(den, *weights)
         self.field = field
         self.n = n
-        self.angles = tuple(Fraction(a) % 1 for a in angles)
-        # angle_j = unit_weights[j] / unit_den: integer angles for dlog sums
-        self.unit_den = math.lcm(*(a.denominator for a in self.angles))
-        self.unit_weights = tuple(
-            a.numerator * (self.unit_den // a.denominator) for a in self.angles
-        )
+        self.unit_den = den // g
+        self.unit_weights = tuple(w // g % self.unit_den for w in weights)
         self.t = t
         self.lam = lam if isinstance(lam, Fraction) else (
             Fraction(lam) if isinstance(lam, int) else complex(lam)
         )
         self.group = unit_group(field, n)
-        if len(self.angles) != len(self.group.gens):
+        if len(self.unit_weights) != len(self.group.gens):
             raise ValueError("angle vector does not match unit-group generators")
 
+    @property
+    def angles(self) -> tuple:
+        """The unit angles in [0, 1), Fraction(w, unit_den) per generator."""
+        return tuple(Fraction(w, self.unit_den) for w in self.unit_weights)
+
     # -- constructors ---------------------------------------------------------
+    @staticmethod
+    def _from_weights(field: Field, n: int, den: int, weights, t: Phase, lam) -> "MultChar":
+        """The character with angles w / den on the generators of
+        (O_K/pi^n)^x; den and the weights are reduced by their gcd."""
+        chi = MultChar.__new__(MultChar)
+        chi._init(field, n, den, weights, t, lam)
+        return chi
+
     @staticmethod
     def from_angles(field: Field, level: int, angles, t: Phase, lam=0) -> "MultChar":
         """Build from data at any level; the conductor is minimized by brute force."""
@@ -267,33 +300,29 @@ class MultChar:
 
     # -- conductor --------------------------------------------------------------
     def reduced(self) -> "MultChar":
-        """Same character presented at its minimal conductor."""
+        """Same character presented at its minimal conductor: the level
+        drops while chi is trivial on the one-unit generators below it
+        (:func:`_reduction_table`)."""
         n = self.n
-        while n >= 1:
-            level_gens = self._one_unit_gens_at(n - 1)
-            if all(self.unit_angle(g) == 0 for g in level_gens):
-                n -= 1
-            else:
-                break
+        while n >= 1 and not any(map(self._unit_num, _reduction_table(self.field, self.n, n - 1))):
+            n -= 1
         if n == self.n:
             return self
-        return MultChar(self.field, n, self._angles_at(self.field, n), self.t, self.lam)
-
-    def _one_unit_gens_at(self, m: int):
-        """Generators of (1+pi^m O)/(1+pi^n O) inside the level-n group."""
-        return self.group.gens if m == 0 else self.group.one_unit_gens(m)
+        weights = self._weights_at(self.field, n, "identity")
+        return MultChar._from_weights(self.field, n, self.unit_den, weights, self.t, self.lam)
 
     @property
     def is_ramified(self) -> bool:
         return self.n >= 1
 
-    def _angles_at(self, K: Field, level: int, f=None) -> tuple:
-        """Unit angles of x -> chi(f(x)) on the generators of (O_K/pi^level)^x;
-        f = None is the identity, and at chi's own level that is ``angles``."""
-        if f is None and level == self.n:
-            return self.angles
-        gens = unit_group(K, level).gens
-        return tuple(self.unit_angle(f(g) if f else g) for g in gens)
+    def _weights_at(self, K: Field, level: int, fmap: str) -> tuple:
+        """Unit weights over ``unit_den`` of x -> chi(f(x)) on the generators
+        of (O_K/pi^level)^x, f the map named ``fmap`` (:data:`_MAPS`), read
+        off :func:`_pullback_table`; the identity at chi's own level is
+        ``unit_weights``."""
+        if fmap == "identity" and level == self.n:
+            return self.unit_weights
+        return tuple(map(self._unit_num, _pullback_table(self.field, self.n, K, level, fmap)))
 
     # -- evaluation ----------------------------------------------------------------
     def unit_angle(self, u) -> Fraction:
@@ -362,22 +391,27 @@ class MultChar:
         if is_extension(self.field) != is_extension(other.field):
             raise ValueError("characters live on different fields")
         K, n = self.field, max(self.n, other.n)
-        angles = tuple(
-            (a + b) % 1 for a, b in zip(self._angles_at(K, n), other._angles_at(K, n))
-        )
+        den = math.lcm(self.unit_den, other.unit_den)
+        a, b = den // self.unit_den, den // other.unit_den
+        weights = [
+            x * a + y * b
+            for x, y in zip(self._weights_at(K, n, "identity"), other._weights_at(K, n, "identity"))
+        ]
         lam = _add_lam(self.lam, other.lam)
-        return MultChar.from_angles(K, n, angles, self.t * other.t, lam)
+        return MultChar._from_weights(K, n, den, weights, self.t * other.t, lam).reduced()
 
     __mul__ = mul
 
     def inv(self) -> "MultChar":
-        angles = tuple((-a) % 1 for a in self.angles)
-        lam = -self.lam
-        return MultChar(self.field, self.n, angles, self.t.inv(), lam)
+        weights = [-w for w in self.unit_weights]
+        return MultChar._from_weights(
+            self.field, self.n, self.unit_den, weights, self.t.inv(), -self.lam
+        )
 
     def twist_by_norm_power(self, w) -> "MultChar":
         """chi * |.|^w."""
-        return MultChar(self.field, self.n, self.angles, self.t, _add_lam(self.lam, w))
+        lam = _add_lam(self.lam, w)
+        return MultChar._from_weights(self.field, self.n, self.unit_den, self.unit_weights, self.t, lam)
 
     def is_trivial(self) -> bool:
         """Exact on exact data (Fraction lam, exact t); within 1e-9 on float
@@ -619,16 +653,50 @@ def shell_sum(chi: MultChar, psi: AddChar, v: int, m: int) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _pullback(chi: MultChar, K: Field, level: int, f, v: int, lam) -> MultChar:
+# The maps of the transports, by name, from K into L, so that the tables
+# below are keyed on values: the identity, F -> E, sigma and N_{E/F}.
+_MAPS = {
+    "identity": lambda L, x: x,
+    "embed": lambda L, x: L.embed(x),
+    "conj": lambda L, x: x.conj(),
+    "norm": lambda L, x: x.norm(),
+}
+
+
+@lru_cache(maxsize=None)
+def _pullback_table(L: Field, n: int, K: Field, level: int, fmap: str) -> tuple:
+    """The dlogs in ``unit_group(L, n)`` of f(g), f the map named ``fmap``,
+    for the generators g of ``unit_group(K, level)``: a character of level
+    n on L with weights w pulls back to the weights sum_j row_j w_j."""
+    G, gens = unit_group(L, n), unit_group(K, level).gens
+    if n == 0:
+        return ((),) * len(gens)
+    f = _MAPS[fmap]
+    return tuple(G.dlog(f(L, g)) for g in gens)
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(K: Field, n: int, m: int) -> tuple:
+    """The dlogs in ``unit_group(K, n)`` of its generators of
+    (1+pi^m O)/(1+pi^n O) (``one_unit_gens``), or of all its generators at
+    m = 0: a character of level n is trivial on that subgroup iff
+    sum_j row_j w_j = 0 mod unit_den on every row."""
+    G = unit_group(K, n)
+    return tuple(map(G.dlog, G.gens if m == 0 else G.one_unit_gens(m)))
+
+
+def _pullback(chi: MultChar, K: Field, level: int, fmap: str, v: int, lam) -> MultChar:
     """x -> chi(f(x)) |x|_K^lam on K^x, built at ``level`` and reduced, for
-    a homomorphism f into chi's field taking units to units and pi_K to
-    valuation v: chi(f(pi_K)) is t^v times chi at the unit part of f(pi_K)."""
+    the homomorphism f named ``fmap`` into chi's field, taking units to
+    units and pi_K to valuation v: chi(f(pi_K)) is t^v times chi at the unit
+    part of f(pi_K)."""
     L = chi.field
-    fpi = f(K.uniformizer())
+    fpi = _MAPS[fmap](L, K.uniformizer())
     if L.val(fpi) != v:
         raise AssertionError(f"the uniformizer must map to valuation {v}")
     t = chi.t**v * Phase.exact(chi.unit_angle(L.unit_part(fpi)))
-    return MultChar.from_angles(K, level, chi._angles_at(K, level, f), t, lam)
+    weights = chi._weights_at(K, level, fmap)
+    return MultChar._from_weights(K, level, chi.unit_den, weights, t, lam).reduced()
 
 
 def restrict_to_F(chi: MultChar) -> MultChar:
@@ -637,7 +705,7 @@ def restrict_to_F(chi: MultChar) -> MultChar:
     if not is_extension(E):
         raise ValueError("restriction needs a character of E^x")
     level = (chi.n + E.e - 1) // E.e
-    return _pullback(chi, E.ground, level, E.embed, E.e, chi.lam * 2)
+    return _pullback(chi, E.ground, level, "embed", E.e, chi.lam * 2)
 
 
 def sigma_conjugate(chi: MultChar) -> MultChar:
@@ -645,7 +713,7 @@ def sigma_conjugate(chi: MultChar) -> MultChar:
     E: QuadExtension = chi.field
     if not is_extension(E):
         raise ValueError("sigma conjugation needs a character of E^x")
-    out = _pullback(chi, E, chi.n, EElement.conj, 1, chi.lam)
+    out = _pullback(chi, E, chi.n, "conj", 1, chi.lam)
     if out.n != chi.n:
         raise AssertionError("sigma conjugation must preserve the conductor")
     return out
@@ -655,7 +723,7 @@ def compose_with_norm(chi: MultChar, E: QuadExtension) -> MultChar:
     """chi o N_{E/F} as a character of E^x."""
     if is_extension(chi.field):
         raise ValueError("compose_with_norm needs a character of F^x")
-    return _pullback(chi, E, E.e * chi.n, EElement.norm, 2 // E.e, chi.lam)
+    return _pullback(chi, E, E.e * chi.n, "norm", 2 // E.e, chi.lam)
 
 
 def extend_from_F(chi: MultChar, E: QuadExtension) -> MultChar:
@@ -670,20 +738,16 @@ def extend_from_F(chi: MultChar, E: QuadExtension) -> MultChar:
         raise ValueError("extend_from_F needs a character of F^x")
     F = chi.field
     M = E.e * chi.n + 2
-    G = unit_group(E, M)
     MF = (M + E.e - 1) // E.e
-    GF = unit_group(F, MF)
-    orders = list(G.orders)
-    # unit constraint: angles on G.gens must restrict to chi on the F-generator
-    if GF.gens:
-        gF = GF.gens[0]
-        exps = G.dlog(E.embed(gF))
-        target = chi.unit_angle(gF)
-        ks = _solve_congruence(exps, orders, target)
-    else:
-        ks = [0] * len(orders)
-    angles = [Fraction(k, d) for k, d in zip(ks, orders)]
-    tmp = MultChar(E, M, angles, Phase.one(), 0)
+    orders = unit_group(E, M).orders
+    # unit constraint: the weights on the generators of (O_E/pi^M)^x must
+    # restrict to chi on the generator of (O_F/p^MF)^x, MF >= 1
+    (exps,) = _pullback_table(E, M, F, MF, "embed")
+    (target,) = chi._weights_at(F, MF, "identity")
+    ks = _solve_congruence(exps, orders, Fraction(target, chi.unit_den))
+    den = math.lcm(*orders)
+    weights = [k * (den // d) for k, d in zip(ks, orders)]
+    tmp = MultChar._from_weights(E, M, den, weights, Phase.one(), 0)
     # uniformizer constraint: chi~(p) = chi(p) once the twist lam/2 is split off
     pi = E.uniformizer()
     u_p = E.embed(F.p) * (pi ** E.e).inv()
@@ -696,8 +760,7 @@ def extend_from_F(chi: MultChar, E: QuadExtension) -> MultChar:
     else:
         t = Phase.approx((chi.t.value() * _angle_exp(-resid)) ** (1.0 / E.e))
     lam = chi.lam / 2 if isinstance(chi.lam, Fraction) else complex(chi.lam) / 2
-    out = MultChar.from_angles(E, M, angles, t, lam)
-    return out
+    return MultChar._from_weights(E, M, den, weights, t, lam).reduced()
 
 
 def _solve_congruence(exps, orders, target: Fraction) -> list[int]:

@@ -126,10 +126,11 @@ def _chi_cyc(chi: MultChar, x) -> Cyc:
 
 
 @lru_cache(maxsize=1024)
-def _unit_part(field, n: int, angles: tuple) -> MultChar:
-    """The character with unit data (n, angles), t = 1 and lam = 0: one
-    object per value, so equal characters share the cached integrals below."""
-    return MultChar(field, n, angles, Phase.one())
+def _unit_part(field, n: int, unit_den: int, unit_weights: tuple) -> MultChar:
+    """The character with unit data (n, unit_den, unit_weights), t = 1 and
+    lam = 0: one object per value, so equal characters share the cached
+    integrals below."""
+    return MultChar._from_weights(field, n, unit_den, unit_weights, Phase.one(), 0)
 
 
 @lru_cache(maxsize=256)
@@ -243,7 +244,7 @@ def zeta_terms(chi: MultChar, psi: AddChar, box: ModBox) -> list:
     c = conductor_add(psi)
     vol_O = float(q ** Fraction(c, 2))
     zeta1 = 1.0 / (1.0 - 1.0 / q)
-    unit = _unit_part(chi.field, chi.n, chi.angles)
+    unit = _unit_part(chi.field, chi.n, chi.unit_den, chi.unit_weights)
     a, n, m0 = K.embed(box.center), box.level, K.embed(box.mult)
     coef = box.coef * zeta1
     terms = []

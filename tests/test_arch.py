@@ -505,6 +505,24 @@ def test_zeta_integral_case_pole_names_the_grid_point():
     assert exc.value.where == 1.5
 
 
+def test_zeta_integral_case_keeps_a_nan_deviation(monkeypatch):
+    # a NaN dual L-factor makes the dual ratios NaN; spread and ratio_dev
+    # must report it, not the finite deviations of the other side
+    l_gal = arch.l_gal_arch
+
+    class NanFactor:
+        def eval(self, s):
+            return complex("nan")
+
+    def l_gal_nan_dual(mu, nu, dual=False):
+        return NanFactor() if dual else l_gal(mu, nu)
+
+    monkeypatch.setattr(arch, "l_gal_arch", l_gal_nan_dual)
+    rep = zeta_integral_case(CChar(0.13 + 0.07j, 2), CChar(-0.11 + 0.02j, 0))
+    assert math.isnan(rep["spread"]) and math.isnan(rep["ratio_dev"]), rep
+    assert not rep["ok"]
+
+
 def test_l_gal_dual_symmetry():
     # L for the contragredient is the lam -> -lam substitution
     mu, nu = CChar(0.2 + 0.1j, 3), CChar(-0.1, 1)

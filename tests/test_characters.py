@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from asailocal.characters import (
     compose_with_norm,
     conductor_add,
     extend_from_F,
+    mult_char_from_json,
     omega_quadratic,
     psi_to_E,
     restrict_to_F,
@@ -318,8 +320,19 @@ def assert_minimal(chi):
     assert any(chi.angle_at(u) != 0 for u in units), chi
 
 
+def assert_integer_core(chi):
+    """The unit part is reduced integers, ``angles`` reads them as
+    Fractions, and the --char JSON round trip gives the same JSON and repr."""
+    den, ws = chi.unit_den, chi.unit_weights
+    assert all(0 <= w < den for w in ws), chi
+    assert math.gcd(den, *ws) == 1, chi
+    assert chi.angles == tuple(Fraction(w, den) for w in ws)
+    back = mult_char_from_json(chi.to_json(), chi.field)
+    assert back.to_json() == chi.to_json() and repr(back) == repr(chi)
+
+
 @pytest.mark.parametrize("ext", EXTENSION_TYPES)
-@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32), levels=st.lists(st.integers(0, 3), min_size=5, max_size=5))
 def test_transports_are_exact_pullbacks_at_minimal_conductor(p, ext, seed, levels):
@@ -335,8 +348,13 @@ def test_transports_are_exact_pullbacks_at_minimal_conductor(p, ext, seed, level
     rest, sig = restrict_to_F(chi), sigma_conjugate(chi)
     nrm, red, redF = compose_with_norm(chiF, E), raw.reduced(), rawF.reduced()
     prod, prodF = chi.mul(chi2), chiF.mul(rawF)
-    for out in (rest, sig, nrm, prod, prodF, red, redF):
+    w = rng.choice((-2, -1, 1, 2))
+    inv, tw, ext = chi.inv(), chi.twist_by_norm_power(Fraction(w)), extend_from_F(chiF, E)
+    back = restrict_to_F(ext)
+    for out in (rest, sig, nrm, prod, prodF, red, redF, inv, tw, ext, back):
         assert_minimal(out)
+        assert_integer_core(out)
+    assert tw.lam == chi.lam + w
     for _ in range(6):
         x, y = rand_elem(E, rng), rand_elem(F, rng)
         assert rest.angle_at(y) == chi.angle_at(E.embed(y))
@@ -346,6 +364,11 @@ def test_transports_are_exact_pullbacks_at_minimal_conductor(p, ext, seed, level
         assert prodF.angle_at(y) == (chiF.angle_at(y) + rawF.angle_at(y)) % 1
         assert red.angle_at(x) == raw.angle_at(x)
         assert redF.angle_at(y) == rawF.angle_at(y)
+        assert inv.angle_at(x) == -chi.angle_at(x) % 1
+        # |x|^w is 1 on units, and chi * |.|^w * |.|^-w is chi again
+        assert tw.angle_at(E.unit_part(x)) == chi.angle_at(E.unit_part(x))
+        assert tw.twist_by_norm_power(Fraction(-w)).angle_at(x) == chi.angle_at(x)
+        assert back.angle_at(y) == chiF.angle_at(y)
 
 
 def test_exact_values_are_cyclotomic():

@@ -257,7 +257,7 @@ def test_certified_gamma_calls_fe_ratio_once_per_test_function(monkeypatch, caps
 def _valuation_piece(chi, v, integral, *args):
     """A shell or coset integral of chi on valuation v: the exact integral of
     chi's unit part, times chi(pi)^v."""
-    unit = tate_mod._unit_part(chi.field, chi.n, chi.angles)
+    unit = tate_mod._unit_part(chi.field, chi.n, chi.unit_den, chi.unit_weights)
     return integral(unit, *args).to_complex() * chi._value(v, 1)
 
 
