@@ -149,6 +149,7 @@ class PAdicGround(Value):
         return self
 
     different_exponent = 0
+    e = 1
 
     # -- element constructors --------------------------------------------------
     def elem(self, a: Rational) -> Fraction:

@@ -8,11 +8,14 @@ group's level, ``G.key(u) = K.residue(u, level)`` (an int on F, a pair on E;
 integer coordinates (a, b) of units a + b sqrt(d), and ``G.logs[key]`` is the
 exponent tuple, so ``G.dlog(u)`` is ``G.logs[G.key(u)]``.  No group holds a
 table of its elements: ``logs`` computes the dlog of each key on its first
-use.  The Teichmueller exponent comes from the residue mod p.  The 1-units
-are digit-peeled on F (powers of u = g^(p-1)) and on unramified E
-((1+p) x (1+p sqrt(d))); on ramified E they get a greedy basis, found and
-solved in coordinates that the p-adic log makes linear at every odd p
-(``_LogSpan``; Neukirch, *Algebraic Number Theory*, II (5.5)).  Generators become field elements once, at the end.
+use.  Every group peels a key the same way (``UnitGroup._peel``), on
+integer pairs a + b sqrt(d) (b = 0 on F): a Teichmueller table maps the
+residue mod pi to k and the inverse of the k-th power of the lift, and the
+1-unit left over is solved in coordinates that the p-adic log makes linear
+at every odd p (``_LogSpan``; Neukirch, *Algebraic Number Theory*, II
+(5.5)).  The 1-unit basis is u = g^(p-1) on F, whose one generator g takes
+the dlog k + (p-1) m; (1+p) x (1+p sqrt(d)) on unramified E; and a greedy
+basis on ramified E.  Generators become field elements once, at the end.
 ``unit_group`` refuses a level whose residues need more digits than the
 field carries.
 
@@ -32,14 +35,6 @@ from functools import lru_cache
 from .padic import Field, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED
 
 
-def _primitive_root(p: int) -> int:
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
-            return g
-    raise ValueError(f"no primitive root mod {p}")
-
-
 def _prime_factors(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -53,91 +48,15 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class UnitGroup:
-    """Abstract base: generators, orders, and dlog for (O_K/pi^n)^x.
-
-    ``key(u)`` is the integer residue of a unit u at this level: an int on F,
-    a pair (a mod p^ma, b mod p^mb) on E (``E.residue_digits``).  ``logs``
-    maps each key to its exponent tuple, so ``dlog(u)`` is ``logs[key(u)]``,
-    and ``keys(coords)`` gives the keys of the units a + b sqrt(d) straight
-    from integer coordinates, with no field element.
-    """
-
-    field: Field
-    level: int
-    gens: list
-    orders: list[int]
-    logs: dict
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.orders)
-
-    def key(self, u):
-        """Canonical residue key of a unit at this level."""
-        return self.field.residue(self.field.embed(u), self.level)
-
-    def keys(self, coords) -> list:
-        """Residue keys of the units a + b sqrt(d), (a, b) integers in coords."""
-        E = self.field
-        ma, mb = E.residue_digits(self.level)
-        Ma, Mb = E.p**ma, E.p**mb
-        return [(a % Ma, b % Mb) for a, b in coords]
-
-
-class FUnitGroup(UnitGroup):
-    """(Z/p^n)^x, cyclic for odd p, generated by g.
-
-    The dlog k of a key x is peeled on first use: k0 from the log of g mod p,
-    then y = x g^(-k0), a 1-unit and so a power u^m of u = g^(p-1), one
-    p-adic digit of m per level; k = k0 + (p-1) m."""
-
-    def __init__(self, ground: PAdicGround, level: int):
-        self.field = ground
-        self.level = level
-        p = ground.p
-        if level == 0:
-            self.gens, self.orders = [], []
-            self.logs = {0: ()}
-            return
-        g = _primitive_root(p)
-        if level >= 2 and pow(g, p - 1, p * p) == 1:
-            g += p
-        self.gens = [Fraction(g)]
-        self.orders = [(p - 1) * p ** (level - 1)]
-        mod = p**level
-        # residue mod p of g^k -> (k, g^-k)
-        self._log_mod_p = {pow(g, k, p): (k, pow(g, -k, mod)) for k in range(p - 1)}
-        u = pow(g, p - 1, mod)
-        # u^(-p^(j-1)) for 1 <= j < level; u = 1 + p l mod p^2 with l a unit,
-        # and u^(p^(j-1)) = 1 + p^j l mod p^(j+1) for odd p
-        self._steps = [pow(u, -(p ** (j - 1)), mod) for j in range(1, level)]
-        self._l_inv = pow((u - 1) // p, -1, p) if level > 1 else 0
-        self.logs = _PeeledLogs(self._peel)
-
-    def keys(self, coords) -> list:
-        M = self.field.p**self.level
-        return [a % M for a, _ in coords]
-
-    def dlog(self, u):
-        return self.logs[self.key(u)]
-
-    def _peel(self, key: int) -> tuple:
-        p = self.field.p
-        mod = p**self.level
-        k0, g_inv = self._log_mod_p[key % p]
-        y = key * g_inv % mod
-        m = 0
-        for j, step in enumerate(self._steps, 1):
-            # y = 1 + p^j c mod p^(j+1): the digit c / l of m at p^(j-1)
-            c = (y - 1) // p**j * self._l_inv % p
-            y = y * pow(step, c, mod) % mod
-            m += c * p ** (j - 1)
-        assert y == 1, "digit peeling failed"
-        return (k0 + (p - 1) * m,)
-
-    def one_unit_gens(self, m: int):
-        return [Fraction(1 + self.field.p**m)]
+def _residue_generator(p: int, q: int, d: int) -> tuple:
+    """The first a + b sqrt(d), a-major, that generates F_q^x; b = 0 where
+    q = p, so on F and ramified E it is the least primitive root mod p."""
+    factors = _prime_factors(q - 1)
+    for a in range(p):
+        for b in range(q // p):
+            if (a or b) and all(_ppow((a, b), (q - 1) // ell, d, p) != (1, 0) for ell in factors):
+                return a, b
+    raise ValueError(f"no generator of F_{q}^x found")
 
 
 def _pmul(x: tuple, y: tuple, d: int, mod: int, mod_b: int | None = None) -> tuple:
@@ -170,78 +89,156 @@ class _PeeledLogs(dict):
         return out
 
 
-class EUnramUnitGroup(UnitGroup):
-    """(O_E/p^n)^x for unramified E: Teichmueller x two 1-unit lines.
+class UnitGroup:
+    """Abstract base: generators, orders, and dlog for (O_K/pi^n)^x.
 
-    Everything runs on integer pairs (a, b) = a + b sqrt(d) mod p^n.  A dlog
-    is digit-peeled on first use of its key and cached; there is no full
-    table, which would hold (p^2-1) p^(2n-2) entries."""
+    ``key(u)`` is the integer residue of a unit u at this level: an int on F,
+    a pair (a mod p^ma, b mod p^mb) on E (``E.residue_digits``).  ``logs``
+    maps each key to its exponent tuple, so ``dlog(u)`` is ``logs[key(u)]``,
+    and ``keys(coords)`` gives the keys of the units a + b sqrt(d) straight
+    from integer coordinates, with no field element.
 
-    def __init__(self, E: QuadExtension, level: int):
-        self.field = E
-        self.level = level
+    Everything runs on integer pairs (a mod Ma, b mod Mb) = a + b sqrt(d),
+    (Ma, Mb) = ``_mods``; on F, Mb = 1 and b is 0.  The first basis element
+    is a lift of a generator of F_q^x, and ``_teich`` maps the residue mod pi
+    of its k-th power to (k, its inverse).  The rest is a basis of the
+    1-units, held in ``_span`` (``_LogSpan``).  ``_peel`` reads k off the
+    residue of a key, and one span solve gives the exponents of the 1-unit
+    left over."""
+
+    field: Field
+    level: int
+    gens: list
+    orders: list[int]
+    logs: dict
+
+    def __init__(self, K: Field, level: int):
+        self.field, self.level = K, level
+        # F has no sqrt(d): b is 0 mod Mb = 1 there, so d never enters
+        self._d = getattr(K, "d", 0)
+        ma, mb = (level, 0) if isinstance(K, PAdicGround) else K.residue_digits(level)
+        self._mods = (K.p**ma, K.p**mb)
         if level == 0:
-            self.gens, self.orders = [], []
-            self.logs = {(0, 0): ()}
+            self.gens, self.orders, self.logs = [], [], {self.key(1): ()}
             return
-        p, d = E.p, E.d
-        order = p * p - 1
-        gbar = self._residue_field_generator(p, d)
-        self._fq_log = {}
-        acc = (1, 0)
-        for k in range(order):
-            self._fq_log[acc] = k
-            acc = _pmul(acc, gbar, d, p)
-        # omega = gbar^(p^(2(level-1)) * s) has exact order p^2-1 and lifts gbar
-        pk = p ** (2 * (level - 1))
-        s = pow(pk, -1, order) if level > 1 else 1
-        self._omega = _ppow(gbar, pk * s, d, p**level)
+        if level > 1:  # at level 1 there are no 1-units
+            self._span = _LogSpan(self)
+        basis = self._basis(_residue_generator(K.p, K.q, self._d))
+        self._teich = self._teich_table(basis[0][0])
+        # b is 0 on F, whose elem takes a alone
+        self.gens = [K.elem(*h) if h[1] else K.elem(h[0]) for h, _ in basis]
+        self.orders = [m for _, m in basis]
         self.logs = _PeeledLogs(self._peel)
-        if level == 1:
-            self.gens = [E.elem(*self._omega)]
-            self.orders = [order]
-        else:
-            self.gens = [E.elem(*self._omega), E.elem(1 + p), E.elem(1, p)]
-            self.orders = [order, p ** (level - 1), p ** (level - 1)]
 
-    @staticmethod
-    def _residue_field_generator(p: int, d: int) -> tuple:
-        order = p * p - 1
-        factors = _prime_factors(order)
-        for a in range(p):
-            for b in range(p):
-                if a == 0 and b == 0:
-                    continue
-                if all(_ppow((a, b), order // ell, d, p) != (1, 0) for ell in factors):
-                    return a, b
-        raise ValueError("no generator of the residue field found")
+    @property
+    def size(self) -> int:
+        return math.prod(self.orders)
+
+    def key(self, u):
+        """Canonical residue key of a unit at this level."""
+        return self.field.residue(self.field.embed(u), self.level)
+
+    def keys(self, coords) -> list:
+        """Residue keys of the units a + b sqrt(d), (a, b) integers in coords."""
+        Ma, Mb = self._mods
+        return [(a % Ma, b % Mb) for a, b in coords]
+
+    def _basis(self, gbar: tuple) -> list[tuple]:
+        """(h, order) of each generator on E: the Teichmueller lift omega of
+        gbar, of order q - 1, then the 1-unit basis."""
+        q = self.field.q
+        omega = self._pow(gbar, q ** (self.level - 1))
+        return [(omega, q - 1)] + (self._one_unit_basis() if self.level > 1 else [])
+
+    def _mod_pi(self, x: tuple) -> tuple:
+        """The residue of x mod pi: (a mod p, b mod p) on unramified E,
+        (a mod p, 0) on F and ramified E."""
+        p = self.field.p
+        return x[0] % p, x[1] % (self.field.q // p)
+
+    def _teich_table(self, h: tuple) -> dict:
+        """residue mod pi of h^k -> (k, h^-k) for 0 <= k < q - 1, h a lift
+        of a generator of F_q^x."""
+        out, x, x_inv, h_inv = {}, (1, 0), (1, 0), self._inv(h)
+        for k in range(self.field.q - 1):
+            out[self._mod_pi(x)] = (k, x_inv)
+            x, x_inv = self._mul(x, h), self._mul(x_inv, h_inv)
+        return out
+
+    def _peel(self, key) -> tuple:
+        x = key if isinstance(key, tuple) else (key, 0)
+        k, lift_inv = self._teich[self._mod_pi(x)]
+        if self.level == 1:
+            return (k,)
+        exps = self._span.exps(self._mul(x, lift_inv))
+        if exps is None:
+            raise ArithmeticError(f"the 1-unit left of the key {key} lies outside the span")
+        return self._combine(k, exps)
+
+    def _combine(self, k: int, exps: tuple) -> tuple:
+        return (k,) + exps
+
+    def _mul(self, x: tuple, y: tuple) -> tuple:
+        return _pmul(x, y, self._d, *self._mods)
+
+    def _pow(self, x: tuple, k: int) -> tuple:
+        return _ppow(x, k, self._d, *self._mods)
+
+    def _inv(self, x: tuple) -> tuple:
+        """(a - b sqrt(d)) / N with N = a^2 - d b^2, a unit."""
+        a, b = x
+        Ma, Mb = self._mods
+        n_inv = pow(a * a - self._d * b * b, -1, Ma)
+        return a * n_inv % Ma, -b * n_inv % Mb
+
+
+class FUnitGroup(UnitGroup):
+    """(Z/p^n)^x, cyclic for odd p, generated by g: the least primitive root
+    mod p, moved up by p where g^(p-1) = 1 mod p^2 so that it generates mod
+    every p^n.
+
+    The table of g gives k0 and g^(-k0) from x mod p; y = x g^(-k0) is a
+    1-unit, a power u^m of the span's one basis element u = g^(p-1), and the
+    dlog of x is k0 + (p-1) m."""
+
+    def keys(self, coords) -> list:
+        M = self._mods[0]
+        return [a % M for a, _ in coords]
 
     def dlog(self, u):
         return self.logs[self.key(u)]
 
-    def _peel(self, key: tuple) -> tuple:
-        p, n, d = self.field.p, self.level, self.field.d
-        mod = p**n
-        e0 = self._fq_log[(key[0] % p, key[1] % p)]
-        if n == 1:
-            return (e0,)
-        y = _pmul(key, _ppow(self._omega, self.orders[0] - e0, d, mod), d, mod)
-        i = j = 0
-        for k in range(1, n):
-            # y = 1 + p^k (c + c' sqrt(d)) mod p^(k+1)
-            c = (y[0] - 1) // p**k % p
-            cp = y[1] // p**k % p
-            i += c * p ** (k - 1)
-            j += cp * p ** (k - 1)
-            corr = _pmul(
-                _ppow((1 + p, 0), self.orders[1] - c * p ** (k - 1), d, mod),
-                _ppow((1, p), self.orders[2] - cp * p ** (k - 1), d, mod),
-                d,
-                mod,
-            )
-            y = _pmul(y, corr, d, mod)
-        assert y == (1, 0), "digit peeling failed"
-        return (e0, i % self.orders[1], j % self.orders[2])
+    def _basis(self, gbar: tuple) -> list[tuple]:
+        p, n = self.field.p, self.level
+        g = gbar[0]
+        if n >= 2 and pow(g, p - 1, p * p) == 1:
+            g += p
+        if n > 1:
+            self._span.add(self._pow((g, 0), p - 1), p ** (n - 1))
+        return [((g, 0), (p - 1) * p ** (n - 1))]
+
+    def _combine(self, k: int, exps: tuple) -> tuple:
+        return (k + (self.field.p - 1) * exps[0],)
+
+    def one_unit_gens(self, m: int):
+        return [Fraction(1 + self.field.p**m)]
+
+
+class EUnramUnitGroup(UnitGroup):
+    """(O_E/p^n)^x for unramified E: Teichmueller x two 1-unit lines.
+
+    The 1-unit basis is 1 + p and 1 + p sqrt(d), each of order p^(n-1).
+    There is no full table, which would hold (p^2-1) p^(2n-2) entries."""
+
+    def dlog(self, u):
+        return self.logs[self.key(u)]
+
+    def _one_unit_basis(self) -> list[tuple]:
+        p, m = self.field.p, self.field.p ** (self.level - 1)
+        basis = [((1 + p, 0), m), ((1, p), m)]
+        for h, order in basis:
+            self._span.add(h, order)
+        return basis
 
     def one_unit_gens(self, m: int):
         E: QuadExtension = self.field
@@ -250,18 +247,25 @@ class EUnramUnitGroup(UnitGroup):
 
 
 class _LogSpan:
-    """A span of 1-units of a ramified group at level n >= 2, in coordinates
-    that are linear on the 1-units at every odd p.
+    """A span of 1-units of a group at level n >= 2, in coordinates that
+    are linear on the 1-units at every odd p.
 
-    U^1 = <1 + pi> U^2.  A 1-unit x = a + b sqrt(d) has the coordinates
-    vec x = (c, A, B): c = b mod p, y = x (1 + pi)^(-c) lies in U^2, and
-    log y = p (A + B sqrt(d)) mod pi^n.  The log maps U^2/U^n isomorphically
-    onto pi^2 O/pi^n O, as 2 > e/(p - 1) for e = 2 at every odd p (Neukirch,
-    *Algebraic Number Theory*, II (5.5)).  So vec is an isomorphism of
-    U^1/U^n onto Z^3/R, R spanned by (p, -vec (1 + pi)^p), (0, P, 0) and
-    (0, 0, Q), P = p^(ceil(n/2)-1), Q = p^(floor(n/2)-1).  Roots of unity in
-    U^1 (the cube roots of unity in ramified-up E at p = 3) are torsion of
-    Z^3/R like any other element.
+    With e the ramification index of the field, the p-adic log maps
+    U^e/U^n isomorphically onto p O/pi^n O, as e > e/(p - 1) at every odd p
+    (Neukirch, *Algebraic Number Theory*, II (5.5)).  A 1-unit x = a + b
+    sqrt(d) has the coordinates vec x = (c, A, B): y = x (1 + pi)^(-c) lies
+    in U^e, and log y = p (A + B sqrt(d)) mod pi^n.  So vec is an
+    isomorphism of U^1/U^n onto Z^3/R, with P = Ma/p and Q = Mb/p
+    (``group._mods``):
+
+    * e = 2 (ramified E): U^1 = <1 + pi> U^2, c = b mod p, and R is spanned
+      by (p, -vec (1 + pi)^p), (0, P, 0) and (0, 0, Q), P = p^(ceil(n/2)-1),
+      Q = p^(floor(n/2)-1).  Roots of unity in U^1 (the cube roots of unity
+      in ramified-up E at p = 3) are torsion of Z^3/R like any other
+      element.
+    * e = 1 (F and unramified E): U^1 = U^e, so c = 0 and there is no shift;
+      R is spanned by (1, 0, 0), (0, P, 0) and (0, 0, max(Q, 1)), P = Q =
+      p^(n-1) on unramified E and Q = 1 on F, where b is 0 mod Mb = 1.
 
     The span of 1-units h_i maps onto the lattice L = R + sum Z vec h_i, held
     in Hermite form: three rows, upper triangular, each with the coefficients
@@ -269,26 +273,32 @@ class _LogSpan:
     modulo the span and the exponents of x over the h_i all come from the
     triangular solve of vec x against these rows."""
 
-    def __init__(self, group: "ERamUnitGroup"):
+    def __init__(self, group: UnitGroup):
         self.group = group
-        p, n = group.field.p, group.level
+        K, n = group.field, group.level
+        p, e = K.p, K.e
         Ma, Mb = group._mods
-        # log(1 + z) = sum_k (-1)^(k+1) z^k / k.  With z in pi^2 O the k-th
-        # term has ord >= 2 (k - v_p(k)), which is >= n for every k >= n; the
-        # terms kept are those below n.  z^k is formed mod pi^(n + 2V), p^V
-        # the largest p^v kept, so that z^k / p^v is exact mod pi^n.
+        # log(1 + z) = sum_k (-1)^(k+1) z^k / k.  With z in p O = pi^e O the
+        # k-th term has ord >= e (k - v_p(k)) >= e k / 2, which is >= n for
+        # every k >= 2n; the terms kept are those below n.  z^k is formed mod
+        # pi^(n + eV), p^V the largest p^v kept, so that z^k / p^v is exact
+        # mod pi^n.
         self._terms = {}
-        for k in range(1, n):
-            v = group.field.ground.val(k)
-            if 2 * (k - v) < n:
+        for k in range(1, 2 * n):
+            v = K.ground.val(k)
+            if e * (k - v) < n:
                 self._terms[k] = (p**v, (-1) ** (k + 1) * pow(k // p**v, -1, Ma))
         lift = max((pv for pv, _ in self._terms.values()), default=1)
         self._top = max(self._terms, default=0)
         self._lift = (Ma * lift, Mb * lift)
-        # (1 + pi)^(-c), 0 <= c < p
-        self._shifts = [group._pow(group._inv((1, 1)), c) for c in range(p)]
-        _, A, B = self.vec(group._pow((1, 1), p))
-        self._rel = [(p, -A, -B), (0, Ma // p, 0), (0, 0, Mb // p)]
+        # (1 + pi)^(-c) for each c; c = b mod p on ramified E, 0 for e = 1
+        self._shifts = [(1, 0)]
+        row = (1, 0, 0)
+        if e == 2:
+            self._shifts = [group._pow(group._inv((1, 1)), c) for c in range(p)]
+            _, A, B = self.vec(group._pow((1, 1), p))
+            row = (p, -A, -B)
+        self._rel = [row, (0, Ma // p, 0), (0, 0, max(Mb // p, 1))]
         self._vecs: list[tuple] = []
         self._orders: list[int] = []
         self._hermite()
@@ -296,8 +306,8 @@ class _LogSpan:
     def vec(self, x: tuple) -> tuple:
         """(c, A, B) of a 1-unit x = (a, b), any lift of its residue."""
         g = self.group
-        p, d = g.field.p, g.field.d
-        c = x[1] % p
+        p, d = g.field.p, g._d
+        c = x[1] % len(self._shifts)
         y = g._mul(x, self._shifts[c])
         La, Lb = self._lift
         z = ((y[0] - 1) % La, y[1] % Lb)
@@ -311,7 +321,7 @@ class _LogSpan:
                 b += zk[1] // pv * t
         Ma, Mb = g._mods
         a, b = a % Ma, b % Mb
-        assert a % p == b % p == 0, "the log of U^2 lies in p O"
+        assert a % p == b % p == 0, "the log of U^e lies in p O"
         return c, a // p, b // p
 
     def _hermite(self) -> None:
@@ -383,54 +393,11 @@ def _column_gcd(rows: list, i: int) -> tuple:
 class ERamUnitGroup(UnitGroup):
     """(O_E/pi^n)^x for ramified E: Teichmueller x a greedy 1-unit basis.
 
-    Everything runs on integer pairs (a mod p^ceil(n/2), b mod p^floor(n/2))
-    = a + b sqrt(d), the keys of ``E.residue``; the generators become
-    ``E.elem(a, b)`` only at the end.  The basis is the Teichmueller
-    generator followed by a greedy basis of the 1-units: the first candidate
-    1 + pi (a + b sqrt(d)), a-major, of maximal order modulo the span so far,
-    corrected by the span so that its order is exact.  The span is a lattice
-    in the coordinates of ``_LogSpan``, at every odd p.  ``logs`` peels each
-    key on first use: the Teichmueller exponent from the residue mod p, the
-    1-unit exponents from one ``_LogSpan.vec`` and one triangular solve."""
-
-    def __init__(self, E: QuadExtension, level: int):
-        self.field = E
-        self.level = level
-        if level == 0:
-            self.gens, self.orders = [], []
-            self.logs = {(0, 0): ()}
-            return
-        p = E.p
-        ma, mb = E.residue_digits(level)
-        self._mods = (p**ma, p**mb)
-        # Teichmueller part comes from the ground field (residue field is F_p)
-        g = _primitive_root(p)
-        s = pow(p**level, -1, p - 1)
-        omega = (pow(g, (p**level) * s, p**ma), 0)
-        # residue mod p of omega^k -> (k, omega^-k)
-        self._teich = {
-            pow(omega[0], k, p): (k, self._pow(omega, (p - 1 - k) % (p - 1))) for k in range(p - 1)
-        }
-        basis = [(omega, p - 1)]
-        if level > 1:  # at level 1 there are no 1-units
-            self._span = _LogSpan(self)
-            basis += self._one_unit_basis()
-        self.gens = [E.elem(*h) for h, _ in basis]
-        self.orders = [m for _, m in basis]
-        self.logs = _PeeledLogs(self._peel)
-
-    def _mul(self, x: tuple, y: tuple) -> tuple:
-        return _pmul(x, y, self.field.d, *self._mods)
-
-    def _pow(self, x: tuple, k: int) -> tuple:
-        return _ppow(x, k, self.field.d, *self._mods)
-
-    def _inv(self, x: tuple) -> tuple:
-        """(a - b sqrt(d)) / N with N = a^2 - d b^2, a unit."""
-        a, b = x
-        Ma, Mb = self._mods
-        n_inv = pow(a * a - self.field.d * b * b, -1, Ma)
-        return a * n_inv % Ma, -b * n_inv % Mb
+    The basis is the Teichmueller generator followed by a greedy basis of
+    the 1-units: the first candidate 1 + pi (a + b sqrt(d)), a-major, of
+    maximal order modulo the span so far, corrected by the span so that its
+    order is exact.  The span is a lattice in the coordinates of
+    ``_LogSpan``, at every odd p."""
 
     def _one_unit_basis(self) -> list[tuple]:
         """Basis of the 1-units of O_E/pi^n, via greedy maximal orders.
@@ -465,12 +432,6 @@ class ERamUnitGroup(UnitGroup):
             basis.append((g, m))
             span.add(g, m)
         return basis
-
-    def _peel(self, key: tuple) -> tuple:
-        k, omega_inv = self._teich[key[0] % self.field.p]
-        if self.level == 1:
-            return (k,)
-        return (k,) + self._span.exps(self._mul(key, omega_inv))
 
     def dlog(self, u):
         return self.logs[self.key(u)]
