@@ -172,7 +172,7 @@ def quad_gl(f, a, b, tol: float = QUAD_TOL, args: tuple = ()):
     at once, naming the panel's interval.
 
     Only quad_real_line and the unit tests of the two reach it; both stay
-    while bench/tracer.py counts their calls (ROADMAP item 3, slice 4)."""
+    while bench/tracer.py counts their calls (ROADMAP item 15)."""
     import numpy as np
 
     x, w15, w30 = _gl_nodes()

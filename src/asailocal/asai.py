@@ -161,7 +161,7 @@ def gamma_rs(inp: AsaiInput, check: bool = False) -> NonArchFactor:
     Assembled per the multiplicativity theorem at the normalized (psi0,
     xi_can) and transported to the given (psi, xi) by the dependence laws.
     ``check=True`` certifies its Tate gammas (:func:`certify_gamma`); the
-    keyword stays only for ``bench/workloads.py`` (ROADMAP item 3, slice 4).
+    keyword stays only for ``bench/workloads.py`` (ROADMAP item 15).
     """
     E = inp.E
     q = E.ground.q
@@ -199,7 +199,7 @@ def l_rs(inp: AsaiInput) -> NonArchFactor:
 def eps_rs(inp: AsaiInput, check: bool = False) -> NonArchFactor:
     """eps_RS = gamma_RS * L_RS(s) / L_RS(1-s, dual); structurally a monomial.
     The dual data (mu^{-1}, nu^{-1}, chi^{-1}) has the inverse constituents.
-    ``check`` is :func:`gamma_rs`'s, and goes with it (ROADMAP item 3, slice 4)."""
+    ``check`` is :func:`gamma_rs`'s, and goes with it (ROADMAP item 15)."""
     gam = gamma_rs(inp, check=check)
     return eps_from_gamma(gam, _gal_constituents(inp), inp.E.ground.q)
 

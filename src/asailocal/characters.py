@@ -21,6 +21,9 @@ computed once per pair of groups and map:
   its one-unit generators at level m, on which chi is trivial iff every
   row sums to 0 mod unit_den.
 
+The pullback's value at pi_K reads one more cached row, the dlog of the
+unit part of f(pi_K) (:func:`_uniformizer_row`).
+
 Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
 kernel, :func:`shell_angles`, which works on the integer coordinates of
 ``K.shell_coords(v, m)`` and builds no field element per term.  For the i-th
@@ -685,16 +688,23 @@ def _reduction_table(K: Field, n: int, m: int) -> tuple:
     return tuple(map(G.dlog, G.gens if m == 0 else G.one_unit_gens(m)))
 
 
+@lru_cache(maxsize=None)
+def _uniformizer_row(L: Field, n: int, K: Field, fmap: str, v: int) -> tuple:
+    """The dlog in ``unit_group(L, n)`` of the unit part of f(pi_K), f the
+    map named ``fmap``, which must take pi_K to valuation v; () at n = 0."""
+    fpi = _MAPS[fmap](L, K.uniformizer())
+    if L.val(fpi) != v:
+        raise AssertionError(f"the uniformizer must map to valuation {v}")
+    return unit_group(L, n).dlog(L.unit_part(fpi)) if n else ()
+
+
 def _pullback(chi: MultChar, K: Field, level: int, fmap: str, v: int, lam) -> MultChar:
     """x -> chi(f(x)) |x|_K^lam on K^x, built at ``level`` and reduced, for
     the homomorphism f named ``fmap`` into chi's field, taking units to
     units and pi_K to valuation v: chi(f(pi_K)) is t^v times chi at the unit
-    part of f(pi_K)."""
-    L = chi.field
-    fpi = _MAPS[fmap](L, K.uniformizer())
-    if L.val(fpi) != v:
-        raise AssertionError(f"the uniformizer must map to valuation {v}")
-    t = chi.t**v * Phase.exact(chi.unit_angle(L.unit_part(fpi)))
+    part of f(pi_K), read off :func:`_uniformizer_row`."""
+    row = _uniformizer_row(chi.field, chi.n, K, fmap, v)
+    t = chi.t**v * Phase.exact(Fraction(chi._unit_num(row), chi.unit_den))
     weights = chi._weights_at(K, level, fmap)
     return MultChar._from_weights(K, level, chi.unit_den, weights, t, lam).reduced()
 

@@ -194,6 +194,88 @@ def test_eunram_dlog_is_a_homomorphism(p, level, x, y):
     assert got == want
 
 
+# Generators, as coordinate pairs (a, b) = a + b sqrt(d), and their orders, as
+# the digit-peeling construction of the unramified groups produced them.
+# Characters built with from_angles are angles on these generators, so they
+# must not move.
+PINNED_EUNRAM = {
+    (3, 1): ([(1, 1)], [8]),
+    (3, 2): ([(7, 4), (4, 0), (1, 3)], [8, 3, 3]),
+    (3, 3): ([(16, 13), (4, 0), (1, 3)], [8, 9, 9]),
+    (5, 1): ([(1, 2)], [24]),
+    (5, 2): ([(1, 2), (6, 0), (1, 5)], [24, 5, 5]),
+    (5, 3): ([(26, 77), (6, 0), (1, 5)], [24, 25, 25]),
+    (7, 1): ([(1, 1)], [48]),
+    (7, 2): ([(29, 15), (8, 0), (1, 7)], [48, 7, 7]),
+    (7, 3): ([(127, 15), (8, 0), (1, 7)], [48, 49, 49]),
+    (11, 1): ([(1, 5)], [120]),
+    (11, 2): ([(100, 38), (12, 0), (1, 11)], [120, 11, 11]),
+    (11, 3): ([(1189, 401), (12, 0), (1, 11)], [120, 121, 121]),
+    (13, 1): ([(1, 2)], [168]),
+    (13, 2): ([(53, 54), (14, 0), (1, 13)], [168, 13, 13]),
+    (13, 3): ([(1405, 1744), (14, 0), (1, 13)], [168, 169, 169]),
+}
+
+
+def test_eunram_gens_and_orders_are_pinned():
+    for (p, level), (gens, orders) in PINNED_EUNRAM.items():
+        G = unit_group(QuadExtension(PAdicGround(p), UNRAMIFIED), level)
+        assert [(g.a, g.b) for g in G.gens] == gens, (p, level)
+        assert G.orders == orders, (p, level)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_eunram_logs(p, level):
+    """(gens, orders, key -> dlog) of the unramified group at ``level`` >= 1
+    as one table of products of powers: the Teichmueller lift of the first
+    generator (a, b) of F_(p^2)^x, a-major, then 1 + p and 1 + p sqrt(d),
+    each of order p^(level-1)."""
+    E = QuadExtension(PAdicGround(p), UNRAMIFIED)
+    d, mod, q = E.d, p**level, p * p
+
+    def powers(x, order, m):
+        out, acc = [], (1, 0)
+        for _ in range(order):
+            out.append(acc)
+            acc = _pair_mul(acc, x, d, m)
+        return out
+
+    gbar = next(
+        (a, b) for a in range(p) for b in range(p) if len(set(powers((a, b), q - 1, p))) == q - 1
+    )
+    omega = _pair_pow(gbar, q ** (level - 1), d, mod, mod)
+    basis = [(omega, q - 1)]
+    if level > 1:
+        basis += [((1 + p, 0), p ** (level - 1)), ((1, p), p ** (level - 1))]
+    logs = {(1, 0): ()}
+    for h, order in basis:
+        logs = {
+            _pair_mul(x, y, d, mod): e + (j,)
+            for x, e in logs.items()
+            for j, y in enumerate(powers(h, order, mod))
+        }
+    return [h for h, _ in basis], [m for _, m in basis], logs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(11, 2), (13, 2), (3, 4), (3, 5)]),
+    st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+)
+def test_eunram_logs_match_the_reference_table_sampled(case, key):
+    p, level = case
+    mod = p**level
+    a, b = key
+    if a % p == 0 and b % p == 0:
+        a += 1
+    key = (a % mod, b % mod)
+    G = unit_group(QuadExtension(PAdicGround(p), UNRAMIFIED), level)
+    gens, orders, logs = reference_eunram_logs(p, level)
+    assert len(logs) == G.size
+    assert ([(g.a, g.b) for g in G.gens], G.orders) == (gens, orders)
+    assert G.logs[key] == logs[key]
+
+
 # -- the ramified unit group on integer pairs ----------------------------------
 
 RAMIFIED = [ext for ext in EXTENSION_TYPES if ext != UNRAMIFIED]
@@ -472,7 +554,11 @@ def test_no_unit_group_holds_a_table():
     """A primitive character at a level far beyond any table peels only the
     keys it reads: the conductor check reads the one key 1 + pi^(n-1)."""
     unit_group.cache_clear()
-    for K, n in [(PAdicGround(5), 8), (QuadExtension(PAdicGround(3), "ramified-up"), 9)]:
+    for K, n in [
+        (PAdicGround(5), 8),
+        (QuadExtension(PAdicGround(3), UNRAMIFIED), 9),
+        (QuadExtension(PAdicGround(3), "ramified-up"), 9),
+    ]:
         G = unit_group(K, n)
         chi = MultChar.from_angles(K, n, [Fraction(1, d) for d in G.orders], Phase.one())
         assert chi.n == n
