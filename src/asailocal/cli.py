@@ -3,9 +3,9 @@
 All numeric JSON output uses [re, im] pairs; everything the CLI emits can be
 re-ingested.  Exit codes: 0 success; 2 input error (each argument is checked
 where it is parsed, and a pole at a --grid point is one too); 3 verification
-failure (a failed suite or comparison, or an internal consistency check such
-as ConsistencyError or StabilizationError).  Any other exception is a fault
-in the program and ends with its traceback.
+failure (a failed suite or comparison, or a ConsistencyError from an
+internal consistency check).  Any other exception is a fault in the program
+and ends with its traceback.
 
 Each flag is registered once, in :func:`build_parser`, on the subcommands
 that read it; a command reads a flag it does not take as its
@@ -56,7 +56,6 @@ from .tate import (
     tate_gamma,
 )
 from .verify import SUITE_GROUPS, SUITES, run_suites
-from .whittaker import StabilizationError
 
 
 class InputError(ValueError):
@@ -447,7 +446,7 @@ def main(argv=None) -> int:
             raise
         print(f"input error: --grid point {exc.where:g} is a pole", file=sys.stderr)
         return 2
-    except (ConsistencyError, StabilizationError) as exc:
+    except ConsistencyError as exc:
         print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

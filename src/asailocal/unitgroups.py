@@ -334,7 +334,7 @@ class _LogSpan:
         self._rows = h1[:3], h2[1:3], h3[2]
         # the coefficients of the three rows on each h_i
         self._tails = list(zip(h1[3:], h2[3:], h3[3:]))
-        self.max_exp = max(self._order_exp(w) for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        self._max_exp = None
 
     def _solve(self, w: tuple):
         """Exponents of the vector w over the vec h_i, modulo their orders,
@@ -359,6 +359,14 @@ class _LogSpan:
             w = tuple(p * x for x in w)
             j += 1
         return j
+
+    @property
+    def max_exp(self) -> int:
+        """The largest order exponent of a 1-unit modulo the span, computed
+        when first read after a change (only the ramified basis scan reads it)."""
+        if self._max_exp is None:
+            self._max_exp = max(self._order_exp(w) for w in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return self._max_exp
 
     @property
     def full(self) -> bool:

@@ -21,9 +21,9 @@ multiplier s and sum psi(-s t) against the self-dual measure of psi; the
 conductor of t -> psi(-s t) is c(psi) - ord s, so the big-cell integral
 never builds a shifted additive character.  The averaged families write
 their matrices out directly (no matrix products), from elements of E
-embedded once per family, and an x-average only evaluates the points a
-refinement adds.  Every matrix of both families has det = a, so a family
-sums the big-cell integrals and takes the factor mu(det) |det|^{1/2} once.
+embedded once per family, and an x-average sums the one level of points
+that is proven exact.  Every matrix of both families has det = a, so a
+family sums the big-cell integrals and takes mu(det) |det|^{1/2} once.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ from .cyclotomic import Cyc
 from .factors import PoleError
 from .padic import QuadExtension, Value, _set
 from .tate import _chi_cyc, _qpow, _vol_O, coset_integral, shell_integral
-
-
-class StabilizationError(AssertionError):
-    """An x-average failed to stabilize within its refinement levels."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,36 +159,30 @@ def whittaker_value(sec: InducedSection, M: tuple) -> Cyc:
 
 
 def w_averaged_lower(sec: InducedSection, a, c_level: int, scale_exp: int) -> Cyc:
-    """W of g = q^{scale_exp} * int_{pi^c O_F} rho(u_-(x)) f dx at diag(a,1).
+    """W of g = q^{scale_exp} * int_{pi^c O_F} rho(u_-(x)) f dx at diag(a,1),
+    as one exact sum at a proven level.
 
-    The x-integral is discretized exactly; the discretization level is
-    refined until two consecutive levels agree exactly.  The points
-    x = p^c k, k < p^m, of level m are the first points of level m + 1, so
-    each refinement only adds the values at the new points.  Every point
-    has det = a, so the refinement runs on the big-cell integrals alone; the
-    nonzero factor mu(a) |a|^{1/2} cannot change its exact decision.
+    With chi = nu/mu and n = n(chi), the profile h(x) = chi(x) |x|^{-1}
+    1_{|x| >= 1} has h(x + y) = h(x) for every x once ord_E y >= max(1, n):
+    where |x| >= 1, x + y = x (1 + y/x) with ord(y/x) >= max(1, n), and
+    where |x| < 1 both sides are 0.  So f(g u_-(y)) = f(g) on the dense big
+    cell B u_-(E), hence everywhere, and W(g u_-(y)) = W(g).  For y in F,
+    ord_E y = e ord_F y, so x -> W(diag(a,1) u_-(x)) has period p^k O_F,
+    k = ceil(max(1, n) / e), and the integral over p^c O_F is exactly
+    q^{-(c + m)} times the sum over x = p^c j, j < p^m, m = max(0, k - c).
+    The level depends on neither a nor c(psi_xi): the period comes from the
+    right-invariance of f, and psi_xi enters W only through the left
+    t-integral, which commutes with right translation.  Every point has
+    det = a, so mu(a) |a|^{1/2} multiplies the summed big-cell integrals.
     """
     E = sec.E
     F = E.ground
+    chi = sec.chi_ratio
+    m = max(0, -(-max(1, chi.n) // E.e) - c_level)
     step = E.embed(F.p) ** c_level
     a, zero, one = E.embed(a), E.zero(), E.one()
-    chi, psi = sec.chi_ratio, sec.psi_xi
-
-    def points(lo: int, hi: int) -> Cyc:
-        """sum of the big-cell integrals of diag(a,1) u_-(p^c k), lo <= k < hi."""
-        return Cyc.sum(bigcell_integral(chi, (a, step * k), (zero, one), psi) for k in range(lo, hi))
-
-    m = max(1, sec.mu.n)
-    raw = points(0, F.p**m)
-    prev = raw * _qpow(F.q, -(c_level + m))
-    for _ in range(4):
-        raw = raw + points(F.p**m, F.p ** (m + 1))
-        m += 1
-        cur = raw * _qpow(F.q, -(c_level + m))
-        if (prev - cur).is_zero():
-            return _det_factor(sec, a) * prev * _qpow(F.q, scale_exp)
-        prev = cur
-    raise StabilizationError("x-average failed to stabilize")
+    raw = Cyc.sum(bigcell_integral(chi, (a, step * j), (zero, one), sec.psi_xi) for j in range(F.p**m))
+    return _det_factor(sec, a) * raw * _qpow(F.q, scale_exp - c_level - m)
 
 
 def w_case1(sec: InducedSection, a) -> Cyc:

@@ -317,7 +317,7 @@ def reference_fe_ratio(chi, psi, box, s):
 
 @st.composite
 def fe_cases(draw):
-    p = draw(st.sampled_from([3, 5, 7]))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
     ext = draw(st.sampled_from((None,) + tuple(EXTENSION_TYPES)))
     K, psi = _field(p, ext)
     n = draw(st.integers(0, 2))
@@ -399,7 +399,7 @@ def test_fe_ratio_raises_at_the_pole_on_the_grid():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([3, 5, 7]),
+    st.sampled_from([3, 5, 7, 11, 13]),
     st.sampled_from((None,) + tuple(EXTENSION_TYPES)),
     st.integers(0, 2),
     st.randoms(use_true_random=False),

@@ -237,21 +237,30 @@ def test_whittaker_closed_forms(p):
 # -- the averaged families against whittaker_value at each of their matrices --
 
 
-def _lower_average_by_values(sec, a, c_level, scale_exp):
-    """q^scale_exp times the level-m Riemann sum of W(diag(a,1) u_-(x)) over
-    x = p^c k, k < p^m, each point by whittaker_value, at the first level m
-    that equals the next; None if none does within the family's 4 steps."""
+def _level_sums(sec, a, c_level, scale_exp):
+    """m -> q^scale_exp times the level-m Riemann sum of W(diag(a,1) u_-(x))
+    over x = p^c k, k < p^m, each point a matrix product and its value by
+    whittaker_value.  The points of level m are the first p^m points of
+    every finer level, so each point is evaluated once."""
     E = sec.E
     p, q = E.ground.p, E.ground.q
     d = diag_matrix(E, a)
     values = []
 
     def level(m):
-        # the points of level m are the first p^m points of every finer level
         for k in range(len(values), p**m):
             values.append(whittaker_value(sec, _mat_mul(E, d, lower_unipotent(E, p**c_level * k))))
         return Cyc.sum(values[: p**m]) * _qpow(q, scale_exp - c_level - m)
 
+    return level
+
+
+def _lower_average_by_values(sec, a, c_level, scale_exp):
+    """The refined reference, which knows nothing of the proven level: the
+    :func:`_level_sums` sum at the first level m from max(1, n(mu)) on that
+    equals the next one, trying at most four refinements; None if none
+    does."""
+    level = _level_sums(sec, a, c_level, scale_exp)
     m0 = max(1, sec.mu.n)
     prev = level(m0)
     for m in range(m0 + 1, m0 + 5):
@@ -309,15 +318,59 @@ def test_factored_families_equal_the_sum_of_their_values(p):
     assert checked > zeros > 0
 
 
+# -- the x-average at its proven level ----------------------------------------
+
+# the finest level sum the property evaluates has at most this many points
+_MAX_POINTS = 200
+
+
+@st.composite
+def averaged_sections(draw, p, ext):
+    """A section of Ind(mu, nu) over E = QuadExtension(Q_p, ext), mu of
+    level <= 2 and nu of level <= 3 (so n(nu/mu) can come from nu alone),
+    an integration level c in 0..3 whose proven level m* keeps p^(m*+2)
+    at most _MAX_POINTS, a = p^v * 2 and a scale exponent."""
+    E = QuadExtension(PAdicGround(p), ext)
+
+    def char(max_level):
+        n = draw(st.integers(0, max_level))
+        angles = [Fraction(draw(st.integers(0, d - 1)), d) for d in unit_group(E, n).orders]
+        return MultChar.from_angles(E, n, angles, Phase.exact(Fraction(draw(st.integers(0, 11)), 12)))
+
+    nu, mu = char(3), char(2)
+    sec = InducedSection(E, mu, nu, psi_to_E(standard_psi(E.ground), E, E.xi()))
+    k = -(-max(1, sec.chi_ratio.n) // E.e)
+    cs = [c for c in range(4) if p ** (max(0, k - c) + 2) <= _MAX_POINTS]
+    c = draw(st.sampled_from(cs))
+    a = Fraction(p) ** draw(st.integers(-2, 1)) * 2
+    return sec, a, c, max(0, k - c), draw(st.integers(0, 2))
+
+
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_x_average_equals_every_level_sum_from_the_proven_one(p, ext, data):
+    # x -> W(diag(a,1) u_-(x)) has period p^k O_F, k = ceil(max(1, n(nu/mu))
+    # / e), so every level sum from m* = max(0, k - c) on is the integral:
+    # w_averaged_lower, which sums level m* once, must equal the by-value
+    # sums at m*, m*+1 and m*+2, with no stop rule deciding which
+    sec, a, c, m_star, scale_exp = data.draw(averaged_sections(p, ext))
+    got = whittaker.w_averaged_lower(sec, a, c, scale_exp)
+    level = _level_sums(sec, a, c, scale_exp)
+    for m in (m_star, m_star + 1, m_star + 2):
+        assert (got - level(m)).is_zero(), (sec.chi_ratio, a, c, m)
+
+
 # -- psi(s .) as a multiplier against the explicitly shifted character ---------
 
 
 @st.composite
 def multiplier_cases(draw):
-    """F or E over p in {3, 5, 7}, a character of conductor <= 2, the
+    """F or E over p in {3, 5, 7, 11, 13}, a character of conductor <= 2, the
     standard psi (psi_xi on E) and a multiplier s = pi^v * unit, v in
     [-2, 2]."""
-    p = draw(st.sampled_from([3, 5, 7]))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
     ext = draw(st.sampled_from((None,) + EXTENSION_TYPES))
     F = PAdicGround(p)
     if ext is None:
