@@ -24,6 +24,16 @@ computed once per pair of groups and map:
 The pullback's value at pi_K reads one more cached row, the dlog of the
 unit part of f(pi_K) (:func:`_uniformizer_row`).
 
+Exact data is integer all the way through: a :class:`Phase` holds its
+angle as a reduced pair num / den, so products, powers and values of
+phases build no Fraction.  A ``MultChar`` compares and hashes by value
+(field, level, unit data, t, lam), so characters reached along different
+routes, restriction of a product against the product of restrictions say,
+are equal and share every cache keyed on characters.  Two bounded caches
+are keyed that way: the pullback itself (:func:`_pullback`) and
+``tate.gauss_sum``.  Cached characters are shared, so no caller may change
+one.
+
 Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
 kernel, :func:`shell_angles`, which works on the integer coordinates of
 ``K.shell_coords(v, m)`` and builds no field element per term.  For the i-th
@@ -93,17 +103,19 @@ def _num_exp(num: int, den: int) -> complex:
 
 
 class Phase:
-    """A complex scalar that remembers an exact root-of-unity angle when it has one."""
+    """A complex scalar that remembers an exact root-of-unity angle when it has one.
 
-    __slots__ = ("angle", "_z")
+    The exact angle is held as integers num / den, 0 <= num < den and
+    gcd(num, den) = 1 (``den`` is None for an approximate phase), so ``*``,
+    ``**``, ``inv`` and ``value`` build no Fraction; ``angle`` reads it as one."""
+
+    __slots__ = ("num", "den", "_z")
 
     def __init__(self, angle: Optional[Fraction] = None, z: Optional[complex] = None):
-        # every character op makes Phases; one already reduced skips a division
-        if angle is not None and not (
-            type(angle) is Fraction and 0 <= angle.numerator < angle.denominator
-        ):
-            angle = Fraction(angle) % 1
-        self.angle = angle
+        self.num = self.den = None
+        if angle is not None:
+            angle = Fraction(angle)
+            self.num, self.den = angle.numerator % angle.denominator, angle.denominator
         self._z = complex(z) if z is not None else None
 
     @staticmethod
@@ -111,37 +123,50 @@ class Phase:
         return Phase(angle=angle)
 
     @staticmethod
+    def _exact(num: int, den: int) -> "Phase":
+        """The exact phase e(num/den), reduced; den >= 1."""
+        g = math.gcd(num, den)
+        out = Phase.__new__(Phase)
+        out.num, out.den, out._z = num // g % (den // g), den // g, None
+        return out
+
+    @staticmethod
     def approx(z: complex) -> "Phase":
         return Phase(z=z)
 
     @staticmethod
     def one() -> "Phase":
-        return Phase(angle=Fraction(0))
+        return Phase._exact(0, 1)
 
     @property
     def is_exact(self) -> bool:
-        return self.angle is not None
+        return self.den is not None
+
+    @property
+    def angle(self) -> Optional[Fraction]:
+        """The exact angle in [0, 1) as a Fraction, None when approximate."""
+        return None if self.den is None else Fraction(self.num, self.den)
 
     def value(self) -> complex:
-        if self.angle is not None:
-            return _angle_exp(self.angle)
+        if self.den is not None:
+            return _num_exp(self.num, self.den)
         return self._z
 
     def __mul__(self, other: "Phase") -> "Phase":
-        if self.angle is not None and other.angle is not None:
-            return Phase(angle=self.angle + other.angle)
+        if self.den is not None and other.den is not None:
+            return Phase._exact(self.num * other.den + other.num * self.den, self.den * other.den)
         return Phase(z=self.value() * other.value())
 
     def __pow__(self, k: int) -> "Phase":
-        if self.angle is not None:
-            return Phase(angle=self.angle * k)
+        if self.den is not None:
+            return Phase._exact(self.num * k, self.den)
         return Phase(z=self.value() ** k)
 
     def inv(self) -> "Phase":
         return self ** (-1)
 
     def __repr__(self):
-        if self.angle is not None:
+        if self.den is not None:
             return f"Phase(angle={self.angle})"
         return f"Phase(z={self._z})"
 
@@ -250,9 +275,12 @@ class MultChar:
     so unit_den is the lcm of the reduced denominators of the angles.
     ``angles`` gives the same data as Fractions.  ``lam`` is kept separate so
     the unitary data stays exact.
+
+    Characters compare and hash by value (:meth:`_value_key`), so equal
+    characters built separately share every cache keyed on them.
     """
 
-    __slots__ = ("field", "n", "group", "t", "lam", "unit_den", "unit_weights")
+    __slots__ = ("field", "n", "group", "t", "lam", "unit_den", "unit_weights", "_vkey", "_hash")
 
     def __init__(self, field: Field, n: int, angles, t: Phase, lam=0):
         angles = [Fraction(a) for a in angles]
@@ -272,6 +300,37 @@ class MultChar:
         self.group = unit_group(field, n)
         if len(self.unit_weights) != len(self.group.gens):
             raise ValueError("angle vector does not match unit-group generators")
+        self._vkey = None
+
+    def _value_key(self) -> tuple:
+        """(field, n, unit_den, unit_weights, t, lam), built on the first
+        comparison: t as its (num, den) when exact, and a float t or a complex
+        lam by repr, which keeps them apart from exact data (Fraction(0) ==
+        0j) and -0.0 apart from 0.0, as ``to_json`` does."""
+        if self._vkey is None:
+            t, lam = self.t, self.lam
+            self._vkey = (
+                self.field,
+                self.n,
+                self.unit_den,
+                self.unit_weights,
+                (t.num, t.den) if t.den is not None else repr(t._z),
+                lam if isinstance(lam, Fraction) else repr(lam),
+            )
+            self._hash = hash(self._vkey)
+        return self._vkey
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not MultChar:
+            return NotImplemented
+        return self._value_key() == other._value_key()
+
+    def __hash__(self):
+        if self._vkey is None:
+            self._value_key()
+        return self._hash
 
     @property
     def angles(self) -> tuple:
@@ -427,7 +486,7 @@ class MultChar:
         elif abs(self.lam) > 1e-9:
             return False
         if self.t.is_exact:
-            return self.t.angle == 0
+            return self.t.num == 0
         return abs(self.t.value() - 1) < 1e-9
 
     def to_json(self) -> dict:
@@ -698,13 +757,15 @@ def _uniformizer_row(L: Field, n: int, K: Field, fmap: str, v: int) -> tuple:
     return unit_group(L, n).dlog(L.unit_part(fpi)) if n else ()
 
 
+@lru_cache(maxsize=1024)
 def _pullback(chi: MultChar, K: Field, level: int, fmap: str, v: int, lam) -> MultChar:
     """x -> chi(f(x)) |x|_K^lam on K^x, built at ``level`` and reduced, for
     the homomorphism f named ``fmap`` into chi's field, taking units to
     units and pi_K to valuation v: chi(f(pi_K)) is t^v times chi at the unit
-    part of f(pi_K), read off :func:`_uniformizer_row`."""
+    part of f(pi_K), read off :func:`_uniformizer_row`.  Cached by value;
+    lam is chi.lam or 2 chi.lam, so chi's value decides it and its type."""
     row = _uniformizer_row(chi.field, chi.n, K, fmap, v)
-    t = chi.t**v * Phase.exact(Fraction(chi._unit_num(row), chi.unit_den))
+    t = chi.t**v * Phase._exact(chi._unit_num(row), chi.unit_den)
     weights = chi._weights_at(K, level, fmap)
     return MultChar._from_weights(K, level, chi.unit_den, weights, t, lam).reduced()
 

@@ -81,8 +81,11 @@ def l_product(chars, q: int) -> NonArchFactor:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=512)
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
-    """Floating-complex Gauss sum; terms are exact roots of unity."""
+    """Floating-complex Gauss sum; terms are exact roots of unity.  Cached by
+    the values of chi and psi: the Asai factors reach equal constituents
+    along several routes."""
     if not chi.is_ramified:
         raise ValueError("no primitive Gauss sum for an unramified character")
     n, c = chi.n, conductor_add(psi)
@@ -128,8 +131,9 @@ def _chi_cyc(chi: MultChar, x) -> Cyc:
 @lru_cache(maxsize=1024)
 def _unit_part(field, n: int, unit_den: int, unit_weights: tuple) -> MultChar:
     """The character with unit data (n, unit_den, unit_weights), t = 1 and
-    lam = 0: one object per value, so equal characters share the cached
-    integrals below."""
+    lam = 0, on which the exact integrals below are cached: characters that
+    differ only in t or lam share them.  Cached too, so a zeta integral
+    builds no character when the unit part repeats."""
     return MultChar._from_weights(field, n, unit_den, unit_weights, Phase.one(), 0)
 
 

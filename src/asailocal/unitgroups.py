@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import Field, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED
+from .padic import Field, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED, _vp
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -48,9 +48,11 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _residue_generator(p: int, q: int, d: int) -> tuple:
     """The first a + b sqrt(d), a-major, that generates F_q^x; b = 0 where
-    q = p, so on F and ramified E it is the least primitive root mod p."""
+    q = p, so on F and ramified E it is the least primitive root mod p.
+    Cached: it depends on the field alone, not on the group's level."""
     factors = _prime_factors(q - 1)
     for a in range(p):
         for b in range(q // p):
@@ -121,8 +123,6 @@ class UnitGroup:
         if level == 0:
             self.gens, self.orders, self.logs = [], [], {self.key(1): ()}
             return
-        if level > 1:  # at level 1 there are no 1-units
-            self._span = _LogSpan(self)
         basis = self._basis(_residue_generator(K.p, K.q, self._d))
         self._teich = self._teich_table(basis[0][0])
         # b is 0 on F, whose elem takes a alone
@@ -158,12 +158,13 @@ class UnitGroup:
 
     def _teich_table(self, h: tuple) -> dict:
         """residue mod pi of h^k -> (k, h^-k) for 0 <= k < q - 1, h a lift
-        of a generator of F_q^x."""
-        out, x, x_inv, h_inv = {}, (1, 0), (1, 0), self._inv(h)
-        for k in range(self.field.q - 1):
-            out[self._mod_pi(x)] = (k, x_inv)
-            x, x_inv = self._mul(x, h), self._mul(x_inv, h_inv)
-        return out
+        of a generator of F_q^x.  One chain of powers serves both sides:
+        h^(q-1) = 1 mod pi, so h^k = h^-(q-1-k) mod pi."""
+        q1, h_inv = self.field.q - 1, self._inv(h)
+        invs = [(1, 0)]
+        for _ in range(q1 - 1):
+            invs.append(self._mul(invs[-1], h_inv))
+        return {self._mod_pi(invs[-k % q1]): (k, invs[k]) for k in range(q1)}
 
     def _peel(self, key) -> tuple:
         x = key if isinstance(key, tuple) else (key, 0)
@@ -214,7 +215,7 @@ class FUnitGroup(UnitGroup):
         if n >= 2 and pow(g, p - 1, p * p) == 1:
             g += p
         if n > 1:
-            self._span.add(self._pow((g, 0), p - 1), p ** (n - 1))
+            self._span = _LogSpan(self, [(self._pow((g, 0), p - 1), p ** (n - 1))])
         return [((g, 0), (p - 1) * p ** (n - 1))]
 
     def _combine(self, k: int, exps: tuple) -> tuple:
@@ -236,8 +237,7 @@ class EUnramUnitGroup(UnitGroup):
     def _one_unit_basis(self) -> list[tuple]:
         p, m = self.field.p, self.field.p ** (self.level - 1)
         basis = [((1 + p, 0), m), ((1, p), m)]
-        for h, order in basis:
-            self._span.add(h, order)
+        self._span = _LogSpan(self, basis)
         return basis
 
     def one_unit_gens(self, m: int):
@@ -267,13 +267,15 @@ class _LogSpan:
       R is spanned by (1, 0, 0), (0, P, 0) and (0, 0, max(Q, 1)), P = Q =
       p^(n-1) on unramified E and Q = 1 on F, where b is 0 mod Mb = 1.
 
-    The span of 1-units h_i maps onto the lattice L = R + sum Z vec h_i, held
-    in Hermite form: three rows, upper triangular, each with the coefficients
-    t_i for which it is sum t_i vec h_i modulo R.  Membership, the order of x
-    modulo the span and the exponents of x over the h_i all come from the
-    triangular solve of vec x against these rows."""
+    The span of 1-units h_i, the (h_i, order) pairs of ``basis`` and of each
+    ``add``, maps onto the lattice L = R + sum Z vec h_i, held in Hermite
+    form, computed at init and again after each ``add``: three rows, upper
+    triangular, each with the coefficients t_i for which it is sum t_i vec
+    h_i modulo R.  Membership, the order of x modulo the span and the
+    exponents of x over the h_i all come from the triangular solve of vec x
+    against these rows."""
 
-    def __init__(self, group: UnitGroup):
+    def __init__(self, group: UnitGroup, basis=()):
         self.group = group
         K, n = group.field, group.level
         p, e = K.p, K.e
@@ -285,7 +287,7 @@ class _LogSpan:
         # mod pi^n.
         self._terms = {}
         for k in range(1, 2 * n):
-            v = K.ground.val(k)
+            v = _vp(k, p)
             if e * (k - v) < n:
                 self._terms[k] = (p**v, (-1) ** (k + 1) * pow(k // p**v, -1, Ma))
         lift = max((pv for pv, _ in self._terms.values()), default=1)
@@ -299,8 +301,8 @@ class _LogSpan:
             _, A, B = self.vec(group._pow((1, 1), p))
             row = (p, -A, -B)
         self._rel = [row, (0, Ma // p, 0), (0, 0, max(Mb // p, 1))]
-        self._vecs: list[tuple] = []
-        self._orders: list[int] = []
+        self._vecs = [self.vec(h) for h, _ in basis]
+        self._orders = [order for _, order in basis]
         self._hermite()
 
     def vec(self, x: tuple) -> tuple:
@@ -416,7 +418,7 @@ class ERamUnitGroup(UnitGroup):
         reaches it, which is the one a full scan would keep.  The a = 0 row,
         1 + d b, is the 1-units of F: a cyclic group generated by 1 + p, so
         the row is skipped unless 1 + p itself reaches ``max_exp``."""
-        span = self._span
+        span = self._span = _LogSpan(self)
         p, d = self.field.p, self.field.d
         Ma, Mb = self._mods
         basis: list[tuple] = []

@@ -306,6 +306,74 @@ def test_theorem_b_assemblies_agree_over_p_up_to_13(inp):
     assert rep["ok"], rep["max_deviation"]
 
 
+@st.composite
+def law_inputs(draw, E):
+    """mu and nu of conductor <= 2 on E^x, tau of conductors <= 1 with
+    v2 = 0.2, and a scale a in {2, p, 2p}."""
+    F = E.ground
+    mu, nu = _drawn_char(draw, E), _drawn_char(draw, E)
+    tau = TwistedPair(_drawn_char(draw, F, 1), _drawn_char(draw, F, 1), 0.2)
+    return mu, nu, tau, Fraction(draw(st.sampled_from([2, F.p, 2 * F.p])))
+
+
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_dependence_laws_over_p_up_to_13(p, ext, data):
+    # criterion 10: a factor under psi^a or a xi is omega(a)^k |a|^(k(2s-1))
+    # times the factor at (psi, xi), for gamma_RS and gamma_PSR alike
+    F = PAdicGround(p)
+    E = QuadExtension(F, ext)
+    mu, nu, tau, a = data.draw(law_inputs(E))
+    w, psi = F.val(a), standard_psi(F)
+
+    def factors(psi_k, xi):
+        inp = AsaiInput(E, mu, nu, psi_k, xi, None, tau)
+        return gamma_rs(AsaiInput(E, mu, nu, psi_k, xi)), gamma_psr(inp)[0]
+
+    (g0, G0), (ga, Ga), (gx, Gx) = (
+        factors(psi, E.xi()),
+        factors(psi.shifted(a), E.xi()),
+        factors(psi, E.xi() * E.embed(a)),
+    )
+    omega0 = restrict_to_F(mu.mul(nu))
+    omega_t = AsaiInput(E, mu, nu, psi, E.xi(), None, tau).omega_total()
+    laws = ((ga, omega0, 2, g0), (gx, omega0, 1, g0), (Ga, omega_t, 4, G0), (Gx, omega_t, -2, G0))
+    for s in DEFAULT_GRID:
+        for got, omega, k, base in laws:
+            rhs = omega.value(a) ** k * p ** (-w * k * (2 * s - 1)) * base.eval(s)
+            assert abs(got.eval(s) - rhs) <= 1e-8 * abs(rhs), (k, s)
+
+
+@st.composite
+def omega_one_bundles(draw, E):
+    """mu and nu of conductor <= 2 on E^x, mu2 of conductor <= 1, nu2 chosen
+    so that omega = (mu nu)|_F mu2 nu2 is trivial, and a in {2, p}."""
+    F = E.ground
+    mu, nu, mu2 = _drawn_char(draw, E), _drawn_char(draw, E), _drawn_char(draw, F, 1)
+    nu2 = restrict_to_F(mu.mul(nu)).mul(mu2).inv()
+    tau = TwistedPair(mu2, nu2, draw(st.sampled_from([0.0, 0.25])))
+    return mu, nu, tau, Fraction(draw(st.sampled_from([2, F.p])))
+
+
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_dichotomy_is_plus_one_over_p_up_to_13(p, ext, data):
+    # criterion 11: an omega = 1 bundle has central sign +1, also with psi
+    # or xi rescaled
+    F = PAdicGround(p)
+    E = QuadExtension(F, ext)
+    mu, nu, tau, a = data.draw(omega_one_bundles(E))
+    psi = standard_psi(F)
+    for psi_k, xi in ((psi, E.xi()), (psi.shifted(a), E.xi()), (psi, E.xi() * E.embed(a))):
+        inp = AsaiInput(E, mu, nu, psi_k, xi, None, tau)
+        assert abs(central_value(inp) - 1) < 1e-8
+        assert dichotomy_sign(inp) == 1
+
+
 def test_split_case_identity():
     rng = random.Random(15)
     for p in (3, 5):

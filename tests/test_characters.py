@@ -371,6 +371,76 @@ def test_transports_are_exact_pullbacks_at_minimal_conductor(p, ext, seed, level
         assert back.angle_at(y) == chiF.angle_at(y)
 
 
+# -- value semantics -------------------------------------------------------------
+
+
+def assert_phase_reduced(t):
+    assert t.is_exact and 0 <= t.num < t.den and math.gcd(t.num, t.den) == 1, t
+
+
+def assert_same_value(a, b):
+    assert a == b and hash(a) == hash(b), (a, b)
+
+
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32), levels=st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_characters_compare_and_hash_by_value(p, ext, seed, levels):
+    E = QuadExtension(PAdicGround(p), ext)
+    F, rng = E.ground, random.Random(seed)
+    mu, nu, chiF = rand_char(E, levels[0], rng), rand_char(E, levels[1], rng), rand_char(F, levels[2], rng)
+    # two op paths to one character
+    assert_same_value(restrict_to_F(mu.mul(nu)), restrict_to_F(mu).mul(restrict_to_F(nu)))
+    assert_same_value(sigma_conjugate(sigma_conjugate(mu)), mu)
+    assert_same_value(mu.inv().inv(), mu)
+    # built again from its JSON: equal, and the cached pullback is shared
+    back = mult_char_from_json(mu.to_json(), E)
+    assert back is not mu
+    assert_same_value(back, mu)
+    assert restrict_to_F(back) is restrict_to_F(mu)
+    assert sigma_conjugate(back) is sigma_conjugate(mu)
+    # equality holds exactly when the JSON is equal
+    pool = [mu, nu, chiF, back, mu.mul(nu), mu.inv(), sigma_conjugate(mu), restrict_to_F(mu)]
+    pool += [compose_with_norm(chiF, E), extend_from_F(chiF, E), mu.twist_by_norm_power(Fraction(1))]
+    pool += [mu.twist_by_norm_power(0j), MultChar.trivial(E), MultChar.trivial(F)]
+    for a in pool:
+        for b in pool:
+            assert (a == b) == (a.to_json() == b.to_json()), (a, b)
+    # float data never equals exact data, though Fraction(0) == 0j
+    assert mu.twist_by_norm_power(0j) != mu
+    assert MultChar.unramified(F, Phase.one(), 0j) != MultChar.trivial(F)
+    assert MultChar.unramified(F, Phase.approx(1)) != MultChar.trivial(F)
+    k = rng.randrange(12)
+    t = Phase.exact(Fraction(k, 12))
+    assert MultChar.unramified(F, Phase.approx(t.value())) != MultChar.unramified(F, t)
+    # every exact phase is reduced
+    phases = [chi.t for chi in pool] + [mu.t * nu.t, mu.t ** -5, mu.t.inv(), chiF.t ** 12]
+    for t in phases:
+        assert_phase_reduced(t)
+
+
+def test_phase_ops_build_no_fraction(monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    a, b = Phase.exact(Fraction(5, 12)), Phase.exact(Fraction(3, 8))
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    c = (a * b) ** 7
+    values = [a.value(), c.value(), c.inv().value(), Phase.one().value()]
+    ops = len(built)
+    angle = c.angle  # read as a Fraction: the one built here
+    monkeypatch.undo()
+    assert ops == 0 and len(built) == 1
+    # 7 (5/12 + 3/8) = 133/24 = 13/24 mod 1, and value() is e(angle)
+    assert (c.num, c.den) == (13, 24) and angle == Fraction(13, 24)
+    assert values[1:3] == [_angle_exp(Fraction(13, 24)), _angle_exp(Fraction(11, 24))]
+
+
 def test_exact_values_are_cyclotomic():
     F = PAdicGround(5)
     chi = MultChar(F, 1, (Fraction(1, 4),), Phase.exact(Fraction(1, 3)))
