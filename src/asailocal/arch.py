@@ -15,11 +15,18 @@ array to the array of its values; a parameterised one also receives its
 per-row parameters gathered per node, so it knows which integral each node
 belongs to.  A single integral is one row, and an integrand of the nodes
 alone is the whole interface.
+
+The Lemma's oracle is two such levels.  Its y-integrals, one per Lemma
+datum, are the rows of one quad_trapezoid_line call over log |y|; every
+level of it hands all its nodes, over every datum, as the rows of inner
+quad_trapezoid calls of the radial integral.  That integral depends on |y|
+alone, so W(y) and W(-y) share one radial row.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -84,13 +91,8 @@ class RChar(Value):
         _set(self, "_key", (lam, m))
 
     def value(self, y):
-        """chi(y) for a real number, or elementwise for an array."""
-        import numpy as np
-
-        yy = np.asarray(y, dtype=float)
-        sign = np.where(yy < 0, (-1.0) ** (self.m % 2), 1.0)
-        out = sign * np.abs(yy) ** complex(self.lam)
-        return out if out.ndim else complex(out)
+        """chi(y) for a real number, or elementwise for a numpy array."""
+        return (-1.0) ** (self.m * (y < 0)) * abs(y) ** complex(self.lam)
 
     def inv(self) -> "RChar":
         return RChar(-complex(self.lam), self.m % 2)
@@ -359,41 +361,56 @@ def quad_trapezoid(f, lo, hi, tol: float = QUAD_TOL, args: tuple = ()):
     return total.reshape(shape) if shape else complex(total[0])
 
 
-def quad_trapezoid_line(f, tol: float):
-    """The integral over R of ``f``, one row of nested trapezoid sums on a
-    window grown from [-LINE_START, LINE_START].
+def quad_trapezoid_line(f, tol: float, args: tuple = ()):
+    """The integral over R of ``f``, nested trapezoid sums, one row per
+    broadcast entry of ``args`` (one row without them), each on a window
+    grown from [-LINE_START, LINE_START]; the result has the rows' shape (a
+    complex number when it is scalar).  ``f`` is called as in quad_trapezoid.
 
-    The first grid has step TRAP_H0.  While |f| at an end of it is above
-    e^-WINDOW_DROP of the largest value sampled, that end moves out by
-    LINE_GROW, and one call of ``f`` takes the new points at every such end;
-    a window that would pass [-400, 400] raises ArithmeticError, naming it.
-    Then the step halves as in quad_trapezoid."""
+    Every row's first grid has step TRAP_H0.  While |f| at an end of a row's
+    grid is above e^-WINDOW_DROP of the largest value sampled in that row,
+    that end moves out by LINE_GROW, so each row grows its own window; one
+    call of ``f`` takes the new points at every growing end of every row.  A
+    window that would pass [-400, 400] raises ArithmeticError, naming it.
+    Then the rows' steps halve together, as in quad_trapezoid."""
     import numpy as np
 
-    lo, hi = np.array([-LINE_START]), np.array([LINE_START])
-    n = np.array([round(2 * LINE_START / TRAP_H0)])
-    fx, _ = _grid_values(f, np.array([0]), lo, hi, n, 0.0, ())
+    args = np.broadcast_arrays(*args)
+    shape = args[0].shape if args else ()
+    args = [np.ravel(v) for v in args]
+    rows = math.prod(shape)
+    lo, hi = np.full(rows, -LINE_START), np.full(rows, LINE_START)
+    n = np.full(rows, round(2 * LINE_START / TRAP_H0))
+    fx, start = _grid_values(f, np.arange(rows), lo, hi, n, 0.0, args)
+    fx = np.split(fx, start[1:])  # each row's values, its grid left to right
+    peak = np.array([np.abs(v).max() for v in fx])
     points = round(LINE_GROW / TRAP_H0)  # new points at each growing end
+    # strip 2r is the left end of row r, strip 2r + 1 its right end
+    strip_args = [np.repeat(v, 2) for v in args]
     while True:
-        top = math.exp(-WINDOW_DROP) * np.abs(fx).max()
-        grow = np.array([abs(fx[0]) > top, abs(fx[-1]) > top])
+        ends = np.abs([(v[0], v[-1]) for v in fx])
+        grow = ends > (math.exp(-WINDOW_DROP) * peak)[:, None]
         if not grow.any():
             break
-        lo[0] -= LINE_GROW * grow[0]
-        hi[0] += LINE_GROW * grow[1]
-        if lo[0] < -400 or hi[0] > 400:
-            raise ArithmeticError(f"integrand tail does not decay beyond [{lo[0]}, {hi[0]}]")
+        lo -= LINE_GROW * grow[:, 0]
+        hi += LINE_GROW * grow[:, 1]
+        if (beyond := (lo < -400) | (hi > 400)).any():
+            r = np.argmax(beyond)
+            raise ArithmeticError(f"integrand tail does not decay beyond [{lo[r]}, {hi[r]}]")
         # the new points of each growing end: the whole grid of its strip,
         # [lo, lo + LINE_GROW - TRAP_H0] or [hi - LINE_GROW + TRAP_H0, hi]
-        first = np.array([lo[0], hi[0] - LINE_GROW + TRAP_H0])
-        new, _ = _grid_values(
-            f, np.flatnonzero(grow), first, first + LINE_GROW - TRAP_H0, np.full(2, points - 1), 0.0, ()
-        )
-        left = points if grow[0] else 0
-        fx = np.concatenate((new[:left], fx, new[left:]))
-    n[0] = fx.size - 1
-    total = np.array([TRAP_H0 * (fx.sum() - (fx[0] + fx[-1]) / 2)])
-    return complex(_halve_until_settled(f, lo, hi, n, total, tol, ())[0])
+        first = np.stack((lo, hi - LINE_GROW + TRAP_H0), axis=1).ravel()
+        strips = np.flatnonzero(grow)
+        last, n_strip = first + LINE_GROW - TRAP_H0, np.full(first.size, points - 1)
+        new, start = _grid_values(f, strips, first, last, n_strip, 0.0, strip_args)
+        for strip, piece in zip(strips, np.split(new, start[1:])):
+            r, right = divmod(int(strip), 2)
+            fx[r] = np.concatenate((fx[r], piece) if right else (piece, fx[r]))
+            peak[r] = max(peak[r], np.abs(piece).max())
+    n = np.array([v.size - 1 for v in fx])
+    total = np.array([TRAP_H0 * (v.sum() - (v[0] + v[-1]) / 2) for v in fx])
+    total = _halve_until_settled(f, lo, hi, n, total, tol, args)
+    return total.reshape(shape) if shape else complex(total[0])
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +429,41 @@ def selection_rule_ok(idx_a, idx_b, mu: CChar, nu: CChar) -> bool:
 EXP_UNDERFLOW = -746.0
 
 
-def whittaker_integrand(u, ay, w: complex, A: int, B: int):
+def _runs(n: int, *keys) -> list:
+    """The maximal runs of n nodes on which every key, a number or an array
+    of one entry per node, is constant: (start, stop, *the keys there) of
+    each run, the keys as Python numbers."""
+    import numpy as np
+
+    cut = np.zeros(max(n - 1, 0), dtype=bool)
+    for key in keys:
+        if np.ndim(key):
+            cut |= key[1:] != key[:-1]
+    edges = [0, *(np.flatnonzero(cut) + 1).tolist(), n]
+    return [
+        (start, stop, *(key[start].item() if np.ndim(key) else key for key in keys))
+        for start, stop in zip(edges, edges[1:])
+        if stop > start
+    ]
+
+
+def whittaker_integrand(u, ay, w, A, B):
     """(yt)^A t^{-B} t^w e^{-2 pi ((yt)^2 + t^{-2})} at t = e^u, node by node,
-    for the nodes ``u`` and the row parameter ``ay`` = |y| gathered per node.
+    for the nodes ``u`` and the row parameters ``ay`` = |y|, ``w``, ``A`` and
+    ``B``, each a number or gathered per node.
 
     Only the live nodes, where the real part Re(w) u - 2 pi ((yt)^2 + t^{-2})
     of the exponent is above EXP_UNDERFLOW (or NaN), get the complex exp and
     the powers; every other node is an exact 0, which is what the exp gives
-    there.  On a live node the value is that of the single-y integrand, op
-    for op; folding the powers into one exp would round them at the scale of
-    the exponent, 4 pi |y|, about 1e-14 of the value at |y| = 6.  It works in
-    place: its arrays hold the new nodes of every open row of a level, for
-    every node of one outer level of zeta_whittaker_quadrature."""
+    there, and when every node is live none is gathered.  On a live node the
+    value is that of the single-y integrand, op for op; folding the powers
+    into one exp would round them at the scale of the exponent, 4 pi |y|,
+    about 1e-14 of the value at |y| = 6.  The integer powers are taken on
+    each run of nodes with equal A and B with that run's exponent as a
+    scalar: numpy's scalar x ** 2 and x ** -1 are a square and a reciprocal,
+    which an array exponent rounds differently.  It works in place: its
+    arrays hold the new nodes of every open row of a level, for a block of
+    outer nodes of zeta_whittaker_quadrature."""
     import numpy as np
 
     t = np.exp(u)
@@ -434,24 +474,30 @@ def whittaker_integrand(u, ay, w: complex, A: int, B: int):
     re = w.real * u
     re -= g
     live = ~(re <= EXP_UNDERFLOW)
-    t, yt = t[live], yt[live]
-    z = w * u[live]
-    z -= g[live]
+    every = live.all()
+    if not every:
+        u, t, yt, g = u[live], t[live], yt[live], g[live]
+        w, A, B = (v[live] if np.ndim(v) else v for v in (w, A, B))
+    z = w * u
+    z -= g
     np.exp(z, out=z)
-    yt **= A
-    t **= -B
+    for start, stop, a, b in _runs(u.size, A, B):
+        yt[start:stop] **= a
+        t[start:stop] **= -b
     yt *= t
     z *= yt
-    out = np.zeros(u.shape, dtype=complex)
+    if every:
+        return z
+    out = np.zeros(live.shape, dtype=complex)
     out[live] = z
     return out
 
 
-def whittaker_window(ay, c: float):
+def whittaker_window(ay, c):
     """The window (lo, hi) of each row of whittaker_integrand at |y| = ``ay``
-    (any shape) and c = Re(w) + A - B: where the real exponent
-    phi(u) = c u - 2 pi (ay^2 e^{2u} + e^{-2u}) of its modulus, ay^A aside,
-    is within WINDOW_DROP of its peak.
+    (any shape) and c = Re(w) + A - B, a number or one per row: where the
+    real exponent phi(u) = c u - 2 pi (ay^2 e^{2u} + e^{-2u}) of its modulus,
+    ay^A aside, is within WINDOW_DROP of its peak.
 
     phi is concave.  At its peak u0, P = ay^2 e^{2 u0} and Q = e^{-2 u0}
     solve P - Q = c / (4 pi) and P Q = ay^2: the larger of the two is the
@@ -465,9 +511,10 @@ def whittaker_window(ay, c: float):
     within 1 of WINDOW_DROP."""
     import numpy as np
 
-    big = (np.hypot(c, 8 * math.pi * ay) + abs(c)) / (8 * math.pi)
-    log_small = 2 * np.log(ay) - np.log(big)
-    lp, lq = (np.log(big), log_small) if c >= 0 else (log_small, np.log(big))
+    big = (np.hypot(c, 8 * math.pi * ay) + np.abs(c)) / (8 * math.pi)
+    log_big = np.log(big)
+    log_small = 2 * np.log(ay) - log_big
+    lp, lq = np.where(c >= 0, log_big, log_small), np.where(c >= 0, log_small, log_big)
     p, q = np.exp(lp), np.exp(lq)
 
     def drop(x):
@@ -486,18 +533,36 @@ def whittaker_window(ay, c: float):
     return x - lq / 2  # u0 = -log(Q) / 2
 
 
+def _radial_rows(ay, w, A, B, tol: float):
+    """int_R whittaker_integrand du of each row, at |y| = ``ay`` with the
+    exponents ``w``, ``A`` and ``B``, each a number or one per row (rows of
+    equal A and B adjacent, so the integrand takes few runs): one
+    quad_trapezoid call, each row on its whittaker_window."""
+    lo, hi = whittaker_window(ay, w.real + A - B)
+    return quad_trapezoid(whittaker_integrand, lo, hi, tol, args=(ay, w, A, B))
+
+
+def _whittaker_from_radial(y, mu: CChar, A: int, radial):
+    """W(diag(y, 1)) = 4 pi mu(y) |y| sgn(y)^A times the radial integral of
+    |y|, which W(y) and W(-y) share; ``radial`` broadcasts against ``y``."""
+    import numpy as np
+
+    return 4 * math.pi * mu.value(y) * np.abs(y) * np.sign(y) ** A * radial
+
+
 def whittaker_value_quadrature(
     y, idx_a, idx_b, mu: CChar, nu: CChar, tol: float = QUAD_TOL
 ):
     """W_{(a,b)}(diag(y,1)) = 4 pi mu(y)|y| int_0^inf Psi_a(yt) Psi_b(1/t)
     mu nu^{-1}(t) d t/t, by nested trapezoid sums on t = e^u.  ``y`` is a
-    finite nonzero number or an array of them, one quadrature row each; the
-    result has the shape of ``y``.
+    finite nonzero number or an array of them; the result has the shape of
+    ``y``.
 
-    The radial integrand is whittaker_integrand at |y|, the row parameter,
-    on the row's whittaker_window; sgn(y)^A is applied per row.  ``tol`` is
-    quad_trapezoid's, relative per row, so a row keeps its relative
-    accuracy however small |W| is, down to TRAP_UNDERFLOW."""
+    The radial integral is whittaker_integrand on its whittaker_window and
+    depends on |y| alone, so each distinct |y| is one quadrature row, and
+    every y of that modulus takes its sign's prefactor mu(y) sgn(y)^A to the
+    one sum.  ``tol`` is quad_trapezoid's, relative per row, so a row keeps
+    its relative accuracy however small |W| is, down to TRAP_UNDERFLOW."""
     import numpy as np
 
     y = np.asarray(y, dtype=float)
@@ -505,16 +570,11 @@ def whittaker_value_quadrature(
         raise ValueError("y must be finite and nonzero")
     if not selection_rule_ok(idx_a, idx_b, mu, nu):
         return np.zeros(y.shape, dtype=complex) if y.ndim else 0j
-    a1, a2 = idx_a
-    b1, b2 = idx_b
-    A, B = a1 + a2, b1 + b2
+    A, B = sum(idx_a), sum(idx_b)
     w = 2 * (complex(mu.lam) - complex(nu.lam))  # mu nu^{-1}(t) = t^w for t > 0
-    ay = np.abs(y)
-    lo, hi = whittaker_window(ay, w.real + A - B)
-    radial = quad_trapezoid(
-        lambda u, ay_: whittaker_integrand(u, ay_, w, A, B), lo, hi, tol, args=(ay,)
-    )
-    return 4 * math.pi * mu.value(y) * ay * np.sign(y) ** A * radial
+    ay, row = np.unique(np.abs(y).ravel(), return_inverse=True)
+    radial = _radial_rows(ay, w, A, B, tol)[row].reshape(y.shape)
+    return _whittaker_from_radial(y, mu, A, radial)
 
 
 def zeta_whittaker_closed(s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: CChar) -> complex:
@@ -539,25 +599,59 @@ def zeta_whittaker_closed(s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: C
     )
 
 
-def zeta_whittaker_quadrature(
-    s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: CChar
-) -> complex:
-    """2-D quadrature of zeta(s, W_{(a,b)}, chi): the y-integral over R^x of
-    the quadrature Whittaker value; the independent oracle for the Lemma.
-    Both integrals are nested trapezoid sums to the relative tolerance
-    1e-11."""
+# an inner quad_trapezoid call of zeta_whittaker_quadrature takes at most
+# this many outer nodes as its radial rows: at about 90 inner nodes a row it
+# bounds the arrays of one inner level, and so the oracle's peak memory, near
+# those of one Lemma datum alone, while most outer levels of the verify suite
+# still fit in one call
+LEMMA_BLOCK = 128
+
+
+def zeta_whittaker_quadrature(s: complex, data) -> list:
+    """2-D quadrature of zeta(s, W_{(a,b)}, chi) for each Lemma datum
+    (idx_a, idx_b, chi, mu, nu) of ``data``: the y-integral over R^x of the
+    quadrature Whittaker value; the independent oracle for the Lemma.  Both
+    integrals are nested trapezoid sums to the relative tolerance 1e-11.
+
+    The data are the rows of one computation.  The y-integral is one
+    quad_trapezoid_line call over log |y|, a row per datum; each of its
+    levels takes the radial integrals of all its nodes, in blocks of at most
+    LEMMA_BLOCK, as the rows of inner quad_trapezoid calls, one row for
+    y = +-e^v.  A row's sums depend on its own datum alone, so each value
+    has the bits it has when its datum is computed by itself.  A datum off
+    the selection rule is an exact 0."""
     import numpy as np
 
     tol = 1e-11
+    ok = [selection_rule_ok(ia, ib, mu, nu) for ia, ib, _, mu, nu in data]
+    rows = list(itertools.compress(data, ok))
+    # each row's mu nu^{-1}(t) = t^w for t > 0, and its degrees A and B
+    w = np.array([2 * (complex(mu.lam) - complex(nu.lam)) for *_, mu, nu in rows])
+    A = np.array([sum(ia) for ia, *_ in rows])
+    B = np.array([sum(ib) for _, ib, *_ in rows])
 
-    # |y|^{s-1} d^x y with y = +-e^v: every level of the outer row sends all
-    # its nodes, at both signs, as the rows of one inner call
-    def full(vs: np.ndarray) -> np.ndarray:
-        y = np.exp(vs)
-        w_p, w_m = whittaker_value_quadrature(np.stack((y, -y)), idx_a, idx_b, mu, nu, tol)
-        return (w_p * chi.value(y) + w_m * chi.value(-y)) * np.exp(complex(s - 1) * vs)
+    # |y|^{s-1} d^x y with y = +-e^v: each row's nodes are one run, in row
+    # order, and so are their radial rows, block after block
+    def full(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+        y = np.exp(v)
+        per_node = (y, w[k], A[k], B[k])
+        radial = np.concatenate([
+            _radial_rows(*(a[i : i + LEMMA_BLOCK] for a in per_node), tol)
+            for i in range(0, v.size, LEMMA_BLOCK)
+        ])
+        out = np.empty(v.size, dtype=complex)
+        for start, stop, r in _runs(v.size, k):
+            idx_a, _, chi, mu, _ = rows[r]
+            yr = y[start:stop]
+            y_pm = np.stack((yr, -yr))
+            w_p, w_m = _whittaker_from_radial(y_pm, mu, sum(idx_a), radial[start:stop])
+            out[start:stop] = w_p * chi.value(yr) + w_m * chi.value(-yr)
+        out *= np.exp(complex(s - 1) * v)
+        return out
 
-    return quad_trapezoid_line(full, tol)
+    values = quad_trapezoid_line(full, tol, args=(np.arange(len(rows)),)).tolist() if rows else []
+    values = iter(values)
+    return [next(values) if on else 0j for on in ok]
 
 
 # ---------------------------------------------------------------------------

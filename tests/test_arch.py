@@ -142,6 +142,22 @@ def test_whittaker_integrand_equals_the_all_nodes_reference(case):
     assert live.any() and not live.all()
 
 
+@settings(max_examples=20, deadline=None)
+@given(integrand_nodes(), integrand_nodes())
+def test_whittaker_integrand_per_node_exponents_equal_the_scalar_calls(first, second):
+    # the Lemma oracle gathers w, A and B per node, one run per datum: each
+    # run gets the bits of its scalar call, with dead nodes among them and
+    # without (then nothing is gathered)
+    sizes = [first[0].size, second[0].size]
+    u, ay = (np.concatenate((a, b)) for a, b in zip(first[:2], second[:2]))
+    w, A, B = (np.repeat(pair, sizes) for pair in zip(first[2:], second[2:]))
+    want = np.concatenate([arch.whittaker_integrand(*case) for case in (first, second)])
+    assert (arch.whittaker_integrand(u, ay, w, A, B) == want).all()
+    live = w.real * u - 2 * math.pi * ((ay * np.exp(u)) ** 2 + np.exp(-2 * u)) > arch.EXP_UNDERFLOW
+    got = arch.whittaker_integrand(u[live], ay[live], w[live], A[live], B[live])
+    assert (got == want[live]).all()
+
+
 def count_nodes_per_row(nodes_per_row, row_param):
     for v, n in zip(*np.unique(row_param, return_counts=True)):
         nodes_per_row[v] = nodes_per_row.get(v, 0) + n
@@ -286,14 +302,13 @@ def test_whittaker_value_refuses_y_not_finite():
 
 
 def test_whittaker_parity_under_sign_flip():
-    # y -> -y multiplies W by the sign content of mu and the monomial degree
+    # y -> -y multiplies W by mu(-1) = (-1)^{n1} and the monomial's
+    # (-1)^{a1 + a2}; W(y) and W(-y) share the radial row of |y|, so the
+    # law holds bit for bit
     mu, nu = CChar(0.1, 2), CChar(-0.05, 0)
-    idx_a, idx_b = (0, 0), (0, 2)  # a1-a2+n1 = 2 = b1-b2+n2? 0-0+2 = 2, 0-2+0 = -2 -> violates
-    idx_a, idx_b = (0, 1), (1, 0)  # -1+2 = 1, 1+0 = 1 ok
-    wp = whittaker_value_quadrature(1.3, idx_a, idx_b, mu, nu)
-    wm = whittaker_value_quadrature(-1.3, idx_a, idx_b, mu, nu)
-    # mu(-1) = (-1)^{n1}, monomial parity = a1+a2
-    assert abs(wm - (-1) ** (mu.n + 0 + 1) * wp) < 1e-9 * max(1, abs(wp))
+    idx_a, idx_b = (0, 1), (1, 0)  # selection rule: -1 + 2 = 1 + 0
+    wp, wm = whittaker_value_quadrature(np.array([1.3, -1.3]), idx_a, idx_b, mu, nu)
+    assert wp != 0 and wm == (-1) ** (mu.n + sum(idx_a)) * wp
 
 
 def test_closed_vs_quadrature_random():
@@ -307,7 +322,7 @@ def test_closed_vs_quadrature_random():
         b1, b2 = (diff, 0) if diff >= 0 else (0, -diff)
         s = 2.3 + 0.1j
         closed = zeta_whittaker_closed(s, (a1, a2), (b1, b2), RChar(0, 0), mu, nu)
-        quad = zeta_whittaker_quadrature(s, (a1, a2), (b1, b2), RChar(0, 0), mu, nu)
+        quad = zeta_whittaker_quadrature(s, [((a1, a2), (b1, b2), RChar(0, 0), mu, nu)])[0]
         if abs(closed) < 1e-12:
             assert abs(quad) < 1e-12
         else:
@@ -333,11 +348,46 @@ def lemma_data(draw):
 @settings(max_examples=25, deadline=None)
 @given(lemma_data())
 def test_quadrature_matches_the_lemma_over_the_suite_ranges(case):
-    idx_a, idx_b, chi, mu, nu = case
     s = 2.4 + 0.2j
-    closed = zeta_whittaker_closed(s, idx_a, idx_b, chi, mu, nu)
-    quad = zeta_whittaker_quadrature(s, idx_a, idx_b, chi, mu, nu)
+    closed = zeta_whittaker_closed(s, *case)
+    (quad,) = zeta_whittaker_quadrature(s, [case])
     assert abs(closed - quad) <= 1e-11 * abs(closed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(lemma_data(), min_size=2, max_size=4))
+def test_lemma_data_computed_together_equal_each_computed_alone(data):
+    # each datum is a row of the y-integral and its nodes are radial rows of
+    # shared inner calls, split in blocks of LEMMA_BLOCK; no row's sums
+    # depend on the others, so the batch changes no bit
+    s = 2.4 + 0.2j
+    together = zeta_whittaker_quadrature(s, data)
+    alone = [zeta_whittaker_quadrature(s, [datum])[0] for datum in data]
+    assert list(map(repr, together)) == list(map(repr, alone))
+
+
+def test_lemma_suite_takes_one_radial_row_per_modulus_and_few_inner_calls(monkeypatch):
+    # W(y) and W(-y) share one radial row, and each outer level sends all
+    # its nodes, over the ten data, to inner calls of at most LEMMA_BLOCK
+    # rows: 449,396 integrand nodes and 54 inner calls when each datum and
+    # each sign took its own
+    from asailocal import verify
+
+    counts = {"nodes": 0, "inner calls": 0}
+    integrand, quad = arch.whittaker_integrand, arch.quad_trapezoid
+
+    def counting_integrand(u, *args):
+        counts["nodes"] += u.size
+        return integrand(u, *args)
+
+    def counting_quad(*args, **kwargs):
+        counts["inner calls"] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(arch, "whittaker_integrand", counting_integrand)
+    monkeypatch.setattr(arch, "quad_trapezoid", counting_quad)
+    assert verify.suite_closed_vs_quadrature()["ok"]
+    assert 0 < counts["nodes"] <= 224_698 and 0 < counts["inner calls"] <= 20
 
 
 # -- the archimedean Tate closed forms and their quadrature oracle, kept as
@@ -820,7 +870,7 @@ def test_oracles_call_no_closed_form(monkeypatch):
         monkeypatch.setattr(here, name, closed_form)
     mu, nu = CChar(0.1, 1), CChar(-0.05, 0)
     values = [
-        zeta_whittaker_quadrature(2.3 + 0.1j, (0, 0), (1, 0), RChar(0, 1), mu, nu),
+        *zeta_whittaker_quadrature(2.3 + 0.1j, [((0, 0), (1, 0), RChar(0, 1), mu, nu)]),
         whittaker_value_quadrature(1.3, (0, 0), (1, 0), mu, nu),
         tate_fe_oracle_real(RChar(0.08, 1), 0.7),
         tate_fe_oracle_complex(CChar(0.05, -1), 0.8),

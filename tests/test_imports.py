@@ -37,6 +37,12 @@ def test_cli_import_is_cold_start_light_and_loads_every_traced_layer():
     assert not missing, f"import asailocal.cli did not load {sorted(missing)}"
 
 
+def test_dependence_suite_runs_without_numpy():
+    # its archimedean relation evaluates characters of R^x at numbers only
+    loaded = _loaded_after("from asailocal import verify\nverify.run_suites(['dependence'])")
+    assert "numpy" not in loaded
+
+
 def test_package_import_loads_no_submodule():
     loaded = sorted(m for m in _loaded_after("import asailocal") if m.startswith("asailocal."))
     assert not loaded, f"import asailocal loaded {loaded}"
