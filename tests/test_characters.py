@@ -168,11 +168,13 @@ def test_restrict_then_extend_round_trip():
         for ext in EXTENSION_TYPES:
             E = QuadExtension(F, ext)
             chi = rand_char(F, rng.randint(0, 2), rng)
-            ext_chi = extend_from_F(chi, E)
-            back = restrict_to_F(ext_chi)
-            probes = F.shell(0, 2) + [Fraction(p), Fraction(1, p), Fraction(2 * p)]
-            for x in probes:
-                assert abs(back.value(x) - chi.value(x)) < 1e-12
+            # the same unit part with a float t, |t| != 1, and a complex lam
+            drift = MultChar(F, chi.n, chi.angles, Phase.approx(0.9 + 1.2j), 0.25 - 0.5j)
+            for c in (chi, drift):
+                back = restrict_to_F(extend_from_F(c, E))
+                probes = F.shell(0, 2) + [Fraction(p), Fraction(1, p), Fraction(2 * p)]
+                for x in probes:
+                    assert abs(back.value(x) - c.value(x)) < 1e-12
 
 
 def test_extension_of_unramified_twist():
