@@ -26,13 +26,19 @@ unit part of f(pi_K) (:func:`_uniformizer_row`).
 
 Exact data is integer all the way through: a :class:`Phase` holds its
 angle as a reduced pair num / den, so products, powers and values of
-phases build no Fraction.  A ``MultChar`` compares and hashes by value
-(field, level, unit data, t, lam), so characters reached along different
-routes, restriction of a product against the product of restrictions say,
-are equal and share every cache keyed on characters.  Two bounded caches
-are keyed that way: the pullback itself (:func:`_pullback`) and
-``tate.gauss_sum``.  Cached characters are shared, so no caller may change
-one.
+phases build no Fraction.  Evaluation is integer too: ``value``, ``cyc``
+and ``angle_at`` read one core, the pair (v, k) with chi(x) = t^v
+e(k / unit_den) q^(-lam v), and finish in Phase arithmetic.  With exact t
+and lam = 0, the only Fraction they build beyond the field's own (an
+element of F is one) is the angle ``angle_at`` returns; ``extend_from_F``
+and ``omega_quadratic`` find their t in Phase arithmetic as well.
+
+A ``MultChar`` compares and hashes by value (field, level, unit data, t,
+lam), so characters reached along different routes, restriction of a
+product against the product of restrictions say, are equal and share every
+cache keyed on characters.  Two bounded caches are keyed that way: the
+pullback itself (:func:`_pullback`) and ``tate.gauss_sum``.  Cached
+characters are shared, so no caller may change one.
 
 Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
 kernel, :func:`shell_angles`, which works on the integer coordinates of
@@ -77,7 +83,7 @@ from functools import cache, lru_cache
 from operator import mul
 from typing import NamedTuple, Optional, Union
 
-from .cyclotomic import Cyc, _make
+from .cyclotomic import Cyc, _make, _wrap
 from .padic import (
     EElement,
     Field,
@@ -89,10 +95,6 @@ from .padic import (
     is_extension,
 )
 from .unitgroups import unit_group
-
-
-def _angle_exp(theta: Fraction) -> complex:
-    return _num_exp(theta.numerator, theta.denominator)
 
 
 def _num_exp(num: int, den: int) -> complex:
@@ -107,20 +109,15 @@ class Phase:
 
     The exact angle is held as integers num / den, 0 <= num < den and
     gcd(num, den) = 1 (``den`` is None for an approximate phase), so ``*``,
-    ``**``, ``inv`` and ``value`` build no Fraction; ``angle`` reads it as one."""
+    ``**``, ``inv`` and ``value`` build no Fraction; ``angle`` reads it as one.
+    Two builders make every phase: :meth:`_exact` from integers (``exact``
+    reads a Fraction into it) and :meth:`approx` from a float."""
 
     __slots__ = ("num", "den", "_z")
 
-    def __init__(self, angle: Optional[Fraction] = None, z: Optional[complex] = None):
-        self.num = self.den = None
-        if angle is not None:
-            angle = Fraction(angle)
-            self.num, self.den = angle.numerator % angle.denominator, angle.denominator
-        self._z = complex(z) if z is not None else None
-
     @staticmethod
     def exact(angle) -> "Phase":
-        return Phase(angle=angle)
+        return Phase._exact(*Fraction(angle).as_integer_ratio())
 
     @staticmethod
     def _exact(num: int, den: int) -> "Phase":
@@ -132,7 +129,9 @@ class Phase:
 
     @staticmethod
     def approx(z: complex) -> "Phase":
-        return Phase(z=z)
+        out = Phase.__new__(Phase)
+        out.num, out.den, out._z = None, None, complex(z)
+        return out
 
     @staticmethod
     def one() -> "Phase":
@@ -155,12 +154,12 @@ class Phase:
     def __mul__(self, other: "Phase") -> "Phase":
         if self.den is not None and other.den is not None:
             return Phase._exact(self.num * other.den + other.num * self.den, self.den * other.den)
-        return Phase(z=self.value() * other.value())
+        return Phase.approx(self.value() * other.value())
 
     def __pow__(self, k: int) -> "Phase":
         if self.den is not None:
             return Phase._exact(self.num * k, self.den)
-        return Phase(z=self.value() ** k)
+        return Phase.approx(self.value() ** k)
 
     def inv(self) -> "Phase":
         return self ** (-1)
@@ -206,7 +205,7 @@ class AddChar(Value):
         return Fraction(*K.ground._frac_num(*K._tr_mul(self.mult, x)))
 
     def value(self, x) -> complex:
-        return _angle_exp(self.angle(x))
+        return _num_exp(*self.angle(x).as_integer_ratio())
 
     def cyc(self, x) -> Cyc:
         theta = self.angle(x)
@@ -387,32 +386,25 @@ class MultChar:
         return tuple(map(self._unit_num, _pullback_table(self.field, self.n, K, level, fmap)))
 
     # -- evaluation ----------------------------------------------------------------
-    def unit_angle(self, u) -> Fraction:
-        """Angle of the unit-part character at a valuation-0 element."""
-        if self.n == 0:
-            return Fraction(0)
-        exps = self.group.dlog(u)
-        return Fraction(self._unit_num(exps), self.unit_den)
-
     def _unit_num(self, exps) -> int:
         return sum(map(mul, exps, self.unit_weights)) % self.unit_den
 
-    def _split(self, x):
+    def _exponents(self, x) -> tuple:
+        """(v, k) with chi(x) = t^v e(k / unit_den) q^(-lam v), v = ord x:
+        the one integer core of ``value``, ``cyc`` and ``angle_at``.  A
+        level-0 character takes no unit part and no dlog."""
         K = self.field
         x = K.embed(x)
-        return K.val(x), K.unit_part(x)
+        v = K.val(x)
+        return v, (self._unit_num(self.group.dlog(K.unit_part(x))) if self.n else 0)
 
     def value(self, x) -> complex:
-        v, u = self._split(x)
-        return self._value(v, _angle_exp(self.unit_angle(u)))
-
-    def _value(self, v: int, unit_value: complex) -> complex:
-        """Float value at an element of valuation v whose unit part has
-        value ``unit_value``."""
-        return self._values(v, (unit_value,))[0]
+        v, k = self._exponents(x)
+        return self._values(v, (_num_exp(k, self.unit_den),))[0]
 
     def _values(self, v: int, unit_values) -> list:
-        """``_value(v, z)`` for each z of ``unit_values``: (t^v z) q^(-lam v),
+        """The float value at an element of valuation v whose unit part has
+        value z, for each z of ``unit_values``: (t^v z) q^(-lam v),
         multiplied in that order, with t^v and q^(-lam v) computed once."""
         tv = self.t.value() ** v
         out = [tv * z for z in unit_values]
@@ -424,25 +416,25 @@ class MultChar:
 
     def angle_at(self, x) -> Fraction:
         """Exact angle, defined when t is exact and lam = 0 (or x is a unit)."""
-        v, u = self._split(x)
+        v, k = self._exponents(x)
         if not self.t.is_exact:
             raise ValueError("character has no exact t")
         if self.lam != 0 and v != 0:
             raise ValueError("twist exponent breaks exactness")
-        return (self.t.angle * v + self.unit_angle(u)) % 1
+        return (self.t**v * Phase._exact(k, self.unit_den)).angle
 
     def cyc(self, x) -> Cyc:
         """Exact value as a cyclotomic number (integer lam only)."""
-        v, u = self._split(x)
+        v, k = self._exponents(x)
         if not self.t.is_exact:
             raise ValueError("character has no exact t")
-        lam = self.lam
-        scale = Fraction(1)
+        lam, scale = self.lam, 1
         if lam != 0:
             if not isinstance(lam, Fraction) or lam.denominator != 1:
                 raise ValueError("twist exponent breaks exactness")
-            scale = Fraction(self.field.q) ** int(-lam * v)
-        return Cyc.root(self.t.angle * v + self.unit_angle(u), scale)
+            scale = Fraction(self.field.q) ** (-lam.numerator * v)
+        phase = self.t**v * Phase._exact(k, self.unit_den)
+        return _wrap(phase.den, scale.denominator, {phase.num: scale.numerator})
 
     def t_full(self) -> complex:
         """Value at the uniformizer, twist included."""
@@ -519,14 +511,16 @@ def _add_lam(a, b):
 
 
 def json_complex(value) -> complex:
-    """A JSON number, or an [re, im] pair, as a finite complex number."""
+    """A JSON number, or an [re, im] pair, as a finite complex number; JSON
+    true and false are no numbers, alone or in a pair."""
+    pair = isinstance(value, (list, tuple))
     try:
-        if isinstance(value, (list, tuple)):
-            if len(value) != 2:
-                raise ValueError(f"expected a number or [re, im], got {value!r}")
-            z = complex(*value)
-        else:
-            z = complex(value)
+        if pair and len(value) != 2:
+            raise ValueError(f"expected a number or [re, im], got {value!r}")
+        parts = value if pair else (value,)
+        if any(isinstance(x, bool) for x in parts):
+            raise TypeError("a boolean is not a number")
+        z = complex(*parts)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"expected a number or [re, im], got {value!r}") from exc
     if not cmath.isfinite(z):
@@ -549,6 +543,8 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
     if isinstance(t, dict):
         if "angle" not in t:
             raise ValueError("an exact 't' needs an 'angle' entry")
+        if isinstance(t["angle"], bool):
+            raise ValueError(f"the 't' angle must be a number or a string, not {t['angle']!r}")
         phase = Phase.exact(Fraction(t["angle"]))
     else:
         z = json_complex(t)
@@ -560,14 +556,17 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         lam = Fraction(lam)
     elif isinstance(lam, (list, tuple)):
         lam = as_lam(json_complex(lam))
-    elif not isinstance(lam, int):
+    elif type(lam) is not int:  # a bool is an int too
         lam = json_complex(lam)
     n = obj.get("conductor", 0)
     if type(n) is not int:  # a bool is an int too
         raise ValueError(f"conductor must be a JSON integer, not {n!r}")
     if n < 0:
         raise ValueError("conductor must be >= 0")
-    angles = [Fraction(a) for a in obj.get("unit_part", [])]
+    unit_part = obj.get("unit_part", [])
+    if any(isinstance(a, bool) for a in unit_part):
+        raise ValueError(f"unit_part angles must be numbers or strings, not {unit_part!r}")
+    angles = [Fraction(a) for a in unit_part]
     for a, d in zip(angles, unit_group(field, n).orders):
         if (a * d).denominator != 1:
             raise ValueError(f"unit_part angle {a} times its generator's order {d} is not an integer")
@@ -820,16 +819,17 @@ def extend_from_F(chi: MultChar, E: QuadExtension) -> MultChar:
     weights = [k * (den // d) for k, d in zip(ks, orders)]
     tmp = MultChar._from_weights(E, M, den, weights, Phase.one(), 0)
     # uniformizer constraint: chi~(p) = chi(p) once the twist lam/2 is split off
-    pi = E.uniformizer()
-    u_p = E.embed(F.p) * (pi ** E.e).inv()
-    resid = tmp.unit_angle(u_p)
-    if chi.t.is_exact:
-        # solutions form {base + k/e}; take the smallest angle in [0, 1/e)
-        base = (chi.t.angle - resid) / E.e
-        t = Phase.exact(base % Fraction(1, E.e))
-        assert (t.angle * E.e + resid) % 1 == chi.t.angle % 1
+    # p = pi^e u_p, so t~^e = chi(p) / e(k / den) with tmp(u_p) = e(k / den)
+    u_p = E.embed(F.p) * (E.uniformizer() ** E.e).inv()
+    k = tmp._unit_num(tmp.group.dlog(u_p))
+    rest = chi.t * Phase._exact(-k, tmp.unit_den)
+    if rest.is_exact:
+        # the e-th roots of rest differ by e(1/e); take the smallest angle
+        t = Phase._exact(rest.num, rest.den * E.e)
+        at_p = t**E.e * Phase._exact(k, tmp.unit_den)
+        assert (at_p.num, at_p.den) == (chi.t.num, chi.t.den)
     else:
-        t = Phase.approx((chi.t.value() * _angle_exp(-resid)) ** (1.0 / E.e))
+        t = Phase.approx(rest.value() ** (1.0 / E.e))
     lam = chi.lam / 2 if isinstance(chi.lam, Fraction) else complex(chi.lam) / 2
     return MultChar._from_weights(E, M, den, weights, t, lam).reduced()
 
@@ -878,6 +878,5 @@ def omega_quadratic(E: QuadExtension) -> MultChar:
     angles = (Fraction(1, 2),)
     tmp = MultChar(F, 1, angles, Phase.one(), 0)
     n_sqrt_d = E.sqrt_d().norm()  # = -d, valuation 1
-    resid = tmp.unit_angle(F.unit_part(n_sqrt_d))
-    t = Phase.exact(-resid)
-    return MultChar(F, 1, angles, t, 0)
+    k = tmp._unit_num(tmp.group.dlog(F.unit_part(n_sqrt_d)))
+    return MultChar(F, 1, angles, Phase._exact(-k, tmp.unit_den), 0)

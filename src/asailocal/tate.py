@@ -270,7 +270,7 @@ def zeta_terms(chi: MultChar, psi: AddChar, box: ModBox) -> list:
     else:
         v = K.val(a)
         value = coset_integral(unit, a, n, psi, -m0)
-    terms.append((coef, v, value.to_complex() * chi._value(v, 1), None))
+    terms.append((coef, v, value.to_complex() * chi._values(v, (1,))[0], None))
     return terms
 
 

@@ -35,7 +35,7 @@ from asailocal.unitgroups import unit_group
 from asailocal.verify import suite_theorem_b
 
 from certified_tate import certified_gamma
-from random_chars import rand_char
+from random_chars import rand_char, unit_angle
 
 
 def test_gamma_rs_trivial_decomposes_into_tate_factors():
@@ -150,7 +150,7 @@ def _relative_kernel_char(E: QuadExtension, model: MultChar) -> MultChar:
                 # fix eta(p) = 1 through the uniformizer value
                 pi = E.uniformizer()
                 u_p = E.embed(F.p) * (pi ** E.e).inv()
-                resid = eta.unit_angle(u_p)
+                resid = unit_angle(eta, u_p)
                 t = Phase.exact((-resid) / E.e)
                 eta = MultChar(E, eta.n, eta.angles, t, 0)
                 if abs(eta.value(E.embed(F.p)) - 1) < 1e-12 and not (

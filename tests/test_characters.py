@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from asailocal.characters import (
     AddChar,
-    _angle_exp,
     MultChar,
     Phase,
     compose_with_norm,
@@ -20,6 +19,7 @@ from asailocal.characters import (
     restrict_to_F,
     sigma_conjugate,
     standard_psi,
+    _num_exp,
 )
 from asailocal.cyclotomic import Cyc
 from asailocal.padic import (
@@ -33,7 +33,7 @@ from asailocal.padic import (
 )
 from asailocal.unitgroups import unit_group
 
-from random_chars import rand_char
+from random_chars import rand_char, unit_angle
 
 
 # -- additive characters ------------------------------------------------------
@@ -89,7 +89,7 @@ def test_psi_angle_matches_the_trace_formula(p, ext, ma, mb, xa, xb):
         return
     got = psi.angle(x)
     assert got == want and type(got) is Fraction
-    assert psi.value(x) == _angle_exp(want)
+    assert psi.value(x) == _num_exp(want.numerator, want.denominator)
     assert psi.cyc(x) == Cyc.root(want)
     assert (psi.cyc(x).n, psi.cyc(x).nums) == (want.denominator, {want.numerator: 1})
 
@@ -199,7 +199,7 @@ def test_restriction_conductor_example():
     # F^x units land in the order-(p-1) subgroup; the order-8 character is
     # nontrivial there iff its restriction has conductor 1
     rest = restrict_to_F(chi8)
-    gen_angle = chi8.unit_angle(E.embed(2))
+    gen_angle = unit_angle(chi8, E.embed(2))
     assert (rest.n == 1) == (gen_angle != 0)
     # the order-2 character of F_9^x kills every F_3 unit (all are squares in F_9)
     chi2 = MultChar(E, 1, (Fraction(1, 2),), Phase.one())
@@ -422,7 +422,9 @@ def test_characters_compare_and_hash_by_value(p, ext, seed, levels):
         assert_phase_reduced(t)
 
 
-def test_phase_ops_build_no_fraction(monkeypatch):
+def _count_fractions(monkeypatch) -> list:
+    """From here until ``monkeypatch.undo()``, the arguments of every
+    Fraction built go into the list returned."""
     built = []
     new = Fraction.__new__
 
@@ -430,8 +432,13 @@ def test_phase_ops_build_no_fraction(monkeypatch):
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    a, b = Phase.exact(Fraction(5, 12)), Phase.exact(Fraction(3, 8))
     monkeypatch.setattr(Fraction, "__new__", counting)
+    return built
+
+
+def test_phase_ops_build_no_fraction(monkeypatch):
+    a, b = Phase.exact(Fraction(5, 12)), Phase.exact(Fraction(3, 8))
+    built = _count_fractions(monkeypatch)
     c = (a * b) ** 7
     values = [a.value(), c.value(), c.inv().value(), Phase.one().value()]
     ops = len(built)
@@ -440,7 +447,27 @@ def test_phase_ops_build_no_fraction(monkeypatch):
     assert ops == 0 and len(built) == 1
     # 7 (5/12 + 3/8) = 133/24 = 13/24 mod 1, and value() is e(angle)
     assert (c.num, c.den) == (13, 24) and angle == Fraction(13, 24)
-    assert values[1:3] == [_angle_exp(Fraction(13, 24)), _angle_exp(Fraction(11, 24))]
+    assert values[1:3] == [_num_exp(13, 24), _num_exp(11, 24)]
+
+
+def test_evaluation_builds_no_fraction(monkeypatch):
+    # value and cyc read integers only; angle_at builds its return value
+    rng = random.Random(23)
+    F = PAdicGround(5)
+    for ext in EXTENSION_TYPES:
+        E = QuadExtension(F, ext)
+        angles = [Fraction(rng.randrange(d), d) for d in unit_group(E, 2).orders]
+        chi = MultChar(E, 2, angles, Phase.exact(Fraction(5, 12)))
+        xs = [x for v in (-1, 0, 3) for x in E.shell(v, 2)[:4]]
+        built = _count_fractions(monkeypatch)
+        per_call = []
+        for evaluate in (chi.value, chi.cyc, chi.angle_at):
+            before = len(built)
+            for x in xs:
+                evaluate(x)
+            per_call.append((len(built) - before) / len(xs))
+        monkeypatch.undo()
+        assert per_call == [0, 0, 1], ext
 
 
 def test_exact_values_are_cyclotomic():

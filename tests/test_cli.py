@@ -153,6 +153,14 @@ def test_verify_out_writes_the_reports(tmp_path, capsys):
     assert reports[0]["name"] == "gamma-combinatorial-identity"
 
 
+def test_verify_group_out_writes_each_report(tmp_path, capsys):
+    # a group runs its three suites, in sorted order
+    out = tmp_path / "reports.json"
+    assert main(["verify", "--suite", "arch", "--out", str(out)]) == 0
+    names = [rep["name"] for rep in json.loads(out.read_text())]
+    assert names == ["arch-case-table", "arch-closed-vs-quadrature", "gamma-combinatorial-identity"]
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
     out, err = capsys.readouterr()
@@ -239,6 +247,17 @@ def test_bad_tol_exits_2(capsys):
     for bad in ("-1", "0", "nan", "inf", "x"):
         assert main(asai + ["--tol", bad]) == 2
         assert "--tol" in capsys.readouterr().err
+
+
+def test_a_valid_tol_decides_the_comparison(capsys):
+    # the README asai input deviates by 8.9e-16 (bench/golden/asai.json)
+    readme = ["asai", "--field", '{"p":3,"ext":"unramified"}', "--char", MU_JSON,
+              "--char2", "trivial", "--psi-shift", "3", "--xi-scale", "2"]
+    assert main(readme) == 0
+    assert json.loads(capsys.readouterr().out)["galois_comparison"]["ok"] is True
+    assert main(readme + ["--tol", "1e-16"]) == 3
+    report = json.loads(capsys.readouterr().out)["galois_comparison"]
+    assert report["ok"] is False and report["max_deviation"] > 1e-16
 
 
 def _subcommand_options():
@@ -436,6 +455,28 @@ _REPROS = [
         ["asai", "--field", _U5, "--char", '{"lambda":"150"}', "--char2", "trivial",
          "--twist", '{"field":"F","lambda":"150"}'],
         "--twist",
+    ),
+    # (rows are appended here: a row's test id carries its index)
+    # JSON true or false where a number belongs
+    (["tate", "--field", _F5, "--char", '{"field":"F","lambda":true}'], "--char"),
+    (["tate", "--field", _F5, "--char", '{"field":"F","t":true}'], "--char"),
+    (["tate", "--field", _F5, "--char", '{"field":"F","t":[true,false]}'], "--char"),
+    (["tate", "--field", _F5, "--char", '{"field":"F","t":{"angle":true}}'], "--char"),
+    (["tate", "--field", _F5, "--char", '{"field":"F","conductor":1,"unit_part":[true]}'], "--char"),
+    (
+        ["twisted-asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+         "--tau", '{"mu2":{},"nu2":{},"v2":true}'],
+        "--tau v2",
+    ),
+    # a malformed --grid point or a zero --psi-shift
+    (["tate", "--field", _F5, "--char", "trivial", "--grid", "1,2,3"], "--grid"),
+    (["tate", "--field", _F5, "--char", "trivial", "--psi-shift", "0"], "--psi-shift"),
+    # JSON that is not an object where an object belongs
+    (["tate", "--field", "[3]", "--char", "trivial"], "--field"),
+    (
+        ["twisted-asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+         "--tau", '{"mu2":3,"nu2":{},"v2":0}'],
+        "--tau mu2",
     ),
 ]
 

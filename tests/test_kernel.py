@@ -15,8 +15,8 @@ from asailocal.characters import (
     AddChar,
     MultChar,
     Phase,
-    _angle_exp,
     _dlog_frame,
+    _num_exp,
     _psi_frame,
     conductor_add,
     psi_to_E,
@@ -35,6 +35,8 @@ from asailocal.padic import (
 )
 from asailocal.tate import coset_integral, gauss_sum
 from asailocal.unitgroups import ERamUnitGroup, _LogSpan, unit_group
+
+from random_chars import unit_angle
 
 FIELDS = [(p, ext) for p in (3, 5, 7) for ext in (None,) + EXTENSION_TYPES]
 
@@ -610,7 +612,7 @@ def test_reduced_conductor_is_minimal(chi):
     K, n = chi.field, chi.n
     want = next(
         k for k in range(n + 1)
-        if all(chi.unit_angle(u) == 0 for u in _filtration_step(K, k, n))
+        if all(unit_angle(chi, u) == 0 for u in _filtration_step(K, k, n))
     )
     assert chi.reduced().n == want
 
@@ -720,7 +722,7 @@ def _chi_value(chi, x):
     """chi(x) = (t^v e(unit angle)) q^(-lam v), multiplied in that order."""
     K = chi.field
     v = K.val(x)
-    out = chi.t.value() ** v * _angle_exp(chi.unit_angle(K.unit_part(x)))
+    out = chi.t.value() ** v * _num_exp(*unit_angle(chi, K.unit_part(x)).as_integer_ratio())
     if chi.lam != 0:
         out *= K.q ** complex(-chi.lam * v)
     return out

@@ -258,7 +258,7 @@ def _valuation_piece(chi, v, integral, *args):
     """A shell or coset integral of chi on valuation v: the exact integral of
     chi's unit part, times chi(pi)^v."""
     unit = tate_mod._unit_part(chi.field, chi.n, chi.unit_den, chi.unit_weights)
-    return integral(unit, *args).to_complex() * chi._value(v, 1)
+    return integral(unit, *args).to_complex() * chi._values(v, (1,))[0]
 
 
 def reference_tate_zeta_value(chi, psi, box, s):
