@@ -7,30 +7,30 @@ other (psi, xi) are reached through the change-of-variable scalings.  The
 independent oracle is the trapezoidal rule on nested grids, applied to the
 explicit Gaussian-monomial integrands; it calls none of the closed forms.
 
-The quadrature is breadth-first over rows: one quad_trapezoid call computes
-a batch of integrals, one per row, each on its own window and its own grid,
-and at each level evaluates the integrand once, on a flat array of the new
-midpoints of every row that has not settled.  An integrand maps that node
-array to the array of its values; a parameterised one also receives its
-per-row parameters gathered per node, so it knows which integral each node
-belongs to.  A single integral is one row, and an integrand of the nodes
-alone is the whole interface.
+The quadrature runs in pure Python on one dyadic lattice: every node of
+every grid is an integer multiple of TRAP_UNIT, and an integrand gives the
+sum of its values over an arithmetic progression of lattice indices, so
+each level of a row is one call.  A row is one integral, on its own window
+and settled by its own test.
 
-The Lemma's oracle is two such levels.  Its y-integrals, one per Lemma
-datum, are the rows of one quad_trapezoid_line call over log |y|; every
-level of it hands all its nodes, over every datum, as the rows of inner
-quad_trapezoid calls of the radial integral.  That integral depends on |y|
-alone, so W(y) and W(-y) share one radial row.
+The Lemma's oracle is two such levels.  Its y-integral, one per Lemma
+datum, is a quad_trapezoid_line row over log |y|; each of its nodes is a
+quad_trapezoid row of the radial integral, which depends on |y| alone, so
+W(y) and W(-y) share it.  At |y| = e^v the radial integrand factors as
+P(v + u) Q(u), summed over the lattice nodes t = u + v/2; for an outer node
+v, v/2 + t and t - v/2 are lattice nodes too, so a datum reads both factors
+off memoized lattice tables, and a level of a radial row is one sum of
+products of two list slices.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, perm
+from operator import mul
 
 from .factors import (
     DEFAULT_GRID,
@@ -62,7 +62,7 @@ class CChar(Value):
         _set(self, "_key", (lam, n))
 
     def value(self, z):
-        """chi(z) for a number, or elementwise for a numpy array."""
+        """chi(z) for a nonzero complex number z."""
         return abs(z) ** (2 * (complex(self.lam) - self.n / 2)) * z**self.n
 
     def inv(self) -> "CChar":
@@ -91,7 +91,7 @@ class RChar(Value):
         _set(self, "_key", (lam, m))
 
     def value(self, y):
-        """chi(y) for a real number, or elementwise for a numpy array."""
+        """chi(y) for a nonzero real number y."""
         return (-1.0) ** (self.m * (y < 0)) * abs(y) ** complex(self.lam)
 
     def inv(self) -> "RChar":
@@ -262,13 +262,17 @@ def quad_real_line(f, tol: float = QUAD_TOL, L: float = 9.0, args: tuple = ()):
 
 
 # ---------------------------------------------------------------------------
-# nested trapezoid sums
+# nested trapezoid sums on a dyadic lattice
 # ---------------------------------------------------------------------------
 
-# a row's first grid has a step of about TRAP_H0 and at least 2 intervals;
-# a row that has not settled after TRAP_HALVINGS halvings of it raises
+# a row's first grid has step TRAP_H0 and at least 2 intervals; a row that
+# has not settled after TRAP_HALVINGS halvings of it raises
 TRAP_H0 = 0.5
 TRAP_HALVINGS = 10
+# every node of every level is a lattice node k * TRAP_UNIT, k an integer:
+# TRAP_UNIT is the step after the last halving, and the product is exact
+_SPAN = 1 << TRAP_HALVINGS  # lattice indices per TRAP_H0
+TRAP_UNIT = TRAP_H0 / _SPAN
 # a row whose last two sums are both below this in modulus settles: its
 # values are subnormal or 0, and no relative test on them can pass
 TRAP_UNDERFLOW = 1e-280
@@ -280,137 +284,94 @@ LINE_START = 6.0
 LINE_GROW = 4.0
 
 
-def _grid_values(f, rows, lo, hi, n, shift, args):
-    """One call of ``f`` on the points lo_r + (k + shift) (hi_r - lo_r) / n_r
-    of every row r in ``rows``, with that row's ``args`` gathered per point:
-    k = 0..n_r for shift 0 (the whole grid), k < n_r for shift 1/2 (its
-    midpoints).  Returns the values, row after row, and where each row's
-    values start.  A value that is not finite raises ArithmeticError at
-    once, naming its row's interval."""
-    import numpy as np
-
-    count = n[rows] + (shift == 0)
-    row = np.repeat(rows, count)
-    start = np.cumsum(count) - count
-    k = np.arange(row.size) - np.repeat(start, count) + shift
-    x = lo[row] + k * ((hi - lo) / n)[row]
-    fx = f(x, *(v[row] for v in args))
-    if np.shape(fx) != x.shape:
-        raise TypeError("the integrand must map the node array to an array of its shape")
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        r = row[np.argmax(bad)]
-        raise ArithmeticError(f"integrand is not finite on [{lo[r]}, {hi[r]}]")
-    return fx, start
+def _not_finite(i0: int, i1: int) -> ArithmeticError:
+    return ArithmeticError(f"integrand is not finite on [{i0 * TRAP_UNIT}, {i1 * TRAP_UNIT}]")
 
 
-def _halve_until_settled(f, lo, hi, n, total, tol, args):
-    """Refine the trapezoid sums ``total``, row r on n_r equal intervals of
-    [lo_r, hi_r], by halving every open row's step until it settles.
+def _settle(f, i0: int, i1: int, total, tol: float) -> complex:
+    """Refine ``total``, the trapezoid sum of ``f`` on the window [i0, i1]
+    of lattice indices at step TRAP_H0, by halving the step until the sums
+    settle.
 
-    Each level is one _grid_values call on the new midpoints of every open
-    row, and T_h = T_2h / 2 + h (sum of those values).  A row settles when
-    |T_h - T_2h| <= tol |T_h|, a relative test, or when both sums are below
-    TRAP_UNDERFLOW in modulus.  A row still open after TRAP_HALVINGS levels
-    raises ArithmeticError naming its interval.  Updates ``n`` and
-    ``total`` in place and returns ``total``."""
-    import numpy as np
-
-    open_ = np.arange(lo.size)
+    At each level ``f`` gives the sum of the new midpoints, and
+    T_h = T_2h / 2 + h (that sum).  The sums settle when
+    |T_h - T_2h| <= tol |T_h|, a relative test, or when both are below
+    TRAP_UNDERFLOW in modulus.  A sum that is not finite, and so any value
+    that is not finite, raises ArithmeticError naming the window at once,
+    and so do sums still apart after TRAP_HALVINGS levels."""
+    step, h = _SPAN, TRAP_H0
     for _ in range(TRAP_HALVINGS):
-        fx, start = _grid_values(f, open_, lo, hi, n, 0.5, args)
-        n[open_] *= 2
-        prev = total[open_]
-        new = prev / 2 + (hi - lo)[open_] / n[open_] * np.add.reduceat(fx, start)
-        total[open_] = new
-        settled = np.abs(new - prev) <= tol * np.abs(new)
-        settled |= np.maximum(np.abs(new), np.abs(prev)) < TRAP_UNDERFLOW
-        open_ = open_[~settled]
-        if not open_.size:
-            return total
-    r = open_[0]
+        half, h = step // 2, h / 2
+        mids = f(i0 + half, i1, step)
+        if not cmath.isfinite(mids):
+            raise _not_finite(i0, i1)
+        new = total / 2 + h * mids
+        if abs(new - total) <= tol * abs(new) or max(abs(new), abs(total)) < TRAP_UNDERFLOW:
+            return complex(new)
+        total, step = new, half
     raise ArithmeticError(
-        f"trapezoid sums did not settle on [{lo[r]}, {hi[r]}] in {TRAP_HALVINGS} halvings"
+        f"trapezoid sums did not settle on [{i0 * TRAP_UNIT}, {i1 * TRAP_UNIT}] in {TRAP_HALVINGS} halvings"
     )
 
 
-def quad_trapezoid(f, lo, hi, tol: float = QUAD_TOL, args: tuple = ()):
-    """Nested trapezoid sums, breadth-first over rows, each row on its own
-    fixed window.
+def quad_trapezoid(f, lo: float, hi: float, tol: float = QUAD_TOL) -> complex:
+    """The integral of an integrand over the window [lo, hi], widened to the
+    lattice, by nested trapezoid sums.
 
-    Row r is the integral of ``f`` over [lo_r, hi_r]; ``lo``, ``hi`` and
-    each entry of ``args`` broadcast to one shape, the rows, and the result
-    has that shape (a complex number when it is scalar).  ``f`` is called as
-    in quad_gl, once per level: first on every row's grid of step about
-    TRAP_H0, then on the new midpoints of every row not yet settled (see
-    _halve_until_settled).  For an integrand analytic in a strip about the
-    window and negligible at its ends the sums converge geometrically in
-    1/h (Trefethen and Weideman, SIAM Review 56, 2014), so a settled row is
-    far more accurate than ``tol``."""
-    import numpy as np
-
-    lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
-    shape = lo.shape
-    lo, hi = lo.astype(float).ravel(), hi.astype(float).ravel()
-    args = [np.ravel(v) for v in args]
-    n = np.maximum(2, np.ceil((hi - lo) / TRAP_H0)).astype(int)
-    fx, start = _grid_values(f, np.arange(lo.size), lo, hi, n, 0.0, args)
-    ends = (fx[start] + fx[start + n]) / 2
-    total = ((hi - lo) / n * (np.add.reduceat(fx, start) - ends)).astype(complex)
-    total = _halve_until_settled(f, lo, hi, n, total, tol, args)
-    return total.reshape(shape) if shape else complex(total[0])
+    ``f(start, stop, step)`` is the sum of the integrand over the lattice
+    nodes k * TRAP_UNIT, k in range(start, stop, step).  The window snaps
+    outward to multiples of TRAP_H0, with at least 2 intervals; the first
+    grid has step TRAP_H0, and the step halves until the sums settle (see
+    _settle).  For an integrand analytic in a strip about the window and
+    negligible at its ends the sums converge geometrically in 1/h
+    (Trefethen and Weideman, SIAM Review 56, 2014), so a settled sum is far
+    more accurate than ``tol``."""
+    i0 = math.floor(lo / TRAP_H0) * _SPAN
+    i1 = max(math.ceil(hi / TRAP_H0) * _SPAN, i0 + 2 * _SPAN)
+    inner = f(i0 + _SPAN, i1, _SPAN)
+    if not cmath.isfinite(inner):
+        raise _not_finite(i0, i1)
+    ends = f(i0, i1 + 1, i1 - i0)
+    if not cmath.isfinite(ends):
+        raise _not_finite(i0, i1)
+    return _settle(f, i0, i1, TRAP_H0 * (inner + ends / 2), tol)
 
 
-def quad_trapezoid_line(f, tol: float, args: tuple = ()):
-    """The integral over R of ``f``, nested trapezoid sums, one row per
-    broadcast entry of ``args`` (one row without them), each on a window
-    grown from [-LINE_START, LINE_START]; the result has the rows' shape (a
-    complex number when it is scalar).  ``f`` is called as in quad_trapezoid.
+def quad_trapezoid_line(f, tol: float) -> complex:
+    """The integral over R of an integrand, ``f`` as in quad_trapezoid, by
+    nested trapezoid sums on a window grown from [-LINE_START, LINE_START].
 
-    Every row's first grid has step TRAP_H0.  While |f| at an end of a row's
-    grid is above e^-WINDOW_DROP of the largest value sampled in that row,
-    that end moves out by LINE_GROW, so each row grows its own window; one
-    call of ``f`` takes the new points at every growing end of every row.  A
-    window that would pass [-400, 400] raises ArithmeticError, naming it.
-    Then the rows' steps halve together, as in quad_trapezoid."""
-    import numpy as np
+    The first grid has step TRAP_H0, and ``f`` gives its values one node at
+    a time.  While |f| at an end of the grid is above e^-WINDOW_DROP of the
+    largest value sampled, that end moves out by LINE_GROW, and the grid
+    takes the new nodes there.  A window that would pass [-400, 400] raises
+    ArithmeticError, naming it.  Then the step halves as in quad_trapezoid."""
 
-    args = np.broadcast_arrays(*args)
-    shape = args[0].shape if args else ()
-    args = [np.ravel(v) for v in args]
-    rows = math.prod(shape)
-    lo, hi = np.full(rows, -LINE_START), np.full(rows, LINE_START)
-    n = np.full(rows, round(2 * LINE_START / TRAP_H0))
-    fx, start = _grid_values(f, np.arange(rows), lo, hi, n, 0.0, args)
-    fx = np.split(fx, start[1:])  # each row's values, its grid left to right
-    peak = np.array([np.abs(v).max() for v in fx])
-    points = round(LINE_GROW / TRAP_H0)  # new points at each growing end
-    # strip 2r is the left end of row r, strip 2r + 1 its right end
-    strip_args = [np.repeat(v, 2) for v in args]
+    def at(k: int):
+        value = f(k, k + 1, 1)
+        if not cmath.isfinite(value):
+            raise _not_finite(lo, hi)
+        return value
+
+    hi = round(LINE_START / TRAP_H0) * _SPAN
+    lo = -hi
+    grow = round(LINE_GROW / TRAP_H0) * _SPAN
+    values = [at(k) for k in range(lo, hi + 1, _SPAN)]
+    peak = max(map(abs, values))
     while True:
-        ends = np.abs([(v[0], v[-1]) for v in fx])
-        grow = ends > (math.exp(-WINDOW_DROP) * peak)[:, None]
-        if not grow.any():
+        floor = math.exp(-WINDOW_DROP) * peak
+        left, right = abs(values[0]) > floor, abs(values[-1]) > floor
+        if not (left or right):
             break
-        lo -= LINE_GROW * grow[:, 0]
-        hi += LINE_GROW * grow[:, 1]
-        if (beyond := (lo < -400) | (hi > 400)).any():
-            r = np.argmax(beyond)
-            raise ArithmeticError(f"integrand tail does not decay beyond [{lo[r]}, {hi[r]}]")
-        # the new points of each growing end: the whole grid of its strip,
-        # [lo, lo + LINE_GROW - TRAP_H0] or [hi - LINE_GROW + TRAP_H0, hi]
-        first = np.stack((lo, hi - LINE_GROW + TRAP_H0), axis=1).ravel()
-        strips = np.flatnonzero(grow)
-        last, n_strip = first + LINE_GROW - TRAP_H0, np.full(first.size, points - 1)
-        new, start = _grid_values(f, strips, first, last, n_strip, 0.0, strip_args)
-        for strip, piece in zip(strips, np.split(new, start[1:])):
-            r, right = divmod(int(strip), 2)
-            fx[r] = np.concatenate((fx[r], piece) if right else (piece, fx[r]))
-            peak[r] = max(peak[r], np.abs(piece).max())
-    n = np.array([v.size - 1 for v in fx])
-    total = np.array([TRAP_H0 * (v.sum() - (v[0] + v[-1]) / 2) for v in fx])
-    total = _halve_until_settled(f, lo, hi, n, total, tol, args)
-    return total.reshape(shape) if shape else complex(total[0])
+        lo, hi = lo - grow * left, hi + grow * right
+        if lo * TRAP_UNIT < -400 or hi * TRAP_UNIT > 400:
+            raise ArithmeticError(f"integrand tail does not decay beyond [{lo * TRAP_UNIT}, {hi * TRAP_UNIT}]")
+        new_left = [at(k) for k in range(lo, lo + grow, _SPAN)] if left else []
+        new_right = [at(k) for k in range(hi - grow + _SPAN, hi + 1, _SPAN)] if right else []
+        values = new_left + values + new_right
+        peak = max(peak, *map(abs, new_left + new_right))
+    total = TRAP_H0 * (sum(values[1:-1]) + (values[0] + values[-1]) / 2)
+    return _settle(f, lo, hi, total, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -424,157 +385,173 @@ def selection_rule_ok(idx_a, idx_b, mu: CChar, nu: CChar) -> bool:
     return a1 - a2 + mu.n == b1 - b2 + nu.n
 
 
-# exp of a real part at or below this is exactly 0.0 in double precision
-# (it underflows below about -745.13)
+# exp of a real part at or below EXP_UNDERFLOW is exactly 0.0 in double
+# precision (it underflows below about -745.13), and above EXP_OVERFLOW it
+# is past the float range
 EXP_UNDERFLOW = -746.0
+EXP_OVERFLOW = 709.78
 
 
-def _runs(n: int, *keys) -> list:
-    """The maximal runs of n nodes on which every key, a number or an array
-    of one entry per node, is constant: (start, stop, *the keys there) of
-    each run, the keys as Python numbers."""
-    import numpy as np
-
-    cut = np.zeros(max(n - 1, 0), dtype=bool)
-    for key in keys:
-        if np.ndim(key):
-            cut |= key[1:] != key[:-1]
-    edges = [0, *(np.flatnonzero(cut) + 1).tolist(), n]
+def _gauss_exps(c: complex, sign: int, xs: list) -> list:
+    """e^{c x - 2 pi e^{2 sign x}} (sign = +-1) at each x of ``xs``, as
+    complex numbers.  Where the real part r of the exponent is at or below
+    EXP_UNDERFLOW the value is exactly 0, which is what the exp gives there;
+    above EXP_OVERFLOW it is inf, so that no OverflowError escapes and the
+    quadrature names its window instead.  Otherwise it is e^r at the angle
+    Im(c) x, as cmath.exp gives it."""
+    a, b, two_pi, exp = c.real, c.imag, 2 * math.pi, math.exp
+    under, over, rect = EXP_UNDERFLOW, EXP_OVERFLOW, cmath.rect
+    # past sign x = 354, e^{2 sign x} alone nears the float range: r is far below 0
+    rs = [a * x - two_pi * exp(2 * sign * x) if sign * x < 354 else under for x in xs]
     return [
-        (start, stop, *(key[start].item() if np.ndim(key) else key for key in keys))
-        for start, stop in zip(edges, edges[1:])
-        if stop > start
+        rect(exp(r), b * x) if under < r < over else 0j if r <= under else complex(math.inf)
+        for r, x in zip(rs, xs)
     ]
 
 
-def whittaker_integrand(u, ay, w, A, B):
-    """(yt)^A t^{-B} t^w e^{-2 pi ((yt)^2 + t^{-2})} at t = e^u, node by node,
-    for the nodes ``u`` and the row parameters ``ay`` = |y|, ``w``, ``A`` and
-    ``B``, each a number or gathered per node.
+class _LatticeTable:
+    """g(k * TRAP_UNIT) at lattice indices k, memoized: for each spacing d
+    (a power of two, at most TRAP_H0's), one list of g at the multiples of
+    d over the indices asked for at that spacing, extended on demand.
+    ``fill`` maps a list of points to the list of g's values there.  A
+    node's value has the same bits in every list, since k * TRAP_UNIT is
+    exact."""
 
-    Only the live nodes, where the real part Re(w) u - 2 pi ((yt)^2 + t^{-2})
-    of the exponent is above EXP_UNDERFLOW (or NaN), get the complex exp and
-    the powers; every other node is an exact 0, which is what the exp gives
-    there, and when every node is live none is gathered.  On a live node the
-    value is that of the single-y integrand, op for op; folding the powers
-    into one exp would round them at the scale of the exponent, 4 pi |y|,
-    about 1e-14 of the value at |y| = 6.  The integer powers are taken on
-    each run of nodes with equal A and B with that run's exponent as a
-    scalar: numpy's scalar x ** 2 and x ** -1 are a square and a reciprocal,
-    which an array exponent rounds differently.  It works in place: its
-    arrays hold the new nodes of every open row of a level, for a block of
-    outer nodes of zeta_whittaker_quadrature."""
-    import numpy as np
+    __slots__ = ("fill", "lists")
 
-    t = np.exp(u)
-    yt = ay * t
-    g = yt * yt
-    g += 1 / (t * t)
-    g *= 2 * math.pi
-    re = w.real * u
-    re -= g
-    live = ~(re <= EXP_UNDERFLOW)
-    every = live.all()
-    if not every:
-        u, t, yt, g = u[live], t[live], yt[live], g[live]
-        w, A, B = (v[live] if np.ndim(v) else v for v in (w, A, B))
-    z = w * u
-    z -= g
-    np.exp(z, out=z)
-    for start, stop, a, b in _runs(u.size, A, B):
-        yt[start:stop] **= a
-        t[start:stop] **= -b
-    yt *= t
-    z *= yt
-    if every:
-        return z
-    out = np.zeros(live.shape, dtype=complex)
-    out[live] = z
-    return out
+    def __init__(self, fill):
+        self.fill = fill
+        self.lists = {}  # spacing d -> [first index, values, end index]
+
+    def run(self, start: int, stop: int, step: int) -> list:
+        """g at the nodes k * TRAP_UNIT, k in range(start, stop, step)."""
+        d = (start | step) & -(start | step)  # the largest power of two dividing every k
+        if d > _SPAN:
+            d = _SPAN
+        entry = self.lists.get(d)
+        if entry is None or start < entry[0] or stop > entry[2]:
+            entry = self._cover(d, start, stop)
+        first = entry[0]
+        return entry[1][(start - first) // d : (stop - first + d - 1) // d : step // d]
+
+    def _cover(self, d: int, start: int, stop: int) -> list:
+        """The entry of spacing d, extended to hold every multiple of d in
+        [start, stop)."""
+        stop = start + (stop - start + d - 1) // d * d
+        entry = self.lists.setdefault(d, [start, [], start])
+        first, values, end = entry
+        if start < first:
+            values[:0] = self.fill([k * TRAP_UNIT for k in range(start, first, d)])
+            entry[0] = start
+        if stop > end:
+            values += self.fill([k * TRAP_UNIT for k in range(end, stop, d)])
+            entry[2] = stop
+        return entry
 
 
-def whittaker_window(ay, c):
-    """The window (lo, hi) of each row of whittaker_integrand at |y| = ``ay``
-    (any shape) and c = Re(w) + A - B, a number or one per row: where the
-    real exponent phi(u) = c u - 2 pi (ay^2 e^{2u} + e^{-2u}) of its modulus,
-    ay^A aside, is within WINDOW_DROP of its peak.
+def whittaker_window(ay: float, c: float) -> tuple:
+    """The window (lo, hi) in u of the radial integrand at |y| = ``ay`` with
+    c = Re(w) + A - B: where the real exponent
+    phi(u) = c u - 2 pi (ay^2 e^{2u} + e^{-2u}) of its modulus, ay^A aside,
+    is within WINDOW_DROP of its peak.
 
     phi is concave.  At its peak u0, P = ay^2 e^{2 u0} and Q = e^{-2 u0}
     solve P - Q = c / (4 pi) and P Q = ay^2: the larger of the two is the
     quadratic's root without cancellation, the smaller comes in log space,
-    so a tiny ay overflows nothing.  The drop phi(u0) - phi(u0 + x) is
-    2 pi (P (e^{2x} - 1) + Q (e^{-2x} - 1)) - c x, convex in x.  Each edge
-    starts where the exponential term of its side alone, 2 pi P e^{2x} or
-    2 pi Q e^{-2x}, reaches WINDOW_DROP (or at the peak), and is bracketed by
-    steps of 1/4, 1/2, 1, ... outward; then Newton's method runs from outside
-    the window, which moves it monotonically inward, until the row's drop is
-    within 1 of WINDOW_DROP."""
-    import numpy as np
+    so a tiny ay overflows nothing.  With p = 2 pi P and q = 2 pi Q, the
+    drop phi(u0) - phi(u0 + x) is d(x) = p (e^{2x} - 1) + q (e^{-2x} - 1)
+    - c x, convex in x; each edge is an x with d(x) in [WINDOW_DROP,
+    WINDOW_DROP + 1], found by Newton's method aimed at the middle of that
+    band, aim = WINDOW_DROP + 1/2.  The
+    right edge starts where p (e^{2x} - 1) = aim + q, or, for c < 0, where
+    -c x = aim + q if that comes first (the left edge likewise): outside
+    the band, as the other terms are at least -q, unless -c x shrinks on
+    that side.  From inside, one Newton step along the tangent of the
+    convex d lands outside (at the peak, where the slope is 0, a step of
+    1/4 outward); from outside, Newton's method moves the edge
+    monotonically inward into the band."""
+    big = (math.hypot(c, 8 * math.pi * ay) + abs(c)) / (8 * math.pi)
+    log_big = math.log(big)
+    log_small = 2 * math.log(ay) - log_big
+    lp, lq = (log_big, log_small) if c >= 0 else (log_small, log_big)
+    p, q = 2 * math.pi * math.exp(lp), 2 * math.pi * math.exp(lq)
 
-    big = (np.hypot(c, 8 * math.pi * ay) + np.abs(c)) / (8 * math.pi)
-    log_big = np.log(big)
-    log_small = 2 * np.log(ay) - log_big
-    lp, lq = np.where(c >= 0, log_big, log_small), np.where(c >= 0, log_small, log_big)
-    p, q = np.exp(lp), np.exp(lq)
-
-    def drop(x):
-        ep, eq = np.exp(lp + 2 * x), np.exp(lq - 2 * x)
-        return 2 * math.pi * ((ep - p) + (eq - q)) - c * x, 4 * math.pi * (ep - eq) - c
-
-    # both edges of every row at once: row 0 left of the peak, row 1 right
-    reach = math.log(WINDOW_DROP / (2 * math.pi))
-    x = np.stack((-np.maximum(0.0, (reach - lq) / 2), np.maximum(0.0, (reach - lp) / 2)))
-    step = np.multiply.outer([-0.25, 0.25], np.ones(np.shape(ay)))
-    while (short := drop(x)[0] < WINDOW_DROP).any():
-        x = np.where(short, x + step, x)
-        step = np.where(short, 2 * step, step)
-    while (far := (d := drop(x))[0] > WINDOW_DROP + 1).any():
-        x = np.where(far, x - (d[0] - WINDOW_DROP) / d[1], x)
-    return x - lq / 2  # u0 = -log(Q) / 2
-
-
-def _radial_rows(ay, w, A, B, tol: float):
-    """int_R whittaker_integrand du of each row, at |y| = ``ay`` with the
-    exponents ``w``, ``A`` and ``B``, each a number or one per row (rows of
-    equal A and B adjacent, so the integrand takes few runs): one
-    quad_trapezoid call, each row on its whittaker_window."""
-    lo, hi = whittaker_window(ay, w.real + A - B)
-    return quad_trapezoid(whittaker_integrand, lo, hi, tol, args=(ay, w, A, B))
+    two_pi, aim = 2 * math.pi, WINDOW_DROP + 0.5  # Newton aims at the middle of the band
+    edges = []
+    for s, log_near, near, far in ((-1, lq, q, p), (1, lp, p, q)):
+        # near (e^{2 s x} - 1) = aim + far, near = 2 pi e^{log_near}
+        x = s * (math.log((aim + far + near) / two_pi) - log_near) / 2
+        if s * c < 0:
+            x = s * min(s * x, (aim + far) / abs(c))
+        while True:
+            # the drop at x and its slope
+            ep, eq = two_pi * math.exp(lp + 2 * x), two_pi * math.exp(lq - 2 * x)
+            d, slope = (ep - p) + (eq - q) - c * x, 2 * (ep - eq) - c
+            if d > WINDOW_DROP + 1 or d < WINDOW_DROP and s * slope > 0:
+                x -= (d - aim) / slope
+            elif d < WINDOW_DROP:
+                x += s / 4  # at the peak, where the slope is 0
+            else:
+                break
+        edges.append(x - lq / 2)  # u0 = -log(Q) / 2
+    return tuple(edges)
 
 
-def _whittaker_from_radial(y, mu: CChar, A: int, radial):
-    """W(diag(y, 1)) = 4 pi mu(y) |y| sgn(y)^A times the radial integral of
-    |y|, which W(y) and W(-y) share; ``radial`` broadcasts against ``y``."""
-    import numpy as np
+def _factors(A: int, B: int, w: complex) -> tuple:
+    """P(x) = e^{A x - 2 pi e^{2x}} and Q(u) = e^{(w - B) u - 2 pi e^{-2u}},
+    each at every point of a list: the radial integrand at |y| = e^v is
+    P(v + u) Q(u).  P is real but given as complex numbers, because Python
+    multiplies a complex by a complex faster than a float by one."""
+    return partial(_gauss_exps, complex(A), 1), partial(_gauss_exps, w - B, -1)
 
-    return 4 * math.pi * mu.value(y) * np.abs(y) * np.sign(y) ** A * radial
+
+def _radial(ay: float, v: float, c: float, sums, tol: float) -> complex:
+    """int_R P(v + u) Q(u) du at |y| = ``ay`` = e^v, c = Re(w) + A - B: one
+    quad_trapezoid row over t = u + v/2 on the whittaker_window, where
+    ``sums(start, stop, step)`` is the sum of P(v/2 + t) Q(t - v/2) over
+    the lattice nodes t of a progression.
+
+    At c = 0 the modulus of the integrand is symmetric about its peak, u =
+    -v/2, which t puts on a node of the first grid.  About a point of the
+    lattice two or more levels finer, the reflection would carry the nodes
+    of one level onto the new midpoints of the next, the two sums would
+    coincide, and the relative test would settle on a wrong sum."""
+    lo, hi = whittaker_window(ay, c)
+    return quad_trapezoid(sums, lo + v / 2, hi + v / 2, tol)
+
+
+def _node_sums(v: float, A: int, B: int, w: complex):
+    """``sums`` for _radial at |y| = e^v, P and Q computed node by node."""
+    (p, q), half = _factors(A, B, w), v / 2
+
+    def sums(start: int, stop: int, step: int) -> complex:
+        ts = [k * TRAP_UNIT for k in range(start, stop, step)]
+        return sum(map(mul, p([half + t for t in ts]), q([t - half for t in ts])))
+
+    return sums
 
 
 def whittaker_value_quadrature(
-    y, idx_a, idx_b, mu: CChar, nu: CChar, tol: float = QUAD_TOL
-):
+    y: float, idx_a, idx_b, mu: CChar, nu: CChar, tol: float = QUAD_TOL
+) -> complex:
     """W_{(a,b)}(diag(y,1)) = 4 pi mu(y)|y| int_0^inf Psi_a(yt) Psi_b(1/t)
-    mu nu^{-1}(t) d t/t, by nested trapezoid sums on t = e^u.  ``y`` is a
-    finite nonzero number or an array of them; the result has the shape of
-    ``y``.
+    mu nu^{-1}(t) d t/t, by nested trapezoid sums on t = e^u, for a finite
+    nonzero y.
 
-    The radial integral is whittaker_integrand on its whittaker_window and
-    depends on |y| alone, so each distinct |y| is one quadrature row, and
-    every y of that modulus takes its sign's prefactor mu(y) sgn(y)^A to the
-    one sum.  ``tol`` is quad_trapezoid's, relative per row, so a row keeps
-    its relative accuracy however small |W| is, down to TRAP_UNDERFLOW."""
-    import numpy as np
-
-    y = np.asarray(y, dtype=float)
-    if not (np.all(y) and np.isfinite(y).all()):
+    With mu nu^{-1}(t) = t^w for t > 0, A = a1 + a2, B = b1 + b2 and
+    |y| = e^v, the radial integrand is P(v + u) Q(u) (see _factors), one
+    _radial row.  v is off the lattice, so P and Q are computed node by
+    node.  ``tol`` is quad_trapezoid's, relative, so the value keeps its
+    relative accuracy however small |W| is, down to TRAP_UNDERFLOW."""
+    if not (y and math.isfinite(y)):
         raise ValueError("y must be finite and nonzero")
     if not selection_rule_ok(idx_a, idx_b, mu, nu):
-        return np.zeros(y.shape, dtype=complex) if y.ndim else 0j
+        return 0j
     A, B = sum(idx_a), sum(idx_b)
-    w = 2 * (complex(mu.lam) - complex(nu.lam))  # mu nu^{-1}(t) = t^w for t > 0
-    ay, row = np.unique(np.abs(y).ravel(), return_inverse=True)
-    radial = _radial_rows(ay, w, A, B, tol)[row].reshape(y.shape)
-    return _whittaker_from_radial(y, mu, A, radial)
+    w = 2 * (complex(mu.lam) - complex(nu.lam))
+    v = math.log(abs(y))
+    radial = _radial(abs(y), v, w.real + A - B, _node_sums(v, A, B, w), tol)
+    return 4 * math.pi * mu.value(y) * abs(y) * math.copysign(1.0, y) ** A * radial
 
 
 def zeta_whittaker_closed(s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: CChar) -> complex:
@@ -599,59 +576,55 @@ def zeta_whittaker_closed(s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: C
     )
 
 
-# an inner quad_trapezoid call of zeta_whittaker_quadrature takes at most
-# this many outer nodes as its radial rows: at about 90 inner nodes a row it
-# bounds the arrays of one inner level, and so the oracle's peak memory, near
-# those of one Lemma datum alone, while most outer levels of the verify suite
-# still fit in one call
-LEMMA_BLOCK = 128
-
-
 def zeta_whittaker_quadrature(s: complex, data) -> list:
     """2-D quadrature of zeta(s, W_{(a,b)}, chi) for each Lemma datum
     (idx_a, idx_b, chi, mu, nu) of ``data``: the y-integral over R^x of the
     quadrature Whittaker value; the independent oracle for the Lemma.  Both
     integrals are nested trapezoid sums to the relative tolerance 1e-11.
 
-    The data are the rows of one computation.  The y-integral is one
-    quad_trapezoid_line call over log |y|, a row per datum; each of its
-    levels takes the radial integrals of all its nodes, in blocks of at most
-    LEMMA_BLOCK, as the rows of inner quad_trapezoid calls, one row for
-    y = +-e^v.  A row's sums depend on its own datum alone, so each value
-    has the bits it has when its datum is computed by itself.  A datum off
-    the selection rule is an exact 0."""
-    import numpy as np
+    A datum's y-integral is one quad_trapezoid_line row over v = log |y|;
+    each of its nodes takes the radial integral at |y| = e^v, its own
+    _radial row, for both y = +-e^v.  The row's factors P(v/2 + t) and
+    Q(t - v/2) sit at lattice nodes, so a datum reads them off two lattice
+    tables that all its radial rows share (P, which depends on A alone, is
+    shared by the data of equal A), and each level of a radial row is one
+    sum of products of two slices.  A table holds each node's own value, so
+    a datum gets the same bits alone or among others.  A datum off the
+    selection rule is an exact 0."""
+    p_tables: dict = {}
+    return [_lemma_integral(s, datum, p_tables, 1e-11) for datum in data]
 
-    tol = 1e-11
-    ok = [selection_rule_ok(ia, ib, mu, nu) for ia, ib, _, mu, nu in data]
-    rows = list(itertools.compress(data, ok))
-    # each row's mu nu^{-1}(t) = t^w for t > 0, and its degrees A and B
-    w = np.array([2 * (complex(mu.lam) - complex(nu.lam)) for *_, mu, nu in rows])
-    A = np.array([sum(ia) for ia, *_ in rows])
-    B = np.array([sum(ib) for _, ib, *_ in rows])
 
-    # |y|^{s-1} d^x y with y = +-e^v: each row's nodes are one run, in row
-    # order, and so are their radial rows, block after block
-    def full(v: np.ndarray, k: np.ndarray) -> np.ndarray:
-        y = np.exp(v)
-        per_node = (y, w[k], A[k], B[k])
-        radial = np.concatenate([
-            _radial_rows(*(a[i : i + LEMMA_BLOCK] for a in per_node), tol)
-            for i in range(0, v.size, LEMMA_BLOCK)
-        ])
-        out = np.empty(v.size, dtype=complex)
-        for start, stop, r in _runs(v.size, k):
-            idx_a, _, chi, mu, _ = rows[r]
-            yr = y[start:stop]
-            y_pm = np.stack((yr, -yr))
-            w_p, w_m = _whittaker_from_radial(y_pm, mu, sum(idx_a), radial[start:stop])
-            out[start:stop] = w_p * chi.value(yr) + w_m * chi.value(-yr)
-        out *= np.exp(complex(s - 1) * v)
-        return out
+def _lemma_integral(s: complex, datum, p_tables: dict, tol: float) -> complex:
+    """int_R (W(e^v) chi(e^v) + W(-e^v) chi(-e^v)) e^{(s - 1) v} dv for one
+    Lemma datum, |y|^{s-1} d^x y with y = +-e^v; ``p_tables`` holds the
+    table of P for each A."""
+    idx_a, idx_b, chi, mu, nu = datum
+    if not selection_rule_ok(idx_a, idx_b, mu, nu):
+        return 0j
+    A, B = sum(idx_a), sum(idx_b)
+    w = 2 * (complex(mu.lam) - complex(nu.lam))
+    p, q = _factors(A, B, w)
+    P, Q = p_tables.setdefault(A, _LatticeTable(p)), _LatticeTable(q)
+    c, s1 = w.real + A - B, complex(s - 1)
 
-    values = quad_trapezoid_line(full, tol, args=(np.arange(len(rows)),)).tolist() if rows else []
-    values = iter(values)
-    return [next(values) if on else 0j for on in ok]
+    def node(k: int) -> complex:
+        v = k * TRAP_UNIT
+        y = math.exp(v)
+        if k % 2:  # v/2 is off the lattice, at the last level of an outer row
+            sums = _node_sums(v, A, B, w)
+        else:
+            m = k // 2  # v/2 = m TRAP_UNIT
+
+            def sums(start: int, stop: int, step: int) -> complex:
+                return sum(map(mul, P.run(start + m, stop + m, step), Q.run(start - m, stop - m, step)))
+
+        # W(+-y) = 4 pi mu(+-y) y (+-1)^A times the one radial integral
+        radial = 4 * math.pi * y * _radial(y, v, c, sums, tol)
+        w_p, w_m = mu.value(y) * radial, (-1) ** A * mu.value(-y) * radial
+        return (w_p * chi.value(y) + w_m * chi.value(-y)) * cmath.exp(s1 * v)
+
+    return quad_trapezoid_line(lambda a, b, step: sum(map(node, range(a, b, step))), tol)
 
 
 # ---------------------------------------------------------------------------

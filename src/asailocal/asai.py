@@ -102,6 +102,12 @@ class AsaiInput(Value):
             om = om.mul(self.chi).mul(self.chi)
         return om
 
+    def is_reducible(self) -> bool:
+        """Whether Ind(mu, nu) is reducible, mu nu^{-1} = |.|_E^{+-1}: decided
+        exactly, so a complex lambda or a t off 1 by rounding never is."""
+        r = self.mu.mul(self.nu.inv())
+        return r.n == 0 and r.t.value() == 1 and isinstance(r.lam, Fraction) and abs(r.lam) == 1
+
     def omega_total(self) -> MultChar:
         """omega = omega_pi|_F * omega_tau (Theorem B normalization)."""
         if self.tau is None:

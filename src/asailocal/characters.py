@@ -512,14 +512,15 @@ def _add_lam(a, b):
 
 def json_complex(value) -> complex:
     """A JSON number, or an [re, im] pair, as a finite complex number; JSON
-    true and false are no numbers, alone or in a pair."""
+    true and false are no numbers, alone or in a pair, and neither is a
+    string such as "0.5", which complex() would parse."""
     pair = isinstance(value, (list, tuple))
     try:
         if pair and len(value) != 2:
             raise ValueError(f"expected a number or [re, im], got {value!r}")
         parts = value if pair else (value,)
-        if any(isinstance(x, bool) for x in parts):
-            raise TypeError("a boolean is not a number")
+        if any(isinstance(x, (bool, str)) for x in parts):
+            raise TypeError("a boolean or a string is not a JSON number")
         z = complex(*parts)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"expected a number or [re, im], got {value!r}") from exc

@@ -250,6 +250,8 @@ def _asai_input(args) -> AsaiInput:
             raise InputError(f"--tau v2: {exc}") from exc
         tau = TwistedPair(mu2, nu2, v2)
     inp = AsaiInput(E, mu, nu, psi, xi, chi, tau)
+    if inp.is_reducible():
+        raise InputError("--char2 gives mu nu^-1 = |.|_E^(+-1), where Ind(mu, nu) is reducible")
     # each Galois constituent is a Tate character of the factors computed,
     # with every twist the command applies: chi, or tau's two
     for twist in (tau.plus(), tau.minus()) if tau else (chi,):

@@ -81,83 +81,6 @@ def reference_quad_real_line(f, tol=arch.QUAD_TOL, L=9.0, panels=None):
             raise ArithmeticError("integrand tail does not decay")
 
 
-def reference_whittaker_integrand(u, ay, w, A, B):
-    """The radial Whittaker integrand with the complex exp on every node."""
-    t = np.exp(u)
-    yt = ay * t
-    g = yt * yt
-    g += 1 / (t * t)
-    g *= 2 * math.pi
-    z = w * u
-    z -= g
-    np.exp(z, out=z)
-    yt **= A
-    t **= -B
-    yt *= t
-    z *= yt
-    return z
-
-
-def _dead_edge(ay, w):
-    """The u > 0 where the real part of the exponent, Re(w) u - 2 pi ((ay
-    e^u)^2 + e^(-2u)), falls to arch.EXP_UNDERFLOW (it decreases there)."""
-
-    def re(u):
-        return w.real * u - 2 * math.pi * ((ay * math.exp(u)) ** 2 + math.exp(-2 * u))
-
-    lo, hi = 0.0, 12.0
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if re(mid) > arch.EXP_UNDERFLOW else (lo, mid)
-    return lo
-
-
-@st.composite
-def integrand_nodes(draw):
-    """Nodes that straddle the underflow cutoff on both sides of the peak and
-    within 0.01 of it (where the exponent runs through [-761, -731]), with
-    1-3 rows of |y| in [0.05, 8] gathered per node, A, B <= 4, |w| <= 0.8."""
-    ays = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=3))
-    w = cmath.rect(draw(st.floats(0.0, 0.8)), draw(st.floats(-math.pi, math.pi)))
-    A, B = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    u, ay = [], []
-    for r in ays:
-        edge = _dead_edge(r, w)
-        near = draw(st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=20))
-        far = draw(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=20))
-        u += [edge + d for d in near] + far + [-10.0, 0.0, edge + 1.0]
-        ay += [r] * (len(near) + len(far) + 3)
-    return np.array(u), np.array(ay), w, A, B
-
-
-@settings(max_examples=200, deadline=None)
-@given(integrand_nodes())
-def test_whittaker_integrand_equals_the_all_nodes_reference(case):
-    # exact zeros below the cutoff are what the complex exp gives there
-    u, ay, w, A, B = case
-    got = arch.whittaker_integrand(u, ay, w, A, B)
-    want = reference_whittaker_integrand(u.copy(), ay, w, A, B)
-    assert (got == want).all()
-    live = w.real * u - 2 * math.pi * ((ay * np.exp(u)) ** 2 + np.exp(-2 * u)) > arch.EXP_UNDERFLOW
-    assert live.any() and not live.all()
-
-
-@settings(max_examples=20, deadline=None)
-@given(integrand_nodes(), integrand_nodes())
-def test_whittaker_integrand_per_node_exponents_equal_the_scalar_calls(first, second):
-    # the Lemma oracle gathers w, A and B per node, one run per datum: each
-    # run gets the bits of its scalar call, with dead nodes among them and
-    # without (then nothing is gathered)
-    sizes = [first[0].size, second[0].size]
-    u, ay = (np.concatenate((a, b)) for a, b in zip(first[:2], second[:2]))
-    w, A, B = (np.repeat(pair, sizes) for pair in zip(first[2:], second[2:]))
-    want = np.concatenate([arch.whittaker_integrand(*case) for case in (first, second)])
-    assert (arch.whittaker_integrand(u, ay, w, A, B) == want).all()
-    live = w.real * u - 2 * math.pi * ((ay * np.exp(u)) ** 2 + np.exp(-2 * u)) > arch.EXP_UNDERFLOW
-    got = arch.whittaker_integrand(u[live], ay[live], w[live], A[live], B[live])
-    assert (got == want[live]).all()
-
-
 def count_nodes_per_row(nodes_per_row, row_param):
     for v, n in zip(*np.unique(row_param, return_counts=True)):
         nodes_per_row[v] = nodes_per_row.get(v, 0) + n
@@ -181,33 +104,15 @@ def test_quad_real_line_rows_match_the_scalar_reference(cs):
         assert nodes_per_row[c] == 45 * len(panels)
 
 
-@st.composite
-def whittaker_rows(draw):
-    """Distinct |y| in [0.05, 8] at random signs, A = a1 + a2 and B = b1 + b2
-    at most 4, mu, nu on the selection rule with w = 2(lam_mu - lam_nu),
-    |w| <= 0.8, and the default tolerance or the oracle's."""
-    ay = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=5, unique=True))
-    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=len(ay), max_size=len(ay)))
-    A, B = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    a1, b1 = draw(st.integers(0, A)), draw(st.integers(0, B))
-    w = cmath.rect(draw(st.floats(0.0, 0.8)), draw(st.floats(-math.pi, math.pi)))
-    nu = CChar(0, draw(st.integers(-1, 1)))
-    mu = CChar(w / 2, (2 * b1 - B) - (2 * a1 - A) + nu.n)
-    tol = draw(st.sampled_from([arch.QUAD_TOL, 1e-11]))
-    return np.array(ay) * np.array(signs), (a1, A - a1), (b1, B - b1), mu, nu, tol
+def lattice_sums(g):
+    """The lattice engine's integrand for ``g``, a function of a numpy array
+    of nodes: f(start, stop, step) is the sum of g over the nodes
+    k * TRAP_UNIT, k in range(start, stop, step)."""
 
+    def f(start, stop, step):
+        return complex(np.sum(g(np.arange(start, stop, step) * arch.TRAP_UNIT)))
 
-@settings(max_examples=40, deadline=None)
-@given(whittaker_rows())
-def test_batched_whittaker_rows_equal_the_rows_called_alone(case):
-    # a row's window, grid and sums depend on its own y alone, so the
-    # breadth-first call gives every row the bits it gets by itself
-    y, idx_a, idx_b, mu, nu, tol = case
-    got = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
-    assert got.shape == y.shape
-    for yr, g in zip(y, got):
-        alone = whittaker_value_quadrature(np.array([yr]), idx_a, idx_b, mu, nu, tol)
-        assert repr(complex(g)) == repr(complex(alone[0]))
+    return f
 
 
 def k_half_integer(n, z):
@@ -233,7 +138,7 @@ def odd_order_rows(draw):
     mu = CChar(lam + w / 2, (2 * b1 - B) - (2 * a1 - A) + nu.n)
     y = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4))
     tol = draw(st.sampled_from([arch.QUAD_TOL, 1e-11]))
-    return np.array(y), (a1, A - a1), (b1, B - b1), mu, nu, tol
+    return y, (a1, A - a1), (b1, B - b1), mu, nu, tol
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,8 +151,8 @@ def test_whittaker_value_at_odd_order_is_the_half_integer_bessel_form(case):
     y, idx_a, idx_b, mu, nu, tol = case
     A, B = sum(idx_a), sum(idx_b)
     order = round(2 * (complex(mu.lam) - complex(nu.lam)).real) + A - B
-    got = whittaker_value_quadrature(y, idx_a, idx_b, mu, nu, tol)
-    for yr, g in zip(y, got):
+    for yr in y:
+        g = whittaker_value_quadrature(yr, idx_a, idx_b, mu, nu, tol)
         k = k_half_integer((abs(order) - 1) // 2, 4 * math.pi * yr)
         want = 4 * math.pi * mu.value(yr) * yr * yr**A * yr ** (-order / 2) * k
         assert abs(g - want) <= 1e-12 * abs(want)
@@ -263,15 +168,14 @@ def test_whittaker_window_edges_drop_40_to_41_below_the_peak(log_ays, c):
     # log |y| from -60 to 6: past both ends of the outer window's reach
     # (-22 to 6 on the arch-quadrature suite) and past |y| = 60, where
     # every value underflows
-    ay = np.exp(np.array(log_ays))
-    lo, hi = arch.whittaker_window(ay, c)
-    for r in range(ay.size):
-        u = np.linspace(lo[r], hi[r], 2001)
-        i = int(np.argmax(radial_exponent(u, ay[r], c)))
+    for ay in map(math.exp, log_ays):
+        lo, hi = arch.whittaker_window(ay, c)
+        u = np.linspace(lo, hi, 2001)
+        i = int(np.argmax(radial_exponent(u, ay, c)))
         u = np.linspace(u[max(i - 1, 0)], u[min(i + 1, u.size - 1)], 2001)
-        peak = radial_exponent(u, ay[r], c).max()
-        for edge in (lo[r], hi[r]):
-            drop = peak - radial_exponent(edge, ay[r], c)
+        peak = radial_exponent(u, ay, c).max()
+        for edge in (lo, hi):
+            drop = peak - radial_exponent(edge, ay, c)
             assert arch.WINDOW_DROP - 1e-6 <= drop <= arch.WINDOW_DROP + 1
 
 
@@ -298,7 +202,7 @@ def test_whittaker_value_refuses_y_not_finite():
     one = CChar(0, 0)
     for y in (math.inf, -math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="finite and nonzero"):
-            whittaker_value_quadrature(np.array([1.0, y]), (0, 0), (0, 0), one, one)
+            whittaker_value_quadrature(y, (0, 0), (0, 0), one, one)
 
 
 def test_whittaker_parity_under_sign_flip():
@@ -307,7 +211,7 @@ def test_whittaker_parity_under_sign_flip():
     # law holds bit for bit
     mu, nu = CChar(0.1, 2), CChar(-0.05, 0)
     idx_a, idx_b = (0, 1), (1, 0)  # selection rule: -1 + 2 = 1 + 0
-    wp, wm = whittaker_value_quadrature(np.array([1.3, -1.3]), idx_a, idx_b, mu, nu)
+    wp, wm = (whittaker_value_quadrature(y, idx_a, idx_b, mu, nu) for y in (1.3, -1.3))
     assert wp != 0 and wm == (-1) ** (mu.n + sum(idx_a)) * wp
 
 
@@ -357,37 +261,43 @@ def test_quadrature_matches_the_lemma_over_the_suite_ranges(case):
 @settings(max_examples=6, deadline=None)
 @given(st.lists(lemma_data(), min_size=2, max_size=4))
 def test_lemma_data_computed_together_equal_each_computed_alone(data):
-    # each datum is a row of the y-integral and its nodes are radial rows of
-    # shared inner calls, split in blocks of LEMMA_BLOCK; no row's sums
-    # depend on the others, so the batch changes no bit
+    # data of equal A share the table of P, which holds each node's own
+    # value; no row's sums depend on the others, so the batch changes no bit
     s = 2.4 + 0.2j
     together = zeta_whittaker_quadrature(s, data)
     alone = [zeta_whittaker_quadrature(s, [datum])[0] for datum in data]
     assert list(map(repr, together)) == list(map(repr, alone))
 
 
-def test_lemma_suite_takes_one_radial_row_per_modulus_and_few_inner_calls(monkeypatch):
-    # W(y) and W(-y) share one radial row, and each outer level sends all
-    # its nodes, over the ten data, to inner calls of at most LEMMA_BLOCK
-    # rows: 449,396 integrand nodes and 54 inner calls when each datum and
-    # each sign took its own
-    from asailocal import verify
+@settings(max_examples=6, deadline=None)
+@given(lemma_data())
+def test_batched_whittaker_rows_equal_the_rows_called_alone(case):
+    # the Lemma oracle reads each radial row's P and Q off lattice tables
+    # that all the rows of a datum share; every row has the bits it gets
+    # alone, P and Q computed node by node, and so has whittaker_value_
+    # quadrature where v = log |y| is itself on the lattice, as it is when
+    # log(exp(v)) gives v back
+    idx_a, idx_b, _, mu, nu = case
+    A, B = sum(idx_a), sum(idx_b)
+    w = 2 * (complex(mu.lam) - complex(nu.lam))
+    rows = []
+    radial = arch._radial
 
-    counts = {"nodes": 0, "inner calls": 0}
-    integrand, quad = arch.whittaker_integrand, arch.quad_trapezoid
+    def recording(ay, v, c, sums, tol):
+        rows.append((ay, v, c, tol, radial(ay, v, c, sums, tol)))
+        return rows[-1][-1]
 
-    def counting_integrand(u, *args):
-        counts["nodes"] += u.size
-        return integrand(u, *args)
-
-    def counting_quad(*args, **kwargs):
-        counts["inner calls"] += 1
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(arch, "whittaker_integrand", counting_integrand)
-    monkeypatch.setattr(arch, "quad_trapezoid", counting_quad)
-    assert verify.suite_closed_vs_quadrature()["ok"]
-    assert 0 < counts["nodes"] <= 224_698 and 0 < counts["inner calls"] <= 20
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arch, "_radial", recording)
+        zeta_whittaker_quadrature(2.4 + 0.2j, [case])
+    on_lattice = 0
+    for ay, v, c, tol, got in rows[::5]:
+        assert repr(radial(ay, v, c, arch._node_sums(v, A, B, w), tol)) == repr(got), v
+        if math.log(ay) == v:
+            on_lattice += 1
+            want = 4 * math.pi * mu.value(ay) * abs(ay) * math.copysign(1.0, ay) ** A * got
+            assert repr(whittaker_value_quadrature(ay, idx_a, idx_b, mu, nu, tol)) == repr(want)
+    assert on_lattice >= len(rows[::5]) / 2
 
 
 # -- the archimedean Tate closed forms and their quadrature oracle, kept as
@@ -436,7 +346,7 @@ def tate_fe_oracle_real(chi: RChar, s: complex, tol=1e-11) -> complex:
             y = np.exp(u)
             return (fn(y) + sign * fn(-y)) * y**lam * np.exp(complex(sv) * u)
 
-        return quad_trapezoid_line(integrand, tol)
+        return quad_trapezoid_line(lattice_sums(integrand), tol)
 
     return z(fhat, 1 - s, chi.inv()) / z(f, s, chi)
 
@@ -472,7 +382,7 @@ def tate_fe_oracle_complex(chi: CChar, s: complex, tol=1e-11) -> complex:
             acc = vals.sum(axis=1) * (2 * math.pi / K)
             return acc * 2 * (r**2) ** complex(sv)
 
-        return quad_trapezoid_line(radial, tol)
+        return quad_trapezoid_line(lattice_sums(radial), tol)
 
     return z_int(fhat, 1 - s, chi.inv()) / z_int(f, s, chi)
 
@@ -511,12 +421,13 @@ def test_phi_hat_against_numeric_transform():
     hat = phi_hat(phi)
 
     def numeric_hat(x, y):
-        # the v-integral at every u of an outer level is one row each
-        def inner(v, u):
-            return phi_value(phi, u, v) * np.exp(2j * math.pi * (u * y - v * x))
+        # the v-integral at each node u of the outer integral
+        def row(u):
+            inner = lambda v: phi_value(phi, u, v) * np.exp(2j * math.pi * (u * y - v * x))
+            return quad_trapezoid(lattice_sums(inner), -6.0, 6.0, 1e-11)
 
-        rows = lambda us: quad_trapezoid(inner, -6.0, 6.0, 1e-11, args=(us,))
-        return quad_trapezoid(rows, -6.0, 6.0, 1e-11)
+        rows = lambda us: np.array([row(u) for u in us])
+        return quad_trapezoid(lattice_sums(rows), -6.0, 6.0, 1e-11)
 
     for x, y in [(0.3, -0.2), (0.0, 0.7)]:
         lhs = numeric_hat(x, y)
@@ -750,112 +661,181 @@ def test_quad_gl_refuses_scalar_integrand():
 # -- the nested trapezoid sums of the Whittaker oracle ------------------------
 
 
-def test_trapezoid_rows_broadcast_to_the_result_shape():
-    # int_R e^{-pi c x^2} dx = c^{-1/2}, rows shaped (2, 2) by the parameter,
-    # each on [-8, 8]; a scalar call returns a complex number
-    c = np.array([[1.0, 2.0], [0.5, 4.0]])
-    got = quad_trapezoid(lambda x, cx: np.exp(-math.pi * cx * x * x), -8.0, 8.0, 1e-11, args=(c,))
-    assert got.shape == (2, 2) and np.allclose(got, c**-0.5, rtol=1e-15, atol=0)
-    got = quad_trapezoid(lambda x: np.exp(-math.pi * x * x), -8.0, 8.0)
+def test_trapezoid_integrates_gaussians_to_rounding():
+    # int_R e^{-pi c x^2} dx = c^{-1/2}, each on [-8, 8], at the oracle's
+    # tolerance and at the default; the result is a complex number
+    for c in (1.0, 2.0, 0.5, 4.0):
+        got = quad_trapezoid(lattice_sums(lambda x: np.exp(-math.pi * c * x * x)), -8.0, 8.0, 1e-11)
+        assert isinstance(got, complex) and abs(got - c**-0.5) <= 1e-15 * c**-0.5
+    got = quad_trapezoid(lattice_sums(lambda x: np.exp(-math.pi * x * x)), -8.0, 8.0)
     assert isinstance(got, complex) and abs(got - 1) < 1e-15
+
+
+def test_trapezoid_window_snaps_outward_to_the_first_grid():
+    # every node is a lattice node: the window [0.3, 0.9] becomes [0, 1],
+    # two intervals of TRAP_H0, so int 1 = 1 and int x = 1/2 exactly
+    nodes = []
+
+    def f(start, stop, step):
+        nodes.extend(range(start, stop, step))
+        return complex(len(range(start, stop, step)))
+
+    assert quad_trapezoid(f, 0.3, 0.9, 1e-11) == 1
+    assert min(nodes) * arch.TRAP_UNIT == 0.0 and max(nodes) * arch.TRAP_UNIT == 1.0
+    assert quad_trapezoid(lattice_sums(lambda x: x), 0.3, 0.9, 1e-11) == 0.5
 
 
 def test_trapezoid_line_grows_only_the_end_that_has_not_decayed():
     # int_R exp(x - e^x) dx = Gamma(1): doubly exponential decay on the
-    # right, e^x on the left, so only the left end moves out from -6
+    # right, e^x on the left, so only the left end moves out from -6, by 4
+    # at a time, one node per call on the first grid
     calls = []
 
-    def f(x):
-        calls.append(len(x))
-        return np.exp(x - np.exp(x))
+    def f(start, stop, step):
+        calls.append(range(start, stop, step))
+        x = np.arange(start, stop, step) * arch.TRAP_UNIT
+        return complex(np.sum(np.exp(x - np.exp(x))))
 
     assert abs(quad_trapezoid_line(f, 1e-11) - 1) < 1e-14
-    grown = [n for n in calls[1:] if n == 8]
-    assert calls[0] == 25 and len(grown) == 9  # -6 - 9 * 4 = -42, e^-42 < e^-40
+    first_grid = [r[0] * arch.TRAP_UNIT for r in calls if len(r) == 1]
+    assert len(first_grid) == 25 + 9 * 8  # -6 - 9 * 4 = -42, e^-42 < e^-40
+    assert min(first_grid) == -42.0 and max(first_grid) == 6.0
 
 
 def test_trapezoid_refuses_nan_in_one_row_at_once():
+    # the first grid of [2, 3] is its midpoint, then its two ends; the value
+    # at the end 3 is NaN
     calls = []
 
-    def f(x, c):
-        calls.append(len(x))
-        return np.where(x > c, np.nan, 1.0)
+    def f(start, stop, step):
+        calls.append(len(range(start, stop, step)))
+        x = np.arange(start, stop, step) * arch.TRAP_UNIT
+        return complex(np.sum(np.where(x > 2.5, np.nan, 1.0)))
 
     with pytest.raises(ArithmeticError, match=r"not finite on \[2\.0, 3\.0\]"):
-        quad_trapezoid(f, np.array([0.0, 2.0, 0.0]), np.array([1.0, 3.0, 1.0]), args=(np.array([5.0, 2.5, 5.0]),))
-    assert calls == [3 * 3]  # each row's first grid: 2 intervals, 3 points
+        quad_trapezoid(f, 2.0, 3.0)
+    assert calls == [1, 2]
 
 
 def test_trapezoid_row_that_never_settles_raises_naming_it():
-    # a unit jump at 7/3 leaves the middle row's sums O(h) apart at every
-    # level; the constant rows beside it settle at the first halving
+    # a unit jump at 7/3, off the lattice, leaves the sums O(h) apart at
+    # every level: the midpoint and the two ends, then 2, 4, ..., 1024 new
+    # midpoints, the last of them on the lattice's finest step
     calls = []
 
-    def f(x, c):
-        calls.append(len(x))
-        return np.where(x > c, 1.0, 0.0)
+    def f(start, stop, step):
+        calls.append(len(range(start, stop, step)))
+        x = np.arange(start, stop, step) * arch.TRAP_UNIT
+        return complex(np.sum(np.where(x > 7 / 3, 1.0, 0.0)))
 
     with pytest.raises(ArithmeticError, match=r"did not settle on \[2\.0, 3\.0\] in 10 halvings"):
-        quad_trapezoid(f, np.array([0.0, 2.0, 4.0]), np.array([1.0, 3.0, 5.0]), args=(np.array([-1.0, 7 / 3, -1.0]),))
-    assert arch.TRAP_HALVINGS == 10
-    assert calls == [3 * 3, 3 * 2] + [2**k for k in range(2, 11)]
+        quad_trapezoid(f, 2.0, 3.0)
+    assert arch.TRAP_HALVINGS == 10 and arch.TRAP_UNIT == arch.TRAP_H0 / 2**10
+    assert calls == [1, 2] + [2**k for k in range(1, 11)]
 
 
 def test_trapezoid_settles_rows_below_the_underflow_floor():
-    # the jump never settles by the relative test; its sums are about 5/3 of
-    # the scale, so at half the floor the row settles at the first halving,
-    # and at the floor it raises
+    # the jump never settles by the relative test; its sums are about 7/4
+    # of the scale, so at half the floor the row settles at the first
+    # halving, and at the floor it raises
     floor = arch.TRAP_UNDERFLOW
     assert floor == 1e-280
+
+    def sums(scale, calls):
+        def f(start, stop, step):
+            calls.append(len(range(start, stop, step)))
+            x = np.arange(start, stop, step) * arch.TRAP_UNIT
+            return complex(np.sum(scale * np.where(x > 1 / 3, 2.0, 1.0)))
+
+        return f
+
     calls = []
-
-    def f(x, scale):
-        calls.append(len(x))
-        return scale * np.where(x > 1 / 3, 2.0, 1.0)
-
-    got = quad_trapezoid(f, 0.0, 1.0, args=(floor / 2,))
-    assert 0 < abs(got) < floor and calls == [3, 2]
+    got = quad_trapezoid(sums(floor / 2, calls), 0.0, 1.0)
+    assert 0 < abs(got) < floor and calls == [1, 2, 2]
     with pytest.raises(ArithmeticError, match="did not settle"):
-        quad_trapezoid(f, 0.0, 1.0, args=(floor,))
-    # Whittaker rows at |y| = 60 are 0 to the last node; the row beside them
-    # keeps its accuracy (W = 4 pi y K_0(4 pi y) at mu = nu = 1)
+        quad_trapezoid(sums(floor, []), 0.0, 1.0)
+    # Whittaker rows at |y| = 60 are 0 to the last node
     one = CChar(0, 0)
-    w = whittaker_value_quadrature(np.array([60.0, -60.0, 0.7]), (0, 0), (0, 0), one, one, 1e-11)
-    assert w[0] == w[1] == 0
-    alone = whittaker_value_quadrature(np.array([0.7]), (0, 0), (0, 0), one, one, 1e-11)
-    assert repr(complex(w[2])) == repr(complex(alone[0]))
+    assert whittaker_value_quadrature(60.0, (0, 0), (0, 0), one, one, 1e-11) == 0
+    assert whittaker_value_quadrature(-60.0, (0, 0), (0, 0), one, one, 1e-11) == 0
 
 
 def test_trapezoid_line_window_raises_beyond_400():
-    # a constant never decays: both ends move out by 4 a call until the
-    # window would pass 400
+    # a constant never decays: both ends move out by 4, 8 new nodes each,
+    # until the window would pass 400
     calls = []
 
-    def f(x):
-        calls.append(len(x))
-        return np.ones(x.shape)
+    def f(start, stop, step):
+        calls.append(len(range(start, stop, step)))
+        return complex(len(range(start, stop, step)))
 
     with pytest.raises(ArithmeticError, match=r"tail does not decay beyond \[-402\.0, 402\.0\]"):
         quad_trapezoid_line(f, 1e-11)
-    assert calls == [25] + [16] * 98
+    assert calls == [1] * (25 + 16 * 98)
 
 
-def test_verify_arch_never_imports_numpy_polynomial():
-    # the trapezoid oracle needs no Gauss-Legendre nodes, so no production
-    # run loads numpy.polynomial
-    code = (
-        "import runpy, sys\n"
-        "sys.argv = ['asailocal', 'verify', '--suite', 'arch']\n"
-        "try:\n"
-        "    runpy.run_module('asailocal', run_name='__main__', alter_sys=True)\n"
-        "finally:\n"
-        "    print('numpy' in sys.modules, 'numpy.polynomial' in sys.modules, file=sys.stderr)\n"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr.decode().splitlines()[-1] == "True False"
+def test_rows_symmetric_about_their_peak_settle_on_the_right_sum():
+    # at c = Re(w) + A - B = 0 a radial row's modulus is symmetric about its
+    # peak u = -v/2; about a point of the lattice two levels finer than the
+    # first grid, the reflection would carry one level's nodes onto the
+    # next level's, and the relative test would pass two equal, wrong sums
+    # (1.3e-2 off at y = e^(1/4), where -v/2 = -1/8)
+    one = CChar(0, 0)
+    y = math.exp(0.25)
+    u = np.linspace(-8.0, 8.0, 8001)
+    g = np.exp(-2 * math.pi * (y * y * np.exp(2 * u) + np.exp(-2 * u)))
+    want = 4 * math.pi * y * (u[1] - u[0]) * (g.sum() - (g[0] + g[-1]) / 2)
+    got = whittaker_value_quadrature(y, (0, 0), (0, 0), one, one, 1e-11)
+    assert abs(got - want) <= 1e-12 * want
+    # the Lemma's rows at c = 0, with w = 0 and with w imaginary
+    s = 2.4 + 0.2j
+    for datum in [
+        ((0, 0), (0, 0), RChar(0.0, 0), one, one),
+        ((1, 0), (1, 0), RChar(0.0, 1), CChar(0.1j, 0), one),
+    ]:
+        closed = zeta_whittaker_closed(s, *datum)
+        (quad,) = zeta_whittaker_quadrature(s, [datum])
+        assert abs(closed - quad) <= 1e-11 * abs(closed)
+
+
+def test_whittaker_value_past_the_float_range_raises_arithmetic_error():
+    # at mu = |.|^400 the radial integrand's exponent passes 709.78 inside
+    # its window: the engine names the window, and no OverflowError escapes
+    one = CChar(0, 0)
+    with pytest.raises(ArithmeticError, match="not finite on") as exc:
+        whittaker_value_quadrature(1.0, (0, 0), (0, 0), CChar(400, 0), one)
+    assert type(exc.value) is ArithmeticError
+
+
+# the ten values of the arch-quadrature suite's Lemma data at s = 2.4 + 0.2i,
+# as the numpy trapezoid oracle computed them, breadth-first over arrays
+NUMPY_ORACLE_LEMMA_VALUES = [
+    0.0011968644142590916 + 0.00020265357711771816j,
+    0.0030163811960123178 - 8.599376593288926e-06j,
+    0.0021272869777148934 - 3.429245221757426e-05j,
+    0.0004614392855318325 + 2.929155232015328e-06j,
+    0.0010198554907092491 + 8.891026327638031e-05j,
+    0.0046224563998213215 - 0.0023563561881725513j,
+    0.008812554899421073 - 0.0053285245568268896j,
+    0.0023976490631412925 - 0.0009672995290605649j,
+    0.009134672390166125 - 0.0072619230086953136j,
+    0.0005656726567909631 - 0.00018403973198172333j,
+]
+
+
+def test_lattice_oracle_matches_the_numpy_oracle_on_the_suite_data(monkeypatch):
+    from asailocal import verify
+
+    got = []
+
+    def recording(s, data):
+        got.extend(zeta_whittaker_quadrature(s, data))
+        return got
+
+    monkeypatch.setattr(arch, "zeta_whittaker_quadrature", recording)
+    assert verify.suite_closed_vs_quadrature()["ok"]
+    for g, want in zip(got, NUMPY_ORACLE_LEMMA_VALUES, strict=True):
+        assert abs(g - want) <= 1e-13 * abs(want)
 
 
 def test_oracles_call_no_closed_form(monkeypatch):

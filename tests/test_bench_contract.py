@@ -13,7 +13,7 @@ that it calls fails here, not only in the benchmark.
 The README examples (``bench/workloads.py``'s ``CLI_EXAMPLES``) run as
 their own interpreters: their stdout must equal ``bench/golden/`` byte for
 byte, and none of them loads numpy, the archimedean ``arch-zeta`` included;
-only the archimedean quadrature of ``verify`` does.
+nor does ``verify``, whose archimedean quadrature is pure Python.
 """
 
 import ast
@@ -105,8 +105,7 @@ def _run_python(args):
 
 
 def test_cli_import_leaves_numpy_unloaded_and_the_tracer_installs():
-    # every module the tracer wraps is registered by ``import asailocal.cli``;
-    # only the archimedean quadrature loads numpy, when it first runs
+    # every module the tracer wraps is registered by ``import asailocal.cli``
     code = f"""
 import importlib.util, sys
 import asailocal.cli
@@ -134,6 +133,27 @@ def test_only_archimedean_examples_load_numpy(name, loads_numpy):
     proc = _run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr.decode().splitlines()[-1] == str(loads_numpy)
+
+
+def test_verify_and_every_readme_example_leave_numpy_unloaded():
+    # the archimedean oracle is pure Python, so no command loads numpy:
+    # `asailocal verify` (every suite) and the README examples, in one
+    # interpreter, each exiting 0
+    runs = [["verify"], *(argv for _, argv in WORKLOADS.CLI_EXAMPLES)]
+    code = (
+        "import contextlib, io, runpy, sys\n"
+        f"for argv in {runs!r}:\n"
+        "    sys.argv = ['asailocal', *argv]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            runpy.run_module('asailocal', run_name='__main__', alter_sys=True)\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, (argv, exc.code)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = _run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["False"]
 
 
 @pytest.mark.parametrize("name,argv", WORKLOADS.CLI_EXAMPLES, ids=lambda v: v if isinstance(v, str) else None)

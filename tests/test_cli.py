@@ -329,7 +329,7 @@ _TAU_README = '{"mu2":%s,"nu2":%s,"v2":%%s}' % (TRIV_F, TRIV_F)
 _TAU_POLE = json.dumps({
     "mu2": json.loads(TRIV_F),
     "nu2": {"field": "F", "conductor": 1, "unit_part": ["1/2"], "t": {"angle": "1/3"}},
-    "v2": "0.3",
+    "v2": 0.3,
 })
 
 
@@ -478,7 +478,45 @@ _REPROS = [
          "--tau", '{"mu2":3,"nu2":{},"v2":0}'],
         "--tau mu2",
     ),
+    # a JSON string where a number belongs, which complex() would parse
+    (["tate", "--field", _F5, "--char", '{"field":"F","t":"0.5"}'], "--char"),
+    (
+        ["twisted-asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+         "--tau", _TAU_README % '"0.25"'],
+        "--tau v2",
+    ),
 ]
+
+
+# mu nu^-1 = |.|_E, with mu ramified, on each extension type at p = 3: the
+# unit part of level 1 is one angle on every type
+_RAMIFIED_PAIR = (
+    '{"field":"E","conductor":1,"unit_part":["1/2"],"lambda":"1"}',
+    '{"field":"E","conductor":1,"unit_part":["1/2"]}',
+)
+
+
+@pytest.mark.parametrize("command", ["asai", "twisted-asai", "dichotomy"])
+@pytest.mark.parametrize("ext", ["unramified", "ramified-p", "ramified-up"])
+def test_reducibility_point_exits_2_naming_char2(command, ext, capsys):
+    # Ind(mu, nu) is reducible when mu nu^-1 = |.|_E^(+-1), an exact test on
+    # integer data; its L-factor is not that of its generic constituent
+    field = '{"p":3,"ext":"%s"}' % ext
+    tau = ["--tau", _TAU_README % "0"] if command != "asai" else []
+    pairs = [_RAMIFIED_PAIR, _RAMIFIED_PAIR[::-1], ('{"lambda":"1/2"}', '{"lambda":"-1/2"}')]
+    for mu, nu in pairs:
+        rc = main([command, "--field", field, "--char", mu, "--char2", nu, *tau])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "", (mu, nu)
+        assert err.count("\n") == 1 and err.startswith("input error: --char2"), err
+    # off the point: the same characters at lambda 1/2, or with t = -1
+    for mu, nu in [
+        (_RAMIFIED_PAIR[0].replace('"1"', '"1/2"'), _RAMIFIED_PAIR[1]),
+        ('{"lambda":"1","t":{"angle":"1/2"}}', "trivial"),
+    ]:
+        rc = main([command, "--field", field, "--char", mu, "--char2", nu, *tau])
+        out, err = capsys.readouterr()
+        assert "--char2 gives" not in err and "Traceback" not in err, (mu, nu, err)
 
 
 @pytest.mark.parametrize("argv,flag", _REPROS, ids=lambda v: None if isinstance(v, list) else v)
