@@ -64,12 +64,15 @@ cached, so the kernel raises :class:`PrecisionError` on every call where
 
 :func:`shell_cyc` counts the numerators into one exact ``Cyc`` on integer
 exponents; every local integral of the two oracles is built from it
-(:mod:`asailocal.tate`).  :func:`shell_sum`, the float Gauss sum of the
-closed form, takes the roots e(k/den) from cached tables, and t^v and
-q^(-lam v) once per call; each term is still (t^v e(u/den)) [q^(-lam v)]
-e(s/psi_den), multiplied in that order and summed in shell order, so each
-float term, and the order of the sum, is the one an element-by-element loop
-of ``chi.value(x) * psi.value(x)`` gives, bit for bit.
+(:mod:`asailocal.tate`).  :func:`shell_sum` is the float shell sum, the
+closed form's Gauss sum at conductor n = 1 only; it takes the roots
+e(k/den) from cached tables, and t^v and q^(-lam v) once per call; each term
+is still (t^v e(u/den)) [q^(-lam v)] e(s/psi_den), multiplied in that order
+and summed in shell order, so each float term, and the order of the sum, is
+the one an element-by-element loop of ``chi.value(x) * psi.value(x)`` gives,
+bit for bit.  At n >= 2 the closed form enumerates no shell: it reads chi
+off :func:`alpha_chi`, the alpha with chi(1 + x) = psi(alpha x) on
+p^ceil(n/2), found from chi's values on the one-unit generators.
 """
 
 from __future__ import annotations
@@ -708,6 +711,40 @@ def shell_sum(chi: MultChar, psi: AddChar, v: int, m: int) -> complex:
     for u, k in zip(sa.units, sa.psis):
         out += ce[u] * pe[k]
     return out
+
+
+def alpha_chi(chi: MultChar, psi: AddChar):
+    """An element alpha of chi's field with chi(1 + x) = psi(alpha x) for
+    ord x >= k = ceil(n/2), n = a(chi) >= 2; it is unique mod p^(c(psi) - k)
+    and has ord c(psi) - n.  It is the stationary point of the Gauss sum
+    (``tate.gauss_sum``) and the c of Deligne's twist formula.
+
+    y -> chi(1 + pi^k y) is additive on O/p^(n-k), as 2k >= n, so it is
+    fixed by its angles theta_j at the Z_p-basis e_j of O: 1 on F, and 1 and
+    sqrt(d) on E, where pi^k sqrt(d) = pi^(k+1) on ramified E.  The rows of
+    ``_reduction_table(K, n, k)`` are the dlogs of 1 + pi^k e_j (on ramified
+    E, of 1 + pi^j for k <= j < n, so theta_2 = 0 once k + 1 = n).  Then
+    beta = alpha psi_mult pi^k solves tr(beta e_j) = theta_j, each theta_j
+    read as chi's unit numerator over unit_den: beta = theta_1 on F and
+    theta_1 / 2 + theta_2 / (2d) sqrt(d) on E."""
+    K, n = chi.field, chi.n
+    if n < 2:
+        raise ValueError("alpha_chi needs a conductor n >= 2")
+    k = (n + 1) // 2
+    rows, den = _reduction_table(K, n, k), chi.unit_den
+    if is_extension(K):
+        theta_2 = chi._unit_num(rows[1]) if len(rows) > 1 else 0
+        beta = K.elem(Fraction(chi._unit_num(rows[0]), 2 * den), Fraction(theta_2, 2 * K.d * den))
+    else:
+        beta = Fraction(chi._unit_num(rows[0]), den)
+    return beta * _inverse_step(psi, k)
+
+
+@lru_cache(maxsize=64)
+def _inverse_step(psi: AddChar, k: int):
+    """1 / (psi_mult pi^k), which takes beta to alpha in :func:`alpha_chi`;
+    cached, as every character of one conductor shares it."""
+    return 1 / (psi.mult * psi.field.uniformizer() ** k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ closed-form geometric tails) and then evaluated at each point.  A
 disagreement is an internal error, not a tolerance failure.  The oracle
 never calls the closed form's :func:`gauss_sum`.
 
+The closed form's Gauss sum is a shell sum at conductor 1 only.  At
+conductor n >= 2 it is the stationary-phase reduction: one term at even n
+and q terms, a quadratic Gauss sum over the residue field, at odd n, around
+the alpha of :func:`~asailocal.characters.alpha_chi`.  It builds no shell
+frame, so its cost does not grow with the shell, and of the oracle's code it
+shares only the point dlogs of the unit groups.
+
 The local integrals int chi(x) psi(-s x) dx over a shell {ord x = j} or a
 unit coset t0 + pi^L O (:func:`shell_integral`, :func:`coset_integral`),
 with dx self-dual for psi, are exact ``Cyc`` values, and this is the one
@@ -29,13 +36,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import inf, isqrt
+from math import inf, isqrt, lcm
 from operator import mul
 
 from .characters import (
     AddChar,
     MultChar,
     Phase,
+    _num_exp,
+    alpha_chi,
     conductor_add,
     omega_quadratic,
     shell_cyc,
@@ -48,7 +57,7 @@ from .factors import (
     PoleError,
     off_poles,
 )
-from .padic import Value, _set, legendre
+from .padic import Value, _check_shell_modulus, _set, legendre
 
 _CHECK_GRID = (0.7, 1.3, 0.4 - 0.8j)
 
@@ -83,13 +92,73 @@ def l_product(chars, q: int) -> NonArchFactor:
 
 @lru_cache(maxsize=512)
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
-    """Floating-complex Gauss sum; terms are exact roots of unity.  Cached by
-    the values of chi and psi: the Asai factors reach equal constituents
-    along several routes."""
+    """G(chi, psi) = sum chi^{-1}(x) psi(x) over the shell ord x = c - n mod
+    p^c, n = a(chi) and c = c(psi), as a floating complex.  Cached by the
+    values of chi and psi: the Asai factors reach equal constituents along
+    several routes.
+
+    At n = 1 it is the shell sum itself (:func:`shell_sum`).  At n >= 2 it
+    is the stationary-phase closed form (Bushnell-Henniart, *The Local
+    Langlands Conjecture for GL(2)*, 23.6-23.8; Tate, "Number theoretic
+    background", Corvallis 1979, 3).  With k = ceil(n/2) and alpha =
+    :func:`alpha_chi`, the shell's coset x (1 + p^k) sums to
+    q^(n-k) chi^{-1}(x) psi(x) where x = alpha mod p^(c-k), and to 0
+    elsewhere.  So G is q^(n-k) times the sum over the q^(2k-n) classes of
+    alpha + p^(c-k) mod p^(c-n+k): x = alpha + pi^(c-k) r for r = 0 alone
+    at even n, and for r over O/p (a quadratic Gauss sum) at odd n.
+
+    Every x has ord v = c - n, so x = pi^v (A + B sqrt(d)) with A + B sqrt(d)
+    = u0 + pi^(n-k) r, u0 the unit part of alpha.  A term depends on x mod
+    p^(c-n+k) only, so u0 may be any lift mod p^n, and (A, B) are integers.
+    Each term is then read off integers (:func:`_stationary_line`): minus
+    chi's unit numerator at the dlog of A + B sqrt(d), and psi's numerator
+    A psi_a + B psi_b.  Their roots of unity are summed, and the sum is
+    multiplied by q^(n-k) and by chi^{-1}(pi^v) once.  A chi presented above
+    its conductor has alpha of larger order, no class in the shell, and
+    G = 0.  The shell's modulus n must fit the precision window, as for the
+    shell sum."""
     if not chi.is_ramified:
         raise ValueError("no primitive Gauss sum for an unramified character")
     n, c = chi.n, conductor_add(psi)
-    return shell_sum(chi.inv(), psi, c - n, n)
+    if n == 1:
+        return shell_sum(chi.inv(), psi, c - n, n)
+    K = chi.field
+    _check_shell_modulus(n, K.ground.precision)
+    k = (n + 1) // 2
+    alpha = alpha_chi(chi, psi)
+    offsets, (psi_a, psi_b), P, to_unit = _stationary_line(psi, n)
+    u0 = alpha * to_unit
+    if u0 == 0 or K.val(u0) != 0:
+        return 0j
+    A0, B0 = (K.ground.residue(z, n) for z in K.coords(u0))
+    logs, key, den = chi.group.logs, chi.group.coord_key, chi.unit_den
+    D = lcm(den, P)
+    fu, fp = D // den, D // P
+    out = 0j
+    for dA, dB in offsets:
+        A, B = A0 + dA, B0 + dB
+        u = chi._unit_num(logs[key(A, B)])
+        out += _num_exp((A * psi_a + B * psi_b) * fp - u * fu, D)
+    return K.q ** (n - k) * chi._values(n - c, (out,))[0]
+
+
+@lru_cache(maxsize=64)
+def _stationary_line(psi: AddChar, n: int) -> tuple:
+    """What :func:`gauss_sum`'s terms at conductor n share across
+    characters, with k = ceil(n/2) and v = c(psi) - n: the integer
+    coordinates of pi^(n-k) r over the residues r = a + b sqrt(d) of O/p,
+    or of r = 0 alone at even n, which step the unit part; and psi's angles
+    at pi^v and pi^v sqrt(d) as numerators over P, so that psi at
+    pi^v (A + B sqrt(d)) has the numerator A psi_a + B psi_b."""
+    K, k = psi.field, (n + 1) // 2
+    rs = [(0, 0)] if 2 * k == n else [(0, 0), *K.shell_coords(n - k, 1)]
+    (r1, s1), (r2, s2) = (map(int, K.coords(f)) for f in K.shell_basis(n - k))
+    offsets = [(a * r1 + b * r2, a * s1 + b * s2) for a, b in rs]
+    v = conductor_add(psi) - n
+    angles = [psi.angle(e) for e in K.shell_basis(v)]
+    P = lcm(*(t.denominator for t in angles))
+    nums = tuple(t.numerator * (P // t.denominator) for t in angles)
+    return offsets, nums, P, K.uniformizer() ** -v
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,8 @@ class UnitGroup:
     ``key(u)`` is the integer residue of a unit u at this level: an int on F,
     a pair (a mod p^ma, b mod p^mb) on E (``E.residue_digits``).  ``logs``
     maps each key to its exponent tuple, so ``dlog(u)`` is ``logs[key(u)]``,
-    and ``keys(coords)`` gives the keys of the units a + b sqrt(d) straight
-    from integer coordinates, with no field element.
+    and ``coord_key(a, b)`` gives the key of the unit a + b sqrt(d) straight
+    from integer coordinates, with no field element (``keys`` for a list).
 
     Everything runs on integer pairs (a mod Ma, b mod Mb) = a + b sqrt(d),
     (Ma, Mb) = ``_mods``; on F, Mb = 1 and b is 0.  The first basis element
@@ -140,8 +140,12 @@ class UnitGroup:
 
     def keys(self, coords) -> list:
         """Residue keys of the units a + b sqrt(d), (a, b) integers in coords."""
+        return [self.coord_key(a, b) for a, b in coords]
+
+    def coord_key(self, a: int, b: int):
+        """The residue key of the unit a + b sqrt(d), a and b integers."""
         Ma, Mb = self._mods
-        return [(a % Ma, b % Mb) for a, b in coords]
+        return a % Ma, b % Mb
 
     def _basis(self, gbar: tuple) -> list[tuple]:
         """(h, order) of each generator on E: the Teichmueller lift omega of
@@ -202,9 +206,8 @@ class FUnitGroup(UnitGroup):
     1-unit, a power u^m of the span's one basis element u = g^(p-1), and the
     dlog of x is k0 + (p-1) m."""
 
-    def keys(self, coords) -> list:
-        M = self._mods[0]
-        return [a % M for a, _ in coords]
+    def coord_key(self, a: int, b: int):
+        return a % self._mods[0]
 
     def dlog(self, u):
         return self.logs[self.key(u)]

@@ -682,6 +682,8 @@ def test_gauss_sum_bits_readme_inputs():
 
 
 def test_gauss_sum_bits_all_primitive_p5():
+    # n = 1 is the shell sum, bit for bit; n = 2 is the stationary-phase
+    # closed form, against the exact shell sum within 1e-13 q^(n/2)
     F = PAdicGround(5)
     count = 0
     for n in (1, 2):
@@ -691,7 +693,11 @@ def test_gauss_sum_bits_all_primitive_p5():
             if chi.reduced().n != n:
                 continue
             for psi in (standard_psi(F), standard_psi(F).shifted(Fraction(2, 5))):
-                assert gauss_sum(chi, psi) == _gauss_by_loop(chi, psi)
+                if n == 1:
+                    assert gauss_sum(chi, psi) == _gauss_by_loop(chi, psi)
+                else:
+                    exact = shell_cyc(chi.inv(), psi, conductor_add(psi) - n, n).to_complex()
+                    assert abs(gauss_sum(chi, psi) - exact) <= 1e-13 * 5 ** (n / 2)
                 count += 1
     assert count == 2 * (3 + 16)
 
@@ -772,11 +778,12 @@ def test_shell_angles_of_two_characters_do_not_depend_on_the_order(p, ext, shift
 
 
 def test_second_gauss_sum_on_a_shell_reuses_its_frame(monkeypatch):
+    # n = 1, where gauss_sum is the shell sum and reads the shell's frames
     F = PAdicGround(7)
     psi = standard_psi(F)
-    G = unit_group(F, 2)
+    G = unit_group(F, 1)
     d = G.orders[0]
-    chi1, chi2 = (MultChar(F, 2, (Fraction(k, d),), Phase.one()) for k in (1, 5))
+    chi1, chi2 = (MultChar(F, 1, (Fraction(k, d),), Phase.one()) for k in (1, 5))
     want = _gauss_by_loop(chi2, psi)
     gauss_sum(chi1, psi)
 

@@ -11,17 +11,19 @@ import asailocal.tate as tate_mod
 from asailocal.characters import (
     MultChar,
     Phase,
+    alpha_chi,
     conductor_add,
     omega_quadratic,
     psi_to_E,
     restrict_to_F,
     shell_cyc,
+    shell_sum,
     standard_psi,
 )
 from asailocal.cli import main
 from asailocal.cyclotomic import Cyc
-from asailocal.factors import PHI_INDEPENDENCE_TOL, PoleError
-from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, UNRAMIFIED
+from asailocal.factors import DEFAULT_GRID, PHI_INDEPENDENCE_TOL, REL_TOL_NONARCH, PoleError
+from asailocal.padic import EXTENSION_TYPES, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED
 from asailocal.tate import (
     ConsistencyError,
     box_fourier,
@@ -30,13 +32,14 @@ from asailocal.tate import (
     gauss_sum,
     langlands_constant,
     tate_L,
+    tate_eps,
     tate_gamma,
 )
 from asailocal.unitgroups import unit_group
 from asailocal.verify import suite_gauss_modulus
 
 from certified_tate import certified_eps, certified_gamma
-from random_chars import rand_char
+from random_chars import rand_char, unit_angle
 
 
 def test_L_factor_shapes():
@@ -432,3 +435,181 @@ def test_check_grid_moves_only_its_poles():
         base = tate_mod._default_test_functions(chi, psi)[0]
         with pytest.raises(PoleError):
             fe_ratio(chi, psi, base, tate_mod._CHECK_GRID)
+
+
+# -- the stationary-phase Gauss sum at conductor n >= 2 ----------------------------
+
+
+def _shell_size(K, n):
+    return (K.q - 1) * K.q ** (n - 1)
+
+
+def _shifted_psi(K, p, u, e, xi):
+    """psi0 shifted by the unit u and by p^e, then psi o tr (times xi) on E."""
+    base = standard_psi(K.ground).shifted(Fraction(u) * Fraction(p) ** e)
+    if K is K.ground:
+        return base
+    return psi_to_E(base, K, K.xi() if xi else None)
+
+
+@st.composite
+def stationary_cases(draw):
+    """A character of conductor 2 <= n <= 5 on F or E, p <= 13, whose shell
+    holds at most 3,000 elements; exact or float t, Fraction or complex lam;
+    and psi shifted by a unit and by a power of p."""
+    n = draw(st.integers(2, 5))
+    fields = [
+        (p, ext)
+        for p in (3, 5, 7, 11, 13)
+        for ext in (None,) + tuple(EXTENSION_TYPES)
+        if _shell_size(_field(p, ext)[0], n) <= 3000
+    ]
+    p, ext = draw(st.sampled_from(fields))
+    K, _ = _field(p, ext)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    t = draw(st.sampled_from([Phase.exact(Fraction(rng.randrange(12), 12)), Phase.approx(0.8 - 0.9j)]))
+    lam = draw(st.sampled_from([Fraction(0), Fraction(-2, 3), complex(0.25, -0.5)]))
+    chi = _primitive_char(K, n, rng, t, lam)
+    u = draw(st.sampled_from([1, -1, 2, p - 2]))
+    psi = _shifted_psi(K, p, u, draw(st.integers(-2, 2)), draw(st.booleans()))
+    return chi, psi
+
+
+@settings(max_examples=50, deadline=None)
+@given(stationary_cases())
+def test_stationary_gauss_sum_equals_the_exact_shell_sum(case):
+    # the exact sum over the shell of the unit part, times chi^{-1}(pi^v),
+    # v = c - n: the shell's one valuation, where t and lam enter
+    chi, psi = case
+    K, n = chi.field, chi.n
+    v = conductor_add(psi) - n
+    unit = MultChar._from_weights(K, n, chi.unit_den, chi.unit_weights, Phase.one(), 0)
+    at_pi = chi.inv().value(K.uniformizer() ** v)
+    exact = shell_cyc(unit.inv(), psi, v, n).to_complex() * at_pi
+    assert abs(gauss_sum(chi, psi) - exact) <= 1e-13 * K.q ** (n / 2) * abs(at_pi)
+
+
+def _ideal_mod(K, k, n):
+    """p^k mod p^n: 0 and the shells k <= v < n."""
+    return [K.zero()] + [x for v in range(k, n) for x in K.shell(v, n - v)]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("ext", (None,) + tuple(EXTENSION_TYPES))
+def test_alpha_chi_represents_chi_on_the_upper_half(p, ext):
+    # chi(1 + x) = psi(alpha x) on every x of p^k mod p^n, k = ceil(n/2)
+    K, _ = _field(p, ext)
+    rng = random.Random(f"alpha-{p}-{ext}")
+    for n in (2, 3, 4):
+        chi = _primitive_char(K, n, rng, Phase.exact(Fraction(1, 5)))
+        for psi in (_shifted_psi(K, p, 1, 0, False), _shifted_psi(K, p, 2, -1, True)):
+            alpha = alpha_chi(chi, psi)
+            assert K.val(alpha) == conductor_add(psi) - n
+            xs = _ideal_mod(K, (n + 1) // 2, n)
+            assert len(xs) == K.q ** (n // 2)
+            for x in xs:
+                assert unit_angle(chi, K.one() + x) == psi.angle(alpha * x)
+    with pytest.raises(ValueError):
+        alpha_chi(_primitive_char(K, 1, rng, Phase.one()), psi)
+
+
+@pytest.mark.parametrize("ext", (None,) + tuple(EXTENSION_TYPES))
+def test_gauss_sum_refuses_where_the_shell_sum_did(ext):
+    # at precision 8 every level unit_group allows, where the shell is small
+    # enough to sum or the shell sum refuses its modulus up front
+    F = PAdicGround(3, precision=8)
+    K = F if ext is None else QuadExtension(F, ext)
+    psi = standard_psi(F) if ext is None else psi_to_E(standard_psi(F), K, K.xi())
+    rng = random.Random(f"precision-{ext}")
+    refused = []
+    for n in range(2, K.e * F.precision + 1):
+        if n <= F.precision and _shell_size(K, n) > 5000:
+            continue
+        chi = _primitive_char(K, n, rng, Phase.one())
+        outcomes = []
+        for route in (lambda: shell_sum(chi.inv(), psi, conductor_add(psi) - n, n),
+                      lambda: gauss_sum(chi, psi)):
+            try:
+                route()
+                outcomes.append("ok")
+            except PrecisionError:
+                outcomes.append("refused")
+        assert outcomes[0] == outcomes[1], (n, outcomes)
+        refused.append(outcomes[1] == "refused")
+    # only ramified E has levels past the window: ceil(n/2) digits for n <= 16
+    assert any(refused) == (K.e == 2)
+
+
+@pytest.mark.parametrize("ext", (None,) + tuple(EXTENSION_TYPES))
+@pytest.mark.parametrize("n", [2, 3])
+def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
+    # the closed form at n >= 2 reads no whole-shell frame: with every frame
+    # builder made to raise, it still gives the value of a cold call
+    import asailocal.characters as characters_mod
+    from asailocal.unitgroups import UnitGroup
+
+    K, psi = _field(5 if ext is None else 3, ext)
+    rng = random.Random(f"guard-{ext}-{n}")
+    chi = _primitive_char(K, n, rng, Phase.exact(Fraction(2, 7)))
+    gauss_sum.cache_clear()
+    want = gauss_sum(chi, psi)
+
+    def frame(*args, **kwargs):
+        raise AssertionError("a whole-shell frame was built")
+
+    for name in ("shell_angles", "_dlog_frame", "_psi_frame"):
+        monkeypatch.setattr(characters_mod, name, frame)
+    monkeypatch.setattr(UnitGroup, "keys", frame)
+    gauss_sum.cache_clear()
+    assert gauss_sum(chi, psi) == want
+    # n = 1 is the shell sum, which the patch does stop
+    with pytest.raises(AssertionError, match="whole-shell frame"):
+        gauss_sum(_primitive_char(K, 1, rng, Phase.one()), psi)
+    gauss_sum.cache_clear()
+
+
+@st.composite
+def deligne_cases(draw):
+    """chi and eta on F (standard psi) or on E (psi o tr), p in {3, 5}, with
+    a(eta) >= 1, a(chi) >= 2 a(eta) and a(chi) <= 5."""
+    p = draw(st.sampled_from([3, 5]))
+    ext = draw(st.sampled_from((None,) + tuple(EXTENSION_TYPES)))
+    F = PAdicGround(p)
+    K = F if ext is None else QuadExtension(F, ext)
+    psi = standard_psi(F) if ext is None else psi_to_E(standard_psi(F), K)
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(2 * m, 5))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    chi = _primitive_char(K, n, rng, Phase.exact(Fraction(rng.randrange(12), 12)))
+    eta = _primitive_char(K, m, rng, Phase.exact(Fraction(rng.randrange(12), 12)), Fraction(1, 3))
+    return chi, eta, psi
+
+
+@settings(max_examples=40, deadline=None)
+@given(deligne_cases())
+def test_deligne_twist_formula(case):
+    # eps(s, chi eta, psi) = eta(alpha_chi)^{-1} eps(s, chi, psi) once
+    # a(chi) >= 2 a(eta) (Deligne, Antwerp II, LNM 349, 4)
+    chi, eta, psi = case
+    alpha = alpha_chi(chi, psi)
+    twisted, base = tate_eps(chi.mul(eta), psi), tate_eps(chi, psi)
+    scale = 1 / eta.value(alpha)
+    for s in DEFAULT_GRID:
+        want = scale * base.eval(s)
+        assert abs(twisted.eval(s) - want) <= REL_TOL_NONARCH * abs(want)
+
+
+@pytest.mark.parametrize("ext", (None,) + tuple(EXTENSION_TYPES))
+def test_gauss_sum_above_the_conductor_is_zero(ext):
+    # a character presented at a level n >= 2 above its conductor: its sum
+    # over the level-n shell vanishes, and alpha has no class in the shell
+    K, psi = _field(3, ext)
+    rng = random.Random(f"above-{ext}")
+    for low, n in ((0, 2), (1, 2), (1, 3), (2, 3)):
+        chi = _primitive_char(K, low, rng, Phase.exact(Fraction(1, 4)))
+        above = MultChar._from_weights(
+            K, n, chi.unit_den, chi._weights_at(K, n, "identity"), chi.t, chi.lam
+        )
+        assert above.reduced() == chi
+        assert shell_cyc(above.inv(), psi, conductor_add(psi) - n, n).is_zero()
+        assert gauss_sum(above, psi) == 0j
