@@ -523,7 +523,7 @@ def test_gauss_sum_refuses_where_the_shell_sum_did(ext):
     rng = random.Random(f"precision-{ext}")
     refused = []
     for n in range(2, K.e * F.precision + 1):
-        if n <= F.precision and _shell_size(K, n) > 5000:
+        if n <= F.precision and _shell_size(K, n) > 2000:
             continue
         chi = _primitive_char(K, n, rng, Phase.one())
         outcomes = []
