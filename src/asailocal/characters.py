@@ -64,15 +64,11 @@ cached, so the kernel raises :class:`PrecisionError` on every call where
 
 :func:`shell_cyc` counts the numerators into one exact ``Cyc`` on integer
 exponents; every local integral of the two oracles is built from it
-(:mod:`asailocal.tate`).  :func:`shell_sum` is the float shell sum, the
-closed form's Gauss sum at conductor n = 1 only; it takes the roots
-e(k/den) from cached tables, and t^v and q^(-lam v) once per call; each term
-is still (t^v e(u/den)) [q^(-lam v)] e(s/psi_den), multiplied in that order
-and summed in shell order, so each float term, and the order of the sum, is
-the one an element-by-element loop of ``chi.value(x) * psi.value(x)`` gives,
-bit for bit.  At n >= 2 the closed form enumerates no shell: it reads chi
+(:mod:`asailocal.tate`), and the shell kernel serves the oracles only.  The
+closed form's Gauss sum enumerates no shell at any conductor: it reads chi
 off :func:`alpha_chi`, the alpha with chi(1 + x) = psi(alpha x) on
-p^ceil(n/2), found from chi's values on the one-unit generators.
+p^ceil(n/2), found from chi's values on the one-unit generators, and off
+chi's point dlogs (alpha = 0 at n = 1).
 """
 
 from __future__ import annotations
@@ -687,30 +683,6 @@ def shell_cyc(
     if chi is None or shift:
         return out
     return chi.cyc(psi.field.uniformizer() ** v) * out
-
-
-@lru_cache(maxsize=64)
-def _root_table(den: int) -> tuple:
-    """e(k/den) for k = 0, ..., den - 1."""
-    return tuple(_num_exp(k, den) for k in range(den))
-
-
-def shell_sum(chi: MultChar, psi: AddChar, v: int, m: int) -> complex:
-    """The float ``shell_cyc(chi, psi, v, m)``: each term is
-    chi.value(x) * psi.value(x), summed in shell order.  The shell must
-    cover chi's level n (m >= n), where chi is defined: then unit_den, which
-    divides the exponent of (O/pi^n)^x, is at most the shell's size, and so
-    is the root table of chi's values by numerator; psi's values come from
-    the root table of psi_den."""
-    if m < chi.n:
-        raise ValueError(f"a shell mod pi^(v+{m}) does not cover chi's level {chi.n}")
-    sa = shell_angles(chi, psi, v, m)
-    ce = chi._values(v, _root_table(sa.unit_den))
-    pe = _root_table(sa.psi_den)
-    out = 0j
-    for u, k in zip(sa.units, sa.psis):
-        out += ce[u] * pe[k]
-    return out
 
 
 def alpha_chi(chi: MultChar, psi: AddChar):

@@ -2,10 +2,10 @@
 
 All numeric JSON output uses [re, im] pairs; everything the CLI emits can be
 re-ingested.  Exit codes: 0 success; 2 input error (each argument is checked
-where it is parsed, and a pole at a --grid point is one too); 3 verification
-failure (a failed suite or comparison, or a ConsistencyError from an
-internal consistency check).  Any other exception is a fault in the program
-and ends with its traceback.
+where it is parsed, and a pole or an overflow at a --grid point is one too);
+3 verification failure (a failed suite or comparison, or a ConsistencyError
+from an internal consistency check).  Any other exception is a fault in the
+program and ends with its traceback.
 
 Each flag is registered once, in :func:`build_parser`, on the subcommands
 that read it; a command reads a flag it does not take as its
@@ -45,7 +45,7 @@ from .characters import (
     psi_to_E,
     standard_psi,
 )
-from .factors import DEFAULT_GRID, REL_TOL_NONARCH, PoleError, eval_table, resolve_grid
+from .factors import DEFAULT_GRID, REL_TOL_NONARCH, FloatRangeError, PoleError, eval_table, resolve_grid
 from .padic import PAdicGround, PrecisionError, QuadExtension, field_from_json
 from .tate import (
     ConsistencyError,
@@ -441,12 +441,13 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except PoleError as exc:
-        # a pole at a point the user asked for is the input's fault; any
-        # other pole is the program's
+    except (PoleError, FloatRangeError) as exc:
+        # a pole or an overflow at a point the user asked for is the input's
+        # fault; anywhere else it is the program's
         if not args.grid or exc.where not in _parse_grid(args):
             raise
-        print(f"input error: --grid point {exc.where:g} is a pole", file=sys.stderr)
+        what = "is a pole" if isinstance(exc, PoleError) else "takes a factor out of the float range"
+        print(f"input error: --grid point {exc.where:g} {what}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)

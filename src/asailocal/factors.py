@@ -42,6 +42,15 @@ class PoleError(ArithmeticError):
         self.where = where
 
 
+class FloatRangeError(ArithmeticError):
+    """Evaluation left the float range; carries the offending location, as
+    :class:`PoleError` does."""
+
+    def __init__(self, where):
+        super().__init__(f"the factor leaves the float range at s = {where}")
+        self.where = where
+
+
 # ---------------------------------------------------------------------------
 # complex log-Gamma (Lanczos, g = 7, n = 9)
 # ---------------------------------------------------------------------------
@@ -119,12 +128,20 @@ class NonArchFactor(Value):
 
     # -- evaluation -------------------------------------------------------------
     def eval(self, s: complex) -> complex:
-        qs = lambda a, b: self.q ** (-(a * s + b))
-        out = self.c * self.q ** (-self.m * s)
+        """The value at s; ``PoleError`` at a pole, ``FloatRangeError`` where
+        a power of q leaves the float range."""
+
+        def q_to(e: complex) -> complex:
+            try:
+                return self.q ** e
+            except OverflowError as exc:
+                raise FloatRangeError(s) from exc
+
+        out = self.c * q_to(-self.m * s)
         for alpha, a, b in self.num:
-            out *= 1 - alpha * qs(a, b)
+            out *= 1 - alpha * q_to(-(a * s + b))
         for alpha, a, b in self.den:
-            d = 1 - alpha * qs(a, b)
+            d = 1 - alpha * q_to(-(a * s + b))
             if math.hypot(d.real, d.imag) < 1e-14:  # abs(d) overflows for huge d
                 raise PoleError(s)
             out /= d

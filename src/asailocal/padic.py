@@ -400,9 +400,6 @@ class EElement:
     def norm(self) -> Fraction:
         return Fraction(self.A * self.A - self.ext.d * self.B * self.B, self.D * self.D)
 
-    def val(self) -> int:
-        return self.ext.val(self)
-
 
 def _normal(ext: "QuadExtension", A: int, B: int, D: int) -> EElement:
     """The element (A + B sqrt(d)) / D, D > 0, with gcd(A, B, D) divided out."""
@@ -484,17 +481,6 @@ class QuadExtension(Value):
         if self.ext_type == UNRAMIFIED:
             return self.sqrt_d()
         return self.elem(0, Fraction(1, self.p))
-
-    @property
-    def theta(self) -> EElement:
-        """Ring generator theta with O_E = O_F[theta] and psi_xi(a + b*theta) = psi(b).
-
-        theta = xi^{-1} up to an integral shift: tr(xi * theta) = 1 and
-        tr(xi * 1) = 0, which is what the normalization requires.
-        """
-        # xi = c*sqrt(d); tr(xi*(x + y*sqrt(d))) = 2*c*d*y, so theta = sqrt(d)/(2*c*d)
-        c = self.xi().b
-        return self.elem(0, Fraction(1, 2 * c * self.d))
 
     # -- valuations ------------------------------------------------------------
     def val(self, x) -> int:

@@ -12,12 +12,13 @@ closed-form geometric tails) and then evaluated at each point.  A
 disagreement is an internal error, not a tolerance failure.  The oracle
 never calls the closed form's :func:`gauss_sum`.
 
-The closed form's Gauss sum is a shell sum at conductor 1 only.  At
-conductor n >= 2 it is the stationary-phase reduction: one term at even n
-and q terms, a quadratic Gauss sum over the residue field, at odd n, around
-the alpha of :func:`~asailocal.characters.alpha_chi`.  It builds no shell
-frame, so its cost does not grow with the shell, and of the oracle's code it
-shares only the point dlogs of the unit groups.
+The closed form's Gauss sum is one stationary-phase loop at every
+conductor n >= 1: one term at even n and q terms, a quadratic Gauss sum over
+the residue field, at odd n, around the alpha of
+:func:`~asailocal.characters.alpha_chi`; at n = 1 alpha is 0 and the q - 1
+terms are the units of the residue field.  It builds no shell frame, so its
+cost does not grow with the shell, and of the oracle's code it shares only
+the point dlogs of the unit groups.
 
 The local integrals int chi(x) psi(-s x) dx over a shell {ord x = j} or a
 unit coset t0 + pi^L O (:func:`shell_integral`, :func:`coset_integral`),
@@ -48,7 +49,6 @@ from .characters import (
     conductor_add,
     omega_quadratic,
     shell_cyc,
-    shell_sum,
 )
 from .cyclotomic import Cyc, _make
 from .factors import (
@@ -97,61 +97,67 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
     values of chi and psi: the Asai factors reach equal constituents along
     several routes.
 
-    At n = 1 it is the shell sum itself (:func:`shell_sum`).  At n >= 2 it
-    is the stationary-phase closed form (Bushnell-Henniart, *The Local
+    G is the stationary-phase closed form (Bushnell-Henniart, *The Local
     Langlands Conjecture for GL(2)*, 23.6-23.8; Tate, "Number theoretic
     background", Corvallis 1979, 3).  With k = ceil(n/2) and alpha =
-    :func:`alpha_chi`, the shell's coset x (1 + p^k) sums to
+    :func:`alpha_chi` at n >= 2, the shell's coset x (1 + p^k) sums to
     q^(n-k) chi^{-1}(x) psi(x) where x = alpha mod p^(c-k), and to 0
     elsewhere.  So G is q^(n-k) times the sum over the q^(2k-n) classes of
     alpha + p^(c-k) mod p^(c-n+k): x = alpha + pi^(c-k) r for r = 0 alone
-    at even n, and for r over O/p (a quadratic Gauss sum) at odd n.
+    at even n, and for r over O/p (a quadratic Gauss sum) at odd n.  n = 1
+    is the case alpha = 0: chi is trivial on 1 + p, the classes are
+    pi^(c-1) r for the units r of O/p, and q^(n-k) = 1.
 
     Every x has ord v = c - n, so x = pi^v (A + B sqrt(d)) with A + B sqrt(d)
-    = u0 + pi^(n-k) r, u0 the unit part of alpha.  A term depends on x mod
-    p^(c-n+k) only, so u0 may be any lift mod p^n, and (A, B) are integers.
-    Each term is then read off integers (:func:`_stationary_line`): minus
-    chi's unit numerator at the dlog of A + B sqrt(d), and psi's numerator
-    A psi_a + B psi_b.  Their roots of unity are summed, and the sum is
-    multiplied by q^(n-k) and by chi^{-1}(pi^v) once.  A chi presented above
-    its conductor has alpha of larger order, no class in the shell, and
-    G = 0.  The shell's modulus n must fit the precision window, as for the
-    shell sum."""
+    = u0 + pi^(n-k) r, u0 the unit part of alpha (0 at n = 1).  A term
+    depends on x mod p^(c-n+k) only, so u0 may be any lift mod p^n, and
+    (A, B) are integers.  Each term is then read off integers
+    (:func:`_stationary_line`): minus chi's unit numerator at the dlog of
+    A + B sqrt(d), and psi's numerator s = A psi_a + B psi_b.  The term is
+    ((t^-v e(-u/den)) q^(lam v)) e(s/P), multiplied in that order, the
+    float chi^{-1}(x) psi(x) of an element-by-element loop, and the terms
+    are summed in ``K.shell`` order at n = 1, so that sum is the loop's bit
+    for bit.  A chi presented above its conductor at n >= 2 has alpha of
+    larger order, no class in the shell, and G = 0.  The shell's modulus n
+    must fit the precision window, as for the oracle's shell sums."""
     if not chi.is_ramified:
         raise ValueError("no primitive Gauss sum for an unramified character")
-    n, c = chi.n, conductor_add(psi)
-    if n == 1:
-        return shell_sum(chi.inv(), psi, c - n, n)
-    K = chi.field
+    K, n = chi.field, chi.n
     _check_shell_modulus(n, K.ground.precision)
-    k = (n + 1) // 2
-    alpha = alpha_chi(chi, psi)
     offsets, (psi_a, psi_b), P, to_unit = _stationary_line(psi, n)
-    u0 = alpha * to_unit
-    if u0 == 0 or K.val(u0) != 0:
-        return 0j
-    A0, B0 = (K.ground.residue(z, n) for z in K.coords(u0))
+    if n == 1:
+        A0 = B0 = 0
+    else:
+        u0 = alpha_chi(chi, psi) * to_unit
+        if u0 == 0 or K.val(u0) != 0:
+            return 0j
+        A0, B0 = (K.ground.residue(z, n) for z in K.coords(u0))
+    v = conductor_add(psi) - n
+    tv, scale = chi.t.inv().value() ** v, K.q ** complex(chi.lam * v)
     logs, key, den = chi.group.logs, chi.group.coord_key, chi.unit_den
-    D = lcm(den, P)
-    fu, fp = D // den, D // P
     out = 0j
     for dA, dB in offsets:
         A, B = A0 + dA, B0 + dB
         u = chi._unit_num(logs[key(A, B)])
-        out += _num_exp((A * psi_a + B * psi_b) * fp - u * fu, D)
-    return K.q ** (n - k) * chi._values(n - c, (out,))[0]
+        out += tv * _num_exp(-u, den) * scale * _num_exp(A * psi_a + B * psi_b, P)
+    return K.q ** (n - (n + 1) // 2) * out
 
 
 @lru_cache(maxsize=64)
 def _stationary_line(psi: AddChar, n: int) -> tuple:
     """What :func:`gauss_sum`'s terms at conductor n share across
     characters, with k = ceil(n/2) and v = c(psi) - n: the integer
-    coordinates of pi^(n-k) r over the residues r = a + b sqrt(d) of O/p,
-    or of r = 0 alone at even n, which step the unit part; and psi's angles
-    at pi^v and pi^v sqrt(d) as numerators over P, so that psi at
-    pi^v (A + B sqrt(d)) has the numerator A psi_a + B psi_b."""
+    coordinates of pi^(n-k) r, which step the unit part, over the residues
+    r = a + b sqrt(d) of O/p, or r = 0 alone at even n; at n = 1, where the
+    unit part starts from 0, over the units r alone, in ``K.shell_coords``
+    order.  And psi's angles at pi^v and pi^v sqrt(d) as numerators over P,
+    so that psi at pi^v (A + B sqrt(d)) has the numerator A psi_a + B psi_b.
+    On ramified E at n = 1 every B is 0, and psi is trivial at
+    pi^v sqrt(d), so its angle there needs no digit of the window."""
     K, k = psi.field, (n + 1) // 2
-    rs = [(0, 0)] if 2 * k == n else [(0, 0), *K.shell_coords(n - k, 1)]
+    rs = [] if n == 1 else [(0, 0)]
+    if 2 * k > n:
+        rs += K.shell_coords(n - k, 1)
     (r1, s1), (r2, s2) = (map(int, K.coords(f)) for f in K.shell_basis(n - k))
     offsets = [(a * r1 + b * r2, a * s1 + b * s2) for a, b in rs]
     v = conductor_add(psi) - n

@@ -124,18 +124,6 @@ def test_psi_xi_conductor_zero_all_types():
             assert conductor_add(psi_to_E(psi, E)) == -E.different_exponent
 
 
-def test_theta_normalization():
-    # psi_xi(a + b theta) = psi(b), the ring-generator pinning of the proof
-    F = PAdicGround(3)
-    psi = standard_psi(F)
-    for ext in EXTENSION_TYPES:
-        E = QuadExtension(F, ext)
-        psix = psi_to_E(psi, E, E.xi())
-        th = E.theta
-        for a, b in [(1, 1), (2, Fraction(1, 3)), (0, Fraction(2, 9)), (Fraction(1, 3), 5)]:
-            assert psix.angle(E.elem(a) + th * E.elem(b)) == psi.angle(b)
-
-
 # -- multiplicative characters ---------------------------------------------------
 
 

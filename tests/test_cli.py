@@ -5,7 +5,7 @@ import math
 import pytest
 
 from asailocal.cli import main
-from asailocal.factors import DEFAULT_GRID, factor_from_json
+from asailocal.factors import DEFAULT_GRID, FloatRangeError, NonArchFactor, PoleError, factor_from_json
 
 
 MU_JSON = '{"field":"E","conductor":1,"unit_part":["1/2"],"t":{"angle":"1/3"}}'
@@ -485,6 +485,20 @@ _REPROS = [
          "--tau", _TAU_README % '"0.25"'],
         "--tau v2",
     ),
+    # a --grid point where a power of q leaves the float range
+    (["tate", "--field", _F5, "--char", "trivial", "--grid=1e300,0"], "--grid"),
+    (["tate", "--field", _F5, "--char", "trivial", "--grid=-700,0"], "--grid"),
+    (["tate", "--field", _F5, "--char", "trivial", "--grid=700,0"], "--grid"),
+    (
+        ["asai", "--field", _U3, "--char", MU_JSON, "--char2", "trivial",
+         "--psi-shift", "3", "--xi-scale", "2", "--grid=1e300,0"],
+        "--grid",
+    ),
+    (
+        ["twisted-asai", "--field", _U3, "--char", "trivial", "--char2", "trivial",
+         "--tau", _TAU_README % "[0.25,0]", "--grid=1e300,0"],
+        "--grid",
+    ),
 ]
 
 
@@ -530,6 +544,18 @@ def test_each_input_ends_as_stated(argv, flag, capsys):
     else:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("input error:") and flag in err
+
+
+@pytest.mark.parametrize("error", [PoleError, FloatRangeError])
+@pytest.mark.parametrize("grid", [[], ["--grid", "0.7"]])
+def test_pole_or_overflow_off_the_users_grid_raises(error, grid, monkeypatch):
+    # only a point the user gave makes a pole or an overflow the input's fault
+    def evaluate(self, s):
+        raise error(2.5)
+
+    monkeypatch.setattr(NonArchFactor, "eval", evaluate)
+    with pytest.raises(error):
+        main(["tate", "--field", _F5, "--char", "trivial", *grid])
 
 
 # v2 from 10 to 1e300 in size, and through 100..700, where |.|^(+-v2) of the

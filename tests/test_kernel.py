@@ -22,7 +22,6 @@ from asailocal.characters import (
     psi_to_E,
     shell_angles,
     shell_cyc,
-    shell_sum,
     standard_psi,
 )
 from asailocal.cyclotomic import Cyc
@@ -702,26 +701,24 @@ def test_gauss_sum_bits_all_primitive_p5():
     assert count == 2 * (3 + 16)
 
 
-def _shell_sum_cases():
-    """(K, chi, psi, v, m) over F and the three extensions, p <= 13 and
-    conductors n <= 3 with m = n, where the shell holds at most 3,000
-    elements; exact and float t, rational and complex lam."""
+def _conductor_one_cases():
+    """(chi, psi) at conductor 1 over F and the three extensions, p <= 13:
+    psi shifted by a unit and by a power of p, and psi o tr or psi_xi on E;
+    exact and float t, rational and complex lam."""
     rng = random.Random(19)
     for p in (3, 5, 7, 11, 13):
         F = PAdicGround(p)
         for ext in (None,) + EXTENSION_TYPES:
             K = _field(p, ext)
-            psi = standard_psi(F) if ext is None else psi_to_E(standard_psi(F), K, K.xi())
-            for n in (1, 2, 3):
-                if (K.q - 1) * K.q ** (n - 1) > 3000:
-                    break
-                angles = [Fraction(rng.randrange(d), d) for d in unit_group(K, n).orders]
+            for i, (u, e) in enumerate(((1, 0), (-1, 2), (2, -1))):
+                base = standard_psi(F).shifted(Fraction(u) * Fraction(p) ** e)
+                psi = base if ext is None else psi_to_E(base, K, K.xi() if i % 2 else None)
+                angles = [Fraction(rng.randrange(1, d), d) for d in unit_group(K, 1).orders]
                 t = Phase.approx(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-                if n == 2:
+                if i == 1:
                     t = Phase.exact(Fraction(rng.randrange(12), 12))
-                lam = (Fraction(1, 3), 0.25 - 0.5j, Fraction(-2))[n - 1]
-                chi = MultChar(K, n, angles, t, lam)
-                yield K, chi, psi, rng.choice((-1, 0, 2)), n
+                lam = (Fraction(1, 3), 0.25 - 0.5j, Fraction(-2))[i]
+                yield MultChar(K, 1, angles, t, lam), psi
 
 
 def _chi_value(chi, x):
@@ -734,21 +731,20 @@ def _chi_value(chi, x):
     return out
 
 
-def test_shell_sum_is_the_element_loop_bit_for_bit():
+def test_gauss_sum_at_conductor_one_is_the_element_loop_bit_for_bit():
+    # sum chi^{-1}(x) psi(x) over K.shell(c - 1, 1), in shell order
     count = 0
-    for K, chi, psi, v, m in _shell_sum_cases():
+    for chi, psi in _conductor_one_cases():
+        K, inv = chi.field, chi.inv()
         want = 0j
-        for i, x in enumerate(K.shell(v, m)):
-            value = chi.value(x)
+        for i, x in enumerate(K.shell(conductor_add(psi) - 1, 1)):
+            value = inv.value(x)
             if i % 8 == 0:
-                assert repr(value) == repr(_chi_value(chi, x))
+                assert repr(value) == repr(_chi_value(inv, x))
             want += value * psi.value(x)
-        assert repr(shell_sum(chi, psi, v, m)) == repr(want), (K, chi, v, m)
+        assert repr(gauss_sum(chi, psi)) == repr(want), (K, chi, psi)
         count += 1
-    # unramified E stops at n = 2 for p = 5, 7 and at n = 1 for p = 11, 13
-    assert count == 5 * 4 * 3 - 6
-    with pytest.raises(ValueError):
-        shell_sum(chi, psi, v, m - 1)
+    assert count == 5 * 4 * 3
 
 
 def _cold_shell_angles(*args, **kwargs):
@@ -777,8 +773,9 @@ def test_shell_angles_of_two_characters_do_not_depend_on_the_order(p, ext, shift
         assert {i: shell_angles(chis[i], *args) for i in order} == dict(enumerate(cold))
 
 
-def test_second_gauss_sum_on_a_shell_reuses_its_frame(monkeypatch):
-    # n = 1, where gauss_sum is the shell sum and reads the shell's frames
+def test_second_gauss_sum_on_a_shell_reuses_its_point_dlogs(monkeypatch):
+    # at n = 1 every character of one unit group reads the dlogs of the
+    # same points, the units of O/p, so a second character peels none
     F = PAdicGround(7)
     psi = standard_psi(F)
     G = unit_group(F, 1)

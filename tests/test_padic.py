@@ -236,7 +236,7 @@ def test_element_arithmetic_matches_the_generic_formulas(p, ext, a, b, c, d, m):
         if not z.is_zero():
             assert _same(z.inv(), _reference_inv(E, z))
             v = _reference_val(E, z)
-            assert E.val(z) == z.val() == v
+            assert E.val(z) == v
             assert _same(E.unit_part(z), _reference_unit_part(E, z, v))
         want = _reference_residue(E, z, m)
         if want is None:

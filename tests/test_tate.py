@@ -17,7 +17,6 @@ from asailocal.characters import (
     psi_to_E,
     restrict_to_F,
     shell_cyc,
-    shell_sum,
     standard_psi,
 )
 from asailocal.cli import main
@@ -437,7 +436,7 @@ def test_check_grid_moves_only_its_poles():
             fe_ratio(chi, psi, base, tate_mod._CHECK_GRID)
 
 
-# -- the stationary-phase Gauss sum at conductor n >= 2 ----------------------------
+# -- the stationary-phase Gauss sum ------------------------------------------------
 
 
 def _shell_size(K, n):
@@ -516,18 +515,18 @@ def test_alpha_chi_represents_chi_on_the_upper_half(p, ext):
 @pytest.mark.parametrize("ext", (None,) + tuple(EXTENSION_TYPES))
 def test_gauss_sum_refuses_where_the_shell_sum_did(ext):
     # at precision 8 every level unit_group allows, where the shell is small
-    # enough to sum or the shell sum refuses its modulus up front
+    # enough to sum or the oracle's shell sum refuses its modulus up front
     F = PAdicGround(3, precision=8)
     K = F if ext is None else QuadExtension(F, ext)
     psi = standard_psi(F) if ext is None else psi_to_E(standard_psi(F), K, K.xi())
     rng = random.Random(f"precision-{ext}")
     refused = []
-    for n in range(2, K.e * F.precision + 1):
+    for n in range(1, K.e * F.precision + 1):
         if n <= F.precision and _shell_size(K, n) > 2000:
             continue
         chi = _primitive_char(K, n, rng, Phase.one())
         outcomes = []
-        for route in (lambda: shell_sum(chi.inv(), psi, conductor_add(psi) - n, n),
+        for route in (lambda: shell_cyc(chi.inv(), psi, conductor_add(psi) - n, n),
                       lambda: gauss_sum(chi, psi)):
             try:
                 route()
@@ -541,18 +540,21 @@ def test_gauss_sum_refuses_where_the_shell_sum_did(ext):
 
 
 @pytest.mark.parametrize("ext", (None,) + tuple(EXTENSION_TYPES))
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
-    # the closed form at n >= 2 reads no whole-shell frame: with every frame
-    # builder made to raise, it still gives the value of a cold call
+    # the closed form reads no whole-shell frame at any conductor: with every
+    # frame builder made to raise, gauss_sum, tate_gamma and tate_eps still
+    # give the values of a cold call (the mirror of
+    # test_fe_ratio_never_calls_the_closed_form)
     import asailocal.characters as characters_mod
     from asailocal.unitgroups import UnitGroup
 
     K, psi = _field(5 if ext is None else 3, ext)
     rng = random.Random(f"guard-{ext}-{n}")
-    chi = _primitive_char(K, n, rng, Phase.exact(Fraction(2, 7)))
+    chi = _primitive_char(K, n, rng, Phase.exact(Fraction(2, 7)), Fraction(1, 3))
+    routes = (tate_gamma, tate_eps) + ((gauss_sum,) if n else ())
     gauss_sum.cache_clear()
-    want = gauss_sum(chi, psi)
+    want = [route(chi, psi) for route in routes]
 
     def frame(*args, **kwargs):
         raise AssertionError("a whole-shell frame was built")
@@ -561,10 +563,8 @@ def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
         monkeypatch.setattr(characters_mod, name, frame)
     monkeypatch.setattr(UnitGroup, "keys", frame)
     gauss_sum.cache_clear()
-    assert gauss_sum(chi, psi) == want
-    # n = 1 is the shell sum, which the patch does stop
-    with pytest.raises(AssertionError, match="whole-shell frame"):
-        gauss_sum(_primitive_char(K, 1, rng, Phase.one()), psi)
+    tate_mod._stationary_line.cache_clear()
+    assert [route(chi, psi) for route in routes] == want
     gauss_sum.cache_clear()
 
 
