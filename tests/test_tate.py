@@ -543,7 +543,7 @@ def test_gauss_sum_refuses_where_the_shell_sum_did(ext):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
     # the closed form reads no whole-shell frame at any conductor: with every
-    # frame builder made to raise, gauss_sum, tate_gamma and tate_eps still
+    # frame function made to raise, gauss_sum, tate_gamma and tate_eps still
     # give the values of a cold call (the mirror of
     # test_fe_ratio_never_calls_the_closed_form)
     import asailocal.characters as characters_mod
