@@ -35,6 +35,7 @@ from operator import mul
 from .factors import (
     DEFAULT_GRID,
     ArchFactor,
+    FloatRangeError,
     PoleError,
     REL_TOL_ARCH,
     gammafn,
@@ -808,14 +809,23 @@ def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID) -> dict:
         )
         return zw * phi_tate_integral(phi_, s, lam)
 
+    def over(z: complex, fac: ArchFactor, at: complex) -> complex:
+        value = fac.eval(at)
+        if value == 0:  # Gamma values have no zero: the product underflowed
+            raise FloatRangeError(at)
+        return z / value
+
     ratios, ratios_dual = [], []
     for s in grid:
         try:
-            ratios.append(Z(s, trivial, phi, Lam) / L.eval(s))
-            ratios_dual.append(Z(1 - s, omega0_inv, phihat, -Lam) / Ld.eval(1 - s))
+            ratios.append(over(Z(s, trivial, phi, Lam), L, s))
+            ratios_dual.append(over(Z(1 - s, omega0_inv, phihat, -Lam), Ld, 1 - s))
         except PoleError as exc:
             # a Gamma argument or 1 - s hit the pole: it is s's fault
             raise PoleError(s) from exc
+        except (OverflowError, FloatRangeError) as exc:
+            # an exp or a log-Gamma at s or 1 - s left the float range: s's fault too
+            raise FloatRangeError(s) from exc
 
     def mean_and_spread(rs: list) -> tuple[complex, float]:
         m = sum(rs) / len(rs)

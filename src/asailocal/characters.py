@@ -56,19 +56,22 @@ Everything but the weights depends on the shell alone, and every character
 of one unit group shares it, so it is computed once per shell and kept in
 bounded caches: the psi numerators per (psi, v, m, c) (:func:`_psi_frame`),
 and the dlog exponents of every element's key, one column per generator,
-per (unit group, m, v of the shift) (:func:`_dlog_frame`).  A character then
-costs one integer pass over the columns, e_0 w_0 mod unit_den on F and the
-weighted sum of the columns on E.  A frame whose build raises is not
-cached, so the kernel raises :class:`PrecisionError` on every call where
-``shell`` or ``AddChar.angle`` would.
+per (unit group, m, v of the shift) (:func:`_dlog_frame`).  A frame of the
+whole group reads the group's walked ``table``; any other frame peels its
+keys.  A character then costs one integer pass over the columns, e_0 w_0
+mod unit_den on F and the weighted sum of the columns on E.  A frame whose
+build raises is not cached, so the kernel raises :class:`PrecisionError` on
+every call where ``shell`` or ``AddChar.angle`` would.
 
 :func:`shell_cyc` counts the numerators into one exact ``Cyc`` on integer
 exponents; every local integral of the two oracles is built from it
 (:mod:`asailocal.tate`), and the shell kernel serves the oracles only.  The
 closed form's Gauss sum enumerates no shell at any conductor: it reads chi
-off :func:`alpha_chi`, the alpha with chi(1 + x) = psi(alpha x) on
+off the alpha of :func:`alpha_chi`, with chi(1 + x) = psi(alpha x) on
 p^ceil(n/2), found from chi's values on the one-unit generators, and off
-chi's point dlogs (alpha = 0 at n = 1).
+chi's point dlogs (alpha = 0 at n = 1).  A frame over a whole unit group
+reads the group's walked table, not its peeled point dlogs, so the oracle's
+frames and the closed form share no dlog code.
 """
 
 from __future__ import annotations
@@ -631,15 +634,17 @@ def _dlog_frame(G, m: int, shift_v: Optional[int]) -> tuple:
     """The dlog exponents over G's generators of the residue keys of the
     shell mod pi^(v+m), one column per generator: of a + b sqrt(d), the
     unit part of x, or of 1 + x for ``shift_v`` = v.  Only the shift reads
-    v; the keys and dlogs are the same for every character on G."""
+    v; the keys and dlogs are the same for every character on G.  A frame
+    of every unit of G (no shift, m = G.level) reads G's walked ``table``;
+    any other frame peels its keys (``G.logs``)."""
     K = G.field
     coords = K.shell_coords(0, m)
+    logs = G.table if shift_v is None and m == G.level else G.logs
     if shift_v is not None:
         # 1 + a e1 + b e2 in coordinates; e1, e2 are integral for v >= 1
         e1, e2 = K.shell_basis(shift_v)
         (r, s), (t, u) = (map(int, K.coords(e)) for e in (e1, e2))
         coords = [(1 + a * r + b * t, a * s + b * u) for a, b in coords]
-    logs = G.logs
     return tuple(zip(*(logs[key] for key in G.keys(coords))))
 
 
@@ -692,24 +697,37 @@ def alpha_chi(chi: MultChar, psi: AddChar):
     (``tate.gauss_sum``) and the c of Deligne's twist formula.
 
     y -> chi(1 + pi^k y) is additive on O/p^(n-k), as 2k >= n, so it is
-    fixed by its angles theta_j at the Z_p-basis e_j of O: 1 on F, and 1 and
-    sqrt(d) on E, where pi^k sqrt(d) = pi^(k+1) on ramified E.  The rows of
+    fixed by its angles theta_j / unit_den at the Z_p-basis e_j of O
+    (:func:`_alpha_thetas`).  Then beta = alpha psi_mult pi^k solves
+    tr(beta e_j) = theta_j / unit_den: beta = (theta_1 b_1 + theta_2 b_2) /
+    unit_den over the trace-dual basis b_j (:func:`_beta_basis`).
+    ``tate.gauss_sum`` reads its base point off the same two pieces, in
+    integers."""
+    theta, (b1, b2) = _alpha_thetas(chi), _beta_basis(chi.field)
+    beta = (theta[0] * b1 + theta[1] * b2) * Fraction(1, chi.unit_den)
+    return beta * _inverse_step(psi, (chi.n + 1) // 2)
+
+
+def _alpha_thetas(chi: MultChar) -> tuple:
+    """(theta_1, theta_2): chi's unit numerators over unit_den at 1 + pi^k
+    e_j, k = ceil(n/2), e_1 = 1 and e_2 = sqrt(d), where pi^k sqrt(d) =
+    pi^(k+1) on ramified E; theta_2 = 0 on F.  The rows of
     ``_reduction_table(K, n, k)`` are the dlogs of 1 + pi^k e_j (on ramified
-    E, of 1 + pi^j for k <= j < n, so theta_2 = 0 once k + 1 = n).  Then
-    beta = alpha psi_mult pi^k solves tr(beta e_j) = theta_j, each theta_j
-    read as chi's unit numerator over unit_den: beta = theta_1 on F and
-    theta_1 / 2 + theta_2 / (2d) sqrt(d) on E."""
-    K, n = chi.field, chi.n
+    E, of 1 + pi^j for k <= j < n, so theta_2 = 0 once k + 1 = n)."""
+    n = chi.n
     if n < 2:
         raise ValueError("alpha_chi needs a conductor n >= 2")
-    k = (n + 1) // 2
-    rows, den = _reduction_table(K, n, k), chi.unit_den
+    rows = _reduction_table(chi.field, n, (n + 1) // 2)[:2]
+    return tuple(map(chi._unit_num, rows)) + (0,) * (2 - len(rows))
+
+
+@cache
+def _beta_basis(K: Field) -> tuple:
+    """(b_1, b_2), the basis dual to (1, sqrt(d)) under tr(beta e_j): 1 and 0
+    on F, 1/2 and sqrt(d)/(2d) on E."""
     if is_extension(K):
-        theta_2 = chi._unit_num(rows[1]) if len(rows) > 1 else 0
-        beta = K.elem(Fraction(chi._unit_num(rows[0]), 2 * den), Fraction(theta_2, 2 * K.d * den))
-    else:
-        beta = Fraction(chi._unit_num(rows[0]), den)
-    return beta * _inverse_step(psi, k)
+        return K.elem(Fraction(1, 2)), K.elem(0, Fraction(1, 2 * K.d))
+    return Fraction(1), Fraction(0)
 
 
 @lru_cache(maxsize=64)

@@ -178,9 +178,14 @@ class PAdicGround(Value):
     def val(self, x: Rational) -> int:
         """ord_F(x), normalized so ord_F(p) = 1."""
         x = _frac(x)
-        if x == 0:
+        return self._val(x.numerator, 0, x.denominator)
+
+    def _val(self, A: int, B: int, D: int) -> int:
+        """ord of A / D from ints, D > 0 and not necessarily in lowest terms;
+        B, the sqrt(d) coordinate of the extensions' ``_val``, is 0 on F."""
+        if not A:
             raise ZeroValuationError("valuation of zero")
-        return _vp(x.numerator, self.p) - _vp(x.denominator, self.p)
+        return _vp(A, self.p) - _vp(D, self.p)
 
     def unit_part(self, x: Rational) -> Fraction:
         """x / p^{ord(x)} as an exact rational unit."""
@@ -486,10 +491,14 @@ class QuadExtension(Value):
     def val(self, x) -> int:
         """ord_E normalized so ord_E(uniformizer) = 1; x is an element of E
         or of F."""
-        e = self.e
         if not isinstance(x, EElement):
-            return self.ground.val(x) * e
-        A, B, D = x.A, x.B, x.D
+            return self.ground.val(x) * self.e
+        return self._val(x.A, x.B, x.D)
+
+    def _val(self, A: int, B: int, D: int) -> int:
+        """ord_E of (A + B sqrt(d)) / D from ints, D > 0 and not necessarily
+        in lowest terms: a common factor changes no difference of p-orders."""
+        e = self.e
         if not B:  # in F
             if not A:
                 raise ZeroValuationError("valuation of zero")

@@ -44,8 +44,10 @@ from .characters import (
     AddChar,
     MultChar,
     Phase,
+    _alpha_thetas,
+    _beta_basis,
+    _inverse_step,
     _num_exp,
-    alpha_chi,
     conductor_add,
     omega_quadratic,
     shell_cyc,
@@ -109,9 +111,14 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
     pi^(c-1) r for the units r of O/p, and q^(n-k) = 1.
 
     Every x has ord v = c - n, so x = pi^v (A + B sqrt(d)) with A + B sqrt(d)
-    = u0 + pi^(n-k) r, u0 the unit part of alpha (0 at n = 1).  A term
-    depends on x mod p^(c-n+k) only, so u0 may be any lift mod p^n, and
-    (A, B) are integers.  Each term is then read off integers
+    = u0 + pi^(n-k) r, u0 = alpha pi^-v the unit part of alpha (0 at n = 1).
+    A term depends on x mod p^(c-n+k) only, so u0 may be any lift mod p^n,
+    and (A, B) are integers.  u0 is read off integers too: alpha_chi's
+    numerators theta_j (``_alpha_thetas``) against the integer coordinates
+    of X_j = b_j / (psi_mult pi^(c-n+k)), b_j alpha_chi's beta basis, give
+    u0 = (theta_1 X_1 + theta_2 X_2) / unit_den as an unreduced integer
+    triple, whose valuation and residues mod p^n need no field element.
+    Each term is then read off integers
     (:func:`_stationary_line`): minus chi's unit numerator at the dlog of
     A + B sqrt(d), and psi's numerator s = A psi_a + B psi_b.  The term is
     ((t^-v e(-u/den)) q^(lam v)) e(s/P), multiplied in that order, the
@@ -124,14 +131,15 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
         raise ValueError("no primitive Gauss sum for an unramified character")
     K, n = chi.field, chi.n
     _check_shell_modulus(n, K.ground.precision)
-    offsets, (psi_a, psi_b), P, to_unit = _stationary_line(psi, n)
+    offsets, (psi_a, psi_b), P, ((x1a, x1b), (x2a, x2b), D0) = _stationary_line(psi, n)
     if n == 1:
         A0 = B0 = 0
     else:
-        u0 = alpha_chi(chi, psi) * to_unit
-        if u0 == 0 or K.val(u0) != 0:
+        t1, t2 = _alpha_thetas(chi)
+        A, B, D = t1 * x1a + t2 * x2a, t1 * x1b + t2 * x2b, D0 * chi.unit_den
+        if not (A or B) or K._val(A, B, D) != 0:
             return 0j
-        A0, B0 = (K.ground.residue(z, n) for z in K.coords(u0))
+        A0, B0 = K.ground._residue(A, D, n), K.ground._residue(B, D, n)
     v = conductor_add(psi) - n
     tv, scale = chi.t.inv().value() ** v, K.q ** complex(chi.lam * v)
     logs, key, den = chi.group.logs, chi.group.coord_key, chi.unit_den
@@ -153,7 +161,10 @@ def _stationary_line(psi: AddChar, n: int) -> tuple:
     order.  And psi's angles at pi^v and pi^v sqrt(d) as numerators over P,
     so that psi at pi^v (A + B sqrt(d)) has the numerator A psi_a + B psi_b.
     On ramified E at n = 1 every B is 0, and psi is trivial at
-    pi^v sqrt(d), so its angle there needs no digit of the window."""
+    pi^v sqrt(d), so its angle there needs no digit of the window.  Last,
+    the integer coordinates of X_j = b_j / (psi_mult pi^(v+k)), alpha_chi's
+    step to alpha taken on to the unit part, over one denominator D0, ((X_1a, X_1b), (X_2a, X_2b), D0), from which the base
+    point u0 is read."""
     K, k = psi.field, (n + 1) // 2
     rs = [] if n == 1 else [(0, 0)]
     if 2 * k > n:
@@ -164,7 +175,10 @@ def _stationary_line(psi: AddChar, n: int) -> tuple:
     angles = [psi.angle(e) for e in K.shell_basis(v)]
     P = lcm(*(t.denominator for t in angles))
     nums = tuple(t.numerator * (P // t.denominator) for t in angles)
-    return offsets, nums, P, K.uniformizer() ** -v
+    w = _inverse_step(psi, k) * K.uniformizer() ** -v
+    X = [K.coords(b * w) for b in _beta_basis(K)]
+    D0 = lcm(*(z.denominator for xy in X for z in xy))
+    return offsets, nums, P, (*(tuple(int(z * D0) for z in xy) for xy in X), D0)
 
 
 # ---------------------------------------------------------------------------

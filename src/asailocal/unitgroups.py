@@ -6,18 +6,25 @@ Logs are keyed by integer residues: a key is the residue of a unit u at the
 group's level, ``G.key(u) = K.residue(u, level)`` (an int on F, a pair on E;
 0 and (0, 0) at level 0).  ``G.keys(coords)`` gives the same keys from
 integer coordinates (a, b) of units a + b sqrt(d), and ``G.logs[key]`` is the
-exponent tuple, so ``G.dlog(u)`` is ``G.logs[G.key(u)]``.  No group holds a
-table of its elements: ``logs`` computes the dlog of each key on its first
-use.  Every group peels a key the same way (``UnitGroup._peel``), on
-integer pairs a + b sqrt(d) (b = 0 on F): a Teichmueller table maps the
-residue mod pi to k and the inverse of the k-th power of the lift, and the
-1-unit left over is solved in coordinates that the p-adic log makes linear
-at every odd p (``_LogSpan``; Neukirch, *Algebraic Number Theory*, II
-(5.5)).  The 1-unit basis is u = g^(p-1) on F, whose one generator g takes
-the dlog k + (p-1) m; (1+p) x (1+p sqrt(d)) on unramified E; and a greedy
-basis on ramified E.  Generators become field elements once, at the end.
-``unit_group`` refuses a level whose residues need more digits than the
-field carries.
+exponent tuple, so ``G.dlog(u)`` is ``G.logs[G.key(u)]``.  ``logs`` computes
+the dlog of each key on its first use.  Every group peels a key the same way
+(``UnitGroup._peel``), on integer pairs a + b sqrt(d) (b = 0 on F): a
+Teichmueller table maps the residue mod pi to k and the inverse of the k-th
+power of the lift, and the 1-unit left over is solved in coordinates that
+the p-adic log makes linear at every odd p (``_LogSpan``; Neukirch,
+*Algebraic Number Theory*, II (5.5)).  The 1-unit basis is u = g^(p-1) on
+F, whose one generator g takes the dlog k + (p-1) m; (1+p) x (1+p sqrt(d))
+on unramified E; and a greedy basis on ramified E.  Generators become field
+elements once, at the end.  ``unit_group`` refuses a level whose residues
+need more digits than the field carries.
+
+Two routes give the same dlogs.  Point dlogs peel (``logs``); the
+whole-group table ``G.table`` maps every key to its exponents at once and
+is built on its first use by walking the products of generator powers, one
+pair product per unit, with no peel.  Only a frame over the whole group
+reads the table (``characters._dlog_frame``), so that frame costs no more
+than the walk, and the closed forms, which read point dlogs, share no dlog
+code with it.
 
 ``G.one_unit_gens(m)`` is a generating set of (1+pi^m O)/(1+pi^n O), not the
 whole subgroup: {1+p^m} on F, {1+p^m, 1+p^m sqrt(d)} on unramified E, and
@@ -28,9 +35,10 @@ subgroup iff it is trivial on these.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .padic import Field, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED, _vp
 
@@ -106,7 +114,8 @@ class UnitGroup:
     of its k-th power to (k, its inverse).  The rest is a basis of the
     1-units, held in ``_span`` (``_LogSpan``).  ``_peel`` reads k off the
     residue of a key, and one span solve gives the exponents of the 1-unit
-    left over."""
+    left over.  ``_pairs`` keeps the generators as integer pairs, which
+    ``table`` walks."""
 
     field: Field
     level: int
@@ -121,18 +130,40 @@ class UnitGroup:
         ma, mb = (level, 0) if isinstance(K, PAdicGround) else K.residue_digits(level)
         self._mods = (K.p**ma, K.p**mb)
         if level == 0:
-            self.gens, self.orders, self.logs = [], [], {self.key(1): ()}
+            self.gens, self.orders, self._pairs, self.logs = [], [], [], {self.key(1): ()}
             return
         basis = self._basis(_residue_generator(K.p, K.q, self._d))
         self._teich = self._teich_table(basis[0][0])
+        self._pairs = [h for h, _ in basis]
         # b is 0 on F, whose elem takes a alone
-        self.gens = [K.elem(*h) if h[1] else K.elem(h[0]) for h, _ in basis]
+        self.gens = [K.elem(*h) if h[1] else K.elem(h[0]) for h in self._pairs]
         self.orders = [m for _, m in basis]
         self.logs = _PeeledLogs(self._peel)
 
     @property
     def size(self) -> int:
         return math.prod(self.orders)
+
+    @cached_property
+    def table(self) -> dict:
+        """key -> exponents for every unit, the dlogs of ``logs`` at once,
+        built on first use by walking prod g_j^(e_j) over 0 <= e_j < order_j,
+        the last generator innermost, so the units come in the order of
+        ``itertools.product`` over the exponent ranges: one pair product per
+        unit, and no peel.  As the generators are a basis, the walk meets
+        each of the ``size`` keys once."""
+        units = [(1, 0)]
+        for h, m in zip(self._pairs, self.orders):
+            walked = []
+            for x in units:
+                for _ in range(m):
+                    walked.append(x)
+                    x = self._mul(x, h)
+            units = walked
+        table = dict(zip(self.keys(units), itertools.product(*map(range, self.orders))))
+        if len(table) != self.size:
+            raise ArithmeticError(f"the walk met {len(table)} of the {self.size} units")
+        return table
 
     def key(self, u):
         """Canonical residue key of a unit at this level."""
@@ -232,7 +263,8 @@ class EUnramUnitGroup(UnitGroup):
     """(O_E/p^n)^x for unramified E: Teichmueller x two 1-unit lines.
 
     The 1-unit basis is 1 + p and 1 + p sqrt(d), each of order p^(n-1).
-    There is no full table, which would hold (p^2-1) p^(2n-2) entries."""
+    The whole-group ``table``, (p^2-1) p^(2n-2) entries, is built only for a
+    frame over the whole group."""
 
     def dlog(self, u):
         return self.logs[self.key(u)]

@@ -23,7 +23,10 @@ never builds a shifted additive character.  The averaged families write
 their matrices out directly (no matrix products), from elements of E
 embedded once per family, and an x-average sums the one level of points
 that is proven exact.  Every matrix of both families has det = a, so a
-family sums the big-cell integrals and takes mu(det) |det|^{1/2} once.
+family sums the big-cell integrals and takes mu(det) |det|^{1/2} once.  The
+w1 rows of the GL2(O_F)-average differ by a unipotent on the left, so the
+family computes one of their big-cell integrals and sums psi_xi over the
+translates (:func:`w_case2`).
 """
 
 from __future__ import annotations
@@ -204,15 +207,24 @@ def w_case2(sec: InducedSection, a) -> Cyc:
     the closed form is (E:mu(a)|a| mu(pi)^r + |a|)-shaped with box supports.
     Every matrix of the family has det = a: the big-cell integrals are
     summed, and mu(a) |a|^{1/2} multiplies the sum once.
+
+    The w1 rows share one integral: diag(a,1) w1 u_-(u) = n(-a u) diag(a,1)
+    w1, so the row at u is psi_xi(-a u) times the row at u = 0, exactly (the
+    substitution t -> t + a u, by which :func:`bigcell_integral` takes out
+    psi(alpha/beta)).  That integral is computed once, by brute force, and
+    multiplies sum_u psi_xi(-a u) unless it is 0.
     """
     E = sec.E
     p = E.ground.p
+    chi, psi = sec.chi_ratio, sec.psi_xi
     r = -(-sec.mu.n // E.e)
     a, zero, one = E.embed(a), E.zero(), E.one()
-    # (C(t), D(t)) coefficient pairs of ((a, 0), (p u, 1)) and ((-a u, -a), (1, 0))
+    # (C(t), D(t)) coefficient pairs of ((a, 0), (p u, 1)) and, at u = 0, ((0, -a), (1, 0))
     rows = [((a, E.elem(p * u)), (zero, one)) for u in range(p ** max(r - 1, 0))]
-    rows += [((-a * u, one), (-a, zero)) for u in range(p**r)]
-    core = Cyc.sum(bigcell_integral(sec.chi_ratio, C, D, sec.psi_xi) for C, D in rows)
+    core = Cyc.sum(bigcell_integral(chi, C, D, psi) for C, D in rows)
+    w1 = bigcell_integral(chi, (zero, one), (-a, zero), psi)
+    if w1.nums:
+        core = core + w1 * Cyc.sum(psi.cyc(-a * u) for u in range(p**r))
     return _det_factor(sec, a) * core
 
 

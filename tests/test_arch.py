@@ -38,7 +38,7 @@ from asailocal.arch import (
     zeta_whittaker_closed,
     zeta_whittaker_quadrature,
 )
-from asailocal.factors import DEFAULT_GRID, PoleError, loggamma
+from asailocal.factors import DEFAULT_GRID, FloatRangeError, PoleError, loggamma
 
 # -- the depth-first scalar quadrature, kept as the reference -----------------
 
@@ -464,6 +464,27 @@ def test_zeta_integral_case_pole_names_the_grid_point():
     with pytest.raises(PoleError) as exc:
         zeta_integral_case(CChar(0, 2), CChar(0, 1), grid=(2 + 0.5j, 1.5))
     assert exc.value.where == 1.5
+
+
+def test_zeta_integral_case_float_range_names_the_grid_point(monkeypatch):
+    # an overflow at s, an L-factor that underflows to 0 at s, and an
+    # overflow in the dual integral at 1 - s all name s
+    mu, nu = CChar(0, 2), CChar(0, 1)
+    for s in (1e300, -1e300):
+        with pytest.raises(FloatRangeError) as exc:
+            zeta_integral_case(mu, nu, grid=(0.7, s))
+        assert exc.value.where == s
+    real = arch.phi_tate_integral
+
+    def overflow_at_the_dual(phi, s, lam):
+        if s == 1 - 2.5:
+            raise OverflowError("math range error")
+        return real(phi, s, lam)
+
+    monkeypatch.setattr(arch, "phi_tate_integral", overflow_at_the_dual)
+    with pytest.raises(FloatRangeError) as exc:
+        zeta_integral_case(mu, nu, grid=(0.7, 2.5))
+    assert exc.value.where == 2.5
 
 
 def test_zeta_integral_case_keeps_a_nan_deviation(monkeypatch):

@@ -499,6 +499,10 @@ _REPROS = [
          "--tau", _TAU_README % "[0.25,0]", "--grid=1e300,0"],
         "--grid",
     ),
+    # arch-zeta at a --grid point where an exp or a log-Gamma overflows, or
+    # the Gamma L-factor underflows to 0
+    (["arch-zeta", "--n1", "2", "--n2", "1", "--grid", "1e300"], "--grid point 1e+300+0j"),
+    (["arch-zeta", "--n1", "2", "--n2", "1", "--grid=-1e300"], "--grid point -1e+300+0j"),
 ]
 
 

@@ -22,10 +22,11 @@ from asailocal.factors import DEFAULT_GRID
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension, RAMIFIED_P, UNRAMIFIED
 from asailocal.tate import _qpow, coset_integral, shell_integral
 from asailocal.unitgroups import unit_group
-from asailocal.verify import suite_whittaker_closed_forms
+from asailocal.verify import _closed_form_values, suite_whittaker_closed_forms
 from asailocal import whittaker
 from asailocal.whittaker import (
     InducedSection,
+    _det_factor,
     spherical_gamma_oracle,
     spherical_zeta,
     w_case1,
@@ -316,6 +317,26 @@ def test_factored_families_equal_the_sum_of_their_values(p):
                     checked += 1
                     zeros += got.is_zero()
     assert checked > zeros > 0
+
+
+def test_w1_family_equals_its_rows_summed():
+    # w_case2 sums its w1 rows as one big-cell integral times sum_u
+    # psi_xi(-a u); that must be exactly the rows' big-cell integrals summed
+    # one by one, at every case-2 value the verify suite checks, and more p
+    checked = 0
+    for case, sec, a, _ in _closed_form_values((3, 5, 7)):
+        if case != 2:
+            continue
+        E = sec.E
+        p, r = E.ground.p, -(-sec.mu.n // E.e)
+        a, zero, one = E.embed(a), E.zero(), E.one()
+        rows = [((a, E.elem(p * u)), (zero, one)) for u in range(p ** max(r - 1, 0))]
+        rows += [((-a * u, one), (-a, zero)) for u in range(p**r)]
+        by_rows = Cyc.sum(whittaker.bigcell_integral(sec.chi_ratio, C, D, sec.psi_xi) for C, D in rows)
+        want = _det_factor(sec, a) * by_rows
+        assert (w_case2(sec, a) - want).is_zero(), (E, sec.mu, a)
+        checked += 1
+    assert checked > 0
 
 
 # -- the x-average at its proven level ----------------------------------------
