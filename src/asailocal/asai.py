@@ -106,7 +106,7 @@ class AsaiInput(Value):
         """Whether Ind(mu, nu) is reducible, mu nu^{-1} = |.|_E^{+-1}: decided
         exactly, so a complex lambda or a t off 1 by rounding never is."""
         r = self.mu.mul(self.nu.inv())
-        return r.n == 0 and r.t.value() == 1 and isinstance(r.lam, Fraction) and abs(r.lam) == 1
+        return r.n == 0 and r.t.value() == 1 and type(r.lam) is int and abs(r.lam) == 1
 
     def omega_total(self) -> MultChar:
         """omega = omega_pi|_F * omega_tau (Theorem B normalization)."""

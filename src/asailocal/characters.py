@@ -33,6 +33,15 @@ and lam = 0, the only Fraction they build beyond the field's own (an
 element of F is one) is the angle ``angle_at`` returns; ``extend_from_F``
 and ``omega_quadratic`` find their t in Phase arithmetic as well.
 
+The twist exponent lam has one form per kind, fixed by ``MultChar._init``:
+an exact lam is an int when it is integral (0 on unitary data, +-1 at the
+reducibility points) and a Fraction only when it is not (the halves of
+``extend_from_F``, a descriptor's "1/2"); a float lam is a complex.
+``isinstance(lam, complex)`` is the one kind test.  So the lam arithmetic of
+the ops (``inv``, ``mul``, the pullbacks, ``gauss_sum``'s lam v) is int
+arithmetic on integral data, and ``+`` adds any two kinds: with a complex
+on either side it gives the bits of complex(a) + complex(b).
+
 A ``MultChar`` compares and hashes by value (field, level, unit data, t,
 lam), so characters reached along different routes, restriction of a
 product against the product of restrictions say, are equal and share every
@@ -275,7 +284,8 @@ class MultChar:
     minimal conductor, with 0 <= w < unit_den and gcd(unit_den, *weights) = 1,
     so unit_den is the lcm of the reduced denominators of the angles.
     ``angles`` gives the same data as Fractions.  ``lam`` is kept separate so
-    the unitary data stays exact.
+    the unitary data stays exact; it is an int when exact and integral, a
+    Fraction when exact and not integral, and a complex otherwise.
 
     Characters compare and hash by value (:meth:`_value_key`), so equal
     characters built separately share every cache keyed on them.
@@ -295,9 +305,12 @@ class MultChar:
         self.unit_den = den // g
         self.unit_weights = tuple(w // g % self.unit_den for w in weights)
         self.t = t
-        self.lam = lam if isinstance(lam, Fraction) else (
-            Fraction(lam) if isinstance(lam, int) else complex(lam)
-        )
+        if type(lam) is not int:
+            if not isinstance(lam, Fraction):
+                lam = complex(lam)
+            elif lam.denominator == 1:
+                lam = lam.numerator
+        self.lam = lam
         self.group = unit_group(field, n)
         if len(self.unit_weights) != len(self.group.gens):
             raise ValueError("angle vector does not match unit-group generators")
@@ -306,8 +319,9 @@ class MultChar:
     def _value_key(self) -> tuple:
         """(field, n, unit_den, unit_weights, t, lam), built on the first
         comparison: t as its (num, den) when exact, and a float t or a complex
-        lam by repr, which keeps them apart from exact data (Fraction(0) ==
-        0j) and -0.0 apart from 0.0, as ``to_json`` does."""
+        lam by repr, which keeps them apart from exact data (0 == 0j) and
+        -0.0 apart from 0.0, as ``to_json`` does.  An int lam k and
+        Fraction(k) would key and hash alike, but ``_init`` stores only k."""
         if self._vkey is None:
             t, lam = self.t, self.lam
             self._vkey = (
@@ -316,7 +330,7 @@ class MultChar:
                 self.unit_den,
                 self.unit_weights,
                 (t.num, t.den) if t.den is not None else repr(t._z),
-                lam if isinstance(lam, Fraction) else repr(lam),
+                repr(lam) if isinstance(lam, complex) else lam,
             )
             self._hash = hash(self._vkey)
         return self._vkey
@@ -432,9 +446,9 @@ class MultChar:
             raise ValueError("character has no exact t")
         lam, scale = self.lam, 1
         if lam != 0:
-            if not isinstance(lam, Fraction) or lam.denominator != 1:
+            if type(lam) is not int:
                 raise ValueError("twist exponent breaks exactness")
-            scale = Fraction(self.field.q) ** (-lam.numerator * v)
+            scale = Fraction(self.field.q) ** (-lam * v)
         phase = self.t**v * Phase._exact(k, self.unit_den)
         return _wrap(phase.den, scale.denominator, {phase.num: scale.numerator})
 
@@ -453,7 +467,7 @@ class MultChar:
             x * a + y * b
             for x, y in zip(self._weights_at(K, n, "identity"), other._weights_at(K, n, "identity"))
         ]
-        lam = _add_lam(self.lam, other.lam)
+        lam = self.lam + other.lam
         return MultChar._from_weights(K, n, den, weights, self.t * other.t, lam).reduced()
 
     __mul__ = mul
@@ -466,18 +480,19 @@ class MultChar:
 
     def twist_by_norm_power(self, w) -> "MultChar":
         """chi * |.|^w."""
-        lam = _add_lam(self.lam, w)
-        return MultChar._from_weights(self.field, self.n, self.unit_den, self.unit_weights, self.t, lam)
+        return MultChar._from_weights(
+            self.field, self.n, self.unit_den, self.unit_weights, self.t, self.lam + w
+        )
 
     def is_trivial(self) -> bool:
-        """Exact on exact data (Fraction lam, exact t); within 1e-9 on float
-        data (complex lam, approximate t), which carries rounding."""
+        """Exact on exact data (int or Fraction lam, exact t); within 1e-9 on
+        float data (complex lam, approximate t), which carries rounding."""
         if self.n != 0:
             return False
-        if isinstance(self.lam, Fraction):
-            if self.lam != 0:
+        if isinstance(self.lam, complex):
+            if abs(self.lam) > 1e-9:
                 return False
-        elif abs(self.lam) > 1e-9:
+        elif self.lam != 0:
             return False
         if self.t.is_exact:
             return self.t.num == 0
@@ -488,11 +503,7 @@ class MultChar:
             self.t.value().real,
             self.t.value().imag,
         ]
-        lam = (
-            str(self.lam)
-            if isinstance(self.lam, Fraction)
-            else [complex(self.lam).real, complex(self.lam).imag]
-        )
+        lam = [self.lam.real, self.lam.imag] if isinstance(self.lam, complex) else str(self.lam)
         return {
             "field": "E" if is_extension(self.field) else "F",
             "conductor": self.n,
@@ -504,12 +515,6 @@ class MultChar:
     def __repr__(self):
         tag = "E" if is_extension(self.field) else "F"
         return f"MultChar({tag}, n={self.n}, angles={self.angles}, t={self.t}, lam={self.lam})"
-
-
-def _add_lam(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return complex(a) + complex(b)
 
 
 def json_complex(value) -> complex:
@@ -532,12 +537,13 @@ def json_complex(value) -> complex:
 
 
 def as_lam(v):
-    """A twist exponent as a Fraction when it is an integer, else as a complex."""
+    """A twist exponent in the kinds of ``MultChar.lam``: an int when it is
+    an integer, a Fraction when it is a non-integral Fraction, else a complex."""
     if isinstance(v, Fraction):
-        return v
+        return v.numerator if v.denominator == 1 else v
     z = complex(v)
     if z.imag == 0 and z.real.is_integer():
-        return Fraction(int(z.real))
+        return int(z.real)
     return z
 
 
@@ -858,7 +864,7 @@ def extend_from_F(chi: MultChar, E: QuadExtension) -> MultChar:
         assert (at_p.num, at_p.den) == (chi.t.num, chi.t.den)
     else:
         t = Phase.approx(rest.value() ** (1.0 / E.e))
-    lam = chi.lam / 2 if isinstance(chi.lam, Fraction) else complex(chi.lam) / 2
+    lam = chi.lam / 2 if isinstance(chi.lam, complex) else Fraction(chi.lam, 2)
     return MultChar._from_weights(E, M, den, weights, t, lam).reduced()
 
 

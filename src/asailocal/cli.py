@@ -339,7 +339,17 @@ def cmd_arch_zeta(args) -> int:
     lam2 = _parse_complex(args.lam2, "--lam2")
     mu = arch.CChar(lam1, _parse_number(args.n1, "--n1", int))
     nu = arch.CChar(lam2, _parse_number(args.n2, "--n2", int))
-    report = arch.zeta_integral_case(mu, nu, _parse_grid(args) or DEFAULT_GRID)
+    grid = _parse_grid(args)
+    try:
+        report = arch.zeta_integral_case(mu, nu, grid or DEFAULT_GRID)
+    except (PoleError, FloatRangeError) as exc:
+        # on the user's grid main names the point; on the default grid every
+        # input of the integral is the user's, so the exponents are at fault
+        if grid:
+            raise
+        at = f"s = {exc.where:g}"
+        what = f"make {at} a pole" if isinstance(exc, PoleError) else f"take a factor out of the float range at {at}"
+        raise InputError(f"--lam1/--lam2 {what}") from exc
     payload = {
         "case": report["case"],
         "constants": {

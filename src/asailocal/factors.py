@@ -73,15 +73,20 @@ def loggamma(z: complex) -> complex:
     """log Gamma(z) via a 9-term Lanczos sum, reflected onto Re(z) >= 1/2.
 
     Accuracy is ~13 significant digits on the reflected half-plane, which is
-    comfortably past the 12 digits the factor comparisons budget for.
+    comfortably past the 12 digits the factor comparisons budget for.  An
+    exact non-positive integer z is a ``PoleError``: sin(pi z) there is a
+    rounding residue, exactly 0 only at z = 0.  Below -2^52, where every
+    float is an integer, the reflected value is returned: its real part is
+    about -|z| log|z|, so Gamma underflows there and callers report the
+    point as out of the float range.
     """
     z = complex(z)
     if z.real < 0.5:
+        if z.imag == 0 and z.real.is_integer() and z.real > -(2.0**52):
+            raise PoleError(z)
         # Gamma(z) Gamma(1-z) = pi / sin(pi z); take the log with a branch
         # correction so exp(loggamma) is continuous where we evaluate.
         s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise PoleError(z)
         return cmath.log(cmath.pi) - cmath.log(s) - loggamma(1.0 - z)
     zz = z - 1.0
     acc = _LANCZOS_C[0]

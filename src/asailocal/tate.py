@@ -227,6 +227,30 @@ def _unit_part(field, n: int, unit_den: int, unit_weights: tuple) -> MultChar:
 
 
 @lru_cache(maxsize=256)
+def _half_power(q: int, c: int):
+    """q ** Fraction(c, 2), in that expression's type: an int or a Fraction
+    at even c, a float at odd c.  Cached, as are :func:`_vol` and
+    :func:`_ramified_scale`: the float closed forms and the float oracle ask
+    for these few constants on every call."""
+    return q ** Fraction(c, 2)
+
+
+@lru_cache(maxsize=256)
+def _vol(q: int, c: int, level: int = 0) -> float:
+    """The self-dual volume q^(c/2) q^-level of pi^level O for a psi of
+    conductor c, as a float: float(q ** Fraction(c, 2) * Fraction(q) **
+    -level), which at level 0 is float(q ** Fraction(c, 2)) bit for bit."""
+    return float(_half_power(q, c) * Fraction(q) ** -level)
+
+
+@lru_cache(maxsize=256)
+def _ramified_scale(q: int, c: int, n: int):
+    """q ** (n - c) * q ** (-n + Fraction(c, 2)), the q-power of gamma(s,
+    chi, psi) at conductor n >= 1, in that expression's type and bits."""
+    return q ** (n - c) * q ** (-n + Fraction(c, 2))
+
+
+@lru_cache(maxsize=256)
 def _vol_O(psi: AddChar) -> Cyc:
     """vol(O) = q^(c(psi)/2), the self-dual volume for psi.  Cached: every
     big-cell integral asks for it."""
@@ -310,9 +334,8 @@ def box_fourier(box: ModBox, psi: AddChar) -> ModBox:
     with the self-dual measure of psi."""
     K = psi.field
     c = conductor_add(psi)
-    vol_box = K.q ** Fraction(c, 2) * Fraction(K.q) ** (-box.level)
     a, n, m0 = K.embed(box.center), box.level, K.embed(box.mult)
-    coef = box.coef * float(vol_box) * psi.value(a * m0)
+    coef = box.coef * _vol(K.q, c, n) * psi.value(a * m0)
     return ModBox(coef=coef, mult=a, center=-m0, level=c - n)
 
 
@@ -335,7 +358,7 @@ def zeta_terms(chi: MultChar, psi: AddChar, box: ModBox) -> list:
     K = chi.field
     q = K.q
     c = conductor_add(psi)
-    vol_O = float(q ** Fraction(c, 2))
+    vol_O = _vol(q, c)
     zeta1 = 1.0 / (1.0 - 1.0 / q)
     unit = _unit_part(chi.field, chi.n, chi.unit_den, chi.unit_weights)
     a, n, m0 = K.embed(box.center), box.level, K.embed(box.mult)
@@ -428,11 +451,10 @@ def tate_gamma(chi: MultChar, psi: AddChar) -> NonArchFactor:
     c = conductor_add(psi)
     if chi.is_ramified:
         n = chi.n
-        G = gauss_sum(chi, psi)
-        const = q ** (n - c) * q ** (-n + Fraction(c, 2)) * G
+        const = _ramified_scale(q, c, n) * gauss_sum(chi, psi)
         return NonArchFactor.monomial(q, complex(const), n - c)
     t = chi.t_full()
-    const = q ** Fraction(c, 2) * t ** (-c) * q ** (-c)
+    const = _half_power(q, c) * t ** (-c) * q ** (-c)
     return NonArchFactor(
         q,
         c=complex(const),

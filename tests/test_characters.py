@@ -31,6 +31,7 @@ from asailocal.padic import (
     UNRAMIFIED,
     is_extension,
 )
+from asailocal.tate import tate_gamma
 from asailocal.unitgroups import unit_group
 
 from random_chars import rand_char, unit_angle
@@ -487,14 +488,87 @@ def test_json_numbers_and_the_integer_lambda_rule():
         with pytest.raises(ValueError):
             json_complex(bad)
     # one rule, for a --tau v2 and a descriptor's [re, im] lambda alike
-    assert as_lam(2.0) == 2 and isinstance(as_lam(2.0), Fraction)
-    assert as_lam(-3 + 0j) == -3 and isinstance(as_lam(-3 + 0j), Fraction)
+    assert as_lam(2.0) == 2 and type(as_lam(2.0)) is int
+    assert as_lam(-3 + 0j) == -3 and type(as_lam(-3 + 0j)) is int
     assert as_lam(0.5) == 0.5 and isinstance(as_lam(0.5), complex)
     F = PAdicGround(5)
-    assert isinstance(mult_char_from_json({"lambda": [2.0, 0.0]}, F).lam, Fraction)
+    assert type(mult_char_from_json({"lambda": [2.0, 0.0]}, F).lam) is int
     # a JSON float lambda stays complex, as it always was
     assert isinstance(mult_char_from_json({"lambda": 2.0}, F).lam, complex)
     # the residue units of Z_5 are cyclic of order 4: 1/3 is no character's angle
     with pytest.raises(ValueError, match="order 4 is not an integer"):
         mult_char_from_json({"conductor": 1, "unit_part": ["1/3"]}, F)
     assert mult_char_from_json({"conductor": 1, "unit_part": ["3/4"]}, F).n == 1
+
+
+# exact lambdas as the ops meet them: integers, halves from extend_from_F,
+# and one of each kind of complex, with a signed zero among the imaginary parts
+_MIXED_LAMS = [0, 1, -2, Fraction(1, 2), Fraction(-3, 2)]
+_COMPLEX_LAMS = [0j, 1 + 0j, complex(-2.0, -0.0), 0.25 - 0.5j, complex(-0.0, 0.0), 1e300 + 0j]
+
+
+def test_mixed_lambda_addition_is_the_complex_sum_bit_for_bit():
+    # mul and twist_by_norm_power add lambdas with +, which must give what
+    # complex(a) + complex(b) gives whenever one side is complex
+    for a in _MIXED_LAMS:
+        for b in _COMPLEX_LAMS:
+            assert repr(a + b) == repr(complex(a) + complex(b)), (a, b)
+            assert repr(b + a) == repr(complex(b) + complex(a)), (a, b)
+    for a in _COMPLEX_LAMS:
+        for b in _COMPLEX_LAMS:
+            assert repr(a + b) == repr(complex(a) + complex(b)), (a, b)
+
+
+def _chi_with_lam(chi: MultChar, lam) -> MultChar:
+    return MultChar._from_weights(chi.field, chi.n, chi.unit_den, chi.unit_weights, chi.t, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 11, 13]),
+    ext=st.sampled_from([None, *EXTENSION_TYPES]),
+    n=st.integers(0, 2),
+    k=st.integers(-3, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_an_integral_lambda_has_one_representation(p, ext, n, k, seed):
+    F, rng = PAdicGround(p), random.Random(seed)
+    E = QuadExtension(F, ext or UNRAMIFIED)
+    K = F if ext is None else E
+    psi = standard_psi(F) if ext is None else psi_to_E(standard_psi(F), E, E.xi())
+    base = rand_char(K, n, rng)
+    # an int, a Fraction and a JSON string give one character, stored with an int
+    forms = [_chi_with_lam(base, k), _chi_with_lam(base, Fraction(k))]
+    forms.append(mult_char_from_json({**base.to_json(), "lambda": str(k)}, K))
+    xs = [x for v in (-1, 0, 2) for x in K.shell(v, max(n, 1))[:3]]
+    first = forms[0]
+    for chi in forms:
+        assert type(chi.lam) is int
+        assert chi == first and hash(chi) == hash(first)
+        assert chi.to_json() == first.to_json()
+        assert [repr(chi.value(x)) for x in xs] == [repr(first.value(x)) for x in xs]
+        assert [repr(chi.cyc(x)) for x in xs] == [repr(first.cyc(x)) for x in xs]
+        assert repr(tate_gamma(chi, psi).eval(0.7)) == repr(tate_gamma(first, psi).eval(0.7))
+    # every op keeps an integral lambda an int; halving an odd one makes a Fraction
+    other = _chi_with_lam(rand_char(K, n, rng), rng.randrange(-2, 3))
+    outs = [first.inv(), first.mul(other), first.twist_by_norm_power(Fraction(1)), first.twist_by_norm_power(-2)]
+    if ext is None:
+        outs.append(compose_with_norm(first, E))
+        half = extend_from_F(first, E)
+        assert half.lam == Fraction(k, 2)
+        assert type(half.lam) is (int if k % 2 == 0 else Fraction)
+        outs.append(restrict_to_F(half))
+    else:
+        outs += [restrict_to_F(first), sigma_conjugate(first)]
+    for out in outs:
+        assert type(out.lam) is int, out
+    # a complex lambda stays complex through every op, even at an integral value
+    for z in (complex(k), k + 0.25j):
+        chi = _chi_with_lam(base, z)
+        outs = [chi, chi.inv(), chi.mul(first), first.mul(chi), chi.twist_by_norm_power(1)]
+        if ext is None:
+            outs += [compose_with_norm(chi, E), extend_from_F(chi, E)]
+        else:
+            outs += [restrict_to_F(chi), sigma_conjugate(chi)]
+        for out in outs:
+            assert isinstance(out.lam, complex), out

@@ -92,6 +92,16 @@ def test_duplication_formula_oracle():
     assert ok, dev
 
 
+def test_loggamma_poles_are_the_non_positive_integers():
+    # sin(pi z) is exactly 0 at z = 0 alone; the other poles are exact too
+    for k in (0, -1, -2, -7, -10, -99, -(2**51)):
+        for z in (float(k), complex(k, -0.0)):
+            with pytest.raises(PoleError):
+                loggamma(z)
+    for z in (-0.5, -7 + 1e-9j, -3.000000001, -(2**51) + 0.5):
+        assert cmath.isfinite(loggamma(z))
+
+
 def test_loggamma_accuracy():
     for x in (0.5, 1.0, 3.7, 10.2, 23.0):
         assert abs(loggamma(x).real - math.lgamma(x)) < 5e-13

@@ -613,3 +613,22 @@ def test_gauss_sum_above_the_conductor_is_zero(ext):
         assert above.reduced() == chi
         assert shell_cyc(above.inv(), psi, conductor_add(psi) - n, n).is_zero()
         assert gauss_sum(above, psi) == 0j
+
+
+def test_cached_q_powers_are_the_expressions_they_replace():
+    # same type and same bits as the expressions tate_gamma, zeta_terms and
+    # box_fourier used to rebuild on every call, at both parities of c
+    from asailocal.tate import _half_power, _ramified_scale, _vol
+
+    for q in (3, 5, 9, 11, 25, 49, 121, 169):
+        for c in range(-5, 6):
+            for m in range(-3, 5):
+                pairs = [
+                    (_half_power(q, c), q ** Fraction(c, 2)),
+                    (_vol(q, c), float(q ** Fraction(c, 2))),
+                    (_vol(q, c, m), float(q ** Fraction(c, 2) * Fraction(q) ** (-m))),
+                ]
+                if m >= 1:
+                    pairs.append((_ramified_scale(q, c, m), q ** (m - c) * q ** (-m + Fraction(c, 2))))
+                for got, expr in pairs:
+                    assert type(got) is type(expr) and repr(got) == repr(expr), (q, c, m)
