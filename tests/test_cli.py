@@ -401,15 +401,6 @@ _REPROS = [
     # a --grid point at a pole: for arch-zeta, 1 - s = -0.5 is a pole of a
     # Gamma factor of the dual integral
     (["arch-zeta", "--n1", "2", "--n2", "1", "--grid", "1.5;2,0.5"], "--grid point 1.5+0j"),
-    # and at an integer s, where a Gamma argument of the dual integral is a
-    # non-positive integer and sin(pi z) is a rounding residue, not 0
-    (["arch-zeta", "--n1", "2", "--n2", "0", "--grid", "7"], "--grid point 7+0j"),
-    (["arch-zeta", "--n1", "2", "--n2", "0", "--grid", "10"], "--grid point 10+0j"),
-    # exponents that leave the float range, or hit a pole, at the default grid
-    (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1", "400"], "--lam1/--lam2"),
-    (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1=-400"], "--lam1/--lam2"),
-    (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1", "0,300"], "--lam1/--lam2"),
-    (["arch-zeta", "--n1", "2", "--n2", "0", "--lam1=-0.7"], "--lam1/--lam2 make s = 0.7 a pole"),
     (
         ["twisted-asai", "--field", _U7, "--char", MU_JSON, "--char2", "trivial",
          "--tau", _TAU_POLE, "--grid", "1.3"],
@@ -512,6 +503,16 @@ _REPROS = [
     # the Gamma L-factor underflows to 0
     (["arch-zeta", "--n1", "2", "--n2", "1", "--grid", "1e300"], "--grid point 1e+300+0j"),
     (["arch-zeta", "--n1", "2", "--n2", "1", "--grid=-1e300"], "--grid point -1e+300+0j"),
+    # arch-zeta at an integer --grid point where a Gamma argument of the dual
+    # integral is a non-positive integer, and sin(pi z) a rounding residue
+    (["arch-zeta", "--n1", "2", "--n2", "0", "--grid", "7"], "--grid point 7+0j"),
+    (["arch-zeta", "--n1", "2", "--n2", "0", "--grid", "10"], "--grid point 10+0j"),
+    # arch-zeta exponents that leave the float range, or make a pole, at the
+    # default grid
+    (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1", "400"], "--lam1/--lam2"),
+    (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1=-400"], "--lam1/--lam2"),
+    (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1", "0,300"], "--lam1/--lam2"),
+    (["arch-zeta", "--n1", "2", "--n2", "0", "--lam1=-0.7"], "--lam1/--lam2 make s = 0.7 a pole"),
 ]
 
 
