@@ -279,8 +279,9 @@ TRAP_UNIT = TRAP_H0 / _SPAN
 TRAP_UNDERFLOW = 1e-280
 # a window ends where its integrand has fallen to e^-WINDOW_DROP of its peak
 WINDOW_DROP = 40.0
-# quad_trapezoid_line starts on [-LINE_START, LINE_START] at step TRAP_H0
-# and grows an end by LINE_GROW at a time; both are multiples of TRAP_H0
+# quad_trapezoid_line samples the first grid from [-LINE_START, LINE_START]
+# outward, LINE_GROW at a time; both are multiples of TRAP_H0, and they
+# decide only which nodes are sampled, not where the window ends
 LINE_START = 6.0
 LINE_GROW = 4.0
 
@@ -350,12 +351,17 @@ def quad_trapezoid_line(f, tol: float) -> complex:
     nested trapezoid sums on a window grown from [-LINE_START, LINE_START].
 
     The first grid has step TRAP_H0, and ``f`` gives its values one node at
-    a time.  While |f| at an end of the grid is above e^-WINDOW_DROP of the
-    largest value sampled, that end moves out by LINE_GROW, and the grid
-    takes the new nodes there.  A window that would pass [-400, 400] raises
-    ArithmeticError, naming it.  Then the step halves as in quad_trapezoid,
-    with the same condition on callers: no integrand symmetric about a
-    lattice point two or more levels finer than TRAP_H0."""
+    a time.  While |f| at an end of the grid is above the floor,
+    e^-WINDOW_DROP of the largest value sampled, that end moves out by
+    LINE_GROW, and the grid takes the new nodes there.  A window that would
+    pass [-400, 400] raises ArithmeticError, naming it.  Each end then moves
+    inward while the next node in is at or below the floor too, keeping at
+    least 2 intervals: the window ends on the first nodes at or below the
+    floor outward of the live ones, as the growth and whittaker_window
+    decide, and drops only nodes at or below the floor with none above it
+    beyond them.  Then the step halves as in quad_trapezoid, with the same
+    condition on callers: no integrand symmetric about a lattice point two
+    or more levels finer than TRAP_H0."""
 
     def at(k: int):
         value = f(k, k + 1, 1)
@@ -380,8 +386,13 @@ def quad_trapezoid_line(f, tol: float) -> complex:
         new_right = [at(k) for k in range(hi - grow + _SPAN, hi + 1, _SPAN)] if right else []
         values = new_left + values + new_right
         peak = max(peak, *map(abs, new_left + new_right))
-    total = TRAP_H0 * (sum(values[1:-1]) + (values[0] + values[-1]) / 2)
-    return _settle(f, lo, hi, total, tol)
+    i, j = 0, len(values) - 1
+    while j - i > 2 and abs(values[i + 1]) <= floor:
+        i += 1
+    while j - i > 2 and abs(values[j - 1]) <= floor:
+        j -= 1
+    total = TRAP_H0 * (sum(values[i + 1 : j]) + (values[i] + values[j]) / 2)
+    return _settle(f, lo + i * _SPAN, lo + j * _SPAN, total, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +434,11 @@ class _LatticeTable:
     """g(k * TRAP_UNIT) at lattice indices k, memoized: for each spacing d
     (a power of two, at most TRAP_H0's), one list of g at the multiples of
     d over the indices asked for at that spacing, extended on demand.
-    ``fill`` maps a list of points to the list of g's values there.  A
-    node's value has the same bits in every list, since k * TRAP_UNIT is
-    exact."""
+    ``fill`` maps a list of points to the list of g's values there, and
+    each node is filled once: a list of spacing d below TRAP_H0's fills
+    only the odd multiples of d and takes the even ones from the list of
+    spacing 2d, extended first.  A node's value has the same bits in every
+    list, since k * TRAP_UNIT is exact."""
 
     __slots__ = ("fill", "lists")
 
@@ -451,12 +464,23 @@ class _LatticeTable:
         entry = self.lists.setdefault(d, [start, [], start])
         first, values, end = entry
         if start < first:
-            values[:0] = self.fill([k * TRAP_UNIT for k in range(start, first, d)])
+            values[:0] = self._values(d, start, first)
             entry[0] = start
         if stop > end:
-            values += self.fill([k * TRAP_UNIT for k in range(end, stop, d)])
+            values += self._values(d, end, stop)
             entry[2] = stop
         return entry
+
+    def _values(self, d: int, start: int, stop: int) -> list:
+        """g at the multiples of d in [start, stop), start one of them."""
+        if d == _SPAN:
+            return self.fill([k * TRAP_UNIT for k in range(start, stop, d)])
+        values = [None] * len(range(start, stop, d))
+        e = start // d % 2  # the offset of the first even multiple
+        if len(values) > e:
+            values[e::2] = self.run(start + e * d, stop, 2 * d)
+        values[1 - e :: 2] = self.fill([k * TRAP_UNIT for k in range(start + (1 - e) * d, stop, 2 * d)])
+        return values
 
 
 def whittaker_window(ay: float, c: float) -> tuple:
@@ -743,6 +767,16 @@ class CaseDatum(Value):
         _set(self, "c_dual_const", c_dual_const)
         _set(self, "eps_rs", eps_rs)
         _set(self, "_key", (case_id, w_terms, phi, c_const, c_dual_const, eps_rs))
+
+
+# the largest n0 = |n1 - n2| up to which zeta_integral_case stays in the
+# float range on DEFAULT_GRID at lam = 0, for either parity of n1 (found by
+# bisection; every n0 below it stays in range too).  At 453 for n1 odd, and
+# from 454 for both parities, the sum over the Whittaker terms overflows and
+# the constants come out NaN; from 520 the dual L-factor overflows at a grid
+# point (518 too, for n1 even); from 1039 the coefficients of
+# _pair_vector_terms are past the range
+CASE_N0_MAX = 452
 
 
 def _pair_vector_terms(n0: int, pow_plus: int, pow_minus: int) -> tuple:

@@ -339,17 +339,30 @@ def cmd_arch_zeta(args) -> int:
     lam2 = _parse_complex(args.lam2, "--lam2")
     mu = arch.CChar(lam1, _parse_number(args.n1, "--n1", int))
     nu = arch.CChar(lam2, _parse_number(args.n2, "--n2", int))
+    n0 = abs(mu.n - nu.n)
+    if n0 > arch.CASE_N0_MAX:
+        raise InputError(
+            f"--n1/--n2: |n1 - n2| = {n0} is above {arch.CASE_N0_MAX}, "
+            "past which the case integrals leave the float range"
+        )
     grid = _parse_grid(args)
     try:
         report = arch.zeta_integral_case(mu, nu, grid or DEFAULT_GRID)
     except (PoleError, FloatRangeError) as exc:
-        # on the user's grid main names the point; on the default grid every
-        # input of the integral is the user's, so the exponents are at fault
+        # on the default grid every input of the integral is the user's, so
+        # the exponents are at fault; on the user's grid main names the
+        # point, unless the default grid fails too
+        fault = exc
         if grid:
-            raise
-        at = f"s = {exc.where:g}"
-        what = f"make {at} a pole" if isinstance(exc, PoleError) else f"take a factor out of the float range at {at}"
-        raise InputError(f"--lam1/--lam2 {what}") from exc
+            try:
+                arch.zeta_integral_case(mu, nu, DEFAULT_GRID)
+            except (PoleError, FloatRangeError) as exc_default:
+                fault = exc_default
+            else:
+                raise
+        at = f"s = {fault.where:g}"
+        what = f"make {at} a pole" if isinstance(fault, PoleError) else f"take a factor out of the float range at {at}"
+        raise InputError(f"--lam1/--lam2 {what}") from fault
     payload = {
         "case": report["case"],
         "constants": {

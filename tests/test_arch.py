@@ -194,7 +194,7 @@ def test_selection_rule_zeros():
     assert zeta_whittaker_closed(1.5, (1, 0), (0, 0), RChar(0, 0), mu, nu) == 0
     # parity vanishing: n1 + m + a1 + a2 odd
     assert zeta_whittaker_closed(1.5, (1, 1), (0, 0), RChar(0, 1), mu, nu) == 0
-    assert abs(whittaker_value_quadrature(1.0, (1, 0), (0, 0), mu, nu)) < 1e-12
+    assert whittaker_value_quadrature(1.0, (1, 0), (0, 0), mu, nu) == 0
 
 
 def test_whittaker_value_refuses_y_not_finite():
@@ -723,6 +723,51 @@ def test_trapezoid_line_grows_only_the_end_that_has_not_decayed():
     assert min(first_grid) == -42.0 and max(first_grid) == 6.0
 
 
+def test_trapezoid_line_refines_only_the_trimmed_window():
+    # the same integrand: after growth the window is [-42, 6], and each end
+    # moves in to the first node of the first grid at or below the floor,
+    # e^-WINDOW_DROP of the peak, going outward from the live nodes; the
+    # refined levels sample nothing outside it
+    calls = []
+
+    def f(start, stop, step):
+        calls.append(range(start, stop, step))
+        x = np.arange(start, stop, step) * arch.TRAP_UNIT
+        return complex(np.sum(np.exp(x - np.exp(x))))
+
+    assert abs(quad_trapezoid_line(f, 1e-11) - 1) < 1e-14
+    first_grid = np.array([r[0] for r in calls if len(r) == 1]) * arch.TRAP_UNIT
+    values = np.exp(first_grid - np.exp(first_grid))
+    live = first_grid[values > math.exp(-arch.WINDOW_DROP) * values.max()]
+    lo, hi = live.min() - arch.TRAP_H0, live.max() + arch.TRAP_H0
+    assert (lo, hi) == (-41.0, 4.0)
+    refined = [r for r in calls if len(r) > 1]
+    nodes = np.concatenate([np.array(r) for r in refined]) * arch.TRAP_UNIT
+    assert lo < nodes.min() and nodes.max() < hi
+    # the first halving takes every midpoint of the trimmed first grid
+    first_mids = np.array(refined[0]) * arch.TRAP_UNIT
+    assert list(first_mids) == list(np.arange(lo + 0.25, hi, 0.5))
+
+
+def test_trapezoid_line_keeps_a_zero_between_live_nodes():
+    # (x - 1)^2 e^{-pi x^2 / 4} is exactly 0 at the first-grid node 1, below
+    # the floor, with live nodes on both sides of it: the window keeps the
+    # right tail, and int = 4 / pi + 2 to rounding
+    calls = []
+
+    def f(start, stop, step):
+        calls.append(range(start, stop, step))
+        x = np.arange(start, stop, step) * arch.TRAP_UNIT
+        return complex(np.sum((x - 1) ** 2 * np.exp(-math.pi * x * x / 4)))
+
+    want = 4 / math.pi + 2
+    assert abs(quad_trapezoid_line(f, 1e-11) - want) <= 1e-15 * want
+    assert f(1024 * 2, 1024 * 2 + 1, 1) == 0
+    # the window is [-7.5, 7.5]: past |x| = 7 the integrand is below the floor
+    refined = np.concatenate([np.array(r) for r in calls if len(r) > 1]) * arch.TRAP_UNIT
+    assert refined.min() == -7.25 and refined.max() == 7.25
+
+
 def test_trapezoid_refuses_nan_in_one_row_at_once():
     # the first grid of [2, 3] is its midpoint, then its two ends; the value
     # at the end 3 is NaN
@@ -857,6 +902,47 @@ def test_lattice_oracle_matches_the_numpy_oracle_on_the_suite_data(monkeypatch):
     assert verify.suite_closed_vs_quadrature()["ok"]
     for g, want in zip(got, NUMPY_ORACLE_LEMMA_VALUES, strict=True):
         assert abs(g - want) <= 1e-13 * abs(want)
+
+
+def test_lemma_oracle_work_on_the_suite_data(monkeypatch):
+    # a count guard, not a timing gate: one radial row per node of the
+    # trimmed outer rows of the suite's ten Lemma data
+    from asailocal import verify
+
+    radial, rows = arch._radial, []
+
+    def counting(*args):
+        rows.append(args[1])
+        return radial(*args)
+
+    monkeypatch.setattr(arch, "_radial", counting)
+    assert verify.suite_closed_vs_quadrature()["ok"]
+    assert len(rows) == 1369
+
+
+def test_lattice_tables_fill_each_node_once(monkeypatch):
+    # every lattice list of a table below TRAP_H0's spacing takes its even
+    # multiples from the list of twice its spacing; each index of each table
+    # is filled once in one zeta_whittaker_quadrature call
+    from asailocal import verify
+
+    fills = []
+    init = arch._LatticeTable.__init__
+
+    def recording(self, fill):
+        filled = []
+        fills.append(filled)
+
+        def counted(xs):
+            filled.extend(x / arch.TRAP_UNIT for x in xs)
+            return fill(xs)
+
+        init(self, counted)
+
+    monkeypatch.setattr(arch._LatticeTable, "__init__", recording)
+    assert verify.suite_closed_vs_quadrature()["ok"]
+    assert sum(map(len, fills)) > 1000
+    assert all(len(set(filled)) == len(filled) for filled in fills)
 
 
 def test_oracles_call_no_closed_form(monkeypatch):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from asailocal import arch
 from asailocal.cli import main
 from asailocal.factors import DEFAULT_GRID, FloatRangeError, NonArchFactor, PoleError, factor_from_json
 
@@ -513,7 +514,29 @@ _REPROS = [
     (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1=-400"], "--lam1/--lam2"),
     (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1", "0,300"], "--lam1/--lam2"),
     (["arch-zeta", "--n1", "2", "--n2", "0", "--lam1=-0.7"], "--lam1/--lam2 make s = 0.7 a pole"),
+    # an exponent out of range at every s: at a --grid point too, the
+    # default grid fails as well, so the exponents are named, not --grid
+    (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1", "1e300", "--grid", "0.7"], "--lam1/--lam2"),
+    # n0 = |n1 - n2| above arch.CASE_N0_MAX
+    (["arch-zeta", "--n1", "1000", "--n2", "0"], "--n1/--n2: |n1 - n2| = 1000 is above 452"),
+    (["arch-zeta", "--n1", "100000", "--n2", "0"], "--n1/--n2: |n1 - n2| = 100000 is above 452"),
 ]
+
+
+@pytest.mark.parametrize("n2", [0, 1])
+def test_arch_zeta_at_the_largest_n0_stays_in_the_float_range(n2):
+    # both parities of n1 at n0 = CASE_N0_MAX, lam = 0: no factor leaves the
+    # float range on the default grid (the check itself may fail, exit 3)
+    n1 = arch.CASE_N0_MAX + n2
+    report = arch.zeta_integral_case(arch.CChar(0, n1), arch.CChar(0, n2))
+    assert math.isfinite(abs(report["c"])) and math.isfinite(abs(report["c_dual"]))
+
+
+def test_arch_zeta_past_the_largest_n0_leaves_the_float_range():
+    # one more, n1 odd: the sum over the Whittaker terms overflows to NaN
+    n0 = arch.CASE_N0_MAX + 1
+    report = arch.zeta_integral_case(arch.CChar(0, n0), arch.CChar(0, 0))
+    assert math.isnan(abs(report["c"]))
 
 
 # mu nu^-1 = |.|_E, with mu ramified, on each extension type at p = 3: the
