@@ -20,7 +20,10 @@ W(y) and W(-y) share it.  At |y| = e^v the radial integrand factors as
 P(v + u) Q(u), summed over the lattice nodes t = u + v/2; for an outer node
 v, v/2 + t and t - v/2 are lattice nodes too, so a datum reads both factors
 off memoized lattice tables, and a level of a radial row is one sum of
-products of two list slices.
+products of two list slices.  The y-integral settles to the relative
+tolerance 1e-11; a radial row on its first grid does too, and a radial row
+on a refined level only as far as the outer sum uses it, to its share of
+that tolerance.
 """
 
 from __future__ import annotations
@@ -279,10 +282,9 @@ TRAP_UNIT = TRAP_H0 / _SPAN
 TRAP_UNDERFLOW = 1e-280
 # a window ends where its integrand has fallen to e^-WINDOW_DROP of its peak
 WINDOW_DROP = 40.0
-# quad_trapezoid_line samples the first grid from [-LINE_START, LINE_START]
-# outward, LINE_GROW at a time; both are multiples of TRAP_H0, and they
-# decide only which nodes are sampled, not where the window ends
-LINE_START = 6.0
+# quad_trapezoid_line samples the first grid from [-LINE_GROW/2, LINE_GROW/2]
+# outward, LINE_GROW at a time; it is a multiple of 2 TRAP_H0, and it decides
+# only which nodes are sampled, not where the window ends
 LINE_GROW = 4.0
 
 
@@ -290,17 +292,19 @@ def _not_finite(i0: int, i1: int) -> ArithmeticError:
     return ArithmeticError(f"integrand is not finite on [{i0 * TRAP_UNIT}, {i1 * TRAP_UNIT}]")
 
 
-def _settle(f, i0: int, i1: int, total, tol: float) -> complex:
+def _settle(f, i0: int, i1: int, total, tol: float, allowance: float = 0.0) -> complex:
     """Refine ``total``, the trapezoid sum of ``f`` on the window [i0, i1]
     of lattice indices at step TRAP_H0, by halving the step until the sums
     settle.
 
     At each level ``f`` gives the sum of the new midpoints, and
     T_h = T_2h / 2 + h (that sum).  The sums settle when
-    |T_h - T_2h| <= tol |T_h|, a relative test, or when both are below
-    TRAP_UNDERFLOW in modulus.  A sum that is not finite, and so any value
-    that is not finite, raises ArithmeticError naming the window at once,
-    and so do sums still apart after TRAP_HALVINGS levels."""
+    |T_h - T_2h| <= max(tol |T_h|, allowance): a relative test, or an
+    absolute error the caller can afford (0, the default, leaves the
+    relative test alone); or when both are below TRAP_UNDERFLOW in modulus.
+    A sum that is not finite, and so any value that is not finite, raises
+    ArithmeticError naming the window at once, and so do sums still apart
+    after TRAP_HALVINGS levels."""
     step, h = _SPAN, TRAP_H0
     for _ in range(TRAP_HALVINGS):
         half, h = step // 2, h / 2
@@ -308,7 +312,7 @@ def _settle(f, i0: int, i1: int, total, tol: float) -> complex:
         if not cmath.isfinite(mids):
             raise _not_finite(i0, i1)
         new = total / 2 + h * mids
-        if abs(new - total) <= tol * abs(new) or max(abs(new), abs(total)) < TRAP_UNDERFLOW:
+        if abs(new - total) <= max(tol * abs(new), allowance) or max(abs(new), abs(total)) < TRAP_UNDERFLOW:
             return complex(new)
         total, step = new, half
     raise ArithmeticError(
@@ -316,7 +320,7 @@ def _settle(f, i0: int, i1: int, total, tol: float) -> complex:
     )
 
 
-def quad_trapezoid(f, lo: float, hi: float, tol: float = QUAD_TOL) -> complex:
+def quad_trapezoid(f, lo: float, hi: float, tol: float = QUAD_TOL, allowance: float = 0.0) -> complex:
     """The integral of an integrand over the window [lo, hi], widened to the
     lattice, by nested trapezoid sums.
 
@@ -324,10 +328,11 @@ def quad_trapezoid(f, lo: float, hi: float, tol: float = QUAD_TOL) -> complex:
     nodes k * TRAP_UNIT, k in range(start, stop, step).  The window snaps
     outward to multiples of TRAP_H0, with at least 2 intervals; the first
     grid has step TRAP_H0, and the step halves until the sums settle (see
-    _settle).  For an integrand analytic in a strip about the window and
-    negligible at its ends the sums converge geometrically in 1/h
-    (Trefethen and Weideman, SIAM Review 56, 2014), so a settled sum is far
-    more accurate than ``tol``.
+    _settle, which takes ``allowance``, an absolute error the caller can
+    afford, 0 by default).  For an integrand analytic in a strip about the
+    window and negligible at its ends the sums converge geometrically in
+    1/h (Trefethen and Weideman, SIAM Review 56, 2014), so a settled sum is
+    far more accurate than ``tol``.
 
     Callers must not pass an integrand symmetric about a lattice point two
     or more levels finer than TRAP_H0: the reflection carries the nodes of
@@ -343,25 +348,12 @@ def quad_trapezoid(f, lo: float, hi: float, tol: float = QUAD_TOL) -> complex:
     ends = f(i0, i1 + 1, i1 - i0)
     if not cmath.isfinite(ends):
         raise _not_finite(i0, i1)
-    return _settle(f, i0, i1, TRAP_H0 * (inner + ends / 2), tol)
+    return _settle(f, i0, i1, TRAP_H0 * (inner + ends / 2), tol, allowance)
 
 
-def quad_trapezoid_line(f, tol: float) -> complex:
-    """The integral over R of an integrand, ``f`` as in quad_trapezoid, by
-    nested trapezoid sums on a window grown from [-LINE_START, LINE_START].
-
-    The first grid has step TRAP_H0, and ``f`` gives its values one node at
-    a time.  While |f| at an end of the grid is above the floor,
-    e^-WINDOW_DROP of the largest value sampled, that end moves out by
-    LINE_GROW, and the grid takes the new nodes there.  A window that would
-    pass [-400, 400] raises ArithmeticError, naming it.  Each end then moves
-    inward while the next node in is at or below the floor too, keeping at
-    least 2 intervals: the window ends on the first nodes at or below the
-    floor outward of the live ones, as the growth and whittaker_window
-    decide, and drops only nodes at or below the floor with none above it
-    beyond them.  Then the step halves as in quad_trapezoid, with the same
-    condition on callers: no integrand symmetric about a lattice point two
-    or more levels finer than TRAP_H0."""
+def _line_window(f) -> tuple:
+    """The window step of quad_trapezoid_line: (i0, i1, T1), the window
+    [i0, i1] of lattice indices and the first grid's trapezoid sum on it."""
 
     def at(k: int):
         value = f(k, k + 1, 1)
@@ -369,9 +361,8 @@ def quad_trapezoid_line(f, tol: float) -> complex:
             raise _not_finite(lo, hi)
         return value
 
-    hi = round(LINE_START / TRAP_H0) * _SPAN
-    lo = -hi
     grow = round(LINE_GROW / TRAP_H0) * _SPAN
+    lo, hi = -grow // 2, grow // 2
     values = [at(k) for k in range(lo, hi + 1, _SPAN)]
     peak = max(map(abs, values))
     while True:
@@ -392,7 +383,26 @@ def quad_trapezoid_line(f, tol: float) -> complex:
     while j - i > 2 and abs(values[j - 1]) <= floor:
         j -= 1
     total = TRAP_H0 * (sum(values[i + 1 : j]) + (values[i] + values[j]) / 2)
-    return _settle(f, lo + i * _SPAN, lo + j * _SPAN, total, tol)
+    return lo + i * _SPAN, lo + j * _SPAN, total
+
+
+def quad_trapezoid_line(f, tol: float) -> complex:
+    """The integral over R of an integrand, ``f`` as in quad_trapezoid, by
+    nested trapezoid sums on a window grown from [-LINE_GROW/2, LINE_GROW/2].
+
+    The window step (_line_window) samples the first grid, step TRAP_H0,
+    one node at a time.  While |f| at an end of the grid is above the
+    floor, e^-WINDOW_DROP of the largest value sampled, that end moves out
+    by LINE_GROW, and the grid takes the new nodes there.  A window that
+    would pass [-400, 400] raises ArithmeticError, naming it.  Each end
+    then moves inward while the next node in is at or below the floor too,
+    keeping at least 2 intervals: the window ends on the first nodes at or
+    below the floor outward of the live ones, as the growth and
+    whittaker_window decide, and drops only nodes at or below the floor
+    with none above it beyond them.  Then _settle halves the step as in
+    quad_trapezoid, with the same condition on callers: no integrand
+    symmetric about a lattice point two or more levels finer than TRAP_H0."""
+    return _settle(f, *_line_window(f), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +549,11 @@ def _factors(A: int, B: int, w: complex) -> tuple:
     return partial(_gauss_exps, complex(A), 1), partial(_gauss_exps, w - B, -1)
 
 
-def _radial(ay: float, v: float, c: float, sums, tol: float) -> complex:
+def _radial(ay: float, v: float, c: float, sums, tol: float, allowance: float = 0.0) -> complex:
     """int_R P(v + u) Q(u) du at |y| = ``ay`` = e^v, c = Re(w) + A - B: one
-    quad_trapezoid row over t = u + v/2 on the whittaker_window, where
-    ``sums(start, stop, step)`` is the sum of P(v/2 + t) Q(t - v/2) over
-    the lattice nodes t of a progression.
+    quad_trapezoid row over t = u + v/2 on the whittaker_window, with its
+    ``tol`` and ``allowance``, where ``sums(start, stop, step)`` is the sum
+    of P(v/2 + t) Q(t - v/2) over the lattice nodes t of a progression.
 
     At c = 0 the modulus of the integrand is symmetric about its peak, u =
     -v/2, which t puts on a node of the first grid.  About a point of the
@@ -551,7 +561,7 @@ def _radial(ay: float, v: float, c: float, sums, tol: float) -> complex:
     of one level onto the new midpoints of the next, the two sums would
     coincide, and the relative test would settle on a wrong sum."""
     lo, hi = whittaker_window(ay, c)
-    return quad_trapezoid(sums, lo + v / 2, hi + v / 2, tol)
+    return quad_trapezoid(sums, lo + v / 2, hi + v / 2, tol, allowance)
 
 
 def _node_sums(v: float, A: int, B: int, w: complex):
@@ -613,12 +623,14 @@ def zeta_whittaker_closed(s: complex, idx_a, idx_b, chi: RChar, mu: CChar, nu: C
 def zeta_whittaker_quadrature(s: complex, data) -> list:
     """2-D quadrature of zeta(s, W_{(a,b)}, chi) for each Lemma datum
     (idx_a, idx_b, chi, mu, nu) of ``data``: the y-integral over R^x of the
-    quadrature Whittaker value; the independent oracle for the Lemma.  Both
-    integrals are nested trapezoid sums to the relative tolerance 1e-11.
+    quadrature Whittaker value; the independent oracle for the Lemma, to
+    the relative tolerance 1e-11.
 
     A datum's y-integral is one quad_trapezoid_line row over v = log |y|;
     each of its nodes takes the radial integral at |y| = e^v, its own
-    _radial row, for both y = +-e^v.  The row's factors P(v/2 + t) and
+    _radial row, for both y = +-e^v.  The outer row settles to 1e-11
+    relative; each radial row is settled only as far as the outer sum uses
+    it (see _lemma_integral).  The row's factors P(v/2 + t) and
     Q(t - v/2) sit at lattice nodes, so a datum reads them off two lattice
     tables that all its radial rows share (P, which depends on A alone, is
     shared by the data of equal A), and each level of a radial row is one
@@ -632,7 +644,18 @@ def zeta_whittaker_quadrature(s: complex, data) -> list:
 def _lemma_integral(s: complex, datum, p_tables: dict, tol: float) -> complex:
     """int_R (W(e^v) chi(e^v) + W(-e^v) chi(-e^v)) e^{(s - 1) v} dv for one
     Lemma datum, |y|^{s-1} d^x y with y = +-e^v; ``p_tables`` holds the
-    table of P for each A."""
+    table of P for each A.
+
+    The node at v is M(v) times the radial integral, with M(v) =
+    4 pi e^v (mu chi(e^v) + (-1)^A mu chi(-e^v)) e^{(s - 1) v}; a node with
+    M(v) = 0 is 0 and takes no radial row.  The first grid's nodes settle
+    their radial rows to ``tol`` relative.  Once the window step has the
+    window, L long, and the first grid's sum T1, each node of a refined
+    level settles its row to within max(tol |row|, a / |M(v)|), a =
+    tol |T1| / (4 L): the stop differences of all those nodes add up to at
+    most L a = tol |T1| / 4 in the outer sum.  That budget assumes T1 has
+    the integral's size, so a result below |T1| / 4 raises
+    ArithmeticError."""
     idx_a, idx_b, chi, mu, nu = datum
     if not selection_rule_ok(idx_a, idx_b, mu, nu):
         return 0j
@@ -640,11 +663,17 @@ def _lemma_integral(s: complex, datum, p_tables: dict, tol: float) -> complex:
     w = 2 * (complex(mu.lam) - complex(nu.lam))
     p, q = _factors(A, B, w)
     P, Q = p_tables.setdefault(A, _LatticeTable(p)), _LatticeTable(q)
-    c, s1 = w.real + A - B, complex(s - 1)
+    c, s1, sign = w.real + A - B, complex(s - 1), (-1) ** A
+    allowance = 0.0  # the outer row's error allowance, set after the window step
 
     def node(k: int) -> complex:
         v = k * TRAP_UNIT
         y = math.exp(v)
+        # W(+-y) = 4 pi mu(+-y) y (+-1)^A times the one radial integral
+        m_v = 4 * math.pi * y * (mu.value(y) * chi.value(y) + sign * mu.value(-y) * chi.value(-y))
+        m_v *= cmath.exp(s1 * v)
+        if m_v == 0:
+            return 0j
         if k % 2:  # v/2 is off the lattice, at the last level of an outer row
             sums = _node_sums(v, A, B, w)
         else:
@@ -653,12 +682,20 @@ def _lemma_integral(s: complex, datum, p_tables: dict, tol: float) -> complex:
             def sums(start: int, stop: int, step: int) -> complex:
                 return sum(map(mul, P.run(start + m, stop + m, step), Q.run(start - m, stop - m, step)))
 
-        # W(+-y) = 4 pi mu(+-y) y (+-1)^A times the one radial integral
-        radial = 4 * math.pi * y * _radial(y, v, c, sums, tol)
-        w_p, w_m = mu.value(y) * radial, (-1) ** A * mu.value(-y) * radial
-        return (w_p * chi.value(y) + w_m * chi.value(-y)) * cmath.exp(s1 * v)
+        return m_v * _radial(y, v, c, sums, tol, allowance / abs(m_v))
 
-    return quad_trapezoid_line(lambda a, b, step: sum(map(node, range(a, b, step))), tol)
+    def row(a: int, b: int, step: int) -> complex:
+        return sum(map(node, range(a, b, step)))
+
+    i0, i1, first = _line_window(row)
+    allowance = tol * abs(first) / (4 * (i1 - i0) * TRAP_UNIT)
+    result = _settle(row, i0, i1, first, tol)
+    if abs(first) > 4 * abs(result):
+        raise ArithmeticError(
+            f"the first grid's sum {abs(first):.3g} is over 4 times the integral {abs(result):.3g}"
+            f" on [{i0 * TRAP_UNIT}, {i1 * TRAP_UNIT}]: the rows' error allowance does not hold"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +884,12 @@ def zeta_integral_case(mu: CChar, nu: CChar, grid=DEFAULT_GRID) -> dict:
         value = fac.eval(at)
         if value == 0:  # Gamma values have no zero: the product underflowed
             raise FloatRangeError(at)
-        return z / value
+        ratio = z / value
+        if not cmath.isfinite(ratio) and cmath.isfinite(value):
+            # the sum over the Whittaker terms, or the ratio, left the float
+            # range; a factor that is not finite is a fault, reported as NaN
+            raise FloatRangeError(at)
+        return ratio
 
     ratios, ratios_dual = [], []
     for s in grid:

@@ -274,28 +274,30 @@ def test_lemma_data_computed_together_equal_each_computed_alone(data):
 def test_batched_whittaker_rows_equal_the_rows_called_alone(case):
     # the Lemma oracle reads each radial row's P and Q off lattice tables
     # that all the rows of a datum share; every row has the bits it gets
-    # alone, P and Q computed node by node, and so has whittaker_value_
-    # quadrature where v = log |y| is itself on the lattice, as it is when
-    # log(exp(v)) gives v back
+    # alone at the same error allowance, P and Q computed node by node, and
+    # at allowance 0 whittaker_value_quadrature has them too where v =
+    # log |y| is itself on the lattice, as it is when log(exp(v)) gives v
+    # back
     idx_a, idx_b, _, mu, nu = case
     A, B = sum(idx_a), sum(idx_b)
     w = 2 * (complex(mu.lam) - complex(nu.lam))
     rows = []
     radial = arch._radial
 
-    def recording(ay, v, c, sums, tol):
-        rows.append((ay, v, c, tol, radial(ay, v, c, sums, tol)))
+    def recording(ay, v, c, sums, tol, allowance=0.0):
+        rows.append((ay, v, c, tol, allowance, radial(ay, v, c, sums, tol, allowance)))
         return rows[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arch, "_radial", recording)
         zeta_whittaker_quadrature(2.4 + 0.2j, [case])
     on_lattice = 0
-    for ay, v, c, tol, got in rows[::5]:
-        assert repr(radial(ay, v, c, arch._node_sums(v, A, B, w), tol)) == repr(got), v
+    for ay, v, c, tol, allowance, got in rows[::5]:
+        assert repr(radial(ay, v, c, arch._node_sums(v, A, B, w), tol, allowance)) == repr(got), v
         if math.log(ay) == v:
             on_lattice += 1
-            want = 4 * math.pi * mu.value(ay) * abs(ay) * math.copysign(1.0, ay) ** A * got
+            alone = radial(ay, v, c, arch._node_sums(v, A, B, w), tol)
+            want = 4 * math.pi * mu.value(ay) * abs(ay) * math.copysign(1.0, ay) ** A * alone
             assert repr(whittaker_value_quadrature(ay, idx_a, idx_b, mu, nu, tol)) == repr(want)
     assert on_lattice >= len(rows[::5]) / 2
 
@@ -708,8 +710,9 @@ def test_trapezoid_window_snaps_outward_to_the_first_grid():
 
 def test_trapezoid_line_grows_only_the_end_that_has_not_decayed():
     # int_R exp(x - e^x) dx = Gamma(1): doubly exponential decay on the
-    # right, e^x on the left, so only the left end moves out from -6, by 4
-    # at a time, one node per call on the first grid
+    # right, e^x on the left; from [-2, 2] the right end moves out once, to
+    # 6, and the left end on to -42, by 4 at a time, one node per call on
+    # the first grid
     calls = []
 
     def f(start, stop, step):
@@ -719,7 +722,7 @@ def test_trapezoid_line_grows_only_the_end_that_has_not_decayed():
 
     assert abs(quad_trapezoid_line(f, 1e-11) - 1) < 1e-14
     first_grid = [r[0] * arch.TRAP_UNIT for r in calls if len(r) == 1]
-    assert len(first_grid) == 25 + 9 * 8  # -6 - 9 * 4 = -42, e^-42 < e^-40
+    assert len(first_grid) == 9 + 11 * 8  # -2 - 10 * 4 = -42, e^-42 < e^-40
     assert min(first_grid) == -42.0 and max(first_grid) == 6.0
 
 
@@ -827,9 +830,21 @@ def test_trapezoid_settles_rows_below_the_underflow_floor():
     assert whittaker_value_quadrature(-60.0, (0, 0), (0, 0), one, one, 1e-11) == 0
 
 
+@pytest.mark.xfail(strict=True, reason="the stop rule's blind spot, ROADMAP item 24")
+def test_trapezoid_settles_a_row_symmetric_about_a_fine_lattice_point():
+    # exp(-4 pi cosh(2(x - 1/8))) is symmetric about 1/8, a lattice point
+    # two levels finer than TRAP_H0: the reflection carries one level's
+    # nodes onto the next level's midpoints, the two sums coincide and the
+    # relative test passes, 2.6e-3 off.  The integral is mpmath's, to 15
+    # digits.  A stop rule without this blind spot makes the test pass
+    g = lambda x: np.exp(-4 * math.pi * np.cosh(2 * (x - 0.125)))
+    got = quad_trapezoid(lattice_sums(g), -3.875, 4.125)
+    assert abs(got - 1.22120549436163e-06) <= 1e-12
+
+
 def test_trapezoid_line_window_raises_beyond_400():
-    # a constant never decays: both ends move out by 4, 8 new nodes each,
-    # until the window would pass 400
+    # a constant never decays: from [-2, 2] both ends move out by 4, 8 new
+    # nodes each, until the window would pass 400
     calls = []
 
     def f(start, stop, step):
@@ -838,7 +853,7 @@ def test_trapezoid_line_window_raises_beyond_400():
 
     with pytest.raises(ArithmeticError, match=r"tail does not decay beyond \[-402\.0, 402\.0\]"):
         quad_trapezoid_line(f, 1e-11)
-    assert calls == [1] * (25 + 16 * 98)
+    assert calls == [1] * (9 + 16 * 99)
 
 
 def test_rows_symmetric_about_their_peak_settle_on_the_right_sum():
@@ -907,18 +922,72 @@ def test_lattice_oracle_matches_the_numpy_oracle_on_the_suite_data(monkeypatch):
 
 def test_lemma_oracle_work_on_the_suite_data(monkeypatch):
     # a count guard, not a timing gate: one radial row per node of the
-    # trimmed outer rows of the suite's ten Lemma data
+    # trimmed outer rows of the suite's ten Lemma data, and the inner
+    # lattice nodes those rows read, each level of a row one P slice and
+    # one Q slice of equal length
     from asailocal import verify
 
     radial, rows = arch._radial, []
+    run, read = arch._LatticeTable.run, []
 
     def counting(*args):
         rows.append(args[1])
         return radial(*args)
 
+    def reading(self, start, stop, step):
+        read.append(len(range(start, stop, step)))
+        return run(self, start, stop, step)
+
     monkeypatch.setattr(arch, "_radial", counting)
+    monkeypatch.setattr(arch._LatticeTable, "run", reading)
     assert verify.suite_closed_vs_quadrature()["ok"]
-    assert len(rows) == 1369
+    assert len(rows) == 1289
+    assert sum(read) == 2 * 121657
+
+
+def test_row_allowance_moves_the_lemma_values_by_rounding_only(monkeypatch):
+    # the radial rows of a refined outer level settle only to their share
+    # of the outer row's error budget; on the suite's ten data the values
+    # are within 1e-12 of those with every radial row settled to 1e-11
+    # relative
+    from asailocal import verify
+
+    quadrature, calls = arch.zeta_whittaker_quadrature, []
+
+    def recording(s, data):
+        calls.append((s, data))
+        return quadrature(s, data)
+
+    monkeypatch.setattr(arch, "zeta_whittaker_quadrature", recording)
+    assert verify.suite_closed_vs_quadrature()["ok"]
+    ((s, data),) = calls
+    got = quadrature(s, data)
+    radial = arch._radial
+
+    def strict(ay, v, c, sums, tol, allowance=0.0):
+        return radial(ay, v, c, sums, tol)
+
+    monkeypatch.setattr(arch, "_radial", strict)
+    want = quadrature(s, data)
+    assert len(want) == 10
+    for g, w in zip(got, want, strict=True):
+        assert abs(g - w) <= 1e-12 * abs(w)
+
+
+def test_lemma_oracle_refuses_a_first_grid_sum_far_above_the_integral():
+    # the rows' error allowance is a share of the first grid's sum T1, so
+    # it holds only while T1 has the integral's size.  At s = 2.4 + 10i the
+    # first grid, step 1/2, aliases the oscillation e^{10 i v}: T1 is about
+    # 18,000 times the integral, and the datum raises rather than return a
+    # value settled to that budget.  At s = 2.4 + 6i T1 is within 4 % of
+    # the integral, and the value is the closed form's
+    one = CChar(0, 0)
+    datum = ((0, 0), (0, 0), RChar(0.0, 0), one, one)
+    with pytest.raises(ArithmeticError, match="over 4 times the integral"):
+        zeta_whittaker_quadrature(2.4 + 10j, [datum])
+    closed = zeta_whittaker_closed(2.4 + 6j, *datum)
+    (quad,) = zeta_whittaker_quadrature(2.4 + 6j, [datum])
+    assert abs(quad - closed) <= 1e-11 * abs(closed)
 
 
 def test_lattice_tables_fill_each_node_once(monkeypatch):

@@ -1,8 +1,13 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asailocal import arch
 from asailocal.cli import main
@@ -517,6 +522,10 @@ _REPROS = [
     # an exponent out of range at every s: at a --grid point too, the
     # default grid fails as well, so the exponents are named, not --grid
     (["arch-zeta", "--n1", "2", "--n2", "1", "--lam1", "1e300", "--grid", "0.7"], "--lam1/--lam2"),
+    # a nonzero exponent at the largest n0: the sum over the Whittaker terms
+    # overflows to NaN
+    (["arch-zeta", "--n1", "452", "--n2", "0", "--lam1", "5"], "--lam1/--lam2"),
+    (["arch-zeta", "--n1", "452", "--n2", "0", "--lam2=-5"], "--lam1/--lam2"),
     # n0 = |n1 - n2| above arch.CASE_N0_MAX
     (["arch-zeta", "--n1", "1000", "--n2", "0"], "--n1/--n2: |n1 - n2| = 1000 is above 452"),
     (["arch-zeta", "--n1", "100000", "--n2", "0"], "--n1/--n2: |n1 - n2| = 100000 is above 452"),
@@ -533,10 +542,43 @@ def test_arch_zeta_at_the_largest_n0_stays_in_the_float_range(n2):
 
 
 def test_arch_zeta_past_the_largest_n0_leaves_the_float_range():
-    # one more, n1 odd: the sum over the Whittaker terms overflows to NaN
+    # one more, n1 odd: the sum over the Whittaker terms overflows to NaN,
+    # and the ratio to the L-factor raises rather than return it
     n0 = arch.CASE_N0_MAX + 1
-    report = arch.zeta_integral_case(arch.CChar(0, n0), arch.CChar(0, 0))
-    assert math.isnan(abs(report["c"]))
+    with pytest.raises(FloatRangeError):
+        arch.zeta_integral_case(arch.CChar(0, n0), arch.CChar(0, 0))
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_EDGE_LAMS = ["0", "0.1", "-0.1", "5", "-5", "50", "-50", "0,5", "0.1,-0.1", "-5,50"]
+
+
+@settings(max_examples=15)
+@example(356, 0, "50", "0")
+@example(0, 452, "0", "-5")
+@given(
+    st.integers(0, 460),
+    st.integers(0, 460),
+    st.sampled_from(_EDGE_LAMS),
+    st.sampled_from(_EDGE_LAMS),
+)
+def test_arch_zeta_exits_0_2_or_3_with_strict_json(n1, n2, lam1, lam2):
+    # n0 = |n1 - n2| up to past arch.CASE_N0_MAX, exponents at the edges:
+    # a report (exit 0, or 3 when its check fails) is strict JSON, with no
+    # NaN or Infinity, and a refusal is one line naming a flag
+    argv = ["arch-zeta", "--n1", str(n1), "--n2", str(n2), f"--lam1={lam1}", f"--lam2={lam2}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3), argv
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        assert re.match(r"input error: --(n1|n2|lam1|lam2|grid)", err.getvalue()), argv
+    else:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 # mu nu^-1 = |.|_E, with mu ramified, on each extension type at p = 3: the
