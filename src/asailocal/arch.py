@@ -820,11 +820,13 @@ def _pair_vector_terms(n0: int, pow_plus: int, pow_minus: int) -> tuple:
     """Coefficients of <W_vec, (X+iY)^p (X-iY)^q>: the X^j Y^{n0-j} expansion
     paired against the binomial Whittaker combination."""
     gam = [0j] * (n0 + 1)
+    row_plus = [comb(pow_plus, k) for k in range(pow_plus + 1)]
+    row_minus = [comb(pow_minus, l) for l in range(pow_minus + 1)]
     for k in range(pow_plus + 1):
         for l in range(pow_minus + 1):
             gam[k + l] += (
-                comb(pow_plus, k)
-                * comb(pow_minus, l)
+                row_plus[k]
+                * row_minus[l]
                 * (1j ** (pow_plus - k))
                 * ((-1j) ** (pow_minus - l))
             )

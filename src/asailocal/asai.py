@@ -22,12 +22,20 @@ verification suites check.
 
 The Tate factors here are uncertified closed forms.  :func:`certify_gamma`
 checks lambda_{E/F}(psi), once per (E, psi) in ``langlands_constant``, and
-the three Tate gammas of ``gamma_rs(inp, check=True)`` (the ``asai`` command).
+the three Tate gammas of ``gamma_rs(inp, check=True)`` (the ``asai`` command)
+on every such call.
+
+The assembly of gamma_rs (:func:`_assembly`) and the Galois constituents
+are cached by the value of the input, as ``tate_eps`` is by its character
+and psi: an ``asai`` request reads gamma_RS and the constituents of its
+input more than once.  Cached factors are shared; callers never change
+them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .characters import (
@@ -161,14 +169,12 @@ def _twisted_chars(inp: AsaiInput):
     return inp.mu.mul(chit), inp.nu.mul(chit)
 
 
-def gamma_rs(inp: AsaiInput, check: bool = False) -> NonArchFactor:
-    """gamma_RS(s, As pi (x) chi, psi, xi) for pi = Ind(mu, nu).
-
-    Assembled per the multiplicativity theorem at the normalized (psi0,
-    xi_can) and transported to the given (psi, xi) by the dependence laws.
-    ``check=True`` certifies its Tate gammas (:func:`certify_gamma`); the
-    keyword stays only for ``bench/workloads.py`` (ROADMAP item 15).
-    """
+@lru_cache(maxsize=256)
+def _assembly(inp: AsaiInput) -> tuple:
+    """gamma_RS of ``inp`` and its three Tate constituents, each as
+    (Tate gamma, character, psi), at the normalized (psi0, xi_can).
+    Cached by the value of ``inp``: gamma_RS, eps_RS and the Galois
+    comparison of one input read one assembly."""
     E = inp.E
     q = E.ground.q
     mu, nu = _twisted_chars(inp)
@@ -177,17 +183,34 @@ def gamma_rs(inp: AsaiInput, check: bool = False) -> NonArchFactor:
     chars = (restrict_to_F(mu), restrict_to_F(nu), mu.mul(sigma_conjugate(nu)))
     psis = (psi0, psi0, psi_to_E(psi0, E, xi_can))
     g1, g2, g3 = map(tate_gamma, chars, psis)
-    if check:
-        for fac, chi, psi in zip((g1, g2, g3), chars, psis):
-            certify_gamma(fac, chi, psi)
     core = (g1 * g2 * g3.rebase(q)) * nu.value(E.elem(-1))
     omega0 = restrict_to_F(mu.mul(nu))
-    return _dependence_monomial(omega0, a0, a1) * core
+    return _dependence_monomial(omega0, a0, a1) * core, tuple(zip((g1, g2, g3), chars, psis))
 
 
+def gamma_rs(inp: AsaiInput, check: bool = False) -> NonArchFactor:
+    """gamma_RS(s, As pi (x) chi, psi, xi) for pi = Ind(mu, nu).
+
+    Assembled per the multiplicativity theorem at the normalized (psi0,
+    xi_can) and transported to the given (psi, xi) by the dependence laws.
+    The assembly is cached by the value of ``inp`` (:func:`_assembly`), and
+    the factor returned is shared: callers never change it.
+    ``check=True`` certifies its three Tate gammas (:func:`certify_gamma`)
+    on every call, whether the assembly was cached or not; the keyword
+    stays only for ``bench/workloads.py`` (ROADMAP item 15).
+    """
+    gam, parts = _assembly(inp)
+    if check:
+        for fac, chi, psi in parts:
+            certify_gamma(fac, chi, psi)
+    return gam
+
+
+@lru_cache(maxsize=256)
 def _gal_constituents(inp: AsaiInput):
     """The three Tate characters of the Weil-Deligne decomposition, with
-    twist folded in on the Galois side (no extension involved)."""
+    twist folded in on the Galois side (no extension involved).  Cached by
+    the value of ``inp``."""
     E = inp.E
     mu0, nu0 = restrict_to_F(inp.mu), restrict_to_F(inp.nu)
     third = inp.mu.mul(sigma_conjugate(inp.nu))

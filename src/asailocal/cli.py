@@ -319,7 +319,9 @@ def cmd_twisted_asai(args) -> int:
 def cmd_dichotomy(args) -> int:
     inp = _asai_input(args)
     if not inp.omega_total().is_trivial():
-        raise InputError("dichotomy sign requires trivial omega")
+        raise InputError(
+            "--char, --char2, --tau give a nontrivial omega; the dichotomy sign requires trivial omega"
+        )
     sign = dichotomy_sign(inp)
     constituents = {
         "omega_EF(-1)": omega_quadratic(inp.E).value(-1).real,

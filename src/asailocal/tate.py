@@ -24,7 +24,10 @@ The local integrals int chi(x) psi(-s x) dx over a shell {ord x = j} or a
 unit coset t0 + pi^L O (:func:`shell_integral`, :func:`coset_integral`),
 with dx self-dual for psi, are exact ``Cyc`` values, and this is the one
 implementation of them: the Tate oracle converts them to floats, the
-Whittaker oracle (:mod:`asailocal.whittaker`) keeps them exact.  sqrt(p),
+Whittaker oracle (:mod:`asailocal.whittaker`) keeps them exact.  Both are
+cached, coset integrals like shells, and shared by the two oracles; the
+Tate oracle keys them on the unit part of chi (:func:`_unit_part`), so
+characters that differ only in t or lam share them.  sqrt(p),
 which self-dual volumes bring in, is the quadratic Gauss sum
 (:func:`_sqrt_prime`).
 
@@ -281,9 +284,13 @@ def shell_integral(chi: MultChar, j: int, psi: AddChar, s) -> Cyc:
     return Cyc.zero()
 
 
+@lru_cache(maxsize=1024)
 def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, s) -> Cyc:
     """CT = int_{t0 + pi^L O} chi(t) psi(-s t) dt with ord(t0) < L, dt
-    self-dual for psi; s = 0 integrates chi alone."""
+    self-dual for psi; s = 0 integrates chi alone.  Cached, as
+    :func:`shell_integral` is: a Tate certification meets the same unit
+    part (:func:`_unit_part`), coset and multiplier for value-equal
+    characters, and callers share the result and never mutate it."""
     K = chi.field
     q = K.q
     V = _vol_O(psi)
@@ -427,12 +434,12 @@ def fe_ratio(chi: MultChar, psi: AddChar, box: ModBox, grid) -> list:
     return out
 
 
-def _default_test_functions(chi: MultChar, psi: AddChar):
-    """Phi = 1_O (unramified chi) or 1_{1+pi^n O} (ramified), plus the
-    independence alternates: a unit translate and a shrunk box."""
-    K = chi.field
+@lru_cache(maxsize=64)
+def _default_test_functions(K, n: int) -> tuple:
+    """Phi = 1_O (unramified chi, n = 0) or 1_{1+pi^n O} (ramified, of
+    conductor n) on K, plus the independence alternates: a unit translate
+    and a shrunk box.  Cached: they depend on (K, n) alone."""
     one, zero = K.one(), K.zero()
-    n = chi.n
     if n == 0:
         return ModBox(1.0, zero, zero, 0), ModBox(1.0, zero, zero, 1), ModBox(1.0, zero, one, 1)
     u = K.shell(0, 1)[-1]
@@ -482,7 +489,7 @@ def phi_deviations(fac: NonArchFactor, chi: MultChar, psi: AddChar):
     one :func:`fe_ratio` call per Phi."""
     grid = _check_grid(fac, chi)
     want = [fac.eval(s) for s in grid]
-    for box in _default_test_functions(chi, psi):
+    for box in _default_test_functions(chi.field, chi.n):
         for s, w, got in zip(grid, want, fe_ratio(chi, psi, box, grid)):
             yield s, box, abs(got - w) / max(abs(w), 1e-30)
 
@@ -511,8 +518,11 @@ def eps_from_gamma(gamma: NonArchFactor, chars, q: int) -> NonArchFactor:
     return eps
 
 
+@lru_cache(maxsize=512)
 def tate_eps(chi: MultChar, psi: AddChar) -> NonArchFactor:
-    """eps = gamma * L(s,chi) / L(1-s,chi^{-1}); structurally a monomial."""
+    """eps = gamma * L(s,chi) / L(1-s,chi^{-1}); structurally a monomial.
+    Cached by the values of chi and psi, as :func:`gauss_sum` is; the
+    factor returned is shared and never changed."""
     return eps_from_gamma(tate_gamma(chi, psi), [chi], chi.field.q)
 
 

@@ -504,7 +504,10 @@ def test_gamma_rs_never_builds_the_galois_constituents(monkeypatch):
     inp = _twisted_input(5, EXTENSION_TYPES[1])
     want = gamma_rs(inp)
     monkeypatch.setattr(asai_mod, "_gal_constituents", forbidden)
+    # a cold assembly, so the patched call really assembles gamma_RS
+    asai_mod._assembly.cache_clear()
     got = gamma_rs(inp, check=True)
+    assert asai_mod._assembly.cache_info().misses == 1
     assert got.to_json() == want.to_json()
 
 
@@ -515,8 +518,14 @@ def test_galois_side_never_calls_gamma_rs(monkeypatch):
     inp = _twisted_input(3, EXTENSION_TYPES[2])
     want = eps_gal(inp)
     monkeypatch.setattr(asai_mod, "gamma_rs", forbidden)
+    monkeypatch.setattr(asai_mod, "_assembly", forbidden)
+    # cold Galois-side caches, so the patched calls really recompute
+    asai_mod._gal_constituents.cache_clear()
+    tate_mod.tate_eps.cache_clear()
     assert eps_gal(inp).to_json() == want.to_json()
     gamma_gal(inp)
+    assert asai_mod._gal_constituents.cache_info().misses == 1
+    assert tate_mod.tate_eps.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("ext", EXTENSION_TYPES)
@@ -534,10 +543,70 @@ def test_factors_never_reach_the_functional_equation_oracle(ext, monkeypatch):
     chars = [(inp.chi, inp.psi), (MultChar.trivial(F), inp.psi)]
     chars += [(inp.mu, psi_E), (MultChar.trivial(E), psi_E)]
     monkeypatch.setattr(tate_mod, "fe_ratio", forbidden)
+    # cold caches, so every closed form below is really computed
+    tate_mod.tate_eps.cache_clear()
+    asai_mod._assembly.cache_clear()
     for chi, psi in chars:
         tate_mod.tate_gamma(chi, psi)
         tate_mod.tate_eps(chi, psi)
     gamma_rs(inp)
     gamma_rs(inp.with_twist(None))
+    assert tate_mod.tate_eps.cache_info().misses == len(set(chars))
+    assert asai_mod._assembly.cache_info().misses == 2
+    # the assembly is cached now, and check=True still reaches the oracle
     with pytest.raises(AssertionError, match="fe_ratio"):
         gamma_rs(inp, check=True)
+    assert asai_mod._assembly.cache_info().hits == 1
+
+
+def test_gamma_rs_certifies_on_every_call_cached_or_not(certified):
+    # two value-equal inputs built apart share one assembly, and each
+    # check=True call certifies its three Tate gammas
+    asai_mod._assembly.cache_clear()
+    a, b = _twisted_input(5, EXTENSION_TYPES[0]), _twisted_input(5, EXTENSION_TYPES[0])
+    assert a is not b and a == b
+    got_a, got_b = gamma_rs(a, check=True), gamma_rs(b, check=True)
+    assert got_b is got_a
+    assert asai_mod._assembly.cache_info()[:2] == (1, 1)  # hits, misses
+    chars = [chi for _, chi, _ in asai_mod._assembly(a)[1]]
+    assert list(map(repr, certified)) == list(map(repr, chars * 2))
+
+
+def test_a_cached_assembly_still_fails_its_certification(monkeypatch):
+    def failing(fac, chi, psi):
+        raise tate_mod.ConsistencyError("gamma oracle mismatch")
+
+    inp = _twisted_input(3, EXTENSION_TYPES[1])
+    want = gamma_rs(inp, check=True)
+    monkeypatch.setattr(asai_mod, "certify_gamma", failing)
+    hits = asai_mod._assembly.cache_info().hits
+    with pytest.raises(tate_mod.ConsistencyError):
+        gamma_rs(inp, check=True)
+    assert asai_mod._assembly.cache_info().hits == hits + 1
+    assert gamma_rs(inp) is want
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+def test_cached_factors_equal_their_recomputation(p, ext):
+    # gamma_RS and the Galois constituents read from the caches by a
+    # value-equal input equal a cold recomputation
+    F = PAdicGround(p)
+    E = QuadExtension(F, ext)
+    for level in (0, 1, 2):
+
+        def build():
+            rng = random.Random(f"cache-{p}-{ext}-{level}")
+            mu, nu = rand_char(E, level, rng), rand_char(E, level, rng)
+            return AsaiInput(E, mu, nu, standard_psi(F), E.xi(), rand_char(F, level, rng))
+
+        first, again = build(), build()
+        gamma_rs(first)
+        hits = asai_mod._assembly.cache_info().hits
+        cached = gamma_rs(again).to_json()
+        consts = asai_mod._gal_constituents(first)
+        assert asai_mod._assembly.cache_info().hits == hits + 1
+        asai_mod._assembly.cache_clear()
+        asai_mod._gal_constituents.cache_clear()
+        assert gamma_rs(again).to_json() == cached
+        assert list(map(repr, asai_mod._gal_constituents(again))) == list(map(repr, consts))

@@ -581,6 +581,149 @@ def test_arch_zeta_exits_0_2_or_3_with_strict_json(n1, n2, lam1, lam2):
         json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
+# JSON values where a descriptor or --tau takes a number: strings and
+# booleans among them, and numbers at the edges of the float range
+_JSON_EDGES = st.sampled_from(
+    [0, 1, -1, 0.5, "1/2", "1/3", 1e300, -1e300, 1e-300, 10**30, True, False, "0.5",
+     "abc", [0.25, 0], [1e300, 1e-300], ["1", 0], None]
+)
+# a "t" of modulus near the ends of the float range is pinned apart, by
+# test_huge_t_or_shift_valuation_exits_2_naming_the_flag
+_T_EDGES = st.sampled_from(
+    [0, 1, -1, 0.5, 2.5, 1e-3, True, False, "0.5", "abc", [0.6, 0.8], [1e-3, 0], ["1", 0], None]
+)
+_EDGE_VALUES = {
+    "field": st.sampled_from(["E", "F", "G", 5]),
+    "conductor": st.sampled_from([0, 2, 1.7, "1", True, -1]),
+    "unit_part": st.lists(st.one_of(st.sampled_from(["1/2", "1/3", "0"]), _JSON_EDGES), max_size=3),
+    "t": st.one_of(_T_EDGES, st.fixed_dictionaries({"angle": _JSON_EDGES})),
+    "lambda": _JSON_EDGES,
+}
+
+
+def _descriptors(field):
+    """A valid descriptor of conductor 1 on ``field`` ("E" or "F"), with at
+    most one entry replaced by a drawn edge value or left out."""
+
+    def edit(key, value):
+        desc = {"field": field, "conductor": 1, "unit_part": ["1/2"], "t": {"angle": "1/3"},
+                "lambda": "0"}
+        if key == "drop":
+            del desc[value]
+        elif key is not None:
+            desc[key] = value
+        return desc
+
+    keys = st.sampled_from(list(_EDGE_VALUES))
+    return st.one_of(
+        st.builds(edit, st.none(), st.none()),
+        st.builds(edit, st.just("drop"), keys),
+        keys.flatmap(lambda key: st.builds(edit, st.just(key), _EDGE_VALUES[key])),
+    )
+
+
+_VALID_CHARS = {
+    "E": ["trivial", MU_JSON, '{"lambda":"1/3"}', '{"t":[0.5,0.5]}'],
+    "F": ["trivial", "legendre", TRIV_F, '{"field":"F","lambda":"1/2"}'],
+}
+
+
+def _chars(field):
+    return st.one_of(st.sampled_from(_VALID_CHARS[field]), _descriptors(field).map(json.dumps))
+
+
+# flag values where the CLI reads a rational or a grid; a --psi-shift or
+# --xi-scale of large p-adic valuation is pinned apart, by
+# test_huge_t_or_shift_valuation_exits_2_naming_the_flag
+_NUMBER_EDGES = st.sampled_from(
+    ["3", "1/2", "-1", "0", "true", "abc", "nan", "1e-3", "5e-7", str(10**6),
+     str(2**100), str(-(7**50)), "1/" + str(2**80)]
+)
+_GRIDS = st.sampled_from(["0.7", "1.3,0.5;2", "1e300", "-1e300,0", "1e-300", "abc", "true"])
+_P_ADIC_FLAGS = r"--(field|char2?|twist|tau|psi-shift|xi-scale|grid|tol)\b"
+
+
+@st.composite
+def p_adic_argv(draw):
+    """argv for tate, asai, twisted-asai or dichotomy from the README
+    grammar, every flag in its --flag=value form."""
+    command = draw(st.sampled_from(["tate", "asai", "twisted-asai", "dichotomy"]))
+    p = draw(st.sampled_from([3, 5]))
+    exts = ["unramified", "ramified-p", "ramified-up"] + ([None] if command == "tate" else [])
+    ext = draw(st.sampled_from(exts))
+    field = {"p": p} if ext is None else {"p": p, "ext": ext}
+    chars = _chars("E") if ext is not None else _chars("F")
+    if command == "tate" and ext is not None:
+        chars = st.one_of(chars, _chars("F"))
+    argv = [command, "--field=" + json.dumps(field), "--char=" + draw(chars)]
+    if command != "tate":
+        argv.append("--char2=" + draw(chars))
+    if command in ("twisted-asai", "dichotomy"):
+        tau = {"mu2": draw(_descriptors("F")), "nu2": draw(_descriptors("F")),
+               "v2": draw(st.one_of(_JSON_EDGES, st.sampled_from([0, 0.25])))}
+        argv.append("--tau=" + json.dumps(tau))
+    optional = {"--psi-shift": _NUMBER_EDGES, "--xi-scale": _NUMBER_EDGES}
+    if command == "asai":
+        optional["--twist"] = _chars("F")
+    if command != "dichotomy":
+        optional["--grid"] = _GRIDS
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=40)
+@given(p_adic_argv())
+def test_p_adic_commands_exit_0_2_or_3(argv):
+    # drawn inputs to the four p-adic commands end in a report (exit 0, or 3
+    # when a check fails) or in one input-error line naming a flag, never in
+    # a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3), argv
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        assert err.getvalue().startswith("input error:"), argv
+        assert re.search(_P_ADIC_FLAGS, err.getvalue()), (argv, err.getvalue())
+    elif rc == 0:
+        json.loads(out.getvalue())
+
+
+_HUGE_T = '{"field":"%s","conductor":1,"unit_part":["1/2"],"t":%s}'
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(OverflowError, ZeroDivisionError, FloatRangeError),
+    reason="float range of large shift valuations and of t near the range ends, ROADMAP item 14",
+)
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        # |a0|^-2 = 5^600 in the dependence monomial of gamma_RS
+        (["asai", "--field", _U5, "--char", "trivial", "--char2", "trivial",
+          "--psi-shift=1e300"], "--psi-shift"),
+        # gamma_PSR's power of q leaves the float range on the default grid
+        (["twisted-asai", "--field", _U5, "--char", "trivial", "--char2", "trivial",
+          "--tau", _TAU_README % "0.25", "--psi-shift=1/" + str(5**28)], "--psi-shift"),
+        # chi(pi) = -1e300 is a normal float, and chi(pi)^-2 in the Gauss sum is not
+        (["tate", "--field", '{"p":3}', "--char", _HUGE_T % ("F", "-1e300"),
+          "--psi-shift", "3"], "--char"),
+        (["dichotomy", "--field", _U5, "--char", MU_JSON, "--char2", MU_JSON, "--tau",
+          '{"mu2":%s,"nu2":%s,"v2":0.25}' % (_HUGE_T % ("F", "1e300"), _HUGE_T % ("F", 1))],
+         "--tau"),
+    ],
+    ids=["asai-psi-shift", "twisted-asai-psi-shift", "tate-t", "dichotomy-tau-t"],
+)
+def test_huge_t_or_shift_valuation_exits_2_naming_the_flag(argv, flag, capsys):
+    # these inputs pass every input check and then end in a traceback
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err.startswith("input error:") and flag in err
+
+
 # mu nu^-1 = |.|_E, with mu ramified, on each extension type at p = 3: the
 # unit part of level 1 is one angle on every type
 _RAMIFIED_PAIR = (

@@ -325,7 +325,7 @@ def fe_cases(draw):
     n = draw(st.integers(0, 2))
     angles = [Fraction(draw(st.integers(0, d - 1)), d) for d in unit_group(K, n).orders]
     chi = MultChar(K, n, angles, Phase.exact(Fraction(draw(st.integers(0, 11)), 12)))
-    box = draw(st.sampled_from(tate_mod._default_test_functions(chi, psi)))
+    box = draw(st.sampled_from(tate_mod._default_test_functions(chi.field, chi.n)))
     re = st.floats(-1.5, 2.5, allow_nan=False)
     point = st.one_of(re, st.builds(complex, re, st.floats(-3, 3)))
     grid = draw(st.lists(point, min_size=1, max_size=4))
@@ -384,14 +384,47 @@ def test_fe_ratio_never_calls_the_closed_form(monkeypatch):
             chi = _primitive_char(K, n, rng, Phase.exact(Fraction(1, 3)))
             with pytest.raises(AssertionError, match="gauss_sum"):
                 tate_gamma(chi, psi)  # the closed form does call it
-            for box in tate_mod._default_test_functions(chi, psi):
+            for box in tate_mod._default_test_functions(chi.field, chi.n):
                 assert len(fe_ratio(chi, psi, box, tate_mod._CHECK_GRID)) == 3
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+def test_cached_tate_eps_and_coset_integrals_equal_their_recomputation(p, ext):
+    # each lookup by a value-equal character built apart is a cache hit,
+    # and equals a cold recomputation: eps by its JSON, a coset integral
+    # exactly
+    K, psi = _field(p, ext)
+    one, u, pi = K.one(), K.shell(0, 1)[-1], K.uniformizer()
+    for level in (0, 1, 2):
+
+        def char():
+            return rand_char(K, level, random.Random(f"cache-{p}-{ext}-{level}"))
+
+        first, again = char(), char()
+        cosets = [(t0, L, s) for t0 in (one, u, pi * u) for L in (K.val(t0) + 1, level + 2)
+                  for s in (K.zero(), one, pi.inv()) if L > K.val(t0)]
+
+        def integrals(chi):
+            return [tate_mod.coset_integral(chi, t0, L, psi, s) for t0, L, s in cosets]
+
+        tate_eps(first, psi)
+        integrals(first)
+        hits = tate_eps.cache_info().hits, tate_mod.coset_integral.cache_info().hits
+        eps, cached = tate_eps(again, psi).to_json(), integrals(again)
+        after = tate_eps.cache_info().hits, tate_mod.coset_integral.cache_info().hits
+        assert after == (hits[0] + 1, hits[1] + len(cosets))
+        tate_eps.cache_clear()
+        tate_mod.coset_integral.cache_clear()
+        assert tate_eps(again, psi).to_json() == eps
+        for args, a, b in zip(cosets, cached, integrals(again)):
+            assert (a - b).is_zero(), args
 
 
 def test_fe_ratio_raises_at_the_pole_on_the_grid():
     F = PAdicGround(3)
     psi = standard_psi(F)
-    base = tate_mod._default_test_functions(MultChar.trivial(F), psi)[0]
+    base = tate_mod._default_test_functions(F, 0)[0]
     assert len(fe_ratio(MultChar.trivial(F), psi, base, (0.7, 1.3))) == 2
     # Z(s, 1, 1_O) has its pole at s = 0, so Z(1-s, 1, 1_O^) has one at s = 1
     for grid in ((0.7, 0.0), (1.0, 0.7)):
@@ -431,7 +464,7 @@ def test_check_grid_moves_only_its_poles():
         chi = MultChar(F, 0, (), Phase.one(), lam)
         fac = certified_gamma(chi, psi)  # certifies at the moved point
         assert tate_mod._check_grid(fac, chi) == (*moved, 0.4 - 0.8j)
-        base = tate_mod._default_test_functions(chi, psi)[0]
+        base = tate_mod._default_test_functions(chi.field, chi.n)[0]
         with pytest.raises(PoleError):
             fe_ratio(chi, psi, base, tate_mod._CHECK_GRID)
 
@@ -554,6 +587,7 @@ def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
     chi = _primitive_char(K, n, rng, Phase.exact(Fraction(2, 7)), Fraction(1, 3))
     routes = (tate_gamma, tate_eps) + ((gauss_sum,) if n else ())
     gauss_sum.cache_clear()
+    tate_eps.cache_clear()
     want = [route(chi, psi) for route in routes]
 
     def frame(*args, **kwargs):
@@ -563,8 +597,10 @@ def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
         monkeypatch.setattr(characters_mod, name, frame)
     monkeypatch.setattr(UnitGroup, "keys", frame)
     gauss_sum.cache_clear()
+    tate_eps.cache_clear()
     tate_mod._stationary_line.cache_clear()
     assert [route(chi, psi) for route in routes] == want
+    assert tate_eps.cache_info().misses == 1
     gauss_sum.cache_clear()
 
 
