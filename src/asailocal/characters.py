@@ -22,7 +22,11 @@ computed once per pair of groups and map:
   row sums to 0 mod unit_den.
 
 The pullback's value at pi_K reads one more cached row, the dlog of the
-unit part of f(pi_K) (:func:`_uniformizer_row`).
+unit part of f(pi_K) (:func:`_uniformizer_row`).  The one transport that is
+not a pullback, :func:`extend_from_F`, solves for its unit part at level
+e n, n = a(chi), where ``compose_with_norm`` puts chi o N: (O_F/p^n)^x
+embeds in (O_E/pi^(e n))^x, so no higher level is needed, and an
+unramified chi extends with no unit constraint at all.
 
 Exact data is integer all the way through: a :class:`Phase` holds its
 angle as a reduced pair num / den, so products, powers and values of
@@ -583,20 +587,28 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
     if not normal_at_uniformizer(chi):
         raise ValueError(
             f"'lambda' {obj.get('lambda', 0)!r} with 't' {obj.get('t', 1)!r}: chi(pi) = "
-            f"t q^(-lambda) for q = {field.q} is not a normal float"
+            f"t q^(-lambda) for q = {field.q}, or one of its two parts, is not a normal float"
         )
     return chi
 
 
-def normal_at_uniformizer(chi: MultChar) -> bool:
-    """Whether chi(pi) (``t_full``) is a normal float: it enters chi's
-    Euler factor and, inverted, its dual's, so the Tate factors of a
-    character outside that range under- or overflow."""
+# 2^-1022 is the least normal float; 2^1022 leaves room below the largest
+_NORMAL_BITS = 1 - sys.float_info.min_exp
+
+
+def normal_at_uniformizer(chi: MultChar, k: int = 1) -> bool:
+    """Whether t^j, q^(-lam j) and chi(pi)^j = (t q^(-lam))^j lie within
+    2^(+-1022), so are normal floats, for every |j| <= k.  At k = 1 these
+    are chi(pi) (``t_full``), which enters chi's Euler factor and, inverted,
+    its dual's, and its two parts; the factors raise t and q^(-lam) apart
+    to the valuation at which they evaluate chi (``_values`` and
+    ``tate.gauss_sum``), so a character outside the range under- or
+    overflows there."""
     try:
-        r = abs(chi.t_full())
-    except OverflowError:
+        bits = (math.log2(abs(chi.t.value())), -float(chi.lam.real) * math.log2(chi.field.q))
+    except (OverflowError, ValueError):
         return False
-    return sys.float_info.min <= r <= sys.float_info.max
+    return all(k * abs(b) <= _NORMAL_BITS for b in (*bits, sum(bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -833,22 +845,29 @@ def compose_with_norm(chi: MultChar, E: QuadExtension) -> MultChar:
 def extend_from_F(chi: MultChar, E: QuadExtension) -> MultChar:
     """Some character of E^x restricting to chi on F^x.
 
-    The finite-group constraint is solved for the lexicographically smallest
-    exponent vector; the uniformizer value takes the smallest consistent
-    angle.  Factor definitions downstream must not depend on the choice, and
-    that independence is a property test, not an assumption here.
+    The unit part is solved at level M = e n, n = a(chi), the level at which
+    :func:`compose_with_norm` puts chi o N: (O_F/p^n)^x embeds in
+    (O_E/pi^(e n))^x, as p^n O_E meets O_F in p^n O_F, so a character of
+    the larger group extends chi's unit part and the extension has
+    conductor at most e n.  At n = 0 there is no unit constraint, and the
+    extension is unramified.  The finite-group constraint is solved for the
+    lexicographically smallest exponent vector; the uniformizer value takes
+    the smallest consistent angle.  Factor definitions downstream must not
+    depend on the choice, and that independence is a property test, not an
+    assumption here.
     """
     if is_extension(chi.field):
         raise ValueError("extend_from_F needs a character of F^x")
     F = chi.field
-    M = E.e * chi.n + 2
-    MF = (M + E.e - 1) // E.e
+    M = E.e * chi.n
     orders = unit_group(E, M).orders
-    # unit constraint: the weights on the generators of (O_E/pi^M)^x must
-    # restrict to chi on the generator of (O_F/p^MF)^x, MF >= 1
-    (exps,) = _pullback_table(E, M, F, MF, "embed")
-    (target,) = chi._weights_at(F, MF, "identity")
-    ks = _solve_congruence(exps, orders, Fraction(target, chi.unit_den))
+    ks = []
+    if M:
+        # unit constraint: the weights on the generators of (O_E/pi^M)^x
+        # must restrict to chi on the generator of (O_F/p^n)^x
+        (exps,) = _pullback_table(E, M, F, chi.n, "embed")
+        (target,) = chi.unit_weights
+        ks = _solve_congruence(exps, orders, Fraction(target, chi.unit_den))
     den = math.lcm(*orders)
     weights = [k * (den // d) for k, d in zip(ks, orders)]
     tmp = MultChar._from_weights(E, M, den, weights, Phase.one(), 0)

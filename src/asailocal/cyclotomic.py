@@ -17,7 +17,10 @@ map that ``_make`` received; dividing out the common factor keeps that
 order.  The library builds its values on integer exponents (``_make``); the
 angle-map constructor ``Cyc(terms)`` gives the same conductor, order and
 coefficients and is kept as the tests' reference.  Values are never mutated
-after construction, so results may be shared and cached.
+after construction, so results may be shared and cached, and a value keeps
+its ``to_complex`` float once summed: a cached exact integral that the Tate
+oracle converts on every certification sums its terms once.  The memo
+lives on the one value; every operation builds a new value without it.
 
 Zero test.  The powers of zeta_N satisfy Phi_N, and with R = rad N the
 product of the primes dividing N, Phi_N(x) = Phi_R(x^(N/R)) (Washington,
@@ -97,7 +100,7 @@ def _make(n: int, den: int, nums: dict) -> "Cyc":
 def _wrap(n: int, den: int, nums: dict) -> "Cyc":
     """Wrap fields that are already in normal form, without a copy."""
     out = object.__new__(Cyc)
-    out.n, out.den, out.nums = n, den, nums
+    out.n, out.den, out.nums, out._z = n, den, nums, None
     return out
 
 
@@ -110,7 +113,7 @@ def _at(x: "Cyc", n: int):
 class Cyc:
     """An element of the group algebra Q[roots of unity], reduced lazily."""
 
-    __slots__ = ("n", "den", "nums")
+    __slots__ = ("n", "den", "nums", "_z")
 
     def __init__(self, terms: dict | None = None):
         pairs = []
@@ -125,6 +128,7 @@ class Cyc:
             nums[k] = nums.get(k, 0) + c.numerator * (den // c.denominator)
         self.n = n
         self.den, self.nums = _reduce(den, {k: c for k, c in nums.items() if c})
+        self._z = None
 
     @property
     def terms(self) -> dict:
@@ -268,13 +272,16 @@ class Cyc:
         raise TypeError("Cyc values are unhashable (lazy normal form)")
 
     def to_complex(self) -> complex:
-        # c / den and k / n are the correctly rounded floats of the Fraction
-        # coefficient and angle, however those are reduced
-        n, den = self.n, self.den
-        return sum(
-            (c / den * cmath.exp(2j * cmath.pi * (k / n)) for k, c in self.nums.items()),
-            0j,
-        )
+        """The float value, summed on the first call and kept on the value."""
+        if self._z is None:
+            # c / den and k / n are the correctly rounded floats of the
+            # Fraction coefficient and angle, however those are reduced
+            n, den = self.n, self.den
+            self._z = sum(
+                (c / den * cmath.exp(2j * cmath.pi * (k / n)) for k, c in self.nums.items()),
+                0j,
+            )
+        return self._z
 
     def __repr__(self):
         if not self.nums:

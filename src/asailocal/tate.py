@@ -8,7 +8,12 @@ functions Phi, each one modulated box (:class:`ModBox`), at the points of a
 check grid.  Its callers are the ``tate`` command, :func:`langlands_constant`
 and ``asai.gamma_rs(inp, check=True)``.  Each zeta integral is built once
 per Phi as terms that do not depend on s (finite shell and coset sums, and
-closed-form geometric tails) and then evaluated at each point.  A
+closed-form geometric tails) and then evaluated at each point.  Of those
+terms' inputs, the ones that depend on values alone are kept per value and
+shared by every certification that meets them: the dual chi^{-1}
+(:func:`_dual`), the transform Phi^ (:func:`box_fourier`), the exact
+integrals (below) and each one's float, which a ``Cyc`` keeps once summed.
+The terms, their values at s and the comparison run on every call.  A
 disagreement is an internal error, not a tolerance failure.  The oracle
 never calls the closed form's :func:`gauss_sum`.
 
@@ -336,9 +341,12 @@ class ModBox(Value):
         _set(self, "_key", (coef, mult, center, level))
 
 
+@lru_cache(maxsize=256)
 def box_fourier(box: ModBox, psi: AddChar) -> ModBox:
     """Transform of a modulated box under f^(y) = int f(x) psi(xy) dx,
-    with the self-dual measure of psi."""
+    with the self-dual measure of psi.  Cached by the values of box and
+    psi: every certification at one (field, conductor, psi) transforms the
+    same three default boxes."""
     K = psi.field
     c = conductor_add(psi)
     a, n, m0 = K.embed(box.center), box.level, K.embed(box.mult)
@@ -413,16 +421,27 @@ def zeta_at(terms, q: int, s: complex) -> complex:
     return total
 
 
+@lru_cache(maxsize=256)
+def _dual(chi: MultChar) -> MultChar:
+    """chi^{-1}, built once per value of chi: a certification asks for it
+    once per test function and once more for the check grid's poles."""
+    return chi.inv()
+
+
 def fe_ratio(chi: MultChar, psi: AddChar, box: ModBox, grid) -> list:
     """Z(1-s, chi^{-1}, Phi^) / Z(s, chi, Phi) at each s of ``grid``.
 
     The transform Phi^ and the terms of both zeta integrals are built once
-    for the whole grid.  A pole of either integral raises ``PoleError`` and a
-    vanishing denominator ``ZeroDivisionError``, at the first point of the
-    grid that hits it.
+    for the whole grid.  What does not depend on s is kept per value: the
+    dual chi^{-1} (:func:`_dual`), the transform Phi^ (:func:`box_fourier`),
+    the exact shell and coset integrals and, on each, its float
+    (``Cyc.to_complex``).  The terms themselves, and every value at s, are
+    computed on each call.  A pole of either integral raises ``PoleError``
+    and a vanishing denominator ``ZeroDivisionError``, at the first point
+    of the grid that hits it.
     """
     q = chi.field.q
-    num = zeta_terms(chi.inv(), psi, box_fourier(box, psi))
+    num = zeta_terms(_dual(chi), psi, box_fourier(box, psi))
     den = zeta_terms(chi, psi, box)
     out = []
     for s in grid:
@@ -478,7 +497,7 @@ def _check_grid(fac: NonArchFactor, chi: MultChar) -> tuple:
     if chi.is_ramified:
         return _CHECK_GRID
     q = chi.field.q
-    t, t_dual = chi.t_full(), chi.inv().t_full()
+    t, t_dual = chi.t_full(), _dual(chi).t_full()
     tails = (lambda s: _tail_ratio(t, q, s), lambda s: _tail_ratio(t_dual, q, 1 - s))
     return off_poles(_CHECK_GRID, (fac.eval, *tails))
 
@@ -486,7 +505,9 @@ def _check_grid(fac: NonArchFactor, chi: MultChar) -> tuple:
 def phi_deviations(fac: NonArchFactor, chi: MultChar, psi: AddChar):
     """(s, Phi, relative deviation of ``fac`` from the functional-equation
     ratio) for each default test function Phi and each s of the check grid;
-    one :func:`fe_ratio` call per Phi."""
+    one :func:`fe_ratio` call per Phi.  The three boxes, their transforms
+    and chi^{-1} are cached per value; the nine deviations are computed on
+    every call."""
     grid = _check_grid(fac, chi)
     want = [fac.eval(s) for s in grid]
     for box in _default_test_functions(chi.field, chi.n):

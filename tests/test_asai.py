@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +39,8 @@ from asailocal.verify import suite_theorem_b
 
 from certified_tate import certified_gamma
 from random_chars import rand_char, unit_angle
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_gamma_rs_trivial_decomposes_into_tate_factors():
@@ -429,9 +434,26 @@ def test_gamma_gal_equals_gamma_rs_up_to_corollary_factor():
             assert abs(g_rs.eval(s) - pref * g_gal.eval(s)) / abs(g_rs.eval(s)) < 1e-9
 
 
+def test_unit_group_builds_on_the_theorem_b_suite():
+    # a count guard, not a timing gate: the unit groups the criterion-9 suite
+    # builds from cold, in a fresh interpreter so that no other test's
+    # caches count; the twists extend at level e n, where chi o N lives
+    code = (
+        "from asailocal import verify\n"
+        "from asailocal.unitgroups import unit_group\n"
+        "assert verify.suite_theorem_b()['ok']\n"
+        "print(unit_group.cache_info().misses)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert int(proc.stdout) == 28
+
+
 def test_theorem_b_assemblies_agree_at_p7():
-    # the criterion-9 suite at the next prime up: extend_from_F builds the
-    # ramified unit groups up to level 6 at p = 7
+    # the criterion-9 suite at the next prime up: its twists of conductor at
+    # most 2 extend at level e n, so to the ramified unit groups of level 4
+    # at p = 7
     out = suite_theorem_b(ps=(7,))
     assert out["ok"], out["max_deviation"]
 

@@ -166,6 +166,32 @@ def test_restrict_then_extend_round_trip():
                     assert abs(back.value(x) - c.value(x)) < 1e-12
 
 
+def _char_of_conductor(F, n, rng):
+    """A random exact character of F^x of conductor exactly n."""
+    while True:
+        chi = rand_char(F, n, rng)
+        if chi.n == n:
+            return chi
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_extension_at_level_e_n_restricts_back_by_value(p):
+    # extend_from_F solves its unit constraint at level e n, n = a(chi):
+    # the extension has conductor at most e n and restricts to chi exactly,
+    # unit data, t and lambda compared by value; lambda = 1 extends to 1/2
+    rng = random.Random(40 + p)
+    F = PAdicGround(p)
+    for ext in EXTENSION_TYPES:
+        E = QuadExtension(F, ext)
+        for n in range(4):
+            for _ in range(3):
+                chi = _char_of_conductor(F, n, rng)
+                for c in (chi, chi.twist_by_norm_power(1)):
+                    chit = extend_from_F(c, E)
+                    assert chit.n <= E.e * n, (ext, n, chit)
+                    assert restrict_to_F(chit) == c, (ext, n, c)
+
+
 def test_extension_of_unramified_twist():
     # chi = |.|^lam extends with chi~(p) = chi(p)
     F = PAdicGround(5)

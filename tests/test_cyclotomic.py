@@ -182,3 +182,18 @@ def test_cached_qpow_is_not_mutated(p):
         [v + other, other + v, v - v, -v, v * other, other * v, v * v, v * 3, Cyc.sum([v, v, other])]
     assert _qpow(p, Fraction(1, 2)) is shared[0]
     assert [dict(v.terms) for v in shared] == snapshots
+
+
+def test_a_value_computed_from_a_memoized_value_sums_its_own_terms():
+    # to_complex is kept on the value it was asked of; every value computed
+    # from it is new, starts without the memo and sums its own terms
+    x = Cyc({Fraction(1, 3): 2, Fraction(1, 4): Fraction(-1, 5), Fraction(0): 7})
+    z = x.to_complex()
+    assert x._z == z and x.to_complex() is x._z
+    derived = [-x, x + 0, x + 1, x - x, x * 1, x * 3, x * Cyc.root(Fraction(1, 3)), x * x,
+               x ** 1, Cyc.sum([x]), Cyc.sum([x, x])]
+    for y in derived:
+        assert y is not x and y._z is None
+        fresh = Cyc(y.terms)
+        assert repr(y.to_complex()) == repr(fresh.to_complex())
+    assert x._z == z

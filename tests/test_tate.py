@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from asailocal.characters import (
     standard_psi,
 )
 from asailocal.cli import main
-from asailocal.cyclotomic import Cyc
+from asailocal.cyclotomic import Cyc, _make
 from asailocal.factors import DEFAULT_GRID, PHI_INDEPENDENCE_TOL, REL_TOL_NONARCH, PoleError
 from asailocal.padic import EXTENSION_TYPES, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED
 from asailocal.tate import (
@@ -668,3 +669,79 @@ def test_cached_q_powers_are_the_expressions_they_replace():
                     pairs.append((_ramified_scale(q, c, m), q ** (m - c) * q ** (-m + Fraction(c, 2))))
                 for got, expr in pairs:
                     assert type(got) is type(expr) and repr(got) == repr(expr), (q, c, m)
+
+
+def _recording(monkeypatch, name, seen):
+    """Patch tate.<name> with a pass-through that records what it returns."""
+    inner = getattr(tate_mod, name)
+
+    def record(*args):
+        out = inner(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(tate_mod, name, record)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("ext", [None, *EXTENSION_TYPES])
+def test_cached_integrals_keep_the_float_of_a_fresh_sum(p, ext, monkeypatch):
+    # a warm certification reads the cached shell and coset integrals, the
+    # same objects as the cold one, and each keeps its to_complex: the float
+    # of a fresh value made of the same numerators, by repr
+    K, psi = _field(p, ext)
+    cold, warm = [], []
+    for level in (0, 1, 2):
+        chi = rand_char(K, level, random.Random(f"memo-{p}-{ext}-{level}"))
+        fac = tate_gamma(chi, psi)
+        for seen in (cold, warm):
+            with monkeypatch.context() as m:
+                _recording(m, "shell_integral", seen)
+                _recording(m, "coset_integral", seen)
+                certify_gamma(fac, chi, psi)
+    assert cold and len(cold) == len(warm)
+    for a, b in zip(cold, warm):
+        assert a is b and a._z is not None
+        fresh = _make(a.n, a.den, dict(a.nums))
+        assert fresh._z is None
+        assert repr(a.to_complex()) == repr(fresh.to_complex())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("ext", [None, *EXTENSION_TYPES])
+def test_cached_box_fourier_equals_a_fresh_transform(p, ext):
+    K, psi = _field(p, ext)
+    for c in (0, 1, 2):
+        for shifted in (psi, psi.shifted(p), psi.shifted(Fraction(1, p))):
+            for box in tate_mod._default_test_functions(K, c):
+                cached = box_fourier(box, shifted)
+                assert box_fourier(box, shifted) is cached
+                fresh = box_fourier.__wrapped__(box, shifted)
+                assert fresh == cached and repr(fresh) == repr(cached)
+
+
+class _OffAt:
+    """A closed form that is ``fac`` everywhere but at the point ``at``."""
+
+    def __init__(self, fac, at):
+        self.fac, self.at = fac, at
+
+    def eval(self, s):
+        return self.fac.eval(s) * (1.001 if s == self.at else 1)
+
+
+def test_a_warm_certification_still_fails_a_wrong_closed_form():
+    # every term the oracle keeps per value is cached by now, and it still
+    # compares every point: a closed form wrong at the last point of the
+    # check grid alone fails there, on the first box
+    K, psi = _field(3, UNRAMIFIED)
+    for level in (0, 1, 2):
+        chi = rand_char(K, level, random.Random(f"warm-{level}"))
+        fac = tate_gamma(chi, psi)
+        certify_gamma(fac, chi, psi)
+        wrong = _OffAt(fac, tate_mod._check_grid(fac, chi)[-1])
+        hits = box_fourier.cache_info().hits
+        with pytest.raises(ConsistencyError, match=re.escape(f"at s={wrong.at} ")):
+            certify_gamma(wrong, chi, psi)
+        assert box_fourier.cache_info().hits == hits + 1
+        certify_gamma(fac, chi, psi)
