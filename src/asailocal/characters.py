@@ -54,27 +54,26 @@ pullback itself (:func:`_pullback`) and ``tate.gauss_sum``.  Cached
 characters are shared, so no caller may change one.
 
 Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
-kernel, :func:`shell_angles`, which works on the integer coordinates of
-``K.shell_coords(v, m)`` and builds no field element per term.  For the i-th
-x = pi^v (a + b sqrt(d)) it gives two integer angle numerators:
+kernel, :func:`shell_angles`, which builds no field element per term.  It
+takes the shell's elements x = pi^v (a + b sqrt(d)) with the units (a, b)
+in the order of ``unit_group(K, m).walk()``, and for the i-th gives two
+integer angle numerators:
 
 * chi's unit part, e(units[i] / unit_den): the sum of e_j w_j over the dlog
-  exponents e_j of the residue key of a + b sqrt(d) (of 1 + x with
-  ``shift``), with chi's weights w_j;
+  exponents e_j of a + b sqrt(d) (of 1 + x with ``shift``), with chi's
+  weights w_j;
 * psi(c x), e(psis[i] / psi_den): (alpha a + beta b) mod p^k, with alpha and
   beta the residues of p^k tr(c psi_mult pi^v) and p^k tr(c psi_mult pi^v
   sqrt(d)), psi_den = p^k.
 
-Everything but the weights depends on the shell alone, and every character
-of one unit group shares it, so it is computed once per shell and kept in
-bounded caches: the psi numerators per (psi, v, m, c) (:func:`_psi_frame`),
-and the dlog exponents of every element's key, one column per generator,
-per (unit group, m, v of the shift) (:func:`_dlog_frame`).  A frame of the
-whole group reads the group's walked ``table``; any other frame peels its
-keys.  A character then costs one integer pass over the columns, e_0 w_0
-mod unit_den on F and the weighted sum of the columns on E.  A frame whose
-build raises is not cached, so the kernel raises :class:`PrecisionError` on
-every call where ``shell`` or ``AddChar.angle`` would.
+The psi numerators depend on the shell alone and are kept in a bounded
+cache per (psi, v, m, c) (:func:`_psi_frame`).  Over chi's whole group (m =
+a(chi), no shift) the i-th walked unit has the i-th exponents in product
+order, so chi's numerators are its weights expanded in mixed radix, with no
+dlog.  Any other frame peels its keys once per (unit group, m, v of the
+shift) (:func:`_dlog_frame`).  A frame whose build raises is not cached, so
+the kernel raises :class:`PrecisionError` on every call where ``shell`` or
+``AddChar.angle`` would.
 
 :func:`shell_cyc` counts the numerators into one exact ``Cyc`` on integer
 exponents; every local integral of the two oracles is built from it
@@ -82,9 +81,9 @@ exponents; every local integral of the two oracles is built from it
 closed form's Gauss sum enumerates no shell at any conductor: it reads chi
 off the alpha of :func:`alpha_chi`, with chi(1 + x) = psi(alpha x) on
 p^ceil(n/2), found from chi's values on the one-unit generators, and off
-chi's point dlogs (alpha = 0 at n = 1).  A frame over a whole unit group
-reads the group's walked table, not its peeled point dlogs, so the oracle's
-frames and the closed form share no dlog code.
+chi's point dlogs (alpha = 0 at n = 1).  A sum over a whole unit group reads
+the group's walk, not its peeled point dlogs, so the oracle's whole-group
+sums and the closed form share no dlog code.
 """
 
 from __future__ import annotations
@@ -106,6 +105,7 @@ from .padic import (
     PrecisionError,
     QuadExtension,
     Value,
+    _check_shell_modulus,
     _set,
     is_extension,
 )
@@ -445,7 +445,10 @@ class MultChar:
 
     def cyc(self, x) -> Cyc:
         """Exact value as a cyclotomic number (integer lam only)."""
-        v, k = self._exponents(x)
+        return self._cyc(*self._exponents(x))
+
+    def _cyc(self, v: int, k: int) -> Cyc:
+        """chi = t^v e(k / unit_den) q^(-lam v) at valuation v and unit numerator k."""
         if not self.t.is_exact:
             raise ValueError("character has no exact t")
         lam, scale = self.lam, 1
@@ -584,7 +587,7 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         if (a * d).denominator != 1:
             raise ValueError(f"unit_part angle {a} times its generator's order {d} is not an integer")
     chi = MultChar.from_angles(field, n, angles, phase, lam)
-    if not normal_at_uniformizer(chi):
+    if uniformizer_bits(chi) > NORMAL_BITS:
         raise ValueError(
             f"'lambda' {obj.get('lambda', 0)!r} with 't' {obj.get('t', 1)!r}: chi(pi) = "
             f"t q^(-lambda) for q = {field.q}, or one of its two parts, is not a normal float"
@@ -593,22 +596,22 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
 
 
 # 2^-1022 is the least normal float; 2^1022 leaves room below the largest
-_NORMAL_BITS = 1 - sys.float_info.min_exp
+NORMAL_BITS = 1 - sys.float_info.min_exp
 
 
-def normal_at_uniformizer(chi: MultChar, k: int = 1) -> bool:
-    """Whether t^j, q^(-lam j) and chi(pi)^j = (t q^(-lam))^j lie within
-    2^(+-1022), so are normal floats, for every |j| <= k.  At k = 1 these
-    are chi(pi) (``t_full``), which enters chi's Euler factor and, inverted,
-    its dual's, and its two parts; the factors raise t and q^(-lam) apart
-    to the valuation at which they evaluate chi (``_values`` and
-    ``tate.gauss_sum``), so a character outside the range under- or
-    overflows there."""
+def uniformizer_bits(chi: MultChar, k: int = 1) -> float:
+    """The largest |log2| of t^j, q^(-lam j) and chi(pi)^j = (t q^(-lam))^j
+    over |j| <= k, inf where it does not compute: they are normal floats iff
+    it is at most NORMAL_BITS.  At k = 1 these are chi(pi) (``t_full``),
+    which enters chi's Euler factor and, inverted, its dual's, and its two
+    parts; the factors raise t and q^(-lam) apart to the valuation at which
+    they evaluate chi (``_values`` and ``tate.gauss_sum``), so a character
+    outside the range under- or overflows there."""
     try:
         bits = (math.log2(abs(chi.t.value())), -float(chi.lam.real) * math.log2(chi.field.q))
     except (OverflowError, ValueError):
-        return False
-    return all(k * abs(b) <= _NORMAL_BITS for b in (*bits, sum(bits)))
+        return math.inf
+    return k * max(map(abs, (*bits, sum(bits))))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +620,7 @@ def normal_at_uniformizer(chi: MultChar, k: int = 1) -> bool:
 
 
 class ShellAngles(NamedTuple):
-    """Integer angles over the elements of ``K.shell_coords(v, m)``, in order."""
+    """Integer angles over the shell's pi^v u, u in ``unit_group(K, m).walk()``."""
 
     units: list  # chi's unit part: e(units[i] / unit_den)
     unit_den: int
@@ -631,39 +634,35 @@ def _psi_frame(psi: AddChar, v: int, m: int, c) -> tuple:
     for every character alike.  Bounded, as the Whittaker path varies c."""
     K = psi.field
     F = K.ground
-    coords = K.shell_coords(v, m)
+    _check_shell_modulus(m, F.precision)
+    G = unit_group(K, m)
     e1, e2 = K.shell_basis(v)
     mult = psi.mult * K.embed(c)
     # psi(c x) = e(frac(a alpha + b beta)); beta is 0 on F, and on ramified
-    # m = 1 every b is 0, so beta must not count towards the precision there
-    alpha, beta = K.tr(mult * e1), K.tr(mult * e2)
-    if beta and not any(b for _, b in coords):
-        beta = 0
+    # m = 1 every b is 0 (Mb = 1), so beta must not count towards the precision
+    alpha, beta = K.tr(mult * e1), K.tr(mult * e2) if G._mods[1] > 1 else 0
     k = max([0] + [-F.val(z) for z in (alpha, beta) if z])
     if k > F.precision:
         raise PrecisionError(f"fractional part needs p^{k} > precision window")
     P = F.p**k
     al, be = (F.residue(z * P, k) if z else 0 for z in (alpha, beta))
-    return tuple((al * a + be * b) % P for a, b in coords), P
+    return tuple((al * a + be * b) % P for a, b in G.walk()), P
 
 
 @lru_cache(maxsize=64)
 def _dlog_frame(G, m: int, shift_v: Optional[int]) -> tuple:
     """The dlog exponents over G's generators of the residue keys of the
-    shell mod pi^(v+m), one column per generator: of a + b sqrt(d), the
-    unit part of x, or of 1 + x for ``shift_v`` = v.  Only the shift reads
-    v; the keys and dlogs are the same for every character on G.  A frame
-    of every unit of G (no shift, m = G.level) reads G's walked ``table``;
-    any other frame peels its keys (``G.logs``)."""
+    shell mod pi^(v+m), in walk order: of a + b sqrt(d), the unit part of x,
+    or of 1 + x for ``shift_v`` = v.  Only the shift reads v.  It serves the
+    frames other than G's whole group, and peels their keys (``G.logs``)."""
     K = G.field
-    coords = K.shell_coords(0, m)
-    logs = G.table if shift_v is None and m == G.level else G.logs
+    coords = unit_group(K, m).walk()
     if shift_v is not None:
         # 1 + a e1 + b e2 in coordinates; e1, e2 are integral for v >= 1
         e1, e2 = K.shell_basis(shift_v)
         (r, s), (t, u) = (map(int, K.coords(e)) for e in (e1, e2))
         coords = [(1 + a * r + b * t, a * s + b * u) for a, b in coords]
-    return tuple(zip(*(logs[key] for key in G.keys(coords))))
+    return tuple(G.logs[key] for key in G.keys(coords))
 
 
 def shell_angles(
@@ -671,22 +670,24 @@ def shell_angles(
 ) -> ShellAngles:
     """The kernel of every finite character sum (see the module docstring).
 
-    x runs over the shell ord x = v mod pi^(v+m) in ``K.shell`` order; chi's
-    unit part is taken at x, or at the unit 1 + x with ``shift`` (v >= 1).
-    ``chi=None`` gives unit angles 0.
+    x runs over the shell ord x = v mod pi^(v+m), its units in walk order;
+    chi's unit part is taken at x, or at the unit 1 + x with ``shift``
+    (v >= 1).  ``chi=None`` gives unit angles 0.
     """
     psis, P = _psi_frame(psi, v, m, c)
     if chi is None or chi.n == 0:
         return ShellAngles([0] * len(psis), 1, psis, P)
     if shift and v < 1:
         raise ValueError("the 1 + x shift needs ord x >= 1")
-    cols = _dlog_frame(chi.group, m, v if shift else None)
-    den = chi.unit_den
-    if len(cols) == 1:
-        (w,) = chi.unit_weights
-        units = [j * w % den for j in cols[0]]
+    G, den = chi.group, chi.unit_den
+    if shift or m != G.level:
+        units = list(map(chi._unit_num, _dlog_frame(G, m, v if shift else None)))
     else:
-        units = list(map(chi._unit_num, zip(*cols)))
+        # the i-th walked unit has the i-th exponents: chi's weights in mixed radix
+        units = [0]
+        for w, order in zip(chi.unit_weights, G.orders):
+            steps = [e * w % den for e in range(order)]
+            units = [(u + s) % den for u in units for s in steps]
     return ShellAngles(units, den, psis, P)
 
 
@@ -705,7 +706,7 @@ def shell_cyc(
     out = _make(D // g, 1, {num // g: n for num, n in counts.items()})
     if chi is None or shift:
         return out
-    return chi.cyc(psi.field.uniformizer() ** v) * out
+    return chi._cyc(v, 0) * out
 
 
 def alpha_chi(chi: MultChar, psi: AddChar):

@@ -38,15 +38,16 @@ from .asai import (
     l_rs,
 )
 from .characters import (
+    NORMAL_BITS,
     AddChar,
     MultChar,
     conductor_add,
     json_complex,
     mult_char_from_json,
-    normal_at_uniformizer,
     omega_quadratic,
     psi_to_E,
     standard_psi,
+    uniformizer_bits,
 )
 from .factors import DEFAULT_GRID, REL_TOL_NONARCH, FloatRangeError, PoleError, eval_table, resolve_grid
 from .padic import PAdicGround, PrecisionError, QuadExtension, field_from_json
@@ -168,7 +169,10 @@ def _nonzero_fraction(text: str, what: str) -> Fraction:
 # DEFAULT_GRID; 2^64 is left for the rest of the factor.  A Tate character
 # chi of conductor n at a psi of conductor c takes chi(pi)^j, t^j and
 # q^(-lam j) for |j| up to :func:`_power_bound`, and each of those must be
-# a normal float (``normal_at_uniformizer``).
+# a normal float (``uniformizer_bits``).  gamma_RS multiplies the Tate
+# gammas of the three Galois constituents of a twist, so for asai and
+# twisted-asai the bits of their powers, summed over the three, must stay
+# within 2^1022 too.
 _SHIFT_FLAGS = (("--psi-shift", "psi_shift"), ("--xi-scale", "xi_scale"))
 _SHIFT_LAWS = {"tate": (2, 2), "asai": (4, 2), "twisted-asai": (8, 4), "dichotomy": (2, 2)}
 _SHIFT_S = max(max(abs(s.real), abs(1 - s.real)) for s in DEFAULT_GRID)
@@ -210,7 +214,7 @@ def _power_bound(c: int, n: int) -> int:
 
 
 def _check_powers(chi: MultChar, k: int, flags, what: str = "a character") -> None:
-    if not normal_at_uniformizer(chi, k):
+    if uniformizer_bits(chi, k) > NORMAL_BITS:
         raise InputError(
             f"{', '.join(flags)} give {what} whose powers chi(pi)^j, |j| <= {k}, "
             "or those of its two parts t and q^(-lambda), are not all normal floats"
@@ -317,7 +321,7 @@ def _asai_input(args) -> AsaiInput:
     inp = AsaiInput(E, mu, nu, psi, xi, chi, tau)
     if inp.is_reducible():
         raise InputError("--char2 gives mu nu^-1 = |.|_E^(+-1), where Ind(mu, nu) is reducible")
-    _check_asai_powers(inp, _check_shift_range(args, F))
+    _check_asai_powers(inp, _check_shift_range(args, F), args.command != "dichotomy")
     return inp
 
 
@@ -326,7 +330,7 @@ def _asai_input(args) -> AsaiInput:
 _CONSTITUENT_FLAGS = (("--char",), ("--char2",), ("--char", "--char2"))
 
 
-def _check_asai_powers(inp: AsaiInput, shifts: dict) -> None:
+def _check_asai_powers(inp: AsaiInput, shifts: dict, gammas: bool) -> None:
     """The float-range rule on the characters of an Asai command, for each
     twist it applies (chi, or tau's two): mu and nu at the power e, which
     restriction to F takes, and the twist at the power 2 / e, which chi o N
@@ -334,7 +338,9 @@ def _check_asai_powers(inp: AsaiInput, shifts: dict) -> None:
     restrictions of mu chi~ and nu chi~ and as mu nu^sigma chi~ chi~^sigma)
     at psi and at the normalized psi0 and psi0_xi; the central character
     omega_pi at the dependence monomial's omega^2(a0) omega(a1); and, for
-    gamma_PSR, omega at 4 xi^4."""
+    gamma_PSR, omega at 4 xi^4.  With ``gammas`` (asai and twisted-asai),
+    the bits of the three constituents of each twist are summed as well, as
+    its gamma_RS multiplies their gammas."""
     E, F, tau = inp.E, inp.E.ground, inp.tau
     twists, twist_flag = ((tau.plus(), tau.minus()), "--tau") if tau else ((inp.chi,), "--twist")
     for char, flag, k in ((inp.mu, "--char", E.e), (inp.nu, "--char2", E.e),
@@ -349,10 +355,18 @@ def _check_asai_powers(inp: AsaiInput, shifts: dict) -> None:
     for twist in twists:
         extra = [twist_flag] if twist else []
         t_inp = inp.with_twist(twist)
+        total = 0.0
         for con, flags, cs in zip(_gal_constituents(t_inp), _CONSTITUENT_FLAGS, (c_F, c_F, c_E)):
             # mu chi~ at xi takes the first constituent to |v_E(xi)| / e <= |v1| + 1
             k = max(abs(v1) + 1, *(_power_bound(c, con.n) for c in cs))
             _check_powers(con, k, [*flags, *extra, *moving], "a Galois constituent")
+            total += uniformizer_bits(con, k)
+        if gammas and total > NORMAL_BITS:
+            raise InputError(
+                f"{', '.join(['--char', '--char2', *extra, *moving])} give Galois "
+                f"constituents whose powers chi(pi)^j, multiplied in gamma_RS, reach "
+                f"2^{total:.0f}, past the float range 2^{NORMAL_BITS}"
+            )
         omega = t_inp.omega_pi()
         _check_powers(omega, 2 * abs(v0) + abs(v1), ["--char", "--char2", *extra, *moving],
                       "a central character")

@@ -18,13 +18,12 @@ on unramified E; and a greedy basis on ramified E.  Generators become field
 elements once, at the end.  ``unit_group`` refuses a level whose residues
 need more digits than the field carries.
 
-Two routes give the same dlogs.  Point dlogs peel (``logs``); the
-whole-group table ``G.table`` maps every key to its exponents at once and
-is built on its first use by walking the products of generator powers, one
-pair product per unit, with no peel.  Only a frame over the whole group
-reads the table (``characters._dlog_frame``), so that frame costs no more
-than the walk, and the closed forms, which read point dlogs, share no dlog
-code with it.
+Point dlogs peel (``logs``).  A sum over the whole group needs none:
+``G.walk()`` enumerates the products of generator powers, one pair product
+per unit, in ``itertools.product`` order of their exponents, so a unit's
+exponents are its position.  The oracle's shell sums take their units in
+walk order (``characters.shell_angles``) and over a whole group read the
+walk alone, so they share no dlog code with the closed forms.
 
 ``G.one_unit_gens(m)`` is a generating set of (1+pi^m O)/(1+pi^n O), not the
 whole subgroup: {1+p^m} on F, {1+p^m, 1+p^m sqrt(d)} on unramified E, and
@@ -35,10 +34,10 @@ subgroup iff it is trivial on these.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import accumulate, repeat
 
 from .padic import Field, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED, _vp
 
@@ -87,6 +86,12 @@ def _ppow(x: tuple, k: int, d: int, mod: int, mod_b: int | None = None) -> tuple
     return out
 
 
+def _times_powers(units, h: tuple, m: int, mul):
+    """x, x h, ..., x h^(m-1) for each x of ``units``: m - 1 products each."""
+    for x in units:
+        yield from accumulate(repeat(h, m - 1), mul, initial=x)
+
+
 class _PeeledLogs(dict):
     """key -> dlog, each entry computed by ``peel`` on first use."""
 
@@ -115,7 +120,7 @@ class UnitGroup:
     1-units, held in ``_span`` (``_LogSpan``).  ``_peel`` reads k off the
     residue of a key, and one span solve gives the exponents of the 1-unit
     left over.  ``_pairs`` keeps the generators as integer pairs, which
-    ``table`` walks."""
+    ``walk`` multiplies."""
 
     field: Field
     level: int
@@ -144,26 +149,21 @@ class UnitGroup:
     def size(self) -> int:
         return math.prod(self.orders)
 
-    @cached_property
-    def table(self) -> dict:
-        """key -> exponents for every unit, the dlogs of ``logs`` at once,
-        built on first use by walking prod g_j^(e_j) over 0 <= e_j < order_j,
-        the last generator innermost, so the units come in the order of
-        ``itertools.product`` over the exponent ranges: one pair product per
-        unit, and no peel.  As the generators are a basis, the walk meets
-        each of the ``size`` keys once."""
-        units = [(1, 0)]
+    def walk(self):
+        """The units prod g_j^(e_j) as integer pairs, the i-th with the i-th
+        exponents of ``itertools.product(*map(range, orders))``: one pair
+        product per unit, no peel.  The generators being a basis, it meets
+        each of the ``size`` units once, and raises ArithmeticError if not."""
+        units = iter([(1, 0)])
         for h, m in zip(self._pairs, self.orders):
-            walked = []
-            for x in units:
-                for _ in range(m):
-                    walked.append(x)
-                    x = self._mul(x, h)
-            units = walked
-        table = dict(zip(self.keys(units), itertools.product(*map(range, self.orders))))
-        if len(table) != self.size:
-            raise ArithmeticError(f"the walk met {len(table)} of the {self.size} units")
-        return table
+            units = _times_powers(units, h, m, self._mul)
+        Ma, Mb = self._mods
+        seen = bytearray(Ma * Mb)
+        for a, b in units:
+            seen[a * Mb + b] = 1
+            yield a, b
+        if seen.count(1) != self.size:
+            raise ArithmeticError(f"the walk met {seen.count(1)} of the {self.size} units")
 
     def key(self, u):
         """Canonical residue key of a unit at this level."""
@@ -262,9 +262,7 @@ class FUnitGroup(UnitGroup):
 class EUnramUnitGroup(UnitGroup):
     """(O_E/p^n)^x for unramified E: Teichmueller x two 1-unit lines.
 
-    The 1-unit basis is 1 + p and 1 + p sqrt(d), each of order p^(n-1).
-    The whole-group ``table``, (p^2-1) p^(2n-2) entries, is built only for a
-    frame over the whole group."""
+    The 1-unit basis is 1 + p and 1 + p sqrt(d), each of order p^(n-1)."""
 
     def dlog(self, u):
         return self.logs[self.key(u)]

@@ -458,6 +458,26 @@ def test_theorem_b_assemblies_agree_at_p7():
     assert out["ok"], out["max_deviation"]
 
 
+@pytest.mark.parametrize("ext", EXTENSION_TYPES)
+def test_twists_of_conductor_4_and_5_certify_at_p3(ext, certified):
+    # conductors 4 and up, certified: each gamma_RS(check=True) certifies its
+    # three Tate gammas against the exact zeta integrals, whose whole-group
+    # sums walk chi o N's unit group (level 4-5 unramified, 8-10 ramified)
+    F = PAdicGround(3)
+    E = QuadExtension(F, ext)
+    rng = random.Random(f"conductor-4-5-{ext}")
+    for n in (4, 5):
+        order = unit_group(F, n).orders[0]
+        k = rng.choice([j for j in range(1, order) if j % 3])
+        chi = MultChar.from_angles(F, n, [Fraction(k, order)], Phase.exact(Fraction(1, 3)))
+        assert chi.n == n
+        inp = AsaiInput(E, rand_char(E, 1, rng), rand_char(E, 1, rng), standard_psi(F), E.xi(), chi)
+        before = len(certified)
+        gamma_rs(inp, check=True)
+        assert len(certified) == before + 3
+        assert eps_gal_comparison(inp)["ok"]
+
+
 def _twisted_input(p=3, ext=UNRAMIFIED, seed=20):
     rng = random.Random(seed)
     F = PAdicGround(p)

@@ -1,7 +1,7 @@
-"""The whole-group dlog table, walked over generator powers, against the
-peel of point dlogs; and the frames over a whole group, which read the
-table and peel nothing."""
+"""The generator walk of a unit group against the peel of point dlogs; and
+the sums over a whole group, which read the walk and peel nothing."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,12 +12,13 @@ from asailocal.characters import (
     MultChar,
     Phase,
     _dlog_frame,
+    _psi_frame,
     conductor_add,
     psi_to_E,
     shell_cyc,
     standard_psi,
 )
-from asailocal.padic import EXTENSION_TYPES, PAdicGround, QuadExtension
+from asailocal.padic import EXTENSION_TYPES, UNRAMIFIED, PAdicGround, QuadExtension
 from asailocal.unitgroups import UnitGroup, unit_group
 
 
@@ -40,37 +41,66 @@ def _groups(most):
     return out
 
 
+def _whole_group_sum(K, n):
+    """A character on every generator of (O_K/pi^n)^x, psi0 (psi0 o tr with
+    xi on E), and the shell on which their sum is nonzero."""
+    psi = standard_psi(K) if K.ground is K else psi_to_E(standard_psi(K.ground), K, K.xi())
+    G = unit_group(K, n)
+    chi = MultChar(K, n, [Fraction(1, d) for d in G.orders], Phase.one())
+    return chi, psi, conductor_add(psi) - n
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.sampled_from(_groups(20_000)))
-def test_walked_table_equals_the_peel_on_every_key(group):
+def test_walk_meets_every_unit_in_product_order(group):
+    # the i-th walked unit peels to the i-th exponent tuple of the product
+    # order, which is what lets a whole-group sum skip the dlog
     p, ext, level = group
     G = unit_group(_field(p, ext), level)
-    table = G.table
-    assert len(table) == G.size
-    assert table == {key: G._peel(key) for key in table}
+    walked = list(G.walk())
+    assert len(set(walked)) == len(walked) == G.size
+    assert list(map(G._peel, walked)) == list(itertools.product(*map(range, G.orders)))
 
 
 @pytest.mark.parametrize("ext", (None,) + EXTENSION_TYPES)
 def test_whole_group_frames_peel_nothing(ext, monkeypatch):
-    # a shell sum at n = level reads the walked table alone: with the peel
-    # patched to raise, the table rebuilt under the patch, and no point
-    # dlog left but that of 1 (chi(pi^v), which shell_cyc multiplies in),
-    # it gives the unpatched value
+    # a shell sum at n = level reads the walk alone: with the peel and
+    # MultChar._unit_num patched to raise and G.logs emptied, it gives the
+    # unpatched value
     K, n = _field(5, ext), 2
-    psi = standard_psi(K) if ext is None else psi_to_E(standard_psi(K.ground), K, K.xi())
-    G = unit_group(K, n)
-    chi = MultChar(K, n, [Fraction(1, d) for d in G.orders], Phase.one())
-    v = conductor_add(psi) - n
+    chi, psi, v = _whole_group_sum(K, n)
+    _psi_frame.cache_clear()
     _dlog_frame.cache_clear()
     want = shell_cyc(chi, psi, v, n)
 
-    def peel(self, key):
-        raise AssertionError(f"a whole-group frame peeled the key {key}")
+    def refuse(self, arg):
+        raise AssertionError(f"a whole-group sum read a dlog at {arg}")
 
+    _psi_frame.cache_clear()
     _dlog_frame.cache_clear()
-    monkeypatch.setattr(UnitGroup, "_peel", peel)
-    monkeypatch.delitem(G.__dict__, "table", raising=False)
-    monkeypatch.setattr(G, "logs", {G.key(1): G.logs[G.key(1)]})
+    monkeypatch.setattr(UnitGroup, "_peel", refuse)
+    monkeypatch.setattr(MultChar, "_unit_num", refuse)
+    monkeypatch.setattr(chi.group, "logs", {})
     got = shell_cyc(chi, psi, v, n)
-    _dlog_frame.cache_clear()
     assert (got - want).is_zero() and repr(got) == repr(want)
+
+
+def test_a_whole_group_sum_makes_one_pair_product_per_unit(monkeypatch):
+    # p = 5, level 3 on unramified E, 15,000 units: with the group built, a
+    # cold whole-group sum walks it once and peels nothing
+    chi, psi, v = _whole_group_sum(_field(5, UNRAMIFIED), 3)
+    G, calls = chi.group, []
+    mul = UnitGroup._mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    def refuse(self, key):
+        raise AssertionError(f"a whole-group sum peeled the key {key}")
+
+    monkeypatch.setattr(UnitGroup, "_mul", counting)
+    monkeypatch.setattr(UnitGroup, "_peel", refuse)
+    _psi_frame.cache_clear()
+    shell_cyc(chi, psi, v, 3)
+    assert G.size == 15_000 and len(calls) <= G.size + 10

@@ -101,7 +101,10 @@ def shell_cases(draw, most):
 def test_kernel_terms_match_element_angles(case, rnd):
     K, chi, psi, c, v, m = case
     sa = shell_angles(chi, psi, v, m, c)
-    xs = K.shell(v, m)
+    # the kernel's order: the units of level m in walk order, times pi^v
+    e1, e2 = K.shell_basis(v)
+    xs = [a * e1 + b * e2 for a, b in unit_group(K, m).walk()]
+    assert sorted(xs, key=K.coords) == sorted(K.shell(v, m), key=K.coords)
     assert len(sa.units) == len(sa.psis) == len(xs)
     for i in rnd.sample(range(len(xs)), min(40, len(xs))):
         x = xs[i]
