@@ -49,7 +49,7 @@ from .characters import (
     restrict_to_F,
     sigma_conjugate,
 )
-from .factors import NonArchFactor, REL_TOL_NONARCH, approx_equal, resolve_grid
+from .factors import NonArchFactor, REL_TOL_NONARCH, approx_equal, in_range, power, resolve_grid
 from .padic import EElement, PAdicGround, QuadExtension, Value, _set
 from .tate import (
     certify_gamma,
@@ -150,8 +150,8 @@ def _dependence_monomial(omega0: MultChar, a0: Fraction, a1: Fraction) -> NonArc
     F: PAdicGround = omega0.field
     q = F.q
     w0, w1 = (F.val(a0) if a0 != 1 else 0), (F.val(a1) if a1 != 1 else 0)
-    const = omega0.value(a0) ** 2 * omega0.value(a1)
-    const *= q ** (2 * w0 + w1)
+    const = in_range(power(omega0.value(a0), 2) * omega0.value(a1))
+    const = in_range(const * power(q, 2 * w0 + w1))
     m = 4 * w0 + 2 * w1
     return NonArchFactor.monomial(q, const, m)
 
@@ -268,11 +268,11 @@ def eps_gal_comparison(inp: AsaiInput, grid=None, tol: float = REL_TOL_NONARCH) 
     lhs = eps_from_gamma(gamma_rs(inp), constituents, q)
     lam = langlands_constant(E, inp.psi)
     mu, nu = _twisted_chars(inp)
-    omega_xi = mu.value(inp.xi) * nu.value(inp.xi)
+    omega_xi = in_range(mu.value(inp.xi) * nu.value(inp.xi))
     xi_sq = inp.xi * inp.xi
     w = E.ground.val(xi_sq.as_F())
     prefactor = NonArchFactor.monomial(
-        q, omega_xi * q ** Fraction(w, 2) / lam, w
+        q, in_range(omega_xi * power(q, Fraction(w, 2)) / lam), w
     )
     gal = _gal_product(inp, constituents, tate_eps)
     rhs = prefactor * gal
@@ -317,7 +317,7 @@ def gamma_psr(
 
     def prefac(x):
         wv = F.val(x)
-        const = 1 / omega.value(x) * q ** float(-wv)
+        const = in_range(in_range(1 / omega.value(x)) * power(q, float(-wv)))
         return NonArchFactor.monomial(q, const, -2 * wv)
 
     a1 = (

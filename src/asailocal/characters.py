@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -98,6 +97,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Union
 
 from .cyclotomic import Cyc, _make, _wrap
+from .factors import FloatRangeError, in_range, power
 from .padic import (
     EElement,
     Field,
@@ -126,7 +126,8 @@ class Phase:
     gcd(num, den) = 1 (``den`` is None for an approximate phase), so ``*``,
     ``**``, ``inv`` and ``value`` build no Fraction; ``angle`` reads it as one.
     Two builders make every phase: :meth:`_exact` from integers (``exact``
-    reads a Fraction into it) and :meth:`approx` from a float."""
+    reads a Fraction into it) and :meth:`approx` from a float.  An
+    approximate product or power is checked by ``in_range``."""
 
     __slots__ = ("num", "den", "_z")
 
@@ -169,12 +170,13 @@ class Phase:
     def __mul__(self, other: "Phase") -> "Phase":
         if self.den is not None and other.den is not None:
             return Phase._exact(self.num * other.den + other.num * self.den, self.den * other.den)
-        return Phase.approx(self.value() * other.value())
+        a, b = self.value(), other.value()
+        return Phase.approx(in_range(a * b, a, b))
 
     def __pow__(self, k: int) -> "Phase":
         if self.den is not None:
             return Phase._exact(self.num * k, self.den)
-        return Phase.approx(self.value() ** k)
+        return Phase.approx(power(self.value(), k))
 
     def inv(self) -> "Phase":
         return self ** (-1)
@@ -425,13 +427,16 @@ class MultChar:
     def _values(self, v: int, unit_values) -> list:
         """The float value at an element of valuation v whose unit part has
         value z, for each z of ``unit_values``: (t^v z) q^(-lam v),
-        multiplied in that order, with t^v and q^(-lam v) computed once."""
-        tv = self.t.value() ** v
+        multiplied in that order, with t^v and q^(-lam v) computed once, and
+        checked by ``in_range`` unless t is exact and lam = 0, when they have
+        modulus 1."""
+        t = self.t.value()
+        tv = t**v if self.t.is_exact else power(t, v)
         out = [tv * z for z in unit_values]
         lam = self.lam
         if lam != 0:
-            scale = self.field.q ** complex(-lam * v)
-            out = [z * scale for z in out]
+            scale = power(self.field.q, complex(-lam * v))
+            out = [in_range(z * scale, z, scale) for z in out]
         return out
 
     def angle_at(self, x) -> Fraction:
@@ -460,8 +465,13 @@ class MultChar:
         return _wrap(phase.den, scale.denominator, {phase.num: scale.numerator})
 
     def t_full(self) -> complex:
-        """Value at the uniformizer, twist included."""
-        return self.t.value() * self.field.q ** complex(-self.lam)
+        """Value at the uniformizer, twist included; checked by ``in_range``
+        unless t is exact and lam = 0."""
+        t, lam = self.t.value(), complex(-self.lam)
+        if self.t.is_exact and not lam:
+            return t * self.field.q**lam
+        scale = power(self.field.q, lam)
+        return in_range(t * scale, t, scale)
 
     # -- algebra ----------------------------------------------------------------
     def mul(self, other: "MultChar") -> "MultChar":
@@ -587,31 +597,15 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
         if (a * d).denominator != 1:
             raise ValueError(f"unit_part angle {a} times its generator's order {d} is not an integer")
     chi = MultChar.from_angles(field, n, angles, phase, lam)
-    if uniformizer_bits(chi) > NORMAL_BITS:
+    try:
+        in_range(phase.value())
+        chi.t_full()
+    except (FloatRangeError, OverflowError) as exc:
         raise ValueError(
             f"'lambda' {obj.get('lambda', 0)!r} with 't' {obj.get('t', 1)!r}: chi(pi) = "
             f"t q^(-lambda) for q = {field.q}, or one of its two parts, is not a normal float"
-        )
+        ) from exc
     return chi
-
-
-# 2^-1022 is the least normal float; 2^1022 leaves room below the largest
-NORMAL_BITS = 1 - sys.float_info.min_exp
-
-
-def uniformizer_bits(chi: MultChar, k: int = 1) -> float:
-    """The largest |log2| of t^j, q^(-lam j) and chi(pi)^j = (t q^(-lam))^j
-    over |j| <= k, inf where it does not compute: they are normal floats iff
-    it is at most NORMAL_BITS.  At k = 1 these are chi(pi) (``t_full``),
-    which enters chi's Euler factor and, inverted, its dual's, and its two
-    parts; the factors raise t and q^(-lam) apart to the valuation at which
-    they evaluate chi (``_values`` and ``tate.gauss_sum``), so a character
-    outside the range under- or overflows there."""
-    try:
-        bits = (math.log2(abs(chi.t.value())), -float(chi.lam.real) * math.log2(chi.field.q))
-    except (OverflowError, ValueError):
-        return math.inf
-    return k * max(map(abs, (*bits, sum(bits))))
 
 
 # ---------------------------------------------------------------------------

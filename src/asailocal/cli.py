@@ -2,9 +2,10 @@
 
 All numeric JSON output uses [re, im] pairs; everything the CLI emits can be
 re-ingested.  Exit codes: 0 success; 2 input error (each argument is checked
-where it is parsed, the float-range rule of :func:`_check_shift_range` and
-:func:`_check_powers` among the checks, and a pole or an overflow at a
---grid point is one too);
+where it is parsed; a pole or an overflow at a --grid point is one too, and
+so is a ``FloatRangeError`` elsewhere in a p-adic command: the library checks
+every float it forms from character or shift data, so a value out of the
+float range is the fault of the value flags the command was given);
 3 verification failure (a failed suite or comparison, or a ConsistencyError
 from an internal consistency check).  Any other exception is a fault in the
 program and ends with its traceback.
@@ -29,7 +30,6 @@ from . import arch
 from .asai import (
     AsaiInput,
     TwistedPair,
-    _gal_constituents,
     _normalization,
     dichotomy_sign,
     eps_gal_comparison,
@@ -38,16 +38,13 @@ from .asai import (
     l_rs,
 )
 from .characters import (
-    NORMAL_BITS,
     AddChar,
     MultChar,
-    conductor_add,
     json_complex,
     mult_char_from_json,
     omega_quadratic,
     psi_to_E,
     standard_psi,
-    uniformizer_bits,
 )
 from .factors import DEFAULT_GRID, REL_TOL_NONARCH, FloatRangeError, PoleError, eval_table, resolve_grid
 from .padic import PAdicGround, PrecisionError, QuadExtension, field_from_json
@@ -158,69 +155,6 @@ def _nonzero_fraction(text: str, what: str) -> Fraction:
     return a
 
 
-# The float-range rule, decided where the flags are parsed.  A --psi-shift
-# a0 and an --xi-scale a1 reach the factors as powers of q, at most
-# q^((m0 |v(a0)| + m1 |v(a1)|) s) with (m0, m1) the command's entry below:
-# the dependence laws transport gamma_PSR by |a0|^(8s-4) |a1|^(4s-2) and
-# gamma_RS by |a0|^(4s-2) |a1|^(2s-1), and a Tate factor at psi of
-# conductor c takes q_K^(c s), with q_K^c at most q^(2 |v(a0)| + 2 |v(a1)|)
-# up to a constant.  So the shifts are in range when that power is at most
-# 2^(1022 - 64) at S = 2.1, the largest |Re s| and |Re(1 - s)| on
-# DEFAULT_GRID; 2^64 is left for the rest of the factor.  A Tate character
-# chi of conductor n at a psi of conductor c takes chi(pi)^j, t^j and
-# q^(-lam j) for |j| up to :func:`_power_bound`, and each of those must be
-# a normal float (``uniformizer_bits``).  gamma_RS multiplies the Tate
-# gammas of the three Galois constituents of a twist, so for asai and
-# twisted-asai the bits of their powers, summed over the three, must stay
-# within 2^1022 too.
-_SHIFT_FLAGS = (("--psi-shift", "psi_shift"), ("--xi-scale", "xi_scale"))
-_SHIFT_LAWS = {"tate": (2, 2), "asai": (4, 2), "twisted-asai": (8, 4), "dichotomy": (2, 2)}
-_SHIFT_S = max(max(abs(s.real), abs(1 - s.real)) for s in DEFAULT_GRID)
-_SHIFT_BITS = 1022 - 64
-
-
-def _check_shift_range(args, F: PAdicGround) -> dict:
-    """{flag: v(a)} for each shift a the command was given, once the
-    float-range rule above holds for them."""
-    vals = {
-        flag: F.val(_nonzero_fraction(getattr(args, name), flag))
-        for flag, name in _SHIFT_FLAGS
-        if getattr(args, name)
-    }
-    laws = zip(_SHIFT_FLAGS, _SHIFT_LAWS[args.command])
-    law = sum(m * abs(vals.get(flag, 0)) for (flag, _), m in laws)
-    if law * _SHIFT_S * math.log2(F.q) > _SHIFT_BITS:
-        flags = ", ".join(_moving(vals))
-        given = ", ".join(f"v({flag}) = {v}" for flag, v in vals.items())
-        raise InputError(
-            f"{flags}: {given} put a power q^{law * _SHIFT_S:g} of q = {F.q} into the "
-            f"factors, beyond 2^{_SHIFT_BITS}, past which they leave the float range"
-        )
-    return vals
-
-
-def _moving(shifts: dict) -> list:
-    """The shift flags of nonzero valuation, which move c(psi)."""
-    return [flag for flag, v in shifts.items() if v]
-
-
-def _power_bound(c: int, n: int) -> int:
-    """The largest |j| for which the Tate factors of a character of
-    conductor n at a psi of conductor c take chi(pi)^j: c - n in the Gauss
-    sum, the unramified gamma and the oracle's shells and tails, c - 1 too
-    at n = 0 (the shell below the transformed ideal box), and 1 in the
-    L-factors."""
-    return max(abs(c - n), 1, abs(c - 1) if n == 0 else 0)
-
-
-def _check_powers(chi: MultChar, k: int, flags, what: str = "a character") -> None:
-    if uniformizer_bits(chi, k) > NORMAL_BITS:
-        raise InputError(
-            f"{', '.join(flags)} give {what} whose powers chi(pi)^j, |j| <= {k}, "
-            "or those of its two parts t and q^(-lambda), are not all normal floats"
-        )
-
-
 def _psi(args, F: PAdicGround) -> AddChar:
     psi = standard_psi(F)
     if args.psi_shift:
@@ -279,8 +213,6 @@ def cmd_tate(args) -> int:
         psi_k = psi
     else:
         psi_k = psi_to_E(psi, E, _xi(args, E))
-    shifts = _check_shift_range(args, F)
-    _check_powers(chi, _power_bound(conductor_add(psi_k), chi.n), ["--char", *_moving(shifts)])
     grid = _parse_grid(args)
     L = tate_L(chi)
     gamma = tate_gamma(chi, psi_k)
@@ -321,58 +253,7 @@ def _asai_input(args) -> AsaiInput:
     inp = AsaiInput(E, mu, nu, psi, xi, chi, tau)
     if inp.is_reducible():
         raise InputError("--char2 gives mu nu^-1 = |.|_E^(+-1), where Ind(mu, nu) is reducible")
-    _check_asai_powers(inp, _check_shift_range(args, F), args.command != "dichotomy")
     return inp
-
-
-# the flags whose characters feed each of the three Galois constituents,
-# mu0, nu0 and mu nu^sigma, before the twist
-_CONSTITUENT_FLAGS = (("--char",), ("--char2",), ("--char", "--char2"))
-
-
-def _check_asai_powers(inp: AsaiInput, shifts: dict, gammas: bool) -> None:
-    """The float-range rule on the characters of an Asai command, for each
-    twist it applies (chi, or tau's two): mu and nu at the power e, which
-    restriction to F takes, and the twist at the power 2 / e, which chi o N
-    takes; each Galois constituent (which the zeta side meets too, as the
-    restrictions of mu chi~ and nu chi~ and as mu nu^sigma chi~ chi~^sigma)
-    at psi and at the normalized psi0 and psi0_xi; the central character
-    omega_pi at the dependence monomial's omega^2(a0) omega(a1); and, for
-    gamma_PSR, omega at 4 xi^4.  With ``gammas`` (asai and twisted-asai),
-    the bits of the three constituents of each twist are summed as well, as
-    its gamma_RS multiplies their gammas."""
-    E, F, tau = inp.E, inp.E.ground, inp.tau
-    twists, twist_flag = ((tau.plus(), tau.minus()), "--tau") if tau else ((inp.chi,), "--twist")
-    for char, flag, k in ((inp.mu, "--char", E.e), (inp.nu, "--char2", E.e),
-                          *((t, twist_flag, 2 // E.e) for t in twists if t)):
-        _check_powers(char, k, [flag])
-    v0, v1 = shifts.get("--psi-shift", 0), shifts.get("--xi-scale", 0)
-    psi0, xi_can = standard_psi(F), E.xi()
-    c_F = (conductor_add(inp.psi), 0)
-    c_E = (conductor_add(psi_to_E(inp.psi, E)), conductor_add(psi_to_E(psi0, E, xi_can)))
-    v_xi2 = F.val((inp.xi * inp.xi).as_F())
-    moving = _moving(shifts)
-    for twist in twists:
-        extra = [twist_flag] if twist else []
-        t_inp = inp.with_twist(twist)
-        total = 0.0
-        for con, flags, cs in zip(_gal_constituents(t_inp), _CONSTITUENT_FLAGS, (c_F, c_F, c_E)):
-            # mu chi~ at xi takes the first constituent to |v_E(xi)| / e <= |v1| + 1
-            k = max(abs(v1) + 1, *(_power_bound(c, con.n) for c in cs))
-            _check_powers(con, k, [*flags, *extra, *moving], "a Galois constituent")
-            total += uniformizer_bits(con, k)
-        if gammas and total > NORMAL_BITS:
-            raise InputError(
-                f"{', '.join(['--char', '--char2', *extra, *moving])} give Galois "
-                f"constituents whose powers chi(pi)^j, multiplied in gamma_RS, reach "
-                f"2^{total:.0f}, past the float range 2^{NORMAL_BITS}"
-            )
-        omega = t_inp.omega_pi()
-        _check_powers(omega, 2 * abs(v0) + abs(v1), ["--char", "--char2", *extra, *moving],
-                      "a central character")
-    if tau is not None:
-        _check_powers(inp.omega_total(), 2 * abs(v_xi2), ["--char", "--char2", "--tau", *moving],
-                      "a central character")
 
 
 def cmd_asai(args) -> int:
@@ -564,6 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the dests of the p-adic flags whose values reach the factors
+_VALUE_FLAGS = ("char", "char2", "twist", "tau", "psi_shift", "xi_scale")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -573,11 +458,17 @@ def main(argv=None) -> int:
         return 2
     except (PoleError, FloatRangeError) as exc:
         # a pole or an overflow at a point the user asked for is the input's
-        # fault; anywhere else it is the program's
-        if not args.grid or exc.where not in _parse_grid(args):
+        # fault; so is a value out of the float range anywhere else in a
+        # p-adic command, whose floats are formed from its value flags.  A
+        # pole anywhere else is the program's
+        if args.grid and exc.where in _parse_grid(args):
+            what = "is a pole" if isinstance(exc, PoleError) else "takes a factor out of the float range"
+            print(f"input error: --grid point {exc.where:g} {what}", file=sys.stderr)
+            return 2
+        flags = ", ".join(f"--{dest.replace('_', '-')}" for dest in _VALUE_FLAGS if getattr(args, dest, None))
+        if isinstance(exc, PoleError) or not flags:
             raise
-        what = "is a pole" if isinstance(exc, PoleError) else "takes a factor out of the float range"
-        print(f"input error: --grid point {exc.where:g} {what}", file=sys.stderr)
+        print(f"input error: {flags}: a value of the command leaves the float range", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -6,13 +6,23 @@ constants times Gamma(a s + b)^mult and base^(u s + v) exponentials.
 Equality of factors is decided numerically on a fixed grid of generic points;
 Gamma identities make canonical symbolic normal forms impractical.  The
 verify suites and :func:`approx_equal` reduce their deviations to one number
-with :func:`worst_deviation`, so a deviation that is not a number fails.
+with :func:`worst_deviation`, so a deviation that is not a number fails, and
+measure each with :func:`relative_deviation`, which has no floor.
+
+The float range is decided where a value is formed.  Every product or power
+of the p-adic layer built from character or shift data goes through
+:func:`in_range` (:func:`power` for ``**``): a value that is inf or NaN, is
+nonzero below the least normal float, or is 0 while none of its parts is,
+raises :class:`FloatRangeError`.  So a factor, its constant ``c`` and its
+value at s are normal floats or exact zeros, never the residue of an
+under- or overflow.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -43,12 +53,58 @@ class PoleError(ArithmeticError):
 
 
 class FloatRangeError(ArithmeticError):
-    """Evaluation left the float range; carries the offending location, as
-    :class:`PoleError` does."""
+    """A value left the float range (:func:`in_range`); carries the point s
+    of the evaluation, as :class:`PoleError` does, or None for a value that
+    does not depend on s."""
 
-    def __init__(self, where):
-        super().__init__(f"the factor leaves the float range at s = {where}")
+    def __init__(self, where=None):
+        at = "" if where is None else f" at s = {where}"
+        super().__init__(f"a value leaves the float range{at}")
         self.where = where
+
+
+# 2^-1022, the least normal float
+LEAST_NORMAL = sys.float_info.min
+
+
+def in_range(z, *parts, where=None):
+    """``z``, a product or power of ``parts``, once it is in the float range:
+    ``FloatRangeError`` at ``where`` if it is inf or NaN, nonzero with modulus
+    below :data:`LEAST_NORMAL`, or 0 although no part is 0.  Hot callers
+    inline the test ``LEAST_NORMAL <= hypot(re, im) < inf`` and call this only
+    when it fails."""
+    try:
+        r = math.hypot(z.real, z.imag)
+    except OverflowError:  # an int or Fraction beyond the floats
+        r = math.inf
+    if LEAST_NORMAL <= r < math.inf or (r == 0 and 0 in parts):
+        return z
+    raise FloatRangeError(where)
+
+
+def power(base, k):
+    """``base ** k`` in its own type and bits, checked by :func:`in_range`.
+    An OverflowError, of the power or of an exact power beyond the floats,
+    is a ``FloatRangeError`` too, and so is the ZeroDivisionError of a
+    complex power whose inverse underflowed."""
+    try:
+        z = base**k
+        if LEAST_NORMAL <= math.hypot(z.real, z.imag) < math.inf:
+            return z
+    except (OverflowError, ZeroDivisionError) as exc:
+        if not base:
+            raise
+        raise FloatRangeError() from exc
+    return in_range(z, base)
+
+
+def relative_deviation(got, want, scale) -> float:
+    """|got - want| / scale, with no floor on the scale: two exact zeros
+    deviate by 0, and anything else measured against a zero scale by inf."""
+    diff = abs(got - want)
+    if scale:
+        return diff / scale
+    return 0.0 if diff == 0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +190,7 @@ class NonArchFactor(Value):
     # -- evaluation -------------------------------------------------------------
     def eval(self, s: complex) -> complex:
         """The value at s; ``PoleError`` at a pole, ``FloatRangeError`` where
-        a power of q leaves the float range."""
+        it, or a power of q on the way, leaves the float range (:func:`in_range`)."""
 
         def q_to(e: complex) -> complex:
             try:
@@ -150,25 +206,34 @@ class NonArchFactor(Value):
             if math.hypot(d.real, d.imag) < 1e-14:  # abs(d) overflows for huge d
                 raise PoleError(s)
             out /= d
-        return out
+        if LEAST_NORMAL <= math.hypot(out.real, out.imag) < math.inf:
+            return out
+        # 0 is a value only where c or a numerator factor is 0 at s
+        zeros = (1 - alpha * q_to(-(a * s + b)) for alpha, a, b in self.num)
+        return in_range(out, self.c, *zeros, where=s)
 
     # -- algebra ---------------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return NonArchFactor(self.q, self.c * other, self.m, self.num, self.den)
+            c = in_range(self.c * other, self.c, other)
+            return NonArchFactor(self.q, c, self.m, self.num, self.den)
         if self.q != other.q:
             raise ValueError("factors over different q; rebase first")
         num, den = _cancel(self.num + other.num, self.den + other.den)
-        return NonArchFactor(self.q, self.c * other.c, self.m + other.m, num, den)
+        c = self.c * other.c
+        if not LEAST_NORMAL <= math.hypot(c.real, c.imag) < math.inf:
+            in_range(c, self.c, other.c)
+        return NonArchFactor(self.q, c, self.m + other.m, num, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NonArchFactor":
-        return NonArchFactor(self.q, 1 / self.c, -self.m, self.den, self.num)
+        return NonArchFactor(self.q, in_range(1 / self.c), -self.m, self.den, self.num)
 
     def __truediv__(self, other) -> "NonArchFactor":
         if isinstance(other, (int, float, complex)):
-            return NonArchFactor(self.q, self.c / other, self.m, self.num, self.den)
+            c = in_range(self.c / other, self.c)
+            return NonArchFactor(self.q, c, self.m, self.num, self.den)
         return self * other.inverse()
 
     def reflect(self) -> "NonArchFactor":
@@ -176,7 +241,7 @@ class NonArchFactor(Value):
         flip = lambda fs: tuple((alpha, -a, a + b) for alpha, a, b in fs)
         return NonArchFactor(
             self.q,
-            self.c * self.q ** (-self.m),
+            in_range(self.c * power(self.q, -self.m), self.c),
             -self.m,
             flip(self.num),
             flip(self.den),
@@ -301,12 +366,12 @@ def approx_equal(
     tol: float = REL_TOL_NONARCH,
 ) -> tuple[bool, float]:
     """Worst relative deviation (:func:`worst_deviation`) of two factors (or
-    callables) on a grid of s-values."""
+    callables) on a grid of s-values, each against the larger modulus."""
     if not grid:
         raise ValueError("empty comparison grid")
     at = lambda h, s: h.eval(s) if hasattr(h, "eval") else h(s)
     pairs = ((at(f, s), at(g, s)) for s in grid)
-    worst = worst_deviation(abs(fv - gv) / max(abs(fv), abs(gv), 1e-30) for fv, gv in pairs)
+    worst = worst_deviation(relative_deviation(fv, gv, max(abs(fv), abs(gv))) for fv, gv in pairs)
     return worst < tol, worst
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import inf, isqrt, lcm
+from math import hypot, inf, isqrt, lcm
 from operator import mul
 
 from .characters import (
@@ -62,10 +62,14 @@ from .characters import (
 )
 from .cyclotomic import Cyc, _make
 from .factors import (
+    LEAST_NORMAL,
     NonArchFactor,
     PHI_INDEPENDENCE_TOL,
     PoleError,
+    in_range,
     off_poles,
+    power,
+    relative_deviation,
 )
 from .padic import Value, _check_shell_modulus, _set, legendre
 
@@ -149,7 +153,8 @@ def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
             return 0j
         A0, B0 = K.ground._residue(A, D, n), K.ground._residue(B, D, n)
     v = conductor_add(psi) - n
-    tv, scale = chi.t.inv().value() ** v, K.q ** complex(chi.lam * v)
+    tv, scale = power(chi.t.inv().value(), v), power(K.q, complex(chi.lam * v))
+    in_range(tv * scale)
     logs, key, den = chi.group.logs, chi.group.coord_key, chi.unit_den
     out = 0j
     for dA, dB in offsets:
@@ -239,8 +244,9 @@ def _half_power(q: int, c: int):
     """q ** Fraction(c, 2), in that expression's type: an int or a Fraction
     at even c, a float at odd c.  Cached, as are :func:`_vol` and
     :func:`_ramified_scale`: the float closed forms and the float oracle ask
-    for these few constants on every call."""
-    return q ** Fraction(c, 2)
+    for these few constants on every call.  These three are checked by
+    ``in_range`` (``power``)."""
+    return power(q, Fraction(c, 2))
 
 
 @lru_cache(maxsize=256)
@@ -255,7 +261,7 @@ def _vol(q: int, c: int, level: int = 0) -> float:
 def _ramified_scale(q: int, c: int, n: int):
     """q ** (n - c) * q ** (-n + Fraction(c, 2)), the q-power of gamma(s,
     chi, psi) at conductor n >= 1, in that expression's type and bits."""
-    return q ** (n - c) * q ** (-n + Fraction(c, 2))
+    return in_range(power(q, n - c) * power(q, -n + Fraction(c, 2)))
 
 
 @lru_cache(maxsize=256)
@@ -410,7 +416,10 @@ def _tail_ratio(t: complex, q: int, s: complex) -> complex:
 
 
 def zeta_at(terms, q: int, s: complex) -> complex:
-    """Z(s, chi, Phi) from its :func:`zeta_terms`, summed in their order."""
+    """Z(s, chi, Phi) from its :func:`zeta_terms`, summed in their order.  A
+    summand may underflow, as the comparison with the closed form sees any
+    bits lost there; the total is checked by ``in_range``, since a default
+    test function's zeta integral is not 0."""
     total = 0j
     for coef, v, value, t in terms:
         if t is None:
@@ -418,7 +427,9 @@ def zeta_at(terms, q: int, s: complex) -> complex:
         else:
             r = _tail_ratio(t, q, s)
             total += coef * (r**v / (1 - r))
-    return total
+    if LEAST_NORMAL <= hypot(total.real, total.imag) < inf:
+        return total
+    return in_range(total, where=s)
 
 
 @lru_cache(maxsize=256)
@@ -436,9 +447,9 @@ def fe_ratio(chi: MultChar, psi: AddChar, box: ModBox, grid) -> list:
     dual chi^{-1} (:func:`_dual`), the transform Phi^ (:func:`box_fourier`),
     the exact shell and coset integrals and, on each, its float
     (``Cyc.to_complex``).  The terms themselves, and every value at s, are
-    computed on each call.  A pole of either integral raises ``PoleError``
-    and a vanishing denominator ``ZeroDivisionError``, at the first point
-    of the grid that hits it.
+    computed on each call.  A pole of either integral raises ``PoleError``,
+    and a total out of the float range ``FloatRangeError`` (:func:`zeta_at`),
+    at the first point of the grid that hits it.
     """
     q = chi.field.q
     num = zeta_terms(_dual(chi), psi, box_fourier(box, psi))
@@ -447,8 +458,6 @@ def fe_ratio(chi: MultChar, psi: AddChar, box: ModBox, grid) -> list:
     for s in grid:
         top = zeta_at(num, q, 1 - s)
         bottom = zeta_at(den, q, s)
-        if bottom == 0:
-            raise ZeroDivisionError("test function has vanishing zeta integral")
         out.append(top / bottom)
     return out
 
@@ -477,10 +486,11 @@ def tate_gamma(chi: MultChar, psi: AddChar) -> NonArchFactor:
     c = conductor_add(psi)
     if chi.is_ramified:
         n = chi.n
-        const = _ramified_scale(q, c, n) * gauss_sum(chi, psi)
+        scale, G = _ramified_scale(q, c, n), gauss_sum(chi, psi)
+        const = in_range(scale * G, G)
         return NonArchFactor.monomial(q, complex(const), n - c)
     t = chi.t_full()
-    const = _half_power(q, c) * t ** (-c) * q ** (-c)
+    const = in_range(_half_power(q, c) * power(t, -c) * power(q, -c))
     return NonArchFactor(
         q,
         c=complex(const),
@@ -512,7 +522,7 @@ def phi_deviations(fac: NonArchFactor, chi: MultChar, psi: AddChar):
     want = [fac.eval(s) for s in grid]
     for box in _default_test_functions(chi.field, chi.n):
         for s, w, got in zip(grid, want, fe_ratio(chi, psi, box, grid)):
-            yield s, box, abs(got - w) / max(abs(w), 1e-30)
+            yield s, box, relative_deviation(got, w, abs(w))
 
 
 def certify_gamma(fac: NonArchFactor, chi: MultChar, psi: AddChar) -> None:

@@ -39,6 +39,7 @@ from .factors import (
     PHI_INDEPENDENCE_TOL,
     REL_TOL_ARCH,
     REL_TOL_NONARCH,
+    relative_deviation,
     worst_deviation,
 )
 from .padic import EXTENSION_TYPES, PAdicGround, QuadExtension
@@ -133,7 +134,7 @@ def suite_theorem_a_unramified() -> dict:
                 for grid, box_level in ((DEFAULT_GRID, 0), ((0.7,), 1)):
                     for s, lhs in zip(grid, spherical_gamma_oracle(grid, mu, nu, E, box_level)):
                         rhs = gam.eval(s)
-                        devs.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
+                        devs.append(relative_deviation(lhs, rhs, abs(rhs)))
     return _report(
         "theorem-a-spherical-oracle",
         REL_TOL_NONARCH,

@@ -330,6 +330,7 @@ _U3 = '{"p":3,"ext":"unramified"}'
 _U5 = '{"p":5,"ext":"unramified"}'
 _U7 = '{"p":7,"ext":"unramified"}'
 _TAU_README = '{"mu2":%s,"nu2":%s,"v2":%%s}' % (TRIV_F, TRIV_F)
+_HUGE_T = '{"field":"%s","conductor":1,"unit_part":["1/2"],"t":%s}'
 # gamma_PSR of (MU_JSON, trivial) twisted by this tau has poles at the
 # default points 0.7 and 1.3
 _TAU_POLE = json.dumps({
@@ -423,8 +424,9 @@ _REPROS = [
     (["tate", "--field", _F5, "--char", '{"lambda":"-60"}'], None),
     (["tate", "--field", _F5, "--char", '{"lambda":"200"}'], None),
     (["tate", "--field", _F5, "--char", '{"lambda":"-440"}'], None),
-    # a factor evaluated where |1 - alpha q^(-s)| overflows: no pole, no traceback
-    (["tate", "--field", _F5, "--char", '{"lambda":"440"}'], None),
+    # a factor evaluated where |1 - alpha q^(-s)| overflows: its value at
+    # s = 2.1+0.5i underflows (printed as -0.0 before), and --char is named
+    (["tate", "--field", _F5, "--char", '{"lambda":"440"}'], "--char"),
     # a conductor that is not a JSON integer
     (["tate", "--field", _F5, "--char", _legendre_at(1.7)], "--char: conductor"),
     (["tate", "--field", _F5, "--char", _legendre_at("1")], "--char: conductor"),
@@ -529,6 +531,25 @@ _REPROS = [
     # overflows to NaN
     (["arch-zeta", "--n1", "452", "--n2", "0", "--lam1", "5"], "--lam1/--lam2"),
     (["arch-zeta", "--n1", "452", "--n2", "0", "--lam2=-5"], "--lam1/--lam2"),
+    # gamma_PSR of a twist pair whose constituents' powers cancel in the
+    # dependence monomial: in range, verified (a parse-time rule refused it)
+    (
+        ["twisted-asai", "--field", _U3, "--char", _HUGE_T % ("E", "1e100"), "--char2", "trivial",
+         "--tau", '{"mu2":%s,"nu2":{"t":{"angle":"0"}}}' % (_HUGE_T % ("F", "1e-100")),
+         "--psi-shift", "3"],
+        None,
+    ),
+    # gamma_PSR's table underflowed to exact zeros, compared equal and
+    # printed ok
+    (
+        ["twisted-asai", "--field", '{"p":3,"ext":"ramified-p"}', "--char", _HUGE_T % ("E", "1e-50"),
+         "--char2", "trivial",
+         "--tau", '{"mu2":%s,"nu2":{"t":{"angle":"0"}}}' % (_HUGE_T % ("F", "1"))],
+        "--char",
+    ),
+    # a --grid point where gamma underflows to 0 (printed as 0.0 before)
+    (["tate", "--field", '{"p":3}', "--char", "legendre", "--psi-shift", "3", "--grid=1e300"],
+     "--grid"),
 ]
 
 
@@ -589,7 +610,7 @@ _JSON_EDGES = st.sampled_from(
 )
 _T_EDGES = st.sampled_from(
     [0, 1, -1, 0.5, 2.5, 1e-3, True, False, "0.5", "abc", [0.6, 0.8], [1e-3, 0], ["1", 0], None,
-     1e300, -1e300, 1e-300, [1e300, 1e-300], 1e150, 1e-150]
+     1e300, -1e300, 1e-300, [1e300, 1e-300], 1e150, 1e-150, 1e100, 1e-100, 1e40, 1e-40]
 )
 _EDGE_VALUES = {
     "field": st.sampled_from(["E", "F", "G", 5]),
@@ -676,8 +697,8 @@ def p_adic_argv(draw):
 @given(p_adic_argv())
 def test_p_adic_commands_exit_0_2_or_3(argv):
     # drawn inputs to the four p-adic commands end in a report (exit 0, or 3
-    # when a check fails) or in one input-error line naming a flag, never in
-    # a traceback
+    # when a check fails), strict JSON with no NaN or Infinity, or in one
+    # input-error line naming a flag, never in a traceback
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -686,11 +707,8 @@ def test_p_adic_commands_exit_0_2_or_3(argv):
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
         assert err.getvalue().startswith("input error:"), argv
         assert re.search(_P_ADIC_FLAGS, err.getvalue()), (argv, err.getvalue())
-    elif rc == 0:
-        json.loads(out.getvalue())
-
-
-_HUGE_T = '{"field":"%s","conductor":1,"unit_part":["1/2"],"t":%s}'
+    elif rc == 0 or out.getvalue():  # a ConsistencyError's exit 3 prints no report
+        json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 @pytest.mark.parametrize(
@@ -723,14 +741,19 @@ _HUGE_T = '{"field":"%s","conductor":1,"unit_part":["1/2"],"t":%s}'
         (["twisted-asai", "--field", _U3, "--char",
           '{"conductor":1,"unit_part":["1/8"],"t":1e300}', "--char2", "trivial",
           "--tau", '{"mu2":{"t":{"angle":"0"}},"nu2":{"t":{"angle":"0"}}}'], "--char"),
+        # the product of the two twists' gamma_RS overflows: exit 3 with a
+        # NaN deviation before; its values are 3e393 to 4e399 on DEFAULT_GRID
+        (["twisted-asai", "--field", _U3, "--char", _HUGE_T % ("E", "1e50"), "--char2", "trivial",
+          "--tau", '{"mu2":%s,"nu2":{"t":{"angle":"0"}}}' % (_HUGE_T % ("F", "1e50"))], "--tau"),
     ],
     ids=["asai-psi-shift", "twisted-asai-psi-shift", "tate-t", "dichotomy-tau-t", "tate-psi-shift",
-         "asai-twist-t", "asai-constituent-product", "twisted-asai-constituent-product"],
+         "asai-twist-t", "asai-constituent-product", "twisted-asai-constituent-product",
+         "twisted-asai-gamma-psr-product"],
 )
 def test_huge_t_or_shift_valuation_exits_2_naming_the_flag(argv, flag, capsys):
-    # the float-range rule refuses these where the flags are parsed; each
-    # used to pass every input check and then end in a traceback, in exit 3
-    # with dev=nan (tate-psi-shift) or in a factor printed as 0 (asai-twist-t)
+    # a value these inputs form leaves the float range where it is formed;
+    # each used to end in a traceback, in exit 3 with dev=nan
+    # (tate-psi-shift) or in a factor printed as 0 (asai-twist-t)
     rc = main(argv)
     out, err = capsys.readouterr()
     assert rc == 2 and out == "" and err.startswith("input error:") and flag in err
@@ -782,14 +805,21 @@ def test_each_input_ends_as_stated(argv, flag, capsys):
 
 @pytest.mark.parametrize("error", [PoleError, FloatRangeError])
 @pytest.mark.parametrize("grid", [[], ["--grid", "0.7"]])
-def test_pole_or_overflow_off_the_users_grid_raises(error, grid, monkeypatch):
-    # only a point the user gave makes a pole or an overflow the input's fault
+def test_pole_or_overflow_off_the_users_grid_raises(error, grid, monkeypatch, capsys):
+    # only a point the user gave makes a pole the input's fault; a value out
+    # of the float range is formed from the value flags, which are named
     def evaluate(self, s):
         raise error(2.5)
 
     monkeypatch.setattr(NonArchFactor, "eval", evaluate)
-    with pytest.raises(error):
-        main(["tate", "--field", _F5, "--char", "trivial", *grid])
+    argv = ["tate", "--field", _F5, "--char", "trivial", *grid]
+    if error is PoleError:
+        with pytest.raises(error):
+            main(argv)
+        return
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("input error: --char")
 
 
 # v2 from 10 to 1e300 in size, and through 100..700, where |.|^(+-v2) of the
@@ -803,8 +833,8 @@ def test_tau_v2_sweep_exits_0_2_or_3(capsys):
     # 240 inputs: none ends in a traceback, and each refusal is one line.
     # Exit 3 would be exactly a twisted-asai comparison whose deviation is
     # NaN: its two assemblies leave the float range, so nothing was
-    # verified.  The 22 such inputs are refused since the float-range rule
-    # sums the bits of each twist's three Galois constituents.
+    # verified.  The 22 such inputs are refused, as a value of their
+    # assemblies leaves the float range where it is formed.
     nan_inputs = 0
     for p in (3, 5, 7):
         for command in ("twisted-asai", "dichotomy"):

@@ -8,12 +8,16 @@ import pytest
 from asailocal.factors import (
     ArchFactor,
     DEFAULT_GRID,
+    FloatRangeError,
     NonArchFactor,
     PoleError,
     approx_equal,
     factor_from_json,
     gammafn,
+    in_range,
     loggamma,
+    power,
+    relative_deviation,
     worst_deviation,
 )
 
@@ -133,6 +137,30 @@ def test_approx_equal_fails_a_nan_and_keeps_a_finite_deviation():
         for s in DEFAULT_GRID
     )
     assert approx_equal(f, g) == (True, want)
+
+
+def test_a_relative_deviation_has_no_floor():
+    # under a floor of 1e-30 on the scale, a relative check passed anything
+    ok, dev = approx_equal(NonArchFactor(5, c=1e-40), NonArchFactor(5, c=2e-40))
+    assert ok is False and dev == pytest.approx(0.5)
+    assert relative_deviation(0j, 0j, 0.0) == 0.0
+    assert relative_deviation(1e-300, 0.0, 0.0) == math.inf
+
+
+def test_in_range_refuses_a_value_that_left_the_float_range():
+    for z in (math.inf, complex(math.nan, 1.0), 1e-310, 0.0, complex(1.5e308, 1.5e308), 10**400):
+        with pytest.raises(FloatRangeError):
+            in_range(z, 2.0)
+    assert in_range(0j, 3.0, 0.0) == 0  # a part is 0
+    assert in_range(1e-300) == 1e-300
+    # 5 ** -600 underflows to 0.0, a complex square overflows, and the
+    # inverse of an underflowed square divides by zero
+    for base, k in ((5, -600), (1e200 + 0j, 2), (1e-200 + 0j, -2)):
+        with pytest.raises(FloatRangeError):
+            power(base, k)
+    assert power(5, 3) == 125 and type(power(5, 3)) is int
+    with pytest.raises(FloatRangeError, match="at s = 0.7$"):
+        NonArchFactor(5, c=1e-300, m=600).eval(0.7)
 
 
 def test_factor_json_roundtrip():

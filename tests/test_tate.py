@@ -220,6 +220,18 @@ def test_gamma_certification_catches_wrong_constant():
             certify_gamma(bad, chi, psi)
 
 
+def test_gamma_certification_refuses_twice_a_gamma_far_below_1e_30():
+    # gamma is about 1e-80 on the check grid; under a floor of 1e-30 on the
+    # deviation's scale, 2 gamma was certified
+    F = PAdicGround(3)
+    chi = MultChar(F, 1, (Fraction(1, 2),), Phase.approx(1e-40))
+    psi = standard_psi(F).shifted(3)
+    gamma = tate_gamma(chi, psi)
+    certify_gamma(gamma, chi, psi)
+    with pytest.raises(ConsistencyError):
+        certify_gamma(2 * gamma, chi, psi)
+
+
 def test_gamma_certification_refuses_a_nan_deviation(monkeypatch):
     # `dev > tol` is false for a NaN; the oracle must not certify it
     F = PAdicGround(5)
