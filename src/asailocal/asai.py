@@ -25,11 +25,10 @@ checks lambda_{E/F}(psi), once per (E, psi) in ``langlands_constant``, and
 the three Tate gammas of ``gamma_rs(inp, check=True)`` (the ``asai`` command)
 on every such call.
 
-The assembly of gamma_rs (:func:`_assembly`) and the Galois constituents
-are cached by the value of the input, as ``tate_eps`` is by its character
-and psi: an ``asai`` request reads gamma_RS and the constituents of its
-input more than once.  Cached factors are shared; callers never change
-them.
+The assembly of gamma_rs (:func:`_assembly`) is cached by the value of
+the input, as ``tate_eps`` is by its character and psi: an ``asai`` request
+reads gamma_RS more than once.  Cached factors are shared; callers never
+change them.
 """
 
 from __future__ import annotations
@@ -206,11 +205,9 @@ def gamma_rs(inp: AsaiInput, check: bool = False) -> NonArchFactor:
     return gam
 
 
-@lru_cache(maxsize=256)
 def _gal_constituents(inp: AsaiInput):
     """The three Tate characters of the Weil-Deligne decomposition, with
-    twist folded in on the Galois side (no extension involved).  Cached by
-    the value of ``inp``."""
+    twist folded in on the Galois side (no extension involved)."""
     E = inp.E
     mu0, nu0 = restrict_to_F(inp.mu), restrict_to_F(inp.nu)
     third = inp.mu.mul(sigma_conjugate(inp.nu))

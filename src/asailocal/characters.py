@@ -49,9 +49,9 @@ on either side it gives the bits of complex(a) + complex(b).
 A ``MultChar`` compares and hashes by value (field, level, unit data, t,
 lam), so characters reached along different routes, restriction of a
 product against the product of restrictions say, are equal and share every
-cache keyed on characters.  Two bounded caches are keyed that way: the
-pullback itself (:func:`_pullback`) and ``tate.gauss_sum``.  Cached
-characters are shared, so no caller may change one.
+cache keyed on characters: the pullback itself (:func:`_pullback`) here,
+and ``tate_eps``, the dual and the exact integrals in :mod:`asailocal.tate`.
+Cached characters are shared, so no caller may change one.
 
 Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
 kernel, :func:`shell_angles`, which builds no field element per term.  It
@@ -66,14 +66,14 @@ integer angle numerators:
   beta the residues of p^k tr(c psi_mult pi^v) and p^k tr(c psi_mult pi^v
   sqrt(d)), psi_den = p^k.
 
-The psi numerators depend on the shell alone and are kept in a bounded
-cache per (psi, v, m, c) (:func:`_psi_frame`).  Over chi's whole group (m =
-a(chi), no shift) the i-th walked unit has the i-th exponents in product
-order, so chi's numerators are its weights expanded in mixed radix, with no
-dlog.  Any other frame peels its keys once per (unit group, m, v of the
-shift) (:func:`_dlog_frame`).  A frame whose build raises is not cached, so
-the kernel raises :class:`PrecisionError` on every call where ``shell`` or
-``AddChar.angle`` would.
+The psi numerators depend on the shell alone (:func:`_psi_frame`); they
+are built on every call, as a frame holds one int per unit.  Over chi's
+whole group (m = a(chi), no shift) the i-th walked unit has the i-th
+exponents in product order, so chi's numerators are its weights expanded
+in mixed radix, with no dlog.  Any other frame peels its keys once per
+(unit group, m, v of the shift) (:func:`_dlog_frame`).  A frame whose
+build raises is not cached, so the kernel raises :class:`PrecisionError` on
+every call where ``shell`` or ``AddChar.angle`` would.
 
 :func:`shell_cyc` counts the numerators into one exact ``Cyc`` on integer
 exponents; every local integral of the two oracles is built from it
@@ -622,10 +622,9 @@ class ShellAngles(NamedTuple):
     psi_den: int
 
 
-@lru_cache(maxsize=256)
 def _psi_frame(psi: AddChar, v: int, m: int, c) -> tuple:
     """(psis, psi_den) of :class:`ShellAngles`: psi(c x) over the shell,
-    for every character alike.  Bounded, as the Whittaker path varies c."""
+    for every character alike."""
     K = psi.field
     F = K.ground
     _check_shell_modulus(m, F.precision)
@@ -718,7 +717,7 @@ def alpha_chi(chi: MultChar, psi: AddChar):
     integers."""
     theta, (b1, b2) = _alpha_thetas(chi), _beta_basis(chi.field)
     beta = (theta[0] * b1 + theta[1] * b2) * Fraction(1, chi.unit_den)
-    return beta * _inverse_step(psi, (chi.n + 1) // 2)
+    return beta / (psi.mult * psi.field.uniformizer() ** ((chi.n + 1) // 2))
 
 
 def _alpha_thetas(chi: MultChar) -> tuple:
@@ -734,20 +733,12 @@ def _alpha_thetas(chi: MultChar) -> tuple:
     return tuple(map(chi._unit_num, rows)) + (0,) * (2 - len(rows))
 
 
-@cache
 def _beta_basis(K: Field) -> tuple:
     """(b_1, b_2), the basis dual to (1, sqrt(d)) under tr(beta e_j): 1 and 0
     on F, 1/2 and sqrt(d)/(2d) on E."""
     if is_extension(K):
         return K.elem(Fraction(1, 2)), K.elem(0, Fraction(1, 2 * K.d))
     return Fraction(1), Fraction(0)
-
-
-@lru_cache(maxsize=64)
-def _inverse_step(psi: AddChar, k: int):
-    """1 / (psi_mult pi^k), which takes beta to alpha in :func:`alpha_chi`;
-    cached, as every character of one conductor shares it."""
-    return 1 / (psi.mult * psi.field.uniformizer() ** k)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ def _poly_div_monic(num: list, den: tuple) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
 def _radical_split(n: int) -> tuple:
     """(R, n/R, deg Phi_R, Phi_R's nonzero coefficients below the top as
     (i, c) pairs) for R = rad n."""

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 DEFAULT_PRECISION = 12
@@ -65,7 +64,6 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@lru_cache(maxsize=None)
 def smallest_nonresidue(p: int) -> int:
     """Smallest quadratic non-residue unit mod p."""
     for u in range(2, p):
@@ -255,7 +253,6 @@ def _check_shell_modulus(m: int, precision: int) -> None:
         raise PrecisionError(f"shell modulus {m} exceeds precision {precision}")
 
 
-@lru_cache(maxsize=None)
 def _shell_coords(p: int, ma: int, mb: int, a_unit: bool) -> tuple:
     """Pairs (a, b), a < p^ma and b < p^mb (mb = 0 gives b = 0), a-major,
     with a a unit, or with a or b a unit when ``a_unit`` is false."""

@@ -54,7 +54,6 @@ from .characters import (
     Phase,
     _alpha_thetas,
     _beta_basis,
-    _inverse_step,
     _num_exp,
     conductor_add,
     omega_quadratic,
@@ -104,12 +103,9 @@ def l_product(chars, q: int) -> NonArchFactor:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
 def gauss_sum(chi: MultChar, psi: AddChar) -> complex:
     """G(chi, psi) = sum chi^{-1}(x) psi(x) over the shell ord x = c - n mod
-    p^c, n = a(chi) and c = c(psi), as a floating complex.  Cached by the
-    values of chi and psi: the Asai factors reach equal constituents along
-    several routes.
+    p^c, n = a(chi) and c = c(psi), as a floating complex.
 
     G is the stationary-phase closed form (Bushnell-Henniart, *The Local
     Langlands Conjecture for GL(2)*, 23.6-23.8; Tate, "Number theoretic
@@ -188,7 +184,7 @@ def _stationary_line(psi: AddChar, n: int) -> tuple:
     angles = [psi.angle(e) for e in K.shell_basis(v)]
     P = lcm(*(t.denominator for t in angles))
     nums = tuple(t.numerator * (P // t.denominator) for t in angles)
-    w = _inverse_step(psi, k) * K.uniformizer() ** -v
+    w = 1 / (psi.mult * K.uniformizer() ** (k + v))
     X = [K.coords(b * w) for b in _beta_basis(K)]
     D0 = lcm(*(z.denominator for xy in X for z in xy))
     return offsets, nums, P, (*(tuple(int(z * D0) for z in xy) for xy in X), D0)
@@ -199,11 +195,10 @@ def _stationary_line(psi: AddChar, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _sqrt_prime(p: int) -> Cyc:
     """sqrt(p) for an odd prime p, exactly: the quadratic Gauss sum
     sum (a/p) e(a/p) is sqrt(p) for p = 1 (mod 4) and i sqrt(p) for
-    p = 3 (mod 4).  Callers share the result and never mutate it."""
+    p = 3 (mod 4).  :func:`_qpow` keeps its multiples."""
     g = _make(p, 1, {a: legendre(a, p) for a in range(1, p)})
     return g if p % 4 == 1 else g * Cyc.root(Fraction(3, 4))
 
@@ -221,13 +216,6 @@ def _qpow(q: int, e) -> Cyc:
     if r * r == q:
         return Cyc.rational(Fraction(r) ** int(2 * fe))
     return Cyc.rational(Fraction(q) ** int(fe - Fraction(1, 2))) * _sqrt_prime(q)
-
-
-@lru_cache(maxsize=1024)
-def _chi_cyc(chi: MultChar, x) -> Cyc:
-    """chi(x) as a Cyc, cached: an x-average evaluates mu(det) and chi(t0)
-    at the same few points for every x."""
-    return chi.cyc(x)
 
 
 @lru_cache(maxsize=1024)
@@ -325,7 +313,7 @@ def coset_integral(chi: MultChar, t0, L: int, psi: AddChar, s) -> Cyc:
     if Kk >= c_eff:
         acc = acc + _qpow(q, -Kk)
     inner = acc * V
-    pref = _chi_cyc(chi, t0) * psi.cyc(-st0) * _qpow(q, -T1)
+    pref = chi.cyc(t0) * psi.cyc(-st0) * _qpow(q, -T1)
     return pref * inner
 
 
@@ -417,13 +405,21 @@ def _tail_ratio(t: complex, q: int, s: complex) -> complex:
 
 def zeta_at(terms, q: int, s: complex) -> complex:
     """Z(s, chi, Phi) from its :func:`zeta_terms`, summed in their order.  A
-    summand may underflow, as the comparison with the closed form sees any
-    bits lost there; the total is checked by ``in_range``, since a default
-    test function's zeta integral is not 0."""
+    summand is coef q^{-v(s-1)} value, multiplied in that order unless that
+    first product leaves the normal floats; then coef value comes first, so
+    a small coef and a small power of q do not underflow where the summand
+    does not.  A summand may still underflow, as the comparison with the
+    closed form sees any bits lost there; the total is checked by
+    ``in_range``, since a default test function's zeta integral is not 0."""
     total = 0j
     for coef, v, value, t in terms:
         if t is None:
-            total += coef * q ** (-v * (s - 1)) * value
+            power_of_q = q ** (-v * (s - 1))
+            head = coef * power_of_q
+            if LEAST_NORMAL <= hypot(head.real, head.imag) < inf:
+                total += head * value
+            else:
+                total += coef * value * power_of_q
         else:
             r = _tail_ratio(t, q, s)
             total += coef * (r**v / (1 - r))
@@ -552,8 +548,8 @@ def eps_from_gamma(gamma: NonArchFactor, chars, q: int) -> NonArchFactor:
 @lru_cache(maxsize=512)
 def tate_eps(chi: MultChar, psi: AddChar) -> NonArchFactor:
     """eps = gamma * L(s,chi) / L(1-s,chi^{-1}); structurally a monomial.
-    Cached by the values of chi and psi, as :func:`gauss_sum` is; the
-    factor returned is shared and never changed."""
+    Cached by the values of chi and psi; the factor returned is shared and
+    never changed."""
     return eps_from_gamma(tate_gamma(chi, psi), [chi], chi.field.q)
 
 

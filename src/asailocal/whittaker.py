@@ -15,8 +15,8 @@ gives the floating value.  The spherical zeta integral, the oracle for
 unramified gamma_RS, is evaluated in floating point from its closed-form
 tails.
 
-The shell and coset integrals, and the cached q-powers and chi(x) they use,
-are the Tate oracle's (:mod:`asailocal.tate`).  They take psi and a
+The shell and coset integrals, and the cached q-powers they use, are the
+Tate oracle's (:mod:`asailocal.tate`).  They take psi and a
 multiplier s and sum psi(-s t) against the self-dual measure of psi; the
 conductor of t -> psi(-s t) is c(psi) - ord s, so the big-cell integral
 never builds a shifted additive character.  The averaged families write
@@ -44,7 +44,7 @@ from .characters import (
 from .cyclotomic import Cyc
 from .factors import PoleError
 from .padic import QuadExtension, Value, _set
-from .tate import _chi_cyc, _qpow, _vol_O, coset_integral, shell_integral
+from .tate import _qpow, _vol_O, coset_integral, shell_integral
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def _det_factor(sec: InducedSection, det) -> Cyc:
     if det.is_zero():
         raise ValueError("singular matrix")
     E = sec.E
-    return _chi_cyc(sec.mu, det) * _qpow(E.q, Fraction(-E.val(det), 2))
+    return sec.mu.cyc(det) * _qpow(E.q, Fraction(-E.val(det), 2))
 
 
 def whittaker_value(sec: InducedSection, M: tuple) -> Cyc:

@@ -12,7 +12,6 @@ from asailocal.characters import (
     MultChar,
     Phase,
     _dlog_frame,
-    _psi_frame,
     conductor_add,
     psi_to_E,
     shell_cyc,
@@ -69,14 +68,12 @@ def test_whole_group_frames_peel_nothing(ext, monkeypatch):
     # unpatched value
     K, n = _field(5, ext), 2
     chi, psi, v = _whole_group_sum(K, n)
-    _psi_frame.cache_clear()
     _dlog_frame.cache_clear()
     want = shell_cyc(chi, psi, v, n)
 
     def refuse(self, arg):
         raise AssertionError(f"a whole-group sum read a dlog at {arg}")
 
-    _psi_frame.cache_clear()
     _dlog_frame.cache_clear()
     monkeypatch.setattr(UnitGroup, "_peel", refuse)
     monkeypatch.setattr(MultChar, "_unit_num", refuse)
@@ -101,6 +98,5 @@ def test_a_whole_group_sum_makes_one_pair_product_per_unit(monkeypatch):
 
     monkeypatch.setattr(UnitGroup, "_mul", counting)
     monkeypatch.setattr(UnitGroup, "_peel", refuse)
-    _psi_frame.cache_clear()
     shell_cyc(chi, psi, v, 3)
     assert G.size == 15_000 and len(calls) <= G.size + 10

@@ -17,7 +17,6 @@ from asailocal.characters import (
     Phase,
     _dlog_frame,
     _num_exp,
-    _psi_frame,
     conductor_add,
     psi_to_E,
     shell_angles,
@@ -751,7 +750,6 @@ def test_gauss_sum_at_conductor_one_is_the_element_loop_bit_for_bit():
 
 
 def _cold_shell_angles(*args, **kwargs):
-    _psi_frame.cache_clear()
     _dlog_frame.cache_clear()
     return shell_angles(*args, **kwargs)
 
@@ -759,7 +757,7 @@ def _cold_shell_angles(*args, **kwargs):
 @pytest.mark.parametrize("p,ext", [(5, None), (3, "ramified-up"), (3, UNRAMIFIED)])
 @pytest.mark.parametrize("shift", [False, True])
 def test_shell_angles_of_two_characters_do_not_depend_on_the_order(p, ext, shift):
-    # the cached shell frame is the same for every character on it
+    # the cached dlog frame of a shell serves every character on it alike
     K = _field(p, ext)
     psi = standard_psi(K) if ext is None else psi_to_E(standard_psi(K.ground), K, K.xi())
     G = unit_group(K, 3)
@@ -771,7 +769,6 @@ def test_shell_angles_of_two_characters_do_not_depend_on_the_order(p, ext, shift
     cold = [_cold_shell_angles(chi, *args) for chi in chis]
     assert cold[0] != cold[1]
     for order in ((0, 1), (1, 0)):
-        _psi_frame.cache_clear()
         _dlog_frame.cache_clear()
         assert {i: shell_angles(chis[i], *args) for i in order} == dict(enumerate(cold))
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asailocal.characters import _psi_frame, psi_to_E, standard_psi
 from asailocal.padic import (
     EXTENSION_TYPES,
     EElement,
@@ -264,11 +263,6 @@ def test_elements_of_F_hash_as_the_numbers_they_equal(ext):
     for x in (0, 1, -1, 5, Fraction(1, 3)):
         assert E.elem(x) == x and hash(E.elem(x)) == hash(x)
         assert len({E.elem(x), x}) == 1
-    # so a cache keyed on the multiplier c keeps one entry for 1 and E.elem(1)
-    psi = psi_to_E(standard_psi(F), E, E.xi())
-    _psi_frame.cache_clear()
-    assert _psi_frame(psi, 0, 1, E.elem(1)) is _psi_frame(psi, 0, 1, 1)
-    assert _psi_frame.cache_info().currsize == 1
 
 
 def test_precision_guard():

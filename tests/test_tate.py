@@ -599,7 +599,6 @@ def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
     rng = random.Random(f"guard-{ext}-{n}")
     chi = _primitive_char(K, n, rng, Phase.exact(Fraction(2, 7)), Fraction(1, 3))
     routes = (tate_gamma, tate_eps) + ((gauss_sum,) if n else ())
-    gauss_sum.cache_clear()
     tate_eps.cache_clear()
     want = [route(chi, psi) for route in routes]
 
@@ -609,12 +608,10 @@ def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
     for name in ("shell_angles", "_dlog_frame", "_psi_frame"):
         monkeypatch.setattr(characters_mod, name, frame)
     monkeypatch.setattr(UnitGroup, "keys", frame)
-    gauss_sum.cache_clear()
     tate_eps.cache_clear()
     tate_mod._stationary_line.cache_clear()
     assert [route(chi, psi) for route in routes] == want
     assert tate_eps.cache_info().misses == 1
-    gauss_sum.cache_clear()
 
 
 @st.composite
