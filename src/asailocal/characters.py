@@ -54,36 +54,35 @@ and ``tate_eps``, the dual and the exact integrals in :mod:`asailocal.tate`.
 Cached characters are shared, so no caller may change one.
 
 Finite character sums over a shell {ord x = v} mod pi^(v+m) go through one
-kernel, :func:`shell_angles`, which builds no field element per term.  It
-takes the shell's elements x = pi^v (a + b sqrt(d)) with the units (a, b)
-in the order of ``unit_group(K, m).walk()``, and for the i-th gives two
-integer angle numerators:
+kernel, :func:`shell_cyc`, which builds no field element per term and holds
+no list of the shell's terms.  It walks the shell's elements x = pi^v (a + b
+sqrt(d)) with the units (a, b) in the order of ``unit_group(K, m).walk()``,
+and meets each with two integer angle numerators:
 
-* chi's unit part, e(units[i] / unit_den): the sum of e_j w_j over the dlog
+* chi's unit part, e(u / unit_den): the sum of e_j w_j over the dlog
   exponents e_j of a + b sqrt(d) (of 1 + x with ``shift``), with chi's
   weights w_j;
-* psi(c x), e(psis[i] / psi_den): (alpha a + beta b) mod p^k, with alpha and
-  beta the residues of p^k tr(c psi_mult pi^v) and p^k tr(c psi_mult pi^v
-  sqrt(d)), psi_den = p^k.
+* psi(c x), e(s / P): s = (al a + be b) mod P, P = p^k, with al and be the
+  residues of p^k tr(c psi_mult pi^v) and p^k tr(c psi_mult pi^v sqrt(d))
+  (:func:`_psi_coeffs`), the same for every character.
 
-The psi numerators depend on the shell alone (:func:`_psi_frame`); they
-are built on every call, as a frame holds one int per unit.  Over chi's
-whole group (m = a(chi), no shift) the i-th walked unit has the i-th
-exponents in product order, so chi's numerators are its weights expanded
-in mixed radix, with no dlog.  Any other frame peels its keys once per
-(unit group, m, v of the shift) (:func:`_dlog_frame`).  A frame whose
-build raises is not cached, so the kernel raises :class:`PrecisionError` on
-every call where ``shell`` or ``AddChar.angle`` would.
+Over chi's whole group (m = a(chi), no shift) the i-th walked unit has the
+i-th exponents in product order, so chi's numerators are its weights
+expanded in mixed radix, streamed beside the walk with no dlog.  Any other
+frame peels its keys once per (unit group, m, v of the shift)
+(:func:`_dlog_frame`).  A frame whose build raises is not cached, so the
+kernel raises :class:`PrecisionError` on every call where ``shell`` or
+``AddChar.angle`` would.
 
-:func:`shell_cyc` counts the numerators into one exact ``Cyc`` on integer
-exponents; every local integral of the two oracles is built from it
-(:mod:`asailocal.tate`), and the shell kernel serves the oracles only.  The
-closed form's Gauss sum enumerates no shell at any conductor: it reads chi
-off the alpha of :func:`alpha_chi`, with chi(1 + x) = psi(alpha x) on
-p^ceil(n/2), found from chi's values on the one-unit generators, and off
-chi's point dlogs (alpha = 0 at n = 1).  A sum over a whole unit group reads
-the group's walk, not its peeled point dlogs, so the oracle's whole-group
-sums and the closed form share no dlog code.
+:func:`shell_cyc` counts the joint numerators into one exact ``Cyc`` on
+integer exponents as it meets them; every local integral of the two oracles
+is built from it (:mod:`asailocal.tate`), and the shell kernel serves the
+oracles only.  The closed form's Gauss sum enumerates no shell at any
+conductor: it reads chi off the alpha of :func:`alpha_chi`, with chi(1 + x)
+= psi(alpha x) on p^ceil(n/2), found from chi's values on the one-unit
+generators, and off chi's point dlogs (alpha = 0 at n = 1).  A sum over a
+whole unit group reads the group's walk, not its peeled point dlogs, so the
+oracle's whole-group sums and the closed form share no dlog code.
 """
 
 from __future__ import annotations
@@ -93,8 +92,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from operator import mul
-from typing import NamedTuple, Optional, Union
+from itertools import chain, cycle, repeat
+from operator import add, mul
+from typing import Optional, Union
 
 from .cyclotomic import Cyc, _make, _wrap
 from .factors import FloatRangeError, in_range, power
@@ -252,15 +252,15 @@ def _checked_conductor(psi: AddChar) -> int:
     """Brute-force conductor of an additive character.
 
     The formula c = -ord(b) - d(E/F) pins the tail; triviality on the shells
-    v = c, c + 1 and non-triviality at v = c-1 are then checked on shell
-    representatives.
+    v = c, c + 1 and non-triviality at v = c-1 are then checked by exact
+    shell sums, which have conductor 1 only when every term is 1.
     """
     K = psi.field
     c = -K.val(psi.mult) - K.different_exponent
     for v in (c, c + 1):
-        if any(shell_angles(None, psi, v, 1).psis):
+        if shell_cyc(None, psi, v, 1).n != 1:
             raise AssertionError("additive conductor formula violated (trivial side)")
-    if not any(shell_angles(None, psi, c - 1, 1).psis):
+    if shell_cyc(None, psi, c - 1, 1).n == 1:
         raise AssertionError("additive conductor formula violated (nontrivial side)")
     return c
 
@@ -613,33 +613,24 @@ def mult_char_from_json(obj: dict, field: Field) -> MultChar:
 # ---------------------------------------------------------------------------
 
 
-class ShellAngles(NamedTuple):
-    """Integer angles over the shell's pi^v u, u in ``unit_group(K, m).walk()``."""
-
-    units: list  # chi's unit part: e(units[i] / unit_den)
-    unit_den: int
-    psis: tuple  # psi(c x): e(psis[i] / psi_den)
-    psi_den: int
-
-
-def _psi_frame(psi: AddChar, v: int, m: int, c) -> tuple:
-    """(psis, psi_den) of :class:`ShellAngles`: psi(c x) over the shell,
-    for every character alike."""
+def _psi_coeffs(psi: AddChar, v: int, m: int, c) -> tuple:
+    """(al, be, P) with psi(c pi^v (a + b sqrt(d))) = e((al a + be b) / P)
+    for the integer coordinates (a, b) of the shell's units, for every
+    character alike."""
     K = psi.field
     F = K.ground
     _check_shell_modulus(m, F.precision)
-    G = unit_group(K, m)
     e1, e2 = K.shell_basis(v)
     mult = psi.mult * K.embed(c)
     # psi(c x) = e(frac(a alpha + b beta)); beta is 0 on F, and on ramified
     # m = 1 every b is 0 (Mb = 1), so beta must not count towards the precision
-    alpha, beta = K.tr(mult * e1), K.tr(mult * e2) if G._mods[1] > 1 else 0
+    alpha, beta = K.tr(mult * e1), K.tr(mult * e2) if unit_group(K, m)._mods[1] > 1 else 0
     k = max([0] + [-F.val(z) for z in (alpha, beta) if z])
     if k > F.precision:
         raise PrecisionError(f"fractional part needs p^{k} > precision window")
     P = F.p**k
     al, be = (F.residue(z * P, k) if z else 0 for z in (alpha, beta))
-    return tuple((al * a + be * b) % P for a, b in G.walk()), P
+    return al, be, P
 
 
 @lru_cache(maxsize=64)
@@ -654,47 +645,37 @@ def _dlog_frame(G, m: int, shift_v: Optional[int]) -> tuple:
         # 1 + a e1 + b e2 in coordinates; e1, e2 are integral for v >= 1
         e1, e2 = K.shell_basis(shift_v)
         (r, s), (t, u) = (map(int, K.coords(e)) for e in (e1, e2))
-        coords = [(1 + a * r + b * t, a * s + b * u) for a, b in coords]
-    return tuple(G.logs[key] for key in G.keys(coords))
-
-
-def shell_angles(
-    chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
-) -> ShellAngles:
-    """The kernel of every finite character sum (see the module docstring).
-
-    x runs over the shell ord x = v mod pi^(v+m), its units in walk order;
-    chi's unit part is taken at x, or at the unit 1 + x with ``shift``
-    (v >= 1).  ``chi=None`` gives unit angles 0.
-    """
-    psis, P = _psi_frame(psi, v, m, c)
-    if chi is None or chi.n == 0:
-        return ShellAngles([0] * len(psis), 1, psis, P)
-    if shift and v < 1:
-        raise ValueError("the 1 + x shift needs ord x >= 1")
-    G, den = chi.group, chi.unit_den
-    if shift or m != G.level:
-        units = list(map(chi._unit_num, _dlog_frame(G, m, v if shift else None)))
-    else:
-        # the i-th walked unit has the i-th exponents: chi's weights in mixed radix
-        units = [0]
-        for w, order in zip(chi.unit_weights, G.orders):
-            steps = [e * w % den for e in range(order)]
-            units = [(u + s) % den for u in units for s in steps]
-    return ShellAngles(units, den, psis, P)
+        coords = ((1 + a * r + b * t, a * s + b * u) for a, b in coords)
+    return tuple(G.logs[G.coord_key(a, b)] for a, b in coords)
 
 
 def shell_cyc(
     chi: Optional[MultChar], psi: AddChar, v: int, m: int, c=1, shift: bool = False
 ) -> Cyc:
-    """sum chi(x) psi(c x) over the shell, exactly: chi(1 + x) with
-    ``shift``, psi alone for ``chi=None``.  The counts of each integer
-    numerator mod D become the coefficients, at the conductor D reduced by
-    the gcd of D and the numerators."""
-    sa = shell_angles(chi, psi, v, m, c, shift)
-    D = math.lcm(sa.unit_den, sa.psi_den)
-    fu, fp = D // sa.unit_den, D // sa.psi_den
-    counts = Counter((u * fu + s * fp) % D for u, s in zip(sa.units, sa.psis))
+    """sum chi(x) psi(c x) over the shell, exactly (see the module
+    docstring): chi(1 + x) with ``shift`` (v >= 1), psi alone for
+    ``chi=None``.  The counts of each integer numerator mod D become the
+    coefficients, at the conductor D reduced by the gcd of D and the
+    numerators."""
+    if shift and v < 1:
+        raise ValueError("the 1 + x shift needs ord x >= 1")
+    al, be, P = _psi_coeffs(psi, v, m, c)
+    G = unit_group(psi.field, m)
+    if chi is None or chi.n == 0:
+        den, units = 1, repeat(0, G.size)
+    elif shift or m != chi.group.level:
+        den, units = chi.unit_den, map(chi._unit_num, _dlog_frame(chi.group, m, v if shift else None))
+    else:
+        # the i-th walked unit has the i-th exponents: chi's weights in mixed
+        # radix, each numerator of the outer generators taken once per step
+        den, units = chi.unit_den, iter([0])
+        for w, order in zip(chi.unit_weights, G.orders):
+            steps = [e * w for e in range(order)]
+            units = map(add, chain.from_iterable(map(repeat, units, repeat(order))), cycle(steps))
+    D = math.lcm(den, P)
+    fu, A, B = D // den, al * D // P, be * D // P
+    # the walk leads the zip, so its check that it met every unit runs
+    counts = Counter((u * fu + A * a + B * b) % D for (a, b), u in zip(G.walk(), units, strict=True))
     g = math.gcd(D, *counts)
     out = _make(D // g, 1, {num // g: n for num, n in counts.items()})
     if chi is None or shift:

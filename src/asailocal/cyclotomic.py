@@ -36,8 +36,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Union
+
+from .padic import _prime_factors
 
 Scalarish = Union[int, Fraction]
 
@@ -69,15 +71,7 @@ def _poly_div_monic(num: list, den: tuple) -> list:
 def _radical_split(n: int) -> tuple:
     """(R, n/R, deg Phi_R, Phi_R's nonzero coefficients below the top as
     (i, c) pairs) for R = rad n."""
-    r, m, d = 1, n, 2
-    while d * d <= m:
-        if m % d == 0:
-            r *= d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        r *= m
+    r = prod(_prime_factors(n))
     phi = cyclotomic_poly(r)
     return r, n // r, len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
 

@@ -28,7 +28,7 @@ pi^(v+m), b = 0 on F; ``K.shell_basis(v)`` gives e1 = pi^v and e2 =
 pi^v sqrt(d) (0 on F), so x = a e1 + b e2, and ``K.shell`` is that map.  The
 unit part of such an x is a + b sqrt(d) itself, so its residue key is read off
 (a, b) with integer arithmetic; finite character sums use this and build no
-field element per term (see :func:`asailocal.characters.shell_angles`).
+field element per term (see :func:`asailocal.characters.shell_cyc`).
 
 The fields and the package's other immutable records derive from
 :class:`Value`: slotted classes with a hand-written ``__init__``, where any
@@ -125,7 +125,7 @@ class PAdicGround(Value):
     __slots__ = _fields + ("_hash",)
 
     def __init__(self, p: int, precision: int = DEFAULT_PRECISION):
-        if p < 3 or p % 2 == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2)):
+        if p < 3 or _prime_factors(p) != [p]:
             raise ValueError("p must be an odd prime >= 3")
         if precision < 8:
             raise ValueError("precision must be at least 8")
@@ -422,6 +422,20 @@ def _vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The primes dividing n >= 1, increasing, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 class QuadExtension(Value):

@@ -4,8 +4,8 @@ Multiplicative characters are stored as root-of-unity images of these
 generators, so every character evaluation funnels through a discrete log.
 Logs are keyed by integer residues: a key is the residue of a unit u at the
 group's level, ``G.key(u) = K.residue(u, level)`` (an int on F, a pair on E;
-0 and (0, 0) at level 0).  ``G.keys(coords)`` gives the same keys from
-integer coordinates (a, b) of units a + b sqrt(d), and ``G.logs[key]`` is the
+0 and (0, 0) at level 0).  ``G.coord_key(a, b)`` gives the same key from
+integer coordinates (a, b) of a unit a + b sqrt(d), and ``G.logs[key]`` is the
 exponent tuple, so ``G.dlog(u)`` is ``G.logs[G.key(u)]``.  ``logs`` computes
 the dlog of each key on its first use.  Every group peels a key the same way
 (``UnitGroup._peel``), on integer pairs a + b sqrt(d) (b = 0 on F): a
@@ -22,8 +22,8 @@ Point dlogs peel (``logs``).  A sum over the whole group needs none:
 ``G.walk()`` enumerates the products of generator powers, one pair product
 per unit, in ``itertools.product`` order of their exponents, so a unit's
 exponents are its position.  The oracle's shell sums take their units in
-walk order (``characters.shell_angles``) and over a whole group read the
-walk alone, so they share no dlog code with the closed forms.
+walk order (``characters.shell_cyc``) and over a whole group read the walk
+alone, so they share no dlog code with the closed forms.
 
 ``G.one_unit_gens(m)`` is a generating set of (1+pi^m O)/(1+pi^n O), not the
 whole subgroup: {1+p^m} on F, {1+p^m, 1+p^m sqrt(d)} on unramified E, and
@@ -39,20 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 
-from .padic import Field, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED, _vp
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .padic import Field, PAdicGround, PrecisionError, QuadExtension, UNRAMIFIED, _prime_factors, _vp
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +98,7 @@ class UnitGroup:
     a pair (a mod p^ma, b mod p^mb) on E (``E.residue_digits``).  ``logs``
     maps each key to its exponent tuple, so ``dlog(u)`` is ``logs[key(u)]``,
     and ``coord_key(a, b)`` gives the key of the unit a + b sqrt(d) straight
-    from integer coordinates, with no field element (``keys`` for a list).
+    from integer coordinates, with no field element.
 
     Everything runs on integer pairs (a mod Ma, b mod Mb) = a + b sqrt(d),
     (Ma, Mb) = ``_mods``; on F, Mb = 1 and b is 0.  The first basis element
@@ -168,10 +155,6 @@ class UnitGroup:
     def key(self, u):
         """Canonical residue key of a unit at this level."""
         return self.field.residue(self.field.embed(u), self.level)
-
-    def keys(self, coords) -> list:
-        """Residue keys of the units a + b sqrt(d), (a, b) integers in coords."""
-        return [self.coord_key(a, b) for a, b in coords]
 
     def coord_key(self, a: int, b: int):
         """The residue key of the unit a + b sqrt(d), a and b integers."""

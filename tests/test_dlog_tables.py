@@ -2,6 +2,7 @@
 the sums over a whole group, which read the walk and peel nothing."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -100,3 +101,36 @@ def test_a_whole_group_sum_makes_one_pair_product_per_unit(monkeypatch):
     monkeypatch.setattr(UnitGroup, "_peel", refuse)
     shell_cyc(chi, psi, v, 3)
     assert G.size == 15_000 and len(calls) <= G.size + 10
+
+
+@pytest.mark.parametrize("shift", [False, True])
+def test_a_walk_that_repeats_a_unit_raises_in_the_sum(shift, monkeypatch):
+    # with the first generator standing in for the second, the walk meets
+    # some unit twice; the sum runs the walk to its end, so its check raises,
+    # on the whole-group path and on a shifted frame read from the cache
+    K = _field(5, UNRAMIFIED)
+    chi, psi, v = _whole_group_sum(K, 2)
+    v = max(v, 1) if shift else v
+    shell_cyc(chi, psi, v, 2, shift=shift)
+    G = chi.group
+    monkeypatch.setattr(G, "_pairs", [G._pairs[0]] * len(G._pairs))
+    with pytest.raises(ArithmeticError, match="the walk met"):
+        shell_cyc(chi, psi, v, 2, shift=shift)
+
+
+def test_a_whole_group_sum_holds_no_list_of_its_units():
+    # p = 5, level 3 on unramified E, 15,000 units and a chi with unit_den
+    # 50: past the built group, the sum holds the walk's one byte per residue
+    # key and its counts, under 8 bytes per unit at its peak
+    K = _field(5, UNRAMIFIED)
+    G = unit_group(K, 3)
+    chi = MultChar(K, 3, [Fraction(1, 2), Fraction(1, 25), Fraction(2, 25)], Phase.one())
+    _, psi, v = _whole_group_sum(K, 3)
+    assert chi.unit_den == 50 and G.size == 15_000
+    tracemalloc.start()
+    try:
+        shell_cyc(chi, psi, v, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * G.size, peak

@@ -17,9 +17,9 @@ from asailocal.characters import (
     Phase,
     _dlog_frame,
     _num_exp,
+    _psi_coeffs,
     conductor_add,
     psi_to_E,
-    shell_angles,
     shell_cyc,
     standard_psi,
 )
@@ -99,21 +99,25 @@ def shell_cases(draw, most):
 @given(shell_cases(most=2500), st.randoms(use_true_random=False))
 def test_kernel_terms_match_element_angles(case, rnd):
     K, chi, psi, c, v, m = case
-    sa = shell_angles(chi, psi, v, m, c)
+    al, be, P = _psi_coeffs(psi, v, m, c)
     # the kernel's order: the units of level m in walk order, times pi^v
     e1, e2 = K.shell_basis(v)
-    xs = [a * e1 + b * e2 for a, b in unit_group(K, m).walk()]
+    walked = list(unit_group(K, m).walk())
+    xs = [a * e1 + b * e2 for a, b in walked]
     assert sorted(xs, key=K.coords) == sorted(K.shell(v, m), key=K.coords)
-    assert len(sa.units) == len(sa.psis) == len(xs)
-    for i in rnd.sample(range(len(xs)), min(40, len(xs))):
-        x = xs[i]
-        assert (Fraction(sa.units[i], sa.unit_den) + chi.t.angle * v) % 1 == chi.angle_at(x)
-        assert Fraction(sa.psis[i], sa.psi_den) == psi.angle(K.embed(c) * x)
+    frames = {False: _dlog_frame(chi.group, m, None)}
     if v >= 1:
-        sh = shell_angles(chi, psi, v, m, c, shift=True)
-        assert sh.psis == sa.psis
+        frames[True] = _dlog_frame(chi.group, m, v)
+    for shift, frame in frames.items():
+        assert len(frame) == len(xs)
         for i in rnd.sample(range(len(xs)), min(40, len(xs))):
-            assert Fraction(sh.units[i], sh.unit_den) == chi.angle_at(K.one() + xs[i])
+            (a, b), x = walked[i], xs[i]
+            assert Fraction((al * a + be * b) % P, P) == psi.angle(K.embed(c) * x)
+            unit = Fraction(chi._unit_num(frame[i]) if chi.n else 0, chi.unit_den)
+            if shift:
+                assert unit == chi.angle_at(K.one() + x)
+            else:
+                assert (unit + chi.t.angle * v) % 1 == chi.angle_at(x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,6 +135,10 @@ def test_exact_kernel_sum_equals_element_loop(case):
         for x in K.shell(v, m):
             want = want + Cyc.root(chi.angle_at(K.one() + x) + psi.angle(c * x))
         assert (shell_cyc(chi, psi, v, m, c, shift=True) - want).is_zero()
+    else:
+        # refused for every chi, unramified ones included
+        with pytest.raises(ValueError, match="shift needs"):
+            shell_cyc(chi, psi, v, m, c, shift=True)
 
 
 def _psi_loop(K, psi, v, m, c):
@@ -749,28 +757,35 @@ def test_gauss_sum_at_conductor_one_is_the_element_loop_bit_for_bit():
     assert count == 5 * 4 * 3
 
 
-def _cold_shell_angles(*args, **kwargs):
+def _cold_shell_cyc(*args, **kwargs):
     _dlog_frame.cache_clear()
-    return shell_angles(*args, **kwargs)
+    return shell_cyc(*args, **kwargs)
+
+
+def _bits(x):
+    return repr(x), repr(x.to_complex())
 
 
 @pytest.mark.parametrize("p,ext", [(5, None), (3, "ramified-up"), (3, UNRAMIFIED)])
 @pytest.mark.parametrize("shift", [False, True])
 def test_shell_angles_of_two_characters_do_not_depend_on_the_order(p, ext, shift):
-    # the cached dlog frame of a shell serves every character on it alike
+    # the cached dlog frame of a shell serves every character on it alike:
+    # each sum keeps its terms, their order and its float bits
     K = _field(p, ext)
     psi = standard_psi(K) if ext is None else psi_to_E(standard_psi(K.ground), K, K.xi())
     G = unit_group(K, 3)
     chis = [
         MultChar(K, 3, [Fraction(k * (i + 1), d) for i, d in enumerate(G.orders)], Phase.one())
-        for k in (1, 2)
+        # k = 1 and 2 give equal shifted sums on F
+        for k in (3, 5)
     ]
     args = (psi, 1, 2, K.elem(Fraction(1, p)), shift)
-    cold = [_cold_shell_angles(chi, *args) for chi in chis]
+    cold = [_cold_shell_cyc(chi, *args) for chi in chis]
     assert cold[0] != cold[1]
     for order in ((0, 1), (1, 0)):
         _dlog_frame.cache_clear()
-        assert {i: shell_angles(chis[i], *args) for i in order} == dict(enumerate(cold))
+        got = {i: _bits(shell_cyc(chis[i], *args)) for i in order}
+        assert got == {i: _bits(x) for i, x in enumerate(cold)}
 
 
 def test_second_gauss_sum_on_a_shell_reuses_its_point_dlogs(monkeypatch):
@@ -787,7 +802,7 @@ def test_second_gauss_sum_on_a_shell_reuses_its_point_dlogs(monkeypatch):
     def enumerated(*args):
         raise AssertionError("the shell was enumerated again")
 
-    monkeypatch.setattr(type(G), "keys", enumerated)
+    monkeypatch.setattr(type(G), "walk", enumerated)
     monkeypatch.setattr(G.logs, "peel", enumerated)
     assert gauss_sum(chi2, psi) == want
 
@@ -804,14 +819,15 @@ def test_kernel_refuses_moduli_beyond_precision(ext):
     # twice: a frame whose build raised is not cached, so it raises again
     for _ in range(2):
         with pytest.raises(PrecisionError):
-            shell_angles(chi, psi, 0, 9)
+            shell_cyc(chi, psi, 0, 9)
         # m = 2, so that b runs over a unit on ramified E as well
         with pytest.raises(PrecisionError):
-            shell_angles(chi, psi, 0, 2, c=Fraction(1, 3**9))
+            shell_cyc(chi, psi, 0, 2, c=Fraction(1, 3**9))
         with pytest.raises(PrecisionError):
-            shell_angles(None, psi.shifted(Fraction(1, 3**9)), 0, 2)
+            shell_cyc(None, psi.shifted(Fraction(1, 3**9)), 0, 2)
         # valuation -8 still fits the window
-        shell_angles(None, psi.shifted(Fraction(1, 3**8)), 0, 2)
+        psi8 = psi.shifted(Fraction(1, 3**8))
+        assert (shell_cyc(None, psi8, 0, 2) - _psi_loop(K, psi8, 0, 2, K.one())).is_zero()
 
 
 @pytest.mark.parametrize(
@@ -835,8 +851,7 @@ def test_kernel_ignores_sqrt_d_part_where_b_is_zero(ext):
     F = PAdicGround(3, precision=8)
     E = QuadExtension(F, ext)
     psi = psi_to_E(standard_psi(F), E, E.xi()).shifted(Fraction(1, 3**9))
-    sa = shell_angles(None, psi, 0, 1)
-    assert [Fraction(s, sa.psi_den) for s in sa.psis] == [psi.angle(x) for x in E.shell(0, 1)]
+    assert (shell_cyc(None, psi, 0, 1) - _psi_loop(E, psi, 0, 1, E.one())).is_zero()
 
 
 def _scan_from_row_zero(G):

@@ -605,9 +605,9 @@ def test_stationary_gauss_sum_builds_no_shell_frame(monkeypatch, ext, n):
     def frame(*args, **kwargs):
         raise AssertionError("a whole-shell frame was built")
 
-    for name in ("shell_angles", "_dlog_frame", "_psi_frame"):
+    for name in ("shell_cyc", "_dlog_frame", "_psi_coeffs"):
         monkeypatch.setattr(characters_mod, name, frame)
-    monkeypatch.setattr(UnitGroup, "keys", frame)
+    monkeypatch.setattr(UnitGroup, "walk", frame)
     tate_eps.cache_clear()
     tate_mod._stationary_line.cache_clear()
     assert [route(chi, psi) for route in routes] == want
