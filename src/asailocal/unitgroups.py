@@ -140,11 +140,13 @@ class UnitGroup:
         """The units prod g_j^(e_j) as integer pairs, the i-th with the i-th
         exponents of ``itertools.product(*map(range, orders))``: one pair
         product per unit, no peel.  The generators being a basis, it meets
-        each of the ``size`` units once, and raises ArithmeticError if not."""
-        units = iter([(1, 0)])
+        each of the ``size`` units once, and raises ArithmeticError if not.
+        It starts from 1 reduced mod ``_mods``: at level 0 that is (0, 0),
+        the one unit, which no generator multiplies."""
+        Ma, Mb = self._mods
+        units = iter([(1 % Ma, 0)])
         for h, m in zip(self._pairs, self.orders):
             units = _times_powers(units, h, m, self._mul)
-        Ma, Mb = self._mods
         seen = bytearray(Ma * Mb)
         for a, b in units:
             seen[a * Mb + b] = 1

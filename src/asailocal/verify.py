@@ -294,13 +294,16 @@ def suite_closed_vs_quadrature() -> dict:
 
 
 def suite_combinatorial() -> dict:
+    """The Gamma identity for N = 0..6 at 20 random (z, w), the seven
+    identities of one (z, w) from one evaluation of each Gamma value
+    (arch.combinatorial_identities)."""
     rng = random.Random(11)
     devs = []
     for _ in range(20):
         z = complex(rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))
         # Re w in [6.5, 11]: past the largest N, so no Gamma(w - l) hits a pole
         w = complex(rng.uniform(6.5, 11.0), rng.uniform(-1.0, 1.0))
-        devs.extend(arch.combinatorial_identity(N, z, w)[2] for N in range(7))
+        devs.extend(dev for _, _, dev in arch.combinatorial_identities(z, w, 6))
     return _report(
         "gamma-combinatorial-identity",
         GAMMA_IDENTITY_TOL,

@@ -5,7 +5,7 @@ import random
 import re
 import subprocess
 import sys
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from asailocal.arch import (
     CChar,
     RChar,
     case_table,
-    combinatorial_identity,
+    combinatorial_identities,
     eps_gal_arch,
     eps_rs_arch,
     lambda_C_R,
@@ -38,7 +38,7 @@ from asailocal.arch import (
     zeta_whittaker_closed,
     zeta_whittaker_quadrature,
 )
-from asailocal.factors import DEFAULT_GRID, FloatRangeError, PoleError, loggamma
+from asailocal.factors import DEFAULT_GRID, FloatRangeError, PoleError, gammafn, loggamma
 
 # -- the depth-first scalar quadrature, kept as the reference -----------------
 
@@ -106,11 +106,11 @@ def test_quad_real_line_rows_match_the_scalar_reference(cs):
 
 def lattice_sums(g):
     """The lattice engine's integrand for ``g``, a function of a numpy array
-    of nodes: f(start, stop, step) is the sum of g over the nodes
+    of nodes: f(start, stop, step) is the array of g's values at the nodes
     k * TRAP_UNIT, k in range(start, stop, step)."""
 
     def f(start, stop, step):
-        return complex(np.sum(g(np.arange(start, stop, step) * arch.TRAP_UNIT)))
+        return g(np.arange(start, stop, step) * arch.TRAP_UNIT)
 
     return f
 
@@ -582,13 +582,47 @@ def test_arch_relation_under_scalings():
 
 
 def test_combinatorial_identity_examples():
-    lhs, rhs, dev = combinatorial_identity(0, 1.7 + 0.2j, 3.3)
+    ((lhs, rhs, dev),) = combinatorial_identities(1.7 + 0.2j, 3.3, 0)
     assert dev < 1e-14
-    lhs, rhs, dev = combinatorial_identity(1, 2.0, 3.0)
+    lhs, rhs, dev = combinatorial_identities(2.0, 3.0, 1)[1]
     # Gamma(2)Gamma(3) + Gamma(3)Gamma(2) = 1*2 + 2*1 = 4
     assert abs(lhs - 4) < 1e-12 and dev < 1e-12
-    lhs, rhs, dev = combinatorial_identity(6, 1.3 + 0.4j, 5.7)
+    lhs, rhs, dev = combinatorial_identities(1.3 + 0.4j, 5.7, 6)[6]
     assert dev < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.builds(complex, st.floats(0.5, 4.0), st.floats(-1.0, 1.0)),
+    st.builds(complex, st.floats(6.5, 11.0), st.floats(-1.0, 1.0)),
+)
+def test_combinatorial_identities_equal_each_identity_computed_alone(z, w):
+    # the N-th identity from its own Gamma and log Gamma values, in the
+    # same summation order: each Gamma value shared across N keeps its bits
+    def alone(N):
+        lhs = sum(comb(N, ell) * gammafn(z + ell) * gammafn(w - ell) for ell in range(N + 1))
+        rhs = cmath.exp(loggamma(z) + loggamma(w - N) + loggamma(z + w) - loggamma(z + w - N))
+        return lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)
+
+    got = combinatorial_identities(z, w, 6)
+    assert list(map(repr, got)) == [repr(alone(N)) for N in range(7)]
+
+
+def test_combinatorial_suite_computes_each_gamma_value_once(monkeypatch):
+    # a count guard: per (z, w), log Gamma at z + l, w - l and z + w - N for
+    # l, N = 0..6, 21 distinct values; 420 for the suite's 20 (z, w), where
+    # the identities computed one N at a time took 1,680
+    from asailocal import verify
+
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return loggamma(z)
+
+    monkeypatch.setattr(arch, "loggamma", counting)
+    assert verify.suite_combinatorial()["ok"]
+    assert len(calls) == len(set(calls)) == 420
 
 
 def test_quad_gl_one_panel_is_exact_for_low_degree():
@@ -701,7 +735,7 @@ def test_trapezoid_window_snaps_outward_to_the_first_grid():
 
     def f(start, stop, step):
         nodes.extend(range(start, stop, step))
-        return complex(len(range(start, stop, step)))
+        return [1.0] * len(range(start, stop, step))
 
     assert quad_trapezoid(f, 0.3, 0.9, 1e-11) == 1
     assert min(nodes) * arch.TRAP_UNIT == 0.0 and max(nodes) * arch.TRAP_UNIT == 1.0
@@ -718,7 +752,7 @@ def test_trapezoid_line_grows_only_the_end_that_has_not_decayed():
     def f(start, stop, step):
         calls.append(range(start, stop, step))
         x = np.arange(start, stop, step) * arch.TRAP_UNIT
-        return complex(np.sum(np.exp(x - np.exp(x))))
+        return np.exp(x - np.exp(x))
 
     assert abs(quad_trapezoid_line(f, 1e-11) - 1) < 1e-14
     first_grid = [r[0] * arch.TRAP_UNIT for r in calls if len(r) == 1]
@@ -736,7 +770,7 @@ def test_trapezoid_line_refines_only_the_trimmed_window():
     def f(start, stop, step):
         calls.append(range(start, stop, step))
         x = np.arange(start, stop, step) * arch.TRAP_UNIT
-        return complex(np.sum(np.exp(x - np.exp(x))))
+        return np.exp(x - np.exp(x))
 
     assert abs(quad_trapezoid_line(f, 1e-11) - 1) < 1e-14
     first_grid = np.array([r[0] for r in calls if len(r) == 1]) * arch.TRAP_UNIT
@@ -761,47 +795,47 @@ def test_trapezoid_line_keeps_a_zero_between_live_nodes():
     def f(start, stop, step):
         calls.append(range(start, stop, step))
         x = np.arange(start, stop, step) * arch.TRAP_UNIT
-        return complex(np.sum((x - 1) ** 2 * np.exp(-math.pi * x * x / 4)))
+        return (x - 1) ** 2 * np.exp(-math.pi * x * x / 4)
 
     want = 4 / math.pi + 2
     assert abs(quad_trapezoid_line(f, 1e-11) - want) <= 1e-15 * want
     one = round(1 / arch.TRAP_UNIT)
-    assert f(one, one + 1, 1) == 0
+    assert list(f(one, one + 1, 1)) == [0]
     # the window is [-7.5, 7.5]: past |x| = 7 the integrand is below the floor
     refined = np.concatenate([np.array(r) for r in calls if len(r) > 1]) * arch.TRAP_UNIT
     assert refined.min() == -7.25 and refined.max() == 7.25
 
 
 def test_trapezoid_refuses_nan_in_one_row_at_once():
-    # the first grid of [2, 3] is its midpoint, then its two ends; the value
-    # at the end 3 is NaN
+    # the first grid of [2, 3] is one read of its three nodes, ends
+    # included; the value at the end 3 is NaN
     calls = []
 
     def f(start, stop, step):
         calls.append(len(range(start, stop, step)))
         x = np.arange(start, stop, step) * arch.TRAP_UNIT
-        return complex(np.sum(np.where(x > 2.5, np.nan, 1.0)))
+        return np.where(x > 2.5, np.nan, 1.0)
 
     with pytest.raises(ArithmeticError, match=r"not finite on \[2\.0, 3\.0\]"):
         quad_trapezoid(f, 2.0, 3.0)
-    assert calls == [1, 2]
+    assert calls == [3]
 
 
 def test_trapezoid_row_that_never_settles_raises_naming_it():
     # a unit jump at 7/3, off the lattice, leaves the sums O(h) apart at
-    # every level: the midpoint and the two ends, then 2, 4, ..., 1024 new
-    # midpoints, the last of them on the lattice's finest step
+    # every level: the first grid's three nodes in one read, then 2, 4,
+    # ..., 1024 new midpoints, the last of them on the lattice's finest step
     calls = []
 
     def f(start, stop, step):
         calls.append(len(range(start, stop, step)))
         x = np.arange(start, stop, step) * arch.TRAP_UNIT
-        return complex(np.sum(np.where(x > 7 / 3, 1.0, 0.0)))
+        return np.where(x > 7 / 3, 1.0, 0.0)
 
     with pytest.raises(ArithmeticError, match=r"did not settle on \[2\.0, 3\.0\] in 10 halvings"):
         quad_trapezoid(f, 2.0, 3.0)
     assert arch.TRAP_HALVINGS == 10 and arch.TRAP_UNIT == arch.TRAP_H0 / 2**10
-    assert calls == [1, 2] + [2**k for k in range(1, 11)]
+    assert calls == [3] + [2**k for k in range(1, 11)]
 
 
 def test_trapezoid_settles_rows_below_the_underflow_floor():
@@ -815,13 +849,13 @@ def test_trapezoid_settles_rows_below_the_underflow_floor():
         def f(start, stop, step):
             calls.append(len(range(start, stop, step)))
             x = np.arange(start, stop, step) * arch.TRAP_UNIT
-            return complex(np.sum(scale * np.where(x > 1 / 3, 2.0, 1.0)))
+            return scale * np.where(x > 1 / 3, 2.0, 1.0)
 
         return f
 
     calls = []
     got = quad_trapezoid(sums(floor / 2, calls), 0.0, 1.0)
-    assert 0 < abs(got) < floor and calls == [1, 2, 2]
+    assert 0 < abs(got) < floor and calls == [3, 2]
     with pytest.raises(ArithmeticError, match="did not settle"):
         quad_trapezoid(sums(floor, []), 0.0, 1.0)
     # Whittaker rows at |y| = 60 are 0 to the last node
@@ -849,7 +883,7 @@ def test_trapezoid_line_window_raises_beyond_400():
 
     def f(start, stop, step):
         calls.append(len(range(start, stop, step)))
-        return complex(len(range(start, stop, step)))
+        return [1.0] * len(range(start, stop, step))
 
     with pytest.raises(ArithmeticError, match=r"tail does not decay beyond \[-402\.0, 402\.0\]"):
         quad_trapezoid_line(f, 1e-11)
@@ -942,14 +976,18 @@ def test_lemma_oracle_work_on_the_suite_data(monkeypatch):
     monkeypatch.setattr(arch._LatticeTable, "run", reading)
     assert verify.suite_closed_vs_quadrature()["ok"]
     assert len(rows) == 1289
-    assert sum(read) == 2 * 121657
+    assert sum(read) == 190755
+    # one P run and one Q run per level of a row, the first grid one level,
+    # and the table's own runs for the even multiples it extends
+    assert len(read) == 8413
 
 
 def test_row_allowance_moves_the_lemma_values_by_rounding_only(monkeypatch):
-    # the radial rows of a refined outer level settle only to their share
-    # of the outer row's error budget; on the suite's ten data the values
-    # are within 1e-12 of those with every radial row settled to 1e-11
-    # relative
+    # the radial rows of the window step and of a refined outer level
+    # settle only to their share of the outer row's error budget; on the
+    # suite's ten data, and on 20 more drawn as the suite draws them with
+    # s in [1.2, 4] + [-6.5, 6.5] i, the values are within 1e-12 of those
+    # with every radial row settled to 1e-11 relative
     from asailocal import verify
 
     quadrature, calls = arch.zeta_whittaker_quadrature, []
@@ -967,11 +1005,45 @@ def test_row_allowance_moves_the_lemma_values_by_rounding_only(monkeypatch):
     def strict(ay, v, c, sums, tol, allowance=0.0):
         return radial(ay, v, c, sums, tol)
 
+    rng = random.Random(49)
+    drawn = [(complex(rng.uniform(1.2, 4), rng.uniform(-6.5, 6.5)), suite_datum(rng)) for _ in range(20)]
+    got += [quadrature(s1, [datum])[0] for s1, datum in drawn]
     monkeypatch.setattr(arch, "_radial", strict)
-    want = quadrature(s, data)
-    assert len(want) == 10
+    want = quadrature(s, data) + [quadrature(s1, [datum])[0] for s1, datum in drawn]
+    assert len(want) == 30
     for g, w in zip(got, want, strict=True):
         assert abs(g - w) <= 1e-12 * abs(w)
+
+
+def suite_datum(rng):
+    """One Lemma datum drawn as verify.suite_closed_vs_quadrature draws it."""
+    n1, n2 = rng.randint(-2, 2), rng.randint(-2, 2)
+    mu = CChar(complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)), n1)
+    nu = CChar(complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)), n2)
+    a1, a2 = rng.randint(0, 2), rng.randint(0, 2)
+    diff = a1 - a2 + n1 - n2
+    b1, b2 = (diff, 0) if diff >= 0 else (0, -diff)
+    m = rng.randint(0, 1)
+    if (n1 + m + a1 + a2) % 2 != 0:
+        m = (m + 1) % 2
+    return (a1, a2), (b1, b2), RChar(0.0, m), mu, nu
+
+
+def test_window_budget_keeps_the_trivial_datum_under_cancellation(monkeypatch):
+    # the window step's allowances are a share of the peak node, and at
+    # Im s = 4 and 6 the integral cancels to 7 % and 0.5 % of the peak: the
+    # values stay the closed form's.  A share of 1e-3 would spend more than
+    # the outer budget at s = 2.4 + 4i, and the check after the outer row
+    # raises, naming the window step
+    one = CChar(0, 0)
+    datum = ((0, 0), (0, 0), RChar(0.0, 0), one, one)
+    for s in (1.5 + 2j, 2.4 + 4j, 2.4 + 6j):
+        closed = zeta_whittaker_closed(s, *datum)
+        (quad,) = zeta_whittaker_quadrature(s, [datum])
+        assert abs(quad - closed) <= 1e-11 * abs(closed), s
+    monkeypatch.setattr(arch, "WINDOW_SHARE", 1e-3)
+    with pytest.raises(ArithmeticError, match="window step's allowances .* over tol / 4 of the integral"):
+        zeta_whittaker_quadrature(2.4 + 4j, [datum])
 
 
 def test_lemma_oracle_refuses_a_first_grid_sum_far_above_the_integral():
@@ -1021,7 +1093,7 @@ def test_oracles_call_no_closed_form(monkeypatch):
 
     # the Tate oracles and their closed forms live in this module
     here = sys.modules[__name__]
-    for name in ("zeta_whittaker_closed", "loggamma", "gammafn"):
+    for name in ("zeta_whittaker_closed", "loggamma"):
         monkeypatch.setattr(arch, name, closed_form)
     for name in ("tate_gamma_real", "tate_gamma_complex", "loggamma"):
         monkeypatch.setattr(here, name, closed_form)

@@ -63,6 +63,17 @@ def test_walk_meets_every_unit_in_product_order(group):
 
 
 @pytest.mark.parametrize("ext", (None,) + EXTENSION_TYPES)
+def test_walk_at_level_0_meets_the_one_unit(ext):
+    # (O_K/pi^0)^x has one unit and no generator: the walk starts from 1
+    # reduced mod the coordinate moduli, (0, 0), the key of the empty
+    # exponent tuple, the one tuple of the product order
+    G = unit_group(_field(5, ext), 0)
+    walked = list(G.walk())
+    assert walked == [(0, 0)] and G.size == 1
+    assert [G.logs[G.coord_key(*u)] for u in walked] == list(itertools.product(*map(range, G.orders)))
+
+
+@pytest.mark.parametrize("ext", (None,) + EXTENSION_TYPES)
 def test_whole_group_frames_peel_nothing(ext, monkeypatch):
     # a shell sum at n = level reads the walk alone: with the peel and
     # MultChar._unit_num patched to raise and G.logs emptied, it gives the
